@@ -12,7 +12,7 @@ lexicographically smallest pair in its unit orbit.
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantError
 
 # 2x2 integer matrices as flat tuples (a, b, c, d)
 MAT_ID = (1, 0, 0, 1)
@@ -111,7 +111,9 @@ def curve_data(N):
 
     genus_frac = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
         - Fraction(nu_inf, 2)
-    assert genus_frac.denominator == 1
+    if genus_frac.denominator != 1:
+        raise InternalInvariantError(
+            "genus formula gave the non-integer %s at level %d" % (genus_frac, N))
     return {
         "N": N,
         "mu": mu,
@@ -130,50 +132,50 @@ def _euler_phi(n):
 
 
 class P1Space:
-    """P^1(Z/N) with canonical representatives and index lookup."""
+    """P^1(Z/N) with canonical representatives and index lookup.
 
-    __slots__ = ("N", "reps", "_index", "_units")
+    The constructor sweeps all N^2 pairs once in lexicographic order; the
+    first pair met of each unit orbit is its canonical representative, and
+    every member of the orbit gets that class's index in a flat N*N table
+    (-1 marks pairs that are not points).  canonical() and index() are one
+    table read.
+    """
+
+    __slots__ = ("N", "reps", "_table")
 
     def __init__(self, N):
         if N < 1:
             raise DomainError("level must be a positive integer")
         self.N = N
-        self._units = [u for u in range(1, N + 1) if gcd(u, N) == 1] \
-            if N > 1 else [0]
+        units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1]
+        table = [-1] * (N * N)
         reps = []
-        seen = set()
-        if N == 1:
-            reps = [(0, 0)]
-        else:
-            for c in range(N):
-                for d in range(N):
-                    if (c, d) in seen:
-                        continue
-                    if gcd(gcd(c, d), N) != 1:
-                        continue
-                    # first unseen pair in lex order is its orbit's canonical rep
-                    reps.append((c, d))
-                    for u in self._units:
-                        seen.add(((u * c) % N, (u * d) % N))
+        for c in range(N):
+            for d in range(N):
+                if table[c * N + d] >= 0 or gcd(gcd(c, d), N) != 1:
+                    continue
+                k = len(reps)
+                reps.append((c, d))
+                for u in units:
+                    table[(u * c) % N * N + (u * d) % N] = k
         self.reps = tuple(reps)
-        self._index = {cd: i for i, cd in enumerate(reps)}
+        self._table = table
 
     def __len__(self):
         return len(self.reps)
 
     def canonical(self, c, d):
         """Canonical representative of the class of (c, d)."""
-        N = self.N
-        if N == 1:
-            return (0, 0)
-        c %= N
-        d %= N
-        if gcd(gcd(c, d), N) != 1:
-            raise DomainError("(%d, %d) is not a point of P^1(Z/%d)" % (c, d, N))
-        return min(((u * c) % N, (u * d) % N) for u in self._units)
+        return self.reps[self.index(c, d)]
 
     def index(self, c, d):
-        return self._index[self.canonical(c, d)]
+        N = self.N
+        c %= N
+        d %= N
+        i = self._table[c * N + d]
+        if i < 0:
+            raise DomainError("(%d, %d) is not a point of P^1(Z/%d)" % (c, d, N))
+        return i
 
     def index_of_matrix(self, m):
         """Index of the coset of an SL2(Z) matrix (by bottom row)."""
@@ -218,7 +220,8 @@ def cusp_class_key(cusp, N):
     for a in range(N + 1):
         if gcd(a, c) == 1 and cusp_equivalent((p, q), (a, c), N):
             return (a, c)
-    raise AssertionError("no canonical representative found for %s" % ((p, q),))
+    raise InternalInvariantError(
+        "no canonical representative found for %s" % ((p, q),))
 
 
 def cusp_classes(N):

@@ -14,6 +14,10 @@ class DomainError(ModfolError):
     """Input outside the documented domain of an operation."""
 
 
+class InternalInvariantError(ModfolError):
+    """An internal consistency check failed: a defect, not bad input."""
+
+
 class DimensionError(ModfolError):
     """Matrix/vector shape mismatch."""
 

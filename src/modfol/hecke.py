@@ -98,16 +98,14 @@ def hecke_matrix(space, p):
     cols = []
     for sym in space.free_symbols:
         c, d = space.p1.reps[sym]
-        acc = [Fraction(0)] * dim
+        images = []
         for (ma, mb, mc, md) in fam:
             c2 = (c * ma + d * mc) % N
             d2 = (c * mb + d * md) % N
             if gcd(gcd(c2, d2), N) != 1:
                 continue          # possible only when p divides N
-            for r, v in enumerate(space.symbol_coords(c2, d2)):
-                if v:
-                    acc[r] += v
-        cols.append(acc)
+            images.append(space.symbol_coords(c2, d2))
+        cols.append([sum(col) for col in zip(*images)])
     return QMatrix.from_rows(
         [[cols[j][i] for j in range(dim)] for i in range(dim)])
 
@@ -134,12 +132,10 @@ def hecke_column_paths(space, p, j):
     alpha = None if d == 0 else Fraction(b, d)      # image of 0
     beta = None if c == 0 else Fraction(a, c)       # image of infinity
     with_scaling = space.N % p != 0
-    acc = [Fraction(0)] * space.dim
-    for xa, xb in zip(_coset_images(alpha, p, with_scaling),
-                      _coset_images(beta, p, with_scaling)):
-        for r, v in enumerate(space.path(xa, xb)):
-            acc[r] += v
-    return acc
+    images = [space.path(xa, xb)
+              for xa, xb in zip(_coset_images(alpha, p, with_scaling),
+                                _coset_images(beta, p, with_scaling))]
+    return [sum(col) for col in zip(*images)]
 
 
 def hecke_matrix_paths(space, p):

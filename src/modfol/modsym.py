@@ -13,7 +13,9 @@ boundary kernel, of dimension twice the genus.
 
 Coordinates: the relation module is eliminated once at construction; every
 symbol, path and loop is afterwards expressed in a fixed basis of the
-quotient (dimension 2*genus + #cusps - 1).
+quotient (dimension 2*genus + #cusps - 1).  Symbol and path coordinates are
+integers (the elimination is checked to leave no denominators); they become
+Fractions only where they enter a QMatrix.
 """
 
 from fractions import Fraction
@@ -28,7 +30,8 @@ from .congruence import (
     mat_det,
     mat_mul,
 )
-from .errors import DimensionError, DomainError, SingularMatrixError
+from .errors import (DimensionError, DomainError, InternalInvariantError,
+                     SingularMatrixError)
 from .linalg import QMatrix
 
 
@@ -59,7 +62,6 @@ class ModularSymbolSpace:
     def _build_quotient(self):
         p1 = self.p1
         n = len(p1.reps)
-        canon = p1.canonical
 
         sigma = [p1.index(*_sigma_image(*p1.reps[i])) for i in range(n)]
         tau = [p1.index(*_tau_image(*p1.reps[i])) for i in range(n)]
@@ -89,7 +91,7 @@ class ModularSymbolSpace:
             if key in seen:
                 continue
             seen.add(key)
-            row = [Fraction(0)] * len(reps)
+            row = [0] * len(reps)
             for j in orbit:
                 sign, rep = rep_of[j]
                 if sign != 0:
@@ -107,22 +109,25 @@ class ModularSymbolSpace:
         self.dim = len(free_cols)
         self.free_symbols = [reps[c] for c in free_cols]
 
-        # coordinates of each representative in the quotient basis
+        # integer coordinates of each representative in the quotient basis
         rep_coords = {}
         free_pos = {c: k for k, c in enumerate(free_cols)}
         for c in free_cols:
-            v = [Fraction(0)] * self.dim
-            v[free_pos[c]] = Fraction(1)
+            v = [0] * self.dim
+            v[free_pos[c]] = 1
             rep_coords[c] = tuple(v)
         for k, c in enumerate(pivots):
-            v = [Fraction(0)] * self.dim
+            v = [0] * self.dim
             for fc in free_cols:
                 coeff = rref[k, fc]
-                if coeff:
-                    v[free_pos[fc]] -= coeff
+                if coeff.denominator != 1:
+                    raise InternalInvariantError(
+                        "symbol %d has the non-integral coordinate %s at "
+                        "level %d" % (reps[c], -coeff, self.N))
+                v[free_pos[fc]] = -coeff.numerator
             rep_coords[c] = tuple(v)
 
-        zero = tuple([Fraction(0)] * self.dim)
+        zero = (0,) * self.dim
         self._symbol_coords = []
         for i in range(n):
             sign, rep = rep_of[i]
@@ -140,7 +145,7 @@ class ModularSymbolSpace:
 
         def divisor(i):
             a, b, c, d = self.lift(*self.p1.reps[i])
-            v = [Fraction(0)] * nu
+            v = [0] * nu
             v[key_pos[cusp_class_key((a, c), self.N)]] += 1
             v[key_pos[cusp_class_key((b, d), self.N)]] -= 1
             return v
@@ -152,16 +157,17 @@ class ModularSymbolSpace:
             [[cols[j][r] for j in range(self.dim)] for r in range(nu)])
         self.boundary = bm
         for i in range(len(self.p1.reps)):
-            expected = tuple(bm.apply(self._symbol_coords[i]))
-            assert tuple(divisor(i)) == expected, \
-                "boundary map inconsistent with relations at symbol %d" % i
+            if divisor(i) != bm.apply(self._symbol_coords[i]):
+                raise InternalInvariantError(
+                    "boundary map inconsistent with relations at symbol %d" % i)
 
         kernel = bm.kernel() if self.dim else []
         self._cuspidal_basis = [tuple(v) for v in kernel]
         self.cuspidal_dim = len(self._cuspidal_basis)
-        assert self.cuspidal_dim == 2 * self.genus, \
-            "cuspidal dimension %d != 2*genus %d" % (self.cuspidal_dim,
-                                                     2 * self.genus)
+        if self.cuspidal_dim != 2 * self.genus:
+            raise InternalInvariantError(
+                "cuspidal dimension %d != 2*genus %d"
+                % (self.cuspidal_dim, 2 * self.genus))
         if self.cuspidal_dim:
             self._cuspidal_matrix = QMatrix.from_rows(
                 [[self._cuspidal_basis[j][r] for j in range(self.cuspidal_dim)]
@@ -189,12 +195,15 @@ class ModularSymbolSpace:
                 k += 1
                 dd = d0 + k * N
                 if k > 4 * abs(cc) + 4:
-                    raise AssertionError("no coprime lift for (%d, %d)" % (c0, d0))
+                    raise InternalInvariantError(
+                        "no coprime lift for (%d, %d)" % (c0, d0))
         if cc == 0 and dd == 0:
-            raise AssertionError("degenerate lift")
+            raise InternalInvariantError("degenerate lift")
         # complete (cc, dd) to determinant 1: a*dd - b*cc = 1
         g, x, y = _xgcd(dd, -cc)
-        assert g == 1
+        if g != 1:
+            raise InternalInvariantError(
+                "lift (%d, %d) of (%d, %d) is not coprime" % (cc, dd, c0, d0))
         return (x, y, cc, dd)
 
     def symbol_coords(self, c, d):
@@ -202,7 +211,7 @@ class ModularSymbolSpace:
         return self._symbol_coords[self.p1.index(c, d)]
 
     def zero_vector(self):
-        return tuple([Fraction(0)] * self.dim)
+        return (0,) * self.dim
 
     # -- paths -------------------------------------------------------------------
 
@@ -215,10 +224,9 @@ class ModularSymbolSpace:
                                            self._path_from_infinity(y)))
 
     def _path_from_infinity(self, x):
-        """Coordinates of {oo, x}."""
-        out = [Fraction(0)] * self.dim
+        """Integer coordinates of {oo, x}."""
         if x is None:
-            return out
+            return [0] * self.dim
         x = Fraction(x)
         p, q = x.numerator, x.denominator
         # continued-fraction convergents p_k/q_k of x, starting from 1/0
@@ -226,6 +234,8 @@ class ModularSymbolSpace:
         pk, qk = None, None
         a, b = p, q
         first = True
+        index, coords = self.p1.index, self._symbol_coords
+        steps = []
         while True:
             if b == 0:
                 break
@@ -238,13 +248,15 @@ class ModularSymbolSpace:
                 pk, qk, pk_1, qk_1 = quo * pk + pk_1, quo * qk + qk_1, pk, qk
             # unimodular path {p_{k-1}/q_{k-1}, p_k/q_k} = [h.0, h.oo]
             h = (pk, pk_1, qk, qk_1)
-            if mat_det(h) == -1:
+            det = mat_det(h)
+            if det == -1:
                 h = (pk, -pk_1, qk, -qk_1)
-            assert mat_det(h) == 1
-            idx = self.p1.index_of_matrix(h)
-            for r, v in enumerate(self._symbol_coords[idx]):
-                out[r] += v
-        return out
+            elif det != 1:
+                raise InternalInvariantError(
+                    "convergent matrix %s of %s has determinant %d"
+                    % (h, x, det))
+            steps.append(coords[index(qk, h[3])])
+        return [sum(col) for col in zip(*steps)]
 
     # -- cuspidal subspace ----------------------------------------------------------
 
@@ -353,7 +365,7 @@ class ModularSymbolSpace:
         while len(out) < need:
             k += 1
             if k > 40:
-                raise AssertionError(
+                raise InternalInvariantError(
                     "homology generator sweep exhausted at level %d" % self.N)
             c = k * self.N
             for d in range(1, c + 1):
@@ -362,7 +374,10 @@ class ModularSymbolSpace:
                 a = pow(d, -1, c)
                 b = (a * d - 1) // c
                 gamma = (a, b, c, d)
-                assert mat_det(gamma) == 1
+                if mat_det(gamma) != 1:
+                    raise InternalInvariantError(
+                        "sweep element %s does not have determinant 1"
+                        % (gamma,))
                 coords = self.loop_class(gamma)
                 trial = picked_rows + [list(coords)]
                 if QMatrix.from_rows(trial).rank() == len(trial):

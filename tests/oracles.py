@@ -8,6 +8,13 @@ from fractions import Fraction
 from math import gcd
 
 
+def brute_canonical(N, c, d):
+    """Lexicographically smallest pair in the unit orbit of (c, d) mod N."""
+    c, d = c % N, d % N
+    return min(((u * c) % N, (u * d) % N)
+               for u in range(1, max(N, 2)) if gcd(u, N) == 1)
+
+
 def brute_p1_classes(N):
     """P^1(Z/N) classes by explicit union of unit orbits."""
     if N == 1:
@@ -34,13 +41,6 @@ def coset_genus(N):
     translation; Euler characteristic 2 - 2g = #orb2 + #orb3 + #orbT - mu.
     """
     reps = brute_p1_classes(N)
-    units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1] or [0]
-
-    def canon(c, d):
-        if N == 1:
-            return (0, 0)
-        c, d = c % N, d % N
-        return min(((u * c) % N, (u * d) % N) for u in units)
 
     def orbits(step):
         seen = set()
@@ -52,7 +52,7 @@ def coset_genus(N):
             cur = r
             while cur not in seen:
                 seen.add(cur)
-                cur = canon(*step(cur))
+                cur = brute_canonical(N, *step(cur))
         return count
 
     n2 = orbits(lambda cd: (cd[1], -cd[0]))          # (c,d) . S

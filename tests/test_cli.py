@@ -14,9 +14,9 @@ import modfol
 from modfol import cache
 from modfol.cli import _error_code_hint, main
 from modfol.errors import (DomainError, IndeterminateRankError,
-                           NoCuspFormsError, PrecisionError,
-                           TruncationError, UndecidedSplitError,
-                           WrongCaseError)
+                           InternalInvariantError, NoCuspFormsError,
+                           PrecisionError, TruncationError,
+                           UndecidedSplitError, WrongCaseError)
 
 
 @pytest.fixture(autouse=True)
@@ -284,17 +284,52 @@ def test_error_code_mapping():
     assert _error_code_hint(DomainError("x"))[0] == 3
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs from tmp_path, so a relative PYTHONPATH (``src`` in a
-    # source checkout) would no longer resolve: put the directory of the
+def test_internal_invariant_error_exits_3(monkeypatch):
+    from modfol.modsym import ModularSymbolSpace
+
+    def broken(self):
+        raise InternalInvariantError("boundary check failed")
+
+    monkeypatch.setattr(ModularSymbolSpace, "_build_boundary", broken)
+    code, obj = run_json("decompose", "11", "--no-cache")
+    assert code == 3
+    assert obj["error"] == "boundary check failed"
+
+
+def _child_env():
+    # A child run from another directory would not resolve a relative
+    # PYTHONPATH (``src`` in a source checkout): put the directory of the
     # modfol under test first and make the inherited entries absolute.
     package_root = str(Path(modfol.__file__).resolve().parents[1])
     inherited = [os.path.abspath(entry) for entry in
                  os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([package_root] + inherited))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([package_root] + inherited))
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "modfol.cli", "torus", "--matrix", "1,1,0,1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == '{"kind":"parabolic_strebel","trace":2}\n'
+
+
+PERIODS_11 = (
+    b'{"detected_rank":1,"exact_rank":1,"level":11,"orbit":0,"precision":60,'
+    b'"precision_estimate":60,"rank_agreement":true,"value_digits":[60,60],'
+    b'"values":["-1.269209304279553421688794616754547305219492241830608667967137",'
+    b'"-0.634604652139776710844397308377273652609746120915304333983568"]}\n')
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_periods_bytes_with_and_without_asserts(tmp_path, flags):
+    # -O strips assert statements; the invariant checks on this route are
+    # raises, so they still run, and the bytes must match the plain run's.
+    proc = subprocess.run(
+        [sys.executable] + flags + ["-m", "modfol.cli", "periods", "11",
+                                    "--orbit", "0", "--prec", "60",
+                                    "--no-cache"],
+        capture_output=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == PERIODS_11

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modfol.congruence import (
     P1Space,
@@ -19,7 +21,13 @@ from modfol.congruence import (
 )
 from modfol.errors import DomainError
 
-from oracles import brute_p1_classes, coset_genus, moebius_on_cusp, random_gamma0_element
+from oracles import (brute_canonical, brute_p1_classes, coset_genus,
+                     moebius_on_cusp, random_gamma0_element)
+
+
+@lru_cache(maxsize=8)
+def _p1(N):
+    return P1Space(N)
 
 
 class TestCurveData:
@@ -106,6 +114,34 @@ class TestP1:
     def test_rejects_non_point(self):
         with pytest.raises(DomainError):
             P1Space(12).canonical(2, 4)
+
+    def test_canonical_and_index_match_oracle_on_every_pair(self):
+        for N in range(1, 61):
+            space = P1Space(N)
+            for c in range(N):
+                for d in range(N):
+                    if gcd(gcd(c, d), N) != 1:
+                        with pytest.raises(DomainError):
+                            space.canonical(c, d)
+                        with pytest.raises(DomainError):
+                            space.index(c, d)
+                        continue
+                    rep = brute_canonical(N, c, d)
+                    assert space.canonical(c, d) == rep, (N, c, d)
+                    assert space.reps[space.index(c, d)] == rep, (N, c, d)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(N=st.integers(1, 400), c=st.integers(-10 ** 6, 10 ** 6),
+           d=st.integers(-10 ** 6, 10 ** 6), u=st.integers(-10 ** 6, 10 ** 6))
+    def test_canonical_properties(self, N, c, d, u):
+        assume(gcd(gcd(c, d), N) == 1 and gcd(u, N) == 1)
+        space = _p1(N)
+        rep = space.canonical(c, d)
+        assert rep == brute_canonical(N, c, d)
+        assert space.canonical(*rep) == rep
+        assert space.canonical(u * c, u * d) == rep
+        assert space.index(u * c, u * d) == space.index(c, d)
 
 
 class TestCusps:

@@ -22,7 +22,7 @@ from oracles import eta_product_qexp
 
 @pytest.fixture(scope="module")
 def spaces():
-    return {N: ModularSymbolSpace(N) for N in (11, 22, 23, 33, 37)}
+    return {N: ModularSymbolSpace(N) for N in (11, 22, 23, 33, 37, 97)}
 
 
 class TestPrimes:
@@ -57,7 +57,8 @@ class TestFamily:
 class TestOperatorRoutes:
     @pytest.mark.parametrize("N,p", [
         (11, 2), (11, 3), (11, 5), (11, 7), (11, 11),
-        (22, 2), (23, 2), (23, 3), (33, 3), (37, 2), (37, 5),
+        (22, 2), (23, 2), (23, 3), (33, 3), (37, 2), (37, 5), (37, 31),
+        (97, 2), (97, 13),
     ])
     def test_family_route_equals_path_route(self, spaces, N, p):
         space = spaces[N]

@@ -92,6 +92,19 @@ class TestPaths:
             assert not spaces[N].is_cuspidal(v)
 
 
+class TestIntegerCoordinates:
+    @pytest.mark.parametrize("N", [11, 37, 97])
+    def test_symbol_and_path_coordinates_are_ints(self, N):
+        space = ModularSymbolSpace(N)
+        assert len(space._symbol_coords) == len(space.p1)
+        for vec in space._symbol_coords:
+            assert len(vec) == space.dim
+            assert all(type(x) is int for x in vec)
+        for x, y in ((Fraction(0), None), (Fraction(-3, 7), Fraction(5, 11)),
+                     (None, Fraction(2 * N + 1, N))):
+            assert all(type(v) is int for v in space.path(x, y))
+
+
 class TestLoops:
     def test_loop_class_is_homomorphism(self, spaces):
         rng = random.Random(53)
