@@ -15,6 +15,7 @@ describe the default decomposition only.
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -367,6 +368,17 @@ def _run_levels(args, kind):
 # -- parser -----------------------------------------------------------------------------
 
 
+def _job_count(text):
+    """--jobs: a positive worker count, capped at the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--pretty", action="store_true",
@@ -375,8 +387,9 @@ def _build_parser():
     batch.add_argument("--range", metavar="A..B",
                        help="process every level in the range, one JSON "
                             "line per level")
-    batch.add_argument("--jobs", type=int, default=1, metavar="J",
-                       help="worker processes for --range (default 1)")
+    batch.add_argument("--jobs", type=_job_count, default=1, metavar="J",
+                       help="worker processes for --range (default 1, at "
+                            "most the number of CPUs)")
     cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument("--no-cache", action="store_true",
                         help="skip the on-disk level cache")

@@ -21,6 +21,7 @@ does act as a scalar on the chosen eigenvector.
 from .errors import (
     DimensionError,
     DomainError,
+    InternalInvariantError,
     MultiplicityError,
     UndecidedSplitError,
 )
@@ -113,7 +114,8 @@ def rescale_eigenvector(T, lam):
     lead = next(i for i, x in enumerate(vec) if not x.is_zero())
     inv = vec[lead].inverse()
     out = tuple(x * inv for x in vec)
-    assert all(_row_dot(T, i, out, field) == lam * out[i] for i in range(n))
+    if any(_row_dot(T, i, out, field) != lam * out[i] for i in range(n)):
+        raise InternalInvariantError("rescaled vector is not an eigenvector")
     return out
 
 
@@ -158,7 +160,8 @@ def decompose(space, primes):
                 blk = block * _columns_matrix(primary.kernel())
                 refined.append(blk)
         blocks = refined
-    assert sum(b.cols for b in blocks) == space.genus
+    if sum(b.cols for b in blocks) != space.genus:
+        raise InternalInvariantError("primary blocks do not fill the +1 half")
 
     orbits = [_orbit_from_block(space, block, tplus, ps) for block in blocks]
     p0 = ps[0]
@@ -211,14 +214,15 @@ def _orbit_from_block(space, block, tplus, ps):
     for p in ps:
         mat = _restrict_to_span(block, tplus[p])
         factors = factor_poly(QPolynomial(mat.charpoly()))
-        assert len(factors) == 1, "refined block must be primary"
+        if len(factors) != 1:
+            raise InternalInvariantError("refined block must be primary")
         mats[p] = mat
         charfac[p] = factors[0][0]
         if defining is None and charfac[p].degree == dim:
             defining = p
     if defining is not None:
         return _new_orbit(space, block, mats, ps, defining, charfac[defining])
-    if _is_prime_level(space.N):
+    if is_prime(space.N):
         raise UndecidedSplitError(
             "a %d-dimensional block is not generated by any supplied "
             "eigenvalue; distinct orbits share all supplied primes -- "
@@ -235,9 +239,11 @@ def _new_orbit(space, block, mats, ps, p_star, minpoly):
     lead = next(i for i, x in enumerate(local) if not x.is_zero())
     for p in ps:
         c = _scalar_action(mats[p], local, lead, field)
-        assert c is not None, "commuting operator must act as a scalar"
+        if c is None:
+            raise InternalInvariantError("commuting operator is not scalar")
         coeffs[p] = c
-    assert coeffs[p_star] == lam
+    if coeffs[p_star] != lam:
+        raise InternalInvariantError("defining operator lost its eigenvalue")
     vec = _lift_through(block, local, field)
     return EigenformOrbit(space.N, field, p_star, lam, vec, coeffs)
 
@@ -249,12 +255,14 @@ def _old_orbit(space, block, mats, ps, charfac):
     field = NumberField(charfac[p_star])
     lam = field.gen()
     mult, rem = divmod(dim, field.degree)
-    assert rem == 0, "primary block dimension must be a multiple of the degree"
+    if rem != 0:
+        raise InternalInvariantError("block dimension not a degree multiple")
     m = mats[p_star]
     rows = [[m[i, j] - lam if i == j else m[i, j] for j in range(dim)]
             for i in range(dim)]
     kernel = nf_kernel(field, rows)
-    assert kernel, "field generator must be an eigenvalue on its block"
+    if not kernel:
+        raise InternalInvariantError("field generator is not an eigenvalue")
     local = kernel[0]
     lead = next(i for i, x in enumerate(local) if not x.is_zero())
     inv = local[lead].inverse()
@@ -268,7 +276,8 @@ def _old_orbit(space, block, mats, ps, charfac):
                 "try adding prime %d" % _next_split_prime(ps, space.N),
                 next_prime=_next_split_prime(ps, space.N))
         coeffs[p] = c
-    assert coeffs[p_star] == lam
+    if coeffs[p_star] != lam:
+        raise InternalInvariantError("defining operator lost its eigenvalue")
     vec = _lift_through(block, local, field)
     return EigenformOrbit(space.N, field, p_star, lam, vec, coeffs,
                           multiplicity=mult, possibly_old=True)
@@ -350,10 +359,6 @@ def _matrix_power(mat, e):
     for _ in range(e - 1):
         out = out * mat
     return out
-
-
-def _is_prime_level(N):
-    return is_prime(N)
 
 
 def _next_split_prime(ps, N):

@@ -111,15 +111,17 @@ def hecke_matrix(space, p):
 
 
 def _coset_images(x, p, with_scaling):
-    """Images of a point of P^1(Q) under the p+1 degeneracy maps."""
-    out = []
-    for i in range(p):
-        if x is None:
-            out.append(None)
-        else:
-            out.append((x + i) / p)
+    """Images of a point of P^1(Q) under the p+1 degeneracy maps.
+
+    x is a Fraction or None (infinity); images come back as (numerator,
+    denominator) pairs with positive denominators, not reduced, or None.
+    """
+    if x is None:
+        return [None] * (p + 1 if with_scaling else p)
+    num, den = x.numerator, x.denominator
+    out = [(num + i * den, p * den) for i in range(p)]
     if with_scaling:
-        out.append(None if x is None else p * x)
+        out.append((p * num, den))
     return out
 
 
@@ -132,7 +134,7 @@ def hecke_column_paths(space, p, j):
     alpha = None if d == 0 else Fraction(b, d)      # image of 0
     beta = None if c == 0 else Fraction(a, c)       # image of infinity
     with_scaling = space.N % p != 0
-    images = [space.path(xa, xb)
+    images = [space._path(xa, xb)
               for xa, xb in zip(_coset_images(alpha, p, with_scaling),
                                 _coset_images(beta, p, with_scaling))]
     return [sum(col) for col in zip(*images)]
@@ -147,8 +149,16 @@ def hecke_matrix_paths(space, p):
 
 
 def cuspidal_hecke_matrix(space, p):
-    """T_p restricted to the cuspidal subspace, in the cuspidal basis."""
-    return space.restrict_to_cuspidal(hecke_matrix(space, p))
+    """T_p restricted to the cuspidal subspace, in the cuspidal basis.
+
+    Memoised on the space, so the orbit split and the level record share
+    one matrix per prime; callers must not mutate it.
+    """
+    mat = space._cuspidal_hecke.get(p)
+    if mat is None:
+        mat = space.restrict_to_cuspidal(hecke_matrix(space, p))
+        space._cuspidal_hecke[p] = mat
+    return mat
 
 
 def eigenvalue_from_functional(space, p, row, j):

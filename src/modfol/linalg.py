@@ -1,15 +1,17 @@
 """Dense exact linear algebra over Q, plus integer lattice utilities.
 
 QMatrix stores Fractions row-major.  Everything is deliberately elementary:
-Gaussian elimination with exact pivots, characteristic polynomials by
-evaluation/interpolation with fraction-free integer determinants, and a
-row-style Hermite normal form for integer lattices.
+one fraction-free Gauss-Jordan elimination (rref, which also serves rank,
+kernel and solve), determinants and characteristic polynomials by
+fraction-free integer determinants (the latter by evaluation and
+interpolation), and a row-style Hermite normal form for integer lattices.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionError, DomainError, SingularMatrixError
+from .errors import (DimensionError, DomainError, InternalInvariantError,
+                     SingularMatrixError)
 
 
 def _frac(x):
@@ -143,8 +145,17 @@ class QMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """(reduced row echelon form, pivot column list)."""
-        m = [r[:] for r in self.to_rows()]
+        """(reduced row echelon form, pivot column list).
+
+        Fraction-free: each row is scaled to integers, eliminated with
+        integer row operations (each new row divided by the gcd of its
+        entries) and divided by its pivot once at the end.  The reduced
+        form is unique, so this equals the textbook Fraction elimination.
+        """
+        m = []
+        for row in self.to_rows():
+            den = lcm(*[x.denominator for x in row])
+            m.append([x.numerator * (den // x.denominator) for x in row])
         pivots = []
         r = 0
         for c in range(self.cols):
@@ -154,14 +165,19 @@ class QMatrix:
             if p is None:
                 continue
             m[r], m[p] = m[p], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
+            pivot_row = m[r]
+            a = pivot_row[c]
             for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if i != r and f != 0:
+                    row = [a * x - f * y for x, y in zip(m[i], pivot_row)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
+        for i, c in enumerate(pivots):
+            a = m[i][c]
+            m[i] = [Fraction(x, a) for x in m[i]]
         return QMatrix.from_rows(m), pivots
 
     def rank(self):
@@ -170,23 +186,12 @@ class QMatrix:
     def det(self):
         if self.rows != self.cols:
             raise DimensionError("determinant of non-square matrix")
-        m = [r[:] for r in self.to_rows()]
         n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            p = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if p is None:
-                return Fraction(0)
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        if n == 0:
+            return Fraction(1)
+        den = lcm(*[x.denominator for x in self.data])
+        return Fraction(_int_det_bareiss([int(x * den) for x in self.data], n),
+                        den ** n)
 
     def solve(self, rhs):
         """Solve self * x = rhs for square nonsingular self.
@@ -200,66 +205,23 @@ class QMatrix:
         if R.rows != self.rows:
             raise DimensionError("rhs shape mismatch")
         n, k = self.rows, R.cols
-        m = [self.row(i) + R.row(i) for i in range(n)]
-        for c in range(n):
-            p = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if p is None:
-                raise SingularMatrixError("matrix is singular")
-            m[c], m[p] = m[p], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for i in range(n):
-                if i != c and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        sol = QMatrix(n, k, [m[i][n + j] for i in range(n) for j in range(k)])
+        aug, pivots = QMatrix.from_rows(
+            [self.row(i) + R.row(i) for i in range(n)]).rref()
+        if pivots[:n] != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        sol = QMatrix(n, k, [aug[i, n + j] for i in range(n) for j in range(k)])
         return sol.col(0) if vector_input else sol
-
-    def solve_general(self, rhs_matrix):
-        """Solve self * X = rhs for full-column-rank rectangular self.
-
-        Raises SingularMatrixError if inconsistent or rank-deficient.
-        """
-        A, piv = self._augmented_rref(rhs_matrix)
-        n = self.cols
-        if len(piv) < n:
-            raise SingularMatrixError("coefficient matrix not of full column rank")
-        k = rhs_matrix.cols
-        # consistency: non-pivot rows of the reduced augmented matrix must vanish
-        for i in range(len(piv), self.rows):
-            if any(A[i, n + j] != 0 for j in range(k)):
-                raise SingularMatrixError("inconsistent system")
-        data = [A[r, n + j] for r in range(n) for j in range(k)]
-        return QMatrix(n, k, data)
-
-    def _augmented_rref(self, rhs):
-        if rhs.rows != self.rows:
-            raise DimensionError("rhs shape mismatch")
-        aug = QMatrix(self.rows, self.cols + rhs.cols,
-                      [x for i in range(self.rows)
-                       for x in self.row(i) + rhs.row(i)])
-        m = [r[:] for r in aug.to_rows()]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            p = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return QMatrix.from_rows(m), pivots
 
     def kernel(self):
         """Basis of the right kernel, echelonized; returned as a list of vectors."""
+        return self.echelon_kernel()[0]
+
+    def echelon_kernel(self):
+        """(kernel basis, free columns) from one rref.
+
+        Basis vector k is 1 at column free[k] and 0 at every other free
+        column, so a kernel vector's coordinates are its free entries.
+        """
         R, piv = self.rref()
         free = [c for c in range(self.cols) if c not in piv]
         basis = []
@@ -269,7 +231,7 @@ class QMatrix:
             for r, c in enumerate(piv):
                 v[c] = -R[r, f]
             basis.append(v)
-        return basis
+        return basis, free
 
     # -- characteristic polynomial -----------------------------------------
 
@@ -321,7 +283,8 @@ def _interpolate_monic(xs, ys, n):
     V = QMatrix(n + 1, n + 1,
                 [Fraction(x) ** j for x in xs for j in range(n + 1)])
     coeffs = V.solve([Fraction(y) for y in ys])
-    assert coeffs[-1] == 1, "characteristic polynomial must be monic"
+    if coeffs[-1] != 1:
+        raise InternalInvariantError("characteristic polynomial must be monic")
     return coeffs
 
 
@@ -439,9 +402,12 @@ def unimodular_with_first_row(v):
                     # column op C_j -= q C_jmin on the implicit matrix means
                     # row op R_jmin += q R_j on the tracked inverse
                     w[jmin] = [a + q * b for a, b in zip(w[jmin], w[j])]
-    assert u[0] == 1 and all(x == 0 for x in u[1:])
-    assert w[0] == v, "completion lost the target row"
-    assert is_unimodular(w)
+    if u[0] != 1 or any(u[1:]):
+        raise InternalInvariantError("column reduction did not reach e_1")
+    if w[0] != v:
+        raise InternalInvariantError("completion lost the target row")
+    if not is_unimodular(w):
+        raise InternalInvariantError("completion is not unimodular")
     return w
 
 

@@ -30,8 +30,7 @@ from .congruence import (
     mat_det,
     mat_mul,
 )
-from .errors import (DimensionError, DomainError, InternalInvariantError,
-                     SingularMatrixError)
+from .errors import DimensionError, DomainError, InternalInvariantError
 from .linalg import QMatrix
 
 
@@ -56,6 +55,7 @@ class ModularSymbolSpace:
         self._generators = None
         self._star = None
         self._plus_basis = None
+        self._cuspidal_hecke = {}    # p -> T_p on the cuspidal subspace
 
     # -- construction -------------------------------------------------------
 
@@ -153,27 +153,22 @@ class ModularSymbolSpace:
         # columns of the boundary matrix come from the free symbols; the
         # relations must map to zero divisors, which we verify on every symbol
         cols = [divisor(i) for i in self.free_symbols]
-        bm = QMatrix.from_rows(
-            [[cols[j][r] for j in range(self.dim)] for r in range(nu)])
-        self.boundary = bm
-        for i in range(len(self.p1.reps)):
-            if divisor(i) != bm.apply(self._symbol_coords[i]):
+        self._boundary = [[col[r] for col in cols] for r in range(nu)]
+        for i, coords in enumerate(self._symbol_coords):
+            if tuple(divisor(i)) != self.boundary_of(coords):
                 raise InternalInvariantError(
                     "boundary map inconsistent with relations at symbol %d" % i)
 
-        kernel = bm.kernel() if self.dim else []
+        # the cuspidal basis is the echelon kernel: the identity on the free
+        # columns, which is what express_cuspidal reads off
+        kernel, self._cuspidal_free = \
+            QMatrix.from_rows(self._boundary).echelon_kernel()
         self._cuspidal_basis = [tuple(v) for v in kernel]
         self.cuspidal_dim = len(self._cuspidal_basis)
         if self.cuspidal_dim != 2 * self.genus:
             raise InternalInvariantError(
                 "cuspidal dimension %d != 2*genus %d"
                 % (self.cuspidal_dim, 2 * self.genus))
-        if self.cuspidal_dim:
-            self._cuspidal_matrix = QMatrix.from_rows(
-                [[self._cuspidal_basis[j][r] for j in range(self.cuspidal_dim)]
-                 for r in range(self.dim)])
-        else:
-            self._cuspidal_matrix = None
 
     # -- symbols and lifts -----------------------------------------------------
 
@@ -220,15 +215,23 @@ class ModularSymbolSpace:
 
         Endpoints are Fractions (or integers), or None for infinity.
         """
+        return self._path(_pair(x), _pair(y))
+
+    def _path(self, x, y):
+        """path() for endpoints given as (numerator, denominator) pairs
+        with positive denominators, or None for infinity."""
         return tuple(b - a for a, b in zip(self._path_from_infinity(x),
                                            self._path_from_infinity(y)))
 
     def _path_from_infinity(self, x):
-        """Integer coordinates of {oo, x}."""
+        """Integer coordinates of {oo, p/q} for x = (p, q), q > 0.
+
+        p/q need not be in lowest terms: a common factor leaves every
+        Euclidean quotient, hence every convergent, unchanged.
+        """
         if x is None:
             return [0] * self.dim
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+        p, q = x
         # continued-fraction convergents p_k/q_k of x, starting from 1/0
         pk_1, qk_1 = 1, 0
         pk, qk = None, None
@@ -253,8 +256,8 @@ class ModularSymbolSpace:
                 h = (pk, -pk_1, qk, -qk_1)
             elif det != 1:
                 raise InternalInvariantError(
-                    "convergent matrix %s of %s has determinant %d"
-                    % (h, x, det))
+                    "convergent matrix %s of %d/%d has determinant %d"
+                    % (h, p, q, det))
             steps.append(coords[index(qk, h[3])])
         return [sum(col) for col in zip(*steps)]
 
@@ -264,24 +267,20 @@ class ModularSymbolSpace:
         return list(self._cuspidal_basis)
 
     def boundary_of(self, vec):
-        return tuple(self.boundary.apply(list(vec)))
+        if len(vec) != self.dim:
+            raise DimensionError("vector of length %d in a space of dimension "
+                                 "%d" % (len(vec), self.dim))
+        return tuple(sum(a * x for a, x in zip(row, vec) if a)
+                     for row in self._boundary)
 
     def is_cuspidal(self, vec):
         return all(x == 0 for x in self.boundary_of(vec))
 
     def express_cuspidal(self, vec):
         """Coordinates of a cuspidal vector in the cuspidal basis."""
-        if self.cuspidal_dim == 0:
-            if any(x != 0 for x in vec):
-                raise DomainError("vector is not cuspidal")
-            return ()
-        try:
-            sol = self._cuspidal_matrix.solve_general(
-                QMatrix.from_rows([[x] for x in vec]))
-        except SingularMatrixError as exc:
-            raise DomainError("vector does not lie in the cuspidal subspace") \
-                from exc
-        return tuple(sol[i, 0] for i in range(self.cuspidal_dim))
+        if not self.is_cuspidal(vec):
+            raise DomainError("vector does not lie in the cuspidal subspace")
+        return tuple(Fraction(vec[f]) for f in self._cuspidal_free)
 
     def restrict_to_cuspidal(self, op):
         """Restrict an operator on the quotient to the cuspidal subspace.
@@ -289,13 +288,9 @@ class ModularSymbolSpace:
         op is a dim x dim QMatrix mapping the cuspidal subspace to itself;
         returns the (2g) x (2g) matrix in the cuspidal basis.
         """
-        g2 = self.cuspidal_dim
-        cols = []
-        for b in self._cuspidal_basis:
-            image = op.apply(list(b))
-            cols.append(self.express_cuspidal(image))
-        return QMatrix.from_rows(
-            [[cols[j][i] for j in range(g2)] for i in range(g2)])
+        cols = [self.express_cuspidal(op.apply(list(b)))
+                for b in self._cuspidal_basis]
+        return QMatrix.from_rows(zip(*cols))
 
     # -- star involution ---------------------------------------------------------------
 
@@ -387,6 +382,14 @@ class ModularSymbolSpace:
                         break
         self._generators = out
         return list(out)
+
+
+def _pair(x):
+    """(numerator, denominator) of a rational endpoint; None stays None."""
+    if x is None:
+        return None
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _xgcd(a, b):

@@ -167,11 +167,6 @@ class QPolynomial:
             return Fraction(0)
         return acc
 
-    def shift_compose_scale(self, a):
-        """p(a*x) for rational a."""
-        a = _frac(a)
-        return QPolynomial([c * a ** i for i, c in enumerate(self.coeffs)])
-
 
 def _coerce(x):
     if isinstance(x, QPolynomial):

@@ -93,6 +93,45 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+def fraction_rref(rows, cols):
+    """Reduced row echelon form by textbook Fraction Gauss-Jordan elimination.
+
+    rows is a list of ``cols``-long rows of rationals; returns (reduced rows,
+    pivot column list).
+    """
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def span_coordinates(basis, vec):
+    """The unique coefficients c with sum c_k basis[k] = vec, or None if vec
+    is outside the span; basis vectors must be independent."""
+    k = len(basis)
+    rows = [[b[i] for b in basis] + [vec[i]] for i in range(len(vec))]
+    reduced, pivots = fraction_rref(rows, k + 1)
+    if pivots != list(range(k)):
+        return None
+    return [reduced[r][k] for r in range(k)]
+
+
 def moebius_on_cusp(m, cusp):
     """Matrix action on a cusp given as a pair (p, q), q may be 0."""
     a, b, c, d = m

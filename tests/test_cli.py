@@ -234,6 +234,45 @@ def test_range_parallel_matches_serial():
     assert serial == parallel == (0, serial[1])
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps in
+    this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, jobs, pools", [
+    (2, "64", [2]), (4, "3", [3]), (1, "8", []), (None, "8", []),
+])
+def test_jobs_capped_at_cpu_count(monkeypatch, cpus, jobs, pools):
+    import modfol.cli as cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    serial = run("decompose", "--range", "11..12")
+    assert run("decompose", "--range", "11..12", "--jobs", jobs) == serial
+    assert _RecordingPool.sizes == pools
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_usage_error(jobs):
+    code, obj = run_json("decompose", "--range", "11..12", "--jobs", jobs)
+    assert code == 2 and set(obj) == {"error", "hint"}
+    assert "--jobs" in obj["error"]
+
+
 def test_range_reports_per_level_errors():
     code, out = run("classify", "--range", "12..13")
     assert code == 3
@@ -322,14 +361,32 @@ PERIODS_11 = (
     b'"-0.634604652139776710844397308377273652609746120915304333983568"]}\n')
 
 
+DECOMPOSE_37 = (
+    b'{"genus":2,"level":37,"orbits":[{"defining_prime":2,"degree":1,'
+    b'"minpoly":[2,1],"multiplicity":1,"orbit":0,"possibly_old":false},'
+    b'{"defining_prime":2,"degree":1,"minpoly":[0,1],"multiplicity":1,'
+    b'"orbit":1,"possibly_old":false}],"primes":[2]}\n')
+
+
+def _run_child(tmp_path, flags, argv):
+    return subprocess.run(
+        [sys.executable] + flags + ["-m", "modfol.cli"] + argv,
+        capture_output=True, cwd=tmp_path, env=_child_env())
+
+
 @pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
 def test_periods_bytes_with_and_without_asserts(tmp_path, flags):
     # -O strips assert statements; the invariant checks on this route are
     # raises, so they still run, and the bytes must match the plain run's.
-    proc = subprocess.run(
-        [sys.executable] + flags + ["-m", "modfol.cli", "periods", "11",
-                                    "--orbit", "0", "--prec", "60",
-                                    "--no-cache"],
-        capture_output=True, cwd=tmp_path, env=_child_env())
+    proc = _run_child(tmp_path, flags, ["periods", "11", "--orbit", "0",
+                                        "--prec", "60", "--no-cache"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == PERIODS_11
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_decompose_bytes_with_and_without_asserts(tmp_path, flags):
+    # the orbit split's invariant checks are raises too
+    proc = _run_child(tmp_path, flags, ["decompose", "37", "--no-cache"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DECOMPOSE_37

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modfol.errors import DomainError, SingularMatrixError
 from modfol.linalg import (
@@ -12,6 +13,8 @@ from modfol.linalg import (
     lattice_key,
     unimodular_with_first_row,
 )
+
+from oracles import fraction_rref
 
 
 def rand_matrix(rng, n, m, lo=-9, hi=9, denom=1):
@@ -76,6 +79,8 @@ class TestSolveRankKernel:
         a = QMatrix.from_rows([[1, 2], [2, 4]])
         with pytest.raises(SingularMatrixError):
             a.solve([1, 1])
+        with pytest.raises(SingularMatrixError):
+            a.solve([1, 2])         # consistent, but not uniquely solvable
 
     def test_rank_plus_nullity(self):
         rng = random.Random(7)
@@ -97,6 +102,8 @@ class TestSolveRankKernel:
             a = rand_matrix(rng, 4, 4)
             b = rand_matrix(rng, 4, 4)
             assert (a * b).det() == a.det() * b.det()
+        assert QMatrix.from_rows([[1, 2], [Fraction(1, 2), 1]]).det() == 0
+        assert QMatrix(0, 0, []).det() == 1
 
     def test_rref_idempotent_and_pivots(self):
         rng = random.Random(10)
@@ -107,6 +114,44 @@ class TestSolveRankKernel:
         for k, c in enumerate(pivots):
             assert r[k, c] == 1
             assert all(r[i, c] == 0 for i in range(r.rows) if i != k)
+
+
+_rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 10 ** 6))
+_entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                     _rationals)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices of shape 0..8 x 0..8 with rank-deficient rows and zero rows
+    and columns mixed in."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    m = [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(_entries), draw(_entries)
+            m[i] = [s * x + t * y for x, y in zip(m[a], m[b])]
+    if rows and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+    if cols and draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[c] = Fraction(0)
+    return rows, cols, m
+
+
+class TestFractionFreeRref:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(_matrices())
+    def test_matches_fraction_gauss_jordan(self, shape):
+        rows, cols, m = shape
+        reduced, pivots = QMatrix(rows, cols, [x for r in m for x in r]).rref()
+        expected, expected_pivots = fraction_rref(m, cols)
+        assert pivots == expected_pivots
+        assert reduced.to_rows() == expected
 
 
 class TestCharpoly:

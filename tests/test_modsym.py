@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from modfol.congruence import curve_data, mat_mul, moebius_apply
-from modfol.errors import DomainError
+from modfol.errors import DimensionError, DomainError
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 
-from oracles import random_gamma0_element
+from oracles import random_gamma0_element, span_coordinates
 
 
 def vec_add(a, b):
@@ -83,6 +83,17 @@ class TestPaths:
                 expected[pos[key_of(y)]] += 1
                 expected[pos[key_of(x)]] -= 1
                 assert list(b) == expected
+
+    def test_unreduced_endpoint_pairs(self, spaces):
+        # the pair entry point accepts p/q with a common factor
+        rng = random.Random(56)
+        for space in spaces.values():
+            for _ in range(12):
+                x, y = self.rand_point(rng), self.rand_point(rng)
+                k, m = rng.randint(1, 9), rng.randint(1, 9)
+                px = None if x is None else (k * x.numerator, k * x.denominator)
+                py = None if y is None else (m * y.numerator, m * y.denominator)
+                assert space._path(px, py) == space.path(x, y)
 
     def test_zero_to_infinity_nonzero(self, spaces):
         # the path 0 -> oo crosses distinct cusp classes at these levels
@@ -164,3 +175,29 @@ class TestCuspidal:
         v = space.path(Fraction(0), None)
         with pytest.raises(DomainError):
             space.express_cuspidal(v)
+
+    def test_express_rejects_wrong_length(self, spaces):
+        for space in spaces.values():
+            for length in (space.dim - 1, space.dim + 1):
+                if length >= 0:
+                    with pytest.raises(DimensionError):
+                        space.express_cuspidal((0,) * length)
+
+    def test_express_matches_exact_solve_for_every_level(self):
+        rng = random.Random(55)
+        for N in range(1, 61):
+            space = ModularSymbolSpace(N)
+            basis = space.cuspidal_basis()
+            for _ in range(3):
+                coeffs = [rng.randint(-5, 5) for _ in basis]
+                vec = tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
+                            for i in range(space.dim))
+                got = space.express_cuspidal(vec)
+                assert list(got) == span_coordinates(basis, vec) == coeffs, N
+            if N == 1:
+                continue            # one cusp: every symbol is cuspidal
+            # {0, oo} joins two inequivalent cusps, so it is not cuspidal
+            noncuspidal = space.path(Fraction(0), None)
+            assert span_coordinates(basis, noncuspidal) is None, N
+            with pytest.raises(DomainError):
+                space.express_cuspidal(noncuspidal)

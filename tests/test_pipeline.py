@@ -1,10 +1,11 @@
 """Level-record construction and orbit reconstruction tests."""
 
+import hashlib
 import json
 
 import pytest
 
-from modfol import cache
+from modfol import cache, hecke
 from modfol.eigen import auto_decompose
 from modfol.errors import DomainError
 from modfol.modsym import ModularSymbolSpace
@@ -79,3 +80,34 @@ def test_degenerate_classification_at_67():
     assert classes == [("strebel", None),
                        ("degenerate_pseudo_anosov", 3),
                        ("degenerate_pseudo_anosov", 3)]
+
+
+# sha256 of the canonical record bytes, taken from the Fraction-elimination
+# implementation; a faster cuspidal layer must reproduce them exactly
+RECORD_DIGESTS = {
+    11: "ceaa6411adea7284e4d343c354218fc473c45db7d36fd89004a551447ed9bf10",
+    37: "32e4895e9485c0ff973d6baa62ea628c0ca0bc6dfa0177aeb7c55317a8b86bf8",
+    60: "fb9c0ae4cb3ae62a1720a17131d13d7d9bdddf0819b29b09449c9bc462332202",
+    97: "06db153516b4d226d3da5754ac7633a383de90e1bd1667a586e8feede9131384",
+}
+
+
+@pytest.mark.parametrize("N", sorted(RECORD_DIGESTS))
+def test_record_bytes_pinned(N):
+    digest = hashlib.sha256(cache.canonical_bytes(analyze_level(N)))
+    assert digest.hexdigest() == RECORD_DIGESTS[N]
+
+
+@pytest.mark.parametrize("N", [37, 60])
+def test_one_hecke_matrix_per_prime(N, monkeypatch):
+    calls = []
+    build = hecke.hecke_matrix
+
+    def counting(space, p):
+        calls.append(p)
+        return build(space, p)
+
+    monkeypatch.setattr(hecke, "hecke_matrix", counting)
+    record = analyze_level(N)
+    assert record["primes"]
+    assert sorted(calls) == record["primes"]
