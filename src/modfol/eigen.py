@@ -18,6 +18,9 @@ and a multiplicity, after verifying that every supplied operator really
 does act as a scalar on the chosen eigenvector.
 """
 
+from math import lcm
+from operator import mul
+
 from .errors import (
     DimensionError,
     DomainError,
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .hecke import cuspidal_hecke_matrix, is_prime, next_prime
 from .linalg import QMatrix
-from .numfield import NumberField, nf_kernel
+from .numfield import NFElement, NumberField, nf_kernel
 from .polys import QPolynomial, factor_poly, is_irreducible
 
 
@@ -96,21 +99,46 @@ def rescale_eigenvector(T, lam):
     (equivalently rank(T - lam*I) = n - 1).  Returns the unique
     eigenvector x in K^n whose first nonzero coordinate equals 1, so the
     result is invariant under rescaling and canonical for the K-line.
+
+    No elimination over K: with chi the characteristic polynomial of T and
+    g = chi/(x - lam) in K[x], g(T) = adj(lam*I - T), which is nonzero
+    exactly when rank(T - lam*I) = n - 1, and then every nonzero column
+    is an eigenvector.  Column j is sum_k g_k T^k e_j, a K-combination of
+    the Krylov vectors T^k e_j, which are rational.
     """
     if T.rows != T.cols:
         raise DimensionError("rescale_eigenvector needs a square matrix")
     field = lam.field
     n = T.rows
-    rows = [[T[i, j] - lam if i == j else T[i, j] for j in range(n)]
-            for i in range(n)]
-    kernel = nf_kernel(field, rows)
-    if not kernel:
+    chi = T.charpoly()
+    # synthetic division by x - lam; what is left over is chi(lam)
+    g = [None] * n
+    acc = field.one()
+    for k in range(n - 1, -1, -1):
+        g[k] = acc
+        acc = acc * lam + chi[k]
+    if not acc.is_zero():
         raise DomainError("value is not an eigenvalue of the matrix")
-    if len(kernel) > 1:
+    # den^(n-1)*scale*g(T) e_j = sum_k h_k (den*T)^k e_j with integer h_k:
+    # a positive multiple of column j, which the normalisation divides out
+    den, m = _cleared(T)
+    h = [[c * den ** (n - 1 - k) for c in gk.coeffs] for k, gk in enumerate(g)]
+    scale = lcm(*[c.denominator for hk in h for c in hk])
+    h_by_coord = list(zip(*[[int(c * scale) for c in hk] for hk in h]))
+    for j in range(n):
+        w = [int(i == j) for i in range(n)]
+        krylov = [w]
+        for _ in range(n - 1):
+            w = [sum(map(mul, row, w)) for row in m]
+            krylov.append(w)
+        vec = [NFElement(field, [sum(map(mul, hl, wi)) for hl in h_by_coord])
+               for wi in zip(*krylov)]
+        if any(vec):
+            break
+    else:
         raise MultiplicityError(
-            "eigenspace has dimension %d > 1; eigenvalue is not simple"
-            % len(kernel))
-    vec = kernel[0]
+            "adj(lam*I - T) vanishes: rank(T - lam*I) < n - 1, so the "
+            "eigenvalue is not simple")
     lead = next(i for i, x in enumerate(vec) if not x.is_zero())
     inv = vec[lead].inverse()
     out = tuple(x * inv for x in vec)
@@ -157,7 +185,8 @@ def decompose(space, primes):
                 continue
             for poly, mult in factors:
                 primary = _matrix_power(_poly_at_matrix(poly, mat), mult)
-                blk = block * _columns_matrix(primary.kernel())
+                blk = block * _columns_matrix(
+                    QMatrix.from_rows(primary).kernel())
                 refined.append(blk)
         blocks = refined
     if sum(b.cols for b in blocks) != space.genus:
@@ -343,21 +372,43 @@ def _restrict_to_span(basis, mat):
 
 
 def _poly_at_matrix(poly, mat):
-    """Evaluate a rational polynomial at a square matrix (Horner)."""
+    """A positive integer multiple of poly(mat), as a list of integer rows.
+
+    Horner on the integer matrix D*mat, D the common denominator of mat,
+    with the coefficient c_k of x^k scaled to the integer c_k*L*D^(deg-k),
+    L the common denominator of poly: the result is L*D^deg*poly(mat),
+    which has the same kernel.
+    """
     n = mat.rows
-    out = QMatrix.zeros(n, n)
-    ident = QMatrix.identity(n)
-    for c in reversed(poly.coeffs):
-        out = out * mat
+    den, m = _cleared(mat)
+    scale = lcm(*[c.denominator for c in poly.coeffs])
+    out = [[0] * n for _ in range(n)]
+    for k in range(poly.degree, -1, -1):
+        out = _int_matmul(out, m)
+        c = int(poly.coeffs[k] * scale) * den ** (poly.degree - k)
         if c:
-            out = out + ident.scale(c)
+            for i in range(n):
+                out[i][i] += c
     return out
 
 
-def _matrix_power(mat, e):
-    out = mat
+def _cleared(mat):
+    """(D, rows of the integer matrix D*mat), D the common denominator."""
+    den = lcm(*[x.denominator for x in mat.data])
+    ints = [x.numerator * (den // x.denominator) for x in mat.data]
+    c = mat.cols
+    return den, [ints[i * c:(i + 1) * c] for i in range(mat.rows)]
+
+
+def _int_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _matrix_power(rows, e):
+    out = rows
     for _ in range(e - 1):
-        out = out * mat
+        out = _int_matmul(out, rows)
     return out
 
 

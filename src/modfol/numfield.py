@@ -9,7 +9,7 @@ point enters any exact decision.
 
 from fractions import Fraction
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, InternalInvariantError, SingularMatrixError
 from .polys import (
     QPolynomial,
     count_real_roots,
@@ -184,6 +184,11 @@ class NFElement:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the coordinates: no field product
+            if not other:
+                return self.field.zero()
+            return NFElement(self.field, [other * a for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -217,7 +222,10 @@ class NFElement:
             q, r = r0.divmod(r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
-        assert r0.degree == 0, "defining polynomial not irreducible?"
+        if r0.degree != 0:
+            raise InternalInvariantError(
+                "element and defining polynomial share a factor: the "
+                "defining polynomial is not irreducible")
         inv_poly = s0 * (1 / r0.coeffs[0])
         return self.field.from_poly(inv_poly)
 

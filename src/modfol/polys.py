@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantError
 
 
 def _frac(x):
@@ -299,7 +299,7 @@ def isolate_real_roots(p):
             m = lo + (hi - lo) * Fraction(k, deg + 2)
             if p.evaluate(m) != 0:
                 return m
-        raise AssertionError("no non-root cut point found")
+        raise InternalInvariantError("no non-root cut point found")
 
     M = cauchy_bound(p)
     out = []
@@ -445,7 +445,9 @@ def _berlekamp(f, p):
                 else:
                     nxt.append(g)
             factors = nxt
-    assert len(factors) == r, "Berlekamp basis failed to separate all factors"
+    if len(factors) != r:
+        raise InternalInvariantError(
+            "Berlekamp basis failed to separate all factors")
     return sorted(factors, key=_poly_sort_key)
 
 
@@ -524,7 +526,8 @@ def _zp_add(a, b, m):
 
 def _zp_divmod_monic(a, b, m):
     """Division by a monic b in (Z/m)[x]."""
-    assert b and b[-1] == 1
+    if not b or b[-1] != 1:
+        raise InternalInvariantError("divisor is not monic")
     a = [c % m for c in a]
     while a and a[-1] == 0:
         a.pop()
@@ -565,7 +568,8 @@ def _hensel_step(f, g, h, s, t, m):
 def _hensel_lift_pair(f, g, h, p, target):
     """Lift f = g*h from mod p to mod m >= target (m a power of p squared up)."""
     gp, s, t = _gfp_xgcd(g, h, p)
-    assert gp == [1], "factors not coprime mod p"
+    if gp != [1]:
+        raise InternalInvariantError("factors not coprime mod p")
     m = p
     while m < target:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)

@@ -1,11 +1,19 @@
 """Independent cross-check computations used only by the test suite.
 
 Everything here is deliberately naive (brute force, first principles) and
-kept separate from the package so the two routes share no code.
+kept separate from the package so the two routes share no code.  The
+elimination routes that the package replaced (Gauss-Jordan over K for
+eigenvectors, Fraction Horner for primary blocks) live on here; they reuse
+the package's field and matrix arithmetic but none of the code they check.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from modfol.errors import (DimensionError, DomainError,
+                           InternalInvariantError, MultiplicityError)
+from modfol.linalg import QMatrix
+from modfol.numfield import nf_kernel
 
 
 def brute_canonical(N, c, d):
@@ -130,6 +138,56 @@ def span_coordinates(basis, vec):
     if pivots != list(range(k)):
         return None
     return [reduced[r][k] for r in range(k)]
+
+
+def elimination_eigenvector(T, lam):
+    """rescale_eigenvector by Gauss-Jordan elimination over K.
+
+    Solves (T - lam*I) x = 0 with nf_kernel and normalises the single
+    kernel vector at its first nonzero entry; DomainError if lam is not
+    an eigenvalue, MultiplicityError if the kernel has dimension > 1.
+    """
+    if T.rows != T.cols:
+        raise DimensionError("rescale_eigenvector needs a square matrix")
+    field = lam.field
+    n = T.rows
+    rows = [[T[i, j] - lam if i == j else T[i, j] for j in range(n)]
+            for i in range(n)]
+    kernel = nf_kernel(field, rows)
+    if not kernel:
+        raise DomainError("value is not an eigenvalue of the matrix")
+    if len(kernel) > 1:
+        raise MultiplicityError(
+            "eigenspace has dimension %d > 1; eigenvalue is not simple"
+            % len(kernel))
+    vec = kernel[0]
+    lead = next(i for i, x in enumerate(vec) if not x.is_zero())
+    inv = vec[lead].inverse()
+    out = tuple(x * inv for x in vec)
+    if any(_row_dot(T, i, out, field) != lam * out[i] for i in range(n)):
+        raise InternalInvariantError("rescaled vector is not an eigenvector")
+    return out
+
+
+def _row_dot(mat, i, vec, field):
+    total = field.zero()
+    for j, x in enumerate(vec):
+        a = mat[i, j]
+        if a:
+            total = total + a * x
+    return total
+
+
+def fraction_poly_at_matrix(poly, mat):
+    """Evaluate a rational polynomial at a square matrix (Horner)."""
+    n = mat.rows
+    out = QMatrix.zeros(n, n)
+    ident = QMatrix.identity(n)
+    for c in reversed(poly.coeffs):
+        out = out * mat
+        if c:
+            out = out + ident.scale(c)
+    return out
 
 
 def moebius_on_cusp(m, cusp):

@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,24 @@ def test_decompose_23():
 def test_decompose_explicit_primes_agree_with_auto():
     assert run("decompose", "23", "--primes", "2")[1] \
         == run("decompose", "23")[1]
+
+
+# sha256 of ``decompose N --no-cache`` stdout at the prime levels whose
+# orbits reach degree 10-20, taken from the elimination eigenvector route
+DECOMPOSE_DIGESTS = {
+    131: "4b180d24c934a78b7863d6a3377fdb77a0507c619ee4cf814af2dc0bde1bc9ea",
+    167: "f4be5e538f200efb2a07c0228e649a64fb3a8461ec65f9eeab1427f9f5cec3ab",
+    179: "294a0874c80df28ab6b40d7a6c622ac634f41e68dfd8d736fc78d8f476f2c44c",
+    191: "105f028bae817d539180ce067abcd60e82ea7f2ec120a17150e8bf8b3b3637de",
+    389: "07e6f3c4923704b6f255d37cb22d0f36abbeecd31c8b360bfeb08079d134e8e9",
+}
+
+
+@pytest.mark.parametrize("N", sorted(DECOMPOSE_DIGESTS))
+def test_decompose_big_level_bytes_pinned(N):
+    code, out = run("decompose", str(N), "--no-cache")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[N]
 
 
 def test_decompose_genus_zero():
@@ -390,3 +409,13 @@ def test_decompose_bytes_with_and_without_asserts(tmp_path, flags):
     proc = _run_child(tmp_path, flags, ["decompose", "37", "--no-cache"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DECOMPOSE_37
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_decompose_131_bytes_with_and_without_asserts(tmp_path, flags):
+    # degree-10 orbit: the eigenvector route and the number-field
+    # inverses run with their invariant checks
+    proc = _run_child(tmp_path, flags, ["decompose", "131", "--no-cache"])
+    assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(proc.stdout).hexdigest()
+            == DECOMPOSE_DIGESTS[131])

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modfol.eigen import (
+    _matrix_power,
+    _poly_at_matrix,
     auto_decompose,
     decompose,
     eigen_field,
@@ -18,9 +21,10 @@ from modfol.hecke import primes_up_to
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField
-from modfol.polys import parse_poly
+from modfol.polys import QPolynomial, factor_poly, parse_poly
 
-from oracles import eta_product_qexp
+from oracles import (elimination_eigenvector, eta_product_qexp,
+                     fraction_poly_at_matrix)
 
 
 def field_of(text):
@@ -147,6 +151,162 @@ def test_rescale_projective_invariance_under_integer_base_change():
             for i in range(n):
                 for j in range(n):
                     assert xc[i] * ux[j] == xc[j] * ux[i]
+
+
+def test_rescale_jordan_block():
+    # algebraic multiplicity 2, geometric multiplicity 1
+    K = field_of("x - 2")
+    x = rescale_eigenvector(QMatrix.from_rows([[2, 1], [0, 2]]), K.gen())
+    assert x == (K.one(), K.zero())
+
+
+def test_rescale_repeated_block_multiplicity_error():
+    # diag(B, B) with B the Fibonacci matrix: each eigenvalue has a
+    # two-dimensional eigenspace over K
+    K = field_of("x^2 - x - 1")
+    T = QMatrix.from_rows([[1, 1, 0, 0], [1, 0, 0, 0],
+                           [0, 0, 1, 1], [0, 0, 1, 0]])
+    with pytest.raises(MultiplicityError):
+        rescale_eigenvector(T, K.gen())
+
+
+def test_rescale_quadratic_non_eigenvalue():
+    K = field_of("x^2 - 2")
+    with pytest.raises(DomainError):
+        rescale_eigenvector(QMatrix.from_rows([[1, 1], [1, 0]]), K.gen())
+
+
+def test_rescale_empty_matrix():
+    K = field_of("x - 1")
+    with pytest.raises(DomainError):
+        rescale_eigenvector(QMatrix.from_rows([]), K.gen())
+
+
+_small = st.integers(-5, 5)
+
+
+def _similar(draw, rows):
+    """Conjugate by a few elementary integer matrices E = I + t*e_ij."""
+    n = len(rows)
+    m = [r[:] for r in rows]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t = draw(st.sampled_from([-1, 1, 2]))
+        if i == j:
+            continue
+        m[i] = [a + t * b for a, b in zip(m[i], m[j])]      # E * m
+        for r in m:                                          # m * E^-1
+            r[j] -= t * r[i]
+    return m
+
+
+@st.composite
+def _eigen_cases(draw):
+    """(T, lam): T is a random n x n matrix (n <= 6, entries in +-5) or a
+    block triangular [[B, C], [0, B']] made similar by an integer change
+    of basis, with B' = B for repeated charpoly factors and C = 0 for
+    eigenspaces of dimension 2, and half the time conjugated by a diagonal
+    matrix to make the entries rational; lam is a root of a charpoly
+    factor, a rational or a quadratic irrational."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 6))
+        rows = [[draw(_small) for _ in range(n)] for _ in range(n)]
+    else:
+        k = draw(st.integers(1, 3))
+        b = [[draw(_small) for _ in range(k)] for _ in range(k)]
+        if draw(st.booleans()):
+            b2 = [r[:] for r in b]
+        else:
+            k2 = draw(st.integers(1, 3))
+            b2 = [[draw(_small) for _ in range(k2)] for _ in range(k2)]
+        k2 = len(b2)
+        zero_c = draw(st.booleans())
+        c = [[0 if zero_c else draw(_small) for _ in range(k2)]
+             for _ in range(k)]
+        rows = ([b[i] + c[i] for i in range(k)]
+                + [[0] * k + b2[i] for i in range(k2)])
+        rows = _similar(draw, rows)
+    if draw(st.booleans()):
+        # D*T*D^-1 for a diagonal D: rational entries, same eigenvalues
+        d = [draw(st.integers(1, 6)) for _ in rows]
+        rows = [[Fraction(x * d[i], d[j]) for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    T = QMatrix.from_rows(rows)
+    factors = [f for f, _ in factor_poly(QPolynomial(T.charpoly()))]
+    choice = draw(st.sampled_from(["root", "rational", "quadratic"]))
+    if choice == "root" and factors:
+        lam = NumberField(draw(st.sampled_from(factors))).gen()
+    elif choice == "quadratic":
+        lam = field_of(draw(st.sampled_from(["x^2 - 2", "x^2 - x - 1",
+                                             "x^2 + 1"]))).gen()
+    else:
+        lam = NumberField(QPolynomial([-draw(_small), 1])).gen()
+    return T, lam
+
+
+def _outcome(route, T, lam):
+    try:
+        return route(T, lam)
+    except (DomainError, MultiplicityError) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_eigen_cases())
+def test_rescale_matches_elimination_oracle(case):
+    T, lam = case
+    assert _outcome(rescale_eigenvector, T, lam) == _outcome(
+        elimination_eigenvector, T, lam)
+
+
+_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 1000))
+
+
+@st.composite
+def _horner_cases(draw):
+    """(mat, factor, multiplicity): a rational matrix (denominators up to
+    10^3, n <= 6; block triangular half the time, so that charpolys
+    split and repeat) and one factor of its charpoly."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_rationals) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        for i in range(k, n):
+            rows[i][:k] = [Fraction(0)] * k
+        if 2 * k == n and draw(st.booleans()):
+            for i in range(k):
+                rows[k + i][k:] = rows[i][:k]
+    mat = QMatrix.from_rows(rows)
+    poly, mult = draw(st.sampled_from(factor_poly(QPolynomial(mat.charpoly()))))
+    return mat, poly, mult
+
+
+def _positive_ratio(a, b):
+    """r > 0 with a == r*b entrywise, or None; a and b are row lists."""
+    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    nonzero = [(x, y) for x, y in pairs if y]
+    if not nonzero:
+        return 1 if not any(x for x, _ in pairs) else None
+    r = Fraction(nonzero[0][0]) / nonzero[0][1]
+    ok = r > 0 and all(x == r * y for x, y in pairs)
+    return r if ok else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_horner_cases())
+def test_integer_horner_is_positive_multiple_of_fraction_horner(case):
+    mat, poly, mult = case
+    rows = _poly_at_matrix(poly, mat)
+    expected = fraction_poly_at_matrix(poly, mat)
+    assert all(isinstance(x, int) for r in rows for x in r)
+    assert _positive_ratio(rows, expected.to_rows()) is not None
+    assert QMatrix.from_rows(rows).kernel() == expected.kernel()
+    power = _matrix_power(rows, mult)
+    expected_power = expected
+    for _ in range(mult - 1):
+        expected_power = expected_power * expected
+    assert _positive_ratio(power, expected_power.to_rows()) is not None
+    assert QMatrix.from_rows(power).kernel() == expected_power.kernel()
 
 
 # -- decompose ---------------------------------------------------------------------

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from modfol.errors import DomainError, SingularMatrixError
+from modfol.errors import (DomainError, InternalInvariantError,
+                           SingularMatrixError)
 from modfol.numfield import NFElement, NumberField, nf_kernel, nf_rref, nf_solve
 from modfol.polys import parse_poly
 
@@ -75,6 +76,29 @@ class TestFieldArithmetic:
     def test_reducible_rejected(self):
         with pytest.raises(DomainError):
             NumberField(parse_poly("x^2 - 1"))
+
+    @pytest.mark.parametrize("poly", ["x - 3", "x^2 - 2",
+                                      "x^3 - x^2 - 2*x + 1",
+                                      "x^4 - 4*x^2 + 2"])
+    def test_rational_scalar_product_equals_field_product(self, poly):
+        K = NumberField(parse_poly(poly))
+        rng = random.Random(7)
+        scalars = [0, Fraction(0), 1, -3, 10 ** 20, Fraction(-7, 12),
+                   Fraction(5, 10 ** 9)]
+        for _ in range(10):
+            x = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(K.degree)])
+            for c in scalars:
+                expected = K.from_rational(c) * x
+                for got in (c * x, x * c):
+                    assert got == expected
+                    assert all(type(a) is Fraction for a in got.coeffs)
+
+    def test_inverse_over_reducible_polynomial_raises(self):
+        # without the irreducibility check, a - 1 divides x^2 - 1
+        K = NumberField(parse_poly("x^2 - 1"), check=False)
+        with pytest.raises(InternalInvariantError):
+            (K.gen() - 1).inverse()
 
     def test_mixed_rational_ops(self, golden_ratio_field):
         a = golden_ratio_field.gen()

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from modfol.errors import DomainError
+from modfol.errors import DomainError, InternalInvariantError
 from modfol.polys import (
+    _hensel_lift_pair,
+    _zp_divmod_monic,
     QPolynomial,
     count_real_roots,
     factor_poly,
@@ -253,3 +255,14 @@ class TestSturm:
         p = parse_poly("x^2 - 1") * parse_poly("x^2 - 2")
         ivs = isolate_real_roots(p)
         assert len(ivs) == 4
+
+
+class TestInternalInvariants:
+    def test_division_by_non_monic_raises(self):
+        with pytest.raises(InternalInvariantError):
+            _zp_divmod_monic([1, 2, 1], [1, 2], 9)
+
+    def test_hensel_lift_of_common_factor_raises(self):
+        # (x + 1)^2 = (x + 1)(x + 1) mod 3: the factors are not coprime
+        with pytest.raises(InternalInvariantError):
+            _hensel_lift_pair([1, 2, 1], [1, 1], [1, 1], 3, 100)
