@@ -12,10 +12,10 @@ lexicographically smallest pair in its unit orbit.
 from fractions import Fraction
 from math import gcd
 
+from .arith import factorize
 from .errors import DomainError, InternalInvariantError
 
-# 2x2 integer matrices as flat tuples (a, b, c, d)
-MAT_ID = (1, 0, 0, 1)
+# 2x2 integer matrices are flat tuples (a, b, c, d)
 
 
 def mat_mul(m, n):
@@ -53,25 +53,6 @@ def moebius_apply(m, x):
     if den == 0:
         return None
     return Fraction(num, den) if not isinstance(num, Fraction) else num / den
-
-
-def factorize(n):
-    """Prime factorization as a sorted list of (p, e)."""
-    if n < 1:
-        raise DomainError("expected a positive integer, got %d" % n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def curve_data(N):

@@ -21,6 +21,7 @@ does act as a scalar on the chosen eigenvector.
 from math import lcm
 from operator import mul
 
+from .arith import is_prime, next_prime
 from .errors import (
     DimensionError,
     DomainError,
@@ -28,7 +29,7 @@ from .errors import (
     MultiplicityError,
     UndecidedSplitError,
 )
-from .hecke import cuspidal_hecke_matrix, is_prime, next_prime
+from .hecke import cuspidal_hecke_matrix
 from .linalg import QMatrix
 from .numfield import NFElement, NumberField, nf_kernel
 from .polys import QPolynomial, factor_poly, is_irreducible

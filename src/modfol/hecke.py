@@ -4,12 +4,13 @@ Route one acts on Manin symbols through a finite family of integer matrices
 of determinant p (enumerated directly from the inequality description
 a > b >= 0, d > c >= 0).  Route two acts on paths through the p+1 degeneracy
 cosets z -> (z+i)/p and z -> pz, decomposing the images by continued
-fractions.  The two must produce identical matrices; the tests enforce it,
-and the path route additionally powers single-column eigenvalue extraction
-for large p, where building the whole matrix would be wasteful.
+fractions.  The library uses the path route one column at a time, for
+single-column eigenvalue extraction at large p, where building the whole
+matrix would be wasteful; the tests assemble whole path-route matrices and
+require them to equal the family route.
 
-Also provides prime sieving and the standard multiplicative/recursive
-extension of prime eigenvalues to a full coefficient sequence:
+Also provides the standard multiplicative/recursive extension of prime
+eigenvalues to a full coefficient sequence:
 
     c(p^(k+1)) = c(p) c(p^k) - p c(p^(k-1))   if p does not divide the level
     c(p^(k+1)) = c(p) c(p^k)                  if p divides the level
@@ -17,46 +18,11 @@ extension of prime eigenvalues to a full coefficient sequence:
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
+from .arith import factorize, is_prime, primes_up_to
 from .errors import DomainError
 from .linalg import QMatrix
-
-
-# -- primes ---------------------------------------------------------------------
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def next_prime(n):
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
-def primes_up_to(m):
-    if m < 2:
-        return []
-    sieve = bytearray([1]) * (m + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(m) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, b in enumerate(sieve) if b]
 
 
 # -- determinant-p family --------------------------------------------------------
@@ -140,14 +106,6 @@ def hecke_column_paths(space, p, j):
     return [sum(col) for col in zip(*images)]
 
 
-def hecke_matrix_paths(space, p):
-    """T_p on the full symbol quotient via the degeneracy-coset route."""
-    dim = space.dim
-    cols = [hecke_column_paths(space, p, j) for j in range(dim)]
-    return QMatrix.from_rows(
-        [[cols[j][i] for j in range(dim)] for i in range(dim)])
-
-
 def cuspidal_hecke_matrix(space, p):
     """T_p restricted to the cuspidal subspace, in the cuspidal basis.
 
@@ -208,25 +166,10 @@ def qexp_from_primes(N, prime_value, terms):
             c[pk] = nxt
             prev, cur = cur, nxt
             pk *= p
-    # multiplicative fill: split off the largest power of the smallest prime
+    # multiplicative fill: split off the prime power of the smallest prime
     for m in range(2, terms + 1):
-        sp = _smallest_prime_factor(m)
-        q = sp
-        rest = m // sp
-        while rest % sp == 0:
-            rest //= sp
-            q *= sp
-        if rest > 1:
-            c[m] = c[q] * c[rest]
+        p, e = factorize(m)[0]
+        q = p ** e
+        if q < m:
+            c[m] = c[q] * c[m // q]
     return c
-
-
-def _smallest_prime_factor(m):
-    if m % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m

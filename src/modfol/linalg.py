@@ -10,16 +10,9 @@ interpolation), and a row-style Hermite normal form for integer lattices.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .arith import _frac
 from .errors import (DimensionError, DomainError, InternalInvariantError,
                      SingularMatrixError)
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
 class QMatrix:
@@ -251,7 +244,7 @@ class QMatrix:
             entries = [den * t * (1 if i == j else 0) - zi[i * n + j]
                        for i in range(n) for j in range(n)]
             ys.append(Fraction(_int_det_bareiss(entries, n), den ** n))
-        return _interpolate_monic(list(range(n + 1)), ys, n)
+        return _interpolate_monic(ys)
 
 
 def _int_det_bareiss(a, n):
@@ -277,20 +270,27 @@ def _int_det_bareiss(a, n):
     return sign * a[n * n - 1]
 
 
-def _interpolate_monic(xs, ys, n):
-    """Lagrange interpolation; returns ascending coefficients (length n+1)."""
-    # Solve the Vandermonde system exactly; n is small here.
-    V = QMatrix(n + 1, n + 1,
-                [Fraction(x) ** j for x in xs for j in range(n + 1)])
-    coeffs = V.solve([Fraction(y) for y in ys])
-    if coeffs[-1] != 1:
+def _interpolate_monic(ys):
+    """Ascending coefficients of the monic degree-n polynomial p with
+    p(t) = ys[t] for t = 0..n.
+
+    Newton divided differences at the nodes 0..n (the spacing at order k
+    is k), then the Newton form c0 + x(c1 + (x-1)(c2 + ...)) expanded to
+    the monomial basis by Horner.
+    """
+    n = len(ys) - 1
+    c = list(ys)
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / k
+    if c[n] != 1:
         raise InternalInvariantError("characteristic polynomial must be monic")
+    coeffs = [c[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (x - k) + c[k]
+        coeffs = [c[k] - k * coeffs[0]] + [
+            a - k * b for a, b in zip(coeffs, coeffs[1:] + [0])]
     return coeffs
-
-
-def charpoly(M):
-    """Module-level convenience wrapper."""
-    return M.charpoly()
 
 
 # -- integer lattice utilities ------------------------------------------------

@@ -28,7 +28,6 @@ from .congruence import (
     curve_data,
     gamma0_contains,
     mat_det,
-    mat_mul,
 )
 from .errors import DimensionError, DomainError, InternalInvariantError
 from .linalg import QMatrix
@@ -175,31 +174,18 @@ class ModularSymbolSpace:
     def lift(self, c, d):
         """An SL2(Z) matrix whose bottom row is congruent mod N to the
         canonical representative of (c, d)."""
-        N = self.N
-        c0, d0 = self.p1.canonical(c, d)
-        if N == 1:
+        cc, dd = self.p1.canonical(c, d)
+        if cc == 0:
+            # the zero-first class is (0, 1) (or (0, 0) at N = 1): the identity
             return (1, 0, 0, 1)
-        if c0 == 0:
-            # canonical zero-first class is (0, 1); lift to the identity row
-            cc, dd = 0, 1
-        else:
-            cc = c0
-            dd = d0
-            k = 0
-            while gcd(cc, dd) != 1:
-                k += 1
-                dd = d0 + k * N
-                if k > 4 * abs(cc) + 4:
-                    raise InternalInvariantError(
-                        "no coprime lift for (%d, %d)" % (c0, d0))
-        if cc == 0 and dd == 0:
-            raise InternalInvariantError("degenerate lift")
-        # complete (cc, dd) to determinant 1: a*dd - b*cc = 1
-        g, x, y = _xgcd(dd, -cc)
-        if g != 1:
+        # the smallest first entry in a unit orbit is gcd(c, N), a divisor
+        # of N, so gcd(cc, dd) = gcd(cc, dd, N) = 1
+        if gcd(cc, dd) != 1:
             raise InternalInvariantError(
-                "lift (%d, %d) of (%d, %d) is not coprime" % (cc, dd, c0, d0))
-        return (x, y, cc, dd)
+                "canonical pair (%d, %d) is not coprime" % (cc, dd))
+        # complete (cc, dd) to determinant 1: a*dd - b*cc = 1
+        a = pow(dd, -1, cc)
+        return (a, (a * dd - 1) // cc, cc, dd)
 
     def symbol_coords(self, c, d):
         """Quotient coordinates of the symbol [c:d]."""
@@ -390,17 +376,3 @@ def _pair(x):
         return None
     x = Fraction(x)
     return x.numerator, x.denominator
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t

@@ -1,4 +1,4 @@
-"""Number fields Q[x]/(f): exact arithmetic, linear algebra, real embeddings.
+"""Number fields Q[x]/(f): exact arithmetic, kernels, real embeddings.
 
 Elements are coordinate vectors in the power basis 1, a, ..., a^(d-1) of a
 root a of the monic irreducible defining polynomial.  Real embeddings carry
@@ -9,22 +9,15 @@ point enters any exact decision.
 
 from fractions import Fraction
 
-from .errors import DomainError, InternalInvariantError, SingularMatrixError
+from .arith import _frac
+from .errors import DomainError, InternalInvariantError
+from .linalg import QMatrix
 from .polys import (
     QPolynomial,
     count_real_roots,
     is_irreducible,
     isolate_real_roots,
-    poly_gcd,
 )
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
 class NumberField:
@@ -280,73 +273,32 @@ def _as_nf(field, x):
     return field.from_rational(_frac(x))
 
 
-def nf_rref(field, rows):
-    """Reduced row echelon form over the field; returns (rows, pivot_cols)."""
-    m = [[_as_nf(field, x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def nf_kernel(field, rows):
     """Basis of the right kernel over the field, echelonized.
 
     Each basis vector has value 1 in its distinguishing (free) coordinate.
+    Solved over Q by restriction of scalars: entry x becomes the d x d block
+    of multiplication by x (column k holds the coordinates of x a^k), and
+    one rational echelon_kernel is cut back into d-blocks.  Restriction
+    commutes with row operations and maps a reduced echelon form to a
+    reduced echelon form, so the rational rref is the restriction of the
+    rref over K, and the rational kernel vector at free column c*d is the
+    kernel vector over K at free column c.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    rref, pivots = nf_rref(field, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [field.zero()] * ncols
-        v[c] = field.one()
-        for k, pc in enumerate(pivots):
-            v[pc] = -rref[k][c]
-        basis.append(v)
-    return basis
-
-
-def nf_solve(field, rows, rhs):
-    """Solve a square nonsingular linear system over the field."""
-    n = len(rows)
-    m = [[_as_nf(field, x) for x in row] + [_as_nf(field, b)]
-         for row, b in zip(rows, rhs)]
-    if any(len(row) != n + 1 for row in m):
-        raise DomainError("system is not square")
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if piv is None:
-            raise SingularMatrixError("singular system over number field")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c].inverse()
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    d = field.degree
+    powers = [field.one()]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * field.gen())
+    qrows = []
+    for row in rows:
+        blocks = [[(a * x).coeffs for a in powers] for x in row]
+        qrows += [[col[r] for block in blocks for col in block]
+                  for r in range(d)]
+    basis, free = QMatrix.from_rows(qrows).echelon_kernel()
+    return [[NFElement(field, v[c:c + d]) for c in range(0, len(v), d)]
+            for v, f in zip(basis, free) if f % d == 0]
 
 
 # -- real embeddings ----------------------------------------------------------------

@@ -12,17 +12,10 @@ division.  Factors come back monic, sorted by degree then coefficients.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
+from .arith import _frac, next_prime
 from .errors import DomainError, InternalInvariantError
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
 class QPolynomial:
@@ -643,7 +636,7 @@ def _factor_monic_squarefree_z(f):
         if len(_gfp_trim(fp[:])) == n + 1:
             if len(_gfp_gcd(fp, _gfp_trim([(i * c) % p for i, c in enumerate(fp)][1:]), p)) == 1:
                 break
-        p = _next_prime(p)
+        p = next_prime(p)
     modular = _berlekamp([c % p for c in f], p)
     if len(modular) == 1:
         return [f]
@@ -683,13 +676,6 @@ def _factor_monic_squarefree_z(f):
     if len(rest) > 1:
         result.append(rest)
     return result
-
-
-def _next_prime(p):
-    while True:
-        p += 2
-        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
-            return p
 
 
 # -- public factorization -------------------------------------------------------

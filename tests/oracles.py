@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (brute force, first principles) and
 kept separate from the package so the two routes share no code.  The
-elimination routes that the package replaced (Gauss-Jordan over K for
-eigenvectors, Fraction Horner for primary blocks) live on here; they reuse
-the package's field and matrix arithmetic but none of the code they check.
+routes that the package replaced (Gauss-Jordan over K for kernels and
+eigenvectors, Fraction Horner for primary blocks, whole path-route Hecke
+matrices) live on here; they reuse the package's field and matrix
+arithmetic but none of the code they check.
 """
 
 from fractions import Fraction
@@ -12,8 +13,9 @@ from math import gcd
 
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
+from modfol.hecke import hecke_column_paths
 from modfol.linalg import QMatrix
-from modfol.numfield import nf_kernel
+from modfol.numfield import NFElement
 
 
 def brute_canonical(N, c, d):
@@ -140,12 +142,70 @@ def span_coordinates(basis, vec):
     return [reduced[r][k] for r in range(k)]
 
 
+def _as_nf(field, x):
+    if isinstance(x, NFElement):
+        if x.field != field:
+            raise DomainError("mixed fields in matrix")
+        return x
+    return field.from_rational(x)
+
+
+def nf_rref(field, rows):
+    """Reduced row echelon form over the field; returns (rows, pivot_cols)."""
+    m = [[_as_nf(field, x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def elimination_nf_kernel(field, rows):
+    """nf_kernel by Gauss-Jordan elimination over the field.
+
+    Basis of the right kernel, echelonized; each basis vector has value 1
+    in its distinguishing (free) coordinate.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref, pivots = nf_rref(field, rows)
+    pivot_set = set(pivots)
+    basis = []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        v = [field.zero()] * ncols
+        v[c] = field.one()
+        for k, pc in enumerate(pivots):
+            v[pc] = -rref[k][c]
+        basis.append(v)
+    return basis
+
+
 def elimination_eigenvector(T, lam):
     """rescale_eigenvector by Gauss-Jordan elimination over K.
 
-    Solves (T - lam*I) x = 0 with nf_kernel and normalises the single
-    kernel vector at its first nonzero entry; DomainError if lam is not
-    an eigenvalue, MultiplicityError if the kernel has dimension > 1.
+    Solves (T - lam*I) x = 0 with elimination_nf_kernel and normalises
+    the single kernel vector at its first nonzero entry; DomainError if
+    lam is not an eigenvalue, MultiplicityError if the kernel has
+    dimension > 1.
     """
     if T.rows != T.cols:
         raise DimensionError("rescale_eigenvector needs a square matrix")
@@ -153,7 +213,7 @@ def elimination_eigenvector(T, lam):
     n = T.rows
     rows = [[T[i, j] - lam if i == j else T[i, j] for j in range(n)]
             for i in range(n)]
-    kernel = nf_kernel(field, rows)
+    kernel = elimination_nf_kernel(field, rows)
     if not kernel:
         raise DomainError("value is not an eigenvalue of the matrix")
     if len(kernel) > 1:
@@ -188,6 +248,14 @@ def fraction_poly_at_matrix(poly, mat):
         if c:
             out = out + ident.scale(c)
     return out
+
+
+def hecke_matrix_paths(space, p):
+    """T_p on the full symbol quotient via the degeneracy-coset route."""
+    dim = space.dim
+    cols = [hecke_column_paths(space, p, j) for j in range(dim)]
+    return QMatrix.from_rows(
+        [[cols[j][i] for j in range(dim)] for i in range(dim)])
 
 
 def moebius_on_cusp(m, cusp):

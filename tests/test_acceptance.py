@@ -27,7 +27,7 @@ from modfol.foliation import (FoliationKind, JacobianModule, TorusKind,
                               module_rank, scale_module)
 from modfol.hecke import cuspidal_hecke_matrix
 from modfol.iet import IET, iet_apply, minimality_probe, periodicity_report
-from modfol.linalg import QMatrix, charpoly, lattice_key, lll_reduce
+from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField
 from modfol.periods import (detect_rank, ensure_series, numeric_jacobian,
@@ -139,7 +139,7 @@ def test_criterion_04_eigenvector_rescaling():
         n = rng.randint(2, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         T = QMatrix.from_rows(rows)
-        factors = factor_poly(QPolynomial(charpoly(T)))
+        factors = factor_poly(QPolynomial(T.charpoly()))
         simple = [f for f, mult in factors if mult == 1]
         if not simple:
             continue

@@ -12,13 +12,13 @@ from modfol.congruence import (
     cusp_classes,
     cusp_equivalent,
     curve_data,
-    factorize,
     gamma0_contains,
     mat_det,
     mat_inv_sl2,
     mat_mul,
     normalize_cusp,
 )
+from modfol.arith import factorize
 from modfol.errors import DomainError
 
 from oracles import (brute_canonical, brute_p1_classes, coset_genus,

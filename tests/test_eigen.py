@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modfol.arith import primes_up_to
 from modfol.eigen import (
     _matrix_power,
     _poly_at_matrix,
@@ -17,7 +18,6 @@ from modfol.eigen import (
     rescale_eigenvector,
 )
 from modfol.errors import DomainError, MultiplicityError, UndecidedSplitError
-from modfol.hecke import primes_up_to
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField

@@ -2,22 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from modfol.arith import is_prime, next_prime, primes_up_to
 from modfol.hecke import (
     cuspidal_hecke_matrix,
     eigenvalue_from_functional,
     hecke_matrix,
-    hecke_matrix_paths,
-    is_prime,
     merel_family,
-    next_prime,
-    primes_up_to,
     qexp_from_primes,
 )
-from modfol.linalg import QMatrix, charpoly
+from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.polys import QPolynomial, factor_poly, parse_poly
 
-from oracles import eta_product_qexp
+from oracles import eta_product_qexp, hecke_matrix_paths
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +80,7 @@ class TestOperatorRoutes:
     def test_full_quotient_has_trivial_eisenstein_eigenvalue(self, spaces):
         # x - (p+1) divides the full charpoly for p not dividing the level
         for N, p in ((11, 2), (23, 2), (37, 3)):
-            cp = QPolynomial(charpoly(hecke_matrix(spaces[N], p)))
+            cp = QPolynomial(hecke_matrix(spaces[N], p).charpoly())
             lin = parse_poly("x - %d" % (p + 1))
             assert (cp % lin).is_zero()
 
@@ -91,19 +88,19 @@ class TestOperatorRoutes:
 class TestCuspidalCharpolys:
     def test_golden_charpolys(self, spaces):
         t2_11 = cuspidal_hecke_matrix(spaces[11], 2)
-        assert QPolynomial(charpoly(t2_11)) == parse_poly("x^2 + 4*x + 4")
+        assert QPolynomial(t2_11.charpoly()) == parse_poly("x^2 + 4*x + 4")
 
         t2_23 = cuspidal_hecke_matrix(spaces[23], 2)
-        assert QPolynomial(charpoly(t2_23)) == parse_poly("x^2 + x - 1") ** 2
+        assert QPolynomial(t2_23.charpoly()) == parse_poly("x^2 + x - 1") ** 2
 
         t2_37 = cuspidal_hecke_matrix(spaces[37], 2)
-        assert QPolynomial(charpoly(t2_37)) == \
+        assert QPolynomial(t2_37.charpoly()) == \
             parse_poly("x + 2") ** 2 * parse_poly("x") ** 2
 
     def test_level_dividing_prime(self, spaces):
         # at level 11 the prime 11 acts on the one-dimensional system as +1
         t11 = cuspidal_hecke_matrix(spaces[11], 11)
-        assert QPolynomial(charpoly(t11)) == parse_poly("x - 1") ** 2
+        assert QPolynomial(t11.charpoly()) == parse_poly("x - 1") ** 2
 
 
 class TestCoefficients:

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from modfol.errors import DomainError, SingularMatrixError
 from modfol.linalg import (
     QMatrix,
-    charpoly,
     hnf,
     is_unimodular,
     lattice_key,
@@ -158,14 +158,14 @@ class TestCharpoly:
     def test_diagonal(self):
         a = QMatrix.from_rows([[2, 0], [0, 3]])
         # x^2 - 5x + 6, ascending
-        assert charpoly(a) == [Fraction(6), Fraction(-5), Fraction(1)]
+        assert a.charpoly() == [Fraction(6), Fraction(-5), Fraction(1)]
 
     def test_cayley_hamilton(self):
         rng = random.Random(11)
         for _ in range(8):
             n = rng.randint(1, 4)
             a = rand_matrix(rng, n, n, lo=-4, hi=4, denom=2)
-            cp = charpoly(a)
+            cp = a.charpoly()
             acc = QMatrix.zeros(n, n)
             power = QMatrix.identity(n)
             for c in cp:
@@ -178,11 +178,25 @@ class TestCharpoly:
         for _ in range(8):
             n = rng.randint(1, 4)
             a = rand_matrix(rng, n, n)
-            cp = charpoly(a)
+            cp = a.charpoly()
             tr = sum(a[i, i] for i in range(n))
             assert cp[n] == 1
             assert cp[n - 1] == -tr
             assert cp[0] == (-1) ** n * a.det()
+
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 1000)),
+        min_size=n * n, max_size=n * n).map(lambda data: (n, data))))
+    def test_matches_sympy(self, shape):
+        n, data = shape
+        expected = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                       for x in data]).charpoly().all_coeffs()
+        got = QMatrix(n, n, data).charpoly()
+        assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(expected)]
+        assert all(type(c) is Fraction for c in got)
 
 
 class TestHNFAndLattices:

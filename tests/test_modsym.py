@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -114,6 +115,20 @@ class TestIntegerCoordinates:
         for x, y in ((Fraction(0), None), (Fraction(-3, 7), Fraction(5, 11)),
                      (None, Fraction(2 * N + 1, N))):
             assert all(type(v) is int for v in space.path(x, y))
+
+
+class TestLift:
+    def test_lift_is_sl2_over_the_canonical_row(self):
+        for N in range(1, 61):
+            space = ModularSymbolSpace(N)
+            for c in range(N):
+                for d in range(N):
+                    if gcd(gcd(c, d), N) != 1:
+                        continue
+                    a, b, cc, dd = space.lift(c, d)
+                    assert a * dd - b * cc == 1, (N, c, d)
+                    c0, d0 = space.p1.canonical(c, d)
+                    assert (cc - c0) % N == 0 and (dd - d0) % N == 0, (N, c, d)
 
 
 class TestLoops:

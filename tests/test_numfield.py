@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modfol.errors import (DomainError, InternalInvariantError,
-                           SingularMatrixError)
-from modfol.numfield import NFElement, NumberField, nf_kernel, nf_rref, nf_solve
+from modfol.errors import DomainError, InternalInvariantError
+from modfol.numfield import NumberField, nf_kernel
 from modfol.polys import parse_poly
+
+from oracles import elimination_nf_kernel
 
 
 @pytest.fixture
@@ -107,33 +109,39 @@ class TestFieldArithmetic:
         assert a - 1 == -(1 - a)
 
 
+_KERNEL_FIELDS = [NumberField(parse_poly(f)) for f in (
+    "x - 3", "x^2 - 2", "x^2 - x - 1", "x^3 - x^2 - 2*x + 1",
+    "x^4 - 4*x^2 + 2")]
+_RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _nf_systems(draw):
+    """(K, rows) for a field K of degree 1-4 and up to 6 x 7 rows over K:
+    dense or a product of rank below the shape, with some rows replaced by
+    zero rows or by rows of plain rationals; rows is [] when m = 0."""
+    K = draw(st.sampled_from(_KERNEL_FIELDS))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    elt = st.lists(_RATIONALS, min_size=K.degree,
+                   max_size=K.degree).map(K.element)
+    if draw(st.booleans()):
+        rows = [[draw(elt) for _ in range(n)] for _ in range(m)]
+    else:
+        r = draw(st.integers(0, max(min(m, n) - 1, 0)))
+        left = [[draw(elt) for _ in range(r)] for _ in range(m)]
+        right = [[draw(elt) for _ in range(n)] for _ in range(r)]
+        rows = [[sum((a[k] * right[k][j] for k in range(r)), K.zero())
+                 for j in range(n)] for a in left]
+    for i in range(m):
+        kind = draw(st.sampled_from(["field", "field", "zero", "rational"]))
+        if kind == "zero":
+            rows[i] = [K.zero()] * n
+        elif kind == "rational":
+            rows[i] = [draw(_RATIONALS) for _ in range(n)]
+    return K, rows
+
+
 class TestLinearAlgebra:
-    def test_solve_known(self, golden_ratio_field):
-        K = golden_ratio_field
-        a = K.gen()
-        # (phi - 1) x = 1 -> x = 1/(phi-1) = phi
-        sol = nf_solve(K, [[a - 1]], [K.one()])
-        assert sol == [a]
-
-    def test_solve_random_roundtrip(self, sqrt2_field):
-        rng = random.Random(32)
-        K = sqrt2_field
-
-        def rand_elt():
-            return K.element([rng.randint(-4, 4) for _ in range(2)])
-
-        for _ in range(10):
-            n = rng.randint(1, 3)
-            rows = [[rand_elt() for _ in range(n)] for _ in range(n)]
-            x = [rand_elt() for _ in range(n)]
-            rhs = [sum((rows[i][j] * x[j] for j in range(n)), K.zero())
-                   for i in range(n)]
-            try:
-                sol = nf_solve(K, rows, rhs)
-            except SingularMatrixError:
-                continue
-            assert sol == x
-
     def test_kernel(self, golden_ratio_field):
         K = golden_ratio_field
         a = K.gen()
@@ -148,9 +156,15 @@ class TestLinearAlgebra:
         K = sqrt2_field
         a = K.gen()
         rows = [[a, a * a], [K.one(), a]]     # second row = first / a
-        rref, pivots = nf_rref(K, rows)
-        assert pivots == [0]
-        assert rref[0][0] == K.one() and rref[0][1] == a
+        # rref is the single row [1, a], so the kernel is spanned by (-a, 1)
+        assert nf_kernel(K, rows) == [[-a, K.one()]]
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_nf_systems())
+    def test_matches_gauss_jordan_over_the_field(self, system):
+        K, rows = system
+        assert nf_kernel(K, rows) == elimination_nf_kernel(K, rows)
 
 
 class TestRealEmbeddings:

@@ -1,0 +1,55 @@
+"""Rules on the package source, checked on its syntax tree.
+
+* Invariants raise ModfolError subclasses: no `assert` statement and no
+  AssertionError, which would vanish or leak under `python -O`.
+* Each module-level function has one home: no name is defined at module
+  level in two modules.
+* The prime helpers live in `arith` alone.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import modfol
+
+SOURCES = sorted(Path(modfol.__file__).resolve().parent.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+         for path in SOURCES}
+
+
+def _module_functions():
+    homes = defaultdict(list)
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes[node.name].append(module)
+    return homes
+
+
+def test_sources_found():
+    assert {"arith", "linalg", "numfield"} <= set(TREES)
+
+
+def test_no_assert_and_no_assertion_error():
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append("%s:%d" % (module, node.lineno))
+    assert found == []
+
+
+def test_each_module_function_defined_once():
+    duplicates = {name: modules
+                  for name, modules in _module_functions().items()
+                  if len(modules) > 1}
+    assert duplicates == {}
+
+
+def test_prime_helpers_live_in_arith():
+    homes = _module_functions()
+    for name in ("is_prime", "next_prime", "primes_up_to", "factorize",
+                 "_frac"):
+        assert homes[name] == ["arith"], name
