@@ -33,7 +33,7 @@ from .iet import IET, minimality_probe, periodicity_report
 from .modsym import ModularSymbolSpace
 from .numfield import NumberField
 from .periods import (detect_rank, ensure_series, numeric_jacobian,
-                      required_terms)
+                      positive_precision, rank_precision, required_terms)
 from .pipeline import analyze_level, orbit_from_record, rat_to_json
 from .polys import QPolynomial
 
@@ -247,6 +247,10 @@ def _periods_handler(args):
                           "range" % (args.level, len(record["orbits"]),
                                      args.orbit))
     orbit = orbit_from_record(record, args.orbit)
+    if not orbit.possibly_old:
+        # numeric_jacobian and detect_rank would refuse this --prec only
+        # after the series is built; ensure_series refuses old orbits first
+        rank_precision(positive_precision(args.prec))
     space = ModularSymbolSpace(args.level)
     basis = space.homology_generators()
     top = max(required_terms(g[2], args.prec) for g, _ in basis)

@@ -336,18 +336,15 @@ def _row_dot(mat, i, vec, field):
 
 
 def _lift_through(block, local, field):
-    """Map block coordinates to ambient ones, renormalised to lead with 1."""
-    out = []
-    for i in range(block.rows):
-        s = field.zero()
-        for j, x in enumerate(local):
-            b = block[i, j]
-            if b:
-                s = s + b * x
-        out.append(s)
-    lead = next(i for i, x in enumerate(out) if not x.is_zero())
-    inv = out[lead].inverse()
-    return tuple(x * inv for x in out)
+    """Map block coordinates to ambient ones, renormalised to lead with 1.
+
+    ``local`` is divided by the first nonzero entry of its lift, so the
+    lift itself takes rational-by-field products only.
+    """
+    lifted = (_row_dot(block, i, local, field) for i in range(block.rows))
+    inv = next(x for x in lifted if not x.is_zero()).inverse()
+    local = [x * inv for x in local]
+    return tuple(_row_dot(block, i, local, field) for i in range(block.rows))
 
 
 def _columns_matrix(vectors):

@@ -1,13 +1,13 @@
-"""Hecke operators on weight-2 modular symbols, by two independent routes.
+"""Hecke operators on weight-2 modular symbols.
 
-Route one acts on Manin symbols through a finite family of integer matrices
-of determinant p (enumerated directly from the inequality description
-a > b >= 0, d > c >= 0).  Route two acts on paths through the p+1 degeneracy
-cosets z -> (z+i)/p and z -> pz, decomposing the images by continued
-fractions.  The library uses the path route one column at a time, for
-single-column eigenvalue extraction at large p, where building the whole
-matrix would be wasteful; the tests assemble whole path-route matrices and
-require them to equal the family route.
+T_p sends the Manin symbol (c:d) to the sum of the symbols (c:d)h over
+Cremona's Heilbronn matrices h of determinant p (Cremona, *Algorithms for
+Modular Elliptic Curves*, 2nd ed., 1997, sec. 2.4; Merel, *Universal
+Fourier expansions of modular forms*, LNM 1585, 1994).  The family has
+O(p log p) members, so one column routine serves both whole matrices for
+the orbit split and single columns for eigenvalues at large p.  The tests
+check it against Merel's family and against the degeneracy-coset path
+route.
 
 Also provides the standard multiplicative/recursive extension of prime
 eigenvalues to a full coefficient sequence:
@@ -17,7 +17,6 @@ eigenvalues to a full coefficient sequence:
     c(mn) = c(m) c(n)                         for coprime m, n
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .arith import factorize, is_prime, primes_up_to
@@ -25,85 +24,53 @@ from .errors import DomainError
 from .linalg import QMatrix
 
 
-# -- determinant-p family --------------------------------------------------------
+# -- Heilbronn matrices ------------------------------------------------------------
 
 
-def merel_family(p):
-    """All integer matrices (a, b, c, d), det = p, a > b >= 0, d > c >= 0."""
+def heilbronn(p):
+    """Cremona's Heilbronn matrices (a, b, c, d) of determinant p.
+
+    (1, 0, 0, p), then for each |r| <= p/2 the matrix (p, -r, 0, 1) and
+    one more per step of the nearest-integer continued fraction of -p/r.
+    """
     if not is_prime(p):
         raise DomainError("expected a prime, got %d" % p)
-    fam = [(1, 0, c, p) for c in range(p)]
-    fam += [(p, b, 0, 1) for b in range(p)]
-    # interior matrices: all entries positive; bc = ad - p forces a + d <= p + 1
-    for a in range(2, p + 1):
-        for d in range(2, p + 2 - a):
-            e = a * d - p
-            if e <= 0:
-                continue
-            b = 1
-            while b * b <= e:
-                if e % b == 0:
-                    c = e // b
-                    if b < a and c < d:
-                        fam.append((a, b, c, d))
-                    if c != b and c < a and b < d:
-                        fam.append((a, c, b, d))
-                b += 1
-    fam.sort()
+    if p == 2:
+        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    fam = [(1, 0, 0, p)]
+    for r in range(-(p // 2), p // 2 + 1):
+        a, b, h = -p, r, (p, -r, 0, 1)
+        fam.append(h)
+        while b:
+            q = (2 * a + b) // (2 * b)        # nearest integer to a/b
+            a, b = -b, a - q * b
+            h = (h[1], q * h[1] - h[0], h[3], q * h[3] - h[2])
+            fam.append(h)
     return fam
 
 
 # -- operators on the symbol quotient ------------------------------------------------
 
 
-def hecke_matrix(space, p):
-    """T_p on the full symbol quotient via the determinant-p family."""
+def _column(space, fam, j):
+    """Column j of T_p: the symbols (c:d)h, h in fam, of the j-th free
+    symbol (c:d), summed in quotient coordinates."""
     N = space.N
-    fam = merel_family(p)
-    dim = space.dim
-    cols = []
-    for sym in space.free_symbols:
-        c, d = space.p1.reps[sym]
-        images = []
-        for (ma, mb, mc, md) in fam:
-            c2 = (c * ma + d * mc) % N
-            d2 = (c * mb + d * md) % N
-            if gcd(gcd(c2, d2), N) != 1:
-                continue          # possible only when p divides N
+    c, d = space.p1.reps[space.free_symbols[j]]
+    images = []
+    for (ma, mb, mc, md) in fam:
+        c2 = (c * ma + d * mc) % N
+        d2 = (c * mb + d * md) % N
+        if gcd(c2, d2, N) == 1:           # fails only when p divides N
             images.append(space.symbol_coords(c2, d2))
-        cols.append([sum(col) for col in zip(*images)])
-    return QMatrix.from_rows(
-        [[cols[j][i] for j in range(dim)] for i in range(dim)])
-
-
-def _coset_images(x, p, with_scaling):
-    """Images of a point of P^1(Q) under the p+1 degeneracy maps.
-
-    x is a Fraction or None (infinity); images come back as (numerator,
-    denominator) pairs with positive denominators, not reduced, or None.
-    """
-    if x is None:
-        return [None] * (p + 1 if with_scaling else p)
-    num, den = x.numerator, x.denominator
-    out = [(num + i * den, p * den) for i in range(p)]
-    if with_scaling:
-        out.append((p * num, den))
-    return out
-
-
-def hecke_column_paths(space, p, j):
-    """Column j of T_p (image of the j-th basis symbol), via paths."""
-    if not is_prime(p):
-        raise DomainError("expected a prime, got %d" % p)
-    sym = space.free_symbols[j]
-    a, b, c, d = space.lift(*space.p1.reps[sym])
-    alpha = None if d == 0 else Fraction(b, d)      # image of 0
-    beta = None if c == 0 else Fraction(a, c)       # image of infinity
-    with_scaling = space.N % p != 0
-    images = [space._path(xa, xb)
-              for xa, xb in zip(_coset_images(alpha, p, with_scaling),
-                                _coset_images(beta, p, with_scaling))]
     return [sum(col) for col in zip(*images)]
+
+
+def hecke_matrix(space, p):
+    """T_p on the full symbol quotient."""
+    fam = heilbronn(p)
+    cols = [_column(space, fam, j) for j in range(space.dim)]
+    return QMatrix.from_rows(zip(*cols))
 
 
 def cuspidal_hecke_matrix(space, p):
@@ -124,18 +91,12 @@ def eigenvalue_from_functional(space, p, row, j):
 
     row is a length-dim sequence over Q or a number field satisfying
     row^T T_q = c_q row^T for all primes q; j indexes a coordinate with
-    row[j] != 0.  Only one matrix column is computed, by the path route,
-    so this stays cheap for large p.
+    row[j] != 0.  Only one matrix column is computed, so this stays cheap
+    for large p.
     """
-    col = hecke_column_paths(space, p, j)
-    num = None
-    for ri, ci in zip(row, col):
-        if ci == 0:
-            continue
-        term = ri * ci
-        num = term if num is None else num + term
-    if num is None:
-        num = 0 * row[j]
+    col = _column(space, heilbronn(p), j)
+    terms = [ri * ci for ri, ci in zip(row, col) if ci]
+    num = sum(terms[1:], terms[0]) if terms else 0 * row[j]
     return num / row[j]
 
 

@@ -242,6 +242,24 @@ class PeriodVector:
                    self.precision_estimate))
 
 
+def positive_precision(precision):
+    """`precision` as an int; DomainError unless it is positive."""
+    precision = int(precision)
+    if precision < 1:
+        raise DomainError("precision must be a positive digit count")
+    return precision
+
+
+def rank_precision(precision):
+    """`precision` as an int; DomainError below MIN_RANK_PRECISION."""
+    precision = int(precision)
+    if precision < MIN_RANK_PRECISION:
+        raise DomainError(
+            "rank detection needs at least %d digits, got %d"
+            % (MIN_RANK_PRECISION, precision))
+    return precision
+
+
 def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     """Period vector of `orbit` over a spanning list of group elements.
 
@@ -252,9 +270,7 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     pre: basis spans the cuspidal homology; the orbit's series reaches the
     largest required term count (TruncationError reports it otherwise).
     """
-    precision = int(precision)
-    if precision < 1:
-        raise DomainError("precision must be a positive digit count")
+    precision = positive_precision(precision)
     gammas = []
     for item in basis:
         g = item if len(item) == 4 else item[0]
@@ -301,11 +317,7 @@ def detect_rank(values, precision):
     """
     if isinstance(values, PeriodVector):
         values = values.values
-    precision = int(precision)
-    if precision < MIN_RANK_PRECISION:
-        raise DomainError(
-            "rank detection needs at least %d digits, got %d"
-            % (MIN_RANK_PRECISION, precision))
+    precision = rank_precision(precision)
     items = list(values)
     with mp.workdps(precision + 2 * _GUARD):
         nums = [_as_mpf(x) for x in items]

@@ -3,17 +3,19 @@
 Everything here is deliberately naive (brute force, first principles) and
 kept separate from the package so the two routes share no code.  The
 routes that the package replaced (Gauss-Jordan over K for kernels and
-eigenvectors, Fraction Horner for primary blocks, whole path-route Hecke
-matrices) live on here; they reuse the package's field and matrix
-arithmetic but none of the code they check.
+eigenvectors, Fraction Horner for primary blocks, and the two Hecke routes
+that Heilbronn matrices superseded: Merel's determinant-p family and the
+degeneracy-coset paths, for whole matrices and single columns) live on
+here; they reuse the package's field, matrix and path arithmetic but none
+of the code they check.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from modfol.arith import is_prime
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
-from modfol.hecke import hecke_column_paths
 from modfol.linalg import QMatrix
 from modfol.numfield import NFElement
 
@@ -248,6 +250,81 @@ def fraction_poly_at_matrix(poly, mat):
         if c:
             out = out + ident.scale(c)
     return out
+
+
+def merel_family(p):
+    """All integer matrices (a, b, c, d), det = p, a > b >= 0, d > c >= 0."""
+    if not is_prime(p):
+        raise DomainError("expected a prime, got %d" % p)
+    fam = [(1, 0, c, p) for c in range(p)]
+    fam += [(p, b, 0, 1) for b in range(p)]
+    # interior matrices: all entries positive; bc = ad - p forces a + d <= p + 1
+    for a in range(2, p + 1):
+        for d in range(2, p + 2 - a):
+            e = a * d - p
+            if e <= 0:
+                continue
+            b = 1
+            while b * b <= e:
+                if e % b == 0:
+                    c = e // b
+                    if b < a and c < d:
+                        fam.append((a, b, c, d))
+                    if c != b and c < a and b < d:
+                        fam.append((a, c, b, d))
+                b += 1
+    fam.sort()
+    return fam
+
+
+def hecke_matrix_merel(space, p):
+    """T_p on the full symbol quotient via the Merel family."""
+    N = space.N
+    fam = merel_family(p)
+    dim = space.dim
+    cols = []
+    for sym in space.free_symbols:
+        c, d = space.p1.reps[sym]
+        images = []
+        for (ma, mb, mc, md) in fam:
+            c2 = (c * ma + d * mc) % N
+            d2 = (c * mb + d * md) % N
+            if gcd(gcd(c2, d2), N) != 1:
+                continue          # possible only when p divides N
+            images.append(space.symbol_coords(c2, d2))
+        cols.append([sum(col) for col in zip(*images)])
+    return QMatrix.from_rows(
+        [[cols[j][i] for j in range(dim)] for i in range(dim)])
+
+
+def _coset_images(x, p, with_scaling):
+    """Images of a point of P^1(Q) under the p+1 degeneracy maps.
+
+    x is a Fraction or None (infinity); images come back as (numerator,
+    denominator) pairs with positive denominators, not reduced, or None.
+    """
+    if x is None:
+        return [None] * (p + 1 if with_scaling else p)
+    num, den = x.numerator, x.denominator
+    out = [(num + i * den, p * den) for i in range(p)]
+    if with_scaling:
+        out.append((p * num, den))
+    return out
+
+
+def hecke_column_paths(space, p, j):
+    """Column j of T_p (image of the j-th basis symbol), via paths."""
+    if not is_prime(p):
+        raise DomainError("expected a prime, got %d" % p)
+    sym = space.free_symbols[j]
+    a, b, c, d = space.lift(*space.p1.reps[sym])
+    alpha = None if d == 0 else Fraction(b, d)      # image of 0
+    beta = None if c == 0 else Fraction(a, c)       # image of infinity
+    with_scaling = space.N % p != 0
+    images = [space._path(xa, xb)
+              for xa, xb in zip(_coset_images(alpha, p, with_scaling),
+                                _coset_images(beta, p, with_scaling))]
+    return [sum(col) for col in zip(*images)]
 
 
 def hecke_matrix_paths(space, p):

@@ -194,6 +194,26 @@ def test_periods_precision_floor():
     assert code == 3 and "error" in obj
 
 
+@pytest.mark.parametrize("prec,message", [
+    ("0", "precision must be a positive digit count"),
+    ("-5", "precision must be a positive digit count"),
+    ("39", "rank detection needs at least 40 digits, got 39"),
+])
+def test_periods_precision_rejected_before_series(monkeypatch, prec, message):
+    def no_series(*args):
+        raise AssertionError("series built for a rejected --prec")
+    monkeypatch.setattr("modfol.cli.ensure_series", no_series)
+    code, out = run("periods", "11", "--orbit", "0", "--prec=" + prec)
+    assert (code, out) == (3, json.dumps(
+        {"error": message, "hint": "check the argument values"},
+        separators=(",", ":")) + "\n")
+
+
+def test_periods_old_orbit_reported_before_precision():
+    code, obj = run_json("periods", "22", "--orbit", "0", "--prec", "20")
+    assert code == 3 and "possibly_old" in obj["error"]
+
+
 # -- iet --------------------------------------------------------------------------------
 
 

@@ -3,18 +3,21 @@ from fractions import Fraction
 import pytest
 
 from modfol.arith import is_prime, next_prime, primes_up_to
+from modfol.errors import DomainError
 from modfol.hecke import (
+    _column,
     cuspidal_hecke_matrix,
     eigenvalue_from_functional,
     hecke_matrix,
-    merel_family,
+    heilbronn,
     qexp_from_primes,
 )
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.polys import QPolynomial, factor_poly, parse_poly
 
-from oracles import eta_product_qexp, hecke_matrix_paths
+from oracles import (eta_product_qexp, hecke_column_paths, hecke_matrix_merel,
+                     hecke_matrix_paths)
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +42,38 @@ class TestPrimes:
 
 class TestFamily:
     def test_counts(self):
-        assert len(merel_family(2)) == 4
-        assert len(merel_family(3)) == 7
+        # nearest-integer continued fractions; any other rounding makes
+        # longer expansions and so more matrices
+        assert [len(heilbronn(p)) for p in (2, 3, 5, 7, 11, 13, 101)] == \
+            [4, 6, 12, 18, 30, 38, 412]
 
     def test_shape(self):
-        for p in (2, 3, 5, 7, 13):
-            fam = merel_family(p)
+        for p in (2, 3, 5, 7, 13, 101):
+            fam = heilbronn(p)
             assert len(fam) == len(set(fam))
             for a, b, c, d in fam:
                 assert a * d - b * c == p
-                assert a > b >= 0 and d > c >= 0
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 9, 91])
+    def test_non_prime_raises(self, n):
+        with pytest.raises(DomainError):
+            heilbronn(n)
+
+
+class TestOracleRoutes:
+    @pytest.mark.parametrize("N", range(1, 41))
+    def test_whole_matrix_equals_merel_family(self, N):
+        space = ModularSymbolSpace(N)
+        for p in primes_up_to(31):
+            assert hecke_matrix(space, p) == hecke_matrix_merel(space, p), p
+
+    @pytest.mark.parametrize("N", [11, 37, 97])
+    def test_column_equals_path_route(self, spaces, N):
+        space = spaces[N]
+        for p in primes_up_to(499):
+            j = p % space.dim
+            assert _column(space, heilbronn(p), j) == \
+                hecke_column_paths(space, p, j), p
 
 
 class TestOperatorRoutes:

@@ -5,6 +5,8 @@
 * Each module-level function has one home: no name is defined at module
   level in two modules.
 * The prime helpers live in `arith` alone.
+* The Hecke routes that Heilbronn matrices replaced (Merel's family and
+  the degeneracy-coset paths) live in the test oracles alone.
 """
 
 import ast
@@ -53,3 +55,10 @@ def test_prime_helpers_live_in_arith():
     for name in ("is_prime", "next_prime", "primes_up_to", "factorize",
                  "_frac"):
         assert homes[name] == ["arith"], name
+
+
+def test_replaced_hecke_routes_are_oracles_only():
+    defined = {node.name for tree in TREES.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined & {"merel_family", "_coset_images",
+                      "hecke_column_paths"} == set()
