@@ -16,10 +16,13 @@ primes coprime to the level.  Blocks whose dimension exceeds the field
 degree are therefore reported as one orbit with ``possibly_old=True``
 and a multiplicity, after verifying that every supplied operator really
 does act as a scalar on the chosen eigenvector.
-"""
 
-from math import lcm
-from operator import mul
+All rational linear algebra is QMatrix arithmetic on integers over a
+common denominator: a primary block is the kernel of f^m(T) for a factor
+f^m of the characteristic polynomial, by Horner, and the eigenvector of
+a new block comes from the adjugate of lam*I - T, with no elimination
+over the eigenvalue field.
+"""
 
 from .arith import is_prime, next_prime
 from .errors import (
@@ -105,7 +108,8 @@ def rescale_eigenvector(T, lam):
     g = chi/(x - lam) in K[x], g(T) = adj(lam*I - T), which is nonzero
     exactly when rank(T - lam*I) = n - 1, and then every nonzero column
     is an eigenvector.  Column j is sum_k g_k T^k e_j, a K-combination of
-    the Krylov vectors T^k e_j, which are rational.
+    the Krylov vectors T^k e_j, which are rational, so its coordinates
+    come from rational matrix products alone.
     """
     if T.rows != T.cols:
         raise DimensionError("rescale_eigenvector needs a square matrix")
@@ -120,20 +124,14 @@ def rescale_eigenvector(T, lam):
         acc = acc * lam + chi[k]
     if not acc.is_zero():
         raise DomainError("value is not an eigenvalue of the matrix")
-    # den^(n-1)*scale*g(T) e_j = sum_k h_k (den*T)^k e_j with integer h_k:
-    # a positive multiple of column j, which the normalisation divides out
-    den, m = _cleared(T)
-    h = [[c * den ** (n - 1 - k) for c in gk.coeffs] for k, gk in enumerate(g)]
-    scale = lcm(*[c.denominator for hk in h for c in hk])
-    h_by_coord = list(zip(*[[int(c * scale) for c in hk] for hk in h]))
+    # column j of g(T), by Horner on its n x d matrix of coordinates; the
+    # integer rows of that matrix are a positive multiple of the column
     for j in range(n):
-        w = [int(i == j) for i in range(n)]
-        krylov = [w]
-        for _ in range(n - 1):
-            w = [sum(map(mul, row, w)) for row in m]
-            krylov.append(w)
-        vec = [NFElement(field, [sum(map(mul, hl, wi)) for hl in h_by_coord])
-               for wi in zip(*krylov)]
+        col = QMatrix.zeros(n, field.degree)
+        for gk in reversed(g):
+            lift = [gk.coeffs if i == j else [0] * field.degree for i in range(n)]
+            col = T * col + QMatrix.from_rows(lift)
+        vec = [NFElement(field, r) for r in col.integer_rows()[1]]
         if any(vec):
             break
     else:
@@ -185,10 +183,8 @@ def decompose(space, primes):
                 refined.append(block)
                 continue
             for poly, mult in factors:
-                primary = _matrix_power(_poly_at_matrix(poly, mat), mult)
-                blk = block * _columns_matrix(
-                    QMatrix.from_rows(primary).kernel())
-                refined.append(blk)
+                primary = _poly_at_matrix(poly ** mult, mat)
+                refined.append(block * _columns_matrix(primary.kernel()))
         blocks = refined
     if sum(b.cols for b in blocks) != space.genus:
         raise InternalInvariantError("primary blocks do not fill the +1 half")
@@ -251,35 +247,15 @@ def _orbit_from_block(space, block, tplus, ps):
         if defining is None and charfac[p].degree == dim:
             defining = p
     if defining is not None:
-        return _new_orbit(space, block, mats, ps, defining, charfac[defining])
+        field = NumberField(charfac[defining])
+        local = rescale_eigenvector(mats[defining], field.gen())
+        return _orbit(space, block, mats, ps, defining, local, 1)
     if is_prime(space.N):
         raise UndecidedSplitError(
             "a %d-dimensional block is not generated by any supplied "
             "eigenvalue; distinct orbits share all supplied primes -- "
             "try adding prime %d" % (dim, _next_split_prime(ps, space.N)),
             next_prime=_next_split_prime(ps, space.N))
-    return _old_orbit(space, block, mats, ps, charfac)
-
-
-def _new_orbit(space, block, mats, ps, p_star, minpoly):
-    field = NumberField(minpoly)
-    lam = field.gen()
-    local = rescale_eigenvector(mats[p_star], lam)
-    coeffs = {}
-    lead = next(i for i, x in enumerate(local) if not x.is_zero())
-    for p in ps:
-        c = _scalar_action(mats[p], local, lead, field)
-        if c is None:
-            raise InternalInvariantError("commuting operator is not scalar")
-        coeffs[p] = c
-    if coeffs[p_star] != lam:
-        raise InternalInvariantError("defining operator lost its eigenvalue")
-    vec = _lift_through(block, local, field)
-    return EigenformOrbit(space.N, field, p_star, lam, vec, coeffs)
-
-
-def _old_orbit(space, block, mats, ps, charfac):
-    dim = block.cols
     best = max(q.degree for q in charfac.values())
     p_star = min(p for p in ps if charfac[p].degree == best)
     field = NumberField(charfac[p_star])
@@ -293,13 +269,28 @@ def _old_orbit(space, block, mats, ps, charfac):
     kernel = nf_kernel(field, rows)
     if not kernel:
         raise InternalInvariantError("field generator is not an eigenvalue")
-    local = kernel[0]
+    lead = next(x for x in kernel[0] if not x.is_zero())
+    inv = lead.inverse()
+    return _orbit(space, block, mats, ps, p_star, [x * inv for x in kernel[0]],
+                  mult)
+
+
+def _orbit(space, block, mats, ps, p_star, local, multiplicity):
+    """The orbit of ``local``, an eigenvector of mats[p_star] in block
+    coordinates with first nonzero entry 1, for the field generator.
+
+    A block of multiplicity 1 was certified by p_star, so an operator that
+    is not scalar on ``local`` is a bug; a larger block is possibly old, and
+    there it means the supplied primes do not split its eigensystems.
+    """
+    field = local[0].field
+    lam = field.gen()
     lead = next(i for i, x in enumerate(local) if not x.is_zero())
-    inv = local[lead].inverse()
-    local = [x * inv for x in local]
     coeffs = {}
     for p in ps:
         c = _scalar_action(mats[p], local, lead, field)
+        if c is None and multiplicity == 1:
+            raise InternalInvariantError("commuting operator is not scalar")
         if c is None:
             raise UndecidedSplitError(
                 "block mixes eigensystems that agree at all supplied primes; "
@@ -310,7 +301,8 @@ def _old_orbit(space, block, mats, ps, charfac):
         raise InternalInvariantError("defining operator lost its eigenvalue")
     vec = _lift_through(block, local, field)
     return EigenformOrbit(space.N, field, p_star, lam, vec, coeffs,
-                          multiplicity=mult, possibly_old=True)
+                          multiplicity=multiplicity,
+                          possibly_old=multiplicity > 1)
 
 
 def _scalar_action(mat, vec, lead, field):
@@ -361,52 +353,18 @@ def _restrict_to_span(basis, mat):
     """
     image = mat * basis
     _, pivot_rows = basis.transpose().rref()
-    sub = QMatrix.from_rows([basis.row(i) for i in pivot_rows])
-    rhs = QMatrix.from_rows([image.row(i) for i in pivot_rows])
-    small = sub.solve(rhs)
+    small = basis.select_rows(pivot_rows).solve(image.select_rows(pivot_rows))
     if basis * small != image:
         raise DomainError("column span is not invariant under the operator")
     return small
 
 
 def _poly_at_matrix(poly, mat):
-    """A positive integer multiple of poly(mat), as a list of integer rows.
-
-    Horner on the integer matrix D*mat, D the common denominator of mat,
-    with the coefficient c_k of x^k scaled to the integer c_k*L*D^(deg-k),
-    L the common denominator of poly: the result is L*D^deg*poly(mat),
-    which has the same kernel.
-    """
-    n = mat.rows
-    den, m = _cleared(mat)
-    scale = lcm(*[c.denominator for c in poly.coeffs])
-    out = [[0] * n for _ in range(n)]
-    for k in range(poly.degree, -1, -1):
-        out = _int_matmul(out, m)
-        c = int(poly.coeffs[k] * scale) * den ** (poly.degree - k)
-        if c:
-            for i in range(n):
-                out[i][i] += c
-    return out
-
-
-def _cleared(mat):
-    """(D, rows of the integer matrix D*mat), D the common denominator."""
-    den = lcm(*[x.denominator for x in mat.data])
-    ints = [x.numerator * (den // x.denominator) for x in mat.data]
-    c = mat.cols
-    return den, [ints[i * c:(i + 1) * c] for i in range(mat.rows)]
-
-
-def _int_matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _matrix_power(rows, e):
-    out = rows
-    for _ in range(e - 1):
-        out = _int_matmul(out, rows)
+    """poly(mat) by Horner."""
+    out = QMatrix.zeros(mat.rows, mat.rows)
+    ident = QMatrix.identity(mat.rows)
+    for c in reversed(poly.coeffs):
+        out = out * mat + ident.scale(c)
     return out
 
 

@@ -65,7 +65,10 @@ class IET:
                                   "number field lengths")
         else:
             if embedding is None:
-                embedding = field.real_embeddings()[-1]
+                places = field.real_embeddings()
+                if not places:
+                    raise DomainError("lengths need a field with a real place")
+                embedding = places[-1]
             elif embedding.field is not field:
                 raise DomainError("embedding belongs to a different field")
             vals = tuple(x if isinstance(x, NFElement)

@@ -1,10 +1,13 @@
 """Dense exact linear algebra over Q, plus integer lattice utilities.
 
-QMatrix stores Fractions row-major.  Everything is deliberately elementary:
-one fraction-free Gauss-Jordan elimination (rref, which also serves rank,
-kernel and solve), determinants and characteristic polynomials by
-fraction-free integer determinants (the latter by evaluation and
-interpolation), and a row-style Hermite normal form for integer lattices.
+QMatrix stores integers row-major over one positive common denominator,
+reduced so that equal matrices have equal storage; entries are read back
+as Fractions.  Products, sums, scaling and elimination run on the
+integers: one fraction-free Gauss-Jordan elimination (rref, which also
+serves rank, kernel and solve), determinants and characteristic
+polynomials by Bareiss integer determinants (the latter by evaluation
+and interpolation), and a row-style Hermite normal form for integer
+lattices.
 """
 
 from fractions import Fraction
@@ -16,16 +19,33 @@ from .errors import (DimensionError, DomainError, InternalInvariantError,
 
 
 class QMatrix:
-    """Immutable-ish dense matrix over Q."""
+    """Immutable-ish dense matrix over Q: integers ``_num`` over ``_den``."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows, cols, data):
         if len(data) != rows * cols:
             raise DimensionError("data length %d != %d x %d" % (len(data), rows, cols))
+        fracs = [_frac(x) for x in data if not isinstance(x, int)]
+        den = lcm(*[x.denominator for x in fracs]) if fracs else 1
+        self._set(rows, cols, [x.numerator * (den // x.denominator)
+                               for x in data], den)
+
+    def _set(self, rows, cols, num, den):
+        """Store num/den in lowest terms: gcd(den, *num) = 1, den > 0."""
+        g = gcd(den, *num)
+        if g > 1:
+            num = [x // g for x in num]
+            den //= g
         self.rows = rows
         self.cols = cols
-        self.data = [_frac(x) for x in data]
+        self._num = num
+        self._den = den
+        return self
+
+    @classmethod
+    def _from_ints(cls, rows, cols, num, den=1):
+        return cls.__new__(cls)._set(rows, cols, num, den)
 
     # -- construction ---------------------------------------------------
 
@@ -41,33 +61,48 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls._from_ints(n, n, [int(i == j) for i in range(n)
+                                     for j in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._from_ints(rows, cols, [0] * (rows * cols))
 
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i * self.cols + j]
+        return Fraction(self._num[i * self.cols + j], self._den)
 
     def row(self, i):
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        c = self.cols
+        return [Fraction(x, self._den) for x in self._num[i * c:(i + 1) * c]]
 
     def col(self, j):
-        return [self.data[i * self.cols + j] for i in range(self.rows)]
+        return [Fraction(x, self._den) for x in self._num[j::self.cols]]
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
+    def integer_rows(self):
+        """(d, rows): the common denominator d > 0 and the integer rows of
+        d*self, with no common factor left between d and all the rows."""
+        c = self.cols
+        return self._den, [self._num[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def select_rows(self, indices):
+        """The matrix of the rows at ``indices``, in that order."""
+        c = self.cols
+        return QMatrix._from_ints(len(indices), c, [
+            x for i in indices for x in self._num[i * c:(i + 1) * c]], self._den)
+
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
+        return hash((self.rows, self.cols, self._den, tuple(self._num)))
 
     def __repr__(self):
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
@@ -75,21 +110,29 @@ class QMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._same_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       [a + b for a, b in zip(self.data, other.data)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return QMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.data, other.data)])
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign*other over the least common denominator."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionError("shape mismatch")
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        return QMatrix._from_ints(self.rows, self.cols, [
+            s * a + t * b for a, b in zip(self._num, other._num)], den)
 
     def __neg__(self):
-        return QMatrix(self.rows, self.cols, [-a for a in self.data])
+        return QMatrix._from_ints(self.rows, self.cols,
+                                  [-a for a in self._num], self._den)
 
     def scale(self, c):
         c = _frac(c)
-        return QMatrix(self.rows, self.cols, [c * a for a in self.data])
+        return QMatrix._from_ints(self.rows, self.cols,
+                                  [c.numerator * a for a in self._num],
+                                  c.denominator * self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -98,20 +141,19 @@ class QMatrix:
             raise DimensionError("cannot multiply %dx%d by %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
         n, m, k = self.rows, other.cols, self.cols
-        out = [Fraction(0)] * (n * m)
-        od = other.data
+        a, b = self._num, other._num
+        out = []
         for i in range(n):
-            base = i * k
-            rowvals = [(t, self.data[base + t]) for t in range(k) if self.data[base + t]]
-            acc = out[i * m:(i + 1) * m]
-            for t, a in rowvals:
-                ob = t * m
-                for j in range(m):
-                    v = od[ob + j]
-                    if v:
-                        acc[j] += a * v
-            out[i * m:(i + 1) * m] = acc
-        return QMatrix(n, m, out)
+            acc = [0] * m
+            for t, x in enumerate(a[i * k:(i + 1) * k]):
+                if x:
+                    ob = t * m
+                    for j in range(m):
+                        y = b[ob + j]
+                        if y:
+                            acc[j] += x * y
+            out += acc
+        return QMatrix._from_ints(n, m, out, self._den * other._den)
 
     __rmul__ = scale
 
@@ -119,59 +161,53 @@ class QMatrix:
         """Matrix times column vector (list of Fractions)."""
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
-        return [sum((self.data[i * self.cols + j] * vec[j]
-                     for j in range(self.cols) if vec[j]), Fraction(0))
-                for i in range(self.rows)]
+        return (self * QMatrix(self.cols, 1, list(vec))).col(0)
 
     def transpose(self):
-        return QMatrix(self.cols, self.rows,
-                       [self.data[i * self.cols + j]
-                        for j in range(self.cols) for i in range(self.rows)])
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch")
+        return QMatrix._from_ints(self.cols, self.rows,
+                                  [x for j in range(self.cols)
+                                   for x in self._num[j::self.cols]], self._den)
 
     def is_zero(self):
-        return all(x == 0 for x in self.data)
+        return not any(self._num)
 
     # -- elimination -------------------------------------------------------
 
     def rref(self):
         """(reduced row echelon form, pivot column list).
 
-        Fraction-free: each row is scaled to integers, eliminated with
-        integer row operations (each new row divided by the gcd of its
-        entries) and divided by its pivot once at the end.  The reduced
+        Fraction-free on the stored integers: integer row operations
+        (each new row divided by the gcd of its entries), then every row
+        divided by its pivot over one common denominator.  The reduced
         form is unique, so this equals the textbook Fraction elimination.
         """
-        m = []
-        for row in self.to_rows():
-            den = lcm(*[x.denominator for x in row])
-            m.append([x.numerator * (den // x.denominator) for x in row])
+        c = self.cols
+        m = [self._num[i * c:(i + 1) * c] for i in range(self.rows)]
         pivots = []
         r = 0
-        for c in range(self.cols):
+        for col in range(c):
             if r == self.rows:
                 break
-            p = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
+            p = next((i for i in range(r, self.rows) if m[i][col] != 0), None)
             if p is None:
                 continue
             m[r], m[p] = m[p], m[r]
             pivot_row = m[r]
-            a = pivot_row[c]
+            a = pivot_row[col]
             for i in range(self.rows):
-                f = m[i][c]
+                f = m[i][col]
                 if i != r and f != 0:
                     row = [a * x - f * y for x, y in zip(m[i], pivot_row)]
                     g = gcd(*row)
                     m[i] = [x // g for x in row] if g > 1 else row
-            pivots.append(c)
+            pivots.append(col)
             r += 1
-        for i, c in enumerate(pivots):
-            a = m[i][c]
-            m[i] = [Fraction(x, a) for x in m[i]]
-        return QMatrix.from_rows(m), pivots
+        den = lcm(*[abs(m[i][col]) for i, col in enumerate(pivots)])
+        out = []
+        for i, row in enumerate(m):
+            s = den // row[pivots[i]] if i < r else 0
+            out += [s * x for x in row]
+        return QMatrix._from_ints(self.rows, c, out, den), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -180,11 +216,7 @@ class QMatrix:
         if self.rows != self.cols:
             raise DimensionError("determinant of non-square matrix")
         n = self.rows
-        if n == 0:
-            return Fraction(1)
-        den = lcm(*[x.denominator for x in self.data])
-        return Fraction(_int_det_bareiss([int(x * den) for x in self.data], n),
-                        den ** n)
+        return Fraction(_int_det_bareiss(self._num, n), self._den ** n)
 
     def solve(self, rhs):
         """Solve self * x = rhs for square nonsingular self.
@@ -198,11 +230,18 @@ class QMatrix:
         if R.rows != self.rows:
             raise DimensionError("rhs shape mismatch")
         n, k = self.rows, R.cols
-        aug, pivots = QMatrix.from_rows(
-            [self.row(i) + R.row(i) for i in range(n)]).rref()
+        # rref ignores the scale of each row, so [R.den*A | A.den*R] will do
+        aug = []
+        for i in range(n):
+            aug += [R._den * x for x in self._num[i * n:(i + 1) * n]]
+            aug += [self._den * x for x in R._num[i * k:(i + 1) * k]]
+        red, pivots = QMatrix._from_ints(n, n + k, aug).rref()
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        sol = QMatrix(n, k, [aug[i, n + j] for i in range(n) for j in range(k)])
+        w = n + k
+        sol = QMatrix._from_ints(n, k, [x for i in range(n)
+                                        for x in red._num[i * w + n:(i + 1) * w]],
+                                 red._den)
         return sol.col(0) if vector_input else sol
 
     def kernel(self):
@@ -232,16 +271,12 @@ class QMatrix:
         """Coefficients (ascending) of det(xI - M), a monic degree-n list."""
         if self.rows != self.cols:
             raise DimensionError("charpoly of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return [Fraction(1)]
-        den = lcm(*[x.denominator for x in self.data]) if self.data else 1
-        zi = [int(x * den) for x in self.data]
+        n, den = self.rows, self._den
         # p_M(x) = det(xI - M) = det(den*x*I - den*M)/den^n evaluated exactly
         # at integer points x = 0..n and interpolated.
         ys = []
         for t in range(n + 1):
-            entries = [den * t * (1 if i == j else 0) - zi[i * n + j]
+            entries = [den * t * (i == j) - self._num[i * n + j]
                        for i in range(n) for j in range(n)]
             ys.append(Fraction(_int_det_bareiss(entries, n), den ** n))
         return _interpolate_monic(ys)
@@ -267,7 +302,7 @@ def _int_det_bareiss(a, n):
                 a[i * n + j] = (a[i * n + j] * akk - aik * a[k * n + j]) // prev
             a[i * n + k] = 0
         prev = akk
-    return sign * a[n * n - 1]
+    return sign * a[n * n - 1] if n else 1
 
 
 def _interpolate_monic(ys):
@@ -338,24 +373,12 @@ def lattice_key(rational_rows):
     """Canonical key for the Z-lattice spanned by rows of Fractions.
 
     Returns (denominator, tuple of HNF rows) in lowest terms: two generating
-    sets give equal keys iff they span the same lattice in Q^n.
+    sets give equal keys iff they span the same lattice in Q^n.  The stored
+    form of a QMatrix is already in lowest terms, and the HNF keeps the gcd
+    of the entries.
     """
-    rows = [list(map(_frac, r)) for r in rational_rows]
-    if not rows:
-        return (1, ())
-    den = 1
-    for r in rows:
-        for x in r:
-            den = lcm(den, x.denominator)
-    H = hnf([[int(x * den) for x in r] for r in rows])
-    if not H:
-        return (1, ())
-    g = den
-    for r in H:
-        for x in r:
-            g = gcd(g, x)
-    g = g or 1
-    return (den // g, tuple(tuple(x // g for x in r) for r in H))
+    den, rows = QMatrix.from_rows(rational_rows).integer_rows()
+    return (den, tuple(tuple(r) for r in hnf(rows)))
 
 
 def is_unimodular(rows):

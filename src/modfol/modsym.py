@@ -14,8 +14,9 @@ boundary kernel, of dimension twice the genus.
 Coordinates: the relation module is eliminated once at construction; every
 symbol, path and loop is afterwards expressed in a fixed basis of the
 quotient (dimension 2*genus + #cusps - 1).  Symbol and path coordinates are
-integers (the elimination is checked to leave no denominators); they become
-Fractions only where they enter a QMatrix.
+integers (the elimination is checked to leave no denominators), and an
+operator on the quotient is restricted to the cuspidal subspace by one
+matrix product with the cuspidal basis.
 """
 
 from fractions import Fraction
@@ -160,9 +161,12 @@ class ModularSymbolSpace:
 
         # the cuspidal basis is the echelon kernel: the identity on the free
         # columns, which is what express_cuspidal reads off
-        kernel, self._cuspidal_free = \
-            QMatrix.from_rows(self._boundary).echelon_kernel()
+        boundary = QMatrix.from_rows(self._boundary)
+        kernel, self._cuspidal_free = boundary.echelon_kernel()
         self._cuspidal_basis = [tuple(v) for v in kernel]
+        self._cuspidal_columns = QMatrix(self.dim, len(kernel), [
+            v[i] for i in range(self.dim) for v in kernel])
+        self._boundary_matrix = boundary
         self.cuspidal_dim = len(self._cuspidal_basis)
         if self.cuspidal_dim != 2 * self.genus:
             raise InternalInvariantError(
@@ -272,11 +276,13 @@ class ModularSymbolSpace:
         """Restrict an operator on the quotient to the cuspidal subspace.
 
         op is a dim x dim QMatrix mapping the cuspidal subspace to itself;
-        returns the (2g) x (2g) matrix in the cuspidal basis.
+        returns the (2g) x (2g) matrix in the cuspidal basis, whose rows are
+        the free rows of op times the basis (see express_cuspidal).
         """
-        cols = [self.express_cuspidal(op.apply(list(b)))
-                for b in self._cuspidal_basis]
-        return QMatrix.from_rows(zip(*cols))
+        image = op * self._cuspidal_columns
+        if not (self._boundary_matrix * image).is_zero():
+            raise DomainError("operator does not preserve the cuspidal subspace")
+        return image.select_rows(self._cuspidal_free)
 
     # -- star involution ---------------------------------------------------------------
 

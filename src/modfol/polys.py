@@ -321,14 +321,25 @@ def _gfp_trim(a):
     return a
 
 
-def _gfp_mul(a, b, p):
+def _zp_mul(a, b, m):
+    """Product in (Z/m)[x]: m is p for Berlekamp, a power of p for Hensel."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
+                out[i + j] = (out[i + j] + ca * cb) % m
+    return _gfp_trim(out)
+
+
+def _zp_sub(a, b, m):
+    """Difference in (Z/m)[x], both operands reduced."""
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c % m
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % m
     return _gfp_trim(out)
 
 
@@ -368,8 +379,8 @@ def _gfp_xgcd(a, b, p):
     while r1:
         q, r = _gfp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gfp_sub(s0, _gfp_mul(q, s1, p), p)
-        t0, t1 = t1, _gfp_sub(t0, _gfp_mul(q, t1, p), p)
+        s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
+        t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
     if r0:
         inv = pow(r0[-1], p - 2, p)
         r0 = [(c * inv) % p for c in r0]
@@ -378,22 +389,13 @@ def _gfp_xgcd(a, b, p):
     return r0, s0, t0
 
 
-def _gfp_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _gfp_trim(out)
-
-
 def _gfp_powmod(base, e, mod, p):
     result = [1]
     base = _gfp_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _gfp_divmod(_gfp_mul(result, base, p), mod, p)[1]
-        base = _gfp_divmod(_gfp_mul(base, base, p), mod, p)[1]
+            result = _gfp_divmod(_zp_mul(result, base, p), mod, p)[1]
+        base = _gfp_divmod(_zp_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -408,7 +410,7 @@ def _berlekamp(f, p):
     cols = [[1] + [0] * (n - 1)]
     cur = [1]
     for _ in range(1, n):
-        cur = _gfp_divmod(_gfp_mul(cur, xp, p), f, p)[1]
+        cur = _gfp_divmod(_zp_mul(cur, xp, p), f, p)[1]
         cols.append(cur + [0] * (n - len(cur)))
     # kernel of (Q - I) over GF(p); Q has columns cols
     m = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)]
@@ -430,7 +432,7 @@ def _berlekamp(f, p):
                 if len(g) - 1 <= 1:
                     nxt.append(g)
                     continue
-                vc = _gfp_sub(vv, [c], p)
+                vc = _zp_sub(vv, [c], p)
                 h = _gfp_gcd(vc, g, p)
                 if 0 < len(h) - 1 < len(g) - 1:
                     nxt.append(h)
@@ -480,30 +482,6 @@ def _gfp_nullspace(m, p):
 
 
 # -- Hensel lifting ------------------------------------------------------------
-
-
-def _zp_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zp_sub(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _zp_add(a, b, m):
@@ -577,10 +555,10 @@ def _hensel_lift_tree(f, factors, p, target):
     k = len(factors) // 2
     g = [1]
     for fac in factors[:k]:
-        g = _gfp_mul(g, fac, p)
+        g = _zp_mul(g, fac, p)
     h = [1]
     for fac in factors[k:]:
-        h = _gfp_mul(h, fac, p)
+        h = _zp_mul(h, fac, p)
     g_, h_, m = _hensel_lift_pair(f, g, h, p, target)
     left = _hensel_lift_tree(g_, factors[:k], p, m)
     right = _hensel_lift_tree(h_, factors[k:], p, m)

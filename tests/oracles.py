@@ -241,15 +241,15 @@ def _row_dot(mat, i, vec, field):
 
 
 def fraction_poly_at_matrix(poly, mat):
-    """Evaluate a rational polynomial at a square matrix (Horner)."""
-    n = mat.rows
-    out = QMatrix.zeros(n, n)
-    ident = QMatrix.identity(n)
+    """Evaluate a rational polynomial at a square matrix by Horner on rows
+    of Fractions, apart from QMatrix arithmetic."""
+    a = mat.to_rows()
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
     for c in reversed(poly.coeffs):
-        out = out * mat
-        if c:
-            out = out + ident.scale(c)
-    return out
+        out = [[sum((x * a[t][j] for t, x in enumerate(row) if x), c * (i == j))
+                for j in range(n)] for i, row in enumerate(out)]
+    return QMatrix.from_rows(out)
 
 
 def merel_family(p):

@@ -252,6 +252,12 @@ def test_iet_rational_lengths_in_field_mode_rejected():
     assert code == 3 and "error" in obj
 
 
+def test_iet_field_without_real_place_rejected():
+    code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                         "--poly=1,0,1")
+    assert code == 3 and "real place" in obj["error"]
+
+
 def test_iet_bad_length_token():
     code, obj = run_json("iet", "--lengths", "1/2,zebra", "--perm", "2,1")
     assert code == 2

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from modfol.arith import primes_up_to
 from modfol.eigen import (
-    _matrix_power,
     _poly_at_matrix,
     auto_decompose,
     decompose,
@@ -281,32 +280,18 @@ def _horner_cases(draw):
     return mat, poly, mult
 
 
-def _positive_ratio(a, b):
-    """r > 0 with a == r*b entrywise, or None; a and b are row lists."""
-    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
-    nonzero = [(x, y) for x, y in pairs if y]
-    if not nonzero:
-        return 1 if not any(x for x, _ in pairs) else None
-    r = Fraction(nonzero[0][0]) / nonzero[0][1]
-    ok = r > 0 and all(x == r * y for x, y in pairs)
-    return r if ok else None
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_horner_cases())
-def test_integer_horner_is_positive_multiple_of_fraction_horner(case):
+def test_horner_and_its_powers_equal_fraction_horner(case):
     mat, poly, mult = case
-    rows = _poly_at_matrix(poly, mat)
+    got = _poly_at_matrix(poly, mat)
     expected = fraction_poly_at_matrix(poly, mat)
-    assert all(isinstance(x, int) for r in rows for x in r)
-    assert _positive_ratio(rows, expected.to_rows()) is not None
-    assert QMatrix.from_rows(rows).kernel() == expected.kernel()
-    power = _matrix_power(rows, mult)
-    expected_power = expected
+    assert got == expected
+    power, expected_power = got, expected
     for _ in range(mult - 1):
+        power = power * got
         expected_power = expected_power * expected
-    assert _positive_ratio(power, expected_power.to_rows()) is not None
-    assert QMatrix.from_rows(power).kernel() == expected_power.kernel()
+    assert power == expected_power == _poly_at_matrix(poly ** mult, mat)
 
 
 # -- decompose ---------------------------------------------------------------------

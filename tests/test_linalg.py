@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -197,6 +198,85 @@ class TestCharpoly:
         got = QMatrix(n, n, data).charpoly()
         assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(expected)]
         assert all(type(c) is Fraction for c in got)
+
+
+_small = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(-50, 50), st.integers(1, 1000)))
+
+
+@st.composite
+def _operands(draw):
+    """(a, b: n x m, c: m x k, s: n x n, scalar, vector of length m) with
+    every dimension in 0..6; each matrix is all zero now and then."""
+    n, m, k = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def matrix(rows, cols):
+        if draw(st.integers(0, 9)) == 0:
+            return QMatrix.zeros(rows, cols)
+        return QMatrix(rows, cols, [draw(_small) for _ in range(rows * cols)])
+
+    vec = [draw(_small) for _ in range(m)]
+    return (matrix(n, m), matrix(n, m), matrix(m, k), matrix(n, n),
+            draw(_small), vec)
+
+
+def _sym(a):
+    return sympy.Matrix(a.rows, a.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for r in a.to_rows() for x in r])
+
+
+def _rat(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _rows(s):
+    return [[_rat(s[i, j]) for j in range(s.cols)] for i in range(s.rows)]
+
+
+class TestAgainstSympy:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(_operands())
+    def test_operations_match_sympy(self, ops):
+        a, b, c, s, x, v = ops
+        sa, ss = _sym(a), _sym(s)
+        assert (a * c).to_rows() == _rows(sa * _sym(c))
+        assert (a + b).to_rows() == _rows(sa + _sym(b))
+        assert (a - b).to_rows() == _rows(sa - _sym(b))
+        assert a.scale(x).to_rows() == _rows(
+            sa * sympy.Rational(x.numerator, x.denominator))
+        assert a.transpose().to_rows() == _rows(sa.T)
+        assert a.apply(v) == [_rat(y) for y in sa * sympy.Matrix(len(v), 1, v)]
+        reduced, pivots = a.rref()
+        sym_reduced, sym_pivots = sa.rref()
+        assert (reduced.to_rows(), pivots) == (_rows(sym_reduced),
+                                               list(sym_pivots))
+        assert a.kernel() == [[_rat(y) for y in w] for w in sa.nullspace()]
+        assert s.det() == _rat(ss.det())
+        assert s.charpoly() == [_rat(y) for y in
+                                reversed(ss.charpoly().all_coeffs())]
+        rhs = v[:s.rows] + [Fraction(0)] * (s.rows - len(v))
+        if ss.det() != 0:
+            assert s.solve(rhs) == [_rat(y) for y in ss.LUsolve(
+                sympy.Matrix(len(rhs), 1, rhs))]
+        else:
+            with pytest.raises(SingularMatrixError):
+                s.solve(rhs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.integers(0, 6).flatmap(
+        lambda m: st.lists(_small, min_size=n * m, max_size=n * m).map(
+            lambda data: QMatrix(n, m, data)))))
+    def test_int_and_fraction_storage_agree(self, a):
+        den = lcm(*[x.denominator for r in a.to_rows() for x in r])
+        ints = [[int(x * den) for x in r] for r in a.to_rows()]
+        fracs = [[Fraction(x * 3, 3) for x in r] for r in ints]
+        from_ints = QMatrix(a.rows, a.cols, [x for r in ints for x in r])
+        from_fracs = QMatrix(a.rows, a.cols, [x for r in fracs for x in r])
+        assert from_ints == from_fracs and hash(from_ints) == hash(from_fracs)
+        assert from_ints == a.scale(den) and hash(from_ints) == hash(a.scale(den))
+        assert from_ints.scale(Fraction(1, den)) == a
 
 
 class TestHNFAndLattices:

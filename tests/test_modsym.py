@@ -216,3 +216,20 @@ class TestCuspidal:
             assert span_coordinates(basis, noncuspidal) is None, N
             with pytest.raises(DomainError):
                 space.express_cuspidal(noncuspidal)
+
+    def test_restrict_rejects_operator_leaving_cuspidal(self, spaces):
+        # op = I + v e_f^T, v = {0, oo} not cuspidal and f the first free
+        # index, sends the first cuspidal basis vector b to b + v
+        for N in (11, 23, 37):
+            space = spaces[N]
+            n = space.dim
+            assert space.restrict_to_cuspidal(QMatrix.identity(n)) == \
+                QMatrix.identity(space.cuspidal_dim)
+            v = space.path(Fraction(0), None)
+            basis = space.cuspidal_basis()
+            unit = [1] + [0] * (len(basis) - 1)
+            f = next(i for i in range(n) if [b[i] for b in basis] == unit)
+            op = QMatrix.identity(n) + QMatrix(
+                n, n, [v[i] if j == f else 0 for i in range(n) for j in range(n)])
+            with pytest.raises(DomainError):
+                space.restrict_to_cuspidal(op)

@@ -7,6 +7,9 @@
 * The prime helpers live in `arith` alone.
 * The Hecke routes that Heilbronn matrices replaced (Merel's family and
   the degeneracy-coset paths) live in the test oracles alone.
+* QMatrix is the one integer matrix core: no module defines its own
+  denominator clearing or integer matrix product, and only `linalg`
+  reads the storage of a QMatrix.
 """
 
 import ast
@@ -14,10 +17,16 @@ from collections import defaultdict
 from pathlib import Path
 
 import modfol
+from modfol.linalg import QMatrix
 
 SOURCES = sorted(Path(modfol.__file__).resolve().parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
          for path in SOURCES}
+
+
+def _defined_functions():
+    return {node.name for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
 def _module_functions():
@@ -58,7 +67,16 @@ def test_prime_helpers_live_in_arith():
 
 
 def test_replaced_hecke_routes_are_oracles_only():
-    defined = {node.name for tree in TREES.values() for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    assert defined & {"merel_family", "_coset_images",
-                      "hecke_column_paths"} == set()
+    assert _defined_functions() & {"merel_family", "_coset_images",
+                                   "hecke_column_paths"} == set()
+
+
+def test_one_integer_matrix_core():
+    assert _defined_functions() & {"_cleared", "_int_matmul",
+                                   "_matrix_power"} == set()
+    storage = set(QMatrix.__slots__) - {"rows", "cols"}
+    readers = ["%s:%d" % (module, node.lineno)
+               for module, tree in TREES.items() if module != "linalg"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in storage]
+    assert readers == []
