@@ -39,6 +39,7 @@ from .polys import QPolynomial
 
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
+_MAX_W_POWER = 1000     # a length w^k is a dense list of k + 1 coefficients
 
 
 class _UsageError(Exception):
@@ -194,8 +195,13 @@ def _parse_combo(text):
             else:
                 raise _UsageError("malformed length entry %r (write c*w)"
                                   % text)
-            if tail.startswith("^") and tail[1:].isdigit():
-                power = int(tail[1:])
+            if tail.startswith("^") and tail[1:].isdecimal():
+                digits = tail[1:].lstrip("0") or "0"
+                if len(digits) > 4 or int(digits) > _MAX_W_POWER:
+                    raise _UsageError("length entry %r: powers of w above "
+                                      "w^%d are not accepted"
+                                      % (text, _MAX_W_POWER))
+                power = int(digits)
             elif tail:
                 raise _UsageError("malformed length entry %r" % text)
             else:
@@ -437,7 +443,8 @@ def _build_parser():
                                "interval exchange")
     iet.add_argument("--lengths", required=True, metavar="L1,L2,...",
                      help="exact rationals like 1/2, or field elements "
-                          "like 1+2*w (then pass --poly)")
+                          "like 1+2*w or w^3, powers up to w^%d (then pass "
+                          "--poly)" % _MAX_W_POWER)
     iet.add_argument("--perm", required=True, metavar="S1,S2,...",
                      help="one-line permutation, 1-based")
     iet.add_argument("--poly", metavar="C0,C1,...",

@@ -2,7 +2,9 @@
 
 Provides the projective line P^1(Z/N) with canonical representatives, the
 standard multiplicative invariants (index, elliptic point counts, cusp
-count, genus), membership testing, and exact cusp equivalence.
+count, genus), membership testing, and cusp classes in closed form from
+the factorization of N (Cremona, Algorithms for Modular Elliptic Curves,
+2nd ed., 1997, 2.2), with no loop over N.
 
 A point of P^1(Z/N) is a pair (c, d) with gcd(c, d, N) = 1, up to scaling
 by units of Z/N.  The canonical representative of a class is the
@@ -85,10 +87,11 @@ def curve_data(N):
                 continue
             nu3 *= 2 if p % 3 == 1 else 0
 
-    nu_inf = 0
-    for d in range(1, N + 1):
-        if N % d == 0:
-            nu_inf += _euler_phi(gcd(d, N // d))
+    # nu_inf = sum over d | N of phi(gcd(d, N/d)), a multiplicative function
+    nu_inf = 1
+    for p, e in fac:
+        nu_inf *= sum(p ** m - p ** (m - 1) if m else 1
+                      for m in (min(k, e - k) for k in range(e + 1)))
 
     genus_frac = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
         - Fraction(nu_inf, 2)
@@ -103,13 +106,6 @@ def curve_data(N):
         "nu_inf": nu_inf,
         "genus": int(genus_frac),
     }
-
-
-def _euler_phi(n):
-    out = n
-    for p, _ in factorize(n):
-        out = out * (p - 1) // p
-    return out
 
 
 class P1Space:
@@ -183,38 +179,35 @@ def normalize_cusp(p, q):
     return (p, q)
 
 
-def cusp_equivalent(cusp1, cusp2, N):
-    """Exact Gamma0(N)-equivalence of two cusps given as (p, q) pairs."""
-    p1, q1 = normalize_cusp(*cusp1)
-    p2, q2 = normalize_cusp(*cusp2)
-    s1 = pow(p1, -1, q1) if q1 >= 1 else 1
-    s2 = pow(p2, -1, q2) if q2 >= 1 else 1
-    g = gcd(q1 * q2, N)
-    return (s1 * q2 - s2 * q1) % g == 0
-
-
 def cusp_class_key(cusp, N):
-    """Canonical label (a, c) of the cusp's class: c = gcd(q, N) and a the
-    smallest nonnegative numerator with a/c equivalent to the cusp."""
+    """Canonical label (a, c) of the cusp's class: with c = gcd(q, N) and
+    t = gcd(c, N/c), p/q ~ a/c iff a = p*(q/c) (mod t), and a is the
+    smallest such a >= 0 prime to c."""
     p, q = normalize_cusp(*cusp)
     c = gcd(q, N)
-    for a in range(N + 1):
-        if gcd(a, c) == 1 and cusp_equivalent((p, q), (a, c), N):
-            return (a, c)
-    raise InternalInvariantError(
-        "no canonical representative found for %s" % ((p, q),))
+    t = gcd(c, N // c)
+    return _cusp_label(p * (q // c) % t, t, c)
 
 
 def cusp_classes(N):
-    """Sorted canonical labels of all cusp classes of level N."""
+    """Sorted canonical labels of all cusp classes of level N: one for
+    each c | N and each unit r mod t = gcd(c, N/c)."""
     if N < 1:
         raise DomainError("level must be a positive integer")
-    keys = set()
-    for c in range(1, N + 1):
-        if N % c != 0:
-            continue
-        for a in range(c if c > 1 else 1):
-            if gcd(a, c) == 1 or (c == 1 and a == 0):
-                keys.add(cusp_class_key((a, c), N))
-    keys.add(cusp_class_key((1, 0), N))
+    divisors = [1]
+    for p, e in factorize(N):
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    keys = []
+    for c in divisors:
+        t = gcd(c, N // c)
+        keys += [_cusp_label(r, t, c) for r in range(t) if gcd(r, t) == 1]
     return sorted(keys)
+
+
+def _cusp_label(r, t, c):
+    """(a, c) for the smallest a >= 0 with a = r (mod t) and gcd(a, c) = 1;
+    r is a unit mod t, so a few steps find it."""
+    a = r
+    while gcd(a, c) != 1:
+        a += t
+    return (a, c)

@@ -19,9 +19,11 @@ does act as a scalar on the chosen eigenvector.
 
 All rational linear algebra is QMatrix arithmetic on integers over a
 common denominator: a primary block is the kernel of f^m(T) for a factor
-f^m of the characteristic polynomial, by Horner, and the eigenvector of
-a new block comes from the adjugate of lam*I - T, with no elimination
-over the eigenvalue field.
+f^m of the characteristic polynomial, by Horner, held as an echelon
+basis with its free rows, so that an operator's matrix on a block is one
+checked product (QMatrix.restrict) and no system is solved; the
+eigenvector of a new block comes from the adjugate of lam*I - T, with no
+elimination over the eigenvalue field.
 """
 
 from .arith import is_prime, next_prime
@@ -169,27 +171,28 @@ def decompose(space, primes):
     if space.genus == 0:
         return []
 
-    plus = plus_basis_matrix(space)
-    tplus = {p: _restrict_to_span(plus, cuspidal_hecke_matrix(space, p))
-             for p in ps}
+    tplus = {p: plus_hecke_matrix(space, p) for p in ps}
 
-    blocks = [QMatrix.identity(space.genus)]
+    # a block is an echelon basis with its free rows; if B is the identity
+    # at rows F and K at rows G, then B*K is the identity at rows F[G]
+    blocks = [(QMatrix.identity(space.genus), list(range(space.genus)))]
     for p in ps:
         refined = []
-        for block in blocks:
-            mat = _restrict_to_span(block, tplus[p])
+        for block, free in blocks:
+            mat = tplus[p].restrict(block, free)
             factors = factor_poly(QPolynomial(mat.charpoly()))
             if len(factors) == 1:
-                refined.append(block)
+                refined.append((block, free))
                 continue
             for poly, mult in factors:
-                primary = _poly_at_matrix(poly ** mult, mat)
-                refined.append(block * _columns_matrix(primary.kernel()))
+                kernel, kfree = _poly_at_matrix(poly ** mult, mat).echelon_kernel()
+                refined.append((block * kernel, [free[i] for i in kfree]))
         blocks = refined
-    if sum(b.cols for b in blocks) != space.genus:
+    if sum(b.cols for b, _ in blocks) != space.genus:
         raise InternalInvariantError("primary blocks do not fill the +1 half")
 
-    orbits = [_orbit_from_block(space, block, tplus, ps) for block in blocks]
+    orbits = [_orbit_from_block(space, block, free, tplus, ps)
+              for block, free in blocks]
     p0 = ps[0]
     orbits.sort(key=lambda o: (o.degree,
                                o.coefficient_map[p0].trace(),
@@ -220,25 +223,24 @@ def auto_decompose(space, limit=25):
 
 def plus_basis_matrix(space):
     """Columns: basis of the +1 star eigenspace, in cuspidal coordinates."""
-    return _columns_matrix(space.cuspidal_plus_basis())
+    return space.plus_span()[0]
 
 
 def plus_hecke_matrix(space, p):
     """Hecke operator at p restricted to the +1 star eigenspace."""
-    return _restrict_to_span(plus_basis_matrix(space),
-                             cuspidal_hecke_matrix(space, p))
+    return cuspidal_hecke_matrix(space, p).restrict(*space.plus_span())
 
 
 # -- internals ------------------------------------------------------------------
 
 
-def _orbit_from_block(space, block, tplus, ps):
+def _orbit_from_block(space, block, free, tplus, ps):
     dim = block.cols
     mats = {}
     charfac = {}
     defining = None
     for p in ps:
-        mat = _restrict_to_span(block, tplus[p])
+        mat = tplus[p].restrict(block, free)
         factors = factor_poly(QPolynomial(mat.charpoly()))
         if len(factors) != 1:
             raise InternalInvariantError("refined block must be primary")
@@ -337,26 +339,6 @@ def _lift_through(block, local, field):
     inv = next(x for x in lifted if not x.is_zero()).inverse()
     local = [x * inv for x in local]
     return tuple(_row_dot(block, i, local, field) for i in range(block.rows))
-
-
-def _columns_matrix(vectors):
-    """Matrix whose columns are the given equal-length vectors."""
-    n = len(vectors[0])
-    return QMatrix.from_rows([[v[i] for v in vectors] for i in range(n)])
-
-
-def _restrict_to_span(basis, mat):
-    """Matrix of ``mat`` on the column span of ``basis``.
-
-    ``basis`` must have independent columns spanning a mat-invariant
-    subspace; returns the small matrix M with mat * basis = basis * M.
-    """
-    image = mat * basis
-    _, pivot_rows = basis.transpose().rref()
-    small = basis.select_rows(pivot_rows).solve(image.select_rows(pivot_rows))
-    if basis * small != image:
-        raise DomainError("column span is not invariant under the operator")
-    return small
 
 
 def _poly_at_matrix(poly, mat):

@@ -22,10 +22,6 @@ class DimensionError(ModfolError):
     """Matrix/vector shape mismatch."""
 
 
-class SingularMatrixError(ModfolError):
-    """A linear solve met a singular (or rank-deficient) matrix."""
-
-
 class TruncationError(ModfolError):
     """A q-expansion is too short for the requested operation."""
 

@@ -4,18 +4,20 @@ QMatrix stores integers row-major over one positive common denominator,
 reduced so that equal matrices have equal storage; entries are read back
 as Fractions.  Products, sums, scaling and elimination run on the
 integers: one fraction-free Gauss-Jordan elimination (rref, which also
-serves rank, kernel and solve), determinants and characteristic
-polynomials by Bareiss integer determinants (the latter by evaluation
-and interpolation), and a row-style Hermite normal form for integer
-lattices.
+serves rank and kernel), determinants and characteristic polynomials by
+Bareiss integer determinants (the latter by evaluation and
+interpolation), and a row-style Hermite normal form for integer lattices.
+
+An invariant subspace is held as an echelon basis, a column matrix that
+is the identity at its rows ``free`` (as echelon_kernel returns it), so
+restrict() reads an operator's matrix on the span off one product.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import _frac
-from .errors import (DimensionError, DomainError, InternalInvariantError,
-                     SingularMatrixError)
+from .errors import DimensionError, DomainError, InternalInvariantError
 
 
 class QMatrix:
@@ -218,52 +220,37 @@ class QMatrix:
         n = self.rows
         return Fraction(_int_det_bareiss(self._num, n), self._den ** n)
 
-    def solve(self, rhs):
-        """Solve self * x = rhs for square nonsingular self.
-
-        rhs may be a vector (list) or a QMatrix of column right-hand sides.
-        """
-        if self.rows != self.cols:
-            raise DimensionError("solve needs a square matrix")
-        vector_input = not isinstance(rhs, QMatrix)
-        R = QMatrix(self.rows, 1, list(rhs)) if vector_input else rhs
-        if R.rows != self.rows:
-            raise DimensionError("rhs shape mismatch")
-        n, k = self.rows, R.cols
-        # rref ignores the scale of each row, so [R.den*A | A.den*R] will do
-        aug = []
-        for i in range(n):
-            aug += [R._den * x for x in self._num[i * n:(i + 1) * n]]
-            aug += [self._den * x for x in R._num[i * k:(i + 1) * k]]
-        red, pivots = QMatrix._from_ints(n, n + k, aug).rref()
-        if pivots[:n] != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        w = n + k
-        sol = QMatrix._from_ints(n, k, [x for i in range(n)
-                                        for x in red._num[i * w + n:(i + 1) * w]],
-                                 red._den)
-        return sol.col(0) if vector_input else sol
-
     def kernel(self):
         """Basis of the right kernel, echelonized; returned as a list of vectors."""
-        return self.echelon_kernel()[0]
+        basis, _ = self.echelon_kernel()
+        return [basis.col(k) for k in range(basis.cols)]
 
     def echelon_kernel(self):
-        """(kernel basis, free columns) from one rref.
-
-        Basis vector k is 1 at column free[k] and 0 at every other free
-        column, so a kernel vector's coordinates are its free entries.
-        """
+        """(K, free) from one rref: the columns of K are a basis of the right
+        kernel, and K is the identity at the rows ``free`` (self's free
+        columns), so a kernel vector's coordinates are its entries there."""
         R, piv = self.rref()
         free = [c for c in range(self.cols) if c not in piv]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, c in enumerate(piv):
-                v[c] = -R[r, f]
-            basis.append(v)
-        return basis, free
+        c, k = self.cols, len(free)
+        num = [0] * (c * k)
+        for j, f in enumerate(free):
+            num[f * k + j] = R._den
+            for r, p in enumerate(piv):
+                num[p * k + j] = -R._num[r * c + f]
+        return QMatrix._from_ints(c, k, num, R._den), free
+
+    def restrict(self, basis, free):
+        """Matrix of self on the column span of an echelon basis.
+
+        ``basis`` is the identity at the rows ``free``; returns the small
+        matrix M with self * basis = basis * M, which is self * basis read
+        at those rows.  Raises DomainError unless the span is invariant.
+        """
+        image = self * basis
+        small = image.select_rows(free)
+        if basis * small != image:
+            raise DomainError("column span is not invariant under the operator")
+        return small
 
     # -- characteristic polynomial -----------------------------------------
 

@@ -14,9 +14,10 @@ boundary kernel, of dimension twice the genus.
 Coordinates: the relation module is eliminated once at construction; every
 symbol, path and loop is afterwards expressed in a fixed basis of the
 quotient (dimension 2*genus + #cusps - 1).  Symbol and path coordinates are
-integers (the elimination is checked to leave no denominators), and an
-operator on the quotient is restricted to the cuspidal subspace by one
-matrix product with the cuspidal basis.
+integers (the elimination is checked to leave no denominators).  The
+cuspidal subspace and the +1 half of the star involution on it are held
+as echelon bases with their free rows, so an operator is restricted to
+either by one checked product (QMatrix.restrict).
 """
 
 from fractions import Fraction
@@ -54,7 +55,7 @@ class ModularSymbolSpace:
         self._build_boundary()
         self._generators = None
         self._star = None
-        self._plus_basis = None
+        self._plus_span = None
         self._cuspidal_hecke = {}    # p -> T_p on the cuspidal subspace
 
     # -- construction -------------------------------------------------------
@@ -159,15 +160,11 @@ class ModularSymbolSpace:
                 raise InternalInvariantError(
                     "boundary map inconsistent with relations at symbol %d" % i)
 
-        # the cuspidal basis is the echelon kernel: the identity on the free
-        # columns, which is what express_cuspidal reads off
-        boundary = QMatrix.from_rows(self._boundary)
-        kernel, self._cuspidal_free = boundary.echelon_kernel()
-        self._cuspidal_basis = [tuple(v) for v in kernel]
-        self._cuspidal_columns = QMatrix(self.dim, len(kernel), [
-            v[i] for i in range(self.dim) for v in kernel])
-        self._boundary_matrix = boundary
-        self.cuspidal_dim = len(self._cuspidal_basis)
+        # the cuspidal basis is the echelon kernel: the identity at the free
+        # rows, which is what express_cuspidal and restrict read off
+        self._cuspidal_columns, self._cuspidal_free = QMatrix.from_rows(
+            self._boundary).echelon_kernel()
+        self.cuspidal_dim = self._cuspidal_columns.cols
         if self.cuspidal_dim != 2 * self.genus:
             raise InternalInvariantError(
                 "cuspidal dimension %d != 2*genus %d"
@@ -254,7 +251,7 @@ class ModularSymbolSpace:
     # -- cuspidal subspace ----------------------------------------------------------
 
     def cuspidal_basis(self):
-        return list(self._cuspidal_basis)
+        return [tuple(v) for v in self._cuspidal_columns.transpose().to_rows()]
 
     def boundary_of(self, vec):
         if len(vec) != self.dim:
@@ -279,10 +276,7 @@ class ModularSymbolSpace:
         returns the (2g) x (2g) matrix in the cuspidal basis, whose rows are
         the free rows of op times the basis (see express_cuspidal).
         """
-        image = op * self._cuspidal_columns
-        if not (self._boundary_matrix * image).is_zero():
-            raise DomainError("operator does not preserve the cuspidal subspace")
-        return image.select_rows(self._cuspidal_free)
+        return op.restrict(self._cuspidal_columns, self._cuspidal_free)
 
     # -- star involution ---------------------------------------------------------------
 
@@ -304,23 +298,25 @@ class ModularSymbolSpace:
         """The star involution restricted to the cuspidal subspace."""
         return self.restrict_to_cuspidal(self.star_matrix())
 
-    def cuspidal_plus_basis(self):
-        """Basis of the +1 eigenspace of the star involution.
+    def plus_span(self):
+        """(basis, free): an echelon basis of the +1 eigenspace of the star
+        involution, in cuspidal coordinates, and its free rows.
 
-        Vectors are in cuspidal coordinates.  The involution splits the
-        2g-dimensional cuspidal space into halves of dimension g, and on
-        the +1 half each Hecke eigensystem appears exactly once (for
-        prime level), which is what the orbit decomposition relies on.
+        The involution splits the 2g-dimensional cuspidal space into halves
+        of dimension g, and on the +1 half each Hecke eigensystem appears
+        exactly once (for prime level), which is what the orbit
+        decomposition relies on.
         """
-        if self._plus_basis is None:
+        if self._plus_span is None:
             star = self.star_on_cuspidal()
-            kernel = (star - QMatrix.identity(self.cuspidal_dim)).kernel()
-            if len(kernel) != self.genus:
+            fixed = star - QMatrix.identity(self.cuspidal_dim)
+            basis, free = fixed.echelon_kernel()
+            if basis.cols != self.genus:
                 raise DimensionError(
                     "star +1 eigenspace has dimension %d, expected genus %d"
-                    % (len(kernel), self.genus))
-            self._plus_basis = [tuple(v) for v in kernel]
-        return list(self._plus_basis)
+                    % (basis.cols, self.genus))
+            self._plus_span = (basis, free)
+        return self._plus_span
 
     # -- homology ----------------------------------------------------------------------
 

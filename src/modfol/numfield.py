@@ -297,8 +297,9 @@ def nf_kernel(field, rows):
         qrows += [[col[r] for block in blocks for col in block]
                   for r in range(d)]
     basis, free = QMatrix.from_rows(qrows).echelon_kernel()
+    vectors = (basis.col(k) for k, f in enumerate(free) if f % d == 0)
     return [[NFElement(field, v[c:c + d]) for c in range(0, len(v), d)]
-            for v, f in zip(basis, free) if f % d == 0]
+            for v in vectors]
 
 
 # -- real embeddings ----------------------------------------------------------------

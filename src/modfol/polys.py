@@ -124,7 +124,8 @@ class QPolynomial:
         r = list(self.coeffs)
         d = other.degree
         lead = other.coeffs[-1]
-        while len(r) - 1 >= d and any(r):
+        while True:
+            # trimming the top zeros also stops at a zero remainder
             while r and r[-1] == 0:
                 r.pop()
             if len(r) - 1 < d:

@@ -5,15 +5,17 @@ kept separate from the package so the two routes share no code.  The
 routes that the package replaced (Gauss-Jordan over K for kernels and
 eigenvectors, Fraction Horner for primary blocks, and the two Hecke routes
 that Heilbronn matrices superseded: Merel's determinant-p family and the
-degeneracy-coset paths, for whole matrices and single columns) live on
-here; they reuse the package's field, matrix and path arithmetic but none
-of the code they check.
+degeneracy-coset paths, for whole matrices and single columns, and the
+search for cusp labels by Cremona's equivalence criterion) live on here;
+they reuse the package's field, matrix and path arithmetic but none of
+the code they check.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from modfol.arith import is_prime
+from modfol.congruence import normalize_cusp
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
 from modfol.linalg import QMatrix
@@ -340,6 +342,39 @@ def moebius_on_cusp(m, cusp):
     a, b, c, d = m
     p, q = cusp
     return (a * p + b * q, c * p + d * q)
+
+
+def cusp_equivalent(cusp1, cusp2, N):
+    """Exact Gamma0(N)-equivalence of two cusps given as (p, q) pairs:
+    p1/q1 ~ p2/q2 iff s1*q2 = s2*q1 mod gcd(q1*q2, N), s_i = p_i^-1 mod q_i
+    (Cremona 1997, 2.2)."""
+    p1, q1 = normalize_cusp(*cusp1)
+    p2, q2 = normalize_cusp(*cusp2)
+    s1 = pow(p1, -1, q1) if q1 >= 1 else 1
+    s2 = pow(p2, -1, q2) if q2 >= 1 else 1
+    g = gcd(q1 * q2, N)
+    return (s1 * q2 - s2 * q1) % g == 0
+
+
+def search_cusp_class_key(cusp, N):
+    """The label (a, c) of a cusp's class by search: c = gcd(q, N) and a
+    the smallest nonnegative numerator prime to c with a/c equivalent to
+    the cusp."""
+    p, q = normalize_cusp(*cusp)
+    c = gcd(q, N)
+    for a in range(N + 1):
+        if gcd(a, c) == 1 and cusp_equivalent((p, q), (a, c), N):
+            return (a, c)
+    raise InternalInvariantError(
+        "no canonical representative found for %s" % ((p, q),))
+
+
+def search_cusp_count(N):
+    """Number of cusp classes as the sum over d | N of phi(gcd(d, N/d)),
+    with every divisor and every totient found by search."""
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    return sum(phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
 
 
 def eta_product_qexp(N, terms):

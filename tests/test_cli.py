@@ -13,11 +13,13 @@ import pytest
 
 import modfol
 from modfol import cache
-from modfol.cli import _error_code_hint, main
+from modfol.cli import _error_code_hint, _parse_combo, main
 from modfol.errors import (DomainError, IndeterminateRankError,
                            InternalInvariantError, NoCuspFormsError,
                            PrecisionError, TruncationError,
                            UndecidedSplitError, WrongCaseError)
+from modfol.numfield import NumberField
+from modfol.polys import QPolynomial
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +47,19 @@ def test_genus_golden():
     assert code == 0
     assert obj == {"N": 11, "mu": 12, "nu2": 0, "nu3": 0, "nu_inf": 2,
                    "genus": 1}
+
+
+def test_genus_of_huge_level_is_fast(tmp_path):
+    # 99999999999 = 3^2 * 21649 * 513239: every invariant comes from the
+    # factorization, where a loop over the level would take 10^11 steps
+    proc = subprocess.run(
+        [sys.executable, "-m", "modfol.cli", "genus", "99999999999"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "N": 99999999999, "mu": 133339752000, "nu2": 0, "nu3": 0,
+        "nu_inf": 16, "genus": 11111645993}
 
 
 def test_genus_is_one_compact_line():
@@ -256,6 +271,24 @@ def test_iet_field_without_real_place_rejected():
     code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
                          "--poly=1,0,1")
     assert code == 3 and "real place" in obj["error"]
+
+
+def test_iet_length_power_above_bound_is_usage_error():
+    for token in ("w^1001", "2*w^99999999999999999999"):
+        code, obj = run_json("iet", "--lengths", "1," + token, "--perm",
+                             "2,1", "--poly=-1,-1,1", "--steps", "5")
+        assert code == 2 and "w^1000" in obj["error"]
+
+
+def test_iet_length_power_at_bound():
+    combo = _parse_combo("w^1000")
+    assert combo == {1000: 1}
+    field = NumberField(QPolynomial([-1, -1, 1]))
+    dense = [combo.get(k, 0) for k in range(1001)]
+    assert field.element(dense) == field.gen() ** 1000
+    code, obj = run_json("iet", "--lengths", "1,w^1000", "--perm", "2,1",
+                         "--poly=-1,-1,1", "--steps", "5")
+    assert code == 0 and obj["keane_violations"] == []
 
 
 def test_iet_bad_length_token():

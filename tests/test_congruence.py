@@ -10,7 +10,6 @@ from modfol.congruence import (
     P1Space,
     cusp_class_key,
     cusp_classes,
-    cusp_equivalent,
     curve_data,
     gamma0_contains,
     mat_det,
@@ -22,7 +21,8 @@ from modfol.arith import factorize
 from modfol.errors import DomainError
 
 from oracles import (brute_canonical, brute_p1_classes, coset_genus,
-                     moebius_on_cusp, random_gamma0_element)
+                     cusp_equivalent, moebius_on_cusp, random_gamma0_element,
+                     search_cusp_class_key, search_cusp_count)
 
 
 @lru_cache(maxsize=8)
@@ -190,6 +190,23 @@ class TestCusps:
                 for k2 in keys:
                     if k1 != k2:
                         assert not cusp_equivalent(k1, k2, N)
+
+    def test_class_key_matches_search(self):
+        # labels by closed form against the search over a/c with Cremona's
+        # criterion, on every class label and a seeded sample of fractions
+        # p/q with q <= 3N and |p| <= 2N
+        rng = random.Random(45)
+        for N in range(1, 121):
+            cusps = cusp_classes(N) + [(1, 0), (0, 1), (1, 1)]
+            cusps += [(rng.randint(-2 * N, 2 * N), rng.randint(1, 3 * N))
+                      for _ in range(12)]
+            for cusp in cusps:
+                assert cusp_class_key(cusp, N) == \
+                    search_cusp_class_key(cusp, N), (cusp, N)
+
+    def test_class_count_matches_divisor_sum(self):
+        for N in range(1, 401):
+            assert curve_data(N)["nu_inf"] == search_cusp_count(N), N
 
     def test_infinity_and_zero(self):
         # infinity is the class of 1/N, zero the class of denominator 1

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from modfol.arith import primes_up_to
@@ -141,8 +142,11 @@ def test_rescale_projective_invariance_under_integer_base_change():
         x = rescale_eigenvector(T, lam)
         n = T.rows
         for _ in range(10):
-            U = QMatrix.from_rows(random_unimodular(rng, n))
-            Uinv = U.solve(QMatrix.identity(n))
+            rows = random_unimodular(rng, n)
+            U = QMatrix.from_rows(rows)
+            # U is unimodular, so its inverse is an integer matrix
+            Uinv = QMatrix.from_rows([[int(e) for e in row] for row in
+                                      sympy.Matrix(rows).inv().tolist()])
             Tc = U * T * Uinv
             xc = rescale_eigenvector(Tc, lam)
             ux = apply_over_field(U, x, K)
@@ -346,6 +350,23 @@ def test_eigenvector_identity_exact_for_all_computed_primes():
                 image = apply_over_field(tp, orb.eigenvector, orb.field)
                 expected = [orb.coefficient_map[p] * x for x in orb.eigenvector]
                 assert image == expected
+
+
+def test_blocks_split_again_at_a_later_prime():
+    # a block of the first prime splits again at a later one, so the free
+    # rows of the new blocks are composed through two kernels
+    for N, ps, shape in ((57, [2, 5, 7], [(1, 1), (1, 1), (1, 2), (1, 1)]),
+                         (77, [2, 3, 5], [(1, 2), (1, 1), (1, 1), (1, 1),
+                                          (2, 1)])):
+        sp = ModularSymbolSpace(N)
+        orbits = decompose(sp, ps)
+        assert [(o.degree, o.multiplicity) for o in orbits] == shape
+        for orb in orbits:
+            for p in ps:
+                image = apply_over_field(plus_hecke_matrix(sp, p),
+                                         orb.eigenvector, orb.field)
+                assert image == [orb.coefficient_map[p] * x
+                                 for x in orb.eigenvector]
 
 
 def test_eigenvector_leading_one():

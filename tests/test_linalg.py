@@ -6,7 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from modfol.errors import DomainError, SingularMatrixError
+from modfol.eigen import _poly_at_matrix
+from modfol.errors import DomainError
 from modfol.linalg import (
     QMatrix,
     hnf,
@@ -14,6 +15,7 @@ from modfol.linalg import (
     lattice_key,
     unimodular_with_first_row,
 )
+from modfol.polys import QPolynomial, factor_poly
 
 from oracles import fraction_rref
 
@@ -65,24 +67,6 @@ class TestArithmetic:
 
 
 class TestSolveRankKernel:
-    def test_solve_roundtrip(self):
-        rng = random.Random(6)
-        for _ in range(15):
-            n = rng.randint(1, 5)
-            a = rand_matrix(rng, n, n, denom=3)
-            if a.det() == 0:
-                continue
-            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-            b = a.apply(x)
-            assert list(a.solve(b)) == x
-
-    def test_solve_singular_raises(self):
-        a = QMatrix.from_rows([[1, 2], [2, 4]])
-        with pytest.raises(SingularMatrixError):
-            a.solve([1, 1])
-        with pytest.raises(SingularMatrixError):
-            a.solve([1, 2])         # consistent, but not uniquely solvable
-
     def test_rank_plus_nullity(self):
         rng = random.Random(7)
         for _ in range(15):
@@ -255,13 +239,6 @@ class TestAgainstSympy:
         assert s.det() == _rat(ss.det())
         assert s.charpoly() == [_rat(y) for y in
                                 reversed(ss.charpoly().all_coeffs())]
-        rhs = v[:s.rows] + [Fraction(0)] * (s.rows - len(v))
-        if ss.det() != 0:
-            assert s.solve(rhs) == [_rat(y) for y in ss.LUsolve(
-                sympy.Matrix(len(rhs), 1, rhs))]
-        else:
-            with pytest.raises(SingularMatrixError):
-                s.solve(rhs)
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
@@ -277,6 +254,42 @@ class TestAgainstSympy:
         assert from_ints == from_fracs and hash(from_ints) == hash(from_fracs)
         assert from_ints == a.scale(den) and hash(from_ints) == hash(a.scale(den))
         assert from_ints.scale(Fraction(1, den)) == a
+
+
+@st.composite
+def _operator_and_spans(draw):
+    """(T, spans): a small integer T and echelon spans (K, free), the
+    kernels of f(T) for every factor f of its characteristic polynomial,
+    which are T-invariant, plus the kernel of a random integer matrix,
+    which in general is not."""
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-3, 3)
+    t = QMatrix(n, n, [draw(ints) for _ in range(n * n)])
+    spans = [_poly_at_matrix(f, t).echelon_kernel()
+             for f, _ in factor_poly(QPolynomial(t.charpoly()))]
+    k = draw(st.integers(1, n))
+    spans.append(QMatrix(k, n, [draw(ints) for _ in range(k * n)])
+                 .echelon_kernel())
+    return t, [(basis, free) for basis, free in spans if basis.cols]
+
+
+class TestRestrict:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(_operator_and_spans())
+    def test_matches_sympy_solution(self, case):
+        t, spans = case
+        for basis, free in spans:
+            assert basis.select_rows(free) == QMatrix.identity(basis.cols)
+            sb = _sym(basis)
+            try:
+                x, params = sb.gauss_jordan_solve(_sym(t) * sb)
+            except ValueError:      # T * basis leaves the span
+                with pytest.raises(DomainError):
+                    t.restrict(basis, free)
+                continue
+            assert params.shape[0] == 0
+            assert t.restrict(basis, free).to_rows() == _rows(x)
 
 
 class TestHNFAndLattices:

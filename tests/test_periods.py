@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mp
 
 from modfol.eigen import auto_decompose
@@ -298,7 +299,12 @@ def test_hecke_transpose_scales_period_vector():
         [[gens[j][1][i] for j in range(n)] for i in range(n)])
     with mp.workdps(90):
         for p in (2, 3):
-            action = basis.solve(cuspidal_hecke_matrix(space, p) * basis)
+            tb = cuspidal_hecke_matrix(space, p) * basis
+            solved = sympy.Matrix(basis.to_rows()).LUsolve(
+                sympy.Matrix(tb.to_rows()))
+            action = QMatrix.from_rows(
+                [[Fraction(int(x.p), int(x.q)) for x in row]
+                 for row in solved.tolist()])
             cp = embed(orbit, orbit.coefficient_map[p], 80)
             for i in range(n):
                 image = mp.fsum(

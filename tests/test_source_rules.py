@@ -10,6 +10,10 @@
 * QMatrix is the one integer matrix core: no module defines its own
   denominator clearing or integer matrix product, and only `linalg`
   reads the storage of a QMatrix.
+* QMatrix.restrict is the one restriction to an invariant subspace: only
+  `linalg` reads rows by index list, nothing defines or calls a solve or
+  the pivot-row restriction, and cusp equivalence by search lives in the
+  test oracles alone.
 """
 
 import ast
@@ -80,3 +84,19 @@ def test_one_integer_matrix_core():
                for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr in storage]
     assert readers == []
+
+
+def _calls(name):
+    """Where a function or method called ``name`` is called, by module."""
+    return {module for module, tree in TREES.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None),
+                         getattr(node.func, "id", None))}
+
+
+def test_one_restriction_idiom():
+    assert _calls("select_rows") <= {"linalg"}
+    for name in ("solve", "_restrict_to_span"):
+        assert name not in _defined_functions(), name
+        assert _calls(name) == set(), name
+    assert "cusp_equivalent" not in _defined_functions()
