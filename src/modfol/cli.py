@@ -40,6 +40,7 @@ from .polys import QPolynomial
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
 _MAX_W_POWER = 1000     # a length w^k is a dense list of k + 1 coefficients
+_MAX_STEPS = 10 ** 6    # a probe step costs about 5 us per cut compared
 
 
 class _UsageError(Exception):
@@ -389,6 +390,18 @@ def _job_count(text):
     return min(jobs, os.cpu_count() or 1)
 
 
+def _step_count(text):
+    """--steps: at most _MAX_STEPS; a count below 1 is left to the probe."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if steps > _MAX_STEPS:
+        raise argparse.ArgumentTypeError(
+            "at most %d steps, got %d" % (_MAX_STEPS, steps))
+    return steps
+
+
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--pretty", action="store_true",
@@ -450,9 +463,14 @@ def _build_parser():
     iet.add_argument("--poly", metavar="C0,C1,...",
                      help="defining polynomial of w, ascending "
                           "coefficients")
-    iet.add_argument("--steps", type=int, default=10000, metavar="S",
-                     help="orbit steps for the minimality probe "
-                          "(default 10000)")
+    iet.add_argument("--steps", type=_step_count, default=10000,
+                     metavar="S",
+                     help="orbit steps for the minimality probe (default "
+                          "10000, at most %d). A k-interval exchange follows "
+                          "k-1 orbits and compares each step with k-1 cuts, "
+                          "about 5 us per comparison on a 2-vCPU VM: %d "
+                          "steps take about 5 s on 2 intervals and 45 s on "
+                          "4" % (_MAX_STEPS, _MAX_STEPS))
     iet.set_defaults(handler=_iet_handler)
 
     torus = subs.add_parser("torus", parents=[shared],

@@ -18,6 +18,7 @@ from math import gcd, lcm
 
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
+from .linalg import QMatrix
 from .numfield import NFElement
 
 
@@ -214,9 +215,12 @@ def minimality_probe(T, max_steps):
     # sharpen the embedding once so the per-step sign checks almost never
     # need further interval refinement
     T.embedding.approx(T.field.gen(), Fraction(1, 10 ** 40))
-    sign = T.embedding.sign
-    cuts = T._cuts[1:]
-    shifts = T._shifts
+    sign = T.embedding.integer_sign
+    # cuts and shifts as integer vectors over one common denominator: a
+    # step is then integer vector arithmetic plus integer signs
+    _, rows = QMatrix.from_rows(
+        [x.coeffs for x in T._cuts[1:] + T._shifts]).integer_rows()
+    cuts, shifts = rows[:len(T._cuts) - 1], rows[len(T._cuts) - 1:]
     violations = []
     for start, d in enumerate(cuts, 1):
         x = d
@@ -227,7 +231,7 @@ def minimality_probe(T, max_steps):
             index = 0
             at_cut = None
             for j, c in enumerate(cuts, 1):
-                s = sign(x - c)
+                s = sign([a - b for a, b in zip(x, c)])
                 if s >= 0:
                     index += 1
                 if s == 0:
@@ -239,7 +243,7 @@ def minimality_probe(T, max_steps):
                 break
             if step == max_steps:
                 break
-            x = x + shifts[index]
+            x = [a + b for a, b in zip(x, shifts[index])]
     return {"no_periodic_orbit_found": not violations,
             "keane_violations": violations}
 

@@ -2,9 +2,10 @@
 
 Elements are coordinate vectors in the power basis 1, a, ..., a^(d-1) of a
 root a of the monic irreducible defining polynomial.  Real embeddings carry
-an isolating rational interval and support exact sign queries and rational
-approximation to any requested accuracy, by interval refinement: no floating
-point enters any exact decision.
+an isolating interval as integers over one common denominator and support
+exact sign queries and rational approximation to any requested accuracy:
+bisection and interval Horner run on integers, the exact zero test comes
+first, and no floating point enters any exact decision.
 """
 
 from fractions import Fraction
@@ -305,70 +306,99 @@ def nf_kernel(field, rows):
 # -- real embeddings ----------------------------------------------------------------
 
 
-def _interval_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _interval_mul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
+def _integers(values):
+    """(D, ints): D > 0 and the integer coordinates of D * values."""
+    den, (ints,) = QMatrix.from_rows([values]).integer_rows()
+    return den, ints
 
 
 class RealEmbedding:
     """A real place of a number field, held as an isolating interval.
 
     The generator's image is the unique root of the defining polynomial in
-    the open interval (lo, hi).  All queries are exact: signs are decided by
-    refining the interval until interval arithmetic becomes conclusive.
+    the open interval (lo, hi) = (L/Q, H/Q), stored as integers L < H over
+    one positive denominator Q.  All queries are exact and run on integers:
+    an element with cleared denominators is bounded by interval Horner over
+    [L, H], scaled by a positive power of Q, and the interval is bisected
+    until the bound excludes 0 (for a sign) or is narrow enough (for an
+    approximation).
     """
 
-    __slots__ = ("field", "lo", "hi")
+    __slots__ = ("field", "_lo_num", "_hi_num", "_denom", "_poly", "_rising")
 
     def __init__(self, field, lo, hi):
         self.field = field
-        self.lo = _frac(lo)
-        self.hi = _frac(hi)
+        self._denom, (self._lo_num, self._hi_num) = _integers([lo, hi])
+        # the defining polynomial with cleared denominators, and whether it
+        # is negative at lo (it is nonzero there and changes sign once)
+        self._poly = _integers(field.minpoly.coeffs)[1]
+        self._rising = self._poly_sign(self._lo_num, self._denom) < 0
+
+    @property
+    def lo(self):
+        return Fraction(self._lo_num, self._denom)
+
+    @property
+    def hi(self):
+        return Fraction(self._hi_num, self._denom)
 
     def __repr__(self):
         return "RealEmbedding(%r in (%s, %s))" % (self.field, self.lo, self.hi)
 
+    def _poly_sign(self, num, den):
+        """Sign of the defining polynomial at num/den (den > 0), by Horner
+        on sum F_i num^i den^(d-i)."""
+        acc = 0
+        scale = 1
+        for c in reversed(self._poly):
+            acc = acc * num + c * scale
+            scale *= den
+        return (acc > 0) - (acc < 0)
+
     def _refine(self):
         """One bisection step on the isolating interval."""
-        f = self.field.minpoly
-        mid = (self.lo + self.hi) / 2
-        vm = f.evaluate(mid)
-        if vm == 0:
-            # rational root: shrink to a tiny interval still containing it
-            w = (self.hi - self.lo) / 4
-            self.lo, self.hi = mid - w, mid + w
-            return
-        if (f.evaluate(self.lo) > 0) != (vm > 0):
-            self.hi = mid
+        lo, hi, den = self._lo_num, self._hi_num, self._denom
+        s = self._poly_sign(lo + hi, 2 * den)
+        if s == 0:
+            # rational root at the midpoint: shrink to the middle half
+            lo, hi, den = 3 * lo + hi, lo + 3 * hi, 4 * den
+        elif (s > 0) == self._rising:
+            lo, hi, den = 2 * lo, lo + hi, 2 * den
         else:
-            self.lo = mid
+            lo, hi, den = lo + hi, 2 * hi, 2 * den
+        self._lo_num, self._hi_num, self._denom = lo, hi, den
 
-    def _interval_eval(self, coeffs):
-        """Interval Horner evaluation of sum c_i a^i over (lo, hi)."""
-        acc = (Fraction(0), Fraction(0))
-        box = (self.lo, self.hi)
-        for c in reversed(coeffs):
-            acc = _interval_add(_interval_mul(acc, box), (c, c))
-        return acc
+    def _bounds(self, ints):
+        """(lo, hi, Q^(n-1)): interval Horner over [L, H] bounding
+        Q^(n-1) * sum ints[i] a^i, for n = len(ints) integer coordinates."""
+        box_lo, box_hi, den = self._lo_num, self._hi_num, self._denom
+        lo = hi = ints[-1]
+        scale = 1
+        for c in reversed(ints[:-1]):
+            scale *= den
+            c *= scale
+            ps = (lo * box_lo, lo * box_hi, hi * box_lo, hi * box_hi)
+            lo, hi = min(ps) + c, max(ps) + c
+        return lo, hi, scale
 
-    def sign(self, elt):
-        """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
-        elt = _as_nf(self.field, elt)
-        if elt.is_zero():
+    def integer_sign(self, ints):
+        """Exact sign (-1, 0, 1) of sum ints[i] a^i for integer coordinates
+        ints in the power basis."""
+        if not any(ints):
             return 0
-        # elt is a nonzero polynomial of degree < [K:Q] in the generator, so
-        # its image is nonzero; refine until the interval excludes 0.
+        # a nonzero polynomial of degree < [K:Q] in the generator has a
+        # nonzero image; refine until the interval excludes 0
         while True:
-            lo, hi = self._interval_eval(elt.coeffs)
+            lo, hi, _ = self._bounds(ints)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             self._refine()
+
+    def sign(self, elt):
+        """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
+        return self.integer_sign(_integers(_as_nf(self.field, elt).coeffs)[1])
 
     def compare(self, a, b):
         return self.sign(_as_nf(self.field, a) - _as_nf(self.field, b))
@@ -379,10 +409,12 @@ class RealEmbedding:
         eps = _frac(eps)
         if eps <= 0:
             raise DomainError("eps must be positive")
+        den, ints = _integers(elt.coeffs)
         while True:
-            lo, hi = self._interval_eval(elt.coeffs)
-            if hi - lo < eps:
-                return (lo + hi) / 2
+            lo, hi, scale = self._bounds(ints)
+            # the image lies in [lo, hi] / (den * scale)
+            if (hi - lo) * eps.denominator < eps.numerator * den * scale:
+                return Fraction(lo + hi, 2 * den * scale)
             self._refine()
 
     def to_float(self, elt):

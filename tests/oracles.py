@@ -5,10 +5,11 @@ kept separate from the package so the two routes share no code.  The
 routes that the package replaced (Gauss-Jordan over K for kernels and
 eigenvectors, Fraction Horner for primary blocks, and the two Hecke routes
 that Heilbronn matrices superseded: Merel's determinant-p family and the
-degeneracy-coset paths, for whole matrices and single columns, and the
-search for cusp labels by Cremona's equivalence criterion) live on here;
-they reuse the package's field, matrix and path arithmetic but none of
-the code they check.
+degeneracy-coset paths, for whole matrices and single columns, the search
+for cusp labels by Cremona's equivalence criterion, and real embeddings
+by interval Horner over Fractions with the Keane probe on field elements)
+live on here; they reuse the package's field, matrix and path arithmetic
+but none of the code they check.
 """
 
 from fractions import Fraction
@@ -433,3 +434,110 @@ def _pentagonal_series(size):
             out[g2] += sign
         k += 1
     return out
+
+
+# -- real embeddings over Fractions -------------------------------------------------
+
+
+def _interval_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _interval_mul(a, b):
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(ps), max(ps))
+
+
+class FractionEmbedding:
+    """RealEmbedding by bisection and interval Horner over Fractions.
+
+    The generator's image is the unique root of the defining polynomial in
+    the open interval (lo, hi); signs are decided by refining the interval
+    until interval arithmetic becomes conclusive.
+    """
+
+    def __init__(self, field, lo, hi):
+        self.field = field
+        self.lo = Fraction(lo)
+        self.hi = Fraction(hi)
+
+    def _refine(self):
+        """One bisection step on the isolating interval."""
+        f = self.field.minpoly
+        mid = (self.lo + self.hi) / 2
+        vm = f.evaluate(mid)
+        if vm == 0:
+            # rational root: shrink to a tiny interval still containing it
+            w = (self.hi - self.lo) / 4
+            self.lo, self.hi = mid - w, mid + w
+            return
+        if (f.evaluate(self.lo) > 0) != (vm > 0):
+            self.hi = mid
+        else:
+            self.lo = mid
+
+    def _interval_eval(self, coeffs):
+        """Interval Horner evaluation of sum c_i a^i over (lo, hi)."""
+        acc = (Fraction(0), Fraction(0))
+        box = (self.lo, self.hi)
+        for c in reversed(coeffs):
+            acc = _interval_add(_interval_mul(acc, box), (c, c))
+        return acc
+
+    def sign(self, elt):
+        """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
+        elt = _as_nf(self.field, elt)
+        if elt.is_zero():
+            return 0
+        while True:
+            lo, hi = self._interval_eval(elt.coeffs)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            self._refine()
+
+    def approx(self, elt, eps):
+        """Rational approximation of elt's image within eps (> 0)."""
+        elt = _as_nf(self.field, elt)
+        eps = Fraction(eps)
+        if eps <= 0:
+            raise DomainError("eps must be positive")
+        while True:
+            lo, hi = self._interval_eval(elt.coeffs)
+            if hi - lo < eps:
+                return (lo + hi) / 2
+            self._refine()
+
+
+def fraction_keane_probe(T, max_steps):
+    """minimality_probe's connection search on field elements, with signs
+    from a FractionEmbedding on the exchange's isolating interval.  The
+    rank check is left to the caller."""
+    emb = FractionEmbedding(T.field, T.embedding.lo, T.embedding.hi)
+    emb.approx(T.field.gen(), Fraction(1, 10 ** 40))
+    sign = emb.sign
+    cuts = T._cuts[1:]
+    shifts = T._shifts
+    violations = []
+    for start, d in enumerate(cuts, 1):
+        x = d
+        for step in range(max_steps + 1):
+            index = 0
+            at_cut = None
+            for j, c in enumerate(cuts, 1):
+                s = sign(x - c)
+                if s >= 0:
+                    index += 1
+                if s == 0:
+                    at_cut = j
+            if step > 0 and at_cut is not None:
+                violations.append({"discontinuity": start,
+                                   "after_steps": step,
+                                   "hits": at_cut})
+                break
+            if step == max_steps:
+                break
+            x = x + shifts[index]
+    return {"no_periodic_orbit_found": not violations,
+            "keane_violations": violations}

@@ -13,7 +13,8 @@ import pytest
 
 import modfol
 from modfol import cache
-from modfol.cli import _error_code_hint, _parse_combo, main
+from modfol.cli import (_build_parser, _error_code_hint, _iet_handler,
+                        _parse_combo, main)
 from modfol.errors import (DomainError, IndeterminateRankError,
                            InternalInvariantError, NoCuspFormsError,
                            PrecisionError, TruncationError,
@@ -289,6 +290,33 @@ def test_iet_length_power_at_bound():
     code, obj = run_json("iet", "--lengths", "1,w^1000", "--perm", "2,1",
                          "--poly=-1,-1,1", "--steps", "5")
     assert code == 0 and obj["keane_violations"] == []
+
+
+def test_iet_steps_above_bound_is_usage_error():
+    # --poly=-1,0,1 is reducible: the step bound is checked before the
+    # field is built, so the error names the steps
+    for poly in ("-1,-1,1", "-1,0,1"):
+        for steps in (10 ** 6 + 1, 99999999999999):
+            code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                                 "--poly=" + poly, "--steps", str(steps))
+            assert code == 2 and "at most 1000000 steps" in obj["error"]
+
+
+def test_iet_steps_at_bound_is_accepted():
+    args = _build_parser().parse_args(
+        ["iet", "--lengths", "1,w", "--perm", "2,1", "--poly=-1,-1,1",
+         "--steps", str(10 ** 6)])
+    assert args.steps == 10 ** 6 and args.handler is _iet_handler
+    # rational lengths take the periodicity report, which runs no probe
+    code, obj = run_json("iet", "--lengths", "1/2,1/3,1/6", "--perm",
+                         "3,2,1", "--steps", str(10 ** 6))
+    assert (code, obj) == (0, {"periodic": True, "period_lcm": 6})
+
+
+def test_iet_zero_steps_is_domain_error():
+    code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                         "--poly=-1,-1,1", "--steps", "0")
+    assert code == 3 and "max_steps" in obj["error"]
 
 
 def test_iet_bad_length_token():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modfol.errors import DegenerateStepError, DomainError, WrongCaseError
 from modfol.foliation import JacobianModule, module_rank
@@ -17,6 +18,8 @@ from modfol.iet import (
 )
 from modfol.numfield import NumberField
 from modfol.polys import QPolynomial
+
+from oracles import fraction_keane_probe
 
 GOLDEN = NumberField(QPolynomial([-1, -1, 1]))    # x^2 - x - 1
 PHI = GOLDEN.gen()
@@ -225,6 +228,39 @@ def test_minimality_detects_connections():
     ]
 
 
+def _field_iet(field, coords, perm):
+    """The exchange with permutation perm whose lengths have the given
+    power-basis coordinates, each made positive under the largest real
+    place (a zero becomes 1)."""
+    emb = field.real_embeddings()[-1]
+    lengths = []
+    for c in coords:
+        x = field.element(c)
+        s = emb.sign(x)
+        lengths.append(x if s > 0 else -x if s < 0 else field.one())
+    return IET(lengths, perm)
+
+
+def test_minimality_matches_fraction_oracle():
+    cubic = NumberField(QPolynomial([-1, -1, 0, 1]))
+    rng = random.Random(2009)
+    cases = [(IET([PHI, GOLDEN.from_rational(1), PHI], [3, 2, 1]), 50)]
+    while len(cases) < 13:
+        K, k = rng.choice([GOLDEN, cubic]), rng.randint(2, 4)
+        T = _field_iet(K, [[rng.randint(-2, 2) for _ in range(K.degree)]
+                           for _ in range(k)],
+                       rng.choice(irreducible_permutations(k)))
+        if module_rank(JacobianModule(T.field, T.lengths)) >= 2:
+            cases.append((T, 60))
+    connected = 0
+    for T, steps in cases:
+        report = minimality_probe(T, steps)
+        assert report == fraction_keane_probe(T, steps)
+        connected += not report["no_periodic_orbit_found"]
+    # both verdicts occur, so both branches of the loop are compared
+    assert 0 < connected < len(cases)
+
+
 def test_minimality_wrong_cases():
     with pytest.raises(WrongCaseError):
         minimality_probe(IET([Fraction(1, 2), Fraction(1, 2)], [2, 1]), 10)
@@ -281,3 +317,45 @@ def test_rauzy_preserves_rank_and_shrinks_measure():
         assert module_rank(JacobianModule(GOLDEN, U.lengths)) == 2
         assert len(U.lengths) == 3
         assert sorted(U.permutation) == [1, 2, 3]
+
+
+# -- properties over number fields ---------------------------------------------------------
+
+_PROPERTY_FIELDS = [NumberField(QPolynomial(c)) for c in (
+    [-1, -1, 1], [-2, 0, 1], [-1, -1, 0, 1], [1, -2, -1, 1])]
+
+
+@st.composite
+def _field_iets(draw):
+    """(T, x): an exchange of 2-4 intervals over a quadratic or cubic field
+    and a point x = sum r_i lambda_i of [0, total), 0 <= r_i < 1."""
+    K = draw(st.sampled_from(_PROPERTY_FIELDS))
+    k = draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=K.degree,
+                      max_size=K.degree)
+    T = _field_iet(K, [draw(coords) for _ in range(k)],
+                   draw(st.sampled_from(irreducible_permutations(k))))
+    x = K.zero()
+    for length in T.lengths:
+        den = draw(st.integers(1, 12))
+        x = x + length * Fraction(draw(st.integers(0, den - 1)), den)
+    return T, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_field_iets())
+def test_inverse_roundtrip_on_field_points(case):
+    T, x = case
+    assert iet_apply(T.invert(), iet_apply(T, x)) == x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_field_iets())
+def test_rauzy_step_removes_the_shorter_rightmost_length(case):
+    T, _ = case
+    k = len(T.lengths)
+    alpha = T.lengths[-1]                              # rightmost in the domain
+    beta = T.lengths[T.permutation.index(k)]           # rightmost in the image
+    assume(alpha != beta)
+    shorter = alpha if T.embedding.sign(alpha - beta) < 0 else beta
+    assert rauzy_step(T).total == T.total - shorter

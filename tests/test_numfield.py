@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modfol.errors import DomainError, InternalInvariantError
-from modfol.numfield import NumberField, nf_kernel
-from modfol.polys import parse_poly
+from modfol.numfield import NumberField, RealEmbedding, nf_kernel
+from modfol.polys import QPolynomial, isolate_real_roots, parse_poly
 
-from oracles import elimination_nf_kernel
+from oracles import FractionEmbedding, elimination_nf_kernel
 
 
 @pytest.fixture
@@ -229,3 +229,61 @@ class TestRealEmbeddings:
         a = K.gen()
         assert embs[0].sign(a - 1) == 1
         assert embs[0].sign(a - 2) == -1
+
+
+# the golden field and the other --poly fields of the benchmark's Keane
+# probes, ascending coefficients, and a degree-1 field whose root 3 is a
+# bisection midpoint of its isolating interval (-4, 4)
+_EMBEDDING_FIELDS = [NumberField(QPolynomial(c)) for c in (
+    [-1, -1, 1], [-2, 0, 1], [-3, 0, 1], [-5, 0, 1], [-6, 0, 1], [-7, 0, 1],
+    [-1, -1, 0, 1], [-1, -3, 0, 1], [1, -2, -1, 1], [-3, 1])]
+_COORDINATE = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                        st.integers(1, 10 ** 4))
+
+
+@st.composite
+def _embedding_calls(draw):
+    """(K, (lo, hi), calls): a real place of K by its isolating interval,
+    and up to 12 calls ("sign", coeffs), ("approx", coeffs, eps) or
+    ("refine",)."""
+    K = draw(st.sampled_from(_EMBEDDING_FIELDS))
+    interval = draw(st.sampled_from(isolate_real_roots(K.minpoly)))
+    coeffs = st.one_of(
+        st.lists(_COORDINATE, min_size=K.degree, max_size=K.degree),
+        st.just([0] * K.degree))
+    eps = st.builds(Fraction, st.integers(1, 10),
+                    st.integers(1, 10 ** 60))
+    call = st.one_of(st.tuples(st.just("sign"), coeffs),
+                     st.tuples(st.just("approx"), coeffs, eps),
+                     st.tuples(st.just("refine")))
+    return K, interval, draw(st.lists(call, min_size=1, max_size=12))
+
+
+class TestIntegerEmbeddingMatchesFractions:
+    """RealEmbedding against the Fraction interval route it replaced: the
+    same signs and approximations, and the same interval after each call."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(_embedding_calls())
+    def test_same_answers_and_intervals(self, case):
+        K, (lo, hi), calls = case
+        ints, fracs = RealEmbedding(K, lo, hi), FractionEmbedding(K, lo, hi)
+        for name, *args in calls:
+            if name == "refine":
+                ints._refine()
+                fracs._refine()
+            else:
+                args[0] = K.element(args[0])
+                assert getattr(ints, name)(*args) == getattr(fracs, name)(*args)
+            assert (ints.lo, ints.hi) == (fracs.lo, fracs.hi)
+
+    def test_rational_root_branch(self):
+        K = _EMBEDDING_FIELDS[-1]                      # x - 3
+        ints, fracs = RealEmbedding(K, -4, 4), FractionEmbedding(K, -4, 4)
+        for _ in range(6):
+            ints._refine()
+            fracs._refine()
+            assert (ints.lo, ints.hi) == (fracs.lo, fracs.hi)
+        # the third bisection lands on 3; later steps shrink around it
+        assert (ints.lo, ints.hi) == (Fraction(47, 16), Fraction(49, 16))

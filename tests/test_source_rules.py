@@ -14,6 +14,8 @@
   `linalg` reads rows by index list, nothing defines or calls a solve or
   the pivot-row restriction, and cusp equivalence by search lives in the
   test oracles alone.
+* Real embeddings decide signs on integers: no interval arithmetic over
+  Fractions is defined in the package.
 """
 
 import ast
@@ -100,3 +102,8 @@ def test_one_restriction_idiom():
         assert name not in _defined_functions(), name
         assert _calls(name) == set(), name
     assert "cusp_equivalent" not in _defined_functions()
+
+
+def test_real_embeddings_run_on_integers():
+    assert _defined_functions() & {"_interval_add", "_interval_mul",
+                                   "_interval_eval"} == set()
