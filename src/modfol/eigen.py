@@ -21,9 +21,17 @@ All rational linear algebra is QMatrix arithmetic on integers over a
 common denominator: a primary block is the kernel of f^m(T) for a factor
 f^m of the characteristic polynomial, by Horner, held as an echelon
 basis with its free rows, so that an operator's matrix on a block is one
-checked product (QMatrix.restrict) and no system is solved; the
+checked product (QMatrix.restrict) and no system is solved.  Each block
+is restricted and factored once per prime, and a block that no prime
+splits hands its operators and irreducible factors on to its orbit.  The
 eigenvector of a new block comes from the adjugate of lam*I - T, with no
 elimination over the eigenvalue field.
+
+A vector over K is held as an n x d QMatrix whose rows are power-basis
+coordinates: a rational operator acts by one product on the left and a
+scalar c of K by one product on the right with c.matrix().  The
+eigenvector is lifted to the +1 half and normalised once, at its first
+nonzero entry, and becomes a tuple of NFElements only in the result.
 """
 
 from .arith import is_prime, next_prime
@@ -37,7 +45,10 @@ from .errors import (
 from .hecke import cuspidal_hecke_matrix
 from .linalg import QMatrix
 from .numfield import NFElement, NumberField, nf_kernel
-from .polys import QPolynomial, factor_poly, is_irreducible
+from .polys import QPolynomial, factor_poly
+
+# primes auto_decompose tries before an undecided split propagates
+PRIME_LIMIT = 25
 
 
 class EigenformOrbit:
@@ -86,17 +97,6 @@ class EigenformOrbit:
                    ", possibly_old" if self.possibly_old else ""))
 
 
-def eigen_field(poly):
-    """Number field defined by a monic irreducible rational polynomial."""
-    if not isinstance(poly, QPolynomial):
-        raise DomainError("eigen_field expects a QPolynomial")
-    if poly.degree < 1 or poly.coeffs[-1] != 1:
-        raise DomainError("defining polynomial must be monic of degree >= 1")
-    if not is_irreducible(poly):
-        raise DomainError("defining polynomial is reducible")
-    return NumberField(poly)
-
-
 def rescale_eigenvector(T, lam):
     """The eigenvector of T for lam, normalised at its first nonzero entry.
 
@@ -106,46 +106,18 @@ def rescale_eigenvector(T, lam):
     eigenvector x in K^n whose first nonzero coordinate equals 1, so the
     result is invariant under rescaling and canonical for the K-line.
 
-    No elimination over K: with chi the characteristic polynomial of T and
-    g = chi/(x - lam) in K[x], g(T) = adj(lam*I - T), which is nonzero
-    exactly when rank(T - lam*I) = n - 1, and then every nonzero column
-    is an eigenvector.  Column j is sum_k g_k T^k e_j, a K-combination of
-    the Krylov vectors T^k e_j, which are rational, so its coordinates
-    come from rational matrix products alone.
+    The vector is held as its n x d coordinate matrix X, so T*x is the
+    product T*X and lam*x is X*lam.matrix(); it is divided by its leading
+    entry once and checked exactly before it is returned as elements.
     """
     if T.rows != T.cols:
         raise DimensionError("rescale_eigenvector needs a square matrix")
     field = lam.field
-    n = T.rows
-    chi = T.charpoly()
-    # synthetic division by x - lam; what is left over is chi(lam)
-    g = [None] * n
-    acc = field.one()
-    for k in range(n - 1, -1, -1):
-        g[k] = acc
-        acc = acc * lam + chi[k]
-    if not acc.is_zero():
-        raise DomainError("value is not an eigenvalue of the matrix")
-    # column j of g(T), by Horner on its n x d matrix of coordinates; the
-    # integer rows of that matrix are a positive multiple of the column
-    for j in range(n):
-        col = QMatrix.zeros(n, field.degree)
-        for gk in reversed(g):
-            lift = [gk.coeffs if i == j else [0] * field.degree for i in range(n)]
-            col = T * col + QMatrix.from_rows(lift)
-        vec = [NFElement(field, r) for r in col.integer_rows()[1]]
-        if any(vec):
-            break
-    else:
-        raise MultiplicityError(
-            "adj(lam*I - T) vanishes: rank(T - lam*I) < n - 1, so the "
-            "eigenvalue is not simple")
-    lead = next(i for i, x in enumerate(vec) if not x.is_zero())
-    inv = vec[lead].inverse()
-    out = tuple(x * inv for x in vec)
-    if any(_row_dot(T, i, out, field) != lam * out[i] for i in range(n)):
+    X = _adjugate_column(T, lam, T.charpoly())
+    X = X * _lead(X, field)[1].inverse().matrix()
+    if T * X != X * lam.matrix():
         raise InternalInvariantError("rescaled vector is not an eigenvector")
-    return out
+    return _elements(X, field)
 
 
 def decompose(space, primes):
@@ -172,27 +144,12 @@ def decompose(space, primes):
         return []
 
     tplus = {p: plus_hecke_matrix(space, p) for p in ps}
-
-    # a block is an echelon basis with its free rows; if B is the identity
-    # at rows F and K at rows G, then B*K is the identity at rows F[G]
-    blocks = [(QMatrix.identity(space.genus), list(range(space.genus)))]
-    for p in ps:
-        refined = []
-        for block, free in blocks:
-            mat = tplus[p].restrict(block, free)
-            factors = factor_poly(QPolynomial(mat.charpoly()))
-            if len(factors) == 1:
-                refined.append((block, free))
-                continue
-            for poly, mult in factors:
-                kernel, kfree = _poly_at_matrix(poly ** mult, mat).echelon_kernel()
-                refined.append((block * kernel, [free[i] for i in kfree]))
-        blocks = refined
-    if sum(b.cols for b, _ in blocks) != space.genus:
+    blocks = list(_primary_blocks(
+        tplus, ps, QMatrix.identity(space.genus), list(range(space.genus))))
+    if sum(b.cols for b, _, _ in blocks) != space.genus:
         raise InternalInvariantError("primary blocks do not fill the +1 half")
 
-    orbits = [_orbit_from_block(space, block, free, tplus, ps)
-              for block, free in blocks]
+    orbits = [_orbit_from_block(space, ps, *block) for block in blocks]
     p0 = ps[0]
     orbits.sort(key=lambda o: (o.degree,
                                o.coefficient_map[p0].trace(),
@@ -201,11 +158,11 @@ def decompose(space, primes):
     return orbits
 
 
-def auto_decompose(space, limit=25):
+def auto_decompose(space):
     """decompose() with automatic prime escalation.
 
     Starts from the smallest prime coprime to the level and, on every
-    undecided split, adds the suggested next prime; once ``limit``
+    undecided split, adds the suggested next prime; once PRIME_LIMIT
     primes have been tried the error propagates.
     """
     p = 2
@@ -216,14 +173,9 @@ def auto_decompose(space, limit=25):
         try:
             return decompose(space, ps)
         except UndecidedSplitError as err:
-            if len(ps) >= limit or err.next_prime is None:
+            if len(ps) >= PRIME_LIMIT or err.next_prime is None:
                 raise
             ps.append(err.next_prime)
-
-
-def plus_basis_matrix(space):
-    """Columns: basis of the +1 star eigenspace, in cuspidal coordinates."""
-    return space.plus_span()[0]
 
 
 def plus_hecke_matrix(space, p):
@@ -234,66 +186,80 @@ def plus_hecke_matrix(space, p):
 # -- internals ------------------------------------------------------------------
 
 
-def _orbit_from_block(space, block, free, tplus, ps):
-    dim = block.cols
-    mats = {}
-    charfac = {}
-    defining = None
+def _primary_blocks(tplus, ps, block, free):
+    """Yield (block, mats, factors) for each joint primary block.
+
+    ``block`` is an echelon basis with its free rows; if B is the identity
+    at rows F and K at rows G, then B*K is the identity at rows F[G].  The
+    block's operators are restricted and their characteristic polynomials
+    factored in prime order; the first that is not a prime power splits it,
+    and each part starts again from the first prime.  A block that no
+    prime splits comes with its operators ``mats`` and the irreducible
+    ``factors`` of their characteristic polynomials.
+    """
+    mats, factors = {}, {}
     for p in ps:
         mat = tplus[p].restrict(block, free)
-        factors = factor_poly(QPolynomial(mat.charpoly()))
-        if len(factors) != 1:
-            raise InternalInvariantError("refined block must be primary")
-        mats[p] = mat
-        charfac[p] = factors[0][0]
-        if defining is None and charfac[p].degree == dim:
-            defining = p
-    if defining is not None:
-        field = NumberField(charfac[defining])
-        local = rescale_eigenvector(mats[defining], field.gen())
-        return _orbit(space, block, mats, ps, defining, local, 1)
-    if is_prime(space.N):
+        found = factor_poly(QPolynomial(mat.charpoly()))
+        if len(found) > 1:
+            for poly, mult in found:
+                kernel, kfree = _poly_at_matrix(poly ** mult, mat).echelon_kernel()
+                yield from _primary_blocks(tplus, ps, block * kernel,
+                                           [free[i] for i in kfree])
+            return
+        mats[p], factors[p] = mat, found[0][0]
+    yield block, mats, factors
+
+
+def _orbit_from_block(space, ps, block, mats, factors):
+    """The orbit of one primary block, from its operators and factors.
+
+    The eigenvector is found in block coordinates as a coordinate matrix,
+    lifted, and normalised once, at its first nonzero ambient entry, where
+    every operator's eigenvalue is then read off.  A block of multiplicity
+    1 is certified by p_star, so an operator that is not scalar on the
+    vector is a bug; a larger block is possibly old, and there it means
+    the supplied primes do not split its eigensystems.
+    """
+    dim = block.cols
+    p_star = next((p for p in ps if factors[p].degree == dim), None)
+    if p_star is not None:
+        field = NumberField(factors[p_star])
+        local = _adjugate_column(mats[p_star], field.gen(),
+                                 factors[p_star].coeffs)
+    elif is_prime(space.N):
         raise UndecidedSplitError(
             "a %d-dimensional block is not generated by any supplied "
             "eigenvalue; distinct orbits share all supplied primes -- "
             "try adding prime %d" % (dim, _next_split_prime(ps, space.N)),
             next_prime=_next_split_prime(ps, space.N))
-    best = max(q.degree for q in charfac.values())
-    p_star = min(p for p in ps if charfac[p].degree == best)
-    field = NumberField(charfac[p_star])
-    lam = field.gen()
+    else:
+        best = max(q.degree for q in factors.values())
+        p_star = min(p for p in ps if factors[p].degree == best)
+        field = NumberField(factors[p_star])
+        m = mats[p_star]
+        rows = [[m[i, j] - field.gen() if i == j else m[i, j]
+                 for j in range(dim)] for i in range(dim)]
+        kernel = nf_kernel(field, rows)
+        if not kernel:
+            raise InternalInvariantError("field generator is not an eigenvalue")
+        local = QMatrix.from_rows([x.coeffs for x in kernel[0]])
     mult, rem = divmod(dim, field.degree)
     if rem != 0:
         raise InternalInvariantError("block dimension not a degree multiple")
-    m = mats[p_star]
-    rows = [[m[i, j] - lam if i == j else m[i, j] for j in range(dim)]
-            for i in range(dim)]
-    kernel = nf_kernel(field, rows)
-    if not kernel:
-        raise InternalInvariantError("field generator is not an eigenvalue")
-    lead = next(x for x in kernel[0] if not x.is_zero())
-    inv = lead.inverse()
-    return _orbit(space, block, mats, ps, p_star, [x * inv for x in kernel[0]],
-                  mult)
 
-
-def _orbit(space, block, mats, ps, p_star, local, multiplicity):
-    """The orbit of ``local``, an eigenvector of mats[p_star] in block
-    coordinates with first nonzero entry 1, for the field generator.
-
-    A block of multiplicity 1 was certified by p_star, so an operator that
-    is not scalar on ``local`` is a bug; a larger block is possibly old, and
-    there it means the supplied primes do not split its eigensystems.
-    """
-    field = local[0].field
     lam = field.gen()
-    lead = next(i for i, x in enumerate(local) if not x.is_zero())
+    vec = block * local
+    lead, x = _lead(vec, field)
+    norm = x.inverse().matrix()
+    local, vec = local * norm, vec * norm
     coeffs = {}
     for p in ps:
-        c = _scalar_action(mats[p], local, lead, field)
-        if c is None and multiplicity == 1:
-            raise InternalInvariantError("commuting operator is not scalar")
-        if c is None:
+        image = block * (mats[p] * local)
+        c = NFElement(field, image.row(lead))
+        if image != vec * c.matrix():
+            if mult == 1:
+                raise InternalInvariantError("commuting operator is not scalar")
             raise UndecidedSplitError(
                 "block mixes eigensystems that agree at all supplied primes; "
                 "try adding prime %d" % _next_split_prime(ps, space.N),
@@ -301,44 +267,51 @@ def _orbit(space, block, mats, ps, p_star, local, multiplicity):
         coeffs[p] = c
     if coeffs[p_star] != lam:
         raise InternalInvariantError("defining operator lost its eigenvalue")
-    vec = _lift_through(block, local, field)
-    return EigenformOrbit(space.N, field, p_star, lam, vec, coeffs,
-                          multiplicity=multiplicity,
-                          possibly_old=multiplicity > 1)
+    return EigenformOrbit(space.N, field, p_star, lam, _elements(vec, field),
+                          coeffs, multiplicity=mult, possibly_old=mult > 1)
 
 
-def _scalar_action(mat, vec, lead, field):
-    """The scalar c with mat*vec = c*vec, or None if vec is not eigen.
+def _adjugate_column(T, lam, chi):
+    """A nonzero column of adj(lam*I - T), as its n x d coordinate matrix.
 
-    ``vec`` must have vec[lead] = 1; entries of ``mat`` are rational.
+    No elimination over K: with chi the characteristic polynomial of T
+    (ascending coefficients; on a block of multiplicity 1 it is the block's
+    irreducible factor) and g = chi/(x - lam) in K[x], g(T) = adj(lam*I - T),
+    which is nonzero exactly when rank(T - lam*I) = n - 1, and then every
+    nonzero column is an eigenvector.  Column j is sum_k g_k T^k e_j, a
+    K-combination of the Krylov vectors T^k e_j, which are rational, so its
+    coordinates come from rational matrix products alone, by Horner.
     """
-    image = [_row_dot(mat, i, vec, field) for i in range(mat.rows)]
-    c = image[lead]
-    for img, x in zip(image, vec):
-        if img != c * x:
-            return None
-    return c
+    field = lam.field
+    n = T.rows
+    # synthetic division by x - lam; what is left over is chi(lam)
+    g = [None] * n
+    acc = field.one()
+    for k in range(n - 1, -1, -1):
+        g[k] = acc
+        acc = acc * lam + chi[k]
+    if not acc.is_zero():
+        raise DomainError("value is not an eigenvalue of the matrix")
+    for j in range(n):
+        col = QMatrix.zeros(n, field.degree)
+        for gk in reversed(g):
+            lift = [gk.coeffs if i == j else [0] * field.degree for i in range(n)]
+            col = T * col + QMatrix.from_rows(lift)
+        if not col.is_zero():
+            return col
+    raise MultiplicityError(
+        "adj(lam*I - T) vanishes: rank(T - lam*I) < n - 1, so the "
+        "eigenvalue is not simple")
 
 
-def _row_dot(mat, i, vec, field):
-    total = field.zero()
-    for j, x in enumerate(vec):
-        a = mat[i, j]
-        if a:
-            total = total + a * x
-    return total
+def _lead(X, field):
+    """(i, x): the first nonzero row of a coordinate matrix, and its element."""
+    i = next(i for i, row in enumerate(X.integer_rows()[1]) if any(row))
+    return i, NFElement(field, X.row(i))
 
 
-def _lift_through(block, local, field):
-    """Map block coordinates to ambient ones, renormalised to lead with 1.
-
-    ``local`` is divided by the first nonzero entry of its lift, so the
-    lift itself takes rational-by-field products only.
-    """
-    lifted = (_row_dot(block, i, local, field) for i in range(block.rows))
-    inv = next(x for x in lifted if not x.is_zero()).inverse()
-    local = [x * inv for x in local]
-    return tuple(_row_dot(block, i, local, field) for i in range(block.rows))
+def _elements(X, field):
+    return tuple(NFElement(field, row) for row in X.to_rows())
 
 
 def _poly_at_matrix(poly, mat):

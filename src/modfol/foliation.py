@@ -82,15 +82,8 @@ def basis_change(J, A):
                 raise DomainError("change of basis must have integer entries")
     if not is_unimodular(rows):
         raise DomainError("change of basis must be unimodular (det +-1)")
-    zero = J.field.zero()
-    gens = []
-    for r in rows:
-        s = zero
-        for a, g in zip(r, J.generators):
-            if a:
-                s = s + int(a) * g
-        gens.append(s)
-    return JacobianModule(J.field, gens)
+    gens = QMatrix.from_rows(rows) * QMatrix.from_rows(J.coordinate_rows())
+    return JacobianModule(J.field, [NFElement(J.field, r) for r in gens.to_rows()])
 
 
 def scale_module(J, mu):

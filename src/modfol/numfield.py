@@ -24,7 +24,7 @@ from .polys import (
 class NumberField:
     """Q[x]/(minpoly) for a monic irreducible minpoly."""
 
-    __slots__ = ("minpoly", "degree", "_reduction", "_embeddings")
+    __slots__ = ("minpoly", "degree", "_top", "_embeddings")
 
     def __init__(self, minpoly, check=True):
         if not isinstance(minpoly, QPolynomial):
@@ -36,20 +36,8 @@ class NumberField:
             raise DomainError("defining polynomial is not irreducible: %r"
                               % (minpoly,))
         self.minpoly = minpoly
-        d = minpoly.degree
-        self.degree = d
-        # reduction table: row k = coordinates of a^(d+k) for k = 0..d-2
-        rows = []
-        cur = [-c for c in minpoly.coeffs[:-1]]          # a^d
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            shifted = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                shifted = [s + top * r for s, r in zip(shifted, rows[0])]
-            cur = shifted
-            rows.append(tuple(cur))
-        self._reduction = rows
+        self.degree = minpoly.degree
+        self._top = tuple(-c for c in minpoly.coeffs[:-1])    # a^d
         self._embeddings = None
 
     def __eq__(self, other):
@@ -193,14 +181,13 @@ class NFElement:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         prod[i + j] += a * b
-        out = list(prod[:d])
-        red = self.field._reduction
-        for k in range(d, 2 * d - 1):
+        # a^k = a^(k-d) * a^d, from the top down
+        for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c:
-                for j, r in enumerate(red[k - d]):
-                    out[j] += c * r
-        return NFElement(self.field, out)
+                for j, r in enumerate(self.field._top):
+                    prod[k - d + j] += c * r
+        return NFElement(self.field, prod[:d])
 
     __rmul__ = __mul__
 
@@ -247,20 +234,26 @@ class NFElement:
             n >>= 1
         return result
 
-    def trace(self):
-        """Trace of multiplication-by-self, a rational number.
+    def matrix(self):
+        """The d x d rational matrix of multiplication by self.
 
-        Sums the diagonal of the multiplication matrix in the power
-        basis: entry i is the coefficient of a^i in self * a^i.
+        Row k holds the coordinates of a^k * self, so an n x d matrix whose
+        rows are coordinates of a K-vector, times this, holds those of the
+        vector scaled by self.
         """
-        d = self.field.degree
-        total = self.coeffs[0]
-        b = self
-        gen = self.field.gen()
-        for i in range(1, d):
-            b = b * gen
-            total += b.coeffs[i]
-        return total
+        row = list(self.coeffs)
+        rows = [row]
+        for _ in range(self.field.degree - 1):
+            top, row = row[-1], [0] + row[:-1]
+            if top:
+                row = [x + top * r for x, r in zip(row, self.field._top)]
+            rows.append(row)
+        return QMatrix.from_rows(rows)
+
+    def trace(self):
+        """Trace of multiplication-by-self, a rational number."""
+        m = self.matrix()
+        return sum(m[k, k] for k in range(m.rows))
 
 
 # -- linear algebra over a number field ------------------------------------------
@@ -279,7 +272,7 @@ def nf_kernel(field, rows):
 
     Each basis vector has value 1 in its distinguishing (free) coordinate.
     Solved over Q by restriction of scalars: entry x becomes the d x d block
-    of multiplication by x (column k holds the coordinates of x a^k), and
+    x.matrix() transposed (column k holds the coordinates of x a^k), and
     one rational echelon_kernel is cut back into d-blocks.  Restriction
     commutes with row operations and maps a reduced echelon form to a
     reduced echelon form, so the rational rref is the restriction of the
@@ -289,14 +282,10 @@ def nf_kernel(field, rows):
     if not rows:
         return []
     d = field.degree
-    powers = [field.one()]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * field.gen())
     qrows = []
     for row in rows:
-        blocks = [[(a * x).coeffs for a in powers] for x in row]
-        qrows += [[col[r] for block in blocks for col in block]
-                  for r in range(d)]
+        blocks = [_as_nf(field, x).matrix() for x in row]
+        qrows += [[v for m in blocks for v in m.col(r)] for r in range(d)]
     basis, free = QMatrix.from_rows(qrows).echelon_kernel()
     vectors = (basis.col(k) for k, f in enumerate(free) if f % d == 0)
     return [[NFElement(field, v[c:c + d]) for c in range(0, len(v), d)]

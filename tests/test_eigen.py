@@ -7,13 +7,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from modfol import eigen
 from modfol.arith import primes_up_to
 from modfol.eigen import (
     _poly_at_matrix,
     auto_decompose,
     decompose,
-    eigen_field,
-    plus_basis_matrix,
     plus_hecke_matrix,
     rescale_eigenvector,
 )
@@ -52,37 +51,6 @@ def random_unimodular(rng, n, steps=14):
         if rng.random() < 0.3:
             m[i], m[j] = m[j], m[i]
     return m
-
-
-# -- eigen_field -------------------------------------------------------------------
-
-
-def test_eigen_field_linear():
-    K = eigen_field(parse_poly("x + 2"))
-    assert K.degree == 1
-    assert K.is_totally_real()
-
-
-def test_eigen_field_quadratic():
-    K = eigen_field(parse_poly("x^2 + x - 1"))
-    assert K.degree == 2
-    assert K.is_totally_real()
-
-
-def test_eigen_field_non_real_is_constructed_but_flagged():
-    K = eigen_field(parse_poly("x^2 + 1"))
-    assert K.degree == 2
-    assert not K.is_totally_real()
-
-
-def test_eigen_field_rejects_reducible():
-    with pytest.raises(DomainError):
-        eigen_field(parse_poly("x^2 - 1"))
-
-
-def test_eigen_field_rejects_non_monic():
-    with pytest.raises(DomainError):
-        eigen_field(parse_poly("2*x - 1"))
 
 
 # -- rescale_eigenvector -----------------------------------------------------------
@@ -404,6 +372,29 @@ def test_auto_decompose_escalates():
     assert sum(2 * o.degree for o in orbits) == 2 * sp.genus
 
 
+def test_auto_decompose_stops_at_the_prime_limit(monkeypatch):
+    monkeypatch.setattr(eigen, "PRIME_LIMIT", 1)
+    with pytest.raises(UndecidedSplitError) as exc:
+        auto_decompose(ModularSymbolSpace(113))
+    assert exc.value.next_prime == 3
+
+
+@pytest.mark.parametrize("N, ps, pairs", [(57, [2, 5, 7], 15),
+                                          (113, [2, 3], 9)])
+def test_each_block_and_prime_factored_once(monkeypatch, N, ps, pairs):
+    # pairs visited: a block is factored at each prime in turn until one
+    # splits it, and each part starts again from the first prime
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return factor_poly(poly)
+
+    monkeypatch.setattr(eigen, "factor_poly", counting)
+    decompose(ModularSymbolSpace(N), ps)
+    assert len(calls) == pairs
+
+
 def test_composite_level_flags_possibly_old():
     # genus 2, all forms come from level 11 in two copies
     sp = ModularSymbolSpace(22)
@@ -443,4 +434,4 @@ def test_decompose_genus_zero_is_empty():
 def test_plus_space_dimension_is_genus():
     for N in (11, 23, 37, 45):
         sp = ModularSymbolSpace(N)
-        assert plus_basis_matrix(sp).cols == sp.genus
+        assert sp.plus_span()[0].cols == sp.genus

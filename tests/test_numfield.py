@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from modfol.errors import DomainError, InternalInvariantError
+from modfol.linalg import QMatrix
 from modfol.numfield import NumberField, RealEmbedding, nf_kernel
 from modfol.polys import QPolynomial, isolate_real_roots, parse_poly
 
@@ -139,6 +141,54 @@ def _nf_systems(draw):
         elif kind == "rational":
             rows[i] = [draw(_RATIONALS) for _ in range(n)]
     return K, rows
+
+
+_MATRIX_FIELDS = [NumberField(parse_poly(f)) for f in (
+    "x^2 - x - 1", "x^3 - x - 1", "x^3 - 3*x - 1")]
+
+
+@st.composite
+def _matrix_cases(draw):
+    """(K, a, b, rows): a field K, two elements and 1-4 coordinate rows."""
+    K = draw(st.sampled_from(_MATRIX_FIELDS))
+    coords = st.lists(_RATIONALS, min_size=K.degree, max_size=K.degree)
+    rows = draw(st.lists(coords, min_size=1, max_size=4))
+    return K, K.element(draw(coords)), K.element(draw(coords)), rows
+
+
+class TestMultiplicationMatrix:
+    """NFElement.matrix(): row k holds the coordinates of a^k * self."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(_matrix_cases())
+    def test_rows_products_and_trace(self, case):
+        K, a, b, rows = case
+        m = a.matrix()
+        assert (a * b).matrix() == m * b.matrix()
+        assert (a + b).matrix() == m + b.matrix()
+        power = K.one()
+        for k in range(K.degree):
+            assert m.row(k) == list((power * a).coeffs)
+            power = power * K.gen()
+        image = QMatrix.from_rows(rows) * m
+        assert image.to_rows() == [list((K.element(r) * a).coeffs)
+                                   for r in rows]
+        assert a.trace() == sum(m[k, k] for k in range(K.degree))
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(_matrix_cases())
+    def test_product_is_the_polynomial_remainder(self, case):
+        K, a, b, _ = case
+        x = sympy.Symbol("x")
+
+        def poly(coeffs):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(coeffs)], x)
+
+        rem = (poly(a.coeffs) * poly(b.coeffs)).rem(poly(K.minpoly.coeffs))
+        assert rem.as_expr() == poly((a * b).coeffs).as_expr()
 
 
 class TestLinearAlgebra:

@@ -16,6 +16,9 @@
   test oracles alone.
 * Real embeddings decide signs on integers: no interval arithmetic over
   Fractions is defined in the package.
+* eigen holds a vector over the eigenvalue field as one coordinate
+  matrix: no per-entry row product, scalar action or lift is defined, and
+  no field wrapper beside NumberField.
 """
 
 import ast
@@ -107,3 +110,8 @@ def test_one_restriction_idiom():
 def test_real_embeddings_run_on_integers():
     assert _defined_functions() & {"_interval_add", "_interval_mul",
                                    "_interval_eval"} == set()
+
+
+def test_one_field_vector_form_in_eigen():
+    assert _defined_functions() & {"_row_dot", "_scalar_action",
+                                   "_lift_through", "eigen_field"} == set()
