@@ -8,17 +8,19 @@ identical inputs produce identical bytes, with or without the cache;
 3 (computation failed), 4 (numerically indeterminate).  genus, decompose
 and classify accept --range A..B to process a batch of levels, one JSON
 line per level in ascending order, optionally on a process pool
-(--jobs).  Level records are cached under $MODFOL_CACHE (default
-.modfol-cache/); explicit --primes runs bypass the cache, whose files
-describe the default decomposition only.
+(--jobs), which is loaded only when --jobs asks for more than one
+worker.  main() builds its argument parser once per process and reuses
+it, so in-process callers pay for it once.  Level records are cached
+under $MODFOL_CACHE (default .modfol-cache/); explicit --primes runs
+bypass the cache, whose files describe the default decomposition only.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from mpmath import libmp
@@ -365,6 +367,7 @@ def _run_levels(args, kind):
         raise _UsageError("--range needs 1 <= A <= B")
     tasks = [(kind, N, use_cache) for N in range(lo, hi + 1)]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_batch_eval, tasks))
     else:
@@ -402,6 +405,7 @@ def _step_count(text):
     return steps
 
 
+@functools.cache
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--pretty", action="store_true",

@@ -222,9 +222,11 @@ def _orbit_from_block(space, ps, block, mats, factors):
     the supplied primes do not split its eigensystems.
     """
     dim = block.cols
+    # factor_poly has just returned every factor as irreducible, so the
+    # fields below skip NumberField's own irreducibility check
     p_star = next((p for p in ps if factors[p].degree == dim), None)
     if p_star is not None:
-        field = NumberField(factors[p_star])
+        field = NumberField(factors[p_star], check=False)
         local = _adjugate_column(mats[p_star], field.gen(),
                                  factors[p_star].coeffs)
     elif is_prime(space.N):
@@ -236,7 +238,7 @@ def _orbit_from_block(space, ps, block, mats, factors):
     else:
         best = max(q.degree for q in factors.values())
         p_star = min(p for p in ps if factors[p].degree == best)
-        field = NumberField(factors[p_star])
+        field = NumberField(factors[p_star], check=False)
         m = mats[p_star]
         rows = [[m[i, j] - field.gen() if i == j else m[i, j]
                  for j in range(dim)] for i in range(dim)]

@@ -100,33 +100,21 @@ class ModularSymbolSpace:
             if any(row):
                 rows.append(row)
 
-        if rows:
-            rel = QMatrix.from_rows(rows)
-            rref, pivots = rel.rref()
-        else:
-            rref, pivots = None, []
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(len(reps)) if c not in pivot_set]
+        rel = QMatrix.from_rows(rows) if rows else QMatrix.zeros(0, len(reps))
+        basis, free_cols = rel.echelon_kernel()
         self.dim = len(free_cols)
         self.free_symbols = [reps[c] for c in free_cols]
 
-        # integer coordinates of each representative in the quotient basis
-        rep_coords = {}
-        free_pos = {c: k for k, c in enumerate(free_cols)}
-        for c in free_cols:
-            v = [0] * self.dim
-            v[free_pos[c]] = 1
-            rep_coords[c] = tuple(v)
-        for k, c in enumerate(pivots):
-            v = [0] * self.dim
-            for fc in free_cols:
-                coeff = rref[k, fc]
-                if coeff.denominator != 1:
-                    raise InternalInvariantError(
-                        "symbol %d has the non-integral coordinate %s at "
-                        "level %d" % (reps[c], -coeff, self.N))
-                v[free_pos[fc]] = -coeff.numerator
-            rep_coords[c] = tuple(v)
+        # integer coordinates of each representative in the quotient basis:
+        # its row of the echelon kernel basis
+        den, coord_rows = basis.integer_rows()
+        if den != 1:
+            c, x = next((c, x) for c, row in enumerate(coord_rows)
+                        for x in row if x % den)
+            raise InternalInvariantError(
+                "symbol %d has the non-integral coordinate %s at level %d"
+                % (reps[c], Fraction(x, den), self.N))
+        rep_coords = [tuple(row) for row in coord_rows]
 
         zero = (0,) * self.dim
         self._symbol_coords = []

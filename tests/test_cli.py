@@ -363,8 +363,12 @@ class _RecordingPool:
     (2, "64", [2]), (4, "3", [3]), (1, "8", []), (None, "8", []),
 ])
 def test_jobs_capped_at_cpu_count(monkeypatch, cpus, jobs, pools):
+    import concurrent.futures
     import modfol.cli as cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # _run_levels imports the pool class from concurrent.futures when
+    # --jobs asks for more than one worker
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     serial = run("decompose", "--range", "11..12")
@@ -392,6 +396,46 @@ def test_range_usage_errors():
     assert run("genus", "--range", "13..11")[0] == 2
     assert run("genus", "--range", "11-13")[0] == 2
     assert run("genus")[0] == 2
+
+
+# -- parser reuse -------------------------------------------------------------------------
+
+
+def run_exiting(*argv):
+    """Like run(), but a SystemExit (from --help) gives the exit code."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return code, buf.getvalue()
+
+
+REUSE_SEQUENCE = [
+    ("decompose", "11", "--pretty"),
+    ("decompose", "11"),
+    ("decompose", "--range", "11..12", "--jobs", "x"),
+    ("--help",),
+    ("decompose", "--help"),
+    ("classify", "11"),
+    ("iet", "--lengths", "1/2,1/3,1/6", "--perm", "3,2,1"),
+]
+
+
+def test_reused_parser_keeps_no_state(monkeypatch):
+    import modfol.cli as cli
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = _build_parser()
+    assert _build_parser() is parser
+    reused = [run_exiting(*argv) for argv in REUSE_SEQUENCE]
+    assert _build_parser() is parser
+    # every call of the second pass builds a parser of its own
+    monkeypatch.setattr(cli, "_build_parser", _build_parser.__wrapped__)
+    fresh = [run_exiting(*argv) for argv in REUSE_SEQUENCE]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 2, 0, 0, 0, 0]
+    assert "usage: modfol decompose" in reused[4][1]
 
 
 # -- exit codes and error JSON ------------------------------------------------------------
@@ -450,6 +494,18 @@ def _child_env():
                  os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
     return dict(os.environ,
                 PYTHONPATH=os.pathsep.join([package_root] + inherited))
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # the pool is imported only when --jobs asks for more than one worker
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, modfol.cli; print(sorted(m for m "
+         "in ('concurrent.futures.process', 'multiprocessing') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point(tmp_path):
