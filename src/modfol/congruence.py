@@ -14,7 +14,7 @@ lexicographically smallest pair in its unit orbit.
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize
+from .arith import factorize, is_prime
 from .errors import DomainError, InternalInvariantError
 
 # 2x2 integer matrices are flat tuples (a, b, c, d)
@@ -157,6 +157,36 @@ class P1Space:
     def index_of_matrix(self, m):
         """Index of the coset of an SL2(Z) matrix (by bottom row)."""
         return self.index(m[2], m[3])
+
+    def heilbronn_counts(self, c, d, p):
+        """Multiplicities, indexed like reps, of the points (c:d)h over
+        Cremona's Heilbronn matrices h of determinant p, walked mod N: after
+        (c, d*p), each |r| <= p/2 starts at (c*p, d - c*r), and each step of
+        the nearest-integer continued fraction of -p/r, with quotient q,
+        maps (x, y) to (y, q*y - x).  p = 2 has four matrices of its own.
+        Non-points (only when p divides N) drop out."""
+        if not is_prime(p):
+            raise DomainError("expected a prime, got %d" % p)
+        N, table = self.N, self._table
+        if p == 2:
+            starts, rs = ((c, 2 * d), (2 * c, d), (2 * c, c + d), (c + d, 2 * d)), ()
+        else:
+            starts, rs = ((c, d * p),), range(-(p // 2), p // 2 + 1)
+        # the table marks non-points -1: they land in a last, dropped slot
+        counts = [0] * (len(self.reps) + 1)
+        for x, y in starts:
+            counts[table[x % N * N + y % N]] += 1
+        for r in rs:
+            x, y = c * p % N, (d - c * r) % N
+            counts[table[x * N + y]] += 1
+            a, b = -p, r
+            while b:
+                q = (2 * a + b) // (2 * b)        # nearest integer to a/b
+                a, b = -b, a - q * b
+                x, y = y, (q * y - x) % N
+                counts[table[x * N + y]] += 1
+        counts.pop()
+        return counts
 
 
 # -- cusps -------------------------------------------------------------------

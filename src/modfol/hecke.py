@@ -3,11 +3,14 @@
 T_p sends the Manin symbol (c:d) to the sum of the symbols (c:d)h over
 Cremona's Heilbronn matrices h of determinant p (Cremona, *Algorithms for
 Modular Elliptic Curves*, 2nd ed., 1997, sec. 2.4; Merel, *Universal
-Fourier expansions of modular forms*, LNM 1585, 1994).  The family has
-O(p log p) members, so one column routine serves both whole matrices for
-the orbit split and single columns for eigenvalues at large p.  The tests
-check it against Merel's family and against the degeneracy-coset path
-route.
+Fourier expansions of modular forms*, LNM 1585, 1994).  The O(p log p)
+matrices are never built: P1Space.heilbronn_counts walks their images
+mod N, where the next matrix of a continued fraction maps the image
+(x, y) to (y, q*y - x), and counts them on P^1.  A matrix column sums the
+images' symbol coordinates; an eigenvalue at a large prime dots the
+counts with a dual functional tabulated on P^1 (see periods).  Tests
+check the walk against the matrices, and the operators against Merel's
+family and the degeneracy-coset path route.
 
 Also provides the standard multiplicative/recursive extension of prime
 eigenvalues to a full coefficient sequence:
@@ -17,59 +20,29 @@ eigenvalues to a full coefficient sequence:
     c(mn) = c(m) c(n)                         for coprime m, n
 """
 
-from math import gcd
+from fractions import Fraction
+from itertools import compress
+from operator import mul
 
-from .arith import factorize, is_prime, primes_up_to
-from .errors import DomainError
+from .arith import factorize, primes_up_to
 from .linalg import QMatrix
-
-
-# -- Heilbronn matrices ------------------------------------------------------------
-
-
-def heilbronn(p):
-    """Cremona's Heilbronn matrices (a, b, c, d) of determinant p.
-
-    (1, 0, 0, p), then for each |r| <= p/2 the matrix (p, -r, 0, 1) and
-    one more per step of the nearest-integer continued fraction of -p/r.
-    """
-    if not is_prime(p):
-        raise DomainError("expected a prime, got %d" % p)
-    if p == 2:
-        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
-    fam = [(1, 0, 0, p)]
-    for r in range(-(p // 2), p // 2 + 1):
-        a, b, h = -p, r, (p, -r, 0, 1)
-        fam.append(h)
-        while b:
-            q = (2 * a + b) // (2 * b)        # nearest integer to a/b
-            a, b = -b, a - q * b
-            h = (h[1], q * h[1] - h[0], h[3], q * h[3] - h[2])
-            fam.append(h)
-    return fam
+from .numfield import NFElement
 
 
 # -- operators on the symbol quotient ------------------------------------------------
 
 
-def _column(space, fam, j):
-    """Column j of T_p: the symbols (c:d)h, h in fam, of the j-th free
-    symbol (c:d), summed in quotient coordinates."""
-    N = space.N
-    c, d = space.p1.reps[space.free_symbols[j]]
-    images = []
-    for (ma, mb, mc, md) in fam:
-        c2 = (c * ma + d * mc) % N
-        d2 = (c * mb + d * md) % N
-        if gcd(c2, d2, N) == 1:           # fails only when p divides N
-            images.append(space.symbol_coords(c2, d2))
-    return [sum(col) for col in zip(*images)]
-
-
 def hecke_matrix(space, p):
-    """T_p on the full symbol quotient."""
-    fam = heilbronn(p)
-    cols = [_column(space, fam, j) for j in range(space.dim)]
+    """T_p on the full symbol quotient: column j sums the coordinates of
+    the Heilbronn images of the j-th free symbol, with multiplicity."""
+    p1, coords = space.p1, space._symbol_coords
+    points = range(len(p1))
+    cols = []
+    for j in space.free_symbols:
+        counts = p1.heilbronn_counts(*p1.reps[j], p)
+        images = [coords[i] for i in compress(points, counts)
+                  for _ in range(counts[i])]
+        cols.append([sum(col) for col in zip(*images)])
     return QMatrix.from_rows(zip(*cols))
 
 
@@ -86,18 +59,16 @@ def cuspidal_hecke_matrix(space, p):
     return mat
 
 
-def eigenvalue_from_functional(space, p, row, j):
-    """Eigenvalue c_p given a left eigenvector `row` of the T_p family.
-
-    row is a length-dim sequence over Q or a number field satisfying
-    row^T T_q = c_q row^T for all primes q; j indexes a coordinate with
-    row[j] != 0.  Only one matrix column is computed, so this stays cheap
-    for large p.
+def eigenvalue_from_functional(space, p, table, j):
+    """Eigenvalue c_p of a left eigenvector w of the T_p family, with
+    w[j] = 1, from its table (field, den, rows): rows[k][i] / den is the
+    k-th coordinate of w on the i-th point of P^1.  c_p is w on column j of
+    T_p: the images' counts dotted with each row, and one field element.
     """
-    col = _column(space, heilbronn(p), j)
-    terms = [ri * ci for ri, ci in zip(row, col) if ci]
-    num = sum(terms[1:], terms[0]) if terms else 0 * row[j]
-    return num / row[j]
+    field, den, rows = table
+    counts = space.p1.heilbronn_counts(*space.p1.reps[space.free_symbols[j]], p)
+    return NFElement(field, [Fraction(sum(map(mul, counts, row)), den)
+                             for row in rows])
 
 
 # -- coefficient sequences -----------------------------------------------------------
@@ -120,10 +91,7 @@ def qexp_from_primes(N, prime_value, terms):
         pk = p * p
         prev, cur = c[1], cp
         while pk <= terms:
-            if N % p == 0:
-                nxt = cp * cur
-            else:
-                nxt = cp * cur - p * prev
+            nxt = cp * cur if N % p == 0 else cp * cur - p * prev
             c[pk] = nxt
             prev, cur = cur, nxt
             pk *= p

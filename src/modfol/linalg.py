@@ -6,7 +6,8 @@ as Fractions.  Products, sums, scaling and elimination run on the
 integers: one fraction-free Gauss-Jordan elimination (rref, which also
 serves rank and kernel), determinants and characteristic polynomials by
 Bareiss integer determinants (the latter by evaluation and
-interpolation), and a row-style Hermite normal form for integer lattices.
+interpolation); for integer lattices, a row-style Hermite normal form
+and Cohen's integral LLL, which updates its Gram-Schmidt data in place.
 
 An invariant subspace is held as an echelon basis, a column matrix that
 is the identity at its rows ``free`` (as echelon_kernel returns it), so
@@ -421,56 +422,53 @@ def unimodular_with_first_row(v):
     return w
 
 
-def _gram_schmidt_int(b):
-    """Gram-Schmidt data for integer rows b: (mu, squared norms of b*_i)."""
-    n = len(b)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = []
-    norms = []
-    for i in range(n):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            dot = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j]))
-            coef = dot / norms[j]
-            mu[i][j] = coef
-            v = [a - coef * c for a, c in zip(v, bstar[j])]
-        bstar.append(v)
-        norms.append(sum(x * x for x in v))
-    return mu, norms
-
-
 def lll_reduce(rows, delta=Fraction(3, 4)):
-    """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows.
-
-    Exact arithmetic throughout; Gram-Schmidt data is recomputed after each
-    basis change, which is fine at the small dimensions used here.  Returns a
-    new list of integer rows spanning the same lattice.
-    """
+    """LLL reduction of linearly independent integer rows: new integer rows
+    spanning the same lattice.  Cohen's integral LLL (*A Course in
+    Computational Algebraic Number Theory*, 1993, Alg. 2.6.7) updates the
+    Gram determinants d and lam_kj = d_(j+1) mu_kj in place on each size
+    reduction and swap; no Gram-Schmidt data is ever recomputed."""
     b = [list(map(int, r)) for r in rows]
     if not b:
         return []
-    width = len(b[0])
-    if any(len(r) != width for r in b):
+    if any(len(r) != len(b[0]) for r in b):
         raise DimensionError("lattice rows must share a common length")
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise DomainError("LLL parameter must lie in (1/4, 1)")
+    dp, dq = delta.numerator, delta.denominator
     n = len(b)
-    mu, norms = _gram_schmidt_int(b)
-    if any(x == 0 for x in norms):
-        raise DomainError("lattice rows must be linearly independent")
+    # d[i + 1] is the Gram determinant of rows 0..i
+    d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]
+        if not d[k + 1]:
+            raise DomainError("lattice rows must be linearly independent")
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
-            f = mu[k][j]
-            q = (2 * f.numerator + f.denominator) // (2 * f.denominator)
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):    # full size reduction, q = [mu + 1/2]
+            q = (2 * lk[j] + d[j + 1]) // (2 * d[j + 1])
             if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                mu, norms = _gram_schmidt_int(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lk[j] -= q * d[j + 1]
+                lk[:j] = [x - q * y for x, y in zip(lk, lam[j][:j])]
+        la = lk[k - 1]
+        if dq * d[k + 1] * d[k - 1] >= dp * d[k] ** 2 - dq * la * la:
             k += 1
-        else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            mu, norms = _gram_schmidt_int(b)
-            k = max(k - 1, 1)
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lk[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lk[:k - 1]
+        big = (d[k - 1] * d[k + 1] + la * la) // d[k]
+        for li in lam[k + 1:]:
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - la * t) // d[k]
+            li[k - 1] = (big * t + la * li[k]) // d[k + 1]
+        d[k] = big
+        k = max(k - 1, 1)
     return b

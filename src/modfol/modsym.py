@@ -139,14 +139,18 @@ class ModularSymbolSpace:
             v[key_pos[cusp_class_key((b, d), self.N)]] -= 1
             return v
 
-        # columns of the boundary matrix come from the free symbols; the
-        # relations must map to zero divisors, which we verify on every symbol
-        cols = [divisor(i) for i in self.free_symbols]
+        # columns of the boundary matrix come from the free symbols; one
+        # integer product checks that every symbol maps to its divisor
+        divisors = [divisor(i) for i in range(len(self.p1))]
+        cols = [divisors[i] for i in self.free_symbols]
         self._boundary = [[col[r] for col in cols] for r in range(nu)]
-        for i, coords in enumerate(self._symbol_coords):
-            if tuple(divisor(i)) != self.boundary_of(coords):
-                raise InternalInvariantError(
-                    "boundary map inconsistent with relations at symbol %d" % i)
+        image = (QMatrix.from_rows(self._symbol_coords) * QMatrix(
+            self.dim, nu, [x for col in cols for x in col])).integer_rows()[1]
+        bad = next((i for i, row in enumerate(image) if row != divisors[i]),
+                   None)
+        if bad is not None:
+            raise InternalInvariantError(
+                "boundary map inconsistent with relations at symbol %d" % bad)
 
         # the cuspidal basis is the echelon kernel: the identity at the free
         # rows, which is what express_cuspidal and restrict read off

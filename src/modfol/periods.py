@@ -7,14 +7,15 @@ Integrating that differential along the closed loops attached to group
 elements gives the classical periods.  Three layers live here:
 
 * exact coefficients: :func:`ensure_series` extends an orbit's q-expansion
-  to any order, using a dual eigenvector so that the cost of the
-  coefficient at a large prime p stays near-linear in p;
+  to any order through a dual eigenvector tabulated once on P^1, so the
+  coefficient at a prime p is one integer dot product with the counts of
+  its O(p log p) Heilbronn images;
 * numerics: :func:`period_integral` evaluates the loop integral for a
   single group element by summing the antiderivative series at the two
   endpoints of a balanced path, and :func:`numeric_jacobian` collects the
   real parts over a whole homology basis into a :class:`PeriodVector`;
 * arithmetic detection: :func:`detect_rank` finds the rank of the
-  Z-module spanned by a list of real numbers via exact lattice reduction,
+  Z-module spanned by a list of real numbers via integral LLL,
   with explicit accept/reject thresholds and a hard error in between.
 
 All floating work uses mpmath with a guard margin over the requested
@@ -36,7 +37,7 @@ from .errors import (
     TruncationError,
 )
 from .hecke import eigenvalue_from_functional, hecke_matrix, qexp_from_primes
-from .linalg import lll_reduce, unimodular_with_first_row
+from .linalg import QMatrix, lll_reduce, unimodular_with_first_row
 from .numfield import NFElement, nf_kernel
 
 # Extra decimal digits carried internally beyond the requested precision.
@@ -84,13 +85,13 @@ def ensure_series(space, orbit, terms):
     terms = int(terms)
     if orbit._series is not None and len(orbit._series) > terms:
         return orbit._series
-    w, j = _dual_functional(space, orbit)
+    table, j = _dual_functional(space, orbit)
 
     def prime_value(p):
         got = orbit.coefficient_map.get(p)
         if got is not None:
             return got
-        c = eigenvalue_from_functional(space, p, w, j)
+        c = eigenvalue_from_functional(space, p, table, j)
         orbit.coefficient_map[p] = c
         return c
 
@@ -99,13 +100,13 @@ def ensure_series(space, orbit, terms):
 
 
 def _dual_functional(space, orbit):
-    """A row vector w over the orbit's field with w^T T_p = c_p w^T for all
-    verified primes, plus the index of a nonzero coordinate.
+    """(table, j): a dual eigenvector w of the orbit, scaled once so that
+    w[j] = 1, tabulated on every Manin symbol (see _functional_table).
 
     The joint left kernel of the verified operators cuts out exactly this
-    orbit's dual block, so any vector in it evaluates coefficients of this
-    orbit alone.  The returned functional is re-checked exactly against
-    every verified eigenvalue before use.
+    orbit's dual block, so any w in it, with w^T T_p = c_p w^T, gives the
+    coefficients of this orbit alone.  The table is re-checked exactly
+    against every verified eigenvalue before use.
     """
     K = orbit.field
     dim = space.dim
@@ -122,16 +123,25 @@ def _dual_functional(space, orbit):
         raise DomainError("orbit data admits no dual eigenvector")
     w = kern[0]
     j = next(i for i, x in enumerate(w) if not x.is_zero())
+    inv = w[j].inverse()
+    table = _functional_table(space, K, [x * inv for x in w])
     for p, cp in orbit.coefficient_map.items():
-        if eigenvalue_from_functional(space, p, w, j) != cp:
+        if eigenvalue_from_functional(space, p, table, j) != cp:
             raise DomainError(
                 "dual eigenvector failed verification at prime %d" % p)
-    return w, j
+    return table, j
 
 
-def _embedded_series(orbit, count, digits):
-    """Numeric coefficients c_1..c_count under the designated embedding,
-    rounded to `digits` decimal digits; cached per digit count."""
+def _functional_table(space, field, w):
+    """(field, den, rows): rows[k][i] / den is the k-th coordinate of the
+    K-row w applied to the quotient coordinates of the i-th P^1 point."""
+    den, rows = (QMatrix.from_rows(space._symbol_coords) * QMatrix.from_rows(
+        [x.coeffs for x in w])).transpose().integer_rows()
+    return field, den, rows
+
+
+def _require_series(orbit, count):
+    """The orbit's exact series; TruncationError unless it reaches count."""
     series = orbit._series
     if series is None or len(series) <= count:
         have = 0 if series is None else len(series) - 1
@@ -139,10 +149,14 @@ def _embedded_series(orbit, count, digits):
             "orbit carries %d q-expansion coefficients but %d are needed; "
             "call ensure_series first" % (have, count),
             required_order=count)
-    cache = orbit._embedded.get(digits)
-    if cache is None:
-        cache = [mp.mpf(0)]
-        orbit._embedded[digits] = cache
+    return series
+
+
+def _embedded_series(orbit, count, digits):
+    """Numeric coefficients c_1..c_count under the designated embedding,
+    rounded to `digits` decimal digits; cached per digit count."""
+    series = _require_series(orbit, count)
+    cache = orbit._embedded.setdefault(digits, [mp.mpf(0)])
     if len(cache) > count:
         return cache
     emb = orbit.designated_embedding()
@@ -150,10 +164,8 @@ def _embedded_series(orbit, count, digits):
     with mp.workdps(digits + 10):
         while len(cache) <= count:
             val = series[len(cache)]
-            if isinstance(val, NFElement):
-                fr = emb.approx(val, eps)
-            else:
-                fr = Fraction(val)
+            fr = emb.approx(val, eps) if isinstance(val, NFElement) \
+                else Fraction(val)
             cache.append(mp.mpf(fr.numerator) / mp.mpf(fr.denominator))
     return cache
 
@@ -179,9 +191,7 @@ def period_integral(orbit, gamma, terms, precision):
         raise DomainError("matrix is not in the level-%d subgroup" % orbit.N)
     if c == 0:
         raise DomainError("degenerate path: lower-left entry is zero")
-    precision = int(precision)
-    if precision < 1:
-        raise DomainError("precision must be a positive digit count")
+    precision = positive_precision(precision)
     terms = int(terms)
     need = required_terms(c, precision)
     if terms < need:
@@ -197,9 +207,7 @@ def period_integral(orbit, gamma, terms, precision):
         i2pi = 2 * mp.pi * mp.mpc(0, 1)
         q1 = mp.exp(i2pi * mp.mpc(mp.mpf(a) / c, mp.mpf(1) / c))
         q0 = mp.exp(i2pi * mp.mpc(mp.mpf(-d) / c, mp.mpf(1) / c))
-        total = mp.mpc(0)
-        pow1 = mp.mpc(1)
-        pow0 = mp.mpc(1)
+        total, pow1, pow0 = mp.mpc(0), mp.mpc(1), mp.mpc(1)
         for n in range(1, terms + 1):
             pow1 *= q1
             pow0 *= q0
@@ -271,21 +279,12 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     largest required term count (TruncationError reports it otherwise).
     """
     precision = positive_precision(precision)
-    gammas = []
-    for item in basis:
-        g = item if len(item) == 4 else item[0]
-        gammas.append(tuple(int(x) for x in g))
+    gammas = [tuple(int(x) for x in (item if len(item) == 4 else item[0]))
+              for item in basis]
     if not gammas:
         raise DomainError("homology basis is empty")
     needs = [required_terms(g[2], precision) for g in gammas]
-    top = max(needs)
-    series = orbit._series
-    if series is None or len(series) <= top:
-        have = 0 if series is None else len(series) - 1
-        raise TruncationError(
-            "orbit carries %d q-expansion coefficients but %d are needed; "
-            "call ensure_series first" % (have, top),
-            required_order=top)
+    _require_series(orbit, max(needs))
     values = []
     digits = []
     floor_err = mp.mpf(10) ** (-(precision + 5))

@@ -5,7 +5,9 @@ kept separate from the package so the two routes share no code.  The
 routes that the package replaced (Gauss-Jordan over K for kernels and
 eigenvectors, Fraction Horner for primary blocks, and the two Hecke routes
 that Heilbronn matrices superseded: Merel's determinant-p family and the
-degeneracy-coset paths, for whole matrices and single columns, the search
+degeneracy-coset paths, for whole matrices and single columns, the
+Heilbronn family itself as a list of matrices, which the walk mod N
+replaced, LLL with Gram-Schmidt data in Fractions, the search
 for cusp labels by Cremona's equivalence criterion, and real embeddings
 by interval Horner over Fractions with the Keane probe on field elements)
 live on here; they reuse the package's field, matrix and path arithmetic
@@ -136,6 +138,58 @@ def fraction_rref(rows, cols):
     return m, pivots
 
 
+def fraction_lll(rows, delta=Fraction(3, 4)):
+    """LLL on Fractions that derives its Gram-Schmidt data afresh from the
+    rows instead of updating it.
+
+    The loop, the rounding q = floor(mu + 1/2), the full size reduction
+    before each Lovasz test and the test itself are those of the package's
+    integral LLL, so the two return the same rows.  Whenever row k is
+    read or changed, its mu_kj and squared norm are recomputed in
+    Fractions from the integer Gram matrix (an exact LDL^T over rows 0..k),
+    so no update formula is shared.
+    """
+    b = [list(map(int, r)) for r in rows]
+    if not b:
+        return []
+    n = len(b)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
+
+    def project(i):
+        # rows 0..i-1 must be current
+        for j in range(i + 1):
+            s = Fraction(sum(x * y for x, y in zip(b[i], b[j])))
+            for t in range(j):
+                s -= mu[j][t] * mu[i][t] * norms[t]
+            if j < i:
+                mu[i][j] = s / norms[j]
+            else:
+                norms[i] = s
+
+    for i in range(n):
+        project(i)
+        if norms[i] == 0:
+            raise DomainError("lattice rows must be linearly independent")
+    k = 1
+    while k < n:
+        project(k)
+        for j in range(k - 1, -1, -1):
+            f = mu[k][j]
+            q = (2 * f.numerator + f.denominator) // (2 * f.denominator)
+            if q:
+                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
+                project(k)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            if k == 1:
+                project(0)
+            k = max(k - 1, 1)
+    return b
+
+
 def span_coordinates(basis, vec):
     """The unique coefficients c with sum c_k basis[k] = vec, or None if vec
     is outside the span; basis vectors must be independent."""
@@ -253,6 +307,40 @@ def fraction_poly_at_matrix(poly, mat):
         out = [[sum((x * a[t][j] for t, x in enumerate(row) if x), c * (i == j))
                 for j in range(n)] for i, row in enumerate(out)]
     return QMatrix.from_rows(out)
+
+
+def heilbronn(p):
+    """Cremona's Heilbronn matrices (a, b, c, d) of determinant p.
+
+    (1, 0, 0, p), then for each |r| <= p/2 the matrix (p, -r, 0, 1) and
+    one more per step of the nearest-integer continued fraction of -p/r.
+    """
+    if not is_prime(p):
+        raise DomainError("expected a prime, got %d" % p)
+    if p == 2:
+        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    fam = [(1, 0, 0, p)]
+    for r in range(-(p // 2), p // 2 + 1):
+        a, b, h = -p, r, (p, -r, 0, 1)
+        fam.append(h)
+        while b:
+            q = (2 * a + b) // (2 * b)        # nearest integer to a/b
+            a, b = -b, a - q * b
+            h = (h[1], q * h[1] - h[0], h[3], q * h[3] - h[2])
+            fam.append(h)
+    return fam
+
+
+def heilbronn_images(N, c, d, p):
+    """Points (c:d)h of P^1(Z/N), h in the Heilbronn family of p, as
+    reduced pairs; pairs that are not points (only when p | N) drop out."""
+    out = []
+    for (ma, mb, mc, md) in heilbronn(p):
+        c2 = (c * ma + d * mc) % N
+        d2 = (c * mb + d * md) % N
+        if gcd(c2, d2, N) == 1:
+            out.append((c2, d2))
+    return out
 
 
 def merel_family(p):

@@ -3,21 +3,22 @@ from fractions import Fraction
 import pytest
 
 from modfol.arith import is_prime, next_prime, primes_up_to
+from modfol.congruence import P1Space
 from modfol.errors import DomainError
 from modfol.hecke import (
-    _column,
     cuspidal_hecke_matrix,
     eigenvalue_from_functional,
     hecke_matrix,
-    heilbronn,
     qexp_from_primes,
 )
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
+from modfol.numfield import NumberField
+from modfol.periods import _functional_table
 from modfol.polys import QPolynomial, factor_poly, parse_poly
 
 from oracles import (eta_product_qexp, hecke_column_paths, hecke_matrix_merel,
-                     hecke_matrix_paths)
+                     hecke_matrix_paths, heilbronn, heilbronn_images)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +56,34 @@ class TestFamily:
                 assert a * d - b * c == p
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9, 91])
-    def test_non_prime_raises(self, n):
+    def test_non_prime_raises(self, spaces, n):
         with pytest.raises(DomainError):
             heilbronn(n)
+        space = spaces[11]
+        with pytest.raises(DomainError):
+            space.p1.heilbronn_counts(1, 1, n)
+        with pytest.raises(DomainError):
+            hecke_matrix(space, n)
+        K = NumberField(QPolynomial([0, 1]))
+        table = _functional_table(space, K, [K.one()] * space.dim)
+        with pytest.raises(DomainError):
+            eigenvalue_from_functional(space, n, table, 0)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("N", [11, 22, 23, 33, 37, 97])
+    def test_walk_counts_the_family_images(self, N):
+        # the same multiset, at three points per prime; p | N included,
+        # where the images that are not points drop out of both
+        p1 = P1Space(N)
+        n = len(p1)
+        for p in primes_up_to(299):
+            for i in {0, p % n, (3 * p + 1) % n}:
+                c, d = p1.reps[i]
+                family = [0] * n
+                for x in heilbronn_images(N, c, d, p):
+                    family[p1.index(*x)] += 1
+                assert p1.heilbronn_counts(c, d, p) == family, (p, i)
 
 
 class TestOracleRoutes:
@@ -72,7 +98,7 @@ class TestOracleRoutes:
         space = spaces[N]
         for p in primes_up_to(499):
             j = p % space.dim
-            assert _column(space, heilbronn(p), j) == \
+            assert hecke_matrix(space, p).col(j) == \
                 hecke_column_paths(space, p, j), p
 
 
@@ -160,6 +186,10 @@ class TestFunctionalRoute:
         assert len(rows) == 2
         row = rows[0]
         j = next(i for i, x in enumerate(row) if x != 0)
+        # tabulated over Q as a degree-1 field, scaled to 1 at j
+        K = NumberField(QPolynomial([0, 1]))
+        table = _functional_table(space, K, [K.from_rational(x / row[j])
+                                             for x in row])
         eta = eta_product_qexp(11, 30)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-            assert eigenvalue_from_functional(space, p, row, j) == eta[p], p
+            assert eigenvalue_from_functional(space, p, table, j) == eta[p], p

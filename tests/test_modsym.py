@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from modfol.congruence import curve_data, mat_mul, moebius_apply
-from modfol.errors import DimensionError, DomainError
+from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 
@@ -102,6 +102,28 @@ class TestPaths:
             v = spaces[N].path(Fraction(0), None)
             assert any(x != 0 for x in v)
             assert not spaces[N].is_cuspidal(v)
+
+
+class TestBoundaryCheck:
+    @pytest.mark.parametrize("N,bad", [(11, 5), (37, 0), (37, 29)])
+    def test_corrupted_symbol_is_named(self, monkeypatch, N, bad):
+        # add the free coordinate with a nonzero boundary to one symbol:
+        # its divisor no longer matches, and the one-product check names it
+        clean = ModularSymbolSpace(N)
+        f = next(k for k in range(clean.dim)
+                 if any(row[k] for row in clean._boundary))
+        build = ModularSymbolSpace._build_quotient
+
+        def corrupted(self):
+            build(self)
+            vec = self._symbol_coords[bad]
+            self._symbol_coords[bad] = tuple(x + (k == f)
+                                             for k, x in enumerate(vec))
+
+        monkeypatch.setattr(ModularSymbolSpace, "_build_quotient", corrupted)
+        with pytest.raises(InternalInvariantError,
+                           match=r"at symbol %d$" % bad):
+            ModularSymbolSpace(N)
 
 
 class TestIntegerCoordinates:

@@ -15,6 +15,7 @@ from modfol.errors import (
     PrecisionError,
     TruncationError,
 )
+from modfol import periods
 from modfol.hecke import cuspidal_hecke_matrix
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
@@ -26,7 +27,7 @@ from modfol.periods import (
     period_integral,
     required_terms,
 )
-from oracles import eta_product_qexp
+from oracles import eta_product_qexp, fraction_lll
 
 # Real period of the rank-0 elliptic curve of conductor 11, computed two
 # independent ways (quadrature on the Weierstrass model, and this package's
@@ -93,6 +94,29 @@ def test_lll_input_validation():
     assert lll_reduce([]) == []
 
 
+def _relation_lattice(rng, n, planted):
+    """Rows (e_i, v_i) with v_i of 20 to 60 digits; a planted relation
+    makes one v_k a small combination of the earlier ones, up to rounding."""
+    scale = 10 ** rng.randint(20, 60)
+    vals = [rng.randrange(-scale, scale) for _ in range(n)]
+    if planted:
+        k = rng.randrange(1, n)
+        vals[k] = sum(rng.randint(-9, 9) * v for v in vals[:k]) \
+            + rng.randint(-2, 2)
+    return [[int(i == j) for j in range(n)] + [v] for i, v in enumerate(vals)]
+
+
+def test_lll_matches_fraction_oracle():
+    # 200 lattices of dimensions 2-8, half with planted relations; the
+    # small dimensions come more often because the oracle's cost grows
+    # steeply with the dimension
+    dims = (2,) * 6 + (3,) * 5 + (4,) * 3 + (5,) * 3 + (6, 7, 8)
+    rng = random.Random(20261018)
+    for t in range(200):
+        rows = _relation_lattice(rng, dims[t % len(dims)], t % 2 == 0)
+        assert lll_reduce(rows) == fraction_lll(rows), t
+
+
 # -- term-count bookkeeping -------------------------------------------------------------
 
 
@@ -118,6 +142,30 @@ def test_series_matches_eta_product():
         assert series[n] == K.from_rational(eta[n])
     for p in (2, 3, 5, 7, 13, 101, 149):
         assert orbit.coefficient_map[p] == K.from_rational(eta[p])
+
+
+def test_corrupted_functional_table_fails_verification(monkeypatch):
+    # one table entry that the walk at a verified prime reads is changed:
+    # the exact check at that prime must refuse the functional
+    space, (orbit,) = level(23)
+    p = min(orbit.coefficient_map)
+    tabulate = periods._functional_table
+
+    def corrupted(space, field, w):
+        field, den, rows = tabulate(space, field, w)
+        j = next(i for i, x in enumerate(w) if not x.is_zero())
+        c, d = space.p1.reps[space.free_symbols[j]]
+        counts = space.p1.heilbronn_counts(c, d, p)
+        first = next(i for i, m in enumerate(counts) if m)
+        rows = [list(row) for row in rows]
+        rows[0][first] += 1
+        return field, den, rows
+
+    periods._dual_functional(space, orbit)      # the clean table passes
+    monkeypatch.setattr(periods, "_functional_table", corrupted)
+    with pytest.raises(DomainError,
+                       match="dual eigenvector failed verification"):
+        periods._dual_functional(space, orbit)
 
 
 def test_series_level_mismatch_and_possibly_old():

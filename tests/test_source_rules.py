@@ -6,7 +6,9 @@
   level in two modules.
 * The prime helpers live in `arith` alone.
 * The Hecke routes that Heilbronn matrices replaced (Merel's family and
-  the degeneracy-coset paths) live in the test oracles alone.
+  the degeneracy-coset paths), and the Heilbronn family as a list of
+  matrices, which the walk mod N replaced, live in the test oracles alone;
+  only `congruence` reads the P^1 table that the walk runs on.
 * QMatrix is the one integer matrix core: no module defines its own
   denominator clearing or integer matrix product, and only `linalg`
   reads the storage of a QMatrix.
@@ -14,6 +16,8 @@
   `linalg` reads rows by index list, nothing defines or calls a solve or
   the pivot-row restriction, and cusp equivalence by search lives in the
   test oracles alone.
+* LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
+  in the test oracles alone.
 * Real embeddings decide signs on integers: no interval arithmetic over
   Fractions is defined in the package.
 * eigen holds a vector over the eigenvalue field as one coordinate
@@ -77,7 +81,15 @@ def test_prime_helpers_live_in_arith():
 
 def test_replaced_hecke_routes_are_oracles_only():
     assert _defined_functions() & {"merel_family", "_coset_images",
-                                   "hecke_column_paths"} == set()
+                                   "hecke_column_paths", "heilbronn"} == set()
+    readers = {module for module, tree in TREES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "_table"}
+    assert readers == {"congruence"}
+
+
+def test_lll_runs_on_integers():
+    assert "_gram_schmidt_int" not in _defined_functions()
 
 
 def test_one_integer_matrix_core():
