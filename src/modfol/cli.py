@@ -4,22 +4,23 @@ Subcommands: genus, decompose, classify, periods, iet, torus.  Output is
 canonical JSON (sorted keys, compact separators) so repeated runs with
 identical inputs produce identical bytes, with or without the cache;
 --pretty switches to indented form.  Errors are also JSON, shaped
-{"error": ..., "hint": ...}, with exit codes 0 (success), 2 (usage),
-3 (computation failed), 4 (numerically indeterminate).  genus, decompose
-and classify accept --range A..B to process a batch of levels, one JSON
-line per level in ascending order, optionally on a process pool
-(--jobs), which is loaded only when --jobs asks for more than one
-worker.  main() builds its argument parser once per process and reuses
-it, so in-process callers pay for it once.  Level records are cached
-under $MODFOL_CACHE (default .modfol-cache/); explicit --primes runs
-bypass the cache, whose files describe the default decomposition only.
+{"error": ..., "hint": ...}, with exit codes 0 (success), 1 (stdout closed
+before all output was written), 2 (usage), 3 (computation failed), 4
+(numerically indeterminate).  genus, decompose and classify accept
+--range A..B to process a batch of at most 10,000 levels, one JSON line
+per level in ascending order, optionally on a process pool (--jobs),
+which is loaded only when --jobs asks for more than one worker.  Levels
+are bounded: at most 10^14 for genus, 2,000 for the others.  main() builds
+its argument parser once per process and reuses it, so in-process callers
+pay for it once.  Level records are cached under $MODFOL_CACHE (default
+.modfol-cache/); explicit --primes runs bypass the cache, whose files
+describe the default decomposition only.
 """
 
 import argparse
 import functools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -43,6 +44,9 @@ _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
 _MAX_W_POWER = 1000     # a length w^k is a dense list of k + 1 coefficients
 _MAX_STEPS = 10 ** 6    # a probe step costs about 5 us per cut compared
+_MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 6.5 s and 162 MB max RSS
+_MAX_GENUS_LEVEL = 10 ** 14     # trial division: 0.9 s at a prime near 10^14
+_MAX_RANGE = 10000      # levels in one --range batch
 
 
 class _UsageError(Exception):
@@ -227,8 +231,6 @@ def _decompose_handler(args):
     if args.primes is not None:
         if args.range is not None:
             raise _UsageError("--primes cannot be combined with --range")
-        if args.level is None:
-            raise _UsageError("--primes needs an explicit level N")
         primes = _parse_int_list(args.primes, "--primes")
         _emit(_decompose_obj(args.level, primes, False), args.pretty)
         return 0
@@ -353,19 +355,9 @@ def _run_levels(args, kind):
     """Dispatch one level or a --range batch for genus/decompose/classify."""
     use_cache = not getattr(args, "no_cache", True)
     if args.range is None:
-        if args.level is None:
-            raise _UsageError("give a level N or --range A..B")
         _emit(_single_level(kind, args.level, use_cache), args.pretty)
         return 0
-    if args.level is not None:
-        raise _UsageError("give either a level N or --range A..B, not both")
-    match = re.fullmatch(r"(\d+)\.\.(\d+)", args.range)
-    if not match:
-        raise _UsageError("--range must look like A..B, got %r" % args.range)
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if not 1 <= lo <= hi:
-        raise _UsageError("--range needs 1 <= A <= B")
-    tasks = [(kind, N, use_cache) for N in range(lo, hi + 1)]
+    tasks = [(kind, N, use_cache) for N in args.range]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -393,16 +385,34 @@ def _job_count(text):
     return min(jobs, os.cpu_count() or 1)
 
 
-def _step_count(text):
-    """--steps: at most _MAX_STEPS; a count below 1 is left to the probe."""
-    try:
-        steps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if steps > _MAX_STEPS:
-        raise argparse.ArgumentTypeError(
-            "at most %d steps, got %d" % (_MAX_STEPS, steps))
-    return steps
+def _at_most(bound, unit=""):
+    """argparse type: an integer of at most ``bound``; one below 1 is left to
+    the caller.  A longer digit string is refused before int() reads it."""
+    def integer(text):
+        digits = text.strip().lstrip("+0")
+        if (digits.isdecimal() and len(digits) > len(str(bound))
+                or int(text) > bound):
+            got = text if len(text) <= 20 else "%d characters" % len(text)
+            raise argparse.ArgumentTypeError(
+                "at most %d%s, got %s" % (bound, unit, got))
+        return int(text)
+    return integer
+
+
+def _level_range(bound):
+    """argparse type for --range A..B: range(A, B + 1) with
+    1 <= A <= B <= ``bound`` and at most _MAX_RANGE levels."""
+    level = _at_most(bound)
+
+    def level_range(text):
+        lo, dots, hi = text.partition("..")
+        lo, hi = level(lo), level(hi)
+        if not dots or not 1 <= lo <= hi < lo + _MAX_RANGE:
+            raise argparse.ArgumentTypeError(
+                "needs A..B with 1 <= A <= B, at most %d levels"
+                % _MAX_RANGE)
+        return range(lo, hi + 1)
+    return level_range
 
 
 @functools.cache
@@ -411,9 +421,6 @@ def _build_parser():
     shared.add_argument("--pretty", action="store_true",
                         help="indented JSON instead of one compact line")
     batch = argparse.ArgumentParser(add_help=False)
-    batch.add_argument("--range", metavar="A..B",
-                       help="process every level in the range, one JSON "
-                            "line per level")
     batch.add_argument("--jobs", type=_job_count, default=1, metavar="J",
                        help="worker processes for --range (default 1, at "
                             "most the number of CPUs)")
@@ -429,12 +436,10 @@ def _build_parser():
 
     genus = subs.add_parser("genus", parents=[shared, batch],
                             help="curve invariants of a level")
-    genus.add_argument("level", type=int, nargs="?")
     genus.set_defaults(handler=_genus_handler)
 
     decompose = subs.add_parser("decompose", parents=[shared, batch, cached],
                                 help="orbit decomposition of a level")
-    decompose.add_argument("level", type=int, nargs="?")
     decompose.add_argument("--primes", metavar="P1,P2,...",
                            help="use exactly these primes (bypasses the "
                                 "cache)")
@@ -442,14 +447,24 @@ def _build_parser():
 
     classify = subs.add_parser("classify", parents=[shared, batch, cached],
                                help="foliation class of each orbit")
-    classify.add_argument("level", type=int, nargs="?")
     classify.add_argument("--orbit", type=int, metavar="K",
                           help="report a single orbit")
     classify.set_defaults(handler=_classify_handler)
+    for sub, bound in ((genus, _MAX_GENUS_LEVEL), (decompose, _MAX_LEVEL),
+                       (classify, _MAX_LEVEL)):
+        level = sub.add_mutually_exclusive_group(required=True)
+        level.add_argument("level", type=_at_most(bound), nargs="?",
+                           help="the level N, at most %d" % bound)
+        level.add_argument("--range", type=_level_range(bound),
+                           metavar="A..B",
+                           help="process every level in the range, one JSON "
+                                "line per level; at most %d levels, B at "
+                                "most %d" % (_MAX_RANGE, bound))
 
     periods = subs.add_parser("periods", parents=[shared, cached],
                               help="period vector and rank of one orbit")
-    periods.add_argument("level", type=int)
+    periods.add_argument("level", type=_at_most(_MAX_LEVEL),
+                         help="the level N, at most %d" % _MAX_LEVEL)
     periods.add_argument("--orbit", type=int, required=True, metavar="K")
     periods.add_argument("--prec", type=int, default=60, metavar="D",
                          help="working precision in digits (default 60)")
@@ -467,7 +482,8 @@ def _build_parser():
     iet.add_argument("--poly", metavar="C0,C1,...",
                      help="defining polynomial of w, ascending "
                           "coefficients")
-    iet.add_argument("--steps", type=_step_count, default=10000,
+    iet.add_argument("--steps", type=_at_most(_MAX_STEPS, " steps"),
+                     default=10000,
                      metavar="S",
                      help="orbit steps for the minimality probe (default "
                           "10000, at most %d). A k-interval exchange follows "
@@ -485,6 +501,18 @@ def _build_parser():
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (piped into head, say): point it at
+        # devnull, so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv):
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as err:

@@ -4,12 +4,14 @@ Coefficients are stored ascending as Fractions; the zero polynomial has an
 empty coefficient tuple and degree -1.
 
 Factorization over Q is complete and deterministic: Yun's squarefree
-decomposition, then for each squarefree part a monic reduction, Berlekamp
-factorization modulo the first usable odd prime, quadratic Hensel lifting to
-beyond the Mignotte bound, and subset recombination with exact trial
-division.  Factors come back monic, sorted by degree then coefficients.
+decomposition, then for each squarefree part a monic reduction, factorization
+modulo the first usable odd prime by distinct-degree then equal-degree
+splitting (Cantor-Zassenhaus), quadratic Hensel lifting to beyond the
+Mignotte bound, and subset recombination with exact trial division.
+Factors come back monic, sorted by degree then coefficients.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
@@ -24,10 +26,7 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_gfp_trim([_frac(c) for c in coeffs]))
 
     # -- basics -----------------------------------------------------------
 
@@ -126,9 +125,7 @@ class QPolynomial:
         lead = other.coeffs[-1]
         while True:
             # trimming the top zeros also stops at a zero remainder
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
+            if len(_gfp_trim(r)) - 1 < d:
                 break
             k = len(r) - 1 - d
             c = r[-1] / lead
@@ -317,38 +314,54 @@ def isolate_real_roots(p):
 
 
 def _gfp_trim(a):
+    """Drop the top zero coefficients of a dense ascending list, in place."""
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
 def _zp_mul(a, b, m):
-    """Product in (Z/m)[x]: m is p for Berlekamp, a power of p for Hensel."""
+    """Product in (Z/m)[x]: m is p for the factorisation mod p, a power of p
+    for Hensel lifting."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % m
-    return _gfp_trim(out)
+                out[i + j] += ca * cb
+    return _gfp_trim([c % m for c in out])
 
 
-def _zp_sub(a, b, m):
-    """Difference in (Z/m)[x], both operands reduced."""
+def _zp_prod(factors, m):
+    """Product of a list of polynomials in (Z/m)[x]."""
+    out = [1]
+    for g in factors:
+        out = _zp_mul(out, g, m)
+    return out
+
+
+def _zp_add(a, b, m):
+    """Sum in (Z/m)[x]."""
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = c % m
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
+        out[i] = (out[i] + c) % m
     return _gfp_trim(out)
 
 
+def _zp_sub(a, b, m):
+    """Difference in (Z/m)[x]."""
+    return _zp_add(a, [-c for c in b], m)
+
+
 def _gfp_divmod(a, b, p):
+    """divmod of reduced operands in (Z/p)[x]: p prime, or b monic."""
     if not b:
         raise ZeroDivisionError
     a = a[:]
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
         c = (a[-1] * inv) % p
@@ -357,17 +370,16 @@ def _gfp_divmod(a, b, p):
         for i, cb in enumerate(b):
             a[k + i] = (a[k + i] - c * cb) % p
         _gfp_trim(a)
-        if not a:
-            break
     return _gfp_trim(q), a
 
 
 def _gfp_gcd(a, b, p):
+    """Monic gcd in GF(p)[x]."""
     a, b = a[:], b[:]
     while b:
         a, b = b, _gfp_divmod(a, b, p)[1]
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [(c * inv) % p for c in a]
     return a
 
@@ -383,7 +395,7 @@ def _gfp_xgcd(a, b, p):
         s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
         t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
     if r0:
-        inv = pow(r0[-1], p - 2, p)
+        inv = pow(r0[-1], -1, p)
         r0 = [(c * inv) % p for c in r0]
         s0 = [(c * inv) % p for c in s0]
         t0 = [(c * inv) % p for c in t0]
@@ -391,130 +403,74 @@ def _gfp_xgcd(a, b, p):
 
 
 def _gfp_powmod(base, e, mod, p):
-    result = [1]
     base = _gfp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _gfp_divmod(_zp_mul(result, result, p), mod, p)[1]
+        if bit == "1":
             result = _gfp_divmod(_zp_mul(result, base, p), mod, p)[1]
-        base = _gfp_divmod(_zp_mul(base, base, p), mod, p)[1]
-        e >>= 1
     return result
 
 
-def _berlekamp(f, p):
-    """Monic irreducible factors of a monic squarefree f in GF(p)[x]."""
-    n = len(f) - 1
-    if n <= 1:
-        return [f]
-    # Frobenius matrix: column i holds x^(i*p) mod f
-    xp = _gfp_powmod([0, 1], p, f, p)
-    cols = [[1] + [0] * (n - 1)]
-    cur = [1]
-    for _ in range(1, n):
-        cur = _gfp_divmod(_zp_mul(cur, xp, p), f, p)[1]
-        cols.append(cur + [0] * (n - len(cur)))
-    # kernel of (Q - I) over GF(p); Q has columns cols
-    m = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)]
-         for i in range(n)]
-    basis = _gfp_nullspace(m, p)
-    r = len(basis)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for v in basis:
-        vv = _gfp_trim(list(v))
-        if len(vv) <= 1:          # the constant vector never splits anything
-            continue
-        for c in range(p):
-            if len(factors) == r:
-                return sorted(factors, key=_poly_sort_key)
-            nxt = []
-            for g in factors:
-                if len(g) - 1 <= 1:
-                    nxt.append(g)
-                    continue
-                vc = _zp_sub(vv, [c], p)
-                h = _gfp_gcd(vc, g, p)
-                if 0 < len(h) - 1 < len(g) - 1:
-                    nxt.append(h)
-                    nxt.append(_gfp_divmod(g, h, p)[0])
-                else:
-                    nxt.append(g)
-            factors = nxt
-    if len(factors) != r:
-        raise InternalInvariantError(
-            "Berlekamp basis failed to separate all factors")
+_SPLIT_ATTEMPTS = 64    # each attempt splits with probability about 1/2
+
+
+def _gfp_factor(f, p):
+    """Monic irreducible factors of a monic squarefree f in GF(p)[x], p odd.
+
+    Distinct-degree factorisation: gcd(f, x^(p^d) - x) is the product of the
+    factors of degree d, and once 2d exceeds the degree left, what is left
+    is irreducible.  Each part is then split by equal-degree factorisation.
+    """
+    rng = random.Random(0)
+    factors = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _gfp_powmod(h, p, f, p)
+        g = _gfp_gcd(f, _zp_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            factors += _gfp_equal_degree(g, d, p, rng)
+            f = _gfp_divmod(f, g, p)[0]
+    if len(f) > 1:
+        factors.append(f)
     return sorted(factors, key=_poly_sort_key)
+
+
+def _gfp_equal_degree(g, d, p, rng):
+    """Split a monic g, a product of irreducibles of degree d, into them.
+
+    For a random a, a^((p^d - 1)/2) is 1 modulo about half of the factors
+    of g, so gcd(g, a^((p^d - 1)/2) - 1) splits g.
+    """
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    for _ in range(_SPLIT_ATTEMPTS):
+        a = _gfp_trim([rng.randrange(p) for _ in range(n)])
+        s = _gfp_gcd(g, _zp_sub(_gfp_powmod(a, e, g, p), [1], p), p)
+        if 0 < len(s) - 1 < n:
+            return (_gfp_equal_degree(s, d, p, rng)
+                    + _gfp_equal_degree(_gfp_divmod(g, s, p)[0], d, p, rng))
+    raise InternalInvariantError(
+        "no equal-degree split of a degree-%d product in %d attempts"
+        % (n, _SPLIT_ATTEMPTS))
 
 
 def _poly_sort_key(g):
     return (len(g), tuple(reversed(g)))
 
 
-def _gfp_nullspace(m, p):
-    """Nullspace basis of a square matrix over GF(p) (list of rows)."""
-    n = len(m)
-    m = [row[:] for row in m]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for pc, pr in pivots.items():
-            v[pc] = (-m[pr][c]) % p
-        basis.append(v)
-    return basis
-
-
 # -- Hensel lifting ------------------------------------------------------------
-
-
-def _zp_add(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _zp_divmod_monic(a, b, m):
     """Division by a monic b in (Z/m)[x]."""
     if not b or b[-1] != 1:
         raise InternalInvariantError("divisor is not monic")
-    a = [c % m for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] = (a[k + i] - c * cb) % m
-        while a and a[-1] == 0:
-            a.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, a
+    return _gfp_divmod(_gfp_trim([c % m for c in a]), b, m)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -549,28 +505,18 @@ def _hensel_lift_pair(f, g, h, p, target):
     return g, h, m
 
 
-def _hensel_lift_tree(f, factors, p, target):
-    """Lift a list of monic coprime factors of monic f from mod p to mod >= target."""
+def _hensel_lift_tree(f, factors, p, m):
+    """Lift a list of monic coprime factors of monic f from mod p to mod m.
+
+    m is p squared up k times and f is reduced mod m; so is every lift.
+    """
     if len(factors) == 1:
-        return [[c % _pow_at_least(p, target) for c in f]]
+        return [f]
     k = len(factors) // 2
-    g = [1]
-    for fac in factors[:k]:
-        g = _zp_mul(g, fac, p)
-    h = [1]
-    for fac in factors[k:]:
-        h = _zp_mul(h, fac, p)
-    g_, h_, m = _hensel_lift_pair(f, g, h, p, target)
-    left = _hensel_lift_tree(g_, factors[:k], p, m)
-    right = _hensel_lift_tree(h_, factors[k:], p, m)
-    return [[c % m for c in fac] for fac in left + right]
-
-
-def _pow_at_least(p, target):
-    m = p
-    while m < target:
-        m *= m
-    return m
+    g, h, m = _hensel_lift_pair(f, _zp_prod(factors[:k], p),
+                                _zp_prod(factors[k:], p), p, m)
+    return (_hensel_lift_tree(g, factors[:k], p, m)
+            + _hensel_lift_tree(h, factors[k:], p, m))
 
 
 # -- Zassenhaus over Z (monic squarefree) --------------------------------------
@@ -598,29 +544,27 @@ def _zx_divmod_monic(a, b):
         q[k] = c
         for i, cb in enumerate(b):
             a[k + i] -= c * cb
-        while a and a[-1] == 0:
-            a.pop()
+        _gfp_trim(a)
     return q if not a else None
 
 
 def _factor_monic_squarefree_z(f):
     """Monic irreducible Z[x] factors of a monic squarefree integer poly."""
-    n = len(f) - 1
-    if n <= 1:
-        return [f]
-    # pick the first odd prime where f stays squarefree
+    # pick the first odd prime where f (monic, so of full degree mod p)
+    # stays squarefree
     p = 3
     while True:
         fp = [c % p for c in f]
-        if len(_gfp_trim(fp[:])) == n + 1:
-            if len(_gfp_gcd(fp, _gfp_trim([(i * c) % p for i, c in enumerate(fp)][1:]), p)) == 1:
-                break
+        if len(_gfp_gcd(fp, _gfp_trim([(i * c) % p for i, c in enumerate(fp)][1:]), p)) == 1:
+            break
         p = next_prime(p)
-    modular = _berlekamp([c % p for c in f], p)
+    modular = _gfp_factor(fp, p)
     if len(modular) == 1:
         return [f]
     bound = 2 * _mignotte_bound(f) + 1
-    m = _pow_at_least(p, bound)
+    m = p
+    while m < bound:
+        m *= m
     lifted = _hensel_lift_tree([c % m for c in f], modular, p, m)
     # recombination
     remaining = list(range(len(lifted)))
@@ -632,14 +576,8 @@ def _factor_monic_squarefree_z(f):
         while found:
             found = False
             for subset in combinations(remaining, size):
-                cand = [1]
-                for i in subset:
-                    cand = _zp_mul(cand, lifted[i], m)
-                cand = [_sym(c, m) for c in cand]
-                while cand and cand[-1] == 0:
-                    cand.pop()
-                if cand[-1] != 1:
-                    continue
+                cand = _zp_prod([lifted[i] for i in subset], m)
+                cand = _gfp_trim([_sym(c, m) for c in cand])
                 if rest[0] != 0 and cand[0] != 0 and rest[0] % cand[0] != 0:
                     continue
                 q = _zx_divmod_monic(rest, cand)
@@ -753,7 +691,6 @@ def _parse_poly(text, var):
         raise DomainError("empty polynomial")
     # split into signed terms
     terms = []
-    i = 0
     cur = ""
     for ch in s:
         if ch in "+-" and cur and cur[-1] not in "+-^*/(":

@@ -398,6 +398,106 @@ def test_range_usage_errors():
     assert run("genus")[0] == 2
 
 
+# -- level and range bounds --------------------------------------------------------------
+
+
+BIG = "9" * 5000    # int() alone would refuse this with a ValueError
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["decompose", "2000"], 2000),
+    (["classify", "2000"], 2000),
+    (["periods", "2000", "--orbit", "0"], 2000),
+    (["genus", str(10 ** 14)], 10 ** 14),
+])
+def test_level_at_bound_is_accepted(argv, value):
+    assert _build_parser().parse_args(argv).level == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "2001"],
+    ["decompose", "2001", "--primes", "2"],
+    ["classify", "2001"],
+    ["classify", "2001", "--orbit", "0"],
+    ["periods", "2001", "--orbit", "0"],
+    ["genus", str(10 ** 14 + 1)],
+    ["decompose", BIG],
+    ["genus", BIG],
+])
+def test_level_above_bound_is_usage_error(argv):
+    code, obj = run_json(*argv)
+    assert code == 2 and set(obj) == {"error", "hint"}
+    assert "at most" in obj["error"]
+
+
+def test_genus_at_bound_runs():
+    code, obj = run_json("genus", str(10 ** 14))
+    assert code == 0 and obj["N"] == 10 ** 14
+
+
+@pytest.mark.parametrize("argv", [["genus", "0"], ["genus", "-5"],
+                                  ["decompose", "0"], ["decompose", "-5"]])
+def test_level_below_one_is_computation_error(argv):
+    assert run(*argv)[0] == 3
+
+
+@pytest.mark.parametrize("argv,levels", [
+    (["genus", "--range", "1..10000"], range(1, 10001)),
+    (["genus", "--range", "%d..%d" % (10 ** 14 - 9999, 10 ** 14)],
+     range(10 ** 14 - 9999, 10 ** 14 + 1)),
+    (["decompose", "--range", "1991..2000"], range(1991, 2001)),
+    (["classify", "--range", "1..2000"], range(1, 2001)),
+])
+def test_range_at_bounds_is_accepted(argv, levels):
+    assert _build_parser().parse_args(argv).range == levels
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["genus", "--range", "1..10001"], "at most 10000 levels"),
+    (["genus", "--range", "5..10005"], "at most 10000 levels"),
+    (["genus", "--range", "%d..%d" % (10 ** 14 - 9998, 10 ** 14 + 1)],
+     "at most 100000000000000"),
+    (["decompose", "--range", "1992..2001"], "at most 2000"),
+    (["classify", "--range", "1992..2001"], "at most 2000"),
+    (["genus", "--range", "1.." + BIG], "at most 100000000000000"),
+    (["genus", "--range", BIG + ".." + BIG], "at most 100000000000000"),
+])
+def test_range_above_bounds_is_usage_error(argv, message):
+    code, obj = run_json(*argv)
+    assert code == 2 and set(obj) == {"error", "hint"}
+    assert message in obj["error"]
+
+
+def test_oversized_range_fails_as_json_in_a_child(tmp_path):
+    # before the bounds, int() raised a ValueError here and the CLI printed
+    # a traceback with exit code 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "modfol.cli", "genus", "--range", "1.." + BIG],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        timeout=30)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert "at most" in json.loads(proc.stdout)["error"]
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the reader stops after one line, as `modfol genus --range ... | head -1`
+    # does; the rest of the batch meets a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modfol.cli", "genus", "--range", "1..10000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env=_child_env())
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert json.loads(first)["N"] == 1
+    assert stderr == b""
+
+
 # -- parser reuse -------------------------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ import pytest
 import sympy
 
 from modfol.errors import DomainError, InternalInvariantError
+import modfol.polys
 from modfol.polys import (
+    _gfp_factor,
     _hensel_lift_pair,
     _zp_divmod_monic,
     QPolynomial,
@@ -212,6 +214,94 @@ class TestFactor:
         fs = factor_poly(p)
         keys = [(f.degree, f.coeffs) for f, _ in fs]
         assert keys == sorted(keys)
+
+
+class TestFactorModP:
+    """The factorisation mod p that Hensel lifting starts from, against
+    sympy's factorisation over GF(p)."""
+
+    PRIMES = (3, 5, 7, 11, 31)
+
+    @staticmethod
+    def sympy_factors(f, p):
+        """Monic irreducible factors over residues 0..p-1, sorted like
+        _gfp_factor's: by length, then by coefficients from the top."""
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly(f[::-1], x, modulus=p).factor_list()
+        out = []
+        for g, mult in factors:
+            assert mult == 1
+            cs = [int(c) % p for c in reversed(g.all_coeffs())]
+            inv = pow(cs[-1], -1, p)
+            out.append([c * inv % p for c in cs])
+        return sorted(out, key=lambda g: (len(g), g[::-1]))
+
+    @staticmethod
+    def monic_product(factors, p):
+        x = sympy.Symbol("x")
+        prod = sympy.Poly(1, x, modulus=p)
+        for g in factors:
+            prod *= sympy.Poly(g[::-1], x, modulus=p)
+        return [int(c) % p for c in reversed(prod.all_coeffs())]
+
+    def check(self, f, p):
+        got = _gfp_factor(f, p)
+        assert got == self.sympy_factors(f, p)
+        assert _gfp_factor(f, p) == got
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_random_squarefree(self, p):
+        rng = random.Random(p)
+        x = sympy.Symbol("x")
+        checked = 0
+        while checked < 8:
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 20))] + [1]
+            if not sympy.Poly(f[::-1], x, modulus=p).is_sqf:
+                continue
+            self.check(f, p)
+            checked += 1
+
+    @pytest.mark.parametrize("p,d", [(3, 3), (3, 4), (5, 1), (5, 2),
+                                     (7, 3), (11, 1), (31, 2)])
+    def test_many_factors_of_one_degree(self, p, d):
+        # four or more distinct irreducibles of degree d: the distinct-degree
+        # step returns them as one part, which the equal-degree step must
+        # split all the way down
+        rng = random.Random(100 * p + d)
+        x = sympy.Symbol("x")
+        count = 4 + rng.randrange(2)
+        chosen = set()
+        while len(chosen) < count:
+            g = tuple([rng.randrange(p) for _ in range(d)] + [1])
+            if sympy.Poly(g[::-1], x, modulus=p).is_irreducible:
+                chosen.add(g)
+        factors = [list(g) for g in chosen]
+        f = self.monic_product(factors, p)
+        assert _gfp_factor(f, p) == sorted(factors,
+                                           key=lambda g: (len(g), g[::-1]))
+        self.check(f, p)
+
+    @pytest.mark.parametrize("n", [2, 7, 20])
+    def test_distinct_degree_stops_at_half_the_degree(self, n, monkeypatch):
+        # an irreducible f of degree n has no factor of degree <= n/2, so it
+        # is known irreducible after n // 2 Frobenius powers x^(p^d) mod f
+        p = 5
+        rng = random.Random(n)
+        x = sympy.Symbol("x")
+        while True:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            if sympy.Poly(f[::-1], x, modulus=p).is_irreducible:
+                break
+        calls = []
+        powmod = modfol.polys._gfp_powmod
+
+        def counted(base, e, mod, q):
+            calls.append(e)
+            return powmod(base, e, mod, q)
+
+        monkeypatch.setattr(modfol.polys, "_gfp_powmod", counted)
+        assert _gfp_factor(f, p) == [f]
+        assert calls == [p] * (n // 2)
 
 
 class TestSturm:

@@ -23,6 +23,9 @@
 * eigen holds a vector over the eigenvalue field as one coordinate
   matrix: no per-entry row product, scalar action or lift is defined, and
   no field wrapper beside NumberField.
+* QMatrix.rref is the one Gauss-Jordan body: polynomials factor modulo p
+  by distinct-degree and equal-degree splitting, with no Berlekamp matrix
+  and no elimination over GF(p) of their own.
 """
 
 import ast
@@ -127,3 +130,7 @@ def test_real_embeddings_run_on_integers():
 def test_one_field_vector_form_in_eigen():
     assert _defined_functions() & {"_row_dot", "_scalar_action",
                                    "_lift_through", "eigen_field"} == set()
+
+
+def test_one_gauss_jordan_body():
+    assert _defined_functions() & {"_berlekamp", "_gfp_nullspace"} == set()
