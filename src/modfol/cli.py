@@ -38,11 +38,10 @@ from .numfield import NumberField
 from .periods import (detect_rank, ensure_series, numeric_jacobian,
                       positive_precision, rank_precision, required_terms)
 from .pipeline import analyze_level, orbit_from_record, rat_to_json
-from .polys import QPolynomial
+from .polys import MAX_POWER, QPolynomial, parse_poly
 
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
-_MAX_W_POWER = 1000     # a length w^k is a dense list of k + 1 coefficients
 _MAX_STEPS = 10 ** 6    # a probe step costs about 5 us per cut compared
 _MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 6.5 s and 162 MB max RSS
 _MAX_GENUS_LEVEL = 10 ** 14     # trial division: 0.9 s at a prime near 10^14
@@ -175,51 +174,6 @@ def _parse_fraction(text, what):
                           "got %r" % (what, text))
 
 
-def _parse_combo(text):
-    """Parse one length token: rational, or polynomial in w.
-
-    Accepts sums of terms c, c*w, c*w^k, w, w^k with rational c; returns
-    a {power: Fraction} dict.
-    """
-    raw = text.replace(" ", "")
-    if not raw:
-        raise _UsageError("empty length entry")
-    pieces = []
-    for i, ch in enumerate(raw):
-        if ch == "-" and i > 0 and raw[i - 1] not in "+-*^/":
-            pieces.append("+")
-        pieces.append(ch)
-    combo = {}
-    for term in "".join(pieces).split("+"):
-        if not term:
-            raise _UsageError("malformed length entry %r" % text)
-        if "w" in term:
-            head, _, tail = term.partition("w")
-            if head in ("", "-"):
-                coeff = Fraction(-1 if head else 1)
-            elif head.endswith("*"):
-                coeff = _parse_fraction(head[:-1], "length coefficient")
-            else:
-                raise _UsageError("malformed length entry %r (write c*w)"
-                                  % text)
-            if tail.startswith("^") and tail[1:].isdecimal():
-                digits = tail[1:].lstrip("0") or "0"
-                if len(digits) > 4 or int(digits) > _MAX_W_POWER:
-                    raise _UsageError("length entry %r: powers of w above "
-                                      "w^%d are not accepted"
-                                      % (text, _MAX_W_POWER))
-                power = int(digits)
-            elif tail:
-                raise _UsageError("malformed length entry %r" % text)
-            else:
-                power = 1
-            combo[power] = combo.get(power, Fraction(0)) + coeff
-        else:
-            combo[0] = combo.get(0, Fraction(0)) \
-                + _parse_fraction(term, "length entry")
-    return combo
-
-
 # -- subcommand handlers ---------------------------------------------------------------
 
 
@@ -286,14 +240,16 @@ def _periods_handler(args):
 
 
 def _iet_handler(args):
-    combos = [_parse_combo(tok) for tok in args.lengths.split(",")]
+    try:
+        polys = [parse_poly(tok, var="w") for tok in args.lengths.split(",")]
+    except ModfolError as err:
+        raise _UsageError("bad --lengths: %s" % err)
     perm = _parse_int_list(args.perm, "--perm")
     if args.poly is None:
-        if any(set(c) - {0} for c in combos):
+        if any(p.degree > 0 for p in polys):
             raise _UsageError("lengths use the generator w; pass its "
                               "defining polynomial with --poly")
-        lengths = [c.get(0, Fraction(0)) for c in combos]
-        table = IET(lengths, perm)
+        table = IET([p.evaluate(0) for p in polys], perm)
         report = periodicity_report(table)
     else:
         coeffs = [_parse_fraction(c, "--poly coefficient")
@@ -302,13 +258,7 @@ def _iet_handler(args):
             field = NumberField(QPolynomial(coeffs))
         except ModfolError as err:
             raise _UsageError("bad --poly: %s" % err)
-        lengths = []
-        for combo in combos:
-            dense = [Fraction(0)] * (max(combo) + 1)
-            for power, coeff in combo.items():
-                dense[power] = coeff
-            lengths.append(field.element(dense))
-        table = IET(lengths, perm)
+        table = IET([field.from_poly(p) for p in polys], perm)
         report = minimality_probe(table, args.steps)
     _emit(report, args.pretty)
     return 0
@@ -476,7 +426,7 @@ def _build_parser():
     iet.add_argument("--lengths", required=True, metavar="L1,L2,...",
                      help="exact rationals like 1/2, or field elements "
                           "like 1+2*w or w^3, powers up to w^%d (then pass "
-                          "--poly)" % _MAX_W_POWER)
+                          "--poly)" % MAX_POWER)
     iet.add_argument("--perm", required=True, metavar="S1,S2,...",
                      help="one-line permutation, 1-based")
     iet.add_argument("--poly", metavar="C0,C1,...",

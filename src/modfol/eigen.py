@@ -25,7 +25,7 @@ checked product (QMatrix.restrict) and no system is solved.  Each block
 is restricted and factored once per prime, and a block that no prime
 splits hands its operators and irreducible factors on to its orbit.  The
 eigenvector of a new block comes from the adjugate of lam*I - T, with no
-elimination over the eigenvalue field.
+elimination over K, and that of a possibly-old block from eigenspace().
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .hecke import cuspidal_hecke_matrix
 from .linalg import QMatrix
-from .numfield import NFElement, NumberField, nf_kernel
+from .numfield import NFElement, NumberField, eigenspace, leading_entry
 from .polys import QPolynomial, factor_poly
 
 # primes auto_decompose tries before an undecided split propagates
@@ -114,7 +114,7 @@ def rescale_eigenvector(T, lam):
         raise DimensionError("rescale_eigenvector needs a square matrix")
     field = lam.field
     X = _adjugate_column(T, lam, T.charpoly())
-    X = X * _lead(X, field)[1].inverse().matrix()
+    X = X * leading_entry(X, field)[1].inverse().matrix()
     if T * X != X * lam.matrix():
         raise InternalInvariantError("rescaled vector is not an eigenvector")
     return _elements(X, field)
@@ -239,20 +239,14 @@ def _orbit_from_block(space, ps, block, mats, factors):
         best = max(q.degree for q in factors.values())
         p_star = min(p for p in ps if factors[p].degree == best)
         field = NumberField(factors[p_star], check=False)
-        m = mats[p_star]
-        rows = [[m[i, j] - field.gen() if i == j else m[i, j]
-                 for j in range(dim)] for i in range(dim)]
-        kernel = nf_kernel(field, rows)
-        if not kernel:
-            raise InternalInvariantError("field generator is not an eigenvalue")
-        local = QMatrix.from_rows([x.coeffs for x in kernel[0]])
+        local = eigenspace([(mats[p_star], field.gen())])[0]
     mult, rem = divmod(dim, field.degree)
     if rem != 0:
         raise InternalInvariantError("block dimension not a degree multiple")
 
     lam = field.gen()
     vec = block * local
-    lead, x = _lead(vec, field)
+    lead, x = leading_entry(vec, field)
     norm = x.inverse().matrix()
     local, vec = local * norm, vec * norm
     coeffs = {}
@@ -304,12 +298,6 @@ def _adjugate_column(T, lam, chi):
     raise MultiplicityError(
         "adj(lam*I - T) vanishes: rank(T - lam*I) < n - 1, so the "
         "eigenvalue is not simple")
-
-
-def _lead(X, field):
-    """(i, x): the first nonzero row of a coordinate matrix, and its element."""
-    i = next(i for i, row in enumerate(X.integer_rows()[1]) if any(row))
-    return i, NFElement(field, X.row(i))
 
 
 def _elements(X, field):

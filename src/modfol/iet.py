@@ -57,7 +57,7 @@ class IET:
             if isinstance(x, NFElement):
                 if field is None:
                     field = x.field
-                elif x.field is not field:
+                elif x.field != field:
                     raise DomainError("lengths mix distinct number fields")
         if field is None:
             vals = tuple(_as_fraction(x) for x in lengths)
@@ -70,7 +70,7 @@ class IET:
                 if not places:
                     raise DomainError("lengths need a field with a real place")
                 embedding = places[-1]
-            elif embedding.field is not field:
+            elif embedding.field != field:
                 raise DomainError("embedding belongs to a different field")
             vals = tuple(x if isinstance(x, NFElement)
                          else field.from_rational(_as_fraction(x))
@@ -109,7 +109,7 @@ class IET:
     def coerce(self, x):
         """Bring a point into this exchange's arithmetic world."""
         if isinstance(x, NFElement):
-            if self.field is None or x.field is not self.field:
+            if self.field is None or x.field != self.field:
                 raise DomainError("point lies in a different field")
             return x
         x = _as_fraction(x)

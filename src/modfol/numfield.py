@@ -1,17 +1,19 @@
-"""Number fields Q[x]/(f): exact arithmetic, kernels, real embeddings.
+"""Number fields Q[x]/(f): exact arithmetic, eigenspaces, real embeddings.
 
 Elements are coordinate vectors in the power basis 1, a, ..., a^(d-1) of a
-root a of the monic irreducible defining polynomial.  Real embeddings carry
-an isolating interval as integers over one common denominator and support
-exact sign queries and rational approximation to any requested accuracy:
-bisection and interval Horner run on integers, the exact zero test comes
-first, and no floating point enters any exact decision.
+root a of the monic irreducible defining polynomial, and a vector of K^n is
+the n x d rational matrix of their coordinates (see eigenspace).  Real
+embeddings carry an isolating interval as integers over one common
+denominator and support exact sign queries and rational approximation to
+any requested accuracy: bisection and interval Horner run on integers, the
+exact zero test comes first, and no floating point enters any exact
+decision.
 """
 
 from fractions import Fraction
 
 from .arith import _frac
-from .errors import DomainError, InternalInvariantError
+from .errors import DimensionError, DomainError, InternalInvariantError
 from .linalg import QMatrix
 from .polys import (
     QPolynomial,
@@ -267,29 +269,45 @@ def _as_nf(field, x):
     return field.from_rational(_frac(x))
 
 
-def nf_kernel(field, rows):
-    """Basis of the right kernel over the field, echelonized.
+def eigenspace(pairs):
+    """Basis over K of {X : A*X = X*c.matrix() for every pair (A, c)}.
 
-    Each basis vector has value 1 in its distinguishing (free) coordinate.
-    Solved over Q by restriction of scalars: entry x becomes the d x d block
-    x.matrix() transposed (column k holds the coordinates of x a^k), and
-    one rational echelon_kernel is cut back into d-blocks.  Restriction
-    commutes with row operations and maps a reduced echelon form to a
-    reduced echelon form, so the rational rref is the restriction of the
-    rref over K, and the rational kernel vector at free column c*d is the
-    kernel vector over K at free column c.
+    A is an n x n rational QMatrix, c an element of one field K of degree
+    d, and X the n x d coordinate matrix of a vector of K^n.  On the
+    row-major entries of X the equations are A (x) I_d - I_n (x) c.matrix()^T,
+    the restriction of scalars of A - c*I, which maps a reduced echelon form
+    over K to one over Q: the rational kernel vector at free column j*d is
+    the vector over K that is 1 at its free entry j, in free-entry order.
     """
-    if not rows:
-        return []
-    d = field.degree
-    qrows = []
-    for row in rows:
-        blocks = [_as_nf(field, x).matrix() for x in row]
-        qrows += [[v for m in blocks for v in m.col(r)] for r in range(d)]
-    basis, free = QMatrix.from_rows(qrows).echelon_kernel()
+    if not pairs:
+        raise DomainError("eigenspace needs at least one (matrix, value) pair")
+    field = pairs[0][1].field
+    n, d = pairs[0][0].rows, field.degree
+    rows = []
+    for A, c in pairs:
+        if (A.rows, A.cols) != (n, n):
+            raise DimensionError("eigenspace needs square matrices of one size")
+        if c.field != field:
+            raise DomainError("eigenvalues lie in different fields")
+        # the system times den_A * den_c, which leaves its kernel alone
+        den_a, a = A.integer_rows()
+        den_c, ct = c.matrix().transpose().integer_rows()
+        for i, arow in enumerate(a):
+            for r, crow in enumerate(ct):
+                row = [den_c * x if k == r else 0 for x in arow for k in range(d)]
+                for k, z in enumerate(crow):
+                    row[i * d + k] -= den_a * z
+                rows.append(row)
+    basis, free = QMatrix.from_rows(rows).echelon_kernel()
     vectors = (basis.col(k) for k, f in enumerate(free) if f % d == 0)
-    return [[NFElement(field, v[c:c + d]) for c in range(0, len(v), d)]
+    return [QMatrix.from_rows([v[j:j + d] for j in range(0, n * d, d)])
             for v in vectors]
+
+
+def leading_entry(X, field):
+    """(i, x): the first nonzero row of a coordinate matrix, and its element."""
+    i = next(i for i, row in enumerate(X.integer_rows()[1]) if any(row))
+    return i, NFElement(field, X.row(i))
 
 
 # -- real embeddings ----------------------------------------------------------------

@@ -7,9 +7,9 @@ Integrating that differential along the closed loops attached to group
 elements gives the classical periods.  Three layers live here:
 
 * exact coefficients: :func:`ensure_series` extends an orbit's q-expansion
-  to any order through a dual eigenvector tabulated once on P^1, so the
-  coefficient at a prime p is one integer dot product with the counts of
-  its O(p log p) Heilbronn images;
+  to any order through a dual eigenvector from numfield.eigenspace,
+  tabulated once on P^1, so the coefficient at a prime p is one integer
+  dot product with the counts of its O(p log p) Heilbronn images;
 * numerics: :func:`period_integral` evaluates the loop integral for a
   single group element by summing the antiderivative series at the two
   endpoints of a balanced path, and :func:`numeric_jacobian` collects the
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hecke import eigenvalue_from_functional, hecke_matrix, qexp_from_primes
 from .linalg import QMatrix, lll_reduce, unimodular_with_first_row
-from .numfield import NFElement, nf_kernel
+from .numfield import NFElement, eigenspace, leading_entry
 
 # Extra decimal digits carried internally beyond the requested precision.
 _GUARD = 25
@@ -103,28 +103,18 @@ def _dual_functional(space, orbit):
     """(table, j): a dual eigenvector w of the orbit, scaled once so that
     w[j] = 1, tabulated on every Manin symbol (see _functional_table).
 
-    The joint left kernel of the verified operators cuts out exactly this
-    orbit's dual block, so any w in it, with w^T T_p = c_p w^T, gives the
-    coefficients of this orbit alone.  The table is re-checked exactly
-    against every verified eigenvalue before use.
+    The joint eigenspace of the verified pairs (T_p^T, c_p) cuts out
+    exactly this orbit's dual block, so any w in it, with w^T T_p = c_p w^T,
+    gives the coefficients of this orbit alone.  The table is re-checked
+    exactly against every verified eigenvalue before use.
     """
     K = orbit.field
-    dim = space.dim
-    rows = []
-    for p in sorted(orbit.coefficient_map):
-        cp = orbit.coefficient_map[p]
-        m = hecke_matrix(space, p)
-        for i in range(dim):
-            row = [K.from_rational(m[k, i]) for k in range(dim)]
-            row[i] = row[i] - cp
-            rows.append(row)
-    kern = nf_kernel(K, rows)
+    kern = eigenspace([(hecke_matrix(space, p).transpose(), cp)
+                       for p, cp in sorted(orbit.coefficient_map.items())])
     if not kern:
         raise DomainError("orbit data admits no dual eigenvector")
-    w = kern[0]
-    j = next(i for i, x in enumerate(w) if not x.is_zero())
-    inv = w[j].inverse()
-    table = _functional_table(space, K, [x * inv for x in w])
+    j, x = leading_entry(kern[0], K)
+    table = _functional_table(space, K, kern[0] * x.inverse().matrix())
     for p, cp in orbit.coefficient_map.items():
         if eigenvalue_from_functional(space, p, table, j) != cp:
             raise DomainError(
@@ -132,11 +122,12 @@ def _dual_functional(space, orbit):
     return table, j
 
 
-def _functional_table(space, field, w):
+def _functional_table(space, field, W):
     """(field, den, rows): rows[k][i] / den is the k-th coordinate of the
-    K-row w applied to the quotient coordinates of the i-th P^1 point."""
-    den, rows = (QMatrix.from_rows(space._symbol_coords) * QMatrix.from_rows(
-        [x.coeffs for x in w])).transpose().integer_rows()
+    dual vector with coordinate matrix W on the i-th P^1 point's quotient
+    coordinates: the integer rows of (symbol coordinates * W)^T."""
+    coords = QMatrix.from_rows(space._symbol_coords)
+    den, rows = (coords * W).transpose().integer_rows()
     return field, den, rows
 
 

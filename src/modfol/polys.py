@@ -19,6 +19,9 @@ from math import isqrt, lcm
 from .arith import _frac, next_prime
 from .errors import DomainError, InternalInvariantError
 
+# highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
+MAX_POWER = 1000
+
 
 class QPolynomial:
     """Dense univariate polynomial over Q, coefficients ascending."""
@@ -60,10 +63,6 @@ class QPolynomial:
     @classmethod
     def x(cls):
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     # -- ring operations ----------------------------------------------------
 
@@ -678,10 +677,13 @@ def format_poly(p, var="x"):
 
 
 def parse_poly(text, var="x"):
-    """Parse expressions like 'x^2 - x - 1' or '2*x^3 + 1/2' into a QPolynomial."""
+    """Parse expressions like 'x^2 - x - 1' or '2*x^3 + 1/2' into a QPolynomial;
+    a power above MAX_POWER is refused before its digits are read."""
     try:
         return _parse_poly(text, var)
-    except (ValueError, IndexError) as exc:
+    except DomainError:
+        raise
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise DomainError("malformed polynomial %r" % text) from exc
 
 
@@ -715,9 +717,13 @@ def _parse_poly(text, var):
             else:
                 coef = Fraction(head.rstrip("*"))
             if tail.startswith("^"):
-                power = int(tail[1:])
-                if power < 0:
-                    raise DomainError("negative exponent in %r" % term)
+                exponent = tail[1:]
+                if (len(exponent.lstrip("+0")) > len(str(MAX_POWER))
+                        or not 0 <= int(exponent) <= MAX_POWER):
+                    raise DomainError(
+                        "powers of %s below %s^0 or above %s^%d are not "
+                        "accepted" % (var, var, var, MAX_POWER))
+                power = int(exponent)
             elif tail == "":
                 power = 1
             else:

@@ -13,14 +13,13 @@ import pytest
 
 import modfol
 from modfol import cache
-from modfol.cli import (_build_parser, _error_code_hint, _iet_handler,
-                        _parse_combo, main)
+from modfol.cli import _build_parser, _error_code_hint, _iet_handler, main
 from modfol.errors import (DomainError, IndeterminateRankError,
                            InternalInvariantError, NoCuspFormsError,
                            PrecisionError, TruncationError,
                            UndecidedSplitError, WrongCaseError)
 from modfol.numfield import NumberField
-from modfol.polys import QPolynomial
+from modfol.polys import QPolynomial, parse_poly
 
 
 @pytest.fixture(autouse=True)
@@ -282,11 +281,10 @@ def test_iet_length_power_above_bound_is_usage_error():
 
 
 def test_iet_length_power_at_bound():
-    combo = _parse_combo("w^1000")
-    assert combo == {1000: 1}
+    poly = parse_poly("w^1000", var="w")
+    assert poly == QPolynomial.x() ** 1000
     field = NumberField(QPolynomial([-1, -1, 1]))
-    dense = [combo.get(k, 0) for k in range(1001)]
-    assert field.element(dense) == field.gen() ** 1000
+    assert field.from_poly(poly) == field.gen() ** 1000
     code, obj = run_json("iet", "--lengths", "1,w^1000", "--perm", "2,1",
                          "--poly=-1,-1,1", "--steps", "5")
     assert code == 0 and obj["keane_violations"] == []
@@ -322,6 +320,17 @@ def test_iet_zero_steps_is_domain_error():
 def test_iet_bad_length_token():
     code, obj = run_json("iet", "--lengths", "1/2,zebra", "--perm", "2,1")
     assert code == 2
+
+
+def test_iet_lengths_use_the_polynomial_grammar():
+    # 2w and w**2 are parse_poly's; a zero denominator is a usage error
+    code, obj = run_json("iet", "--lengths", "2w,w**2", "--perm", "2,1",
+                         "--poly=-1,-1,1", "--steps", "5")
+    assert code == 0 and obj["keane_violations"] == []
+    for lengths in ("1/0,1", "1,w/0", "1,", "1,2*w^-1"):
+        code, obj = run_json("iet", "--lengths", lengths, "--perm", "2,1",
+                             "--poly=-1,-1,1")
+        assert code == 2, lengths
 
 
 # -- batches ----------------------------------------------------------------------------

@@ -65,7 +65,8 @@ class TestFamily:
         with pytest.raises(DomainError):
             hecke_matrix(space, n)
         K = NumberField(QPolynomial([0, 1]))
-        table = _functional_table(space, K, [K.one()] * space.dim)
+        ones = QMatrix.from_rows([[1]] * space.dim)
+        table = _functional_table(space, K, ones)
         with pytest.raises(DomainError):
             eigenvalue_from_functional(space, n, table, 0)
 
@@ -188,8 +189,8 @@ class TestFunctionalRoute:
         j = next(i for i, x in enumerate(row) if x != 0)
         # tabulated over Q as a degree-1 field, scaled to 1 at j
         K = NumberField(QPolynomial([0, 1]))
-        table = _functional_table(space, K, [K.from_rational(x / row[j])
-                                             for x in row])
+        table = _functional_table(space, K, QMatrix.from_rows(
+            [[x / row[j]] for x in row]))
         eta = eta_product_qexp(11, 30)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
             assert eigenvalue_from_functional(space, p, table, j) == eta[p], p

@@ -93,6 +93,22 @@ def test_constructor_validation():
         IET([], [])
 
 
+def test_equal_fields_are_one_field():
+    # two separately built copies of Q(phi) are one field; Q(sqrt 2) is not
+    K1, K2 = (NumberField(QPolynomial([-1, -1, 1])) for _ in range(2))
+    assert K1 is not K2
+    T = IET([K1.one(), K2.gen()], [2, 1])
+    assert T.coerce(K2.gen()) == K1.gen()
+    assert iet_apply(T, K2.from_rational(0)) == K1.gen()
+    assert IET([K1.one(), K1.gen()], [2, 1],
+               embedding=K2.real_embeddings()[-1]).total == K2.gen() + 1
+    other = NumberField(QPolynomial([-2, 0, 1]))
+    with pytest.raises(DomainError, match="distinct number fields"):
+        IET([K1.one(), other.gen()], [2, 1])
+    with pytest.raises(DomainError, match="different field"):
+        T.coerce(other.gen())
+
+
 def test_negative_field_length_rejected():
     # under the default (largest) embedding the generator is positive, but
     # its Galois mate is negative: selecting the small root must fail

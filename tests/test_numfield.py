@@ -5,9 +5,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from modfol.errors import DomainError, InternalInvariantError
+from modfol.eigen import auto_decompose
+from modfol.errors import DimensionError, DomainError, InternalInvariantError
+from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
-from modfol.numfield import NumberField, RealEmbedding, nf_kernel
+from modfol.modsym import ModularSymbolSpace
+from modfol.numfield import NumberField, RealEmbedding, eigenspace
 from modfol.polys import QPolynomial, isolate_real_roots, parse_poly
 
 from oracles import FractionEmbedding, elimination_nf_kernel
@@ -111,36 +114,50 @@ class TestFieldArithmetic:
         assert a - 1 == -(1 - a)
 
 
-_KERNEL_FIELDS = [NumberField(parse_poly(f)) for f in (
-    "x - 3", "x^2 - 2", "x^2 - x - 1", "x^3 - x^2 - 2*x + 1",
-    "x^4 - 4*x^2 + 2")]
+_EIGEN_FIELDS = [NumberField(parse_poly(f)) for f in (
+    "x^2 - x - 1", "x^3 - x - 1")]
 _RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
 @st.composite
-def _nf_systems(draw):
-    """(K, rows) for a field K of degree 1-4 and up to 6 x 7 rows over K:
-    dense or a product of rank below the shape, with some rows replaced by
-    zero rows or by rows of plain rationals; rows is [] when m = 0."""
-    K = draw(st.sampled_from(_KERNEL_FIELDS))
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 7))
-    elt = st.lists(_RATIONALS, min_size=K.degree,
-                   max_size=K.degree).map(K.element)
-    if draw(st.booleans()):
-        rows = [[draw(elt) for _ in range(n)] for _ in range(m)]
+def _eigen_systems(draw):
+    """(K, pairs, floor): 1-3 pairs (A, c), A an n x n rational matrix with
+    n <= 5 and c in K, and a lower bound on the eigenspace dimension.
+
+    A is dense and c random, or A = [[M, X], [0, R]] + t*I with M the
+    matrix of the generator g and c = g + t, which has an eigenvector.  A
+    further pair is random, or (A^2 + s*A, c^2 + s*c), which keeps every
+    eigenvector of the first pair.
+    """
+    K = draw(st.sampled_from(_EIGEN_FIELDS))
+    d = K.degree
+    n = draw(st.integers(1, 5))
+    elt = st.lists(_RATIONALS, min_size=d, max_size=d).map(K.element)
+
+    def dense():
+        return [[draw(_RATIONALS) for _ in range(n)] for _ in range(n)]
+
+    often = st.sampled_from([True, True, True, False])
+    rows = dense()
+    if n >= d and draw(often):
+        t = draw(_RATIONALS)
+        m = K.gen().matrix()
+        rows = [[m[i, j] if i < d else 0 for j in range(d)] + row[d:]
+                for i, row in enumerate(rows)]
+        A = QMatrix.from_rows(rows) + QMatrix.identity(n).scale(t)
+        pairs, floor = [(A, K.gen() + t)], 1
     else:
-        r = draw(st.integers(0, max(min(m, n) - 1, 0)))
-        left = [[draw(elt) for _ in range(r)] for _ in range(m)]
-        right = [[draw(elt) for _ in range(n)] for _ in range(r)]
-        rows = [[sum((a[k] * right[k][j] for k in range(r)), K.zero())
-                 for j in range(n)] for a in left]
-    for i in range(m):
-        kind = draw(st.sampled_from(["field", "field", "zero", "rational"]))
-        if kind == "zero":
-            rows[i] = [K.zero()] * n
-        elif kind == "rational":
-            rows[i] = [draw(_RATIONALS) for _ in range(n)]
-    return K, rows
+        A = QMatrix.from_rows(rows)
+        pairs, floor = [(A, draw(elt))], 0
+    c = pairs[0][1]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(often):
+            s = draw(_RATIONALS)
+            pairs.append((A * A + A.scale(s), c * c + s * c))
+        else:
+            pairs.append((QMatrix.from_rows(dense()), draw(elt)))
+            floor = 0
+    return K, pairs, floor
 
 
 _MATRIX_FIELDS = [NumberField(parse_poly(f)) for f in (
@@ -191,30 +208,76 @@ class TestMultiplicationMatrix:
         assert rem.as_expr() == poly((a * b).coeffs).as_expr()
 
 
-class TestLinearAlgebra:
-    def test_kernel(self, golden_ratio_field):
-        K = golden_ratio_field
-        a = K.gen()
-        # rank-1 matrix [[1, a]] has kernel spanned by (-a, 1)
-        basis = nf_kernel(K, [[K.one(), a]])
-        assert len(basis) == 1
-        v = basis[0]
-        assert v[0] + a * v[1] == K.zero()
-        assert v[1] == K.one()
-
-    def test_rref_pivots(self, sqrt2_field):
-        K = sqrt2_field
-        a = K.gen()
-        rows = [[a, a * a], [K.one(), a]]     # second row = first / a
-        # rref is the single row [1, a], so the kernel is spanned by (-a, 1)
-        assert nf_kernel(K, rows) == [[-a, K.one()]]
+class TestEigenspace:
+    """eigenspace(pairs): the joint eigenspace over K, as coordinate matrices."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
-    @given(_nf_systems())
+    @given(_eigen_systems())
     def test_matches_gauss_jordan_over_the_field(self, system):
-        K, rows = system
-        assert nf_kernel(K, rows) == elimination_nf_kernel(K, rows)
+        K, pairs, floor = system
+        n = pairs[0][0].rows
+        rows = [[A[i, j] - c if i == j else A[i, j] for j in range(n)]
+                for A, c in pairs for i in range(n)]
+        expected = [QMatrix.from_rows([x.coeffs for x in v])
+                    for v in elimination_nf_kernel(K, rows)]
+        got = eigenspace(pairs)
+        assert got == expected
+        assert len(got) >= floor
+        for X in got:
+            assert all(A * X == X * c.matrix() for A, c in pairs)
+
+    def test_second_pair_cuts_the_space(self, golden_ratio_field):
+        K = golden_ratio_field
+        m = K.gen().matrix()
+
+        def block_diagonal(top, bottom):
+            return QMatrix.from_rows([row + [0, 0] for row in top.to_rows()]
+                                     + [[0, 0] + row for row in bottom.to_rows()])
+
+        A = block_diagonal(m, m)
+        both = eigenspace([(A, K.gen())])
+        assert len(both) == 2
+        # the basis is 1 at its free entries, 1 and 3, in that order
+        assert [X.row(1) for X in both] == [[1, 0], [0, 0]]
+        assert [X.row(3) for X in both] == [[0, 0], [1, 0]]
+        # -M on the second block has eigenvalue -g there, so the pair
+        # (diag(M, -M), g) keeps only the first block
+        (X,) = eigenspace([(A, K.gen()), (block_diagonal(m, -m), K.gen())])
+        assert X == both[0]
+        assert X.row(2) == X.row(3) == [0, 0]
+
+    def test_bad_pairs(self, golden_ratio_field, sqrt2_field):
+        a, b = golden_ratio_field.gen(), sqrt2_field.gen()
+        square = QMatrix.identity(2)
+        with pytest.raises(DomainError):
+            eigenspace([])
+        with pytest.raises(DimensionError):
+            eigenspace([(QMatrix.zeros(2, 3), a)])
+        with pytest.raises(DimensionError):
+            eigenspace([(square, a), (QMatrix.identity(3), a)])
+        with pytest.raises(DomainError):
+            eigenspace([(square, a), (square, b)])
+
+    def test_dual_eigenspace_of_every_new_orbit(self):
+        # on the full symbol quotient an orbit's dual eigensystem appears
+        # once in each star half; the star pair (S^T, 1) keeps the +1 half
+        count = 0
+        for N in range(1, 60):
+            space = ModularSymbolSpace(N)
+            if space.genus == 0:
+                continue
+            star = space.star_matrix().transpose()
+            for orbit in auto_decompose(space):
+                if orbit.possibly_old:
+                    continue
+                pairs = [(hecke_matrix(space, p).transpose(), c)
+                         for p, c in orbit.coefficient_map.items()]
+                assert len(eigenspace(pairs)) == 2, (N, orbit)
+                plus = eigenspace(pairs + [(star, orbit.field.one())])
+                assert len(plus) == 1, (N, orbit)
+                count += 1
+        assert count == 53
 
 
 class TestRealEmbeddings:

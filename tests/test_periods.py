@@ -19,6 +19,7 @@ from modfol import periods
 from modfol.hecke import cuspidal_hecke_matrix
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
+from modfol.numfield import leading_entry
 from modfol.periods import (
     PeriodVector,
     detect_rank,
@@ -151,9 +152,9 @@ def test_corrupted_functional_table_fails_verification(monkeypatch):
     p = min(orbit.coefficient_map)
     tabulate = periods._functional_table
 
-    def corrupted(space, field, w):
-        field, den, rows = tabulate(space, field, w)
-        j = next(i for i, x in enumerate(w) if not x.is_zero())
+    def corrupted(space, field, W):
+        field, den, rows = tabulate(space, field, W)
+        j = leading_entry(W, field)[0]
         c, d = space.p1.reps[space.free_symbols[j]]
         counts = space.p1.heilbronn_counts(c, d, p)
         first = next(i for i, m in enumerate(counts) if m)

@@ -108,6 +108,18 @@ class TestFormatParse:
             with pytest.raises(DomainError):
                 parse_poly(bad)
 
+    def test_power_bound(self):
+        assert parse_poly("w^1000", var="w") == QPolynomial.x() ** 1000
+        assert parse_poly("x^0001000") == QPolynomial.x() ** 1000
+        for bad in ("w^1001", "2*w^01001", "w^99999999999999999999"):
+            with pytest.raises(DomainError, match=r"above w\^1000"):
+                parse_poly(bad, var="w")
+
+    def test_zero_denominator_is_a_domain_error(self):
+        for bad in ("1/0", "x/0 + 1", "1/0*x^2"):
+            with pytest.raises(DomainError, match="malformed"):
+                parse_poly(bad)
+
 
 class TestSquarefree:
     def test_decomposition_reassembles(self):

@@ -26,6 +26,14 @@
 * QMatrix.rref is the one Gauss-Jordan body: polynomials factor modulo p
   by distinct-degree and equal-degree splitting, with no Berlekamp matrix
   and no elimination over GF(p) of their own.
+* Linear systems over a number field are solved in eigen's coordinate
+  form, by numfield.eigenspace on rational operators: no `nf_kernel` on
+  lists of field elements.
+* polys.parse_poly is the one parser of polynomial text: the CLI has no
+  length parser (`_parse_combo`) of its own.
+* No dead code: every function, method and class of the package is
+  referenced by name in the package or its tests.  Dunder methods are
+  exempt, and so is `_Parser.error`, which argparse calls.
 """
 
 import ast
@@ -38,6 +46,8 @@ from modfol.linalg import QMatrix
 SOURCES = sorted(Path(modfol.__file__).resolve().parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
          for path in SOURCES}
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _defined_functions():
@@ -134,3 +144,33 @@ def test_one_field_vector_form_in_eigen():
 
 def test_one_gauss_jordan_body():
     assert _defined_functions() & {"_berlekamp", "_gfp_nullspace"} == set()
+
+
+def test_one_kernel_over_k_and_one_polynomial_parser():
+    assert _defined_functions() & {"nf_kernel", "_parse_combo"} == set()
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, name) of every definition under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFINITIONS):
+            yield prefix + child.name, child.name
+            yield from _definitions(child, prefix + child.name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_referenced():
+    names = set()
+    for path in SOURCES + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    unreferenced = {"%s.%s" % (module, qualified)
+                    for module, tree in TREES.items()
+                    for qualified, name in _definitions(tree)
+                    if name not in names
+                    and not (name.startswith("__") and name.endswith("__"))}
+    assert unreferenced - {"cli._Parser.error"} == set()
