@@ -236,10 +236,11 @@ def nf_rref(field, rows):
 
 
 def elimination_nf_kernel(field, rows):
-    """nf_kernel by Gauss-Jordan elimination over the field.
+    """Basis of the right kernel over the field by Gauss-Jordan elimination,
+    the oracle for numfield.eigenspace on the rows A - c*I.
 
-    Basis of the right kernel, echelonized; each basis vector has value 1
-    in its distinguishing (free) coordinate.
+    Echelonized; each basis vector has value 1 in its distinguishing
+    (free) coordinate.
     """
     if not rows:
         return []
