@@ -12,22 +12,27 @@ elements gives the classical periods.  Three layers live here:
   dot product with the counts of its O(p log p) Heilbronn images;
 * numerics: :func:`period_integral` evaluates the loop integral for a
   single group element by summing the antiderivative series at the two
-  endpoints of a balanced path, and :func:`numeric_jacobian` collects the
-  real parts over a whole homology basis into a :class:`PeriodVector`;
+  endpoints of a balanced path.  Both endpoints lie at height 1/|c|, so
+  their powers are r^n times c-th roots of unity, and the sum is one
+  integer fixed-point loop over a table of those roots, with a stated
+  error budget.  :func:`numeric_jacobian` collects the real parts over a
+  whole homology basis into a :class:`PeriodVector`;
 * arithmetic detection: :func:`detect_rank` finds the rank of the
   Z-module spanned by a list of real numbers via integral LLL,
   with explicit accept/reject thresholds and a hard error in between.
 
-All floating work uses mpmath with a guard margin over the requested
-decimal precision; all certificates (integer relations, eigenvalue
-checks) are verified exactly or against stated thresholds.
+All floating work carries a guard margin over the requested decimal
+precision, in mpmath or in integers scaled by a power of two; all
+certificates (integer relations, eigenvalue checks) are verified exactly
+or against stated thresholds.
 """
 
+import functools
 import math
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .congruence import gamma0_contains
 from .errors import (
@@ -167,11 +172,25 @@ def _embedded_series(orbit, count, digits):
 def period_integral(orbit, gamma, terms, precision):
     """Integral of the orbit's differential along the loop of `gamma`.
 
-    Returns (value, bound): a complex number and the reported error
-    estimate |c_terms| * exp(-2 pi terms / |c|).  The path runs from the
-    balanced base point z0 = (-d + i)/c to gamma z0 = (a + i)/c, where both
-    endpoints sit at height 1/|c|, and each endpoint is evaluated by the
-    truncated antiderivative series sum c_n / n * exp(2 pi i n z).
+    Returns (value, bound): a complex number rounded at precision + _GUARD
+    digits and the reported truncation estimate
+    |c_terms| * exp(-2 pi terms / |c|).  The path runs from the balanced
+    base point z0 = (-d + i)/c to gamma z0 = (a + i)/c (c > 0 after a sign
+    change of gamma), and the value is the truncated antiderivative series
+    sum c_n / n * (q1^n - q0^n), n <= terms, with q = exp(2 pi i z).  Both
+    endpoints sit at height 1/c, so q1^n = r^n zeta^(a n) and
+    q0^n = r^n zeta^(-d n) with r = exp(-2 pi / c) and zeta = exp(2 pi i / c):
+    the sum runs on integers scaled by 2^bits, over one table of the c-th
+    roots of unity, with r^n carried by one product and shift per term.
+
+    Error budget: r, each table entry and each c_n are truncated to
+    2^-bits once, and each term truncates twice more, so r^n is off by
+    under 2n units and each term by under 6 |c_n| + 10 units of 2^-bits.
+    Deligne's bound |c_n| <= d(n) sqrt(n) <= 2n keeps the whole sum off by
+    under 16 terms^2 units, and bits = digits * log2(10) + 2 * bitlen(terms)
+    + 16 puts that below 10^-digits / 4000.  The series truncation (the
+    bound above) and the rounding of each embedded c_n at 10^-(digits + 5)
+    are the other parts of the error.
 
     pre: gamma lies in the level subgroup with nonzero lower-left entry;
     the orbit's series (see ensure_series) reaches order `terms`, and
@@ -194,19 +213,44 @@ def period_integral(orbit, gamma, terms, precision):
         a, b, c, d = -a, -b, -c, -d
     digits = precision + _GUARD
     coeffs = _embedded_series(orbit, terms, digits)
+    bits = math.ceil(digits * math.log2(10)) + 2 * terms.bit_length() + 16
+    with mp.workprec(bits + 20):
+        r = _fixed(mp.exp(-2 * mp.pi / c), bits)
+    cos, sin = _unit_circle(c, bits)
+    re = im = 0
+    rn = 1 << bits
+    ka = kd = 0
+    step_a, step_d = a % c, -d % c
+    for n in range(1, terms + 1):
+        rn = rn * r >> bits
+        ka = (ka + step_a) % c
+        kd = (kd + step_d) % c
+        cn = coeffs[n]
+        if cn:
+            w = (_fixed(cn, bits) * rn >> bits) // n
+            re += w * (cos[ka] - cos[kd])
+            im += w * (sin[ka] - sin[kd])
     with mp.workdps(digits):
-        i2pi = 2 * mp.pi * mp.mpc(0, 1)
-        q1 = mp.exp(i2pi * mp.mpc(mp.mpf(a) / c, mp.mpf(1) / c))
-        q0 = mp.exp(i2pi * mp.mpc(mp.mpf(-d) / c, mp.mpf(1) / c))
-        total, pow1, pow0 = mp.mpc(0), mp.mpc(1), mp.mpc(1)
-        for n in range(1, terms + 1):
-            pow1 *= q1
-            pow0 *= q0
-            cn = coeffs[n]
-            if cn:
-                total += cn / n * (pow1 - pow0)
+        total = mp.mpc(mp.mpf((re, -2 * bits)), mp.mpf((im, -2 * bits)))
         bound = abs(coeffs[terms]) * mp.exp(-2 * mp.pi * terms / c)
     return total, bound
+
+
+def _fixed(x, bits):
+    """The mpf x as an integer scaled by 2**bits, truncated."""
+    return libmp.to_fixed(x._mpf_, bits)
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_circle(c, bits):
+    """(cos, sin): the c-th roots of unity e^(2 pi i k / c), k < c, as two
+    tuples of integers scaled by 2**bits; the paths of a homology basis
+    with the same |c| and term count share them."""
+    prec = bits + 20
+    roots = [libmp.mpf_cos_sin_pi(libmp.from_rational(2 * k, c, prec), prec)
+             for k in range(c)]
+    return (tuple(libmp.to_fixed(x, bits) for x, _ in roots),
+            tuple(libmp.to_fixed(y, bits) for _, y in roots))
 
 
 class PeriodVector:

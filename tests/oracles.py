@@ -7,7 +7,8 @@ eigenvectors, Fraction Horner for primary blocks, and the two Hecke routes
 that Heilbronn matrices superseded: Merel's determinant-p family and the
 degeneracy-coset paths, for whole matrices and single columns, the
 Heilbronn family itself as a list of matrices, which the walk mod N
-replaced, LLL with Gram-Schmidt data in Fractions, the search
+replaced, LLL with Gram-Schmidt data in Fractions, period integrals by
+complex powers in mpmath, which the fixed-point kernel replaced, the search
 for cusp labels by Cremona's equivalence criterion, and real embeddings
 by interval Horner over Fractions with the Keane probe on field elements)
 live on here; they reuse the package's field, matrix and path arithmetic
@@ -16,6 +17,8 @@ but none of the code they check.
 
 from fractions import Fraction
 from math import gcd
+
+from mpmath import mp
 
 from modfol.arith import is_prime
 from modfol.congruence import normalize_cusp
@@ -465,6 +468,29 @@ def search_cusp_count(N):
     def phi(n):
         return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
     return sum(phi(gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
+
+
+def power_loop_integral(coeffs, gamma, terms, digits):
+    """Loop integral of sum c_n q^n dq/q along gamma, as the mpmath loop
+    that the fixed-point kernel replaced: the antiderivative series
+    sum c_n / n * (q1^n - q0^n), n <= terms, with q1 and q0 the endpoints
+    (a + i)/c and (-d + i)/c mapped to the disc, and both powers carried
+    as complex numbers at `digits` decimal digits."""
+    a, b, c, d = gamma
+    if c < 0:
+        a, b, c, d = -a, -b, -c, -d
+    with mp.workdps(digits):
+        i2pi = 2 * mp.pi * mp.mpc(0, 1)
+        q1 = mp.exp(i2pi * mp.mpc(mp.mpf(a) / c, mp.mpf(1) / c))
+        q0 = mp.exp(i2pi * mp.mpc(mp.mpf(-d) / c, mp.mpf(1) / c))
+        total, pow1, pow0 = mp.mpc(0), mp.mpc(1), mp.mpc(1)
+        for n in range(1, terms + 1):
+            pow1 *= q1
+            pow0 *= q0
+            cn = coeffs[n]
+            if cn:
+                total += cn / n * (pow1 - pow0)
+    return total
 
 
 def eta_product_qexp(N, terms):

@@ -7,13 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import modfol
 from modfol import cache
-from modfol.cli import _build_parser, _error_code_hint, _iet_handler, main
+from modfol.cli import (_build_parser, _decimal, _error_code_hint,
+                        _iet_handler, main)
 from modfol.errors import (DomainError, IndeterminateRankError,
                            InternalInvariantError, NoCuspFormsError,
                            PrecisionError, TruncationError,
@@ -224,6 +226,40 @@ def test_periods_precision_rejected_before_series(monkeypatch, prec, message):
         separators=(",", ":")) + "\n")
 
 
+@pytest.mark.parametrize("prec", ["1001", "9" * 5000])
+def test_periods_precision_above_bound_is_usage_error(monkeypatch, prec):
+    def no_record(*args):
+        raise AssertionError("level record read for a refused --prec")
+    monkeypatch.setattr("modfol.cli._level_record", no_record)
+    code, obj = run_json("periods", "11", "--orbit", "0", "--prec", prec)
+    assert code == 2 and "at most 1000 digits" in obj["error"]
+
+
+def test_periods_precision_at_bound_is_accepted():
+    args = _build_parser().parse_args(
+        ["periods", "11", "--orbit", "0", "--prec", "1000"])
+    assert args.prec == 1000
+
+
+@pytest.mark.slow
+def test_periods_runs_at_precision_bound():
+    code, obj = run_json("periods", "11", "--orbit", "0", "--prec", "1000")
+    assert code == 0 and obj["value_digits"] == [1000, 1000]
+    assert obj["values"][0].startswith(
+        "-1.26920930427955342168879461675454730521949224")
+
+
+def test_decimal_zero_is_unsigned():
+    # a value that rounds to zero has no sign to show: its sign is noise
+    # below the last printed digit
+    assert _decimal(Fraction(-1, 10 ** 70), 60) == "0." + "0" * 60
+    assert _decimal(Fraction(1, 10 ** 70), 60) == "0." + "0" * 60
+    assert _decimal(Fraction(-2, 5), 0) == "0"
+    assert _decimal(Fraction(-1, 2), 0) == "-1"
+    assert _decimal(Fraction(-1, 10 ** 60), 60) == "-0." + "0" * 59 + "1"
+    assert _decimal(Fraction(-7, 4), 1) == "-1.8"
+
+
 def test_periods_old_orbit_reported_before_precision():
     code, obj = run_json("periods", "22", "--orbit", "0", "--prec", "20")
     assert code == 3 and "possibly_old" in obj["error"]
@@ -287,6 +323,25 @@ def test_iet_length_power_at_bound():
     assert field.from_poly(poly) == field.gen() ** 1000
     code, obj = run_json("iet", "--lengths", "1,w^1000", "--perm", "2,1",
                          "--poly=-1,-1,1", "--steps", "5")
+    assert code == 0 and obj["keane_violations"] == []
+
+
+@pytest.mark.parametrize("degree", [41, 10 ** 5])
+def test_iet_poly_degree_above_bound_is_usage_error(monkeypatch, degree):
+    # refused on the comma count: no coefficient is parsed
+    def no_parse(*args):
+        raise AssertionError("coefficient parsed for a refused --poly")
+    monkeypatch.setattr("modfol.cli._parse_fraction", no_parse)
+    poly = ",".join(["-2"] + ["0"] * (degree - 1) + ["1"])
+    code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                         "--poly=" + poly, "--steps", "5")
+    assert code == 2 and "degree at most 40" in obj["error"]
+
+
+def test_iet_poly_degree_at_bound():
+    poly = ",".join(["-2"] + ["0"] * 39 + ["1"])       # w^40 - 2
+    code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                         "--poly=" + poly, "--steps", "5")
     assert code == 0 and obj["keane_violations"] == []
 
 

@@ -28,7 +28,7 @@ from modfol.periods import (
     period_integral,
     required_terms,
 )
-from oracles import eta_product_qexp, fraction_lll
+from oracles import eta_product_qexp, fraction_lll, power_loop_integral
 
 # Real period of the rank-0 elliptic curve of conductor 11, computed two
 # independent ways (quadrature on the Weierstrass model, and this package's
@@ -228,6 +228,49 @@ def test_integral_doubling_terms_agrees():
     with mp.workdps(100):
         assert b1 > 0
         assert abs(v1 - v2) < b1
+
+
+def _assert_kernel_matches_loop(orbit, gammas, precision):
+    """The fixed-point kernel against the complex-power loop, both summed
+    on the same embedded coefficients, the loop at 40 more digits."""
+    digits = precision + periods._GUARD
+    top = max(required_terms(g[2], precision) for g in gammas)
+    coeffs = periods._embedded_series(orbit, top, digits)
+    tol = mp.mpf(10) ** -(precision + 20)
+    for g in gammas:
+        terms = required_terms(g[2], precision)
+        value, _ = period_integral(orbit, g, terms, precision)
+        reference = power_loop_integral(coeffs, g, terms, digits + 40)
+        with mp.workdps(digits + 40):
+            assert abs(value - reference) < tol, (g, precision)
+
+
+@pytest.mark.parametrize("N,k", [(11, 0), (23, 0), (37, 1), (43, 1)])
+def test_integral_kernel_matches_power_loop(N, k):
+    space, orbits = level(N)
+    gammas = [g for g, _ in space.homology_generators()]
+    ensure_series(space, orbits[k],
+                  max(required_terms(g[2], 80) for g in gammas))
+    for precision in (45, 60, 80):
+        _assert_kernel_matches_loop(orbits[k], gammas, precision)
+
+
+def test_integral_kernel_negative_and_multiple_c():
+    # level 30's basis has paths with c = 30, 2 * 30 and 3 * 30; each
+    # inverse has c < 0, and its period is the negated one
+    space, orbits = level(30)
+    orbit = next(o for o in orbits if not o.possibly_old)
+    gammas = [g for g, _ in space.homology_generators()]
+    assert {g[2] for g in gammas} == {30, 60, 90}
+    inverses = [(d, -b, -c, a) for a, b, c, d in gammas]
+    ensure_series(space, orbit, required_terms(90, 45))
+    _assert_kernel_matches_loop(orbit, gammas + inverses[-1:], 45)
+    for g, h in zip(gammas, inverses):
+        terms = required_terms(g[2], 45)
+        v, _ = period_integral(orbit, g, terms, 45)
+        w, _ = period_integral(orbit, h, terms, 45)
+        with mp.workdps(80):
+            assert abs(v + w) < mp.mpf(10) ** -65
 
 
 def test_integral_input_errors():

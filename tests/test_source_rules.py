@@ -31,6 +31,9 @@
   lists of field elements.
 * polys.parse_poly is the one parser of polynomial text: the CLI has no
   length parser (`_parse_combo`) of its own.
+* Period integrals have one summation body, the integer fixed-point
+  loop of `period_integral`: it makes no mpmath number per term, and the
+  complex-power loop it replaced lives in the test oracles alone.
 * No dead code: every function, method and class of the package is
   referenced by name in the package or its tests.  Dunder methods are
   exempt, and so is `_Parser.error`, which argparse calls.
@@ -148,6 +151,18 @@ def test_one_gauss_jordan_body():
 
 def test_one_kernel_over_k_and_one_polynomial_parser():
     assert _defined_functions() & {"nf_kernel", "_parse_combo"} == set()
+
+
+def test_period_integrals_sum_on_integers():
+    assert "power_loop_integral" not in _defined_functions()
+    (body,) = [node for node in ast.walk(TREES["periods"])
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "period_integral"]
+    loops = [node for node in ast.walk(body)
+             if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
+    assert not [node for node in ast.walk(loops[0])
+                if isinstance(node, ast.Name) and node.id == "mp"]
 
 
 def _definitions(node, prefix=""):
