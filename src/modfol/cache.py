@@ -29,24 +29,22 @@ def canonical_bytes(obj):
                        ensure_ascii=True) + "\n").encode("ascii")
 
 
-def cache_dir(directory=None):
-    """Resolve the cache directory (argument > env var > default)."""
-    if directory is not None:
-        return str(directory)
+def cache_dir():
+    """The cache directory: $MODFOL_CACHE, else .modfol-cache."""
     return os.environ.get("MODFOL_CACHE", ".modfol-cache")
 
 
-def record_path(level, directory=None):
-    return os.path.join(cache_dir(directory), "level-%d.bin" % int(level))
+def record_path(level):
+    return os.path.join(cache_dir(), "level-%d.bin" % int(level))
 
 
-def store(record, directory=None):
+def store(record):
     """Write a level record atomically; returns the path written."""
     level = int(record["level"])
     payload = canonical_bytes(record)
     header = _HEADER.pack(SCHEMA_VERSION, len(payload))
     blob = header + payload + hashlib.sha256(header + payload).digest()
-    path = record_path(level, directory)
+    path = record_path(level)
     folder = os.path.dirname(path) or "."
     os.makedirs(folder, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".level-%d." % level, dir=folder)
@@ -63,9 +61,9 @@ def store(record, directory=None):
     return path
 
 
-def load(level, directory=None):
+def load(level):
     """Return the cached record for a level, or None on any mismatch."""
-    path = record_path(level, directory)
+    path = record_path(level)
     try:
         with open(path, "rb") as handle:
             blob = handle.read()

@@ -20,41 +20,15 @@ from .errors import DomainError, InternalInvariantError
 # 2x2 integer matrices are flat tuples (a, b, c, d)
 
 
-def mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def mat_det(m):
     a, b, c, d = m
     return a * d - b * c
-
-
-def mat_inv_sl2(m):
-    """Inverse of a determinant-1 integer matrix."""
-    a, b, c, d = m
-    if a * d - b * c != 1:
-        raise DomainError("matrix does not have determinant 1")
-    return (d, -b, -c, a)
 
 
 def gamma0_contains(m, N):
     """Whether an integer matrix lies in Gamma0(N)."""
     a, b, c, d = m
     return a * d - b * c == 1 and c % N == 0
-
-
-def moebius_apply(m, x):
-    """Action of an integer matrix on P^1(Q); x is a Fraction or None for infinity."""
-    a, b, c, d = m
-    if x is None:
-        return Fraction(a, c) if c != 0 else None
-    num = a * x + b
-    den = c * x + d
-    if den == 0:
-        return None
-    return Fraction(num, den) if not isinstance(num, Fraction) else num / den
 
 
 def curve_data(N):
@@ -153,10 +127,6 @@ class P1Space:
         if i < 0:
             raise DomainError("(%d, %d) is not a point of P^1(Z/%d)" % (c, d, N))
         return i
-
-    def index_of_matrix(self, m):
-        """Index of the coset of an SL2(Z) matrix (by bottom row)."""
-        return self.index(m[2], m[3])
 
     def heilbronn_counts(self, c, d, p):
         """Multiplicities, indexed like reps, of the points (c:d)h over

@@ -30,14 +30,7 @@ class JacobianModule:
     __slots__ = ("field", "generators")
 
     def __init__(self, field, generators):
-        gens = []
-        for g in generators:
-            if isinstance(g, NFElement):
-                if g.field != field:
-                    raise DomainError("generator from a different field")
-                gens.append(g)
-            else:
-                gens.append(field.from_rational(g))
+        gens = [field.coerce(g) for g in generators]
         if not gens:
             raise DomainError("a Jacobian module needs at least one generator")
         self.field = field
@@ -88,12 +81,7 @@ def basis_change(J, A):
 
 def scale_module(J, mu):
     """Multiply every generator by a nonzero field element."""
-    if isinstance(mu, NFElement):
-        if mu.field != J.field:
-            raise DomainError("scalar from a different field")
-        m = mu
-    else:
-        m = J.field.from_rational(mu)
+    m = J.field.coerce(mu)
     if m.is_zero():
         raise DomainError("scaling by zero collapses the module")
     return JacobianModule(J.field, [m * g for g in J.generators])

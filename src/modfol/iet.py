@@ -108,12 +108,11 @@ class IET:
 
     def coerce(self, x):
         """Bring a point into this exchange's arithmetic world."""
-        if isinstance(x, NFElement):
-            if self.field is None or x.field != self.field:
-                raise DomainError("point lies in a different field")
-            return x
-        x = _as_fraction(x)
-        return x if self.field is None else self.field.from_rational(x)
+        if not isinstance(x, NFElement):
+            x = _as_fraction(x)
+        elif self.field is None:
+            raise DomainError("point lies in a different field")
+        return x if self.field is None else self.field.coerce(x)
 
     def interval_index(self, x):
         """0-based index of the piece containing x; x must lie in [0, total)."""
@@ -128,14 +127,6 @@ class IET:
             else:
                 hi = mid - 1
         return lo
-
-    def invert(self):
-        """The inverse exchange (image pieces translated back)."""
-        k = len(self.lengths)
-        order = [self.permutation.index(s) for s in range(1, k + 1)]
-        inv_lengths = [self.lengths[i] for i in order]
-        inv_perm = [i + 1 for i in order]
-        return IET(inv_lengths, inv_perm, embedding=self.embedding)
 
     def __repr__(self):
         return "IET(k=%d, permutation=%s)" % (len(self.lengths),

@@ -4,10 +4,10 @@ QMatrix stores integers row-major over one positive common denominator,
 reduced so that equal matrices have equal storage; entries are read back
 as Fractions.  Products, sums, scaling and elimination run on the
 integers: one fraction-free Gauss-Jordan elimination (rref, which also
-serves rank and kernel), determinants and characteristic polynomials by
-Bareiss integer determinants (the latter by evaluation and
-interpolation); for integer lattices, a row-style Hermite normal form
-and Cohen's integral LLL, which updates its Gram-Schmidt data in place.
+serves rank and kernel), and characteristic polynomials by Bareiss
+integer determinants, evaluated and interpolated; for integer lattices,
+a row-style Hermite normal form and Cohen's integral LLL, which updates
+its Gram-Schmidt data in place.
 
 An invariant subspace is held as an echelon basis, a column matrix that
 is the identity at its rows ``free`` (as echelon_kernel returns it), so
@@ -160,12 +160,6 @@ class QMatrix:
 
     __rmul__ = scale
 
-    def apply(self, vec):
-        """Matrix times column vector (list of Fractions)."""
-        if len(vec) != self.cols:
-            raise DimensionError("vector length mismatch")
-        return (self * QMatrix(self.cols, 1, list(vec))).col(0)
-
     def transpose(self):
         return QMatrix._from_ints(self.cols, self.rows,
                                   [x for j in range(self.cols)
@@ -214,17 +208,6 @@ class QMatrix:
 
     def rank(self):
         return len(self.rref()[1])
-
-    def det(self):
-        if self.rows != self.cols:
-            raise DimensionError("determinant of non-square matrix")
-        n = self.rows
-        return Fraction(_int_det_bareiss(self._num, n), self._den ** n)
-
-    def kernel(self):
-        """Basis of the right kernel, echelonized; returned as a list of vectors."""
-        basis, _ = self.echelon_kernel()
-        return [basis.col(k) for k in range(basis.cols)]
 
     def echelon_kernel(self):
         """(K, free) from one rref: the columns of K are a basis of the right
@@ -422,21 +405,18 @@ def unimodular_with_first_row(v):
     return w
 
 
-def lll_reduce(rows, delta=Fraction(3, 4)):
-    """LLL reduction of linearly independent integer rows: new integer rows
-    spanning the same lattice.  Cohen's integral LLL (*A Course in
-    Computational Algebraic Number Theory*, 1993, Alg. 2.6.7) updates the
-    Gram determinants d and lam_kj = d_(j+1) mu_kj in place on each size
-    reduction and swap; no Gram-Schmidt data is ever recomputed."""
+def lll_reduce(rows):
+    """LLL reduction, with delta = 3/4, of linearly independent integer
+    rows: new integer rows spanning the same lattice.  Cohen's integral
+    LLL (*A Course in Computational Algebraic Number Theory*, 1993, Alg.
+    2.6.7) updates the Gram determinants d and lam_kj = d_(j+1) mu_kj in
+    place on each size reduction and swap; no Gram-Schmidt data is ever
+    recomputed."""
     b = [list(map(int, r)) for r in rows]
     if not b:
         return []
     if any(len(r) != len(b[0]) for r in b):
         raise DimensionError("lattice rows must share a common length")
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise DomainError("LLL parameter must lie in (1/4, 1)")
-    dp, dq = delta.numerator, delta.denominator
     n = len(b)
     # d[i + 1] is the Gram determinant of rows 0..i
     d, lam = [1] * (n + 1), [[0] * n for _ in range(n)]
@@ -459,7 +439,8 @@ def lll_reduce(rows, delta=Fraction(3, 4)):
                 lk[j] -= q * d[j + 1]
                 lk[:j] = [x - q * y for x, y in zip(lk, lam[j][:j])]
         la = lk[k - 1]
-        if dq * d[k + 1] * d[k - 1] >= dp * d[k] ** 2 - dq * la * la:
+        # Lovasz condition d_(k+1) d_(k-1) >= (3/4) d_k^2 - lam^2, times 4
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * la * la:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]

@@ -184,9 +184,6 @@ class ModularSymbolSpace:
         """Quotient coordinates of the symbol [c:d]."""
         return self._symbol_coords[self.p1.index(c, d)]
 
-    def zero_vector(self):
-        return (0,) * self.dim
-
     # -- paths -------------------------------------------------------------------
 
     def path(self, x, y):
@@ -241,9 +238,6 @@ class ModularSymbolSpace:
         return [sum(col) for col in zip(*steps)]
 
     # -- cuspidal subspace ----------------------------------------------------------
-
-    def cuspidal_basis(self):
-        return [tuple(v) for v in self._cuspidal_columns.transpose().to_rows()]
 
     def boundary_of(self, vec):
         if len(vec) != self.dim:

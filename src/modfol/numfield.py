@@ -15,12 +15,7 @@ from fractions import Fraction
 from .arith import _frac
 from .errors import DimensionError, DomainError, InternalInvariantError
 from .linalg import QMatrix
-from .polys import (
-    QPolynomial,
-    count_real_roots,
-    is_irreducible,
-    isolate_real_roots,
-)
+from .polys import QPolynomial, is_irreducible, isolate_real_roots
 
 
 class NumberField:
@@ -83,8 +78,14 @@ class NumberField:
         cs = list(r.coeffs) + [Fraction(0)] * (self.degree - len(r.coeffs))
         return NFElement(self, cs)
 
-    def is_totally_real(self):
-        return count_real_roots(self.minpoly) == self.degree
+    def coerce(self, x):
+        """x as an element of this field: an int, a Fraction, or an element
+        of this field itself."""
+        if isinstance(x, NFElement):
+            if x.field != self:
+                raise DomainError("element of a different field")
+            return x
+        return self.from_rational(x)
 
     def real_embeddings(self):
         """All real embeddings, ordered by the image of the generator."""
@@ -114,14 +115,6 @@ class NFElement:
     def __bool__(self):
         return not self.is_zero()
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise DomainError("element is not rational: %r" % (self,))
-        return self.coeffs[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
@@ -130,6 +123,9 @@ class NFElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # an element equal to a rational must hash like that rational
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field.minpoly.coeffs, self.coeffs))
 
     def __repr__(self):
@@ -139,12 +135,8 @@ class NFElement:
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, NFElement):
-            if other.field != self.field:
-                raise DomainError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+        if isinstance(other, (NFElement, int, Fraction)):
+            return self.field.coerce(other)
         return None
 
     def __add__(self, other):
@@ -259,14 +251,6 @@ class NFElement:
 
 
 # -- linear algebra over a number field ------------------------------------------
-
-
-def _as_nf(field, x):
-    if isinstance(x, NFElement):
-        if x.field != field:
-            raise DomainError("mixed fields in matrix")
-        return x
-    return field.from_rational(_frac(x))
 
 
 def eigenspace(pairs):
@@ -405,14 +389,11 @@ class RealEmbedding:
 
     def sign(self, elt):
         """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
-        return self.integer_sign(_integers(_as_nf(self.field, elt).coeffs)[1])
-
-    def compare(self, a, b):
-        return self.sign(_as_nf(self.field, a) - _as_nf(self.field, b))
+        return self.integer_sign(_integers(self.field.coerce(elt).coeffs)[1])
 
     def approx(self, elt, eps):
         """Rational approximation of elt's image within eps (> 0)."""
-        elt = _as_nf(self.field, elt)
+        elt = self.field.coerce(elt)
         eps = _frac(eps)
         if eps <= 0:
             raise DomainError("eps must be positive")
@@ -423,7 +404,3 @@ class RealEmbedding:
             if (hi - lo) * eps.denominator < eps.numerator * den * scale:
                 return Fraction(lo + hi, 2 * den * scale)
             self._refine()
-
-    def to_float(self, elt):
-        ap = self.approx(elt, Fraction(1, 10 ** 17))
-        return ap.numerator / ap.denominator

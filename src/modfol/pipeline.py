@@ -2,12 +2,11 @@
 
 analyze_level runs the full chain (symbol space, orbit decomposition,
 foliation classification) for one level and flattens everything into a
-plain JSON-ready dict: curve invariants, the primes used, the cuspidal
-Hecke matrices at those primes, one record per orbit, and one
-classification entry per orbit.  Records round-trip through the cache
-byte-exactly, and orbit_from_record rebuilds a working EigenformOrbit
-from its record, so downstream consumers (period integrals, the CLI)
-behave identically on fresh and cached data.
+plain JSON-ready dict: curve invariants, the primes used, one record per
+orbit, and one classification entry per orbit.  Records round-trip
+through the cache byte-exactly, and orbit_from_record rebuilds a working
+EigenformOrbit from its record, so downstream consumers (period
+integrals, the CLI) behave identically on fresh and cached data.
 
 Rationals are serialized as JSON ints when integral and as exact "p/q"
 strings otherwise; no floats appear in records.
@@ -20,7 +19,6 @@ from .congruence import curve_data
 from .eigen import EigenformOrbit, auto_decompose, decompose
 from .errors import DomainError
 from .foliation import classify
-from .hecke import cuspidal_hecke_matrix
 from .modsym import ModularSymbolSpace
 from .numfield import NumberField
 from .polys import QPolynomial
@@ -34,17 +32,8 @@ def rat_to_json(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def rat_from_json(s):
-    return Fraction(s)
-
-
 def _element_coeffs(x):
     return [rat_to_json(c) for c in x.coeffs]
-
-
-def _matrix_rows(m):
-    return [[rat_to_json(m[i, j]) for j in range(m.cols)]
-            for i in range(m.rows)]
 
 
 def _orbit_record(index, orbit):
@@ -96,8 +85,6 @@ def analyze_level(N, primes=None):
         "level": N,
         "curve": curve,
         "primes": used,
-        "hecke": {str(p): _matrix_rows(cuspidal_hecke_matrix(space, p))
-                  for p in used},
         "orbits": [_orbit_record(i, o) for i, o in enumerate(orbits)],
         "classification": [classification_entry(N, i, classify(o, curve))
                            for i, o in enumerate(orbits)],
@@ -111,16 +98,15 @@ def orbit_from_record(record, index):
         raise DomainError("level %d has %d orbits; index %d is out of range"
                           % (record["level"], len(orbits), index))
     rec = orbits[index]
-    field = NumberField(
-        QPolynomial([rat_from_json(c) for c in rec["minpoly"]]))
+    field = NumberField(QPolynomial([Fraction(c) for c in rec["minpoly"]]))
     return EigenformOrbit(
         record["level"],
         field,
         rec["defining_prime"],
-        field.element([rat_from_json(c) for c in rec["eigenvalue"]]),
-        [field.element([rat_from_json(c) for c in coeffs])
+        field.element([Fraction(c) for c in rec["eigenvalue"]]),
+        [field.element([Fraction(c) for c in coeffs])
          for coeffs in rec["eigenvector"]],
-        {int(p): field.element([rat_from_json(c) for c in coeffs])
+        {int(p): field.element([Fraction(c) for c in coeffs])
          for p, coeffs in rec["coefficient_map"].items()},
         multiplicity=rec["multiplicity"],
         possibly_old=rec["possibly_old"],

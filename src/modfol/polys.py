@@ -40,14 +40,6 @@ class QPolynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        if self.is_zero():
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self):
-        return not self.is_zero() and self.coeffs[-1] == 1
-
     def __eq__(self, other):
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
 
@@ -221,33 +213,10 @@ def _sign_at(p, x):
     v = p.evaluate(x)
     return (v > 0) - (v < 0)
 
-def _sign_at_inf(p, positive):
-    if p.is_zero():
-        return 0
-    s = 1 if p.coeffs[-1] > 0 else -1
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
-
 
 def _variations(signs):
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p, lo=None, hi=None):
-    """Number of distinct real roots of p, optionally in the interval (lo, hi]."""
-    if p.is_zero():
-        raise DomainError("zero polynomial")
-    p = squarefree_part(p)
-    if p.degree == 0:
-        return 0
-    chain = sturm_chain(p)
-    va = (_variations([_sign_at_inf(q, False) for q in chain]) if lo is None
-          else _variations([_sign_at(q, lo) for q in chain]))
-    vb = (_variations([_sign_at_inf(q, True) for q in chain]) if hi is None
-          else _variations([_sign_at(q, hi) for q in chain]))
-    return va - vb
 
 
 def squarefree_part(p):
@@ -601,8 +570,8 @@ def factor_poly(p):
     """Factor p in Q[x]: list of (monic irreducible QPolynomial, multiplicity).
 
     Sorted by degree, then lexicographically on ascending coefficients.
-    The product of factors^multiplicities equals p up to the rational
-    scalar p.leading().
+    The product of factors^multiplicities equals p up to its leading
+    coefficient.
     """
     if not isinstance(p, QPolynomial):
         raise TypeError("factor_poly expects a QPolynomial")

@@ -24,8 +24,10 @@ from modfol.arith import is_prime
 from modfol.congruence import normalize_cusp
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
+from modfol.hecke import cuspidal_hecke_matrix
 from modfol.linalg import QMatrix
-from modfol.numfield import NFElement
+from modfol.modsym import ModularSymbolSpace
+from modfol.pipeline import rat_to_json
 
 
 def brute_canonical(N, c, d):
@@ -81,6 +83,15 @@ def coset_genus(N):
     chi = n2 + n3 + nT - len(reps)
     assert (2 - chi) % 2 == 0
     return (2 - chi) // 2
+
+
+# 2x2 integer matrices are flat tuples (a, b, c, d)
+
+
+def mat_mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def random_gamma0_element(rng, N, size=20):
@@ -193,6 +204,28 @@ def fraction_lll(rows, delta=Fraction(3, 4)):
     return b
 
 
+def cuspidal_basis(space):
+    """Echelon basis of the cuspidal subspace, one tuple per vector: the
+    kernel of the boundary map, read off its images of the unit vectors."""
+    n = space.dim
+    images = [space.boundary_of([int(i == j) for i in range(n)])
+              for j in range(n)]
+    boundary = QMatrix(len(space.cusp_keys), n,
+                       [x for row in zip(*images) for x in row])
+    basis, _ = boundary.echelon_kernel()
+    return [tuple(basis.col(j)) for j in range(basis.cols)]
+
+
+def record_with_hecke(record):
+    """A level record in its earlier shape, which also held each cuspidal
+    T_p at the record's primes under "hecke" as rows of JSON rationals."""
+    space = ModularSymbolSpace(record["level"])
+    return dict(record, hecke={
+        str(p): [[rat_to_json(x) for x in row]
+                 for row in cuspidal_hecke_matrix(space, p).to_rows()]
+        for p in record["primes"]})
+
+
 def span_coordinates(basis, vec):
     """The unique coefficients c with sum c_k basis[k] = vec, or None if vec
     is outside the span; basis vectors must be independent."""
@@ -204,17 +237,9 @@ def span_coordinates(basis, vec):
     return [reduced[r][k] for r in range(k)]
 
 
-def _as_nf(field, x):
-    if isinstance(x, NFElement):
-        if x.field != field:
-            raise DomainError("mixed fields in matrix")
-        return x
-    return field.from_rational(x)
-
-
 def nf_rref(field, rows):
     """Reduced row echelon form over the field; returns (rows, pivot_cols)."""
-    m = [[_as_nf(field, x) for x in row] for row in rows]
+    m = [[field.coerce(x) for x in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -437,6 +462,18 @@ def moebius_on_cusp(m, cusp):
     return (a * p + b * q, c * p + d * q)
 
 
+def moebius_apply(m, x):
+    """Action of an integer matrix on P^1(Q); x is a Fraction or None for infinity."""
+    a, b, c, d = m
+    if x is None:
+        return Fraction(a, c) if c != 0 else None
+    num = a * x + b
+    den = c * x + d
+    if den == 0:
+        return None
+    return Fraction(num, den) if not isinstance(num, Fraction) else num / den
+
+
 def cusp_equivalent(cusp1, cusp2, N):
     """Exact Gamma0(N)-equivalence of two cusps given as (p, q) pairs:
     p1/q1 ~ p2/q2 iff s1*q2 = s2*q1 mod gcd(q1*q2, N), s_i = p_i^-1 mod q_i
@@ -601,7 +638,7 @@ class FractionEmbedding:
 
     def sign(self, elt):
         """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
-        elt = _as_nf(self.field, elt)
+        elt = self.field.coerce(elt)
         if elt.is_zero():
             return 0
         while True:
@@ -614,7 +651,7 @@ class FractionEmbedding:
 
     def approx(self, elt, eps):
         """Rational approximation of elt's image within eps (> 0)."""
-        elt = _as_nf(self.field, elt)
+        elt = self.field.coerce(elt)
         eps = Fraction(eps)
         if eps <= 0:
             raise DomainError("eps must be positive")

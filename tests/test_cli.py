@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import modfol
-from modfol import cache
+from modfol import cache, cli
 from modfol.cli import (_build_parser, _decimal, _error_code_hint,
                         _iet_handler, main)
 from modfol.errors import (DomainError, IndeterminateRankError,
@@ -21,7 +21,10 @@ from modfol.errors import (DomainError, IndeterminateRankError,
                            PrecisionError, TruncationError,
                            UndecidedSplitError, WrongCaseError)
 from modfol.numfield import NumberField
+from modfol.pipeline import analyze_level
 from modfol.polys import QPolynomial, parse_poly
+
+from oracles import record_with_hecke
 
 
 @pytest.fixture(autouse=True)
@@ -177,6 +180,23 @@ def test_corrupt_cache_recomputes(tmp_path, monkeypatch):
     open(path, "wb").write(bytes(blob))
     assert cache.load(11) is None
     assert run("decompose", "11") == cold
+
+
+def test_record_with_hecke_field_is_a_hit(monkeypatch):
+    # records once also held each cuspidal T_p under "hecke"; no reader
+    # used it, so such a file stays a hit and prints the same bytes
+    bare = {command: run(command, "37", "--no-cache")
+            for command in ("decompose", "classify")}
+    record = record_with_hecke(analyze_level(37))
+    cache.store(record)
+    assert cache.load(37) == record
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a cache hit recomputed the level")
+
+    monkeypatch.setattr(cli, "analyze_level", recompute)
+    for command, out in bare.items():
+        assert run(command, "37") == out
 
 
 def test_pretty_same_object():

@@ -92,8 +92,7 @@ def test_basis_change_shear_keeps_lattice():
 def test_basis_change_rational_gcd_lattice():
     J = JacobianModule(RATIONALS, [1, Fraction(1, 2)])
     J2 = basis_change(J, [[2, 1], [1, 1]])
-    assert [g.as_fraction() for g in J2.generators] == [
-        Fraction(5, 2), Fraction(3, 2)]
+    assert list(J2.generators) == [Fraction(5, 2), Fraction(3, 2)]
     assert module_rank(J2) == 1
     assert J2.lattice_key() == lattice_key([[Fraction(1, 2)]])
 
@@ -143,8 +142,7 @@ def test_scale_module_examples():
 
     J3 = JacobianModule(RATIONALS, [1, Fraction(1, 2)])
     J4 = scale_module(J3, Fraction(1, 3))
-    assert [g.as_fraction() for g in J4.generators] == [
-        Fraction(1, 3), Fraction(1, 6)]
+    assert list(J4.generators) == [Fraction(1, 3), Fraction(1, 6)]
     assert module_rank(J4) == 1
 
 

@@ -4,12 +4,13 @@ from math import gcd
 
 import pytest
 
-from modfol.congruence import curve_data, mat_mul, moebius_apply
+from modfol.congruence import curve_data
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 
-from oracles import random_gamma0_element, span_coordinates
+from oracles import (cuspidal_basis, mat_mul, moebius_apply,
+                     random_gamma0_element, span_coordinates)
 
 
 def vec_add(a, b):
@@ -54,7 +55,7 @@ class TestPaths:
                 assert space.path(x, y) == vec_neg(space.path(y, x))
                 assert vec_add(space.path(x, y), space.path(y, z)) == \
                     space.path(x, z)
-                assert space.path(x, x) == space.zero_vector()
+                assert space.path(x, x) == (0,) * space.dim
 
     def test_group_invariance(self, spaces):
         rng = random.Random(51)
@@ -198,7 +199,7 @@ class TestCuspidal:
     def test_express_roundtrip(self, spaces):
         rng = random.Random(54)
         for N, space in spaces.items():
-            basis = space.cuspidal_basis()
+            basis = cuspidal_basis(space)
             if not basis:
                 continue
             for _ in range(8):
@@ -224,7 +225,7 @@ class TestCuspidal:
         rng = random.Random(55)
         for N in range(1, 61):
             space = ModularSymbolSpace(N)
-            basis = space.cuspidal_basis()
+            basis = cuspidal_basis(space)
             for _ in range(3):
                 coeffs = [rng.randint(-5, 5) for _ in basis]
                 vec = tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
@@ -248,7 +249,7 @@ class TestCuspidal:
             assert space.restrict_to_cuspidal(QMatrix.identity(n)) == \
                 QMatrix.identity(space.cuspidal_dim)
             v = space.path(Fraction(0), None)
-            basis = space.cuspidal_basis()
+            basis = cuspidal_basis(space)
             unit = [1] + [0] * (len(basis) - 1)
             f = next(i for i in range(n) if [b[i] for b in basis] == unit)
             op = QMatrix.identity(n) + QMatrix(
