@@ -22,10 +22,12 @@ common denominator: a primary block is the kernel of f^m(T) for a factor
 f^m of the characteristic polynomial, by Horner, held as an echelon
 basis with its free rows, so that an operator's matrix on a block is one
 checked product (QMatrix.restrict) and no system is solved.  Each block
-is restricted and factored once per prime, and a block that no prime
-splits hands its operators and irreducible factors on to its orbit.  The
-eigenvector of a new block comes from the adjugate of lam*I - T, with no
-elimination over K, and that of a possibly-old block from eigenspace().
+is restricted and factored once per prime: the parts of a split block
+inherit its operators, restricted to them, and its factors up to the
+splitting prime, and a block that no prime splits hands its operators
+and irreducible factors on to its orbit.  The eigenvector of a new block
+comes from the adjugate of lam*I - T, with no elimination over K, and
+that of a possibly-old block from eigenspace().
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
@@ -66,7 +68,7 @@ class EigenformOrbit:
 
     __slots__ = ("N", "field", "degree", "defining_prime", "eigenvalue",
                  "eigenvector", "coefficient_map", "multiplicity",
-                 "possibly_old", "_series", "_embedded")
+                 "possibly_old", "_series", "_functional", "_embedded")
 
     def __init__(self, N, field, defining_prime, eigenvalue, eigenvector,
                  coefficient_map, multiplicity=1, possibly_old=False):
@@ -80,6 +82,7 @@ class EigenformOrbit:
         self.multiplicity = multiplicity
         self.possibly_old = possibly_old
         self._series = None      # q-expansion cache, filled by periods
+        self._functional = None  # its dual functional (table, j), likewise
         self._embedded = {}      # numeric coefficient cache, keyed by digits
 
     def designated_embedding(self):
@@ -145,7 +148,7 @@ def decompose(space, primes):
 
     tplus = {p: plus_hecke_matrix(space, p) for p in ps}
     blocks = list(_primary_blocks(
-        tplus, ps, QMatrix.identity(space.genus), list(range(space.genus))))
+        tplus, ps, QMatrix.identity(space.genus), list(range(space.genus)), {}))
     if sum(b.cols for b, _, _ in blocks) != space.genus:
         raise InternalInvariantError("primary blocks do not fill the +1 half")
 
@@ -186,28 +189,29 @@ def plus_hecke_matrix(space, p):
 # -- internals ------------------------------------------------------------------
 
 
-def _primary_blocks(tplus, ps, block, free):
+def _primary_blocks(mats, ps, block, free, factors):
     """Yield (block, mats, factors) for each joint primary block.
 
     ``block`` is an echelon basis with its free rows; if B is the identity
-    at rows F and K at rows G, then B*K is the identity at rows F[G].  The
-    block's operators are restricted and their characteristic polynomials
-    factored in prime order; the first that is not a prime power splits it,
-    and each part starts again from the first prime.  A block that no
-    prime splits comes with its operators ``mats`` and the irreducible
-    ``factors`` of their characteristic polynomials.
+    at rows F and K at rows G, then B*K is the identity at rows F[G].
+    ``mats`` holds the operators on the block and ``factors`` the
+    irreducible factors of their characteristic polynomials at the first
+    primes.  The rest are factored in prime order; the first that is not
+    a prime power splits the block, and each part inherits the operators,
+    restricted to it, and the factors up to and at the splitting prime.
+    A block that no prime splits comes with all its operators and factors.
     """
-    mats, factors = {}, {}
-    for p in ps:
-        mat = tplus[p].restrict(block, free)
-        found = factor_poly(QPolynomial(mat.charpoly()))
+    for p in ps[len(factors):]:
+        found = factor_poly(QPolynomial(mats[p].charpoly()))
         if len(found) > 1:
             for poly, mult in found:
-                kernel, kfree = _poly_at_matrix(poly ** mult, mat).echelon_kernel()
-                yield from _primary_blocks(tplus, ps, block * kernel,
-                                           [free[i] for i in kfree])
+                kernel, kfree = _poly_at_matrix(poly ** mult, mats[p]).echelon_kernel()
+                yield from _primary_blocks(
+                    {q: m.restrict(kernel, kfree) for q, m in mats.items()},
+                    ps, block * kernel, [free[i] for i in kfree],
+                    {**factors, p: poly})
             return
-        mats[p], factors[p] = mat, found[0][0]
+        factors[p] = found[0][0]
     yield block, mats, factors
 
 

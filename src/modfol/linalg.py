@@ -4,9 +4,10 @@ QMatrix stores integers row-major over one positive common denominator,
 reduced so that equal matrices have equal storage; entries are read back
 as Fractions.  Products, sums, scaling and elimination run on the
 integers: one fraction-free Gauss-Jordan elimination (rref, which also
-serves rank and kernel), and characteristic polynomials by Bareiss
-integer determinants, evaluated and interpolated; for integer lattices,
-a row-style Hermite normal form and Cohen's integral LLL, which updates
+serves rank and kernel), and one characteristic polynomial, Berkowitz's
+division-free recursion (charpoly, whose constant coefficient also
+serves the determinant in is_unimodular); for integer lattices, a
+row-style Hermite normal form and Cohen's integral LLL, which updates
 its Gram-Schmidt data in place.
 
 An invariant subspace is held as an echelon basis, a column matrix that
@@ -16,6 +17,7 @@ restrict() reads an operator's matrix on the span off one product.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .arith import _frac
 from .errors import DimensionError, DomainError, InternalInvariantError
@@ -239,64 +241,31 @@ class QMatrix:
     # -- characteristic polynomial -----------------------------------------
 
     def charpoly(self):
-        """Coefficients (ascending) of det(xI - M), a monic degree-n list."""
+        """Coefficients (ascending) of det(xI - M), a monic degree-n list.
+
+        Berkowitz's division-free recursion (*Inform. Process. Lett.* 18,
+        1984) on the stored integers A = den*M, over its leading blocks:
+        if A_(k+1) = [[A_k, c], [r, a]] and chi = det(xI - A_k), then the
+        adjugate of xI - A_k, expanded by Cayley-Hamilton, gives
+        det(xI - A_(k+1)) = (x - a) chi - sum_(i<j) x^i chi_j r A_k^(j-i-1) c.
+        Coefficient i of det(xI - M) = det(den*x*I - A)/den^n is then
+        chi_i/den^(n-i); the constant one is (-1)^n det(M).
+        """
         if self.rows != self.cols:
             raise DimensionError("charpoly of non-square matrix")
-        n, den = self.rows, self._den
-        # p_M(x) = det(xI - M) = det(den*x*I - den*M)/den^n evaluated exactly
-        # at integer points x = 0..n and interpolated.
-        ys = []
-        for t in range(n + 1):
-            entries = [den * t * (i == j) - self._num[i * n + j]
-                       for i in range(n) for j in range(n)]
-            ys.append(Fraction(_int_det_bareiss(entries, n), den ** n))
-        return _interpolate_monic(ys)
-
-
-def _int_det_bareiss(a, n):
-    """Determinant of an n x n integer matrix (flat list), Bareiss algorithm."""
-    a = a[:]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k * n + k] == 0:
-            p = next((i for i in range(k + 1, n) if a[i * n + k] != 0), None)
-            if p is None:
-                return 0
-            for j in range(n):
-                a[k * n + j], a[p * n + j] = a[p * n + j], a[k * n + j]
-            sign = -sign
-        akk = a[k * n + k]
-        for i in range(k + 1, n):
-            aik = a[i * n + k]
-            for j in range(k + 1, n):
-                a[i * n + j] = (a[i * n + j] * akk - aik * a[k * n + j]) // prev
-            a[i * n + k] = 0
-        prev = akk
-    return sign * a[n * n - 1] if n else 1
-
-
-def _interpolate_monic(ys):
-    """Ascending coefficients of the monic degree-n polynomial p with
-    p(t) = ys[t] for t = 0..n.
-
-    Newton divided differences at the nodes 0..n (the spacing at order k
-    is k), then the Newton form c0 + x(c1 + (x-1)(c2 + ...)) expanded to
-    the monomial basis by Horner.
-    """
-    n = len(ys) - 1
-    c = list(ys)
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / k
-    if c[n] != 1:
-        raise InternalInvariantError("characteristic polynomial must be monic")
-    coeffs = [c[n]]
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (x - k) + c[k]
-        coeffs = [c[k] - k * coeffs[0]] + [
-            a - k * b for a, b in zip(coeffs, coeffs[1:] + [0])]
-    return coeffs
+        n, a = self.rows, self._num
+        chi = [1]
+        for k in range(n):
+            block = [a[i * n:i * n + k] for i in range(k)]
+            r, v = a[k * n:k * n + k], a[k:k * n:n]
+            s = []                                  # s[m] = r A_k^m c
+            for _ in range(k):
+                s.append(sum(map(mul, r, v)))
+                v = [sum(map(mul, row, v)) for row in block]
+            d = a[k * n + k]
+            chi = [x - d * y - sum(map(mul, chi[i + 1:], s))
+                   for i, (x, y) in enumerate(zip([0] + chi, chi))] + [1]
+        return [Fraction(c, self._den ** (n - i)) for i, c in enumerate(chi)]
 
 
 # -- integer lattice utilities ------------------------------------------------
@@ -358,7 +327,7 @@ def is_unimodular(rows):
     n = len(m)
     if n == 0 or any(len(r) != n for r in m):
         return False
-    return abs(_int_det_bareiss([x for r in m for x in r], n)) == 1
+    return abs(QMatrix.from_rows(m).charpoly()[0]) == 1
 
 
 def unimodular_with_first_row(v):

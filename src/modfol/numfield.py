@@ -186,23 +186,19 @@ class NFElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """y with y*self = 1: row k of matrix() holds a^k*self, so y's
+        coordinates solve matrix()^T y = e_0, read off one rref."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        g = QPolynomial(self.coeffs)
-        f = self.field.minpoly
-        # extended Euclid: u*g + v*f = 1
-        r0, r1 = f, g
-        s0, s1 = QPolynomial([]), QPolynomial([1])
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
+        d = self.field.degree
+        rows = self.matrix().transpose().to_rows()
+        reduced, pivots = QMatrix.from_rows(
+            [row + [int(k == 0)] for k, row in enumerate(rows)]).rref()
+        if d in pivots:
             raise InternalInvariantError(
                 "element and defining polynomial share a factor: the "
                 "defining polynomial is not irreducible")
-        inv_poly = s0 * (1 / r0.coeffs[0])
-        return self.field.from_poly(inv_poly)
+        return NFElement(self.field, reduced.col(d))
 
     def __truediv__(self, other):
         o = self._coerce(other)

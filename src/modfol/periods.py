@@ -76,7 +76,8 @@ def ensure_series(space, orbit, terms):
     The list is cached on the orbit (index n holds c_n; index 0 is unused).
     Prime coefficients come from the orbit's verified eigenvalue map when
     available; new primes are evaluated through a dual eigenvector, which
-    needs only a single operator column per prime.  Orbits flagged
+    needs only a single operator column per prime and is built once per
+    orbit, so a later extension reuses it.  Orbits flagged
     possibly_old are refused: their systems repeat inside the block, so a
     dual vector does not pin down one form.
     """
@@ -90,7 +91,9 @@ def ensure_series(space, orbit, terms):
     terms = int(terms)
     if orbit._series is not None and len(orbit._series) > terms:
         return orbit._series
-    table, j = _dual_functional(space, orbit)
+    if orbit._functional is None:
+        orbit._functional = _dual_functional(space, orbit)
+    table, j = orbit._functional
 
     def prime_value(p):
         got = orbit.coefficient_map.get(p)

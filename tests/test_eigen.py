@@ -379,11 +379,12 @@ def test_auto_decompose_stops_at_the_prime_limit(monkeypatch):
     assert exc.value.next_prime == 3
 
 
-@pytest.mark.parametrize("N, ps, pairs", [(57, [2, 5, 7], 15),
-                                          (113, [2, 3], 9)])
+@pytest.mark.parametrize("N, ps, pairs", [(57, [2, 5, 7], 8),
+                                          (113, [2, 3], 5)])
 def test_each_block_and_prime_factored_once(monkeypatch, N, ps, pairs):
     # pairs visited: a block is factored at each prime in turn until one
-    # splits it, and each part starts again from the first prime
+    # splits it, and each part inherits the factors up to that prime, so
+    # it is factored only at the primes after it
     calls = []
 
     def counting(poly):

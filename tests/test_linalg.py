@@ -335,3 +335,35 @@ class TestHNFAndLattices:
     def test_unimodular_rejects_imprimitive(self):
         with pytest.raises(DomainError):
             unimodular_with_first_row([2, 4, 6])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_is_unimodular_matches_sympy(self, data):
+        # an integer matrix with n <= 6: random entries, or the identity
+        # (with one entry 2, for det +-2) under row additions and swaps
+        n = data.draw(st.integers(1, 6))
+        kind = data.draw(st.sampled_from(["entries", "det 1", "det 2"]))
+        if kind == "entries":
+            rows = [[data.draw(st.integers(-3, 3)) for _ in range(n)]
+                    for _ in range(n)]
+        else:
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            rows[0][0] = 2 if kind == "det 2" else 1
+            steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                              st.integers(-3, 3))
+            for i, j, c in data.draw(st.lists(steps, max_size=8)):
+                if c == 0:
+                    rows[i], rows[j] = rows[j], rows[i]
+                elif i != j:
+                    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        det = sympy.Matrix(rows).det()
+        if kind != "entries":
+            assert abs(det) == (2 if kind == "det 2" else 1)
+        assert is_unimodular(rows) == (abs(det) == 1)
+
+    def test_is_unimodular_rejects_non_square_and_empty(self):
+        assert not is_unimodular([])
+        assert not is_unimodular([[1, 0]])
+        assert not is_unimodular([[1], [0]])
+        assert not is_unimodular([[1, 0], [0]])

@@ -16,7 +16,7 @@ from modfol.errors import (
     TruncationError,
 )
 from modfol import periods
-from modfol.hecke import cuspidal_hecke_matrix
+from modfol.hecke import cuspidal_hecke_matrix, hecke_matrix
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import leading_entry
@@ -136,6 +136,27 @@ def test_series_matches_eta_product():
         assert series[n] == K.from_rational(eta[n])
     for p in (2, 3, 5, 7, 13, 101, 149):
         assert orbit.coefficient_map[p] == K.from_rational(eta[p])
+
+
+def test_longer_series_reuses_the_dual_functional(monkeypatch):
+    # the dual functional is built once per orbit, so extending the series
+    # to new primes builds no operator matrix
+    space = ModularSymbolSpace(11)
+    (orbit,) = auto_decompose(space)
+    calls = []
+
+    def counting(space, p):
+        calls.append(p)
+        return hecke_matrix(space, p)
+
+    monkeypatch.setattr(periods, "hecke_matrix", counting)
+    ensure_series(space, orbit, 20)
+    assert calls
+    calls.clear()
+    series = ensure_series(space, orbit, 60)
+    assert calls == []
+    eta = eta_product_qexp(11, 60)
+    assert series[1:] == [orbit.field.from_rational(c) for c in eta[1:]]
 
 
 def test_corrupted_functional_table_fails_verification(monkeypatch):

@@ -26,6 +26,12 @@
 * QMatrix.rref is the one Gauss-Jordan body: polynomials factor modulo p
   by distinct-degree and equal-degree splitting, with no Berlekamp matrix
   and no elimination over GF(p) of their own.
+* QMatrix.charpoly is the one determinant and characteristic-polynomial
+  body: no function evaluates determinants at points or interpolates, no
+  Bareiss elimination is defined, and the only other determinant is
+  ad - bc of a group element (`mat_det`); is_unimodular reads its
+  determinant off charpoly, and NFElement.inverse is one rref, with no
+  extended Euclid (`divmod`) of its own.
 * Linear systems over a number field are solved in eigen's coordinate
   form, by numfield.eigenspace on rational operators: no `nf_kernel` on
   lists of field elements.
@@ -148,6 +154,32 @@ def test_one_field_vector_form_in_eigen():
 
 def test_one_gauss_jordan_body():
     assert _defined_functions() & {"_berlekamp", "_gfp_nullspace"} == set()
+
+
+def _function(module, name):
+    (node,) = [node for node in ast.walk(TREES[module])
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def _called(node):
+    return {getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_one_charpoly_body():
+    homes = [module for module, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "charpoly"]
+    assert homes == ["linalg"]
+    words = {"det", "bareiss", "interpolate", "interpolation"}
+    named = set().union(_defined_functions(), *map(_called, TREES.values()))
+    # mat_det is ad - bc on the 2 x 2 integer group elements of congruence
+    assert {name for name in named if name and words & set(
+        name.lower().strip("_").split("_"))} == {"mat_det"}
+    assert "charpoly" in _called(_function("linalg", "is_unimodular"))
+    inverse = _called(_function("numfield", "inverse"))
+    assert "rref" in inverse and "divmod" not in inverse
 
 
 def test_one_kernel_over_k_and_one_polynomial_parser():
