@@ -1,11 +1,12 @@
 """Integer and rational helpers shared by the package.
 
-Primality, the next prime, a sieve, trial-division factorization, and the
-int-or-Fraction coercion used by every exact container.
+Primality, the next prime, a sieve, factorization by trial division and
+Pollard's rho, and the int-or-Fraction coercion of exact containers.
 """
 
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import DomainError
 
@@ -19,17 +20,24 @@ def _frac(x):
 
 
 def is_prime(n):
+    """Deterministic: trial division by the primes below 1,000 settles
+    n < 10^6; then strong probable-prime tests to the first 13 prime bases,
+    which no composite below 3.3 * 10^24 passes (Sorenson & Webster 2017)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
             return False
-        f += 2
+    if n >= 3317044064679887385961981:
+        raise DomainError("primality is certified below 3.3 * 10^24")
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = 2^s * odd
+    for a in _SMALL_PRIMES[:13]:
+        # a^odd is 1, or squares to -1 within s - 1 squarings, mod a prime
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
     return True
 
 
@@ -51,20 +59,45 @@ def primes_up_to(m):
     return [i for i, b in enumerate(sieve) if b]
 
 
+_SMALL_PRIMES = primes_up_to(1000)
+
+
+def _rho(n):
+    """A proper factor of a composite n free of primes below 1,000, by
+    Pollard's rho with Brent's cycle search on x^2 + c, c = 1, 2, ..."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
 def factorize(n):
-    """Prime factorization as a sorted list of (p, e)."""
+    """Prime factorization as a sorted list of (p, e): trial division by
+    the primes below 1,000, then rho on a composite cofactor."""
     if n < 1:
         raise DomainError("expected a positive integer, got %d" % n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    out = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        if p * p > n:
+            break
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        # m has no prime factor below 1,000, so m < 1,000^2 is prime
+        if m < 10 ** 6 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
+    return sorted(out.items())

@@ -44,12 +44,12 @@ from .polys import MAX_POWER, QPolynomial, parse_poly
 
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
-_MAX_STEPS = 10 ** 6    # a probe step costs about 5 us per cut compared
+_MAX_STEPS = 10 ** 6    # a probe step costs under 1 us per cut compared
 _MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 6.5 s and 162 MB max RSS
-_MAX_GENUS_LEVEL = 10 ** 14     # trial division: 0.9 s at a prime near 10^14
+_MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
 _MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 3 s
-_MAX_POLY_DEGREE = 40   # iet --poly, dense: about 2 s at 40, 6 s at 50
+_MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.4 s at 40, 1.5 s at 50
 
 
 class _UsageError(Exception):
@@ -451,21 +451,21 @@ def _build_parser():
                      help="one-line permutation, 1-based")
     iet.add_argument("--poly", metavar="C0,C1,...",
                      help="defining polynomial of w, ascending "
-                          "coefficients, degree at most %d. Real roots "
-                          "are isolated on Fractions, so the time grows "
-                          "steeply with the degree: a dense polynomial of "
-                          "degree %d with coefficients in -3..3 takes "
-                          "about 2 s on a 2-vCPU VM, one of degree 50 "
-                          "about 6 s" % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
+                          "coefficients, degree at most %d. Root "
+                          "isolation builds its Sturm chain on Fractions: "
+                          "a dense polynomial of degree %d with "
+                          "coefficients in -3..3 takes about 0.4 s on a "
+                          "2-vCPU VM, one of degree 50 about 1.5 s"
+                          % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
     iet.add_argument("--steps", type=_at_most(_MAX_STEPS, " steps"),
                      default=10000,
                      metavar="S",
                      help="orbit steps for the minimality probe (default "
                           "10000, at most %d). A k-interval exchange follows "
                           "k-1 orbits and compares each step with k-1 cuts, "
-                          "about 5 us per comparison on a 2-vCPU VM: %d "
-                          "steps take about 5 s on 2 intervals and 45 s on "
-                          "4" % (_MAX_STEPS, _MAX_STEPS))
+                          "under 1 us per comparison on a 2-vCPU VM: %d "
+                          "steps take about 1 s on 2 intervals and 2.5 s "
+                          "on 4" % (_MAX_STEPS, _MAX_STEPS))
     iet.set_defaults(handler=_iet_handler)
 
     torus = subs.add_parser("torus", parents=[shared],

@@ -15,6 +15,7 @@ and :func:`rauzy_step` performs one step of Rauzy induction.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
@@ -191,6 +192,11 @@ def minimality_probe(T, max_steps):
     sufficient condition for minimality up to the probed depth.  Lengths
     of rational rank < 2 are the wrong case: such exchanges are never
     within reach of the criterion.
+
+    Each sign of x - c, for an orbit point x and a cut c, is certified:
+    integer enclosures of x and c that do not overlap decide it, and
+    otherwise the exact RealEmbedding.integer_sign of x - c decides it, so
+    only an exact sign can report a connection.
     """
     max_steps = int(max_steps)
     if max_steps < 1:
@@ -203,38 +209,50 @@ def minimality_probe(T, max_steps):
         raise WrongCaseError(
             "lengths span a rank-<2 module: the connection criterion "
             "cannot apply")
-    # sharpen the embedding once so the per-step sign checks almost never
-    # need further interval refinement
-    T.embedding.approx(T.field.gen(), Fraction(1, 10 ** 40))
-    sign = T.embedding.integer_sign
-    # cuts and shifts as integer vectors over one common denominator: a
-    # step is then integer vector arithmetic plus integer signs
-    _, rows = QMatrix.from_rows(
+    # cuts and shifts as integer rows over one denominator, enclosed once
+    # over one scale; a point's enclosure is the sum of those of its start
+    # cut and of the shifts taken, about n rows wide after n steps.  Orbits
+    # of N steps come within about N^-2 of a cut at rank <= 3, so the
+    # generator is first sharpened to N^-3 per unit of the largest entry.
+    emb = T.embedding
+    den, rows = QMatrix.from_rows(
         [x.coeffs for x in T._cuts[1:] + T._shifts]).integer_rows()
-    cuts, shifts = rows[:len(T._cuts) - 1], rows[len(T._cuts) - 1:]
+    top = max(abs(c) for row in rows for c in row)
+    emb.approx(T.field.gen(), Fraction(den, (max_steps + 1) ** 3 * top))
+    boxes = emb.enclosures(rows)
+    m = len(T._cuts) - 1
     violations = []
-    for start, d in enumerate(cuts, 1):
-        x = d
-        for step in range(max_steps + 1):
+    for start in range(m):
+        # x = sum taken[i] * rows[i]: its start cut plus the shifts taken;
+        # the cut itself is the left end of piece start + 1
+        taken = [int(i == start) for i in range(len(rows))]
+        lo, hi = boxes[start]
+        index = start + 1
+        for step in range(1, max_steps + 1):
+            taken[m + index] += 1
+            lo, hi = lo + boxes[m + index][0], hi + boxes[m + index][1]
             # one pass of signs serves both jobs: locating the piece that
             # holds x (cuts are increasing, so the index is the number of
-            # interior cuts at or below x) and testing whether x IS a cut
+            # interior cuts at or below x) and testing whether x IS a cut;
+            # only an enclosure that overlaps the cut's needs the exact sign
             index = 0
             at_cut = None
-            for j, c in enumerate(cuts, 1):
-                s = sign([a - b for a, b in zip(x, c)])
-                if s >= 0:
+            for j, (c_lo, c_hi) in enumerate(boxes[:m]):
+                if lo > c_hi:
                     index += 1
-                if s == 0:
-                    at_cut = j
-            if step > 0 and at_cut is not None:
-                violations.append({"discontinuity": start,
+                elif hi < c_lo:
+                    break
+                else:
+                    s = emb.integer_sign([sum(map(mul, taken, col)) - col[j]
+                                          for col in zip(*rows)])
+                    index += s >= 0
+                    if s == 0:
+                        at_cut = j + 1
+            if at_cut is not None:
+                violations.append({"discontinuity": start + 1,
                                    "after_steps": step,
                                    "hits": at_cut})
                 break
-            if step == max_steps:
-                break
-            x = [a + b for a, b in zip(x, shifts[index])]
     return {"no_periodic_orbit_found": not violations,
             "keane_violations": violations}
 

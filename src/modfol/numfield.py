@@ -15,7 +15,7 @@ from fractions import Fraction
 from .arith import _frac
 from .errors import DimensionError, DomainError, InternalInvariantError
 from .linalg import QMatrix
-from .polys import QPolynomial, is_irreducible, isolate_real_roots
+from .polys import QPolynomial, _sign_at, is_irreducible, isolate_real_roots
 
 
 class NumberField:
@@ -319,7 +319,7 @@ class RealEmbedding:
         # the defining polynomial with cleared denominators, and whether it
         # is negative at lo (it is nonzero there and changes sign once)
         self._poly = _integers(field.minpoly.coeffs)[1]
-        self._rising = self._poly_sign(self._lo_num, self._denom) < 0
+        self._rising = _sign_at(self._poly, self._lo_num, self._denom) < 0
 
     @property
     def lo(self):
@@ -332,20 +332,10 @@ class RealEmbedding:
     def __repr__(self):
         return "RealEmbedding(%r in (%s, %s))" % (self.field, self.lo, self.hi)
 
-    def _poly_sign(self, num, den):
-        """Sign of the defining polynomial at num/den (den > 0), by Horner
-        on sum F_i num^i den^(d-i)."""
-        acc = 0
-        scale = 1
-        for c in reversed(self._poly):
-            acc = acc * num + c * scale
-            scale *= den
-        return (acc > 0) - (acc < 0)
-
     def _refine(self):
         """One bisection step on the isolating interval."""
         lo, hi, den = self._lo_num, self._hi_num, self._denom
-        s = self._poly_sign(lo + hi, 2 * den)
+        s = _sign_at(self._poly, lo + hi, 2 * den)
         if s == 0:
             # rational root at the midpoint: shrink to the middle half
             lo, hi, den = 3 * lo + hi, lo + 3 * hi, 4 * den
@@ -367,6 +357,12 @@ class RealEmbedding:
             ps = (lo * box_lo, lo * box_hi, hi * box_lo, hi * box_hi)
             lo, hi = min(ps) + c, max(ps) + c
         return lo, hi, scale
+
+    def enclosures(self, rows):
+        """[(lo, hi)]: lo <= S * sum row[i] a^i <= hi for each integer row,
+        with one scale S > 0 for all rows of one length, so enclosures add
+        and compare; they stay valid when the interval is refined later."""
+        return [self._bounds(row)[:2] for row in rows]
 
     def integer_sign(self, ints):
         """Exact sign (-1, 0, 1) of sum ints[i] a^i for integer coordinates

@@ -18,6 +18,7 @@ from math import isqrt, lcm
 
 from .arith import _frac, next_prime
 from .errors import DomainError, InternalInvariantError
+from .linalg import QMatrix
 
 # highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
 MAX_POWER = 1000
@@ -209,14 +210,15 @@ def sturm_chain(p):
     return [q for q in chain if not q.is_zero()]
 
 
-def _sign_at(p, x):
-    v = p.evaluate(x)
-    return (v > 0) - (v < 0)
-
-
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(ints, num, den):
+    """Sign of sum ints[i] (num/den)^i for den > 0, by Horner on the
+    integer sum ints[i] num^i den^(n-1-i), n = len(ints)."""
+    acc = 0
+    scale = 1
+    for c in reversed(ints):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
 def squarefree_part(p):
@@ -224,13 +226,6 @@ def squarefree_part(p):
     if g.degree <= 0:
         return p.monic()
     return (p // g).monic()
-
-
-def cauchy_bound(p):
-    """Rational M with all real roots of p inside (-M, M)."""
-    lead = abs(p.coeffs[-1])
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
 
 
 def isolate_real_roots(p):
@@ -245,22 +240,28 @@ def isolate_real_roots(p):
     p = squarefree_part(p)
     if p.degree < 1:
         return []
-    chain = sturm_chain(p)
+    # the Sturm chain, each member times a positive integer that clears its
+    # denominators: a sign at a rational is then an integer Horner sum
+    chain = [QMatrix.from_rows([q.coeffs]).integer_rows()[1][0]
+             for q in sturm_chain(p)]
     deg = p.degree
 
     def var(x):
-        return _variations([_sign_at(q, x) for q in chain])
+        signs = [s for s in (_sign_at(q, x.numerator, x.denominator)
+                             for q in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
     def interior_nonroot(lo, hi):
         # p has at most deg roots, so one of deg+1 equispaced interior
         # points is not a root
         for k in range(1, deg + 2):
             m = lo + (hi - lo) * Fraction(k, deg + 2)
-            if p.evaluate(m) != 0:
+            if _sign_at(chain[0], m.numerator, m.denominator):
                 return m
         raise InternalInvariantError("no non-root cut point found")
 
-    M = cauchy_bound(p)
+    # p is monic, so every real root lies inside (-M, M) (Cauchy)
+    M = 1 + max(map(abs, p.coeffs[:-1]))
     out = []
     stack = [(-M, M, var(-M), var(M))]
     while stack:

@@ -9,8 +9,9 @@ degeneracy-coset paths, for whole matrices and single columns, the
 Heilbronn family itself as a list of matrices, which the walk mod N
 replaced, LLL with Gram-Schmidt data in Fractions, period integrals by
 complex powers in mpmath, which the fixed-point kernel replaced, the search
-for cusp labels by Cremona's equivalence criterion, and real embeddings
-by interval Horner over Fractions with the Keane probe on field elements)
+for cusp labels by Cremona's equivalence criterion, real embeddings by
+interval Horner over Fractions with the Keane probe on field elements, and
+real-root isolation with Sturm signs from Fraction Horner)
 live on here; they reuse the package's field, matrix and path arithmetic
 but none of the code they check.
 """
@@ -28,6 +29,7 @@ from modfol.hecke import cuspidal_hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.pipeline import rat_to_json
+from modfol.polys import poly_gcd
 
 
 def brute_canonical(N, c, d):
@@ -693,3 +695,47 @@ def fraction_keane_probe(T, max_steps):
             x = x + shifts[index]
     return {"no_periodic_orbit_found": not violations,
             "keane_violations": violations}
+
+
+# -- real-root isolation over Fractions ---------------------------------------------
+
+
+def fraction_isolate_real_roots(p):
+    """isolate_real_roots with every Sturm sign from Fraction Horner: the
+    same squarefree part, chain and bisection points, so the intervals
+    must agree exactly."""
+    g = poly_gcd(p, p.derivative())
+    p = (p // g).monic() if g.degree > 0 else p.monic()
+    if p.degree < 1:
+        return []
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        rem = chain[-2] % chain[-1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+
+    def var(x):
+        signs = [v > 0 for v in (q.evaluate(x) for q in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def interior_nonroot(lo, hi):
+        for k in range(1, p.degree + 2):
+            m = lo + (hi - lo) * Fraction(k, p.degree + 2)
+            if p.evaluate(m) != 0:
+                return m
+        raise InternalInvariantError("no non-root cut point found")
+
+    M = 1 + max(abs(c) for c in p.coeffs[:-1])
+    out = []
+    stack = [(-M, M, var(-M), var(M))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            out.append((lo, hi))
+        elif vlo - vhi > 1:
+            mid = interior_nonroot(lo, hi)
+            vm = var(mid)
+            stack.append((lo, mid, vlo, vm))
+            stack.append((mid, hi, vm, vhi))
+    return sorted(out)

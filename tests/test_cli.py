@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +66,17 @@ def test_genus_of_huge_level_is_fast(tmp_path):
     assert json.loads(proc.stdout) == {
         "N": 99999999999, "mu": 133339752000, "nu2": 0, "nu3": 0,
         "nu_inf": 16, "genus": 11111645993}
+
+
+def test_genus_range_near_the_bound_is_fast():
+    # 101 levels just below 10^14, each factored by trial division to 1,000
+    # and rho; the bytes are those of full trial division to sqrt(N)
+    start = time.perf_counter()
+    code, out = run("genus", "--range", "99999999999900..100000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and len(out.splitlines()) == 101
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "05788eb22bc70dd93566b685b9aa7c1876d9700f15bf5b86ba010442eda393ca")
 
 
 def test_genus_is_one_compact_line():

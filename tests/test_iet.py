@@ -1,12 +1,16 @@
 """Exact interval exchanges: application, periodicity, Keane probe, Rauzy."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modfol.cli import main
 from modfol.errors import DegenerateStepError, DomainError, WrongCaseError
 from modfol.foliation import JacobianModule, module_rank
 from modfol.iet import (
@@ -16,8 +20,8 @@ from modfol.iet import (
     periodicity_report,
     rauzy_step,
 )
-from modfol.numfield import NumberField
-from modfol.polys import QPolynomial
+from modfol.numfield import NumberField, RealEmbedding
+from modfol.polys import QPolynomial, parse_poly
 
 from oracles import fraction_keane_probe
 
@@ -251,6 +255,128 @@ def test_minimality_matches_fraction_oracle():
         connected += not report["no_periodic_orbit_found"]
     # both verdicts occur, so both branches of the loop are compared
     assert 0 < connected < len(cases)
+
+
+def _count_exact_signs(monkeypatch):
+    """A one-element list that counts RealEmbedding.integer_sign calls."""
+    calls = [0]
+    integer_sign = RealEmbedding.integer_sign
+
+    def counted(self, ints):
+        calls[0] += 1
+        return integer_sign(self, ints)
+
+    monkeypatch.setattr(RealEmbedding, "integer_sign", counted)
+    return calls
+
+
+def _planted_iet(rng, K, k):
+    """(T, planted violation): an exchange over K with a connection after
+    more than one step.  Every orbit of a rational exchange is periodic, so
+    some cut's orbit first meets a cut after n steps.  That meeting is one
+    integer relation a . lengths = 0, which survives adding eps * w * u to
+    the lengths for an integer u with a . u = 0 (w the generator of K),
+    with eps so small that no other comparison on the way changes side."""
+    while True:
+        perm = rng.choice(irreducible_permutations(k))
+        den = rng.randint(5, 12)
+        R = IET([Fraction(rng.randint(1, 6), den) for _ in range(k)], perm)
+        start = rng.randrange(1, k)
+        # x = vec . lengths, followed until it is a cut again
+        x, vec, n = R._cuts[start], [int(i < start) for i in range(k)], 0
+        while n == 0 or x not in R._cuts[1:]:
+            i = R.interval_index(x)
+            x += R._shifts[i]
+            vec = [v + int(perm[l] < perm[i]) - int(l < i)
+                   for l, v in enumerate(vec)]
+            n += 1
+        hit = R._cuts.index(x)
+        a = [v - int(l < hit) for l, v in enumerate(vec)]
+        if n < 2 or not any(a):
+            continue
+        u = [rng.randint(-3, 3) for _ in range(k)]
+        aa, au = sum(c * c for c in a), sum(c * d for c, d in zip(a, u))
+        u = [aa * d - au * c for c, d in zip(a, u)]
+        if not any(u):
+            continue
+        w_bound = 1 + max(abs(c) for c in K.minpoly.coeffs)
+        eps = Fraction(1, 4 * den * k * (n + 2) * max(map(abs, u)) * w_bound)
+        lengths = [K.from_rational(r) + K.gen() * (eps * d)
+                   for r, d in zip(R.lengths, u)]
+        if module_rank(JacobianModule(K, lengths)) < 2:
+            continue
+        return IET(lengths, perm), {"discontinuity": start,
+                                    "after_steps": n, "hits": hit}
+
+
+def _probe_sweep(seed, cases, monkeypatch):
+    """Compare minimality_probe with the Fraction oracle on random and
+    planted exchanges of 2-4 intervals over quadratic and cubic fields,
+    counting the exact signs the probe asks for."""
+    cubic = NumberField(QPolynomial([-1, -1, 0, 1]))
+    rng = random.Random(seed)
+    exact = _count_exact_signs(monkeypatch)
+    planted = 0
+    for case in range(cases):
+        K, k = rng.choice([GOLDEN, cubic]), rng.randint(2, 4)
+        steps = rng.randint(500, 1500)
+        if case % 2 and k > 2:
+            T, violation = _planted_iet(rng, K, k)
+        else:
+            T, violation = _field_iet(
+                K, [[rng.randint(-3, 3) for _ in range(K.degree)]
+                    for _ in range(k)],
+                rng.choice(irreducible_permutations(k))), None
+            if module_rank(JacobianModule(K, T.lengths)) < 2:
+                continue
+        expected = fraction_keane_probe(T, steps)
+        exact[0] = 0
+        report = minimality_probe(T, steps)
+        assert report == expected
+        if violation is not None:
+            assert violation in report["keane_violations"]
+            planted += 1
+        elif report["no_periodic_orbit_found"]:
+            # the enclosures decided all but a handful of the
+            # (k - 1)^2 (steps + 1) comparisons
+            assert exact[0] <= 10
+    assert planted > 0
+
+
+def test_minimality_sweep_matches_fraction_oracle(monkeypatch):
+    _probe_sweep(19, 8, monkeypatch)
+
+
+@pytest.mark.slow
+def test_minimality_long_sweep_matches_fraction_oracle(monkeypatch):
+    _probe_sweep(20, 60, monkeypatch)
+
+
+def test_long_probe_asks_few_exact_signs(monkeypatch):
+    # two orbits of 100,000 steps, each step against two cuts: 400,004
+    # comparisons, all but a handful decided by the enclosures
+    cubic = NumberField(QPolynomial([-1, -1, 0, 1]))
+    w = cubic.gen()
+    T = IET([cubic.one(), w, w * w], [3, 1, 2])
+    calls = _count_exact_signs(monkeypatch)
+    report = minimality_probe(T, 10 ** 5)
+    assert report == {"no_periodic_orbit_found": True, "keane_violations": []}
+    assert calls[0] <= 10
+
+
+def test_huge_coordinates_match_fraction_oracle(monkeypatch):
+    # w^1000 = F(1000) w + F(999) over x^2 - x - 1: coordinates of 209
+    # digits, so the generator is sharpened in proportion
+    lengths = [GOLDEN.from_poly(parse_poly(tok, var="w"))
+               for tok in ("1", "w^1000")]
+    expected = fraction_keane_probe(IET(lengths, [2, 1]), 10000)
+    calls = _count_exact_signs(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["iet", "--lengths", "1,w^1000", "--perm", "2,1",
+                     "--poly=-1,-1,1"]) == 0
+    assert json.loads(out.getvalue()) == expected
+    assert calls[0] <= 10
 
 
 def test_minimality_wrong_cases():

@@ -22,6 +22,9 @@ from modfol.polys import (
 )
 
 
+from oracles import fraction_isolate_real_roots
+
+
 def to_sympy(p):
     x = sympy.Symbol("x")
     return sum(sympy.Rational(c.numerator, c.denominator) * x ** i
@@ -356,6 +359,39 @@ class TestSturm:
         p = parse_poly("x^2 - 1") * parse_poly("x^2 - 2")
         ivs = isolate_real_roots(p)
         assert len(ivs) == 4
+
+
+def _isolation_corpus(degrees, seed):
+    """Per degree: a dense polynomial with coefficients in -3..3, one with
+    rational coefficients, and one with rational roots and a repeated
+    factor."""
+    rng = random.Random(seed)
+    for deg in degrees:
+        yield QPolynomial([rng.randint(-3, 3) for _ in range(deg)]
+                          + [rng.choice((-2, -1, 1, 3))])
+        yield QPolynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for _ in range(deg)] + [Fraction(1, 7)])
+        p = QPolynomial([rng.randint(-2, 2) for _ in range(deg // 2)] + [1])
+        for _ in range(deg - p.degree):
+            root = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            p = p * QPolynomial([-root, 1])
+        yield p * QPolynomial([-root, 1])
+
+
+def _check_isolation(degrees, seed):
+    for p in _isolation_corpus(degrees, seed):
+        assert isolate_real_roots(p) == fraction_isolate_real_roots(p), p
+
+
+def test_isolation_matches_fraction_sturm_signs():
+    # the integer Horner signs pick the same bisection points as Fraction
+    # Horner, so every interval is the same Fraction
+    _check_isolation(range(2, 13), 2009)
+
+
+@pytest.mark.slow
+def test_isolation_matches_fraction_sturm_signs_to_degree_40():
+    _check_isolation(range(13, 41), 2010)
 
 
 class TestInternalInvariants:

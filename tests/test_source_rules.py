@@ -40,6 +40,11 @@
 * Period integrals have one summation body, the integer fixed-point
   loop of `period_integral`: it makes no mpmath number per term, and the
   complex-power loop it replaced lives in the test oracles alone.
+* The Keane probe steps on certified integer enclosures: minimality_probe
+  has one step loop, takes its enclosures from the public
+  RealEmbedding.enclosures, calls the exact integer_sign at one site only,
+  in that loop's branch for overlapping enclosures, and reads no private
+  name of numfield.
 * No dead code: every function, method and class of the package is
   referenced by name in the package itself; a test is not a caller.
   Exempt are dunder methods, the module-level names in `modfol.__all__`
@@ -223,3 +228,33 @@ def test_every_definition_is_referenced():
                     and qualified not in modfol.__all__
                     and not (name.startswith("__") and name.endswith("__"))}
     assert unreferenced == {"cli._Parser.error", "eigen.rescale_eigenvector"}
+
+
+def test_keane_probe_steps_on_enclosures():
+    probe = _function("iet", "minimality_probe")
+    steps = [node for node in ast.walk(probe) if isinstance(node, ast.For)
+             and "max_steps" in {n.id for n in ast.walk(node.iter)
+                                 if isinstance(n, ast.Name)}]
+    assert len(steps) == 1
+    assert "enclosures" in _called(probe)
+    signs = [node for node in ast.walk(probe) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "integer_sign"]
+    assert len(signs) == 1
+    # the exact sign sits in the else branch of an if inside the step loop
+    branches = [stmt for node in ast.walk(steps[0])
+                if isinstance(node, ast.If) for stmt in node.orelse]
+    assert any(signs[0] in ast.walk(stmt) for stmt in branches)
+    private = {node.attr for node in ast.walk(probe)
+               if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")}
+    numfield_private = {name for name in (
+        {node.name for node in ast.walk(TREES["numfield"])
+         if isinstance(node, DEFINITIONS)}
+        | {node.attr for node in ast.walk(TREES["numfield"])
+           if isinstance(node, ast.Attribute)})
+        if name.startswith("_") and not name.endswith("__")}
+    assert private & numfield_private == set()
+    imported = {alias.name for node in ast.walk(TREES["iet"])
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "numfield" for alias in node.names}
+    assert not {name for name in imported if name.startswith("_")}
