@@ -1,7 +1,8 @@
 """Integer and rational helpers shared by the package.
 
-Primality, the next prime, a sieve, factorization by trial division and
-Pollard's rho, and the int-or-Fraction coercion of exact containers.
+Primality, the next prime, a smallest-prime-factor sieve, factorization
+by trial division and Pollard's rho, and the int-or-Fraction coercion of
+exact containers.
 """
 
 from fractions import Fraction
@@ -48,15 +49,17 @@ def next_prime(n):
     return n
 
 
+def smallest_prime_factors(m):
+    """spf[k] is the smallest prime factor of k for 2 <= k <= m."""
+    spf = list(range(m + 1))
+    # a smaller p is sieved later, so each k keeps its smallest factor
+    for p in range(isqrt(max(m, 0)), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, m + 1, p))
+    return spf
+
+
 def primes_up_to(m):
-    if m < 2:
-        return []
-    sieve = bytearray([1]) * (m + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(m) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, b in enumerate(sieve) if b]
+    return [p for p, s in enumerate(smallest_prime_factors(m)) if s == p > 1]
 
 
 _SMALL_PRIMES = primes_up_to(1000)

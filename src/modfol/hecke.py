@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import mul
 
-from .arith import factorize, primes_up_to
+from .arith import smallest_prime_factors
 from .linalg import QMatrix
 from .numfield import NFElement
 
@@ -85,7 +85,8 @@ def qexp_from_primes(N, prime_value, terms):
     if terms < 1:
         return c
     c[1] = 1
-    for p in primes_up_to(terms):
+    spf = smallest_prime_factors(terms)
+    for p in (k for k in range(2, terms + 1) if spf[k] == k):
         cp = prime_value(p)
         c[p] = cp
         pk = p * p
@@ -97,8 +98,9 @@ def qexp_from_primes(N, prime_value, terms):
             pk *= p
     # multiplicative fill: split off the prime power of the smallest prime
     for m in range(2, terms + 1):
-        p, e = factorize(m)[0]
-        q = p ** e
+        p = q = spf[m]
+        while m % (q * p) == 0:
+            q *= p
         if q < m:
             c[m] = c[q] * c[m // q]
     return c

@@ -73,10 +73,11 @@ class NumberField:
         return NFElement(self, cs)
 
     def from_poly(self, p):
-        """Image of a rational polynomial evaluated at the generator."""
-        r = p % self.minpoly
-        cs = list(r.coeffs) + [Fraction(0)] * (self.degree - len(r.coeffs))
-        return NFElement(self, cs)
+        """Image of a rational polynomial at the generator, by Horner in K."""
+        acc, gen = self.zero(), self.gen()
+        for c in reversed(p.coeffs):
+            acc = acc * gen + c
+        return acc
 
     def coerce(self, x):
         """x as an element of this field: an int, a Fraction, or an element

@@ -1,24 +1,23 @@
-"""Univariate polynomials over Q: arithmetic, Sturm sequences, factorization.
+"""Univariate polynomials over Q: arithmetic, root isolation, factorization.
 
-Coefficients are stored ascending as Fractions; the zero polynomial has an
-empty coefficient tuple and degree -1.
-
-Factorization over Q is complete and deterministic: Yun's squarefree
-decomposition, then for each squarefree part a monic reduction, factorization
-modulo the first usable odd prime by distinct-degree then equal-degree
-splitting (Cantor-Zassenhaus), quadratic Hensel lifting to beyond the
-Mignotte bound, and subset recombination with exact trial division.
+QPolynomial holds ascending Fraction coefficients; the zero polynomial has
+an empty tuple and degree -1.  Remainders are computed on dense integer
+lists by primitive remainder sequences (Collins 1967; Brown 1971): gcds,
+Yun's squarefree decomposition and the Sturm chains of root isolation.
+Factorization over Q scales the monic polynomial to a monic integer one,
+splits it by Yun, factors each part modulo the first usable odd prime
+(Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
+bound and recombines by Zassenhaus's subset search with exact division.
 Factors come back monic, sorted by degree then coefficients.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import _frac, next_prime
 from .errors import DomainError, InternalInvariantError
-from .linalg import QMatrix
 
 # highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
 MAX_POWER = 1000
@@ -107,39 +106,11 @@ class QPolynomial:
             n >>= 1
         return result
 
-    def divmod(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while True:
-            # trimming the top zeros also stops at a zero remainder
-            if len(_gfp_trim(r)) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lead
-            q[k] = c
-            for i, oc in enumerate(other.coeffs):
-                r[k + i] -= c * oc
-        return QPolynomial(q), QPolynomial(r)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def monic(self):
         if self.is_zero():
             raise DomainError("cannot normalize zero polynomial")
         lead = self.coeffs[-1]
         return self if lead == 1 else QPolynomial([c / lead for c in self.coeffs])
-
-    def derivative(self):
-        return QPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x):
         """Horner evaluation; works for any x supporting + and * with Fractions."""
@@ -159,55 +130,83 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to QPolynomial" % (x,))
 
 
-def poly_gcd(a, b):
-    """Monic gcd in Q[x]."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+# -- remainder sequences in Z[x] (dense int lists, ascending) -----------------
 
 
-def squarefree_decomposition(p):
-    """Yun's algorithm on a monic polynomial: list of (part, multiplicity).
+def _primitive(a):
+    """a divided by its positive content."""
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
 
-    Parts are monic, squarefree, pairwise coprime; p = prod part^mult.
-    """
-    if p.degree < 1:
-        return []
-    p = p.monic()
-    d = p.derivative()
-    g = poly_gcd(p, d)
-    if g.degree == 0:
-        return [(p, 1)]
-    w = (p // g).monic()
+
+def _zx_derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _zx_prem(a, b):
+    """Pseudo-remainder of a by b != 0 in Z[x].  Each step scales a by
+    |lc b| > 0, so the result is a positive multiple of the remainder over
+    Q and keeps every Sturm sign."""
+    a = list(a)
+    scale, n = abs(b[-1]), len(b) - 1
+    while len(a) > n:
+        c = a.pop() if b[-1] > 0 else -a.pop()      # the top term cancels
+        k = len(a) - n
+        if scale != 1:
+            a = [x * scale for x in a]
+        for i in range(n):
+            a[k + i] -= c * b[i]
+        _gfp_trim(a)
+    return a
+
+
+def _zx_gcd(a, b):
+    """Primitive gcd in Z[x] with a positive leading coefficient, by the
+    primitive remainder sequence (Collins 1967, Brown 1971): each remainder
+    is made primitive before it divides, so coefficients do not grow."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_zx_prem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _zx_div(a, b):
+    """Exact quotient a / b in Z[x], or None if b does not divide a."""
+    a = list(a)
+    lead, n = b[-1], len(b)
+    q = [0] * max(0, len(a) - n + 1)
+    while len(a) >= n:
+        c, r = divmod(a[-1], lead)
+        if r:
+            return None
+        k = len(a) - n
+        q[k] = c
+        for i, cb in enumerate(b):
+            a[k + i] -= c * cb
+        _gfp_trim(a)
+    return q if not a else None
+
+
+def _zx_squarefree(f):
+    """Yun's squarefree decomposition of a primitive f with lc f > 0:
+    (part, multiplicity) pairs, f = prod part^mult, the parts primitive,
+    squarefree and pairwise coprime with positive leading coefficients."""
+    g = _zx_gcd(f, _zx_derivative(f))
+    w = _zx_div(f, g)
     out = []
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        z = (w // y).monic() if y.degree > 0 else w
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _zx_gcd(w, g)
+        z = _zx_div(w, y)
+        if len(z) > 1:
             out.append((z, i))
-        w = y if y.degree > 0 else QPolynomial([1])
-        if y.degree > 0:
-            g = g // y
+        w = y
+        g = _zx_div(g, y)
         i += 1
-        if w.degree == 0:
-            break
     return out
 
 
 # -- Sturm sequences ----------------------------------------------------------
-
-
-def sturm_chain(p):
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero()]
 
 
 def _sign_at(ints, num, den):
@@ -221,13 +220,6 @@ def _sign_at(ints, num, den):
     return (acc > 0) - (acc < 0)
 
 
-def squarefree_part(p):
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return (p // g).monic()
-
-
 def isolate_real_roots(p):
     """Disjoint open rational intervals, one per distinct real root, sorted.
 
@@ -237,14 +229,21 @@ def isolate_real_roots(p):
     p(lo) and p(hi) have opposite signs, so the interval can be refined by
     sign bisection.
     """
-    p = squarefree_part(p)
-    if p.degree < 1:
+    q = p.monic()
+    d = lcm(*[c.denominator for c in q.coeffs])
+    # the primitive squarefree part in Z[x] and its Sturm chain, each member
+    # a positive multiple of the one over Q, give signs by integer Horner
+    f = _primitive([int(c * d) for c in q.coeffs])
+    f = _zx_div(f, _zx_gcd(f, _zx_derivative(f)))
+    deg = len(f) - 1
+    if deg < 1:
         return []
-    # the Sturm chain, each member times a positive integer that clears its
-    # denominators: a sign at a rational is then an integer Horner sum
-    chain = [QMatrix.from_rows([q.coeffs]).integer_rows()[1][0]
-             for q in sturm_chain(p)]
-    deg = p.degree
+    chain = [f, _zx_derivative(f)]
+    while len(chain[-1]) > 1:
+        rem = _zx_prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in _primitive(rem)])
 
     def var(x):
         signs = [s for s in (_sign_at(q, x.numerator, x.denominator)
@@ -252,30 +251,28 @@ def isolate_real_roots(p):
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     def interior_nonroot(lo, hi):
-        # p has at most deg roots, so one of deg+1 equispaced interior
+        # f has at most deg roots, so one of deg+1 equispaced interior
         # points is not a root
         for k in range(1, deg + 2):
             m = lo + (hi - lo) * Fraction(k, deg + 2)
-            if _sign_at(chain[0], m.numerator, m.denominator):
+            if _sign_at(f, m.numerator, m.denominator):
                 return m
         raise InternalInvariantError("no non-root cut point found")
 
-    # p is monic, so every real root lies inside (-M, M) (Cauchy)
-    M = 1 + max(map(abs, p.coeffs[:-1]))
+    # every real root lies inside (-M, M) (Cauchy); M is the bound of the
+    # monic squarefree part over Q
+    M = 1 + Fraction(max(map(abs, f[:-1])), f[-1])
     out = []
     stack = [(-M, M, var(-M), var(M))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
-        n = vlo - vhi
-        if n == 0:
-            continue
-        if n == 1:
+        if vlo - vhi == 1:
             out.append((lo, hi))
-            continue
-        mid = interior_nonroot(lo, hi)
-        vm = var(mid)
-        stack.append((lo, mid, vlo, vm))
-        stack.append((mid, hi, vm, vhi))
+        elif vlo - vhi > 1:
+            mid = interior_nonroot(lo, hi)
+            vm = var(mid)
+            stack.append((lo, mid, vlo, vm))
+            stack.append((mid, hi, vm, vhi))
     return sorted(out)
 
 
@@ -503,20 +500,6 @@ def _sym(c, m):
     return c - m if 2 * c > m else c
 
 
-def _zx_divmod_monic(a, b):
-    """Exact division in Z[x] by monic b; returns None if not divisible."""
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] -= c * cb
-        _gfp_trim(a)
-    return q if not a else None
-
-
 def _factor_monic_squarefree_z(f):
     """Monic irreducible Z[x] factors of a monic squarefree integer poly."""
     # pick the first odd prime where f (monic, so of full degree mod p)
@@ -524,7 +507,7 @@ def _factor_monic_squarefree_z(f):
     p = 3
     while True:
         fp = [c % p for c in f]
-        if len(_gfp_gcd(fp, _gfp_trim([(i * c) % p for i, c in enumerate(fp)][1:]), p)) == 1:
+        if len(_gfp_gcd(fp, _gfp_trim([c % p for c in _zx_derivative(fp)]), p)) == 1:
             break
         p = next_prime(p)
     modular = _gfp_factor(fp, p)
@@ -549,7 +532,7 @@ def _factor_monic_squarefree_z(f):
                 cand = _gfp_trim([_sym(c, m) for c in cand])
                 if rest[0] != 0 and cand[0] != 0 and rest[0] % cand[0] != 0:
                     continue
-                q = _zx_divmod_monic(rest, cand)
+                q = _zx_div(rest, cand)
                 if q is not None:
                     result.append(cand)
                     rest = q
@@ -582,36 +565,25 @@ def factor_poly(p):
         return []
     out = []
     # strip powers of x first (Zassenhaus needs nonzero constant term)
-    coeffs = list(p.coeffs)
+    coeffs = p.coeffs
     k = 0
     while coeffs[k] == 0:
         k += 1
     if k:
         out.append((QPolynomial.x(), k))
-        p = QPolynomial(coeffs[k:])
-    if p.degree >= 1:
-        for part, mult in squarefree_decomposition(p.monic()):
-            for g in _factor_squarefree_rational(part):
-                out.append((g, mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
-
-
-def _factor_squarefree_rational(q):
-    """Monic irreducible factors of a monic squarefree rational polynomial."""
+    q = QPolynomial(coeffs[k:]).monic()
     n = q.degree
-    if n == 1:
-        return [q]
     d = lcm(*[c.denominator for c in q.coeffs])
-    # G(x) = d^n q(x/d) is monic with integer coefficients
+    # G(x) = d^n q(x/d) is monic with integer coefficients, and so are its
+    # squarefree parts and their irreducible factors; a root r of G is the
+    # root r/d of q
     G = [int(c * d ** (n - i)) for i, c in enumerate(q.coeffs)]
-    factors = _factor_monic_squarefree_z(G)
-    out = []
-    for g in factors:
-        deg = len(g) - 1
-        # map back: root r of G corresponds to root r/d of q
-        out.append(QPolynomial([Fraction(c, d ** (deg - i))
-                                for i, c in enumerate(g)]))
+    for part, mult in _zx_squarefree(G):
+        for g in _factor_monic_squarefree_z(part):
+            deg = len(g) - 1
+            out.append((QPolynomial([Fraction(c, d ** (deg - i))
+                                     for i, c in enumerate(g)]), mult))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
 

@@ -11,14 +11,15 @@ replaced, LLL with Gram-Schmidt data in Fractions, period integrals by
 complex powers in mpmath, which the fixed-point kernel replaced, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements, and
-real-root isolation with Sturm signs from Fraction Horner)
-live on here; they reuse the package's field, matrix and path arithmetic
-but none of the code they check.
+real-root isolation with Sturm signs from Fraction Horner on sympy's chain
+over QQ) live on here; they reuse the package's field, matrix and path
+arithmetic but none of the code they check.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import sympy
 from mpmath import mp
 
 from modfol.arith import is_prime
@@ -29,7 +30,7 @@ from modfol.hecke import cuspidal_hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.pipeline import rat_to_json
-from modfol.polys import poly_gcd
+from modfol.polys import QPolynomial
 
 
 def brute_canonical(N, c, d):
@@ -701,19 +702,17 @@ def fraction_keane_probe(T, max_steps):
 
 
 def fraction_isolate_real_roots(p):
-    """isolate_real_roots with every Sturm sign from Fraction Horner: the
-    same squarefree part, chain and bisection points, so the intervals
-    must agree exactly."""
-    g = poly_gcd(p, p.derivative())
-    p = (p // g).monic() if g.degree > 0 else p.monic()
+    """isolate_real_roots with the monic squarefree part and its Sturm
+    chain from sympy over QQ and every sign from Fraction Horner: the same
+    bisection points, so the intervals must agree exactly."""
+    chain = [QPolynomial([Fraction(int(c.p), int(c.q))
+                          for c in reversed(q.all_coeffs())])
+             for q in sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                  for c in reversed(p.coeffs)],
+                                 sympy.Symbol("x"), domain="QQ").sturm()]
+    p = chain[0]
     if p.degree < 1:
         return []
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
 
     def var(x):
         signs = [v > 0 for v in (q.evaluate(x) for q in chain) if v != 0]

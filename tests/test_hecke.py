@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import modfol.arith
+import modfol.hecke
 from modfol.arith import is_prime, next_prime, primes_up_to
 from modfol.congruence import P1Space
 from modfol.errors import DomainError
@@ -135,8 +137,7 @@ class TestOperatorRoutes:
         # x - (p+1) divides the full charpoly for p not dividing the level
         for N, p in ((11, 2), (23, 2), (37, 3)):
             cp = QPolynomial(hecke_matrix(spaces[N], p).charpoly())
-            lin = parse_poly("x - %d" % (p + 1))
-            assert (cp % lin).is_zero()
+            assert cp.evaluate(p + 1) == 0
 
 
 class TestCuspidalCharpolys:
@@ -176,6 +177,24 @@ class TestCoefficients:
         got = qexp_from_primes(5, lambda p: Fraction(3) if p == 2 else Fraction(0), 8)
         assert got[4] == 9 - 2
         assert got[8] == got[2] * got[4] - 2 * got[2]
+
+    def test_fill_makes_no_factorize_call(self, monkeypatch):
+        # the smallest prime power of each m comes from one sieve
+        calls = []
+        factorize = modfol.arith.factorize
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(modfol.arith, "factorize", counted)
+        monkeypatch.setattr(modfol.hecke, "factorize", counted, raising=False)
+        got = qexp_from_primes(37, lambda p: Fraction(p % 7 - 3, 2), 5000)
+        assert calls == []
+        for m in range(2, 5001):
+            p, e = factorize(m)[0]
+            if p ** e < m:
+                assert got[m] == got[p ** e] * got[m // p ** e]
 
 
 class TestFunctionalRoute:

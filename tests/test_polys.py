@@ -4,21 +4,24 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from modfol.eigen import plus_hecke_matrix
 from modfol.errors import DomainError, InternalInvariantError
+from modfol.modsym import ModularSymbolSpace
 import modfol.polys
 from modfol.polys import (
     _gfp_factor,
     _hensel_lift_pair,
     _zp_divmod_monic,
+    _zx_derivative,
+    _zx_div,
+    _zx_gcd,
+    _zx_squarefree,
     QPolynomial,
     factor_poly,
     format_poly,
     is_irreducible,
     isolate_real_roots,
     parse_poly,
-    poly_gcd,
-    squarefree_decomposition,
-    squarefree_part,
 )
 
 
@@ -52,27 +55,74 @@ def rand_poly(rng, deg, lo=-6, hi=6):
     return QPolynomial(cs)
 
 
+X = sympy.Symbol("x")
+
+
+def zx(ints):
+    """A dense ascending integer list as a sympy Poly over ZZ."""
+    return sympy.Poly(ints[::-1] or [0], X, domain="ZZ")
+
+
+def from_zx(poly):
+    return [int(c) for c in reversed(poly.all_coeffs())] if poly else []
+
+
+def normalized(poly):
+    """The primitive part with a positive leading coefficient."""
+    prim = poly.primitive()[1]
+    return from_zx(-prim if prim.LC() < 0 else prim)
+
+
+def rand_zx(rng, deg, digits):
+    """Degree deg, coefficients of up to digits digits, a nonzero and
+    possibly negative leading coefficient."""
+    bound = 10 ** digits
+    return ([rng.randint(-bound, bound) for _ in range(deg)]
+            + [rng.choice((-1, 1)) * rng.randint(1, bound)])
+
+
+# (degree, digits) of the random integer operands: non-monic, up to degree
+# 40 and coefficients of 100 digits
+SIZES = [(1, 1), (3, 2), (6, 1), (10, 30), (17, 5), (25, 100), (40, 3),
+         (40, 100)]
+
+
 class TestArithmetic:
-    def test_divmod_roundtrip(self):
+    def test_exact_division_against_sympy(self):
         rng = random.Random(20)
-        for _ in range(25):
-            a = rand_poly(rng, rng.randint(0, 6))
-            b = rand_poly(rng, rng.randint(0, 4))
-            if b.is_zero():
-                continue
-            q, r = a.divmod(b)
-            assert q * b + r == a
-            assert r.is_zero() or r.degree < b.degree
+
+        def expected(a, b):
+            quotient, rest = sympy.div(zx(a), zx(b), domain="QQ")
+            if rest or any(not c.is_integer for c in quotient.all_coeffs()):
+                return None
+            return from_zx(quotient)
+
+        for deg, digits in SIZES:
+            b = rand_zx(rng, rng.randint(1, deg), digits)
+            q = rand_zx(rng, rng.randint(0, deg), digits)
+            a = from_zx(zx(b) * zx(q))
+            assert _zx_div(a, b) == expected(a, b) == q
+            # a remainder of lower degree, and a quotient over Q that is
+            # not integral, make non-divisors
+            r = from_zx(zx(a) + zx(rand_zx(rng, len(b) - 2, digits)))
+            assert _zx_div(r, b) is expected(r, b) is None
+            b2 = [2 * c for c in b]
+            assert _zx_div(a, b2) == expected(a, b2)
+        assert _zx_div([1, 0, 1], [1, 2]) is None       # 1/2 x - 1/4
+        assert _zx_div([2, 3, 1], [-1, -1]) == [-2, -1]
 
     def test_gcd_divides_both(self):
         rng = random.Random(21)
-        for _ in range(15):
-            g = rand_poly(rng, rng.randint(1, 3))
-            a = g * rand_poly(rng, rng.randint(0, 3))
-            b = g * rand_poly(rng, rng.randint(0, 3))
-            d = poly_gcd(a, b)
-            assert (a % d).is_zero() and (b % d).is_zero()
-            assert d.degree >= g.degree
+        for deg, digits in SIZES:
+            g = rand_zx(rng, rng.randint(1, deg), digits)
+            a = from_zx(zx(g) * zx(rand_zx(rng, rng.randint(0, deg), digits)))
+            b = from_zx(zx(g) * zx(rand_zx(rng, rng.randint(0, deg), digits)))
+            d = _zx_gcd(a, b)
+            assert d == normalized(zx(a).gcd(zx(b)))
+            assert d[-1] > 0 and _zx_div(a, d) is not None
+            assert _zx_div(b, d) is not None and len(d) >= len(g)
+        assert _zx_gcd([4, 4], [6, 6]) == [1, 1]
+        assert _zx_gcd([-3], []) == [1]
 
     def test_evaluate_matches_expansion(self):
         p = parse_poly("x^3 - 2*x + 5")
@@ -123,27 +173,39 @@ class TestFormatParse:
                 parse_poly(bad)
 
 
+def rand_powers(rng, deg, digits):
+    """A product of random integer polynomials to random powers, made
+    primitive with a positive leading coefficient."""
+    p = zx([1])
+    for _ in range(rng.randint(1, 4)):
+        p *= zx(rand_zx(rng, rng.randint(1, deg), digits)) ** rng.randint(1, 3)
+    return normalized(p)
+
+
 class TestSquarefree:
+    """Yun's decomposition and the squarefree part over Z, against sympy."""
+
     def test_decomposition_reassembles(self):
         rng = random.Random(22)
-        for _ in range(10):
-            parts = [rand_poly(rng, rng.randint(1, 2)).monic()
-                     for _ in range(rng.randint(1, 3))]
-            mults = [rng.randint(1, 3) for _ in parts]
-            p = QPolynomial([1])
-            for q, m in zip(parts, mults):
-                p = p * q ** m
-            prod = QPolynomial([1])
-            for q, m in squarefree_decomposition(p):
-                prod = prod * q ** m
-                # each part is squarefree
-                assert poly_gcd(q, q.derivative()).degree == 0
-            assert prod == p.monic()
+        for deg, digits in SIZES[:-1]:
+            f = rand_powers(rng, max(1, deg // 3), digits)
+            parts = _zx_squarefree(f)
+            assert ({(tuple(part), m) for part, m in parts}
+                    == {(tuple(normalized(part)), m)
+                        for part, m in zx(f).sqf_list()[1]})
+            prod = zx([1])
+            for part, m in parts:
+                assert part[-1] > 0 and zx(part).is_sqf
+                prod *= zx(part) ** m
+            assert from_zx(prod) == f
 
     def test_squarefree_part(self):
-        p = parse_poly("x-1") ** 3 * parse_poly("x+2")
-        sf = squarefree_part(p)
-        assert sf == (parse_poly("x-1") * parse_poly("x+2")).monic()
+        # the squarefree part that root isolation takes: f / gcd(f, f')
+        rng = random.Random(27)
+        for deg, digits in SIZES[:-1]:
+            f = rand_powers(rng, max(1, deg // 3), digits)
+            sf = _zx_div(f, _zx_gcd(f, _zx_derivative(f)))
+            assert sf == normalized(zx(f).sqf_part())
 
 
 class TestFactor:
@@ -345,12 +407,14 @@ class TestSturm:
             ivs = isolate_real_roots(p)
             assert len(ivs) == len(set(sympy.Poly(to_sympy(p), x).real_roots()))
             prev_hi = None
-            sf = squarefree_part(p)
+            sf = sympy.Poly(to_sympy(p), x).sqf_part()
             for lo, hi in ivs:
                 assert lo < hi
-                assert sf.evaluate(lo) != 0 and sf.evaluate(hi) != 0
+                at_lo = sf.eval(sympy.Rational(lo.numerator, lo.denominator))
+                at_hi = sf.eval(sympy.Rational(hi.numerator, hi.denominator))
+                assert at_lo != 0 and at_hi != 0
                 # sign change across the interval
-                assert (sf.evaluate(lo) > 0) != (sf.evaluate(hi) > 0)
+                assert (at_lo > 0) != (at_hi > 0)
                 if prev_hi is not None:
                     assert lo >= prev_hi
                 prev_hi = hi
@@ -359,6 +423,32 @@ class TestSturm:
         p = parse_poly("x^2 - 1") * parse_poly("x^2 - 2")
         ivs = isolate_real_roots(p)
         assert len(ivs) == 4
+
+    def test_integer_chain_is_a_positive_multiple_of_sympys(self,
+                                                           monkeypatch):
+        # the first sign query of each member is at the Cauchy bound -M,
+        # so the first calls list the chain in order
+        seen = []
+        sign_at = modfol.polys._sign_at
+
+        def recorded(ints, num, den):
+            seen.append(ints)
+            return sign_at(ints, num, den)
+
+        monkeypatch.setattr(modfol.polys, "_sign_at", recorded)
+        rng = random.Random(28)
+        for p in _isolation_corpus(range(2, 13), 2011):
+            p = p * rng.choice((-3, -1, 1, 2))
+            chain = sympy.Poly(to_sympy(p), X, domain="QQ").sturm()
+            seen.clear()
+            isolate_real_roots(p)
+            for member, over_q in zip(seen, chain):
+                over_q = [sympy.Rational(c) for c in reversed(over_q.all_coeffs())]
+                assert len(member) == len(over_q)
+                ratio = member[-1] / over_q[-1]
+                assert ratio > 0
+                assert [c * ratio for c in over_q] == member
+            assert len({tuple(m) for m in seen}) == len(chain)
 
 
 def _isolation_corpus(degrees, seed):
@@ -392,6 +482,20 @@ def test_isolation_matches_fraction_sturm_signs():
 @pytest.mark.slow
 def test_isolation_matches_fraction_sturm_signs_to_degree_40():
     _check_isolation(range(13, 41), 2010)
+
+
+@pytest.mark.slow
+def test_factor_t2_charpoly_at_level_997():
+    # degree 82 with repeated factors, where Yun's gcds need remainder
+    # sequences that keep their coefficients small
+    cp = QPolynomial(plus_hecke_matrix(ModularSymbolSpace(997), 2).charpoly())
+    factors = factor_poly(cp)
+    assert [(f.degree, m) for f, m in factors] == [
+        (1, 1), (1, 2), (2, 2), (5, 1), (5, 1), (23, 1), (42, 1)]
+    prod = QPolynomial([1])
+    for f, m in factors:
+        prod = prod * f ** m
+    assert prod == cp
 
 
 class TestInternalInvariants:

@@ -35,6 +35,10 @@
 * Linear systems over a number field are solved in eigen's coordinate
   form, by numfield.eigenspace on rational operators: no `nf_kernel` on
   lists of field elements.
+* Polynomial remainders run on integers: gcds, squarefree parts and
+  Sturm chains are primitive remainder sequences in Z[x], so there is no
+  Euclid over Q (`poly_gcd`, `sturm_chain`, `squarefree_part`), no
+  QPolynomial division and no matrix clearing of chain members in polys.
 * polys.parse_poly is the one parser of polynomial text: the CLI has no
   length parser (`_parse_combo`) of its own.
 * Period integrals have one summation body, the integer fixed-point
@@ -189,6 +193,21 @@ def test_one_charpoly_body():
 
 def test_one_kernel_over_k_and_one_polynomial_parser():
     assert _defined_functions() & {"nf_kernel", "_parse_combo"} == set()
+
+
+def test_polynomial_remainders_run_on_integers():
+    assert _defined_functions() & {
+        "poly_gcd", "sturm_chain", "squarefree_part",
+        "squarefree_decomposition", "_factor_squarefree_rational"} == set()
+    (qpoly,) = [node for node in ast.walk(TREES["polys"])
+                if isinstance(node, ast.ClassDef)
+                and node.name == "QPolynomial"]
+    methods = {node.name for node in qpoly.body
+               if isinstance(node, ast.FunctionDef)}
+    assert methods & {"divmod", "__mod__", "__floordiv__"} == set()
+    imported = {node.module for node in ast.walk(TREES["polys"])
+                if isinstance(node, ast.ImportFrom)}
+    assert "linalg" not in imported
 
 
 def test_period_integrals_sum_on_integers():
