@@ -58,11 +58,11 @@ def smallest_prime_factors(m):
     return spf
 
 
-def primes_up_to(m):
+def _primes_up_to(m):
     return [p for p, s in enumerate(smallest_prime_factors(m)) if s == p > 1]
 
 
-_SMALL_PRIMES = primes_up_to(1000)
+_SMALL_PRIMES = _primes_up_to(1000)
 
 
 def _rho(n):

@@ -23,28 +23,28 @@ _HEADER = struct.Struct(">IQ")  # schema version, payload byte length
 _DIGEST_BYTES = 32
 
 
-def canonical_bytes(obj):
+def _canonical_bytes(obj):
     """Canonical JSON encoding: sorted keys, compact, ASCII, one newline."""
     return (json.dumps(obj, sort_keys=True, separators=(",", ":"),
                        ensure_ascii=True) + "\n").encode("ascii")
 
 
-def cache_dir():
+def _cache_dir():
     """The cache directory: $MODFOL_CACHE, else .modfol-cache."""
     return os.environ.get("MODFOL_CACHE", ".modfol-cache")
 
 
-def record_path(level):
-    return os.path.join(cache_dir(), "level-%d.bin" % int(level))
+def _record_path(level):
+    return os.path.join(_cache_dir(), "level-%d.bin" % int(level))
 
 
 def store(record):
     """Write a level record atomically; returns the path written."""
     level = int(record["level"])
-    payload = canonical_bytes(record)
+    payload = _canonical_bytes(record)
     header = _HEADER.pack(SCHEMA_VERSION, len(payload))
     blob = header + payload + hashlib.sha256(header + payload).digest()
-    path = record_path(level)
+    path = _record_path(level)
     folder = os.path.dirname(path) or "."
     os.makedirs(folder, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".level-%d." % level, dir=folder)
@@ -63,7 +63,7 @@ def store(record):
 
 def load(level):
     """Return the cached record for a level, or None on any mismatch."""
-    path = record_path(level)
+    path = _record_path(level)
     try:
         with open(path, "rb") as handle:
             blob = handle.read()

@@ -45,11 +45,11 @@ from .polys import MAX_POWER, QPolynomial, parse_poly
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
 _MAX_STEPS = 10 ** 6    # a probe step costs under 1 us per cut compared
-_MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 6.5 s and 162 MB max RSS
+_MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 4.9 s and 129 MB max RSS
 _MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
 _MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 3 s
-_MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.4 s at 40, 1.5 s at 50
+_MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.06 s at 40, 0.2 s at 50
 
 
 class _UsageError(Exception):
@@ -452,10 +452,10 @@ def _build_parser():
     iet.add_argument("--poly", metavar="C0,C1,...",
                      help="defining polynomial of w, ascending "
                           "coefficients, degree at most %d. Root "
-                          "isolation builds its Sturm chain on Fractions: "
-                          "a dense polynomial of degree %d with "
-                          "coefficients in -3..3 takes about 0.4 s on a "
-                          "2-vCPU VM, one of degree 50 about 1.5 s"
+                          "isolation runs an integer Sturm chain: the field "
+                          "and probe of a dense polynomial of degree %d "
+                          "with coefficients in -3..3 take about 0.06 s on "
+                          "a 2-vCPU VM, of one of degree 50 about 0.2 s"
                           % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
     iet.add_argument("--steps", type=_at_most(_MAX_STEPS, " steps"),
                      default=10000,

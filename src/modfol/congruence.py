@@ -85,11 +85,13 @@ def curve_data(N):
 class P1Space:
     """P^1(Z/N) with canonical representatives and index lookup.
 
-    The constructor sweeps all N^2 pairs once in lexicographic order; the
-    first pair met of each unit orbit is its canonical representative, and
-    every member of the orbit gets that class's index in a flat N*N table
-    (-1 marks pairs that are not points).  canonical() and index() are one
-    table read.
+    The smallest first entry in the unit orbit of (c, d) is gcd(c, N), so
+    the constructor sweeps only the rows c = 0 and c = g | N, g < N, in
+    lexicographic order: the first pair met of each orbit is its canonical
+    representative, and every member gets that class's index in a flat N*N
+    table (-1 marks non-points), through row offsets (u*c mod N)*N made
+    once per row.  index() is one table read, reps[index(c, d)] the
+    canonical representative.
     """
 
     __slots__ = ("N", "reps", "_table")
@@ -101,23 +103,20 @@ class P1Space:
         units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1]
         table = [-1] * (N * N)
         reps = []
-        for c in range(N):
+        for c in [0] + [g for g in range(1, N) if N % g == 0]:
+            offsets = [u * c % N * N for u in units]
             for d in range(N):
                 if table[c * N + d] >= 0 or gcd(gcd(c, d), N) != 1:
                     continue
                 k = len(reps)
                 reps.append((c, d))
-                for u in units:
-                    table[(u * c) % N * N + (u * d) % N] = k
+                for u, row in zip(units, offsets):
+                    table[row + u * d % N] = k
         self.reps = tuple(reps)
         self._table = table
 
     def __len__(self):
         return len(self.reps)
-
-    def canonical(self, c, d):
-        """Canonical representative of the class of (c, d)."""
-        return self.reps[self.index(c, d)]
 
     def index(self, c, d):
         N = self.N
@@ -162,7 +161,7 @@ class P1Space:
 # -- cusps -------------------------------------------------------------------
 
 
-def normalize_cusp(p, q):
+def _normalize_cusp(p, q):
     """Reduce a cusp to lowest terms (p, q) with q >= 0; infinity is (1, 0)."""
     if isinstance(p, Fraction):
         if q != 1:
@@ -183,7 +182,7 @@ def cusp_class_key(cusp, N):
     """Canonical label (a, c) of the cusp's class: with c = gcd(q, N) and
     t = gcd(c, N/c), p/q ~ a/c iff a = p*(q/c) (mod t), and a is the
     smallest such a >= 0 prime to c."""
-    p, q = normalize_cusp(*cusp)
+    p, q = _normalize_cusp(*cusp)
     c = gcd(q, N)
     t = gcd(c, N // c)
     return _cusp_label(p * (q // c) % t, t, c)

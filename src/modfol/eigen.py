@@ -18,16 +18,17 @@ and a multiplicity, after verifying that every supplied operator really
 does act as a scalar on the chosen eigenvector.
 
 All rational linear algebra is QMatrix arithmetic on integers over a
-common denominator: a primary block is the kernel of f^m(T) for a factor
-f^m of the characteristic polynomial, by Horner, held as an echelon
-basis with its free rows, so that an operator's matrix on a block is one
-checked product (QMatrix.restrict) and no system is solved.  Each block
-is restricted and factored once per prime: the parts of a split block
-inherit its operators, restricted to them, and its factors up to the
-splitting prime, and a block that no prime splits hands its operators
+common denominator.  A block whose operator has primary parts f_i^m_i
+is cut into the last part and the rest, and only the side of lower
+degree g is evaluated, by Horner: ker g(T) is its block and the column
+span of g(T) the other's, each an echelon basis with its free rows, so
+an operator's matrix on a block is one checked product
+(QMatrix.restrict) and no system is solved.  Each block is factored
+once per prime, its parts inherit its operators, restricted to them,
+and its factors, and a block that no prime splits hands its operators
 and irreducible factors on to its orbit.  The eigenvector of a new block
-comes from the adjugate of lam*I - T, with no elimination over K, and
-that of a possibly-old block from eigenspace().
+comes from the adjugate of lam*I - T, a Krylov product with no
+elimination over K, and that of a possibly-old block from eigenspace().
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
@@ -35,6 +36,8 @@ scalar c of K by one product on the right with c.matrix().  The
 eigenvector is lifted to the +1 half and normalised once, at its first
 nonzero entry, and becomes a tuple of NFElements only in the result.
 """
+
+from math import prod
 
 from .arith import is_prime, next_prime
 from .errors import (
@@ -146,9 +149,8 @@ def decompose(space, primes):
     if space.genus == 0:
         return []
 
-    tplus = {p: plus_hecke_matrix(space, p) for p in ps}
-    blocks = list(_primary_blocks(
-        tplus, ps, QMatrix.identity(space.genus), list(range(space.genus)), {}))
+    tplus = {p: _plus_hecke_matrix(space, p) for p in ps}
+    blocks = list(_primary_blocks(tplus, ps, QMatrix.identity(space.genus), {}))
     if sum(b.cols for b, _, _ in blocks) != space.genus:
         raise InternalInvariantError("primary blocks do not fill the +1 half")
 
@@ -181,7 +183,7 @@ def auto_decompose(space):
             ps.append(err.next_prime)
 
 
-def plus_hecke_matrix(space, p):
+def _plus_hecke_matrix(space, p):
     """Hecke operator at p restricted to the +1 star eigenspace."""
     return cuspidal_hecke_matrix(space, p).restrict(*space.plus_span())
 
@@ -189,30 +191,42 @@ def plus_hecke_matrix(space, p):
 # -- internals ------------------------------------------------------------------
 
 
-def _primary_blocks(mats, ps, block, free, factors):
+def _primary_blocks(mats, ps, block, factors):
     """Yield (block, mats, factors) for each joint primary block.
 
-    ``block`` is an echelon basis with its free rows; if B is the identity
-    at rows F and K at rows G, then B*K is the identity at rows F[G].
-    ``mats`` holds the operators on the block and ``factors`` the
-    irreducible factors of their characteristic polynomials at the first
-    primes.  The rest are factored in prime order; the first that is not
-    a prime power splits the block, and each part inherits the operators,
-    restricted to it, and the factors up to and at the splitting prime.
-    A block that no prime splits comes with all its operators and factors.
+    ``block`` is an echelon basis, the identity at the last rows onto which
+    its span projects isomorphically: if B is that at rows F and K at rows
+    G, so is B*K at rows F[G], and a part split off in steps has the basis
+    it would have in one.  ``mats`` holds the operators on the block and
+    ``factors`` the irreducible factors of their characteristic
+    polynomials at the first primes.  The rest are factored in prime
+    order; the first that is not a prime power splits the block, and each
+    part inherits the operators, restricted to it, and the factors up to
+    and at the splitting prime.  A block no prime splits keeps them all.
     """
     for p in ps[len(factors):]:
         found = factor_poly(QPolynomial(mats[p].charpoly()))
         if len(found) > 1:
-            for poly, mult in found:
-                kernel, kfree = _poly_at_matrix(poly ** mult, mats[p]).echelon_kernel()
-                yield from _primary_blocks(
-                    {q: m.restrict(kernel, kfree) for q, m in mats.items()},
-                    ps, block * kernel, [free[i] for i in kfree],
-                    {**factors, p: poly})
+            yield from _split(mats, ps, block, factors, p, found)
             return
         factors[p] = found[0][0]
     yield block, mats, factors
+
+
+def _split(mats, ps, block, factors, p, parts):
+    """The blocks of the primary parts (f, m) of the operator at p, in
+    order, split as the module docstring says, with no new factoring."""
+    if len(parts) == 1:
+        yield from _primary_blocks(mats, ps, block, {**factors, p: parts[0][0]})
+        return
+    sides = (parts[:-1], parts[-1:])
+    g = [prod(f ** m for f, m in side) for side in sides]
+    low = int(g[1].degree < g[0].degree)
+    image = _poly_at_matrix(g[low], mats[p])
+    bases = image.echelon_kernel(), image.echelon_span()
+    for side, (sub, free) in zip(sides, bases[low:] + bases[:low]):
+        yield from _split({q: m.restrict(sub, free) for q, m in mats.items()},
+                          ps, block * sub, factors, p, side)
 
 
 def _orbit_from_block(space, ps, block, mats, factors):
@@ -278,9 +292,8 @@ def _adjugate_column(T, lam, chi):
     (ascending coefficients; on a block of multiplicity 1 it is the block's
     irreducible factor) and g = chi/(x - lam) in K[x], g(T) = adj(lam*I - T),
     which is nonzero exactly when rank(T - lam*I) = n - 1, and then every
-    nonzero column is an eigenvector.  Column j is sum_k g_k T^k e_j, a
-    K-combination of the Krylov vectors T^k e_j, which are rational, so its
-    coordinates come from rational matrix products alone, by Horner.
+    nonzero column is an eigenvector.  Column j is sum_k T^k e_j g_k: the
+    rational Krylov matrix of e_j times the n x d matrix of the rows g_k.
     """
     field = lam.field
     n = T.rows
@@ -292,11 +305,9 @@ def _adjugate_column(T, lam, chi):
         acc = acc * lam + chi[k]
     if not acc.is_zero():
         raise DomainError("value is not an eigenvalue of the matrix")
+    coeffs = QMatrix.from_rows([gk.coeffs for gk in g])
     for j in range(n):
-        col = QMatrix.zeros(n, field.degree)
-        for gk in reversed(g):
-            lift = [gk.coeffs if i == j else [0] * field.degree for i in range(n)]
-            col = T * col + QMatrix.from_rows(lift)
+        col = T.krylov(j) * coeffs
         if not col.is_zero():
             return col
     raise MultiplicityError(

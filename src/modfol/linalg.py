@@ -4,15 +4,15 @@ QMatrix stores integers row-major over one positive common denominator,
 reduced so that equal matrices have equal storage; entries are read back
 as Fractions.  Products, sums, scaling and elimination run on the
 integers: one fraction-free Gauss-Jordan elimination (rref, which also
-serves rank and kernel), and one characteristic polynomial, Berkowitz's
-division-free recursion (charpoly, whose constant coefficient also
-serves the determinant in is_unimodular); for integer lattices, a
+serves rank, kernel and column span), and one characteristic polynomial,
+Berkowitz's division-free recursion (charpoly, whose constant coefficient
+also serves the determinant in is_unimodular); for integer lattices, a
 row-style Hermite normal form and Cohen's integral LLL, which updates
 its Gram-Schmidt data in place.
 
 An invariant subspace is held as an echelon basis, a column matrix that
-is the identity at its rows ``free`` (as echelon_kernel returns it), so
-restrict() reads an operator's matrix on the span off one product.
+is the identity at its rows ``free`` (as echelon_kernel and echelon_span
+return it), so restrict() reads an operator's matrix off one product.
 """
 
 from fractions import Fraction
@@ -31,14 +31,17 @@ class QMatrix:
     def __init__(self, rows, cols, data):
         if len(data) != rows * cols:
             raise DimensionError("data length %d != %d x %d" % (len(data), rows, cols))
-        fracs = [_frac(x) for x in data if not isinstance(x, int)]
-        den = lcm(*[x.denominator for x in fracs]) if fracs else 1
-        self._set(rows, cols, [x.numerator * (den // x.denominator)
-                               for x in data], den)
+        if set(map(type, data)) <= {int}:
+            num, den = list(data), 1
+        else:
+            fracs = [_frac(x) for x in data if not isinstance(x, int)]
+            den = lcm(*[x.denominator for x in fracs])
+            num = [x.numerator * (den // x.denominator) for x in data]
+        self._set(rows, cols, num, den)
 
     def _set(self, rows, cols, num, den):
         """Store num/den in lowest terms: gcd(den, *num) = 1, den > 0."""
-        g = gcd(den, *num)
+        g = gcd(den, *num) if den > 1 else 1
         if g > 1:
             num = [x // g for x in num]
             den //= g
@@ -225,6 +228,29 @@ class QMatrix:
                 num[p * k + j] = -R._num[r * c + f]
         return QMatrix._from_ints(c, k, num, R._den), free
 
+    def echelon_span(self):
+        """(B, free): the column span, held as echelon_kernel holds a kernel.
+        By matroid duality with rref's first pivots, ``free`` are the last
+        coordinates onto which the span projects isomorphically: one rref of
+        the transpose with its columns reversed finds them, and B."""
+        n, c = self.rows, self.cols
+        flip = [self._num[i * c + j] for j in range(c) for i in reversed(range(n))]
+        R, piv = QMatrix._from_ints(c, n, flip).rref()
+        k = len(piv)
+        B = [R._num[(k - 1 - j) * n + n - 1 - i] for i in range(n) for j in range(k)]
+        return QMatrix._from_ints(n, k, B, R._den), [n - 1 - p for p in piv[::-1]]
+
+    def krylov(self, j):
+        """The square matrix whose column k is self^k e_j, that is A^k e_j /
+        den^k for the stored integers A, by integer matrix-vector products."""
+        n, den = self.rows, self._den
+        rows = [self._num[i * n:(i + 1) * n] for i in range(n)]
+        cols = [[int(i == j) for i in range(n)]]
+        for _ in range(n - 1):
+            cols.append([sum(map(mul, row, cols[-1])) for row in rows])
+        return QMatrix._from_ints(n, n, [cols[k][i] * den ** (n - 1 - k) for i in
+                                         range(n) for k in range(n)], den ** (n - 1))
+
     def restrict(self, basis, free):
         """Matrix of self on the column span of an echelon basis.
 
@@ -271,7 +297,7 @@ class QMatrix:
 # -- integer lattice utilities ------------------------------------------------
 
 
-def hnf(rows):
+def _hnf(rows):
     """Row-style Hermite normal form of an integer matrix.
 
     Returns the list of nonzero rows: pivots positive, entries above each
@@ -318,7 +344,7 @@ def lattice_key(rational_rows):
     of the entries.
     """
     den, rows = QMatrix.from_rows(rational_rows).integer_rows()
-    return (den, tuple(tuple(r) for r in hnf(rows)))
+    return (den, tuple(tuple(r) for r in _hnf(rows)))
 
 
 def is_unimodular(rows):

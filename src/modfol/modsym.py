@@ -14,7 +14,9 @@ boundary kernel, of dimension twice the genus.
 Coordinates: the relation module is eliminated once at construction; every
 symbol, path and loop is afterwards expressed in a fixed basis of the
 quotient (dimension 2*genus + #cusps - 1).  Symbol and path coordinates are
-integers (the elimination is checked to leave no denominators).  The
+integers (the elimination is checked to leave no denominators), and each
+symbol is 1, -1 or 0 times a two-term representative, so the boundary map
+is checked on the representatives, with one cusp label per residue pair.  The
 cuspidal subspace and the +1 half of the star involution on it are held
 as echelon bases with their free rows, so an operator is restricted to
 either by one checked product (QMatrix.restrict).
@@ -35,14 +37,6 @@ from .errors import DimensionError, DomainError, InternalInvariantError
 from .linalg import QMatrix
 
 
-def _sigma_image(c, d):
-    return (d, -c)
-
-
-def _tau_image(c, d):
-    return (d, -c - d)
-
-
 class ModularSymbolSpace:
     """Weight-2 modular symbol space of level N, with boundary and homology."""
 
@@ -51,8 +45,7 @@ class ModularSymbolSpace:
         self.N = N
         self.genus = data["genus"]
         self.p1 = P1Space(N)
-        self._build_quotient()
-        self._build_boundary()
+        self._build_boundary(*self._build_quotient())
         self._generators = None
         self._star = None
         self._plus_span = None
@@ -64,24 +57,25 @@ class ModularSymbolSpace:
         p1 = self.p1
         n = len(p1.reps)
 
-        sigma = [p1.index(*_sigma_image(*p1.reps[i])) for i in range(n)]
-        tau = [p1.index(*_tau_image(*p1.reps[i])) for i in range(n)]
+        # (c, d).s = (d, -c) and (c, d).t = (d, -c - d)
+        sigma = [p1.index(d, -c) for c, d in p1.reps]
+        tau = [p1.index(d, -c - d) for c, d in p1.reps]
 
-        # stage 1: two-term relations; keep one symbol per s-orbit
-        # zero[i] marks symbols forced to vanish, pair sign links the others
-        rep_of = [None] * n          # i -> (sign, representative index)
+        # stage 1: two-term relations; keep one symbol per s-orbit: symbol
+        # i is sign times representative k (column k of the relations), and
+        # sign 0 marks symbols forced to vanish
+        rep_of = [None] * n          # i -> (sign, k)
         reps = []
         for i in range(n):
             if rep_of[i] is not None:
                 continue
             j = sigma[i]
             if j == i:
-                rep_of[i] = (0, i)           # x + x.s = 2x = 0
+                rep_of[i] = (0, 0)           # x + x.s = 2x = 0
             else:
-                rep_of[i] = (1, i)
-                rep_of[j] = (-1, i)
+                rep_of[i] = (1, len(reps))
+                rep_of[j] = (-1, len(reps))
                 reps.append(i)
-        col_of = {i: k for k, i in enumerate(reps)}
 
         # stage 2: three-term relations over the surviving representatives
         rows = []
@@ -94,9 +88,9 @@ class ModularSymbolSpace:
             seen.add(key)
             row = [0] * len(reps)
             for j in orbit:
-                sign, rep = rep_of[j]
+                sign, k = rep_of[j]
                 if sign != 0:
-                    row[col_of[rep]] += sign
+                    row[k] += sign
             if any(row):
                 rows.append(row)
 
@@ -114,40 +108,42 @@ class ModularSymbolSpace:
             raise InternalInvariantError(
                 "symbol %d has the non-integral coordinate %s at level %d"
                 % (reps[c], Fraction(x, den), self.N))
-        rep_coords = [tuple(row) for row in coord_rows]
+        signed = {1: [tuple(row) for row in coord_rows],
+                  -1: [tuple(-x for x in row) for row in coord_rows],
+                  0: [(0,) * self.dim]}
+        self._symbol_coords = [signed[sign][k] for sign, k in rep_of]
+        return rep_of, coord_rows
 
-        zero = (0,) * self.dim
-        self._symbol_coords = []
-        for i in range(n):
-            sign, rep = rep_of[i]
-            if sign == 0:
-                self._symbol_coords.append(zero)
-            else:
-                base = rep_coords[col_of[rep]]
-                self._symbol_coords.append(
-                    base if sign == 1 else tuple(-x for x in base))
-
-    def _build_boundary(self):
-        self.cusp_keys = cusp_classes(self.N)
+    def _build_boundary(self, rep_of, rep_rows):
+        N = self.N
+        self.cusp_keys = cusp_classes(N)
         key_pos = {k: i for i, k in enumerate(self.cusp_keys)}
         nu = len(self.cusp_keys)
+        # the class of a cusp p/q with gcd(p, q) = 1 and q >= 0 depends only
+        # on (p mod N, q mod N): c = gcd(q, N), t = gcd(c, N/c) and
+        # p*(q/c) mod t are read off them, as c*t divides N
+        labels = {}
 
-        def divisor(i):
-            a, b, c, d = self.lift(*self.p1.reps[i])
+        def divisor(rep):
+            a, b, c, d = _lift_canonical(*rep)
             v = [0] * nu
-            v[key_pos[cusp_class_key((a, c), self.N)]] += 1
-            v[key_pos[cusp_class_key((b, d), self.N)]] -= 1
+            for p, q, s in ((a, c, 1), (b, d, -1)):
+                key = (p % N, q % N)
+                if key not in labels:
+                    labels[key] = key_pos[cusp_class_key((p, q), N)]
+                v[labels[key]] += s
             return v
 
-        # columns of the boundary matrix come from the free symbols; one
-        # integer product checks that every symbol maps to its divisor
-        divisors = [divisor(i) for i in range(len(self.p1))]
+        # columns of the boundary matrix come from the free symbols; every
+        # symbol is 1, -1 or 0 times its two-term representative, so one
+        # product over the representatives checks each symbol's divisor
+        divisors = [divisor(rep) for rep in self.p1.reps]
         cols = [divisors[i] for i in self.free_symbols]
         self._boundary = [[col[r] for col in cols] for r in range(nu)]
-        image = (QMatrix.from_rows(self._symbol_coords) * QMatrix(
+        image = (QMatrix.from_rows(rep_rows) * QMatrix(
             self.dim, nu, [x for col in cols for x in col])).integer_rows()[1]
-        bad = next((i for i, row in enumerate(image) if row != divisors[i]),
-                   None)
+        bad = next((i for i, (sign, k) in enumerate(rep_of) if divisors[i] != (
+            [sign * x for x in image[k]] if sign else [0] * nu)), None)
         if bad is not None:
             raise InternalInvariantError(
                 "boundary map inconsistent with relations at symbol %d" % bad)
@@ -162,23 +158,7 @@ class ModularSymbolSpace:
                 "cuspidal dimension %d != 2*genus %d"
                 % (self.cuspidal_dim, 2 * self.genus))
 
-    # -- symbols and lifts -----------------------------------------------------
-
-    def lift(self, c, d):
-        """An SL2(Z) matrix whose bottom row is congruent mod N to the
-        canonical representative of (c, d)."""
-        cc, dd = self.p1.canonical(c, d)
-        if cc == 0:
-            # the zero-first class is (0, 1) (or (0, 0) at N = 1): the identity
-            return (1, 0, 0, 1)
-        # the smallest first entry in a unit orbit is gcd(c, N), a divisor
-        # of N, so gcd(cc, dd) = gcd(cc, dd, N) = 1
-        if gcd(cc, dd) != 1:
-            raise InternalInvariantError(
-                "canonical pair (%d, %d) is not coprime" % (cc, dd))
-        # complete (cc, dd) to determinant 1: a*dd - b*cc = 1
-        a = pow(dd, -1, cc)
-        return (a, (a * dd - 1) // cc, cc, dd)
+    # -- symbols -----------------------------------------------------------------
 
     def symbol_coords(self, c, d):
         """Quotient coordinates of the symbol [c:d]."""
@@ -207,34 +187,24 @@ class ModularSymbolSpace:
         """
         if x is None:
             return [0] * self.dim
-        p, q = x
-        # continued-fraction convergents p_k/q_k of x, starting from 1/0
-        pk_1, qk_1 = 1, 0
-        pk, qk = None, None
-        a, b = p, q
-        first = True
+        # continued-fraction convergents p_k/q_k of x, after 1/0 and 0/1
+        pk, qk, pk_1, qk_1 = 1, 0, 0, 1
+        a, b = x
         index, coords = self.p1.index, self._symbol_coords
         steps = []
-        while True:
-            if b == 0:
-                break
+        while b:
             quo = a // b
             a, b = b, a - quo * b
-            if first:
-                pk, qk = quo, 1
-                first = False
-            else:
-                pk, qk, pk_1, qk_1 = quo * pk + pk_1, quo * qk + qk_1, pk, qk
-            # unimodular path {p_{k-1}/q_{k-1}, p_k/q_k} = [h.0, h.oo]
+            pk, qk, pk_1, qk_1 = quo * pk + pk_1, quo * qk + qk_1, pk, qk
+            # unimodular path {p_{k-1}/q_{k-1}, p_k/q_k} = [h.0, h.oo] for
+            # h = (pk, det*pk_1, qk, det*qk_1)
             h = (pk, pk_1, qk, qk_1)
             det = mat_det(h)
-            if det == -1:
-                h = (pk, -pk_1, qk, -qk_1)
-            elif det != 1:
+            if det not in (1, -1):
                 raise InternalInvariantError(
                     "convergent matrix %s of %d/%d has determinant %d"
-                    % (h, p, q, det))
-            steps.append(coords[index(qk, h[3])])
+                    % (h, *x, det))
+            steps.append(coords[index(qk, det * qk_1)])
         return [sum(col) for col in zip(*steps)]
 
     # -- cuspidal subspace ----------------------------------------------------------
@@ -343,11 +313,7 @@ class ModularSymbolSpace:
                 a = pow(d, -1, c)
                 b = (a * d - 1) // c
                 gamma = (a, b, c, d)
-                if mat_det(gamma) != 1:
-                    raise InternalInvariantError(
-                        "sweep element %s does not have determinant 1"
-                        % (gamma,))
-                coords = self.loop_class(gamma)
+                coords = self.loop_class(gamma)    # checks gamma is in Gamma0(N)
                 trial = picked_rows + [list(coords)]
                 if QMatrix.from_rows(trial).rank() == len(trial):
                     picked_rows.append(list(coords))
@@ -356,6 +322,22 @@ class ModularSymbolSpace:
                         break
         self._generators = out
         return list(out)
+
+
+def _lift_canonical(c, d):
+    """An SL2(Z) matrix whose bottom row is the canonical representative
+    (c, d) of a point of P^1(Z/N), or (0, 1) when c = 0."""
+    if c == 0:
+        # the zero-first class is (0, 1) (or (0, 0) at N = 1): the identity
+        return (1, 0, 0, 1)
+    # the smallest first entry in a unit orbit is gcd(c, N), a divisor
+    # of N, so gcd(c, d) = gcd(c, d, N) = 1
+    if gcd(c, d) != 1:
+        raise InternalInvariantError(
+            "canonical pair (%d, %d) is not coprime" % (c, d))
+    # complete (c, d) to determinant 1: a*d - b*c = 1
+    a = pow(d, -1, c)
+    return (a, (a * d - 1) // c, c, d)
 
 
 def _pair(x):

@@ -51,7 +51,7 @@ def _orbit_record(index, orbit):
     }
 
 
-def classification_entry(level, index, fc):
+def _classification_entry(level, index, fc):
     entry = {
         "level": level,
         "orbit": index,
@@ -75,10 +75,7 @@ def analyze_level(N, primes=None):
     N = int(N)
     space = ModularSymbolSpace(N)
     curve = curve_data(N)
-    if primes is None:
-        orbits = auto_decompose(space)
-    else:
-        orbits = decompose(space, primes)
+    orbits = auto_decompose(space) if primes is None else decompose(space, primes)
     used = sorted({p for o in orbits for p in o.coefficient_map})
     return {
         "schema": SCHEMA_VERSION,
@@ -86,7 +83,7 @@ def analyze_level(N, primes=None):
         "curve": curve,
         "primes": used,
         "orbits": [_orbit_record(i, o) for i, o in enumerate(orbits)],
-        "classification": [classification_entry(N, i, classify(o, curve))
+        "classification": [_classification_entry(N, i, classify(o, curve))
                            for i, o in enumerate(orbits)],
     }
 

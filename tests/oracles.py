@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive (brute force, first principles) and
 kept separate from the package so the two routes share no code.  The
-routes that the package replaced (Gauss-Jordan over K for kernels and
-eigenvectors, Fraction Horner for primary blocks, and the two Hecke routes
-that Heilbronn matrices superseded: Merel's determinant-p family and the
-degeneracy-coset paths, for whole matrices and single columns, the
+routes that the package replaced (the sweep of all N^2 pairs for
+P^1(Z/N), Gauss-Jordan over K for kernels and eigenvectors, Fraction
+Horner on each primary part for primary blocks, the adjugate column by
+Horner over K, and the two Hecke routes that Heilbronn matrices
+superseded: Merel's determinant-p family and the degeneracy-coset
+paths, for whole matrices and single columns, the
 Heilbronn family itself as a list of matrices, which the walk mod N
 replaced, LLL with Gram-Schmidt data in Fractions, period integrals by
 complex powers in mpmath, which the fixed-point kernel replaced, the search
@@ -23,14 +25,14 @@ import sympy
 from mpmath import mp
 
 from modfol.arith import is_prime
-from modfol.congruence import normalize_cusp
+from modfol.congruence import _normalize_cusp
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
 from modfol.hecke import cuspidal_hecke_matrix
 from modfol.linalg import QMatrix
-from modfol.modsym import ModularSymbolSpace
+from modfol.modsym import ModularSymbolSpace, _lift_canonical
 from modfol.pipeline import rat_to_json
-from modfol.polys import QPolynomial
+from modfol.polys import QPolynomial, factor_poly
 
 
 def brute_canonical(N, c, d):
@@ -55,6 +57,24 @@ def brute_p1_classes(N):
             classes.append(min(orbit))
             seen |= orbit
     return classes
+
+
+def sweep_p1(N):
+    """P^1(Z/N) by a sweep of all N^2 pairs in lexicographic order: the
+    first pair met of each unit orbit is its representative.  Returns the
+    representatives and the flat N*N table of class indices, -1 at the
+    pairs that are not points."""
+    units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1]
+    table = [-1] * (N * N)
+    reps = []
+    for c in range(N):
+        for d in range(N):
+            if table[c * N + d] >= 0 or gcd(gcd(c, d), N) != 1:
+                continue
+            reps.append((c, d))
+            for u in units:
+                table[(u * c) % N * N + (u * d) % N] = len(reps) - 1
+    return tuple(reps), table
 
 
 def coset_genus(N):
@@ -341,6 +361,38 @@ def fraction_poly_at_matrix(poly, mat):
     return QMatrix.from_rows(out)
 
 
+def per_part_primary_blocks(T):
+    """(f, kernel of f^m(T), its free rows) for each primary part f^m of
+    T's characteristic polynomial, in factor_poly order: each part's
+    f^m(T) by Fraction Horner on its own, and its kernel as
+    echelon_kernel returns it."""
+    return [(f, *fraction_poly_at_matrix(f ** m, T).echelon_kernel())
+            for f, m in factor_poly(QPolynomial(T.charpoly()))]
+
+
+def horner_adjugate_column(T, lam, chi):
+    """A nonzero column of adj(lam*I - T) = g(T), g = chi/(x - lam), as its
+    n x d coordinate matrix: column j by Horner over K, one n x n by n x d
+    product per coefficient of g."""
+    field = lam.field
+    n = T.rows
+    g, acc = [None] * n, field.one()
+    for k in range(n - 1, -1, -1):
+        g[k] = acc
+        acc = acc * lam + chi[k]
+    if not acc.is_zero():
+        raise DomainError("value is not an eigenvalue of the matrix")
+    for j in range(n):
+        col = QMatrix.zeros(n, field.degree)
+        for gk in reversed(g):
+            lift = [gk.coeffs if i == j else [0] * field.degree
+                    for i in range(n)]
+            col = T * col + QMatrix.from_rows(lift)
+        if not col.is_zero():
+            return col
+    raise MultiplicityError("adj(lam*I - T) vanishes")
+
+
 def heilbronn(p):
     """Cremona's Heilbronn matrices (a, b, c, d) of determinant p.
 
@@ -440,7 +492,7 @@ def hecke_column_paths(space, p, j):
     if not is_prime(p):
         raise DomainError("expected a prime, got %d" % p)
     sym = space.free_symbols[j]
-    a, b, c, d = space.lift(*space.p1.reps[sym])
+    a, b, c, d = _lift_canonical(*space.p1.reps[sym])
     alpha = None if d == 0 else Fraction(b, d)      # image of 0
     beta = None if c == 0 else Fraction(a, c)       # image of infinity
     with_scaling = space.N % p != 0
@@ -481,8 +533,8 @@ def cusp_equivalent(cusp1, cusp2, N):
     """Exact Gamma0(N)-equivalence of two cusps given as (p, q) pairs:
     p1/q1 ~ p2/q2 iff s1*q2 = s2*q1 mod gcd(q1*q2, N), s_i = p_i^-1 mod q_i
     (Cremona 1997, 2.2)."""
-    p1, q1 = normalize_cusp(*cusp1)
-    p2, q2 = normalize_cusp(*cusp2)
+    p1, q1 = _normalize_cusp(*cusp1)
+    p2, q2 = _normalize_cusp(*cusp2)
     s1 = pow(p1, -1, q1) if q1 >= 1 else 1
     s2 = pow(p2, -1, q2) if q2 >= 1 else 1
     g = gcd(q1 * q2, N)
@@ -493,7 +545,7 @@ def search_cusp_class_key(cusp, N):
     """The label (a, c) of a cusp's class by search: c = gcd(q, N) and a
     the smallest nonnegative numerator prime to c with a/c equivalent to
     the cusp."""
-    p, q = normalize_cusp(*cusp)
+    p, q = _normalize_cusp(*cusp)
     c = gcd(q, N)
     for a in range(N + 1):
         if gcd(a, c) == 1 and cusp_equivalent((p, q), (a, c), N):

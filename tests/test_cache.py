@@ -82,7 +82,7 @@ def test_trailing_garbage_is_a_miss(cache_root):
 
 def test_level_mismatch_is_a_miss(cache_root):
     src = cache.store(sample_record(level=7))
-    os.replace(src, cache.record_path(8))
+    os.replace(src, cache._record_path(8))
     assert cache.load(8) is None
 
 
@@ -96,6 +96,6 @@ def test_env_var_selects_directory(tmp_path, monkeypatch):
 
 def test_default_directory_name(monkeypatch):
     monkeypatch.delenv("MODFOL_CACHE", raising=False)
-    assert cache.cache_dir() == ".modfol-cache"
-    assert cache.record_path(3).endswith(os.path.join(".modfol-cache",
+    assert cache._cache_dir() == ".modfol-cache"
+    assert cache._record_path(3).endswith(os.path.join(".modfol-cache",
                                                       "level-3.bin"))

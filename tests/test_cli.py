@@ -186,7 +186,7 @@ def test_classify_warm_path_bytes_identical():
 def test_corrupt_cache_recomputes(tmp_path, monkeypatch):
     monkeypatch.setenv("MODFOL_CACHE", str(tmp_path / "c2"))
     cold = run("decompose", "11")
-    path = cache.record_path(11)
+    path = cache._record_path(11)
     blob = bytearray(open(path, "rb").read())
     blob[16] ^= 0xFF
     open(path, "wb").write(bytes(blob))
@@ -672,7 +672,7 @@ def test_error_code_mapping():
 def test_internal_invariant_error_exits_3(monkeypatch):
     from modfol.modsym import ModularSymbolSpace
 
-    def broken(self):
+    def broken(self, *parts):
         raise InternalInvariantError("boundary check failed")
 
     monkeypatch.setattr(ModularSymbolSpace, "_build_boundary", broken)

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from modfol.congruence import (
     P1Space,
+    _normalize_cusp,
     cusp_class_key,
     cusp_classes,
     curve_data,
     gamma0_contains,
     mat_det,
-    normalize_cusp,
 )
 from modfol.arith import factorize
 from modfol.errors import DomainError
@@ -21,7 +21,7 @@ from modfol.errors import DomainError
 from oracles import (brute_canonical, brute_p1_classes, coset_genus,
                      cusp_equivalent, mat_mul, moebius_on_cusp,
                      random_gamma0_element, search_cusp_class_key,
-                     search_cusp_count)
+                     search_cusp_count, sweep_p1)
 
 
 @lru_cache(maxsize=8)
@@ -94,7 +94,7 @@ class TestP1:
             if gcd(gcd(c, d), 24) != 1:
                 continue
             for u in (5, 7, 11, 23):
-                assert space.canonical(u * c, u * d) == space.canonical(c, d)
+                assert space.index(u * c, u * d) == space.index(c, d)
 
     def test_index_of_matrix_constant_on_cosets(self):
         rng = random.Random(42)
@@ -107,7 +107,22 @@ class TestP1:
 
     def test_rejects_non_point(self):
         with pytest.raises(DomainError):
-            P1Space(12).canonical(2, 4)
+            P1Space(12).index(2, 4)
+
+    def test_reps_and_table_match_the_full_sweep(self):
+        for N in range(1, 121):
+            space = P1Space(N)
+            assert (space.reps, space._table) == sweep_p1(N), N
+
+    @pytest.mark.slow
+    def test_reps_and_table_match_the_full_sweep_at_large_levels(self):
+        # every level to 400, then primes, prime powers and levels with many
+        # divisors up to the CLI's bound of 2,000; the sweep over every
+        # level to 2,000 would take about 20 minutes
+        for N in [*range(121, 401), 512, 729, 961, 997, 1000, 1024, 1331,
+                  1680, 1728, 1800, 1980, 1998, 1999, 2000]:
+            space = P1Space(N)
+            assert (space.reps, space._table) == sweep_p1(N), N
 
     def test_canonical_and_index_match_oracle_on_every_pair(self):
         for N in range(1, 61):
@@ -116,12 +131,9 @@ class TestP1:
                 for d in range(N):
                     if gcd(gcd(c, d), N) != 1:
                         with pytest.raises(DomainError):
-                            space.canonical(c, d)
-                        with pytest.raises(DomainError):
                             space.index(c, d)
                         continue
                     rep = brute_canonical(N, c, d)
-                    assert space.canonical(c, d) == rep, (N, c, d)
                     assert space.reps[space.index(c, d)] == rep, (N, c, d)
 
     @settings(max_examples=150, deadline=None, derandomize=True,
@@ -131,22 +143,21 @@ class TestP1:
     def test_canonical_properties(self, N, c, d, u):
         assume(gcd(gcd(c, d), N) == 1 and gcd(u, N) == 1)
         space = _p1(N)
-        rep = space.canonical(c, d)
+        rep = space.reps[space.index(c, d)]
         assert rep == brute_canonical(N, c, d)
-        assert space.canonical(*rep) == rep
-        assert space.canonical(u * c, u * d) == rep
+        assert space.reps[space.index(*rep)] == rep
         assert space.index(u * c, u * d) == space.index(c, d)
 
 
 class TestCusps:
     def test_normalize(self):
-        assert normalize_cusp(2, 4) == (1, 2)
-        assert normalize_cusp(-1, -2) == (1, 2)
-        assert normalize_cusp(3, 0) == (1, 0)
-        assert normalize_cusp(0, 5) == (0, 1)
-        assert normalize_cusp(Fraction(6, 4), 1) == (3, 2)
+        assert _normalize_cusp(2, 4) == (1, 2)
+        assert _normalize_cusp(-1, -2) == (1, 2)
+        assert _normalize_cusp(3, 0) == (1, 0)
+        assert _normalize_cusp(0, 5) == (0, 1)
+        assert _normalize_cusp(Fraction(6, 4), 1) == (3, 2)
         with pytest.raises(DomainError):
-            normalize_cusp(0, 0)
+            _normalize_cusp(0, 0)
 
     def test_equivalence_is_invariant_under_group_action(self):
         rng = random.Random(43)

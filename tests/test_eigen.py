@@ -8,12 +8,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from modfol import eigen
-from modfol.arith import primes_up_to
+from modfol.arith import _primes_up_to
 from modfol.eigen import (
+    _plus_hecke_matrix,
     _poly_at_matrix,
     auto_decompose,
     decompose,
-    plus_hecke_matrix,
     rescale_eigenvector,
 )
 from modfol.errors import DomainError, MultiplicityError, UndecidedSplitError
@@ -23,7 +23,8 @@ from modfol.numfield import NumberField
 from modfol.polys import QPolynomial, factor_poly, parse_poly
 
 from oracles import (elimination_eigenvector, eta_product_qexp,
-                     fraction_poly_at_matrix)
+                     fraction_poly_at_matrix, horner_adjugate_column,
+                     per_part_primary_blocks)
 
 
 def field_of(text):
@@ -266,6 +267,115 @@ def test_horner_and_its_powers_equal_fraction_horner(case):
     assert power == expected_power == _poly_at_matrix(poly ** mult, mat)
 
 
+# -- primary blocks and the adjugate column against per-part oracles ----------------
+
+_PARTS = ("x", "x - 1", "x + 2", "x^2 - 2", "x^2 + x - 1", "x^2 + 1",
+          "x^3 - x - 1", "x^3 - 3*x + 1")
+
+
+def _companion(poly):
+    """Companion matrix of a monic integer polynomial."""
+    cs = [int(c) for c in poly.coeffs]
+    n = len(cs) - 1
+    return [[int(i == j + 1) for j in range(n - 1)] + [-cs[i]]
+            for i in range(n)]
+
+
+def _block_matrix(rng, parts):
+    """A seeded integer matrix whose charpoly has the primary parts
+    (f, m): per part the companion matrix of f^m or, half the time when
+    m > 1, of f^(m-1) and f beside it, so f has two Jordan chains; the
+    blocks sit on the diagonal and are mixed by integer row operations
+    and their inverse column operations."""
+    blocks = []
+    for f, m in parts:
+        if m > 1 and rng.random() < 0.5:
+            blocks += [_companion(f ** (m - 1)), _companion(f)]
+        else:
+            blocks.append(_companion(f ** m))
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] -= t * r[i]
+    return QMatrix.from_rows(rows)
+
+
+def _seeded_parts(seed):
+    """2-5 distinct irreducible parts with multiplicities 1-3, at most
+    16 dimensions, sorted as factor_poly sorts them."""
+    rng = random.Random(seed)
+    parts = []
+    for text in rng.sample(_PARTS, rng.randint(2, 5)):
+        f, m = parse_poly(text), rng.randint(1, 3)
+        if sum(g.degree * k for g, k in parts) + f.degree * m <= 16:
+            parts.append((f, m))
+    if len(parts) < 2:
+        parts.append((parse_poly("x - 3"), 1))
+    parts.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return rng, parts
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_primary_blocks_match_per_part_kernels(seed):
+    # an echelon basis determines its free rows (where it is the identity),
+    # so equal blocks are equal (block, free) pairs
+    rng, parts = _seeded_parts(seed)
+    T = _block_matrix(rng, parts)
+    S = T * T - T.scale(2)
+    oracle = per_part_primary_blocks(T)
+    assert [f for f, _, _ in oracle] == [f for f, _ in parts]
+    got = list(eigen._primary_blocks({2: T, 3: S}, [2, 3],
+                                     QMatrix.identity(T.rows), {}))
+    assert [block for block, _, _ in got] == [K for _, K, _ in oracle]
+    for (_, mats, factors), (f, K, free) in zip(got, oracle):
+        assert mats == {2: T.restrict(K, free), 3: S.restrict(K, free)}
+        assert factors[2] == f
+        assert factor_poly(QPolynomial(mats[3].charpoly()))[0][0] == factors[3]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_adjugate_column_matches_horner_over_k(seed):
+    rng, parts = _seeded_parts(seed)
+    T = _block_matrix(rng, parts)
+    chi = T.charpoly()
+    for f, _ in parts:
+        lam = NumberField(f).gen()
+        assert _outcome(lambda T, lam: eigen._adjugate_column(T, lam, chi),
+                        T, lam) == _outcome(
+            lambda T, lam: horner_adjugate_column(T, lam, chi), T, lam)
+
+
+@pytest.mark.parametrize("parts, low", [
+    ((("x - 1", 2), ("x^3 - x - 1", 1)), 0),
+    ((("x^2 - 2", 2), ("x^3 - x - 1", 1)), 1),
+    ((("x + 2", 1), ("x^3 - 3*x + 1", 3)), 0),
+])
+def test_two_part_split_evaluates_its_lower_degree_side_once(
+        monkeypatch, parts, low):
+    parts = [(parse_poly(f), m) for f, m in parts]
+    T = _block_matrix(random.Random(7), parts)
+    calls = []
+
+    def counting(poly, mat):
+        calls.append(poly)
+        return _poly_at_matrix(poly, mat)
+
+    monkeypatch.setattr(eigen, "_poly_at_matrix", counting)
+    blocks = list(eigen._primary_blocks({2: T}, [2],
+                                        QMatrix.identity(T.rows), {}))
+    f, m = parts[low]
+    assert calls == [f ** m]
+    assert [b.cols for b, _, _ in blocks] == [g.degree * k for g, k in parts]
+
+
 # -- decompose ---------------------------------------------------------------------
 
 
@@ -314,7 +424,7 @@ def test_eigenvector_identity_exact_for_all_computed_primes():
         sp = ModularSymbolSpace(N)
         for orb in decompose(sp, ps):
             for p in ps:
-                tp = plus_hecke_matrix(sp, p)
+                tp = _plus_hecke_matrix(sp, p)
                 image = apply_over_field(tp, orb.eigenvector, orb.field)
                 expected = [orb.coefficient_map[p] * x for x in orb.eigenvector]
                 assert image == expected
@@ -331,7 +441,7 @@ def test_blocks_split_again_at_a_later_prime():
         assert [(o.degree, o.multiplicity) for o in orbits] == shape
         for orb in orbits:
             for p in ps:
-                image = apply_over_field(plus_hecke_matrix(sp, p),
+                image = apply_over_field(_plus_hecke_matrix(sp, p),
                                          orb.eigenvector, orb.field)
                 assert image == [orb.coefficient_map[p] * x
                                  for x in orb.eigenvector]
@@ -346,7 +456,7 @@ def test_eigenvector_leading_one():
 
 
 def test_degree_sum_and_totally_real_across_prime_levels():
-    for N in [p for p in primes_up_to(100) if p >= 11]:
+    for N in [p for p in _primes_up_to(100) if p >= 11]:
         sp = ModularSymbolSpace(N)
         orbits = auto_decompose(sp)
         assert sum(2 * o.degree for o in orbits) == 2 * sp.genus

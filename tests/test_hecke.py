@@ -4,7 +4,7 @@ import pytest
 
 import modfol.arith
 import modfol.hecke
-from modfol.arith import is_prime, next_prime, primes_up_to
+from modfol.arith import is_prime, next_prime, _primes_up_to
 from modfol.congruence import P1Space
 from modfol.errors import DomainError
 from modfol.hecke import (
@@ -40,8 +40,8 @@ class TestPrimes:
         assert next_prime(1) == 2
 
     def test_primes_up_to(self):
-        assert primes_up_to(1) == []
-        assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert _primes_up_to(1) == []
+        assert _primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class TestFamily:
@@ -81,7 +81,7 @@ class TestWalk:
         # where the images that are not points drop out of both
         p1 = P1Space(N)
         n = len(p1)
-        for p in primes_up_to(299):
+        for p in _primes_up_to(299):
             for i in {0, p % n, (3 * p + 1) % n}:
                 c, d = p1.reps[i]
                 family = [0] * n
@@ -94,13 +94,13 @@ class TestOracleRoutes:
     @pytest.mark.parametrize("N", range(1, 41))
     def test_whole_matrix_equals_merel_family(self, N):
         space = ModularSymbolSpace(N)
-        for p in primes_up_to(31):
+        for p in _primes_up_to(31):
             assert hecke_matrix(space, p) == hecke_matrix_merel(space, p), p
 
     @pytest.mark.parametrize("N", [11, 37, 97])
     def test_column_equals_path_route(self, spaces, N):
         space = spaces[N]
-        for p in primes_up_to(499):
+        for p in _primes_up_to(499):
             j = p % space.dim
             assert hecke_matrix(space, p).col(j) == \
                 hecke_column_paths(space, p, j), p

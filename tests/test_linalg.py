@@ -10,7 +10,7 @@ from modfol.eigen import _poly_at_matrix
 from modfol.errors import DomainError
 from modfol.linalg import (
     QMatrix,
-    hnf,
+    _hnf,
     is_unimodular,
     lattice_key,
     unimodular_with_first_row,
@@ -294,10 +294,10 @@ class TestHNFAndLattices:
         rng = random.Random(13)
         for _ in range(10):
             rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-            h1 = hnf(rows)
+            h1 = _hnf(rows)
             shuffled = rows[::-1]
             shuffled[0] = [a + 2 * b for a, b in zip(shuffled[0], shuffled[-1])]
-            h2 = hnf(shuffled + [[0, 0, 0, 0]])
+            h2 = _hnf(shuffled + [[0, 0, 0, 0]])
             assert h1 == h2
 
     def test_lattice_key_detects_equality_and_difference(self):

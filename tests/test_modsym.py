@@ -7,7 +7,7 @@ import pytest
 from modfol.congruence import curve_data
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
-from modfol.modsym import ModularSymbolSpace
+from modfol.modsym import ModularSymbolSpace, _lift_canonical
 
 from oracles import (cuspidal_basis, mat_mul, moebius_apply,
                      random_gamma0_element, span_coordinates)
@@ -108,23 +108,28 @@ class TestPaths:
 class TestBoundaryCheck:
     @pytest.mark.parametrize("N,bad", [(11, 5), (37, 0), (37, 29)])
     def test_corrupted_symbol_is_named(self, monkeypatch, N, bad):
-        # add the free coordinate with a nonzero boundary to one symbol:
-        # its divisor no longer matches, and the one-product check names it
+        # add the free coordinate with a nonzero boundary to the two-term
+        # representative of one symbol: the divisors of the representative
+        # (the first symbol of its pair) and its partner no longer match,
+        # and the one-product check names the representative
         clean = ModularSymbolSpace(N)
         f = next(k for k in range(clean.dim)
                  if any(row[k] for row in clean._boundary))
         build = ModularSymbolSpace._build_quotient
+        named = []
 
         def corrupted(self):
-            build(self)
-            vec = self._symbol_coords[bad]
-            self._symbol_coords[bad] = tuple(x + (k == f)
-                                             for k, x in enumerate(vec))
+            rep_of, rows = build(self)
+            k = rep_of[bad][1]
+            rows[k] = [x + (j == f) for j, x in enumerate(rows[k])]
+            named.append(rep_of.index((1, k)))
+            return rep_of, rows
 
         monkeypatch.setattr(ModularSymbolSpace, "_build_quotient", corrupted)
-        with pytest.raises(InternalInvariantError,
-                           match=r"at symbol %d$" % bad):
+        with pytest.raises(InternalInvariantError) as exc:
             ModularSymbolSpace(N)
+        assert named[0] <= bad
+        assert str(exc.value).endswith("at symbol %d" % named[0])
 
 
 class TestIntegerCoordinates:
@@ -143,15 +148,10 @@ class TestIntegerCoordinates:
 class TestLift:
     def test_lift_is_sl2_over_the_canonical_row(self):
         for N in range(1, 61):
-            space = ModularSymbolSpace(N)
-            for c in range(N):
-                for d in range(N):
-                    if gcd(gcd(c, d), N) != 1:
-                        continue
-                    a, b, cc, dd = space.lift(c, d)
-                    assert a * dd - b * cc == 1, (N, c, d)
-                    c0, d0 = space.p1.canonical(c, d)
-                    assert (cc - c0) % N == 0 and (dd - d0) % N == 0, (N, c, d)
+            for c, d in ModularSymbolSpace(N).p1.reps:
+                a, b, cc, dd = _lift_canonical(c, d)
+                assert a * dd - b * cc == 1, (N, c, d)
+                assert (cc - c) % N == 0 and (dd - d) % N == 0, (N, c, d)
 
 
 class TestLoops:

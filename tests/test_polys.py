@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from modfol.eigen import plus_hecke_matrix
+from modfol.eigen import _plus_hecke_matrix
 from modfol.errors import DomainError, InternalInvariantError
 from modfol.modsym import ModularSymbolSpace
 import modfol.polys
@@ -488,7 +488,7 @@ def test_isolation_matches_fraction_sturm_signs_to_degree_40():
 def test_factor_t2_charpoly_at_level_997():
     # degree 82 with repeated factors, where Yun's gcds need remainder
     # sequences that keep their coefficients small
-    cp = QPolynomial(plus_hecke_matrix(ModularSymbolSpace(997), 2).charpoly())
+    cp = QPolynomial(_plus_hecke_matrix(ModularSymbolSpace(997), 2).charpoly())
     factors = factor_poly(cp)
     assert [(f.degree, m) for f, m in factors] == [
         (1, 1), (1, 2), (2, 2), (5, 1), (5, 1), (23, 1), (42, 1)]

@@ -54,6 +54,10 @@
   Exempt are dunder methods, the module-level names in `modfol.__all__`
   (the public API), `_Parser.error`, which argparse calls, and
   `rescale_eigenvector`, which the Rauzy-loop certificate will call.
+* The library is what the CLI and the API use: every public (unprefixed)
+  module-level function or class is in `modfol.__all__` or is named by
+  another module of the package, apart from `__init__`.  Exempt are
+  `cli.main`, the console entry point, and `rescale_eigenvector`.
 """
 
 import ast
@@ -106,7 +110,7 @@ def test_each_module_function_defined_once():
 
 def test_prime_helpers_live_in_arith():
     homes = _module_functions()
-    for name in ("is_prime", "next_prime", "primes_up_to", "factorize",
+    for name in ("is_prime", "next_prime", "_primes_up_to", "factorize",
                  "_frac"):
         assert homes[name] == ["arith"], name
 
@@ -247,6 +251,22 @@ def test_every_definition_is_referenced():
                     and qualified not in modfol.__all__
                     and not (name.startswith("__") and name.endswith("__"))}
     assert unreferenced == {"cli._Parser.error", "eigen.rescale_eigenvector"}
+
+
+def test_public_names_are_exported_or_shared():
+    named = {module: {node.id if isinstance(node, ast.Name) else
+                      node.attr if isinstance(node, ast.Attribute) else
+                      node.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+             for module, tree in TREES.items() if module != "__init__"}
+    unshared = {"%s.%s" % (module, node.name)
+                for module, tree in TREES.items() for node in tree.body
+                if isinstance(node, DEFINITIONS)
+                and not node.name.startswith("_")
+                and node.name not in modfol.__all__
+                and not any(node.name in names for other, names
+                            in named.items() if other != module)}
+    assert unshared == {"cli.main", "eigen.rescale_eigenvector"}
 
 
 def test_keane_probe_steps_on_enclosures():
