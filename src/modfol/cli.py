@@ -455,7 +455,7 @@ def _build_parser():
                           "isolation runs an integer Sturm chain: the field "
                           "and probe of a dense polynomial of degree %d "
                           "with coefficients in -3..3 take about 0.06 s on "
-                          "a 2-vCPU VM, of one of degree 50 about 0.2 s"
+                          "a 2-vCPU VM, and about 0.2 s at degree 50"
                           % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
     iet.add_argument("--steps", type=_at_most(_MAX_STEPS, " steps"),
                      default=10000,
