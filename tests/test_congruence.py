@@ -118,7 +118,7 @@ class TestP1:
     def test_reps_and_table_match_the_full_sweep_at_large_levels(self):
         # every level to 400, then primes, prime powers and levels with many
         # divisors up to the CLI's bound of 2,000; the sweep over every
-        # level to 2,000 would take about 20 minutes
+        # level to 2,000 takes about 40 minutes
         for N in [*range(121, 401), 512, 729, 961, 997, 1000, 1024, 1331,
                   1680, 1728, 1800, 1980, 1998, 1999, 2000]:
             space = P1Space(N)
