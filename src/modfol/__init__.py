@@ -1,7 +1,7 @@
 """Exact modular-symbol computations and foliation classification for X0(N)."""
 
 from .congruence import curve_data
-from .eigen import EigenformOrbit, auto_decompose, decompose
+from .eigen import EigenformOrbit, decompose
 from .foliation import (FoliationClass, FoliationKind, JacobianModule,
                         TorusClass, TorusKind, basis_change, classify,
                         classify_torus, module_rank, scale_module)
@@ -19,8 +19,8 @@ __all__ = [
     "EigenformOrbit", "FoliationClass", "FoliationKind", "IET",
     "JacobianModule", "ModularSymbolSpace", "NFElement", "NumberField",
     "PeriodVector", "QPolynomial", "RealEmbedding", "TorusClass",
-    "TorusKind", "analyze_level", "auto_decompose", "basis_change",
-    "classify", "classify_torus", "curve_data", "decompose", "detect_rank",
+    "TorusKind", "analyze_level", "basis_change", "classify",
+    "classify_torus", "curve_data", "decompose", "detect_rank",
     "ensure_series", "iet_apply", "minimality_probe", "module_rank",
     "numeric_jacobian", "orbit_from_record", "period_integral",
     "periodicity_report", "rauzy_step", "required_terms", "scale_module",

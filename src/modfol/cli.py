@@ -107,7 +107,7 @@ def _level_record(N, primes=None, use_cache=True):
     """Analysis record for a level, through the cache when allowed.
 
     Explicit prime lists bypass the cache both ways: cached files hold
-    the default (auto-escalated) decomposition only.
+    the default decomposition, whose primes escalate, only.
     """
     if primes is not None:
         return analyze_level(N, primes)

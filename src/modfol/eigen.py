@@ -23,12 +23,16 @@ is cut into the last part and the rest, and only the side of lower
 degree g is evaluated, by Horner: ker g(T) is its block and the column
 span of g(T) the other's, each an echelon basis with its free rows, so
 an operator's matrix on a block is one checked product
-(QMatrix.restrict) and no system is solved.  Each block is factored
-once per prime, its parts inherit its operators, restricted to them,
-and its factors, and a block that no prime splits hands its operators
-and irreducible factors on to its orbit.  The eigenvector of a new block
-comes from the adjugate of lam*I - T, a Krylov product with no
-elimination over K, and that of a possibly-old block from eigenspace().
+(QMatrix.restrict) and no system is solved.  The primes are taken in
+turn: each one's operator is built once, restricted to every block and
+factored there, and the parts of a block inherit its operators,
+restricted to them, and its factors.  So when no prime decides a block,
+decompose can add the prime the error names and resume on the blocks it
+has, which gives what a run with the longer prime list would.  A block
+hands its operators and irreducible factors on to its orbit, and the
+eigenvector of a new block comes from the adjugate of lam*I - T, a
+Krylov product with no elimination over K, and that of a possibly-old
+block from eigenspace().
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
@@ -52,7 +56,7 @@ from .linalg import QMatrix
 from .numfield import NFElement, NumberField, eigenspace, leading_entry
 from .polys import QPolynomial, factor_poly
 
-# primes auto_decompose tries before an undecided split propagates
+# primes decompose picks before an undecided split propagates
 PRIME_LIMIT = 25
 
 
@@ -126,17 +130,20 @@ def rescale_eigenvector(T, lam):
     return _elements(X, field)
 
 
-def decompose(space, primes):
+def decompose(space, primes=None):
     """Split the cuspidal space of ``space`` into eigenform orbits.
 
     ``primes`` is a nonempty collection of primes not dividing the
     level.  Orbits come back sorted by field degree, then by the trace
-    of the eigenvalue at the smallest supplied prime.  If two orbits
-    agree at every supplied prime, an UndecidedSplitError names the next
-    prime worth adding.
+    of the eigenvalue at the smallest prime.  If two orbits agree at
+    every supplied prime, an UndecidedSplitError names the next prime
+    worth adding.  With primes=None the split starts at the smallest
+    prime coprime to the level and, up to PRIME_LIMIT primes, adds that
+    next prime and resumes on the blocks it has.
     """
     N = space.N
-    ps = sorted({int(p) for p in primes})
+    ps = ([_next_split_prime([1], N)] if primes is None
+          else sorted({int(p) for p in primes}))
     if not ps:
         raise DomainError("at least one prime is required")
     for p in ps:
@@ -146,41 +153,31 @@ def decompose(space, primes):
             raise DomainError(
                 "prime %d divides the level %d; orbit separation needs "
                 "primes coprime to the level" % (p, N))
-    if space.genus == 0:
+    g = space.genus
+    if g == 0:
         return []
 
-    tplus = {p: _plus_hecke_matrix(space, p) for p in ps}
-    blocks = list(_primary_blocks(tplus, ps, QMatrix.identity(space.genus), {}))
-    if sum(b.cols for b, _, _ in blocks) != space.genus:
+    blocks = [(QMatrix.identity(g), list(range(g)), {}, {})]
+    while True:
+        # every block has factors at the same leading primes of ps
+        for p in ps[len(blocks[0][3]):]:
+            blocks = _primary_blocks(blocks, p, _plus_hecke_matrix(space, p))
+        try:
+            orbits = [_orbit_from_block(space, ps, block, mats, factors)
+                      for block, _, mats, factors in blocks]
+            break
+        except UndecidedSplitError as err:
+            if primes is not None or len(ps) >= PRIME_LIMIT:
+                raise
+            ps.append(err.next_prime)
+    if sum(b.cols for b, _, _, _ in blocks) != g:
         raise InternalInvariantError("primary blocks do not fill the +1 half")
-
-    orbits = [_orbit_from_block(space, ps, *block) for block in blocks]
     p0 = ps[0]
     orbits.sort(key=lambda o: (o.degree,
                                o.coefficient_map[p0].trace(),
                                o.field.minpoly.coeffs,
                                o.coefficient_map[p0].coeffs))
     return orbits
-
-
-def auto_decompose(space):
-    """decompose() with automatic prime escalation.
-
-    Starts from the smallest prime coprime to the level and, on every
-    undecided split, adds the suggested next prime; once PRIME_LIMIT
-    primes have been tried the error propagates.
-    """
-    p = 2
-    while space.N % p == 0:
-        p = next_prime(p)
-    ps = [p]
-    while True:
-        try:
-            return decompose(space, ps)
-        except UndecidedSplitError as err:
-            if len(ps) >= PRIME_LIMIT or err.next_prime is None:
-                raise
-            ps.append(err.next_prime)
 
 
 def _plus_hecke_matrix(space, p):
@@ -191,42 +188,41 @@ def _plus_hecke_matrix(space, p):
 # -- internals ------------------------------------------------------------------
 
 
-def _primary_blocks(mats, ps, block, factors):
-    """Yield (block, mats, factors) for each joint primary block.
+def _primary_blocks(blocks, p, T):
+    """Each (block, free, mats, factors) of ``blocks`` cut, in order, into
+    the primary blocks of T, the operator at p on the +1 half.
 
-    ``block`` is an echelon basis, the identity at the last rows onto which
-    its span projects isomorphically: if B is that at rows F and K at rows
-    G, so is B*K at rows F[G], and a part split off in steps has the basis
-    it would have in one.  ``mats`` holds the operators on the block and
-    ``factors`` the irreducible factors of their characteristic
-    polynomials at the first primes.  The rest are factored in prime
-    order; the first that is not a prime power splits the block, and each
-    part inherits the operators, restricted to it, and the factors up to
-    and at the splitting prime.  A block no prime splits keeps them all.
+    ``block`` is an echelon basis, the identity at the last rows ``free``
+    onto which its span projects isomorphically: if B is that at rows F and
+    K at rows G, so is B*K at rows F[G], and a part split off in steps has
+    the basis it would have in one.  ``mats`` holds the operators on the
+    block and ``factors`` the irreducible factors of their characteristic
+    polynomials.  T is restricted to each block and factored there, and
+    each part inherits the operators, restricted to it, and the factors.
     """
-    for p in ps[len(factors):]:
+    out = []
+    for block, free, mats, factors in blocks:
+        mats = {**mats, p: T.restrict(block, free)}
         found = factor_poly(QPolynomial(mats[p].charpoly()))
-        if len(found) > 1:
-            yield from _split(mats, ps, block, factors, p, found)
-            return
-        factors[p] = found[0][0]
-    yield block, mats, factors
+        out.extend(_split(mats, p, block, free, factors, found))
+    return out
 
 
-def _split(mats, ps, block, factors, p, parts):
+def _split(mats, p, block, free, factors, parts):
     """The blocks of the primary parts (f, m) of the operator at p, in
     order, split as the module docstring says, with no new factoring."""
     if len(parts) == 1:
-        yield from _primary_blocks(mats, ps, block, {**factors, p: parts[0][0]})
+        yield block, free, mats, {**factors, p: parts[0][0]}
         return
     sides = (parts[:-1], parts[-1:])
     g = [prod(f ** m for f, m in side) for side in sides]
     low = int(g[1].degree < g[0].degree)
     image = _poly_at_matrix(g[low], mats[p])
     bases = image.echelon_kernel(), image.echelon_span()
-    for side, (sub, free) in zip(sides, bases[low:] + bases[:low]):
-        yield from _split({q: m.restrict(sub, free) for q, m in mats.items()},
-                          ps, block * sub, factors, p, side)
+    for side, (sub, rows) in zip(sides, bases[low:] + bases[:low]):
+        yield from _split({q: m.restrict(sub, rows) for q, m in mats.items()},
+                          p, block * sub, [free[i] for i in rows], factors,
+                          side)
 
 
 def _orbit_from_block(space, ps, block, mats, factors):
@@ -248,11 +244,11 @@ def _orbit_from_block(space, ps, block, mats, factors):
         local = _adjugate_column(mats[p_star], field.gen(),
                                  factors[p_star].coeffs)
     elif is_prime(space.N):
+        q = _next_split_prime(ps, space.N)
         raise UndecidedSplitError(
             "a %d-dimensional block is not generated by any supplied "
             "eigenvalue; distinct orbits share all supplied primes -- "
-            "try adding prime %d" % (dim, _next_split_prime(ps, space.N)),
-            next_prime=_next_split_prime(ps, space.N))
+            "try adding prime %d" % (dim, q), next_prime=q)
     else:
         best = max(q.degree for q in factors.values())
         p_star = min(p for p in ps if factors[p].degree == best)
@@ -274,10 +270,10 @@ def _orbit_from_block(space, ps, block, mats, factors):
         if image != vec * c.matrix():
             if mult == 1:
                 raise InternalInvariantError("commuting operator is not scalar")
+            q = _next_split_prime(ps, space.N)
             raise UndecidedSplitError(
                 "block mixes eigensystems that agree at all supplied primes; "
-                "try adding prime %d" % _next_split_prime(ps, space.N),
-                next_prime=_next_split_prime(ps, space.N))
+                "try adding prime %d" % q, next_prime=q)
         coeffs[p] = c
     if coeffs[p_star] != lam:
         raise InternalInvariantError("defining operator lost its eigenvalue")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cache import SCHEMA_VERSION
 from .congruence import curve_data
-from .eigen import EigenformOrbit, auto_decompose, decompose
+from .eigen import EigenformOrbit, decompose
 from .errors import DomainError
 from .foliation import classify
 from .modsym import ModularSymbolSpace
@@ -67,15 +67,15 @@ def _classification_entry(level, index, fc):
 def analyze_level(N, primes=None):
     """Full analysis record for one level.
 
-    With primes=None the orbit split escalates primes automatically;
-    an explicit prime list is used as-is (and may raise the undecided
-    split error).  Genus-0 levels yield empty orbit and classification
-    lists.
+    With primes=None decompose picks the primes and escalates them on
+    an undecided split; an explicit prime list is used as-is (and may
+    raise the undecided split error).  Genus-0 levels yield empty orbit
+    and classification lists.
     """
     N = int(N)
     space = ModularSymbolSpace(N)
     curve = curve_data(N)
-    orbits = auto_decompose(space) if primes is None else decompose(space, primes)
+    orbits = decompose(space, primes)
     used = sorted({p for o in orbits for p in o.coefficient_map})
     return {
         "schema": SCHEMA_VERSION,

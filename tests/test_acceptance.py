@@ -20,7 +20,7 @@ import pytest
 from mpmath import mp
 
 from modfol.congruence import curve_data
-from modfol.eigen import auto_decompose, rescale_eigenvector
+from modfol.eigen import decompose, rescale_eigenvector
 from modfol.errors import ModfolError
 from modfol.foliation import (FoliationKind, JacobianModule, TorusKind,
                               basis_change, classify, classify_torus,
@@ -56,7 +56,7 @@ def prime_levels():
     levels = {}
     for N in PRIMES_TO_100:
         space = ModularSymbolSpace(N)
-        levels[N] = (space, auto_decompose(space))
+        levels[N] = (space, decompose(space))
     return levels
 
 
@@ -94,7 +94,7 @@ def test_criterion_01_genus_pipeline(prime_levels):
 
 def test_criterion_02_hecke_qexp_formula():
     space = ModularSymbolSpace(11)
-    orbit = auto_decompose(space)[0]
+    orbit = decompose(space)[0]
     series = ensure_series(space, orbit, 500)
     K = orbit.field
     eta = eta_product_qexp(11, 500)
@@ -248,7 +248,7 @@ def test_criterion_07_numeric_rank_crosscheck():
     for N in (11, 23, 37):
         started = time.monotonic()
         space = ModularSymbolSpace(N)
-        orbits = auto_decompose(space)
+        orbits = decompose(space)
         basis = space.homology_generators()
         top = max(required_terms(g[2], RANK_PRECISION) for g, _ in basis)
         for index, orbit in enumerate(orbits):

@@ -1,5 +1,8 @@
 """Orbit decomposition of the cuspidal space and eigenvector rescaling."""
 
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -9,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from modfol import eigen
 from modfol.arith import _primes_up_to
+from modfol.cli import main
 from modfol.eigen import (
     _plus_hecke_matrix,
     _poly_at_matrix,
-    auto_decompose,
     decompose,
     rescale_eigenvector,
 )
@@ -20,6 +23,7 @@ from modfol.errors import DomainError, MultiplicityError, UndecidedSplitError
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField
+from modfol.pipeline import analyze_level
 from modfol.polys import QPolynomial, factor_poly, parse_poly
 
 from oracles import (elimination_eigenvector, eta_product_qexp,
@@ -323,6 +327,12 @@ def _seeded_parts(seed):
     return rng, parts
 
 
+def _whole(T):
+    """The one block before any split: the whole space, with no operators
+    and no factors yet."""
+    return [(QMatrix.identity(T.rows), list(range(T.rows)), {}, {})]
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_primary_blocks_match_per_part_kernels(seed):
     # an echelon basis determines its free rows (where it is the identity),
@@ -332,10 +342,10 @@ def test_primary_blocks_match_per_part_kernels(seed):
     S = T * T - T.scale(2)
     oracle = per_part_primary_blocks(T)
     assert [f for f, _, _ in oracle] == [f for f, _ in parts]
-    got = list(eigen._primary_blocks({2: T, 3: S}, [2, 3],
-                                     QMatrix.identity(T.rows), {}))
-    assert [block for block, _, _ in got] == [K for _, K, _ in oracle]
-    for (_, mats, factors), (f, K, free) in zip(got, oracle):
+    got = eigen._primary_blocks(eigen._primary_blocks(_whole(T), 2, T), 3, S)
+    assert ([(block, free) for block, free, _, _ in got]
+            == [(K, free) for _, K, free in oracle])
+    for (_, _, mats, factors), (f, K, free) in zip(got, oracle):
         assert mats == {2: T.restrict(K, free), 3: S.restrict(K, free)}
         assert factors[2] == f
         assert factor_poly(QPolynomial(mats[3].charpoly()))[0][0] == factors[3]
@@ -368,11 +378,10 @@ def test_two_part_split_evaluates_its_lower_degree_side_once(
         return _poly_at_matrix(poly, mat)
 
     monkeypatch.setattr(eigen, "_poly_at_matrix", counting)
-    blocks = list(eigen._primary_blocks({2: T}, [2],
-                                        QMatrix.identity(T.rows), {}))
+    blocks = eigen._primary_blocks(_whole(T), 2, T)
     f, m = parts[low]
     assert calls == [f ** m]
-    assert [b.cols for b, _, _ in blocks] == [g.degree * k for g, k in parts]
+    assert [b.cols for b, _, _, _ in blocks] == [g.degree * k for g, k in parts]
 
 
 # -- decompose ---------------------------------------------------------------------
@@ -449,7 +458,7 @@ def test_blocks_split_again_at_a_later_prime():
 def test_eigenvector_leading_one():
     for N in (23, 37, 67):
         sp = ModularSymbolSpace(N)
-        for orb in auto_decompose(sp):
+        for orb in decompose(sp):
             lead = next(x for x in orb.eigenvector if not x.is_zero())
             assert lead == orb.field.one()
 
@@ -457,7 +466,7 @@ def test_eigenvector_leading_one():
 def test_degree_sum_and_totally_real_across_prime_levels():
     for N in [p for p in _primes_up_to(100) if p >= 11]:
         sp = ModularSymbolSpace(N)
-        orbits = auto_decompose(sp)
+        orbits = decompose(sp)
         assert sum(2 * o.degree for o in orbits) == 2 * sp.genus
         for orb in orbits:
             assert 1 <= orb.degree <= sp.genus
@@ -474,18 +483,64 @@ def test_undecided_split_at_113_names_next_prime():
     assert [o.degree for o in orbits] == [1, 2, 3, 3]
 
 
-def test_auto_decompose_escalates():
+def test_decompose_escalates_from_the_first_coprime_prime():
     sp = ModularSymbolSpace(113)
-    orbits = auto_decompose(sp)
+    orbits = decompose(sp)
     assert [o.degree for o in orbits] == [1, 2, 3, 3]
     assert sum(2 * o.degree for o in orbits) == 2 * sp.genus
+    assert all(set(o.coefficient_map) == {2, 3} for o in orbits)
 
 
-def test_auto_decompose_stops_at_the_prime_limit(monkeypatch):
+def test_decompose_stops_at_the_prime_limit(monkeypatch):
     monkeypatch.setattr(eigen, "PRIME_LIMIT", 1)
     with pytest.raises(UndecidedSplitError) as exc:
-        auto_decompose(ModularSymbolSpace(113))
+        decompose(ModularSymbolSpace(113))
     assert exc.value.next_prime == 3
+
+
+def test_resumed_split_equals_the_split_with_the_longer_list():
+    # the escalation at 113 adds 3 to [2] and splits only the blocks it
+    # has, at 3: the orbits, eigenvectors and classes are those of one
+    # run with [2, 3]
+    assert analyze_level(113) == analyze_level(113, [2, 3])
+
+
+def _count_steps(monkeypatch):
+    """Count the calls of the steps that a restart would repeat."""
+    calls = {}
+
+    def counted(name, fn):
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counting
+
+    for name in ("_plus_hecke_matrix", "factor_poly", "_poly_at_matrix"):
+        calls[name] = 0
+        monkeypatch.setattr(eigen, name, counted(name, getattr(eigen, name)))
+    return calls
+
+
+def test_escalation_builds_each_operator_once(monkeypatch):
+    # a restart would build T_2 twice, factor the whole +1 half at 2 twice
+    # and evaluate every split again: 3, 6 and 6
+    calls = _count_steps(monkeypatch)
+    decompose(ModularSymbolSpace(113))
+    assert calls == {"_plus_hecke_matrix": 2, "factor_poly": 5,
+                     "_poly_at_matrix": 3}
+
+
+@pytest.mark.slow
+def test_escalation_at_997_resumes_and_keeps_its_bytes(monkeypatch):
+    # 997 escalates from [2] to [2, 3, 5]; restarting took 6, 24 and 19
+    calls = _count_steps(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["decompose", "997", "--no-cache"]) == 0
+    assert calls == {"_plus_hecke_matrix": 3, "factor_poly": 15,
+                     "_poly_at_matrix": 7}
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "304501015540c2071eddd5b64327333541a181d28abfab07a65b43b56ff26433")
 
 
 @pytest.mark.parametrize("N, ps, pairs", [(57, [2, 5, 7], 8),

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from modfol.congruence import curve_data
-from modfol.eigen import auto_decompose
+from modfol.eigen import decompose
 from modfol.errors import DimensionError, DomainError, NoCuspFormsError
 from modfol.foliation import (
     FoliationKind,
@@ -181,7 +181,7 @@ def test_scale_lattice_scales_by_mu_randomized():
 def test_module_rank_equals_orbit_degree():
     for N in (11, 23, 37, 43, 67):
         sp = ModularSymbolSpace(N)
-        for orb in auto_decompose(sp):
+        for orb in decompose(sp):
             J = JacobianModule(orb.field, orb.eigenvector)
             assert module_rank(J) == orb.degree
 
@@ -191,7 +191,7 @@ def test_module_rank_equals_orbit_degree():
 
 def test_classify_level11_strebel():
     sp = ModularSymbolSpace(11)
-    (orb,) = auto_decompose(sp)
+    (orb,) = decompose(sp)
     fc = classify(orb, curve_data(11))
     assert fc.kind == FoliationKind.STREBEL
     assert (fc.degree, fc.genus, fc.separatrix_excess) == (1, 1, None)
@@ -199,7 +199,7 @@ def test_classify_level11_strebel():
 
 def test_classify_level23_pseudo_anosov():
     sp = ModularSymbolSpace(23)
-    (orb,) = auto_decompose(sp)
+    (orb,) = decompose(sp)
     fc = classify(orb, curve_data(23))
     assert fc.kind == FoliationKind.PSEUDO_ANOSOV
     assert (fc.degree, fc.genus) == (2, 2)
@@ -207,14 +207,14 @@ def test_classify_level23_pseudo_anosov():
 
 def test_classify_level37_both_strebel():
     sp = ModularSymbolSpace(37)
-    for orb in auto_decompose(sp):
+    for orb in decompose(sp):
         assert classify(orb, curve_data(37)).kind == FoliationKind.STREBEL
 
 
 def test_classify_level67_degenerate_case():
     sp = ModularSymbolSpace(67)
     kinds = []
-    for orb in auto_decompose(sp):
+    for orb in decompose(sp):
         fc = classify(orb, curve_data(67))
         kinds.append(fc.kind)
         if fc.kind == FoliationKind.DEGENERATE_PSEUDO_ANOSOV:
@@ -227,7 +227,7 @@ def test_classify_level67_degenerate_case():
 def test_classify_trichotomy_is_total_and_exclusive():
     for N in (11, 23, 37, 43, 53, 67):
         curve = curve_data(N)
-        for orb in auto_decompose(ModularSymbolSpace(N)):
+        for orb in decompose(ModularSymbolSpace(N)):
             fc = classify(orb, curve)
             strebel = fc.degree == 1
             pa = fc.degree == fc.genus and fc.genus >= 2
@@ -241,7 +241,7 @@ def test_classify_trichotomy_is_total_and_exclusive():
 
 def test_classify_errors():
     sp = ModularSymbolSpace(11)
-    (orb,) = auto_decompose(sp)
+    (orb,) = decompose(sp)
     with pytest.raises(DomainError):
         classify(orb, curve_data(23))
     fake = SimpleNamespace(N=10, degree=1)

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from modfol.eigen import auto_decompose
+from modfol.eigen import decompose
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
@@ -286,7 +286,7 @@ class TestEigenspace:
             if space.genus == 0:
                 continue
             star = space.star_matrix().transpose()
-            for orbit in auto_decompose(space):
+            for orbit in decompose(space):
                 if orbit.possibly_old:
                     continue
                 pairs = [(hecke_matrix(space, p).transpose(), c)

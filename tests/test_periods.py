@@ -7,7 +7,7 @@ import pytest
 import sympy
 from mpmath import mp
 
-from modfol.eigen import auto_decompose
+from modfol.eigen import decompose
 from modfol.errors import (
     DimensionError,
     DomainError,
@@ -46,7 +46,7 @@ def level(N):
     """Shared (space, orbits) per level; series grow monotonically."""
     if N not in _LEVELS:
         space = ModularSymbolSpace(N)
-        _LEVELS[N] = (space, auto_decompose(space))
+        _LEVELS[N] = (space, decompose(space))
     return _LEVELS[N]
 
 
@@ -142,7 +142,7 @@ def test_longer_series_reuses_the_dual_functional(monkeypatch):
     # the dual functional is built once per orbit, so extending the series
     # to new primes builds no operator matrix
     space = ModularSymbolSpace(11)
-    (orbit,) = auto_decompose(space)
+    (orbit,) = decompose(space)
     calls = []
 
     def counting(space, p):
@@ -189,7 +189,7 @@ def test_series_level_mismatch_and_possibly_old():
     with pytest.raises(DomainError):
         ensure_series(space23, orbit11, 20)
     space22 = ModularSymbolSpace(22)
-    orbits22 = auto_decompose(space22)
+    orbits22 = decompose(space22)
     old = next(o for o in orbits22 if o.possibly_old)
     with pytest.raises(DomainError):
         ensure_series(space22, old, 20)
@@ -305,7 +305,7 @@ def test_integral_input_errors():
 
 def test_integral_requires_series():
     space = ModularSymbolSpace(11)
-    (orbit,) = auto_decompose(space)
+    (orbit,) = decompose(space)
     terms = required_terms(11, 45)
     err = pytest.raises(TruncationError,
                         period_integral, orbit, G1_11, terms, 45)
@@ -384,7 +384,7 @@ def test_jacobian_unimodular_basis_change():
 
 def test_jacobian_requires_series_and_basis():
     space = ModularSymbolSpace(23)
-    (orbit,) = auto_decompose(space)
+    (orbit,) = decompose(space)
     gens = space.homology_generators()
     top = max(required_terms(g[2], 60) for g, _ in gens)
     err = pytest.raises(TruncationError,

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from modfol import cache, hecke
-from modfol.eigen import auto_decompose
+from modfol.eigen import decompose
 from modfol.errors import DomainError
 from modfol.modsym import ModularSymbolSpace
 from modfol.periods import ensure_series
@@ -39,7 +39,7 @@ def test_genus_zero_record():
 
 
 def test_orbit_round_trip(record_23):
-    fresh = auto_decompose(ModularSymbolSpace(23))[0]
+    fresh = decompose(ModularSymbolSpace(23))[0]
     rebuilt = orbit_from_record(record_23, 0)
     assert rebuilt.field == fresh.field
     assert rebuilt.degree == fresh.degree == 2
@@ -57,7 +57,7 @@ def test_orbit_index_out_of_range(record_23):
 
 def test_rebuilt_orbit_feeds_series():
     space = ModularSymbolSpace(11)
-    fresh = auto_decompose(space)[0]
+    fresh = decompose(space)[0]
     rebuilt = orbit_from_record(analyze_level(11), 0)
     assert ensure_series(space, rebuilt, 20)[1:] \
         == ensure_series(space, fresh, 20)[1:]

@@ -54,6 +54,9 @@
   Exempt are dunder methods, the module-level names in `modfol.__all__`
   (the public API), `_Parser.error`, which argparse calls, and
   `rescale_eigenvector`, which the Rauzy-loop certificate will call.
+* Prime escalation is one loop: `decompose` alone catches
+  UndecidedSplitError, and resumes on its blocks; there is no restart
+  wrapper (`auto_decompose`).
 * The library is what the CLI and the API use: every public (unprefixed)
   module-level function or class is in `modfol.__all__` or is named by
   another module of the package, apart from `__init__`.  Exempt are
@@ -267,6 +270,27 @@ def test_public_names_are_exported_or_shared():
                 and not any(node.name in names for other, names
                             in named.items() if other != module)}
     assert unshared == {"cli.main", "eigen.rescale_eigenvector"}
+
+
+def _catches(node, name):
+    """The except clauses under ``node`` that name the exception ``name``."""
+    return [handler for handler in ast.walk(node)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            and name in {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(handler.type)}]
+
+
+def test_one_escalation_loop():
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "auto_decompose" not in _defined_functions() | named
+    assert "auto_decompose" not in modfol.__all__
+    everywhere = [handler for tree in TREES.values()
+                  for handler in _catches(tree, "UndecidedSplitError")]
+    assert everywhere == _catches(_function("eigen", "decompose"),
+                                  "UndecidedSplitError")
+    assert len(everywhere) == 1
 
 
 def test_keane_probe_steps_on_enclosures():
