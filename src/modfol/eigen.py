@@ -51,7 +51,7 @@ from .errors import (
     MultiplicityError,
     UndecidedSplitError,
 )
-from .hecke import cuspidal_hecke_matrix
+from .hecke import hecke_matrix
 from .linalg import QMatrix
 from .numfield import NFElement, NumberField, eigenspace, leading_entry
 from .polys import QPolynomial, factor_poly
@@ -182,7 +182,7 @@ def decompose(space, primes=None):
 
 def _plus_hecke_matrix(space, p):
     """Hecke operator at p restricted to the +1 star eigenspace."""
-    return cuspidal_hecke_matrix(space, p).restrict(*space.plus_span())
+    return hecke_matrix(space, p).restrict(*space.plus_span())
 
 
 # -- internals ------------------------------------------------------------------
@@ -215,9 +215,9 @@ def _split(mats, p, block, free, factors, parts):
         yield block, free, mats, {**factors, p: parts[0][0]}
         return
     sides = (parts[:-1], parts[-1:])
-    g = [prod(f ** m for f, m in side) for side in sides]
-    low = int(g[1].degree < g[0].degree)
-    image = _poly_at_matrix(g[low], mats[p])
+    degrees = [sum(m * f.degree for f, m in side) for side in sides]
+    low = int(degrees[1] < degrees[0])
+    image = _poly_at_matrix(prod(f ** m for f, m in sides[low]), mats[p])
     bases = image.echelon_kernel(), image.echelon_span()
     for side, (sub, rows) in zip(sides, bases[low:] + bases[:low]):
         yield from _split({q: m.restrict(sub, rows) for q, m in mats.items()},

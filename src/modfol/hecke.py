@@ -46,19 +46,6 @@ def hecke_matrix(space, p):
     return QMatrix.from_rows(zip(*cols))
 
 
-def cuspidal_hecke_matrix(space, p):
-    """T_p restricted to the cuspidal subspace, in the cuspidal basis.
-
-    Memoised on the space, so the orbit split and the level record share
-    one matrix per prime; callers must not mutate it.
-    """
-    mat = space._cuspidal_hecke.get(p)
-    if mat is None:
-        mat = space.restrict_to_cuspidal(hecke_matrix(space, p))
-        space._cuspidal_hecke[p] = mat
-    return mat
-
-
 def eigenvalue_from_functional(space, p, table, j):
     """Eigenvalue c_p of a left eigenvector w of the T_p family, with
     w[j] = 1, from its table (field, den, rows): rows[k][i] / den is the

@@ -18,8 +18,8 @@ integers (the elimination is checked to leave no denominators), and each
 symbol is 1, -1 or 0 times a two-term representative, so the boundary map
 is checked on the representatives, with one cusp label per residue pair.  The
 cuspidal subspace and the +1 half of the star involution on it are held
-as echelon bases with their free rows, so an operator is restricted to
-either by one checked product (QMatrix.restrict).
+as echelon bases of the quotient with their free rows, so an operator is
+restricted to either by one checked product (QMatrix.restrict).
 """
 
 from fractions import Fraction
@@ -47,9 +47,7 @@ class ModularSymbolSpace:
         self.p1 = P1Space(N)
         self._build_boundary(*self._build_quotient())
         self._generators = None
-        self._star = None
         self._plus_span = None
-        self._cuspidal_hecke = {}    # p -> T_p on the cuspidal subspace
 
     # -- construction -------------------------------------------------------
 
@@ -242,21 +240,15 @@ class ModularSymbolSpace:
         This is the map induced by z -> -conj(z) on paths; it squares to
         the identity and commutes with every Hecke operator.
         """
-        if self._star is None:
-            n = self.dim
-            cols = [self.symbol_coords(-self.p1.reps[i][0], self.p1.reps[i][1])
-                    for i in self.free_symbols]
-            self._star = QMatrix.from_rows(
-                [[cols[j][i] for j in range(n)] for i in range(n)])
-        return self._star
-
-    def star_on_cuspidal(self):
-        """The star involution restricted to the cuspidal subspace."""
-        return self.restrict_to_cuspidal(self.star_matrix())
+        reps = self.p1.reps
+        cols = [self.symbol_coords(-reps[i][0], reps[i][1])
+                for i in self.free_symbols]
+        return QMatrix.from_rows(zip(*cols))
 
     def plus_span(self):
         """(basis, free): an echelon basis of the +1 eigenspace of the star
-        involution, in cuspidal coordinates, and its free rows.
+        involution on the cuspidal subspace, in quotient coordinates, and
+        its free rows.
 
         The involution splits the 2g-dimensional cuspidal space into halves
         of dimension g, and on the +1 half each Hecke eigensystem appears
@@ -264,14 +256,17 @@ class ModularSymbolSpace:
         decomposition relies on.
         """
         if self._plus_span is None:
-            star = self.star_on_cuspidal()
-            fixed = star - QMatrix.identity(self.cuspidal_dim)
-            basis, free = fixed.echelon_kernel()
-            if basis.cols != self.genus:
+            fixed = (self.restrict_to_cuspidal(self.star_matrix())
+                     - QMatrix.identity(self.cuspidal_dim))
+            kernel, rows = fixed.echelon_kernel()
+            if kernel.cols != self.genus:
                 raise DimensionError(
                     "star +1 eigenspace has dimension %d, expected genus %d"
-                    % (basis.cols, self.genus))
-            self._plus_span = (basis, free)
+                    % (kernel.cols, self.genus))
+            # the cuspidal basis is the identity at its free rows F and the
+            # kernel at rows G, so their product is the identity at F[G]
+            self._plus_span = (self._cuspidal_columns * kernel,
+                               [self._cuspidal_free[i] for i in rows])
         return self._plus_span
 
     # -- homology ----------------------------------------------------------------------

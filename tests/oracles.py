@@ -9,7 +9,8 @@ Horner over K, and the two Hecke routes that Heilbronn matrices
 superseded: Merel's determinant-p family and the degeneracy-coset
 paths, for whole matrices and single columns, the
 Heilbronn family itself as a list of matrices, which the walk mod N
-replaced, LLL with Gram-Schmidt data in Fractions, period integrals by
+replaced, T_p on the +1 half by restriction first to the cuspidal
+subspace and then to the star-fixed kernel there, LLL with Gram-Schmidt data in Fractions, period integrals by
 complex powers in mpmath, which the fixed-point kernel replaced, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements, and
@@ -28,7 +29,7 @@ from modfol.arith import is_prime
 from modfol.congruence import _normalize_cusp
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
-from modfol.hecke import cuspidal_hecke_matrix
+from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
 from modfol.pipeline import rat_to_json
@@ -245,8 +246,18 @@ def record_with_hecke(record):
     space = ModularSymbolSpace(record["level"])
     return dict(record, hecke={
         str(p): [[rat_to_json(x) for x in row]
-                 for row in cuspidal_hecke_matrix(space, p).to_rows()]
+                 for row in space.restrict_to_cuspidal(
+                     hecke_matrix(space, p)).to_rows()]
         for p in record["primes"]})
+
+
+def plus_hecke_two_step(space, p):
+    """T_p on the +1 half in two restrictions: to the cuspidal subspace,
+    then to the kernel of star - 1 in cuspidal coordinates."""
+    star = space.restrict_to_cuspidal(space.star_matrix())
+    fixed = star - QMatrix.identity(space.cuspidal_dim)
+    return space.restrict_to_cuspidal(hecke_matrix(space, p)).restrict(
+        *fixed.echelon_kernel())
 
 
 def span_coordinates(basis, vec):

@@ -25,7 +25,7 @@ from modfol.errors import ModfolError
 from modfol.foliation import (FoliationKind, JacobianModule, TorusKind,
                               basis_change, classify, classify_torus,
                               module_rank, scale_module)
-from modfol.hecke import cuspidal_hecke_matrix
+from modfol.hecke import hecke_matrix
 from modfol.iet import IET, iet_apply, minimality_probe, periodicity_report
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
@@ -118,7 +118,7 @@ def test_criterion_02_hecke_qexp_formula():
 def test_criterion_03_commutativity_and_reality(prime_levels):
     for N in (11, 23, 37, 67):
         space, orbits = prime_levels[N]
-        mats = [cuspidal_hecke_matrix(space, p)
+        mats = [space.restrict_to_cuspidal(hecke_matrix(space, p))
                 for p in (2, 3, 5, 7) if N % p]
         for A, B in itertools.combinations(mats, 2):
             assert A * B == B * A, N

@@ -15,6 +15,7 @@ import pytest
 
 import modfol
 from modfol import cache, cli
+from modfol.arith import _primes_up_to
 from modfol.cli import (_build_parser, _decimal, _error_code_hint,
                         _iet_handler, main)
 from modfol.errors import (DomainError, IndeterminateRankError,
@@ -141,6 +142,28 @@ def test_decompose_explicit_primes_agree_with_auto():
         == run("decompose", "23")[1]
 
 
+@pytest.mark.parametrize("primes", [
+    "1009", "100003", "1000003", "2," + "9" * 4000,
+    ",".join(map(str, _primes_up_to(101))),
+], ids=["1009", "100003", "1000003", "4000-digits", "26-primes"])
+def test_oversized_primes_is_usage_error(monkeypatch, primes):
+    def no_record(*args):
+        raise AssertionError("level analysed for refused --primes")
+    monkeypatch.setattr("modfol.cli.analyze_level", no_record)
+    start = time.perf_counter()
+    code, obj = run_json("decompose", "11", "--primes", primes)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "--primes takes at most 25 primes" in obj["error"]
+
+
+@pytest.mark.parametrize("primes", [
+    "997", ",".join(map(str, _primes_up_to(101)[:-1] + [2, 3])),
+], ids=["997", "25-distinct-primes"])
+def test_primes_at_bound_are_accepted(primes):
+    code, obj = run_json("decompose", "101", "--primes", primes)
+    assert code == 0 and obj["genus"] == 8
+
+
 # sha256 of ``decompose N --no-cache`` stdout at the prime levels whose
 # orbits reach degree 10-20, taken from the elimination eigenvector route
 DECOMPOSE_DIGESTS = {
@@ -192,6 +215,22 @@ def test_corrupt_cache_recomputes(tmp_path, monkeypatch):
     open(path, "wb").write(bytes(blob))
     assert cache.load(11) is None
     assert run("decompose", "11") == cold
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "11"],
+    ["decompose", "--range", "11..12"],
+    ["decompose", "--range", "11..12", "--jobs", "2"],
+])
+@pytest.mark.parametrize("below", [[], ["sub"]])
+def test_unwritable_cache_gives_no_cache_bytes(tmp_path, monkeypatch, argv,
+                                               below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("MODFOL_CACHE", str(blocker.joinpath(*below)))
+    bare = run(*argv, "--no-cache")
+    assert bare[0] == 0
+    assert run(*argv) == bare
 
 
 def test_record_with_hecke_field_is_a_hit(monkeypatch):

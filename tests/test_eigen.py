@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from modfol import eigen
 from modfol.arith import _primes_up_to
 from modfol.cli import main
+from modfol.congruence import curve_data
 from modfol.eigen import (
     _plus_hecke_matrix,
     _poly_at_matrix,
@@ -28,7 +29,7 @@ from modfol.polys import QPolynomial, factor_poly, parse_poly
 
 from oracles import (elimination_eigenvector, eta_product_qexp,
                      fraction_poly_at_matrix, horner_adjugate_column,
-                     per_part_primary_blocks)
+                     per_part_primary_blocks, plus_hecke_two_step)
 
 
 def field_of(text):
@@ -597,6 +598,21 @@ def test_decompose_genus_zero_is_empty():
 
 
 def test_plus_space_dimension_is_genus():
-    for N in (11, 23, 37, 45):
+    for N in (11, 23, 37, 45, 60):
         sp = ModularSymbolSpace(N)
-        assert sp.plus_span()[0].cols == sp.genus
+        basis, free = sp.plus_span()
+        assert (basis.rows, basis.cols) == (sp.dim, sp.genus)
+        assert sp.star_matrix() * basis == basis
+        assert all(sp.is_cuspidal(basis.col(j)) for j in range(sp.genus))
+        assert [basis.row(i) for i in free] == \
+            QMatrix.identity(sp.genus).to_rows()
+
+
+def test_plus_hecke_matrix_is_the_two_step_restriction():
+    levels = [N for N in range(1, 61) if curve_data(N)["genus"]] + [131]
+    for N in levels:
+        sp = ModularSymbolSpace(N)
+        for p in (2, 3, 5):
+            if N % p:
+                assert _plus_hecke_matrix(sp, p) == \
+                    plus_hecke_two_step(sp, p), (N, p)

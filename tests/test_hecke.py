@@ -8,7 +8,6 @@ from modfol.arith import is_prime, next_prime, _primes_up_to
 from modfol.congruence import P1Space
 from modfol.errors import DomainError
 from modfol.hecke import (
-    cuspidal_hecke_matrix,
     eigenvalue_from_functional,
     hecke_matrix,
     qexp_from_primes,
@@ -142,19 +141,19 @@ class TestOperatorRoutes:
 
 class TestCuspidalCharpolys:
     def test_golden_charpolys(self, spaces):
-        t2_11 = cuspidal_hecke_matrix(spaces[11], 2)
+        t2_11 = spaces[11].restrict_to_cuspidal(hecke_matrix(spaces[11], 2))
         assert QPolynomial(t2_11.charpoly()) == parse_poly("x^2 + 4*x + 4")
 
-        t2_23 = cuspidal_hecke_matrix(spaces[23], 2)
+        t2_23 = spaces[23].restrict_to_cuspidal(hecke_matrix(spaces[23], 2))
         assert QPolynomial(t2_23.charpoly()) == parse_poly("x^2 + x - 1") ** 2
 
-        t2_37 = cuspidal_hecke_matrix(spaces[37], 2)
+        t2_37 = spaces[37].restrict_to_cuspidal(hecke_matrix(spaces[37], 2))
         assert QPolynomial(t2_37.charpoly()) == \
             parse_poly("x + 2") ** 2 * parse_poly("x") ** 2
 
     def test_level_dividing_prime(self, spaces):
         # at level 11 the prime 11 acts on the one-dimensional system as +1
-        t11 = cuspidal_hecke_matrix(spaces[11], 11)
+        t11 = spaces[11].restrict_to_cuspidal(hecke_matrix(spaces[11], 11))
         assert QPolynomial(t11.charpoly()) == parse_poly("x - 1") ** 2
 
 

@@ -16,7 +16,7 @@ from modfol.errors import (
     TruncationError,
 )
 from modfol import periods
-from modfol.hecke import cuspidal_hecke_matrix, hecke_matrix
+from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import leading_entry
@@ -405,7 +405,7 @@ def test_hecke_transpose_scales_period_vector():
         [[gens[j][1][i] for j in range(n)] for i in range(n)])
     with mp.workdps(90):
         for p in (2, 3):
-            tb = cuspidal_hecke_matrix(space, p) * basis
+            tb = space.restrict_to_cuspidal(hecke_matrix(space, p)) * basis
             solved = sympy.Matrix(basis.to_rows()).LUsolve(
                 sympy.Matrix(tb.to_rows()))
             action = QMatrix.from_rows(

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from modfol import cache, hecke
+from modfol import cache, eigen
 from modfol.eigen import decompose
 from modfol.errors import DomainError
 from modfol.modsym import ModularSymbolSpace
@@ -115,13 +115,13 @@ def test_record_bytes_pinned(N):
 @pytest.mark.parametrize("N", [37, 60])
 def test_one_hecke_matrix_per_prime(N, monkeypatch):
     calls = []
-    build = hecke.hecke_matrix
+    build = eigen.hecke_matrix
 
     def counting(space, p):
         calls.append(p)
         return build(space, p)
 
-    monkeypatch.setattr(hecke, "hecke_matrix", counting)
+    monkeypatch.setattr(eigen, "hecke_matrix", counting)
     record = analyze_level(N)
     assert record["primes"]
     assert sorted(calls) == record["primes"]

@@ -16,6 +16,11 @@
   `linalg` reads rows by index list, nothing defines or calls a solve or
   the pivot-row restriction, and cusp equivalence by search lives in the
   test oracles alone.
+* An operator reaches the +1 star half in one restriction, to
+  `plus_span()`, an echelon basis of the quotient: no cuspidal Hecke
+  matrix (`cuspidal_hecke_matrix`) or cuspidal star (`star_on_cuspidal`)
+  is defined, and only `modsym` calls `restrict_to_cuspidal`; the route
+  through the cuspidal subspace lives in the test oracles alone.
 * LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
   in the test oracles alone.
 * Real embeddings decide signs on integers: no interval arithmetic over
@@ -156,6 +161,12 @@ def test_one_restriction_idiom():
         assert name not in _defined_functions(), name
         assert _calls(name) == set(), name
     assert "cusp_equivalent" not in _defined_functions()
+
+
+def test_one_restriction_to_the_plus_half():
+    assert _defined_functions() & {"cuspidal_hecke_matrix",
+                                   "star_on_cuspidal"} == set()
+    assert _calls("restrict_to_cuspidal") == {"modsym"}
 
 
 def test_real_embeddings_run_on_integers():
