@@ -30,9 +30,9 @@ restricted to them, and its factors.  So when no prime decides a block,
 decompose can add the prime the error names and resume on the blocks it
 has, which gives what a run with the longer prime list would.  A block
 hands its operators and irreducible factors on to its orbit, and the
-eigenvector of a new block comes from the adjugate of lam*I - T, a
-Krylov product with no elimination over K, and that of a possibly-old
-block from eigenspace().
+eigenvector of a new block is column 0 of adj(a*I - T), one rational
+Horner recurrence on its factor with no arithmetic in K, and that of a
+possibly-old block comes from eigenspace().
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
@@ -116,14 +116,24 @@ def rescale_eigenvector(T, lam):
     eigenvector x in K^n whose first nonzero coordinate equals 1, so the
     result is invariant under rescaling and canonical for the K-line.
 
-    The vector is held as its n x d coordinate matrix X, so T*x is the
-    product T*X and lam*x is X*lam.matrix(); it is divided by its leading
-    entry once and checked exactly before it is returned as elements.
+    With f the minimal polynomial of lam, the vector comes from T on its
+    block ker f(T) by _adjugate_column, over Q(a) for a root a of f, and
+    a -> lam maps it into K, which lam need not generate.  It is held as
+    its n x d coordinate matrix X, so T*x is T*X and lam*x is
+    X*lam.matrix(); it is divided by its leading entry once and checked
+    exactly before it is returned as elements.
     """
     if T.rows != T.cols:
         raise DimensionError("rescale_eigenvector needs a square matrix")
     field = lam.field
-    X = _adjugate_column(T, lam, T.charpoly())
+    ((f, _),) = factor_poly(QPolynomial(lam.matrix().charpoly()))
+    block, free = _poly_at_matrix(f, T).echelon_kernel()
+    if block.cols == 0:
+        raise DomainError("value is not an eigenvalue of the matrix")
+    if block.cols > f.degree:
+        raise MultiplicityError("the eigenspace has dimension above 1")
+    powers = QMatrix.from_rows([(lam ** k).coeffs for k in range(f.degree)])
+    X = block * _adjugate_column(T.restrict(block, free), f.coeffs) * powers
     X = X * leading_entry(X, field)[1].inverse().matrix()
     if T * X != X * lam.matrix():
         raise InternalInvariantError("rescaled vector is not an eigenvector")
@@ -241,8 +251,7 @@ def _orbit_from_block(space, ps, block, mats, factors):
     p_star = next((p for p in ps if factors[p].degree == dim), None)
     if p_star is not None:
         field = NumberField(factors[p_star], check=False)
-        local = _adjugate_column(mats[p_star], field.gen(),
-                                 factors[p_star].coeffs)
+        local = _adjugate_column(mats[p_star], factors[p_star].coeffs)
     elif is_prime(space.N):
         q = _next_split_prime(ps, space.N)
         raise UndecidedSplitError(
@@ -281,34 +290,24 @@ def _orbit_from_block(space, ps, block, mats, factors):
                           coeffs, multiplicity=mult, possibly_old=mult > 1)
 
 
-def _adjugate_column(T, lam, chi):
-    """A nonzero column of adj(lam*I - T), as its n x d coordinate matrix.
+def _adjugate_column(T, f):
+    """Column 0 of adj(a*I - T), as its n x n coordinate matrix over Q(a).
 
-    No elimination over K: with chi the characteristic polynomial of T
-    (ascending coefficients; on a block of multiplicity 1 it is the block's
-    irreducible factor) and g = chi/(x - lam) in K[x], g(T) = adj(lam*I - T),
-    which is nonzero exactly when rank(T - lam*I) = n - 1, and then every
-    nonzero column is an eigenvector.  Column j is sum_k T^k e_j g_k: the
-    rational Krylov matrix of e_j times the n x d matrix of the rows g_k.
+    f (ascending) is T's characteristic polynomial, irreducible with root
+    a, so adj(a*I - T) = sum_i a^i h_i(T), where h_(n-1) = 1 and
+    h_i = x*h_(i+1) + f_(i+1): coordinate i of the column is h_i(T) e_0,
+    one rational Horner recurrence on vectors, with no arithmetic in Q(a).
+    The column is an eigenvector for a, and never zero: its coordinate
+    n - 1 is e_0.
     """
-    field = lam.field
-    n = T.rows
-    # synthetic division by x - lam; what is left over is chi(lam)
-    g = [None] * n
-    acc = field.one()
-    for k in range(n - 1, -1, -1):
-        g[k] = acc
-        acc = acc * lam + chi[k]
-    if not acc.is_zero():
-        raise DomainError("value is not an eigenvalue of the matrix")
-    coeffs = QMatrix.from_rows([gk.coeffs for gk in g])
-    for j in range(n):
-        col = T.krylov(j) * coeffs
-        if not col.is_zero():
-            return col
-    raise MultiplicityError(
-        "adj(lam*I - T) vanishes: rank(T - lam*I) < n - 1, so the "
-        "eigenvalue is not simple")
+    e0 = QMatrix.from_rows([[int(i == 0)] for i in range(T.rows)])
+    cols = [e0]
+    for c in reversed(f[1:-1]):
+        cols.append(T * cols[-1] + e0.scale(c))
+    X = QMatrix.from_rows(zip(*(v.col(0) for v in reversed(cols))))
+    if X.is_zero():
+        raise InternalInvariantError("adj(a*I - T) has a zero first column")
+    return X
 
 
 def _elements(X, field):

@@ -14,6 +14,7 @@ and :func:`rauzy_step` performs one step of Rauzy induction.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
@@ -46,8 +47,10 @@ class IET:
         if sorted(perm) != list(range(1, k + 1)):
             raise DomainError(
                 "permutation must list each of 1..%d exactly once" % k)
-        for j in range(1, k):
-            if max(perm[:j]) == j:
+        top = 0
+        for j, slot in enumerate(perm[:-1], 1):
+            top = max(top, slot)
+            if top == j:
                 raise DomainError(
                     "reducible permutation: {1..%d} is invariant" % j)
         if len(lengths) != k:
@@ -84,20 +87,13 @@ class IET:
             if self._sign(x) <= 0:
                 raise DomainError("interval lengths must be positive")
         # left endpoints in the domain, and the translation on each piece
-        cuts = []
-        acc = self._zero()
-        for x in vals:
-            cuts.append(acc)
-            acc = acc + x
-        self.total = acc
-        starts_image = {}
-        acc = self._zero()
-        for slot in range(1, k + 1):
-            i = perm.index(slot)
-            starts_image[i] = acc
-            acc = acc + vals[i]
+        cuts = list(accumulate(vals, initial=self._zero()))
+        self.total = cuts.pop()
+        slots = sorted(range(k), key=perm.__getitem__)   # intervals by slot
+        starts_image = dict(zip(slots, accumulate(
+            (vals[i] for i in slots), initial=self._zero())))
         self._cuts = tuple(cuts)
-        self._shifts = tuple(starts_image[i] - cuts[i] for i in range(k))
+        self._shifts = tuple(starts_image[i] - c for i, c in enumerate(cuts))
 
     def _zero(self):
         return Fraction(0) if self.field is None else self.field.from_rational(0)

@@ -240,17 +240,6 @@ class QMatrix:
         B = [R._num[(k - 1 - j) * n + n - 1 - i] for i in range(n) for j in range(k)]
         return QMatrix._from_ints(n, k, B, R._den), [n - 1 - p for p in piv[::-1]]
 
-    def krylov(self, j):
-        """The square matrix whose column k is self^k e_j, that is A^k e_j /
-        den^k for the stored integers A, by integer matrix-vector products."""
-        n, den = self.rows, self._den
-        rows = [self._num[i * n:(i + 1) * n] for i in range(n)]
-        cols = [[int(i == j) for i in range(n)]]
-        for _ in range(n - 1):
-            cols.append([sum(map(mul, row, cols[-1])) for row in rows])
-        return QMatrix._from_ints(n, n, [cols[k][i] * den ** (n - 1 - k) for i in
-                                         range(n) for k in range(n)], den ** (n - 1))
-
     def restrict(self, basis, free):
         """Matrix of self on the column span of an echelon basis.
 

@@ -12,6 +12,7 @@ Rationals are serialized as JSON ints when integral and as exact "p/q"
 strings otherwise; no floats appear in records.
 """
 
+import re
 from fractions import Fraction
 
 from .cache import SCHEMA_VERSION
@@ -86,6 +87,52 @@ def analyze_level(N, primes=None):
         "classification": [_classification_entry(N, i, classify(o, curve))
                            for i, o in enumerate(orbits)],
     }
+
+
+def is_level_record(record):
+    """Whether ``record`` has every key analyze_level writes, each with its
+    JSON type; keys no reader uses (the "hecke" of earlier records) may be
+    extra.  A cache file's digest proves only that the file is intact."""
+    return _fits(record, _RECORD)
+
+
+def _fits(value, shape):
+    """shape: a tuple of exact types (bool is not int), a predicate, [item]
+    for a list, {str: item} for an object of any keys, or {key: shape} for
+    an object with those keys, of which only "separatrix_excess" may be
+    absent."""
+    if isinstance(shape, tuple):
+        return type(value) in shape
+    if callable(shape):
+        return shape(value)
+    if isinstance(shape, list):
+        return type(value) is list and all(_fits(v, shape[0]) for v in value)
+    if type(value) is not dict:
+        return False
+    if str in shape:
+        return all(_fits(v, shape[str]) for v in value.values())
+    return all(_fits(value[k], item) if k in value else k == "separatrix_excess"
+               for k, item in shape.items())
+
+
+def _rational(value):
+    """rat_to_json's form: an int, or a "p/q" string with q > 0."""
+    return type(value) is int or (type(value) is str and re.fullmatch(
+        "-?[0-9]+/[1-9][0-9]*", value) is not None)
+
+
+_INT, _RATIONALS = (int,), [_rational]
+_RECORD = {
+    "schema": _INT, "level": _INT, "primes": [_INT],
+    "curve": dict.fromkeys(("N", "mu", "nu2", "nu3", "nu_inf", "genus"), _INT),
+    "orbits": [dict(orbit=_INT, degree=_INT, minpoly=_RATIONALS,
+                    defining_prime=_INT, eigenvalue=_RATIONALS,
+                    eigenvector=[_RATIONALS], coefficient_map={str: _RATIONALS},
+                    multiplicity=_INT, possibly_old=(bool,))],
+    "classification": [dict.fromkeys(("level", "orbit", "degree", "genus",
+                                      "separatrix_excess"), _INT)
+                       | {"class": (str,)}],
+}
 
 
 def orbit_from_record(record, index):

@@ -250,6 +250,38 @@ def test_record_with_hecke_field_is_a_hit(monkeypatch):
         assert run(command, "37") == out
 
 
+def _without_degree_and_minpoly(record):
+    for key in ("degree", "minpoly"):
+        del record["orbits"][0][key]
+
+
+def _minpoly_not_rational(record):
+    record["orbits"][0]["minpoly"][0] = "x"
+
+
+@pytest.mark.parametrize("level, forge, argvs", [
+    (11, None, [("decompose", "11"), ("classify", "11"),
+                ("periods", "11", "--orbit", "0")]),
+    (23, _without_degree_and_minpoly,
+     [("decompose", "23"), ("periods", "23", "--orbit", "0")]),
+    (11, _minpoly_not_rational, [("periods", "11", "--orbit", "0")]),
+])
+def test_cached_record_of_another_shape_is_a_miss(level, forge, argvs):
+    # header, length and digest are intact; the record is not analyze_level's
+    if forge is None:
+        forged = {"level": level, "schema": 1}
+    else:
+        forged = analyze_level(level)
+        forge(forged)
+    for argv in argvs:
+        bare = run(*argv, "--no-cache")
+        assert bare[0] == 0
+        cache.store(forged)
+        assert cache.load(level) == forged
+        assert run(*argv) == bare
+        assert cache.load(level) == analyze_level(level)
+
+
 def test_pretty_same_object():
     code, out = run("classify", "23", "--pretty")
     assert code == 0 and "\n  " in out
@@ -414,6 +446,25 @@ def test_iet_poly_degree_at_bound():
     code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
                          "--poly=" + poly, "--steps", "5")
     assert code == 0 and obj["keane_violations"] == []
+
+
+def test_iet_cells_above_bound_is_usage_error(monkeypatch):
+    # 10^6 + 1 unit cells: refused before the exchange is built
+    def no_exchange(*args):
+        raise AssertionError("exchange built for refused lengths")
+    monkeypatch.setattr(cli, "IET", no_exchange)
+    for lengths, perm in (("1/1000000,1", "2,1"), ("1/1000000000,1", "2,1"),
+                          ("1,2/3,1/1" + "0" * 100, "3,2,1")):
+        start = time.perf_counter()
+        code, obj = run_json("iet", "--lengths", lengths, "--perm", perm)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and "at most 1000000 unit cells" in obj["error"]
+
+
+def test_iet_cells_at_bound():
+    code, obj = run_json("iet", "--lengths", "1/1000000,999999/1000000",
+                         "--perm", "2,1")
+    assert (code, obj) == (0, {"periodic": True, "period_lcm": 1000000})
 
 
 def test_iet_steps_above_bound_is_usage_error():

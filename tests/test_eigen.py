@@ -184,7 +184,10 @@ def _eigen_cases(draw):
     of basis, with B' = B for repeated charpoly factors and C = 0 for
     eigenspaces of dimension 2, and half the time conjugated by a diagonal
     matrix to make the entries rational; lam is a root of a charpoly
-    factor, a rational or a quadratic irrational."""
+    factor, a rational or a quadratic irrational, or one that does not
+    generate its field: a root of a charpoly factor f (else of x^2 - 2) as
+    the square of a root of f(x^2), and a rational (a root of a linear
+    factor when there is one) in Q(sqrt 2)."""
     if draw(st.booleans()):
         n = draw(st.integers(0, 6))
         rows = [[draw(_small) for _ in range(n)] for _ in range(n)]
@@ -210,8 +213,18 @@ def _eigen_cases(draw):
                 for i, r in enumerate(rows)]
     T = QMatrix.from_rows(rows)
     factors = [f for f, _ in factor_poly(QPolynomial(T.charpoly()))]
-    choice = draw(st.sampled_from(["root", "rational", "quadratic"]))
-    if choice == "root" and factors:
+    at_squares = (f.evaluate(QPolynomial.x() ** 2) for f in factors
+                  if f.degree <= 2)
+    squares = ([g for g in at_squares if factor_poly(g) == [(g, 1)]]
+               or [parse_poly("x^4 - 2")])
+    roots = [-f.coeffs[0] for f in factors if f.degree == 1] or [draw(_small)]
+    choice = draw(st.sampled_from(["root", "rational", "quadratic", "square",
+                                   "embedded"]))
+    if choice == "square":
+        lam = NumberField(draw(st.sampled_from(squares))).gen() ** 2
+    elif choice == "embedded":
+        lam = field_of("x^2 - 2").from_rational(draw(st.sampled_from(roots)))
+    elif choice == "root" and factors:
         lam = NumberField(draw(st.sampled_from(factors))).gen()
     elif choice == "quadratic":
         lam = field_of(draw(st.sampled_from(["x^2 - 2", "x^2 - x - 1",
@@ -354,13 +367,15 @@ def test_primary_blocks_match_per_part_kernels(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_adjugate_column_matches_horner_over_k(seed):
+    # on the block of each simple part f, T has charpoly f
     rng, parts = _seeded_parts(seed)
     T = _block_matrix(rng, parts)
-    chi = T.charpoly()
-    for f, _ in parts:
-        lam = NumberField(f).gen()
-        assert (_outcome(lambda *a: eigen._adjugate_column(*a, chi), T, lam)
-                == _outcome(lambda *a: horner_adjugate_column(*a, chi), T, lam))
+    for (f, m), (_, K, free) in zip(parts, per_part_primary_blocks(T)):
+        if m == 1:
+            block = T.restrict(K, free)
+            assert (eigen._adjugate_column(block, f.coeffs)
+                    == horner_adjugate_column(block, NumberField(f).gen(),
+                                              f.coeffs))
 
 
 @pytest.mark.parametrize("parts, low", [

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,29 @@ def test_constructor_validation():
             embedding=other.real_embeddings()[0])          # foreign embedding
     with pytest.raises(DomainError):
         IET([], [])
+
+
+def test_reducible_prefix_is_named():
+    # the smallest invariant prefix {1..j}, as max(perm[:j]) == j finds it
+    for perm in itertools.permutations(range(1, 6)):
+        js = [j for j in range(1, 5) if max(perm[:j]) == j]
+        if js:
+            with pytest.raises(DomainError, match=r"\{1\.\.%d\}" % js[0]):
+                IET([1] * 5, perm)
+        else:
+            IET([1] * 5, perm)
+
+
+def test_construction_is_linear_in_the_interval_count():
+    # the faster of two builds: the machine's speed drifts between runs,
+    # and a quadratic build of 100,000 intervals takes minutes
+    k, times = 100000, []
+    for _ in range(2):
+        start = time.process_time()
+        T = IET([1] * k, range(k, 0, -1))
+        times.append(time.process_time() - start)
+    assert min(times) < 2.0
+    assert T._shifts[:3] == (k - 1, k - 3, k - 5) and T._shifts[-1] == 1 - k
 
 
 def test_equal_fields_are_one_field():

@@ -21,6 +21,12 @@
   matrix (`cuspidal_hecke_matrix`) or cuspidal star (`star_on_cuspidal`)
   is defined, and only `modsym` calls `restrict_to_cuspidal`; the route
   through the cuspidal subspace lives in the test oracles alone.
+* A simple eigenvector over K has one route, with no arithmetic in K:
+  `_adjugate_column` reads column 0 of adj(a*I - T) off the minimal
+  polynomial by a rational Horner recurrence and calls no field operation
+  (`gen`, `one`, `inverse`, `matrix`, `eigenspace`, `NFElement`);
+  `rescale_eigenvector` goes through it, not through `eigenspace`, and no
+  Krylov matrix (`krylov`) is defined.
 * LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
   in the test oracles alone.
 * Real embeddings decide signs on integers: no interval arithmetic over
@@ -192,6 +198,14 @@ def _function(module, name):
 def _called(node):
     return {getattr(call.func, "attr", None) or getattr(call.func, "id", None)
             for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_one_simple_eigenvector_route():
+    assert "krylov" not in _defined_functions()
+    assert _called(_function("eigen", "_adjugate_column")) & {
+        "gen", "one", "inverse", "matrix", "eigenspace", "NFElement"} == set()
+    rescale = _called(_function("eigen", "rescale_eigenvector"))
+    assert "_adjugate_column" in rescale and "eigenspace" not in rescale
 
 
 def test_one_charpoly_body():
