@@ -53,7 +53,7 @@ from .errors import (
 )
 from .hecke import hecke_matrix
 from .linalg import QMatrix
-from .numfield import NFElement, NumberField, eigenspace, leading_entry
+from .numfield import NumberField, eigenspace, leading_entry
 from .polys import QPolynomial, factor_poly
 
 # primes decompose picks before an undecided split propagates
@@ -275,7 +275,8 @@ def _orbit_from_block(space, ps, block, mats, factors):
     coeffs = {}
     for p in ps:
         image = block * (mats[p] * local)
-        c = NFElement(field, image.row(lead))
+        den, rows = image.integer_rows()
+        c = field.from_integers(den, rows[lead])
         if image != vec * c.matrix():
             if mult == 1:
                 raise InternalInvariantError("commuting operator is not scalar")
@@ -311,7 +312,8 @@ def _adjugate_column(T, f):
 
 
 def _elements(X, field):
-    return tuple(NFElement(field, row) for row in X.to_rows())
+    den, rows = X.integer_rows()
+    return tuple(field.from_integers(den, row) for row in rows)
 
 
 def _poly_at_matrix(poly, mat):

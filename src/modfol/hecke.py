@@ -20,13 +20,11 @@ eigenvalues to a full coefficient sequence:
     c(mn) = c(m) c(n)                         for coprime m, n
 """
 
-from fractions import Fraction
 from itertools import compress
 from operator import mul
 
 from .arith import smallest_prime_factors
 from .linalg import QMatrix
-from .numfield import NFElement
 
 
 # -- operators on the symbol quotient ------------------------------------------------
@@ -50,12 +48,13 @@ def eigenvalue_from_functional(space, p, table, j):
     """Eigenvalue c_p of a left eigenvector w of the T_p family, with
     w[j] = 1, from its table (field, den, rows): rows[k][i] / den is the
     k-th coordinate of w on the i-th point of P^1.  c_p is w on column j of
-    T_p: the images' counts dotted with each row, and one field element.
+    T_p: the images' counts dotted with each row give its integer
+    coordinates over den, reduced once into a field element.
     """
     field, den, rows = table
     counts = space.p1.heilbronn_counts(*space.p1.reps[space.free_symbols[j]], p)
-    return NFElement(field, [Fraction(sum(map(mul, counts, row)), den)
-                             for row in rows])
+    return field.from_integers(den, [sum(map(mul, counts, row))
+                                     for row in rows])
 
 
 # -- coefficient sequences -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over Q, plus integer lattice utilities.
 
 QMatrix stores integers row-major over one positive common denominator,
-reduced so that equal matrices have equal storage; entries are read back
-as Fractions.  Products, sums, scaling and elimination run on the
+reduced so that equal matrices have equal storage (_lowest_terms, the
+normal form number-field elements share); entries are read back as
+Fractions.  Products, sums, scaling and elimination run on the
 integers: one fraction-free Gauss-Jordan elimination (rref, which also
 serves rank, kernel and column span), and one characteristic polynomial,
 Berkowitz's division-free recursion (charpoly, whose constant coefficient
@@ -23,6 +24,25 @@ from .arith import _frac
 from .errors import DimensionError, DomainError, InternalInvariantError
 
 
+def _lowest_terms(den, ints):
+    """(den, ints) divided by gcd(den, *ints), for den > 0: the one normal
+    form of the rational vector ints / den, so equal vectors store equal."""
+    g = gcd(den, *ints) if den > 1 else 1
+    if g > 1:
+        return den // g, [x // g for x in ints]
+    return den, ints
+
+
+def _integers(values):
+    """(den, ints): int-or-Fraction values as integers over one den > 0,
+    in lowest terms (the lcm of reduced denominators leaves no factor)."""
+    if set(map(type, values)) <= {int}:
+        return 1, list(values)
+    fracs = [_frac(x) for x in values if not isinstance(x, int)]
+    den = lcm(*[x.denominator for x in fracs])
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 class QMatrix:
     """Immutable-ish dense matrix over Q: integers ``_num`` over ``_den``."""
 
@@ -31,24 +51,14 @@ class QMatrix:
     def __init__(self, rows, cols, data):
         if len(data) != rows * cols:
             raise DimensionError("data length %d != %d x %d" % (len(data), rows, cols))
-        if set(map(type, data)) <= {int}:
-            num, den = list(data), 1
-        else:
-            fracs = [_frac(x) for x in data if not isinstance(x, int)]
-            den = lcm(*[x.denominator for x in fracs])
-            num = [x.numerator * (den // x.denominator) for x in data]
+        den, num = _integers(data)
         self._set(rows, cols, num, den)
 
     def _set(self, rows, cols, num, den):
         """Store num/den in lowest terms: gcd(den, *num) = 1, den > 0."""
-        g = gcd(den, *num) if den > 1 else 1
-        if g > 1:
-            num = [x // g for x in num]
-            den //= g
         self.rows = rows
         self.cols = cols
-        self._num = num
-        self._den = den
+        self._den, self._num = _lowest_terms(den, num)
         return self
 
     @classmethod
@@ -66,6 +76,13 @@ class QMatrix:
         if any(len(r) != n for r in rows):
             raise DimensionError("ragged rows")
         return cls(len(rows), n, [x for r in rows for x in r])
+
+    @classmethod
+    def from_integer_rows(cls, den, rows):
+        """The matrix rows / den, for integer rows and den > 0: the inverse
+        of integer_rows()."""
+        return cls._from_ints(len(rows), len(rows[0]) if rows else 0,
+                              [x for r in rows for x in r], den)
 
     @classmethod
     def identity(cls, n):

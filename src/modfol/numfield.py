@@ -1,20 +1,25 @@
 """Number fields Q[x]/(f): exact arithmetic, eigenspaces, real embeddings.
 
-Elements are coordinate vectors in the power basis 1, a, ..., a^(d-1) of a
-root a of the monic irreducible defining polynomial, and a vector of K^n is
-the n x d rational matrix of their coordinates (see eigenspace).  Real
-embeddings carry an isolating interval as integers over one common
-denominator and support exact sign queries and rational approximation to
-any requested accuracy: bisection and interval Horner run on integers, the
-exact zero test comes first, and no floating point enters any exact
-decision.
+An element is its coordinate vector in the power basis 1, a, ..., a^(d-1)
+of a root a of the monic irreducible defining polynomial, stored as
+integers over one positive denominator in lowest terms, the normal form
+QMatrix uses, so equal elements have equal storage; sums, products,
+rational scalars and multiplication matrices run on those integers, and
+``coeffs`` reads them back as Fractions.  A vector of K^n is the n x d
+rational matrix of its coordinates (see eigenspace).  Real embeddings
+carry an isolating interval as integers over one common denominator and
+support exact sign queries and rational approximation to any requested
+accuracy: bisection and interval Horner run on integers, reading an
+element's integers directly, the exact zero test comes first, and no
+floating point enters any exact decision.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .arith import _frac
 from .errors import DimensionError, DomainError, InternalInvariantError
-from .linalg import QMatrix
+from .linalg import QMatrix, _integers, _lowest_terms
 from .polys import QPolynomial, _sign_at, is_irreducible, isolate_real_roots
 
 
@@ -34,11 +39,13 @@ class NumberField:
                               % (minpoly,))
         self.minpoly = minpoly
         self.degree = minpoly.degree
-        self._top = tuple(-c for c in minpoly.coeffs[:-1])    # a^d
+        # (t, top): a^d = sum top[j] a^j / t, integers over t > 0
+        self._top = _integers([-c for c in minpoly.coeffs[:-1]])
         self._embeddings = None
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
+        return self is other or (isinstance(other, NumberField)
+                                 and self.minpoly == other.minpoly)
 
     def __hash__(self):
         return hash(self.minpoly)
@@ -47,29 +54,35 @@ class NumberField:
         return "NumberField(%r)" % (self.minpoly,)
 
     def zero(self):
-        return NFElement(self, [0] * self.degree)
+        return NFElement._make(self, 1, [0] * self.degree)
 
     def one(self):
         return self.from_rational(1)
 
     def gen(self):
-        cs = [Fraction(0)] * self.degree
         if self.degree == 1:
             # a is rational: a = -c0
-            return NFElement(self, [-self.minpoly.coeffs[0]])
-        cs[1] = Fraction(1)
-        return NFElement(self, cs)
+            return self.from_rational(-self.minpoly.coeffs[0])
+        return NFElement._make(self, 1, [0, 1] + [0] * (self.degree - 2))
 
     def from_rational(self, c):
-        cs = [Fraction(0)] * self.degree
-        cs[0] = _frac(c)
-        return NFElement(self, cs)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("expected int or Fraction, got %r" % (c,))
+        return NFElement._make(self, c.denominator,
+                               [c.numerator] + [0] * (self.degree - 1))
+
+    def from_integers(self, den, ints):
+        """The element with coordinates ints[k] / den, for integers ints
+        and den > 0 (as QMatrix.integer_rows gives them)."""
+        if len(ints) != self.degree:
+            raise DomainError("coordinate vector has wrong length")
+        return NFElement._make(self, den, list(ints))
 
     def element(self, coeffs):
         cs = [_frac(c) for c in coeffs]
         if len(cs) > self.degree:
             return self.from_poly(QPolynomial(cs))
-        cs += [Fraction(0)] * (self.degree - len(cs))
+        cs += [0] * (self.degree - len(cs))
         return NFElement(self, cs)
 
     def from_poly(self, p):
@@ -97,37 +110,61 @@ class NumberField:
 
 
 class NFElement:
-    """Element of a NumberField in power-basis coordinates."""
+    """Element of a NumberField: power-basis coordinates ``_numer[k] /
+    _denom``, integers over one positive denominator in lowest terms.
 
-    __slots__ = ("field", "coeffs")
+    Arithmetic runs on the integers and reduces once per result, as
+    QMatrix does, so equality is equality of storage.  ``coeffs`` is the
+    read-only Fraction view of the coordinates.
+    """
+
+    __slots__ = ("field", "_numer", "_denom")
 
     def __init__(self, field, coeffs):
-        cs = [_frac(c) for c in coeffs]
-        if len(cs) != field.degree:
+        coeffs = list(coeffs)
+        if len(coeffs) != field.degree:
             raise DomainError("coordinate vector has wrong length")
         self.field = field
-        self.coeffs = tuple(cs)
+        self._denom, self._numer = _integers(coeffs)
+
+    @classmethod
+    def _make(cls, field, den, ints):
+        """ints / den in lowest terms, for a list ints of degree length."""
+        elt = cls.__new__(cls)
+        elt.field = field
+        elt._denom, elt._numer = _lowest_terms(den, ints)
+        return elt
+
+    @property
+    def coeffs(self):
+        """The coordinates as a tuple of Fractions."""
+        den = self._denom
+        return tuple(Fraction(x, den) for x in self._numer)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._numer)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
+        if isinstance(other, NFElement):
+            return (self._denom == other._denom and self._numer == other._numer
+                    and self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, NFElement):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+            return (self._denom == other.denominator
+                    and self._numer[0] == other.numerator
+                    and not any(self._numer[1:]))
+        return NotImplemented
 
     def __hash__(self):
         # an element equal to a rational must hash like that rational
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.field.minpoly.coeffs, self.coeffs))
+        if not any(self._numer[1:]):
+            return hash(Fraction(self._numer[0], self._denom))
+        return hash((self.field.minpoly.coeffs, self._denom,
+                     tuple(self._numer)))
 
     def __repr__(self):
         from .polys import format_poly
@@ -140,22 +177,27 @@ class NFElement:
             return self.field.coerce(other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign*other over the least common denominator."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElement(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        den = lcm(self._denom, o._denom)
+        s, t = den // self._denom, sign * (den // o._denom)
+        return NFElement._make(self.field, den, [
+            s * a + t * b for a, b in zip(self._numer, o._numer)])
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElement(self.field, [-a for a in self.coeffs])
+        return NFElement._make(self.field, self._denom,
+                               [-a for a in self._numer])
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return NFElement(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -163,26 +205,30 @@ class NFElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # a rational scalar scales the coordinates: no field product
-            if not other:
-                return self.field.zero()
-            return NFElement(self.field, [other * a for a in self.coeffs])
+            return NFElement._make(self.field, self._denom * other.denominator,
+                                   [other.numerator * a for a in self._numer])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self._numer):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o._numer):
                     if b:
                         prod[i + j] += a * b
-        # a^k = a^(k-d) * a^d, from the top down
+        den = self._denom * o._denom
+        # a^k = a^(k-d) * a^d, from the top down; a^d has denominator t
+        t, top = self.field._top
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c:
-                for j, r in enumerate(self.field._top):
+                if t != 1:
+                    prod[:k] = [t * x for x in prod[:k]]
+                    den *= t
+                for j, r in enumerate(top):
                     prod[k - d + j] += c * r
-        return NFElement(self.field, prod[:d])
+        return NFElement._make(self.field, den, prod[:d])
 
     __rmul__ = __mul__
 
@@ -192,14 +238,16 @@ class NFElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         d = self.field.degree
-        rows = self.matrix().transpose().to_rows()
+        # matrix()^T = rows / den, so the system is rows * y = den * e_0
+        den, rows = self.matrix().transpose().integer_rows()
         reduced, pivots = QMatrix.from_rows(
-            [row + [int(k == 0)] for k, row in enumerate(rows)]).rref()
+            [row + [den * (k == 0)] for k, row in enumerate(rows)]).rref()
         if d in pivots:
             raise InternalInvariantError(
                 "element and defining polynomial share a factor: the "
                 "defining polynomial is not irreducible")
-        return NFElement(self.field, reduced.col(d))
+        den, rows = reduced.integer_rows()
+        return NFElement._make(self.field, den, [row[d] for row in rows])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -230,16 +278,26 @@ class NFElement:
 
         Row k holds the coordinates of a^k * self, so an n x d matrix whose
         rows are coordinates of a K-vector, times this, holds those of the
-        vector scaled by self.
+        vector scaled by self.  Each row is the last times a on integers:
+        a shift, and the top coordinate times a^d, whose denominator t
+        multiplies the row's.
         """
-        row = list(self.coeffs)
+        d = self.field.degree
+        t, top = self.field._top
+        row = self._numer
         rows = [row]
-        for _ in range(self.field.degree - 1):
-            top, row = row[-1], [0] + row[:-1]
-            if top:
-                row = [x + top * r for x, r in zip(row, self.field._top)]
+        for _ in range(d - 1):
+            hi, row = row[-1], [0] + row[:-1]
+            if t != 1:
+                row = [t * x for x in row]
+            if hi:
+                row = [x + hi * r for x, r in zip(row, top)]
             rows.append(row)
-        return QMatrix.from_rows(rows)
+        if t != 1:
+            # row k is over den * t^k: bring every row to den * t^(d-1)
+            rows = [[t ** (d - 1 - k) * x for x in row]
+                    for k, row in enumerate(rows)]
+        return QMatrix.from_integer_rows(self._denom * t ** (d - 1), rows)
 
     def trace(self):
         """Trace of multiplication-by-self, a rational number."""
@@ -287,17 +345,12 @@ def eigenspace(pairs):
 
 def leading_entry(X, field):
     """(i, x): the first nonzero row of a coordinate matrix, and its element."""
-    i = next(i for i, row in enumerate(X.integer_rows()[1]) if any(row))
-    return i, NFElement(field, X.row(i))
+    den, rows = X.integer_rows()
+    i = next(i for i, row in enumerate(rows) if any(row))
+    return i, field.from_integers(den, rows[i])
 
 
 # -- real embeddings ----------------------------------------------------------------
-
-
-def _integers(values):
-    """(D, ints): D > 0 and the integer coordinates of D * values."""
-    den, (ints,) = QMatrix.from_rows([values]).integer_rows()
-    return den, ints
 
 
 class RealEmbedding:
@@ -382,7 +435,7 @@ class RealEmbedding:
 
     def sign(self, elt):
         """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
-        return self.integer_sign(_integers(self.field.coerce(elt).coeffs)[1])
+        return self.integer_sign(self.field.coerce(elt)._numer)
 
     def approx(self, elt, eps):
         """Rational approximation of elt's image within eps (> 0)."""
@@ -390,7 +443,7 @@ class RealEmbedding:
         eps = _frac(eps)
         if eps <= 0:
             raise DomainError("eps must be positive")
-        den, ints = _integers(elt.coeffs)
+        den, ints = elt._denom, elt._numer
         while True:
             lo, hi, scale = self._bounds(ints)
             # the image lies in [lo, hi] / (den * scale)

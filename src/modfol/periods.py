@@ -153,7 +153,16 @@ def _require_series(orbit, count):
 
 def _embedded_series(orbit, count, digits):
     """Numeric coefficients c_1..c_count under the designated embedding,
-    rounded to `digits` decimal digits; cached per digit count."""
+    rounded to `digits` decimal digits; cached per digit count.
+
+    Rounding contract: each c_n is first a rational p/q in lowest terms
+    within 10^-(digits + 5) of its image (one RealEmbedding.approx call per
+    coefficient, in order, since the interval each call leaves decides
+    the next one's rational), and then the mpf of p and of q, each rounded
+    to nearest at the working precision of digits + 10 decimal digits,
+    divided with one more rounding to nearest: the bits of
+    mp.mpf(p) / mp.mpf(q), built by the same libmp calls.
+    """
     series = _require_series(orbit, count)
     cache = orbit._embedded.setdefault(digits, [mp.mpf(0)])
     if len(cache) > count:
@@ -161,11 +170,14 @@ def _embedded_series(orbit, count, digits):
     emb = orbit.designated_embedding()
     eps = Fraction(1, 10 ** (digits + 5))
     with mp.workdps(digits + 10):
+        prec = mp.prec
         while len(cache) <= count:
             val = series[len(cache)]
-            fr = emb.approx(val, eps) if isinstance(val, NFElement) \
-                else Fraction(val)
-            cache.append(mp.mpf(fr.numerator) / mp.mpf(fr.denominator))
+            if isinstance(val, NFElement):
+                val = emb.approx(val, eps)
+            cache.append(mp.make_mpf(libmp.mpf_div(
+                libmp.from_int(val.numerator, prec, "n"),
+                libmp.from_int(val.denominator, prec, "n"), prec, "n")))
     return cache
 
 

@@ -91,9 +91,34 @@ def analyze_level(N, primes=None):
 
 def is_level_record(record):
     """Whether ``record`` has every key analyze_level writes, each with its
-    JSON type; keys no reader uses (the "hecke" of earlier records) may be
-    extra.  A cache file's digest proves only that the file is intact."""
-    return _fits(record, _RECORD)
+    JSON type, and agrees with itself (see _consistent); keys no reader
+    uses (the "hecke" of earlier records) may be extra.  A cache file's
+    digest proves only that the file is intact."""
+    return _fits(record, _RECORD) and _consistent(record)
+
+
+def _consistent(record):
+    """The cross-checks every analyze_level record passes.  Each orbit's
+    degree d >= 1 is len(minpoly) - 1 and the length of its eigenvalue, of
+    every eigenvector entry and of every coefficient_map entry; its
+    eigenvector has genus entries and its index is its position.  The
+    classification has one entry per orbit, which carries the level, the
+    orbit's index and degree, and the curve's genus."""
+    level, genus = record["level"], record["curve"]["genus"]
+    orbits, entries = record["orbits"], record["classification"]
+    if len(entries) != len(orbits):
+        return False
+    for i, (orbit, entry) in enumerate(zip(orbits, entries)):
+        d = orbit["degree"]
+        lengths = {len(orbit["minpoly"]) - 1, len(orbit["eigenvalue"])}
+        lengths.update(map(len, orbit["eigenvector"]))
+        lengths.update(map(len, orbit["coefficient_map"].values()))
+        if (d < 1 or lengths != {d} or orbit["orbit"] != i
+                or len(orbit["eigenvector"]) != genus
+                or (entry["level"], entry["orbit"], entry["degree"],
+                    entry["genus"]) != (level, i, d, genus)):
+            return False
+    return True
 
 
 def _fits(value, shape):

@@ -13,9 +13,11 @@ replaced, T_p on the +1 half by restriction first to the cuspidal
 subspace and then to the star-fixed kernel there, LLL with Gram-Schmidt data in Fractions, period integrals by
 complex powers in mpmath, which the fixed-point kernel replaced, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
-interval Horner over Fractions with the Keane probe on field elements, and
+interval Horner over Fractions with the Keane probe on field elements,
 real-root isolation with Sturm signs from Fraction Horner on sympy's chain
-over QQ) live on here; they reuse the package's field, matrix and path
+over QQ, and number-field elements on Fraction coordinates, with the
+embedding queries that read them through a Fraction QMatrix row) live on
+here; they reuse the package's field, matrix and path
 arithmetic but none of the code they check.
 """
 
@@ -652,6 +654,120 @@ def _pentagonal_series(size):
             out[g2] += sign
         k += 1
     return out
+
+
+# -- number-field elements on Fraction coordinates ----------------------------------
+
+
+class FractionElement:
+    """A NumberField element as a tuple of Fraction power-basis
+    coordinates, with the arithmetic NFElement ran before it held integers
+    over one denominator: schoolbook products reduced by a^d = sum top_j a^j
+    from the top down, and the inverse by Fraction Gauss-Jordan on the
+    transposed multiplication matrix."""
+
+    def __init__(self, field, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) != field.degree:
+            raise DomainError("coordinate vector has wrong length")
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    def _other(self, other):
+        if isinstance(other, FractionElement):
+            return other
+        return FractionElement(self.field, [Fraction(other)]
+                               + [0] * (self.field.degree - 1))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._other(other)
+        return (isinstance(other, FractionElement)
+                and self.field == other.field and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash((self.field.minpoly.coeffs, self.coeffs))
+
+    def __add__(self, other):
+        o = self._other(other)
+        return FractionElement(self.field, [a + b for a, b in
+                                            zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionElement(self.field, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -self._other(other)
+
+    def __rsub__(self, other):
+        return self._other(other) - self
+
+    def __mul__(self, other):
+        o = self._other(other)
+        d = self.field.degree
+        top = [-c for c in self.field.minpoly.coeffs[:-1]]
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                prod[i + j] += a * b
+        for k in range(2 * d - 2, d - 1, -1):
+            for j, r in enumerate(top):
+                prod[k - d + j] += prod[k] * r
+        return FractionElement(self.field, prod[:d])
+
+    __rmul__ = __mul__
+
+    def matrix_rows(self):
+        """Rows of the multiplication matrix: row k is a^k * self."""
+        gen = FractionElement(self.field, [0, 1] + [0] * (self.field.degree - 2)) \
+            if self.field.degree > 1 else self._other(-self.field.minpoly.coeffs[0])
+        rows, x = [], self
+        for _ in range(self.field.degree):
+            rows.append(list(x.coeffs))
+            x = x * gen
+        return rows
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero field element")
+        d = self.field.degree
+        cols = list(zip(*self.matrix_rows()))
+        reduced, _ = fraction_rref([list(col) + [int(k == 0)]
+                                    for k, col in enumerate(cols)], d + 1)
+        return FractionElement(self.field, [row[d] for row in reduced])
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self._other(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+
+def fraction_row_sign(emb, elt):
+    """RealEmbedding.sign through the route it replaced: the element's
+    Fraction coordinates cleared as one QMatrix row."""
+    _, (ints,) = QMatrix.from_rows([elt.coeffs]).integer_rows()
+    return emb.integer_sign(ints)
+
+
+def fraction_row_approx(emb, elt, eps):
+    """RealEmbedding.approx through the route it replaced, as above."""
+    eps = Fraction(eps)
+    den, (ints,) = QMatrix.from_rows([elt.coeffs]).integer_rows()
+    while True:
+        lo, hi, scale = emb._bounds(ints)
+        if (hi - lo) * eps.denominator < eps.numerator * den * scale:
+            return Fraction(lo + hi, 2 * den * scale)
+        emb._refine()
 
 
 # -- real embeddings over Fractions -------------------------------------------------

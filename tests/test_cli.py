@@ -23,7 +23,7 @@ from modfol.errors import (DomainError, IndeterminateRankError,
                            PrecisionError, TruncationError,
                            UndecidedSplitError, WrongCaseError)
 from modfol.numfield import NumberField
-from modfol.pipeline import analyze_level
+from modfol.pipeline import analyze_level, is_level_record
 from modfol.polys import QPolynomial, parse_poly
 
 from oracles import record_with_hecke
@@ -280,6 +280,51 @@ def test_cached_record_of_another_shape_is_a_miss(level, forge, argvs):
         assert cache.load(level) == forged
         assert run(*argv) == bare
         assert cache.load(level) == analyze_level(level)
+
+
+def _set(path, value):
+    """A forge that sets the entry of a level record at ``path``."""
+    def forge(record):
+        *head, last = path
+        for key in head:
+            record = record[key]
+        record[last] = value(record[last]) if callable(value) else value
+    forge.__name__ = "_".join(map(str, path))
+    return forge
+
+
+# level 23: genus 2, one orbit of degree 2; each forge keeps every key and
+# JSON type, so only the record's cross-checks can tell it apart
+_INCONSISTENT_23 = [
+    _set(("orbits", 0, "degree"), 5),
+    _set(("orbits", 0, "eigenvalue"), lambda v: v[:1]),
+    _set(("orbits", 0, "eigenvector", 1), lambda v: v + [0]),
+    _set(("orbits", 0, "eigenvector"), lambda v: v + [v[-1]]),
+    _set(("orbits", 0, "coefficient_map", "2"), lambda v: v + [1]),
+    _set(("orbits", 0, "orbit"), 1),
+    _set(("classification",), []),
+    _set(("classification", 0, "degree"), 1),
+    _set(("classification", 0, "genus"), 3),
+    _set(("classification", 0, "level"), 11),
+]
+
+
+@pytest.mark.parametrize("forge", _INCONSISTENT_23,
+                         ids=[f.__name__ for f in _INCONSISTENT_23])
+def test_cached_record_inconsistent_inside_is_a_miss(forge):
+    # a record that disagrees with itself is recomputed and stored again;
+    # with "degree": 5 over a quadratic minpoly, decompose 23 used to
+    # print degree 5 with exit 0
+    forged = analyze_level(23)
+    forge(forged)
+    assert not is_level_record(forged)
+    for argv in (("decompose", "23"), ("classify", "23")):
+        bare = run(*argv, "--no-cache")
+        assert bare[0] == 0
+        cache.store(forged)
+        assert cache.load(23) == forged
+        assert run(*argv) == bare
+        assert cache.load(23) == analyze_level(23)
 
 
 def test_pretty_same_object():

@@ -13,7 +13,9 @@ from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField, RealEmbedding, eigenspace
 from modfol.polys import QPolynomial, isolate_real_roots, parse_poly
 
-from oracles import FractionEmbedding, elimination_nf_kernel
+from oracles import (FractionElement, FractionEmbedding,
+                     elimination_nf_kernel, fraction_row_approx,
+                     fraction_row_sign)
 
 
 @pytest.fixture
@@ -130,6 +132,125 @@ class TestFieldArithmetic:
         assert 2 * a - a == a
         assert (a + Fraction(1, 2)) - Fraction(1, 2) == a
         assert a - 1 == -(1 - a)
+
+
+# fields with integral and with non-integral defining polynomials, by
+# ascending coefficients: x - 3, x + 1/2, x^2 - x - 1, x^2 - 1/2,
+# x^2 + x/3 + 1/5, x^3 - x - 1, x^3 - x/2 - 1/3 and x^4 - 4x^2 + 2
+_ORACLE_FIELDS = [NumberField(QPolynomial(c)) for c in (
+    [-3, 1], [Fraction(1, 2), 1], [-1, -1, 1], [Fraction(-1, 2), 0, 1],
+    [Fraction(1, 5), Fraction(1, 3), 1], [-1, -1, 0, 1],
+    [Fraction(-1, 3), Fraction(-1, 2), 0, 1], [2, 0, -4, 0, 1])]
+_SCALARS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 4)))
+
+
+@st.composite
+def _element_cases(draw):
+    """(K, x, y, r, n): a field, two elements (often rational, sometimes
+    zero), a rational scalar and an exponent."""
+    K = draw(st.sampled_from(_ORACLE_FIELDS))
+
+    def element():
+        coords = draw(st.lists(_SCALARS, min_size=K.degree,
+                               max_size=K.degree))
+        shape = draw(st.sampled_from(["full", "full", "rational", "zero"]))
+        if shape == "rational":
+            coords = coords[:1] + [0] * (K.degree - 1)
+        elif shape == "zero":
+            coords = [0] * K.degree
+        return K.element(coords)
+
+    return K, element(), element(), draw(_SCALARS), draw(st.integers(-3, 4))
+
+
+class TestElementMatchesFractionOracle:
+    """NFElement on integers over one denominator against the Fraction
+    coordinate arithmetic it replaced (oracles.FractionElement)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_element_cases())
+    def test_arithmetic(self, case):
+        K, x, y, r, n = case
+        fx, fy = (FractionElement(K, e.coeffs) for e in (x, y))
+
+        def same(got, expected):
+            assert got.field == K
+            assert got.coeffs == expected.coeffs
+            assert all(type(c) is Fraction for c in got.coeffs)
+            # equal values store equal: a rebuilt copy equals and hashes alike
+            copy = K.element(list(expected.coeffs))
+            assert got == copy and hash(got) == hash(copy)
+
+        same(x + y, fx + fy)
+        same(x - y, fx - fy)
+        same(x * y, fx * fy)
+        same(-x, -fx)
+        for got in (x * r, r * x):
+            same(got, fx * r)
+        same(x + r, fx + r)
+        same(r + x, fx + r)
+        same(x - r, fx - r)
+        same(r - x, r - fx)
+        if not x.is_zero():
+            same(x.inverse(), fx.inverse())
+            same(y / x, fy * fx.inverse())
+            same(x ** n, fx ** n)
+        elif n >= 0:
+            same(x ** n, fx ** n)
+        assert x.matrix().to_rows() == fx.matrix_rows()
+        assert (x == y) == (fx == fy) == (x.coeffs == y.coeffs)
+        assert (x == r) == (fx == r)
+        if x == y:
+            assert hash(x) == hash(y)
+        if not any(x.coeffs[1:]):
+            # a rational element equals and hashes like its Fraction
+            assert x == x.coeffs[0] and hash(x) == hash(x.coeffs[0])
+            assert hash(x) == hash(fx)
+
+    def test_non_integral_defining_polynomial(self):
+        K = _ORACLE_FIELDS[3]                    # x^2 - 1/2
+        a = K.gen()
+        assert a * a == Fraction(1, 2)
+        assert a.inverse() == 2 * a
+        assert a.matrix().to_rows() == [[0, 1], [Fraction(1, 2), 0]]
+        assert {a * a, Fraction(1, 2)} == {Fraction(1, 2)}
+        L = _ORACLE_FIELDS[6]                    # x^3 - x/2 - 1/3
+        b = L.gen()
+        assert b ** 3 == b / 2 + Fraction(1, 3)
+        assert (b ** 2 + b) * (b ** 2 + b).inverse() == 1
+
+
+# the embedding fields below, plus x^2 - 1/2 and x^3 - x/2 - 1/3
+_ROUTE_FIELDS = [NumberField(QPolynomial(c)) for c in (
+    [-1, -1, 1], [-2, 0, 1], [-1, -1, 0, 1], [1, -2, -1, 1], [-3, 1],
+    [Fraction(-1, 2), 0, 1], [Fraction(-1, 3), Fraction(-1, 2), 0, 1])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_embedding_reads_integers_like_the_fraction_row_route(seed):
+    # the same answers, and the same interval after every call, as the
+    # route through a Fraction QMatrix row, on seeded elements and epsilons
+    rng = random.Random(seed)
+    for K in _ROUTE_FIELDS:
+        for lo, hi in isolate_real_roots(K.minpoly):
+            ints, rows = RealEmbedding(K, lo, hi), RealEmbedding(K, lo, hi)
+            for _ in range(20):
+                coords = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                   rng.randint(1, 10 ** 4))
+                          for _ in range(K.degree)]
+                x = K.element(coords if rng.random() < 0.8
+                              else [0] * K.degree)
+                if rng.random() < 0.5:
+                    assert ints.sign(x) == fraction_row_sign(rows, x)
+                else:
+                    eps = Fraction(1, 10 ** rng.randint(1, 90))
+                    assert ints.approx(x, eps) == \
+                        fraction_row_approx(rows, x, eps)
+                assert (ints.lo, ints.hi) == (rows.lo, rows.hi)
 
 
 _EIGEN_FIELDS = [NumberField(parse_poly(f)) for f in (

@@ -10,7 +10,7 @@ from modfol.eigen import decompose
 from modfol.errors import DomainError
 from modfol.modsym import ModularSymbolSpace
 from modfol.periods import ensure_series
-from modfol.pipeline import analyze_level, orbit_from_record
+from modfol.pipeline import analyze_level, is_level_record, orbit_from_record
 
 from oracles import record_with_hecke
 
@@ -30,6 +30,13 @@ def test_record_shape(record_23):
 
 def test_record_is_json_native(record_23):
     assert json.loads(cache._canonical_bytes(record_23)) == record_23
+
+
+@pytest.mark.parametrize("N", [1, 11, 13, 23, 37, 40, 63])
+def test_analyze_level_records_are_level_records(N):
+    # the cross-checks hold on what analyze_level writes, genus 0, several
+    # orbits and possibly-old blocks included
+    assert is_level_record(analyze_level(N))
 
 
 def test_genus_zero_record():

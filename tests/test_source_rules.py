@@ -30,7 +30,16 @@
 * LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
   in the test oracles alone.
 * Real embeddings decide signs on integers: no interval arithmetic over
-  Fractions is defined in the package.
+  Fractions is defined in the package, and RealEmbedding builds no
+  QMatrix: it reads an element's integers directly.
+* Number-field elements are integers over one denominator:
+  NFElement's arithmetic (every method but `__init__`, which takes
+  int-or-Fraction coordinates, `coeffs`, the Fraction view, and
+  `__hash__`, which hashes a rational element as its Fraction), the
+  NumberField constructors it coerces through, and
+  `hecke.eigenvalue_from_functional` construct no Fraction and call no
+  `_frac`; NFElement's storage is read only in `numfield`, under names
+  apart from QMatrix's.
 * eigen holds a vector over the eigenvalue field as one coordinate
   matrix: no per-entry row product, scalar action or lift is defined, and
   no field wrapper beside NumberField.
@@ -80,6 +89,7 @@ from pathlib import Path
 
 import modfol
 from modfol.linalg import QMatrix
+from modfol.numfield import NFElement
 
 SOURCES = sorted(Path(modfol.__file__).resolve().parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -178,6 +188,50 @@ def test_one_restriction_to_the_plus_half():
 def test_real_embeddings_run_on_integers():
     assert _defined_functions() & {"_interval_add", "_interval_mul",
                                    "_interval_eval"} == set()
+
+
+def _class(module, name):
+    (node,) = [node for node in ast.walk(TREES[module])
+               if isinstance(node, ast.ClassDef) and node.name == name]
+    return node
+
+
+def _methods(module, name):
+    return {node.name: node for node in _class(module, name).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_real_embeddings_build_no_qmatrix():
+    # RealEmbedding and the numfield helpers it calls
+    embedding = _class("numfield", "RealEmbedding")
+    helpers = [node for node in TREES["numfield"].body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in _called(embedding)]
+    for node in [embedding] + helpers:
+        named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert "QMatrix" not in named, node.name
+        assert _called(node) & {"from_rows", "integer_rows"} == set()
+
+
+def test_field_elements_run_on_integers():
+    methods = _methods("numfield", "NFElement")
+    assert {"_combine", "__mul__", "inverse", "__pow__",
+            "matrix"} <= set(methods)
+    checked = [node for name, node in methods.items()
+               if name not in {"__init__", "coeffs", "__hash__"}]
+    constructors = _methods("numfield", "NumberField")
+    checked += [constructors[name] for name in (
+        "zero", "one", "gen", "from_rational", "from_integers", "coerce")]
+    checked.append(_function("hecke", "eigenvalue_from_functional"))
+    for node in checked:
+        assert _called(node) & {"Fraction", "_frac"} == set(), node.name
+    storage = set(NFElement.__slots__) - {"field"}
+    assert storage and not storage & set(QMatrix.__slots__)
+    readers = ["%s:%d" % (module, node.lineno)
+               for module, tree in TREES.items() if module != "numfield"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in storage]
+    assert readers == []
 
 
 def test_one_field_vector_form_in_eigen():
