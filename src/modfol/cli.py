@@ -84,19 +84,17 @@ def _error_code_hint(err):
     if isinstance(err, IndeterminateRankError):
         return 4, "rerun with a higher --prec"
     if isinstance(err, PrecisionError):
-        need = getattr(err, "required_terms", None)
-        if need:
-            return 4, "the requested precision needs %d series terms" % need
+        if err.required_terms:
+            return 4, ("the requested precision needs %d series terms"
+                       % err.required_terms)
         return 4, "rerun with a higher --prec or more series terms"
     if isinstance(err, UndecidedSplitError):
-        p = getattr(err, "next_prime", None)
-        if p:
-            return 3, "add more primes to --primes (try %d)" % p
+        if err.next_prime:
+            return 3, "add more primes to --primes (try %d)" % err.next_prime
         return 3, "add more primes to --primes"
     if isinstance(err, TruncationError):
-        need = getattr(err, "required_order", None)
-        if need:
-            return 3, "extend the series to order %d first" % need
+        if err.required_order:
+            return 3, "extend the series to order %d first" % err.required_order
         return 3, "extend the series first"
     if isinstance(err, NoCuspFormsError):
         return 3, "this level has genus 0, so there are no orbits"
@@ -313,13 +311,13 @@ def _torus_handler(args):
 
 
 def _batch_eval(task):
-    """One level of a batch; returns (level, json-ready object, failed)."""
+    """One level of a batch; returns (json-ready object, failed)."""
     kind, N, use_cache = task
     try:
-        return N, _single_level(kind, N, use_cache), False
+        return _single_level(kind, N, use_cache), False
     except ModfolError as err:
         _, hint = _error_code_hint(err)
-        return N, {"level": N, "error": str(err), "hint": hint}, True
+        return {"level": N, "error": str(err), "hint": hint}, True
 
 
 def _single_level(kind, N, use_cache):
@@ -336,6 +334,7 @@ def _run_levels(args, kind):
     if args.range is None:
         _emit(_single_level(kind, args.level, use_cache), args.pretty)
         return 0
+    # both routes keep task order, and args.range ascends
     tasks = [(kind, N, use_cache) for N in args.range]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -344,7 +343,7 @@ def _run_levels(args, kind):
     else:
         results = [_batch_eval(task) for task in tasks]
     any_failed = False
-    for _, obj, failed in sorted(results, key=lambda item: item[0]):
+    for obj, failed in results:
         any_failed = any_failed or failed
         _emit(obj, args.pretty)
     return 3 if any_failed else 0

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .arith import _frac
-from .errors import DimensionError, DomainError, InternalInvariantError
+from .errors import DimensionError, DomainError
 
 
 def _lowest_terms(den, ints):
@@ -360,50 +360,6 @@ def is_unimodular(rows):
     if n == 0 or any(len(r) != n for r in m):
         return False
     return abs(QMatrix.from_rows(m).charpoly()[0]) == 1
-
-
-def unimodular_with_first_row(v):
-    """A matrix in GL_n(Z) whose first row is the primitive vector v."""
-    v = list(map(int, v))
-    n = len(v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g != 1:
-        raise DomainError("vector is not primitive")
-    # Column-reduce v to e_1, tracking the inverse of the column operations:
-    # v * E_1 ... E_k = e_1  =>  v = e_1 * W where W = E_k^-1 ... E_1^-1,
-    # so W (maintained by the matching row operations) has first row v.
-    w = [[int(i == j) for j in range(n)] for i in range(n)]
-    u = v[:]
-    while True:
-        nz = [j for j in range(n) if u[j] != 0]
-        if len(nz) == 1:
-            j = nz[0]
-            if u[j] < 0:
-                u[j] = -u[j]
-                w[j] = [-x for x in w[j]]
-            if j != 0:
-                u[0], u[j] = u[j], u[0]
-                w[0], w[j] = w[j], w[0]
-            break
-        # reduce the largest entry by the smallest nonzero one
-        jmin = min(nz, key=lambda j: abs(u[j]))
-        for j in nz:
-            if j != jmin:
-                q = u[j] // u[jmin]
-                if q:
-                    u[j] -= q * u[jmin]
-                    # column op C_j -= q C_jmin on the implicit matrix means
-                    # row op R_jmin += q R_j on the tracked inverse
-                    w[jmin] = [a + q * b for a, b in zip(w[jmin], w[j])]
-    if u[0] != 1 or any(u[1:]):
-        raise InternalInvariantError("column reduction did not reach e_1")
-    if w[0] != v:
-        raise InternalInvariantError("completion lost the target row")
-    if not is_unimodular(w):
-        raise InternalInvariantError("completion is not unimodular")
-    return w
 
 
 def lll_reduce(rows):

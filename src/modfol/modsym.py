@@ -218,10 +218,12 @@ class ModularSymbolSpace:
         return all(x == 0 for x in self.boundary_of(vec))
 
     def express_cuspidal(self, vec):
-        """Coordinates of a cuspidal vector in the cuspidal basis."""
+        """Coordinates of a cuspidal vector in the cuspidal basis: its
+        entries at the basis's free rows, where the basis is the identity,
+        so the integer vector of a path or loop has integer coordinates."""
         if not self.is_cuspidal(vec):
             raise DomainError("vector does not lie in the cuspidal subspace")
-        return tuple(Fraction(vec[f]) for f in self._cuspidal_free)
+        return tuple(vec[f] for f in self._cuspidal_free)
 
     def restrict_to_cuspidal(self, op):
         """Restrict an operator on the quotient to the cuspidal subspace.
@@ -283,38 +285,31 @@ class ModularSymbolSpace:
     def homology_generators(self):
         """2*genus group elements whose loops form a homology basis.
 
-        Returns a list of (matrix, coords) pairs; coords are with respect to
-        the cuspidal basis.  Deterministic greedy sweep over elements with
-        lower-left entry k*N.
+        Returns a list of (matrix, coords) pairs; coords are the integer
+        coordinates of the loop in the cuspidal basis.  Deterministic greedy
+        sweep over the elements (a, b, kN, d), 0 < d <= kN, for k = 1, 2, ...:
+        one rref per sweep, of the picked loops followed by all of the
+        sweep's candidates as columns, keeps those at its pivot columns,
+        which are the candidates independent of all before them.
         """
         if self._generators is not None:
             return list(self._generators)
-        need = self.cuspidal_dim
         out = []
-        if need == 0:
-            self._generators = []
-            return []
-        picked_rows = []
         k = 0
-        while len(out) < need:
+        while len(out) < self.cuspidal_dim:
             k += 1
             if k > 40:
                 raise InternalInvariantError(
                     "homology generator sweep exhausted at level %d" % self.N)
             c = k * self.N
             for d in range(1, c + 1):
-                if gcd(d, c) != 1:
-                    continue
-                a = pow(d, -1, c)
-                b = (a * d - 1) // c
-                gamma = (a, b, c, d)
-                coords = self.loop_class(gamma)    # checks gamma is in Gamma0(N)
-                trial = picked_rows + [list(coords)]
-                if QMatrix.from_rows(trial).rank() == len(trial):
-                    picked_rows.append(list(coords))
-                    out.append((gamma, coords))
-                    if len(out) == need:
-                        break
+                if gcd(d, c) == 1:
+                    a = pow(d, -1, c)
+                    gamma = (a, (a * d - 1) // c, c, d)
+                    # loop_class checks that gamma is in Gamma0(N)
+                    out.append((gamma, self.loop_class(gamma)))
+            columns = QMatrix.from_rows(zip(*(v for _, v in out)))
+            out = [out[j] for j in columns.rref()[1]]
         self._generators = out
         return list(out)
 

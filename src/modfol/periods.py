@@ -18,8 +18,9 @@ elements gives the classical periods.  Three layers live here:
   error budget.  :func:`numeric_jacobian` collects the real parts over a
   whole homology basis into a :class:`PeriodVector`;
 * arithmetic detection: :func:`detect_rank` finds the rank of the
-  Z-module spanned by a list of real numbers via integral LLL,
-  with explicit accept/reject thresholds and a hard error in between.
+  Z-module spanned by a list of real numbers via integral LLL, with
+  explicit accept/reject thresholds and a hard error in between; each
+  accepted relation drops one value that the others span over Q.
 
 All floating work carries a guard margin over the requested decimal
 precision, in mpmath or in integers scaled by a power of two; all
@@ -30,7 +31,6 @@ or against stated thresholds.
 import functools
 import math
 from fractions import Fraction
-from math import gcd
 
 from mpmath import libmp, mp
 
@@ -42,7 +42,7 @@ from .errors import (
     TruncationError,
 )
 from .hecke import eigenvalue_from_functional, hecke_matrix, qexp_from_primes
-from .linalg import QMatrix, lll_reduce, unimodular_with_first_row
+from .linalg import QMatrix, lll_reduce
 from .numfield import NFElement, eigenspace, leading_entry
 
 # Extra decimal digits carried internally beyond the requested precision.
@@ -358,19 +358,18 @@ def detect_rank(values, precision):
     relation is accepted when its true residual is below 10**(-precision/2)
     and its coefficients stay below 10**(precision/4); it is discarded when
     the residual exceeds 10**(-precision/4); residuals in between raise
-    IndeterminateRankError.  Each accepted relation eliminates one value
-    through a unimodular change of generators, and the count left at the end
-    is the rank.
+    IndeterminateRankError.  Each accepted relation drops the last value
+    it involves, which lies in the Q-span of the others, and the count left
+    at the end is the rank.  A single value is tested the same way, on its
+    one lattice row.
 
     pre: precision >= 40 decimal digits.
     """
     if isinstance(values, PeriodVector):
         values = values.values
     precision = rank_precision(precision)
-    items = list(values)
     with mp.workdps(precision + 2 * _GUARD):
-        nums = [_as_mpf(x) for x in items]
-        return _rank_step(nums, precision)
+        return _rank_step([_as_mpf(x) for x in values], precision)
 
 
 def _as_mpf(x):
@@ -380,52 +379,34 @@ def _as_mpf(x):
 
 
 def _rank_step(v, precision):
-    n = len(v)
-    if n == 0:
-        return 0
+    """detect_rank on the list v of mpf values, which it consumes: each
+    accepted relation m drops v[k] for the last k with m[k] != 0."""
     accept = mp.mpf(10) ** (mp.mpf(-precision) / 2)
     reject = mp.mpf(10) ** (mp.mpf(-precision) / 4)
     cap = 10 ** (precision // 4)
-    if n == 1:
-        size = abs(v[0])
-        if size < accept:
-            return 0
-        if size > reject:
-            return 1
-        raise IndeterminateRankError(
-            "single value sits between the zero and nonzero thresholds; "
-            "rerun with higher precision")
     scale = mp.mpf(10) ** precision
-    rows = []
-    for i, x in enumerate(v):
-        rows.append([int(i == k) for k in range(n)] + [int(mp.nint(x * scale))])
-    reduced = lll_reduce(rows)
-    found = None
-    deadband = False
-    for row in reduced:
-        m = row[:n]
-        if max(abs(c) for c in m) > cap:
-            # Rows this unbalanced exist for every input (pigeonhole on the
-            # scaled column), so neither their acceptance nor their ambiguity
-            # carries arithmetic information; only modest rows are candidates.
-            continue
-        residual = abs(mp.fsum(c * x for c, x in zip(m, v)))
-        if residual < accept:
-            found = m
-            break
-        if residual <= reject:
-            deadband = True
-    if found is None:
-        if deadband:
-            raise IndeterminateRankError(
-                "integer-relation residual fell between the accept and "
-                "reject thresholds; rerun with higher precision")
-        return n
-    g = 0
-    for c in found:
-        g = gcd(g, c)
-    primitive = [c // g for c in found]
-    change = unimodular_with_first_row(primitive)
-    remaining = [mp.fsum(change[i][k] * v[k] for k in range(n))
-                 for i in range(1, n)]
-    return _rank_step(remaining, precision)
+    while v:
+        n = len(v)
+        rows = [[int(i == k) for k in range(n)] + [int(mp.nint(x * scale))]
+                for i, x in enumerate(v)]
+        deadband = False
+        for row in lll_reduce(rows):
+            m = row[:n]
+            if max(abs(c) for c in m) > cap:
+                # Rows this unbalanced exist for every input (pigeonhole on
+                # the scaled column), so neither their acceptance nor their
+                # ambiguity carries arithmetic information; only modest rows
+                # are candidates.
+                continue
+            residual = abs(mp.fsum(c * x for c, x in zip(m, v)))
+            if residual < accept:
+                del v[max(k for k, c in enumerate(m) if c)]
+                break
+            deadband = deadband or residual <= reject
+        else:
+            if deadband:
+                raise IndeterminateRankError(
+                    "integer-relation residual fell between the accept and "
+                    "reject thresholds; rerun with higher precision")
+            return n
+    return 0

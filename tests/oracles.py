@@ -11,7 +11,8 @@ paths, for whole matrices and single columns, the
 Heilbronn family itself as a list of matrices, which the walk mod N
 replaced, T_p on the +1 half by restriction first to the cuspidal
 subspace and then to the star-fixed kernel there, LLL with Gram-Schmidt data in Fractions, period integrals by
-complex powers in mpmath, which the fixed-point kernel replaced, the search
+complex powers in mpmath, which the fixed-point kernel replaced, the
+homology basis by one rank computation per candidate loop, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements,
 real-root isolation with Sturm signs from Fraction Horner on sympy's chain
@@ -240,6 +241,29 @@ def cuspidal_basis(space):
                        [x for row in zip(*images) for x in row])
     basis, _ = boundary.echelon_kernel()
     return [tuple(basis.col(j)) for j in range(basis.cols)]
+
+
+def greedy_homology_generators(space):
+    """The homology basis by the per-candidate sweep: over (a, b, kN, d),
+    0 < d <= kN, for k = 1, 2, ..., each loop is kept when one rank
+    computation of the picked loops with it finds it independent."""
+    out = []
+    k = 0
+    while len(out) < space.cuspidal_dim:
+        k += 1
+        c = k * space.N
+        for d in range(1, c + 1):
+            if gcd(d, c) != 1:
+                continue
+            a = pow(d, -1, c)
+            gamma = (a, (a * d - 1) // c, c, d)
+            coords = space.loop_class(gamma)
+            trial = [list(v) for _, v in out] + [list(coords)]
+            if QMatrix.from_rows(trial).rank() == len(trial):
+                out.append((gamma, coords))
+                if len(out) == space.cuspidal_dim:
+                    break
+    return out
 
 
 def record_with_hecke(record):

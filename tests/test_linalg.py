@@ -13,7 +13,6 @@ from modfol.linalg import (
     _hnf,
     is_unimodular,
     lattice_key,
-    unimodular_with_first_row,
 )
 from modfol.polys import QPolynomial, factor_poly
 
@@ -313,28 +312,6 @@ class TestHNFAndLattices:
         assert lattice_key(a) != lattice_key(half)
         back = [[x * 2 for x in row] for row in half]
         assert lattice_key(a) == lattice_key(back)
-
-    def test_unimodular_with_first_row(self):
-        rng = random.Random(14)
-        from math import gcd
-        done = 0
-        while done < 15:
-            v = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
-            if not any(v):
-                continue
-            g = 0
-            for x in v:
-                g = gcd(g, x)
-            if g != 1:
-                continue
-            u = unimodular_with_first_row(v)
-            assert u[0] == list(v) or tuple(u[0]) == tuple(v)
-            assert is_unimodular(u)
-            done += 1
-
-    def test_unimodular_rejects_imprimitive(self):
-        with pytest.raises(DomainError):
-            unimodular_with_first_row([2, 4, 6])
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)

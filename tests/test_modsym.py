@@ -9,8 +9,8 @@ from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
 
-from oracles import (cuspidal_basis, mat_mul, moebius_apply,
-                     random_gamma0_element, span_coordinates)
+from oracles import (cuspidal_basis, greedy_homology_generators, mat_mul,
+                     moebius_apply, random_gamma0_element, span_coordinates)
 
 
 def vec_add(a, b):
@@ -193,6 +193,21 @@ class TestLoops:
 
     def test_genus_zero_generators_empty(self):
         assert ModularSymbolSpace(2).homology_generators() == []
+
+    def test_loop_coordinates_are_integers(self, spaces):
+        for space in spaces.values():
+            for _, coords in space.homology_generators():
+                assert {type(x) for x in coords} == {int}
+
+    @pytest.mark.parametrize("levels", [
+        range(1, 81),
+        pytest.param(range(81, 201), marks=pytest.mark.slow),
+        pytest.param((389,), marks=pytest.mark.slow)])
+    def test_generators_match_per_candidate_sweep(self, levels):
+        for N in levels:
+            space = ModularSymbolSpace(N)
+            assert (space.homology_generators()
+                    == greedy_homology_generators(space)), N
 
 
 class TestCuspidal:

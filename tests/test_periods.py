@@ -448,6 +448,26 @@ def test_rank_random_integer_combinations():
         assert detect_rank(values, 60) == 2
 
 
+def test_rank_of_seeded_combinations():
+    # n integer combinations, coefficients in [-9, 9], of the first r of
+    # pi*sqrt(2), pi*sqrt(3), pi*sqrt(5), which are independent over Q;
+    # the coefficient matrix is redrawn until it has rank r
+    rng = random.Random(26)
+    with mp.workdps(120):
+        basis = [mp.pi * mp.sqrt(k) for k in (2, 3, 5)]
+        for r in (1, 2, 3):
+            for n in range(r, 7):
+                for _ in range(12):
+                    while True:
+                        coeffs = [[rng.randint(-9, 9) for _ in range(r)]
+                                  for _ in range(n)]
+                        if QMatrix.from_rows(coeffs).rank() == r:
+                            break
+                    values = [mp.fsum(c * b for c, b in zip(row, basis))
+                              for row in coeffs]
+                    assert detect_rank(values, 60) == r, coeffs
+
+
 def test_rank_precision_floor_and_deadband():
     with pytest.raises(DomainError):
         detect_rank((1.0,), 39)

@@ -29,6 +29,10 @@
   Krylov matrix (`krylov`) is defined.
 * LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
   in the test oracles alone.
+* A rank decision eliminates once: `homology_generators` calls `rref`
+  once per sweep, never `rank`; `_rank_step` is one loop that drops a
+  dependent value per accepted relation, so it does not call itself, and
+  no unimodular completion is defined in the package.
 * Real embeddings decide signs on integers: no interval arithmetic over
   Fractions is defined in the package, and RealEmbedding builds no
   QMatrix: it reads an element's integers directly.
@@ -260,6 +264,14 @@ def test_one_simple_eigenvector_route():
         "gen", "one", "inverse", "matrix", "eigenspace", "NFElement"} == set()
     rescale = _called(_function("eigen", "rescale_eigenvector"))
     assert "_adjugate_column" in rescale and "eigenspace" not in rescale
+
+
+def test_a_rank_decision_eliminates_once():
+    generators = _called(_function("modsym", "homology_generators"))
+    assert "rref" in generators and "rank" not in generators
+    assert "_rank_step" not in _called(_function("periods", "_rank_step"))
+    assert {name for name in _defined_functions()
+            if "unimodular" in name} == {"is_unimodular"}
 
 
 def test_one_charpoly_body():
