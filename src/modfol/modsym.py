@@ -11,19 +11,22 @@ the geodesic path {g.0, g.oo}; the boundary map sends it to the difference
 of the cusp classes of its endpoints, and the cuspidal subspace is the
 boundary kernel, of dimension twice the genus.
 
-Coordinates: the relation module is eliminated once at construction; every
-symbol, path and loop is afterwards expressed in a fixed basis of the
-quotient (dimension 2*genus + #cusps - 1).  Symbol and path coordinates are
-integers (the elimination is checked to leave no denominators), and each
-symbol is 1, -1 or 0 times a two-term representative, so the boundary map
-is checked on the representatives, with one cusp label per residue pair.  The
-cuspidal subspace and the +1 half of the star involution on it are held
-as echelon bases of the quotient with their free rows, so an operator is
-restricted to either by one checked product (QMatrix.restrict).
+Coordinates: the three-term relations are the incidence matrix of the
+trivalent graph of t-orbits joined by the two-term representatives
+(Manin; Cremona, Algorithms for Modular Elliptic Curves, 1997, 2.2), so
+the quotient (dimension 2*genus + #cusps - 1) is its cycle space: its
+basis is the free symbols, the edges outside a spanning forest, and every
+symbol, path and loop has integer coordinates in it, certified against
+every relation.  The boundary map is checked in one pass over the
+symbols.  The cuspidal subspace and the +1 half of the star involution on
+it are held as echelon bases of the quotient with their free rows, so an
+operator is restricted to either by one checked product (QMatrix.restrict).
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+from operator import add, neg
 
 from .congruence import (
     P1Space,
@@ -41,9 +44,9 @@ class ModularSymbolSpace:
     """Weight-2 modular symbol space of level N, with boundary and homology."""
 
     def __init__(self, N):
-        data = curve_data(N)
         self.N = N
-        self.genus = data["genus"]
+        self.genus = curve_data(N)["genus"]
+        self.cusp_keys = cusp_classes(N)
         self.p1 = P1Space(N)
         self._build_boundary(*self._build_quotient())
         self._generators = None
@@ -59,9 +62,8 @@ class ModularSymbolSpace:
         sigma = [p1.index(d, -c) for c, d in p1.reps]
         tau = [p1.index(d, -c - d) for c, d in p1.reps]
 
-        # stage 1: two-term relations; keep one symbol per s-orbit: symbol
-        # i is sign times representative k (column k of the relations), and
-        # sign 0 marks symbols forced to vanish
+        # stage 1: two-term relations; keep one symbol per s-orbit: symbol i is
+        # sign times representative k, or forced to vanish when sign is 0
         rep_of = [None] * n          # i -> (sign, k)
         reps = []
         for i in range(n):
@@ -75,76 +77,69 @@ class ModularSymbolSpace:
                 rep_of[j] = (-1, len(reps))
                 reps.append(i)
 
-        # stage 2: three-term relations over the surviving representatives
-        rows = []
-        seen = set()
-        for i in range(n):
-            orbit = (i, tau[i], tau[tau[i]])
-            key = min(orbit)
-            if key in seen:
-                continue
-            seen.add(key)
-            row = [0] * len(reps)
-            for j in orbit:
-                sign, k = rep_of[j]
-                if sign != 0:
-                    row[k] += sign
-            if any(row):
-                rows.append(row)
-
-        rel = QMatrix.from_rows(rows) if rows else QMatrix.zeros(0, len(reps))
-        basis, free_cols = rel.echelon_kernel()
-        self.dim = len(free_cols)
-        self.free_symbols = [reps[c] for c in free_cols]
-
-        # integer coordinates of each representative in the quotient basis:
-        # its row of the echelon kernel basis
-        den, coord_rows = basis.integer_rows()
-        if den != 1:
-            c, x = next((c, x) for c, row in enumerate(coord_rows)
-                        for x in row if x % den)
-            raise InternalInvariantError(
-                "symbol %d has the non-integral coordinate %s at level %d"
-                % (reps[c], Fraction(x, den), self.N))
-        signed = {1: [tuple(row) for row in coord_rows],
-                  -1: [tuple(-x for x in row) for row in coord_rows],
+        # stage 2: three-term relations, the incidence matrix of the graph
+        # of t-orbits whose edge k runs from reps[k]'s partner to reps[k]
+        orbits = [(i, tau[i], tau[tau[i]]) for i in range(n)
+                  if i == min(i, tau[i], tau[tau[i]])]
+        vertex = {i: v for v, orbit in enumerate(orbits) for i in orbit}
+        free, rows = _cycle_space(
+            len(orbits), [(vertex[i], vertex[sigma[i]]) for i in reps])
+        self.dim = len(free)
+        self.free_symbols = [reps[c] for c in free]
+        signed = {1: [tuple(row) for row in rows],
+                  -1: [tuple(map(neg, row)) for row in rows],
                   0: [(0,) * self.dim]}
-        self._symbol_coords = [signed[sign][k] for sign, k in rep_of]
-        return rep_of, coord_rows
+        self._symbol_coords = coords = [signed[sign][k] for sign, k in rep_of]
+
+        # certified: the known dimension, unit free symbols, relations killed
+        if self.dim != 2 * self.genus + len(self.cusp_keys) - 1:
+            raise InternalInvariantError(
+                "quotient dimension %d != 2*genus + cusps - 1 at level %d"
+                % (self.dim, self.N))
+        for j, i in enumerate(self.free_symbols):
+            if coords[i][j] != 1 or coords[i].count(0) != self.dim - 1:
+                raise InternalInvariantError(
+                    "free symbol %d is not a basis vector at level %d"
+                    % (i, self.N))
+        for i, j, k in orbits:
+            if any(map(add, map(add, coords[i], coords[j]), coords[k])):
+                raise InternalInvariantError(
+                    "three-term relation of symbol %d fails at level %d"
+                    % (i, self.N))
+        return rep_of, rows
 
     def _build_boundary(self, rep_of, rep_rows):
-        N = self.N
-        self.cusp_keys = cusp_classes(N)
-        key_pos = {k: i for i, k in enumerate(self.cusp_keys)}
-        nu = len(self.cusp_keys)
-        # the class of a cusp p/q with gcd(p, q) = 1 and q >= 0 depends only
-        # on (p mod N, q mod N): c = gcd(q, N), t = gcd(c, N/c) and
-        # p*(q/c) mod t are read off them, as c*t divides N
-        labels = {}
+        # a symbol [g] = {g.0, g.oo} has boundary (g.oo) - (g.0): the cusps
+        # a/c and b/d of its canonical lift.  The class of p/q, gcd(p, q) = 1,
+        # q >= 0, depends only on c = gcd(q, N) and p*(q/c) mod gcd(c, N/c)
+        N, nu, labels = self.N, len(self.cusp_keys), {}
 
-        def divisor(rep):
-            a, b, c, d = _lift_canonical(*rep)
-            v = [0] * nu
-            for p, q, s in ((a, c, 1), (b, d, -1)):
-                key = (p % N, q % N)
-                if key not in labels:
-                    labels[key] = key_pos[cusp_class_key((p, q), N)]
-                v[labels[key]] += s
-            return v
+        def label(p, q):
+            c = gcd(q, N)
+            key = (c, p * (q // c) % gcd(c, N // c))
+            if key not in labels:
+                labels[key] = self.cusp_keys.index(cusp_class_key((p, q), N))
+            return labels[key]
 
-        # columns of the boundary matrix come from the free symbols; every
-        # symbol is 1, -1 or 0 times its two-term representative, so one
-        # product over the representatives checks each symbol's divisor
-        divisors = [divisor(rep) for rep in self.p1.reps]
-        cols = [divisors[i] for i in self.free_symbols]
-        self._boundary = [[col[r] for col in cols] for r in range(nu)]
-        image = (QMatrix.from_rows(rep_rows) * QMatrix(
-            self.dim, nu, [x for col in cols for x in col])).integer_rows()[1]
-        bad = next((i for i, (sign, k) in enumerate(rep_of) if divisors[i] != (
-            [sign * x for x in image[k]] if sign else [0] * nu)), None)
-        if bad is not None:
-            raise InternalInvariantError(
-                "boundary map inconsistent with relations at symbol %d" % bad)
+        ends = [(label(a, c), label(b, d)) for a, b, c, d in
+                (_lift_canonical(*rep) for rep in self.p1.reps)]
+        cols = [ends[i] for i in self.free_symbols]
+        self._boundary = [[(p == r) - (m == r) for p, m in cols]
+                          for r in range(nu)]
+
+        # one pass over the symbols: each is 1, -1 or 0 times its
+        # representative, whose boundary sums the free symbols' boundaries
+        # over the nonzeros of its coordinate row
+        for i, (sign, k) in enumerate(rep_of):
+            rest, row = [0] * nu, rep_rows[k] if sign else ()
+            rest[ends[i][0]] += 1
+            rest[ends[i][1]] -= 1
+            for j in compress(range(self.dim), row):
+                rest[cols[j][0]] -= sign * row[j]
+                rest[cols[j][1]] += sign * row[j]
+            if any(rest):
+                raise InternalInvariantError(
+                    "boundary map inconsistent with relations at symbol %d" % i)
 
         # the cuspidal basis is the echelon kernel: the identity at the free
         # rows, which is what express_cuspidal and restrict read off
@@ -312,6 +307,47 @@ class ModularSymbolSpace:
             out = [out[j] for j in columns.rref()[1]]
         self._generators = out
         return list(out)
+
+
+def _cycle_space(n, edges):
+    """(free, rows) for the graph on vertices 0..n-1 whose edge k runs from
+    edges[k][1] to edges[k][0]: the edges outside Kruskal's spanning forest
+    in edge order, and each edge's flow in their fundamental cycles.  These
+    are the free columns and the echelon kernel of the incidence matrix."""
+    root, tree, free = list(range(n)), [[] for _ in range(n)], []
+    for k, (u, v) in enumerate(edges):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            free.append(k)
+        else:
+            root[u] = v
+            for w in edges[k]:
+                tree[w].append(k)
+    # breadth first from the forest roots: up[v] = (edge up, parent)
+    order = [v for v in range(n) if root[v] == v]
+    up = [() if root[v] == v else None for v in range(n)]
+    for v in order:
+        for k in tree[v]:
+            w = sum(edges[k]) - v
+            if up[w] is None:
+                up[w] = (k, v)
+                order.append(w)
+    # a tree edge carries what the free edges bring into the tree below it
+    rows = [[0] * len(free) for _ in edges]
+    into = [[0] * len(free) for _ in range(n)]
+    for j, f in enumerate(free):
+        rows[f][j] = 1
+        into[edges[f][0]][j] += 1
+        into[edges[f][1]][j] -= 1
+    for v in reversed(order):
+        if up[v]:
+            k, p = up[v]
+            rows[k] = into[v] if edges[k][1] == v else list(map(neg, into[v]))
+            into[p] = list(map(add, into[p], into[v]))
+    return free, rows
 
 
 def _lift_canonical(c, d):

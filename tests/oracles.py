@@ -16,9 +16,11 @@ homology basis by one rank computation per candidate loop, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements,
 real-root isolation with Sturm signs from Fraction Horner on sympy's chain
-over QQ, and number-field elements on Fraction coordinates, with the
-embedding queries that read them through a Fraction QMatrix row) live on
-here; they reuse the package's field, matrix and path
+over QQ, number-field elements on Fraction coordinates, with the
+embedding queries that read them through a Fraction QMatrix row, the
+Manin-symbol quotient by elimination of the dense three-term relation
+matrix, which the spanning forest replaced, and a rational exchange's cuts
+and shifts by Fraction sums) live on here; they reuse the package's field, matrix and path
 arithmetic but none of the code they check.
 """
 
@@ -29,7 +31,7 @@ import sympy
 from mpmath import mp
 
 from modfol.arith import is_prime
-from modfol.congruence import _normalize_cusp
+from modfol.congruence import P1Space, _normalize_cusp
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError)
 from modfol.hecke import hecke_matrix
@@ -241,6 +243,50 @@ def cuspidal_basis(space):
                        [x for row in zip(*images) for x in row])
     basis, _ = boundary.echelon_kernel()
     return [tuple(basis.col(j)) for j in range(basis.cols)]
+
+
+def relation_quotient(N):
+    """(free_symbols, symbol_coords) of the Manin-symbol quotient by
+    elimination: the dense three-term relation rows over the two-term
+    representatives, their echelon kernel, and a check that it has no
+    denominators; each symbol's coordinates are its representative's row
+    of the kernel basis, times the sign of the two-term relation."""
+    p1 = P1Space(N)
+    n = len(p1.reps)
+    sigma = [p1.index(d, -c) for c, d in p1.reps]
+    tau = [p1.index(d, -c - d) for c, d in p1.reps]
+    rep_of, reps = [None] * n, []
+    for i in range(n):
+        if rep_of[i] is None:
+            if sigma[i] == i:
+                rep_of[i] = (0, 0)
+            else:
+                rep_of[i], rep_of[sigma[i]] = (1, len(reps)), (-1, len(reps))
+                reps.append(i)
+    rows, seen = [], set()
+    for i in range(n):
+        orbit = (i, tau[i], tau[tau[i]])
+        if min(orbit) in seen:
+            continue
+        seen.add(min(orbit))
+        row = [0] * len(reps)
+        for j in orbit:
+            sign, k = rep_of[j]
+            if sign:
+                row[k] += sign
+        if any(row):
+            rows.append(row)
+    rel = QMatrix.from_rows(rows) if rows else QMatrix.zeros(0, len(reps))
+    basis, free = rel.echelon_kernel()
+    den, coord_rows = basis.integer_rows()
+    if den != 1:
+        raise InternalInvariantError("non-integral coordinates at level %d" % N)
+    dim = len(free)
+    signed = {1: [tuple(row) for row in coord_rows],
+              -1: [tuple(-x for x in row) for row in coord_rows],
+              0: [(0,) * dim]}
+    return ([reps[c] for c in free],
+            [signed[sign][k] for sign, k in rep_of])
 
 
 def greedy_homology_generators(space):
@@ -866,6 +912,23 @@ class FractionEmbedding:
             if hi - lo < eps:
                 return (lo + hi) / 2
             self._refine()
+
+
+def fraction_cuts_and_shifts(lengths, permutation):
+    """(cuts, shifts, total) of a rational exchange by Fraction sums: the
+    left endpoints in the domain, each piece's translation and the total
+    length, summed one Fraction at a time."""
+    vals = [Fraction(x) for x in lengths]
+    cuts = [Fraction(0)]
+    for x in vals:
+        cuts.append(cuts[-1] + x)
+    total = cuts.pop()
+    start, starts = Fraction(0), {}
+    for i in sorted(range(len(vals)), key=lambda i: permutation[i]):
+        starts[i] = start
+        start += vals[i]
+    return (tuple(cuts), tuple(starts[i] - c for i, c in enumerate(cuts)),
+            total)
 
 
 def fraction_keane_probe(T, max_steps):

@@ -7,10 +7,12 @@ import pytest
 from modfol.congruence import curve_data
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
+from modfol import modsym
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
 
 from oracles import (cuspidal_basis, greedy_homology_generators, mat_mul,
-                     moebius_apply, random_gamma0_element, span_coordinates)
+                     moebius_apply, random_gamma0_element, relation_quotient,
+                     span_coordinates)
 
 
 def vec_add(a, b):
@@ -130,6 +132,111 @@ class TestBoundaryCheck:
             ModularSymbolSpace(N)
         assert named[0] <= bad
         assert str(exc.value).endswith("at symbol %d" % named[0])
+
+
+class TestSpanningForest:
+    @pytest.mark.parametrize("levels", [
+        range(1, 121),
+        pytest.param(range(121, 401), marks=pytest.mark.slow),
+        pytest.param((997, 1000, 1999, 2000), marks=pytest.mark.slow)])
+    def test_forest_matches_relation_elimination(self, levels):
+        # the free symbols and every symbol's coordinates are those of the
+        # echelon kernel of the dense three-term relation matrix
+        for N in levels:
+            space = ModularSymbolSpace(N)
+            free, coords = relation_quotient(N)
+            assert space.free_symbols == free, N
+            assert space._symbol_coords == coords, N
+
+    @staticmethod
+    def corrupt(monkeypatch, change):
+        """Build through a _cycle_space whose rows ``change`` edits; returns
+        the edited edge indices."""
+        cycle_space = modsym._cycle_space
+        edited = []
+
+        def corrupted(n, edges):
+            free, rows = cycle_space(n, edges)
+            edited.append(change(edges, free, rows))
+            return free, rows
+
+        monkeypatch.setattr(modsym, "_cycle_space", corrupted)
+        return edited
+
+    @staticmethod
+    def first_orbit_member(space, k):
+        """The symbol that names the first three-term relation on edge k:
+        the smallest member of the t-orbit of representative k or of its
+        s-partner, whichever orbit comes first."""
+        index, reps = space.p1.index, space.p1.reps
+        sigma = [index(d, -c) for c, d in reps]
+        tau = [index(d, -c - d) for c, d in reps]
+        rep = [i for i in range(len(reps)) if sigma[i] > i][k]
+        return min(min(x, tau[x], tau[tau[x]]) for x in (rep, sigma[rep]))
+
+    @pytest.mark.parametrize("N", [11, 37, 60])
+    def test_flipped_tree_edge_sign_is_named(self, monkeypatch, N):
+        def flip(edges, free, rows):
+            k, j = next((k, j) for k, row in enumerate(rows) if k not in free
+                        for j, x in enumerate(row) if x)
+            rows[k][j] = -rows[k][j]
+            return k
+
+        edited = self.corrupt(monkeypatch, flip)
+        with pytest.raises(InternalInvariantError) as exc:
+            ModularSymbolSpace(N)
+        monkeypatch.undo()
+        named = self.first_orbit_member(ModularSymbolSpace(N), edited[0])
+        assert str(exc.value) == (
+            "three-term relation of symbol %d fails at level %d" % (named, N))
+
+    @pytest.mark.parametrize("N", [11, 37, 60])
+    def test_changed_coordinate_is_named(self, monkeypatch, N):
+        def bump(edges, free, rows):
+            k = next(k for k in range(len(rows)) if k not in free)
+            rows[k][-1] += 1
+            return k
+
+        edited = self.corrupt(monkeypatch, bump)
+        with pytest.raises(InternalInvariantError) as exc:
+            ModularSymbolSpace(N)
+        monkeypatch.undo()
+        named = self.first_orbit_member(ModularSymbolSpace(N), edited[0])
+        assert str(exc.value) == (
+            "three-term relation of symbol %d fails at level %d" % (named, N))
+
+    def test_free_symbol_off_its_unit_vector_is_named(self, monkeypatch):
+        # a loop edge's row enters no relation: only the unit-vector
+        # certificate sees it change
+        def bump(edges, free, rows):
+            f = next(f for f in free if edges[f][0] == edges[f][1])
+            rows[f][1] += 1
+            return f
+
+        edited = self.corrupt(monkeypatch, bump)
+        with pytest.raises(InternalInvariantError) as exc:
+            ModularSymbolSpace(37)
+        monkeypatch.undo()
+        p1 = ModularSymbolSpace(37).p1
+        symbol = [i for i, (c, d) in enumerate(p1.reps)
+                  if p1.index(d, -c) > i][edited[0]]
+        assert str(exc.value) == (
+            "free symbol %d is not a basis vector at level 37" % symbol)
+
+    def test_missing_cycle_is_a_dimension_error(self, monkeypatch):
+        # dropping the last fundamental cycle leaves coordinates that kill
+        # every relation; only the dimension certificate sees it
+        cycle_space = modsym._cycle_space
+
+        def short(n, edges):
+            free, rows = cycle_space(n, edges)
+            return free[:-1], [row[:-1] for row in rows]
+
+        monkeypatch.setattr(modsym, "_cycle_space", short)
+        with pytest.raises(InternalInvariantError,
+                           match="quotient dimension 4 != 2\\*genus "
+                                 "\\+ cusps - 1 at level 37"):
+            ModularSymbolSpace(37)
 
 
 class TestIntegerCoordinates:

@@ -29,6 +29,11 @@
   Krylov matrix (`krylov`) is defined.
 * LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
   in the test oracles alone.
+* The Manin-symbol quotient is a spanning forest, not an elimination:
+  `_build_quotient` and the cycle-space helper it calls name none of
+  `rref`, `echelon_kernel`, `from_rows`, `from_integer_rows` or
+  `QMatrix`, and `_build_boundary` multiplies no QMatrix: its one
+  elimination is the echelon kernel of the boundary map.
 * A rank decision eliminates once: `homology_generators` calls `rref`
   once per sweep, never `rank`; `_rank_step` is one loop that drops a
   dependent value per accepted relation, so it does not call itself, and
@@ -264,6 +269,31 @@ def test_one_simple_eigenvector_route():
         "gen", "one", "inverse", "matrix", "eigenspace", "NFElement"} == set()
     rescale = _called(_function("eigen", "rescale_eigenvector"))
     assert "_adjugate_column" in rescale and "eigenspace" not in rescale
+
+
+def test_the_quotient_is_a_spanning_forest():
+    quotient = _function("modsym", "_build_quotient")
+    helpers = [node for node in TREES["modsym"].body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in _called(quotient)]
+    assert [node.name for node in helpers] == ["_cycle_space"]
+    eliminations = {"rref", "echelon_kernel", "from_rows",
+                    "from_integer_rows", "QMatrix"}
+    for node in [quotient] + helpers:
+        named = _called(node) | {n.id for n in ast.walk(node)
+                                 if isinstance(n, ast.Name)}
+        assert named & eliminations == set(), node.name
+    boundary = _function("modsym", "_build_boundary")
+    calls = [getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+             for call in ast.walk(boundary) if isinstance(call, ast.Call)]
+    assert [name for name in calls if name in eliminations | {
+        "integer_rows"}] == ["echelon_kernel", "from_rows"]
+    # no product has a built matrix as an operand
+    operands = [side for node in ast.walk(boundary)
+                if isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Mult, ast.MatMult))
+                for side in (node.left, node.right)]
+    assert operands and not any(isinstance(side, ast.Call) for side in operands)
 
 
 def test_a_rank_decision_eliminates_once():
