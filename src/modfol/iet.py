@@ -86,21 +86,17 @@ class IET:
         for x in vals:
             if self._sign(x) <= 0:
                 raise DomainError("interval lengths must be positive")
-        # left endpoints in the domain, and the translation on each piece,
-        # summed for rational lengths as integers over their lcm denominator
-        den = 1 if field else lcm(*(x.denominator for x in vals))
-        steps = vals if field else [x.numerator * den // x.denominator
-                                    for x in vals]
-        zero = field.zero() if field else 0
-        cuts = list(accumulate(steps, initial=zero))
-        total = cuts.pop()
+        # left endpoints in the domain, and the translation on each piece
+        cuts = list(accumulate(vals, initial=self._zero()))
+        self.total = cuts.pop()
         slots = sorted(range(k), key=perm.__getitem__)   # intervals by slot
         starts_image = dict(zip(slots, accumulate(
-            (steps[i] for i in slots), initial=zero)))
-        shifts = [starts_image[i] - c for i, c in enumerate(cuts)]
-        exact = (lambda x: x) if field else (lambda x: Fraction(x, den))
-        self.total, self._cuts, self._shifts = exact(total), tuple(
-            map(exact, cuts)), tuple(map(exact, shifts))
+            (vals[i] for i in slots), initial=self._zero())))
+        self._cuts = tuple(cuts)
+        self._shifts = tuple(starts_image[i] - c for i, c in enumerate(cuts))
+
+    def _zero(self):
+        return Fraction(0) if self.field is None else self.field.from_rational(0)
 
     def _sign(self, x):
         if self.field is None:

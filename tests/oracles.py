@@ -19,9 +19,9 @@ real-root isolation with Sturm signs from Fraction Horner on sympy's chain
 over QQ, number-field elements on Fraction coordinates, with the
 embedding queries that read them through a Fraction QMatrix row, the
 Manin-symbol quotient by elimination of the dense three-term relation
-matrix, which the spanning forest replaced, and a rational exchange's cuts
-and shifts by Fraction sums) live on here; they reuse the package's field, matrix and path
-arithmetic but none of the code they check.
+matrix, which the spanning forest replaced) live on here; they reuse the
+package's field, matrix and path arithmetic but none of the code they
+check.
 """
 
 from fractions import Fraction
@@ -912,23 +912,6 @@ class FractionEmbedding:
             if hi - lo < eps:
                 return (lo + hi) / 2
             self._refine()
-
-
-def fraction_cuts_and_shifts(lengths, permutation):
-    """(cuts, shifts, total) of a rational exchange by Fraction sums: the
-    left endpoints in the domain, each piece's translation and the total
-    length, summed one Fraction at a time."""
-    vals = [Fraction(x) for x in lengths]
-    cuts = [Fraction(0)]
-    for x in vals:
-        cuts.append(cuts[-1] + x)
-    total = cuts.pop()
-    start, starts = Fraction(0), {}
-    for i in sorted(range(len(vals)), key=lambda i: permutation[i]):
-        starts[i] = start
-        start += vals[i]
-    return (tuple(cuts), tuple(starts[i] - c for i, c in enumerate(cuts)),
-            total)
 
 
 def fraction_keane_probe(T, max_steps):

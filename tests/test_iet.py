@@ -24,7 +24,7 @@ from modfol.iet import (
 from modfol.numfield import NumberField, RealEmbedding
 from modfol.polys import QPolynomial, parse_poly
 
-from oracles import fraction_cuts_and_shifts, fraction_keane_probe
+from oracles import fraction_keane_probe
 
 GOLDEN = NumberField(QPolynomial([-1, -1, 1]))    # x^2 - x - 1
 PHI = GOLDEN.gen()
@@ -166,24 +166,6 @@ def test_images_tile_interval():
             assert start == at
             at += length
         assert at == T.total
-
-
-def test_rational_sums_match_fraction_route():
-    # cuts, shifts and total are summed on integers over the lcm of the
-    # denominators; they equal the Fraction sums and are Fractions
-    rng = random.Random(27)
-    for _ in range(40):
-        k = rng.randrange(1, 30)
-        lengths = [rng.choice([rng.randrange(1, 50),
-                               Fraction(rng.randrange(1, 99), rng.randrange(1, 40))])
-                   for _ in range(k)]
-        perm = list(range(1, k + 1))
-        while k > 1 and any(max(perm[:j]) == j for j in range(1, k)):
-            rng.shuffle(perm)
-        T = IET(lengths, perm)
-        assert (T._cuts, T._shifts, T.total) == \
-            fraction_cuts_and_shifts(lengths, perm)
-        assert {type(x) for x in T._cuts + T._shifts + (T.total,)} == {Fraction}
 
 
 # -- rational periodicity ---------------------------------------------------------------
