@@ -90,7 +90,7 @@ class EigenformOrbit:
         self.possibly_old = possibly_old
         self._series = None      # q-expansion cache, filled by periods
         self._functional = None  # its dual functional (table, j), likewise
-        self._embedded = {}      # numeric coefficient cache, keyed by digits
+        self._embedded = {}      # fixed-point series cache, keyed by bits
 
     def designated_embedding(self):
         """The real place used for all numeric work on this orbit.

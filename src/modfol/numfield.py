@@ -141,6 +141,11 @@ class NFElement:
         den = self._denom
         return tuple(Fraction(x, den) for x in self._numer)
 
+    @property
+    def integers(self):
+        """(den, ints): the coordinates as ints[k] / den, in lowest terms."""
+        return self._denom, tuple(self._numer)
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):

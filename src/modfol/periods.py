@@ -13,10 +13,11 @@ elements gives the classical periods.  Three layers live here:
 * numerics: :func:`period_integral` evaluates the loop integral for a
   single group element by summing the antiderivative series at the two
   endpoints of a balanced path.  Both endpoints lie at height 1/|c|, so
-  their powers are r^n times c-th roots of unity, and the sum is one
-  integer fixed-point loop over a table of those roots, with a stated
-  error budget.  :func:`numeric_jacobian` collects the real parts over a
-  whole homology basis into a :class:`PeriodVector`;
+  their powers are r^n times c-th roots of unity.  The series is embedded
+  once as integers scaled by 2^bits, its terms are summed once per residue
+  class mod |c|, and a loop is |c| products with a table of those roots,
+  under a stated error budget.  :func:`numeric_jacobian` collects the
+  real parts over a whole homology basis into a :class:`PeriodVector`;
 * arithmetic detection: :func:`detect_rank` finds the rank of the
   Z-module spanned by a list of real numbers via integral LLL, with
   explicit accept/reject thresholds and a hard error in between; each
@@ -28,8 +29,8 @@ certificates (integer relations, eigenvalue checks) are verified exactly
 or against stated thresholds.
 """
 
-import functools
 import math
+import operator
 from fractions import Fraction
 
 from mpmath import libmp, mp
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .hecke import eigenvalue_from_functional, hecke_matrix, qexp_from_primes
 from .linalg import QMatrix, lll_reduce
-from .numfield import NFElement, eigenspace, leading_entry
+from .numfield import eigenspace, leading_entry
 
 # Extra decimal digits carried internally beyond the requested precision.
 _GUARD = 25
@@ -151,34 +152,29 @@ def _require_series(orbit, count):
     return series
 
 
-def _embedded_series(orbit, count, digits):
-    """Numeric coefficients c_1..c_count under the designated embedding,
-    rounded to `digits` decimal digits; cached per digit count.
-
-    Rounding contract: each c_n is first a rational p/q in lowest terms
-    within 10^-(digits + 5) of its image (one RealEmbedding.approx call per
-    coefficient, in order, since the interval each call leaves decides
-    the next one's rational), and then the mpf of p and of q, each rounded
-    to nearest at the working precision of digits + 10 decimal digits,
-    divided with one more rounding to nearest: the bits of
-    mp.mpf(p) / mp.mpf(q), built by the same libmp calls.
-    """
+def _fixed_series(orbit, count, bits):
+    """(fixed, sums): fixed[n] is 2**bits c_n under the designated
+    embedding, an int, for each n the exact series holds (>= count); sums
+    holds _residue_sums.  Cached on the orbit per bits.  With
+    c_n = sum m_k a^k / D in the power basis, fixed[n] is
+    floor(sum m_k P_k / (D 2**g)), P_k = a^k 2**(bits + g) embedded once
+    within 1, so it is off by under sum |m_k| / (D 2**g) + 1 < 2 units:
+    the guard g keeps sum |m_k| / D under 2**g for every n."""
     series = _require_series(orbit, count)
-    cache = orbit._embedded.setdefault(digits, [mp.mpf(0)])
-    if len(cache) > count:
-        return cache
-    emb = orbit.designated_embedding()
-    eps = Fraction(1, 10 ** (digits + 5))
-    with mp.workdps(digits + 10):
-        prec = mp.prec
-        while len(cache) <= count:
-            val = series[len(cache)]
-            if isinstance(val, NFElement):
-                val = emb.approx(val, eps)
-            cache.append(mp.make_mpf(libmp.mpf_div(
-                libmp.from_int(val.numerator, prec, "n"),
-                libmp.from_int(val.denominator, prec, "n"), prec, "n")))
-    return cache
+    cached = orbit._embedded.get(bits)
+    if cached is not None and len(cached[0]) > count:
+        return cached
+    field, emb = orbit.field, orbit.designated_embedding()
+    rows = [field.coerce(x).integers for x in series[1:]]
+    guard = max((sum(map(abs, ints)) // den).bit_length()
+                for den, ints in rows)
+    scale = 1 << (bits + guard)
+    powers = [round(emb.approx(field.gen() ** k, Fraction(1, 2 * scale))
+                    * scale) for k in range(field.degree)]
+    fixed = [0] + [sum(map(operator.mul, ints, powers)) // (den << guard)
+                   for den, ints in rows]
+    orbit._embedded[bits] = cached = fixed, {}
+    return cached
 
 
 # -- period integrals -----------------------------------------------------------------
@@ -188,24 +184,21 @@ def period_integral(orbit, gamma, terms, precision):
     """Integral of the orbit's differential along the loop of `gamma`.
 
     Returns (value, bound): a complex number rounded at precision + _GUARD
-    digits and the reported truncation estimate
-    |c_terms| * exp(-2 pi terms / |c|).  The path runs from the balanced
-    base point z0 = (-d + i)/c to gamma z0 = (a + i)/c (c > 0 after a sign
-    change of gamma), and the value is the truncated antiderivative series
+    digits and the truncation estimate |c_terms| exp(-2 pi terms / |c|).
+    The path runs from z0 = (-d + i)/c to gamma z0 = (a + i)/c (c > 0
+    after a sign change of gamma), and the value is the truncated series
     sum c_n / n * (q1^n - q0^n), n <= terms, with q = exp(2 pi i z).  Both
     endpoints sit at height 1/c, so q1^n = r^n zeta^(a n) and
-    q0^n = r^n zeta^(-d n) with r = exp(-2 pi / c) and zeta = exp(2 pi i / c):
-    the sum runs on integers scaled by 2^bits, over one table of the c-th
-    roots of unity, with r^n carried by one product and shift per term.
+    q0^n = r^n zeta^(-d n) with r = exp(-2 pi / c), zeta = exp(2 pi i / c),
+    summed on integers scaled by 2^bits (see _period_sum).
 
-    Error budget: r, each table entry and each c_n are truncated to
-    2^-bits once, and each term truncates twice more, so r^n is off by
-    under 2n units and each term by under 6 |c_n| + 10 units of 2^-bits.
-    Deligne's bound |c_n| <= d(n) sqrt(n) <= 2n keeps the whole sum off by
-    under 16 terms^2 units, and bits = digits * log2(10) + 2 * bitlen(terms)
-    + 16 puts that below 10^-digits / 4000.  The series truncation (the
-    bound above) and the rounding of each embedded c_n at 10^-(digits + 5)
-    are the other parts of the error.
+    Error budget: r and each root of unity are truncated to 2^-bits once,
+    each c_n is off by under 2 units of 2^-bits (see _fixed_series), and
+    each term truncates twice more, so r^n is off by under 2n units and
+    each term by under 6 |c_n| + 12 units.  Deligne's bound
+    |c_n| <= d(n) sqrt(n) <= 2n keeps the sum off by under 16 terms^2
+    units, and bits = digits * log2(10) + 2 * bitlen(terms) + 16 puts that
+    below 10^-digits / 4000, beside the series truncation (the bound).
 
     pre: gamma lies in the level subgroup with nonzero lower-left entry;
     the orbit's series (see ensure_series) reaches order `terms`, and
@@ -224,48 +217,53 @@ def period_integral(orbit, gamma, terms, precision):
             "%d terms cannot deliver %d digits along a path with |c| = %d; "
             "%d terms are required" % (terms, precision, abs(c), need),
             required_terms=need)
-    if c < 0:
-        a, b, c, d = -a, -b, -c, -d
     digits = precision + _GUARD
-    coeffs = _embedded_series(orbit, terms, digits)
     bits = math.ceil(digits * math.log2(10)) + 2 * terms.bit_length() + 16
-    with mp.workprec(bits + 20):
-        r = _fixed(mp.exp(-2 * mp.pi / c), bits)
-    cos, sin = _unit_circle(c, bits)
-    re = im = 0
-    rn = 1 << bits
-    ka = kd = 0
-    step_a, step_d = a % c, -d % c
-    for n in range(1, terms + 1):
-        rn = rn * r >> bits
-        ka = (ka + step_a) % c
-        kd = (kd + step_d) % c
-        cn = coeffs[n]
-        if cn:
-            w = (_fixed(cn, bits) * rn >> bits) // n
-            re += w * (cos[ka] - cos[kd])
-            im += w * (sin[ka] - sin[kd])
+    re, im = _period_sum(orbit, (a, b, c, d), terms, bits)
+    top = _fixed_series(orbit, terms, bits)[0][terms]
     with mp.workdps(digits):
         total = mp.mpc(mp.mpf((re, -2 * bits)), mp.mpf((im, -2 * bits)))
-        bound = abs(coeffs[terms]) * mp.exp(-2 * mp.pi * terms / c)
+        bound = mp.mpf((abs(top), -bits)) * mp.exp(-2 * mp.pi * terms / abs(c))
     return total, bound
 
 
-def _fixed(x, bits):
-    """The mpf x as an integer scaled by 2**bits, truncated."""
-    return libmp.to_fixed(x._mpf_, bits)
+def _period_sum(orbit, gamma, terms, bits):
+    """(re, im): the period of gamma as integers scaled by 4**bits.  Term n
+    is w_n (zeta^(a n) - zeta^(-d n)), so grouping n by j = n mod c gives
+    the same integers as sum_j S[j] (zeta^(a j) - zeta^(-d j)), j < c."""
+    a, _, c, d = gamma
+    if c < 0:
+        a, c, d = -a, -c, -d
+    S, cos, sin = _residue_sums(orbit, c, terms, bits)
+    re = im = 0
+    for j, s in enumerate(S):
+        ka, kd = a * j % c, -d * j % c
+        re += s * (cos[ka] - cos[kd])
+        im += s * (sin[ka] - sin[kd])
+    return re, im
 
 
-@functools.lru_cache(maxsize=4)
-def _unit_circle(c, bits):
-    """(cos, sin): the c-th roots of unity e^(2 pi i k / c), k < c, as two
-    tuples of integers scaled by 2**bits; the paths of a homology basis
-    with the same |c| and term count share them."""
-    prec = bits + 20
-    roots = [libmp.mpf_cos_sin_pi(libmp.from_rational(2 * k, c, prec), prec)
-             for k in range(c)]
-    return (tuple(libmp.to_fixed(x, bits) for x, _ in roots),
-            tuple(libmp.to_fixed(y, bits) for _, y in roots))
+def _residue_sums(orbit, c, terms, bits):
+    """(S, cos, sin), integers scaled by 2**bits that every path with
+    lower-left entry c shares: S[j] sums w_n = (f_n R_n >> bits) // n over
+    n <= terms, n = j mod c, with f_n from _fixed_series and R_n = r^n,
+    r = exp(-2 pi / c), carried by one product and shift per term; and
+    cos[k] + i sin[k] = exp(2 pi i k / c), k < c."""
+    fixed, sums = _fixed_series(orbit, terms, bits)
+    if (c, terms) not in sums:
+        prec = bits + 20
+        with mp.workprec(prec):
+            r = libmp.to_fixed(mp.exp(-2 * mp.pi / c)._mpf_, bits)
+        S = [0] * c
+        rn = 1 << bits
+        for n in range(1, terms + 1):
+            rn = rn * r >> bits
+            S[n % c] += (fixed[n] * rn >> bits) // n
+        roots = [libmp.mpf_cos_sin_pi(libmp.from_rational(2 * k, c, prec),
+                                      prec) for k in range(c)]
+        sums[c, terms] = (S, [libmp.to_fixed(x, bits) for x, _ in roots],
+                          [libmp.to_fixed(y, bits) for _, y in roots])
+    return sums[c, terms]
 
 
 class PeriodVector:
@@ -335,8 +333,7 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
         raise DomainError("homology basis is empty")
     needs = [required_terms(g[2], precision) for g in gammas]
     _require_series(orbit, max(needs))
-    values = []
-    digits = []
+    values, digits = [], []
     floor_err = mp.mpf(10) ** (-(precision + 5))
     for g, need in zip(gammas, needs):
         val, bound = period_integral(orbit, g, need, precision)

@@ -12,7 +12,9 @@ Heilbronn family itself as a list of matrices, which the walk mod N
 replaced, T_p on the +1 half by restriction first to the cuspidal
 subspace and then to the star-fixed kernel there, LLL with Gram-Schmidt data in Fractions, period integrals by
 complex powers in mpmath, which the fixed-point kernel replaced, the
-homology basis by one rank computation per candidate loop, the search
+numeric coefficients by one rational approximation per coefficient and the
+per-term fixed-point loop, which the integer series and its residue-class
+sums replaced, the homology basis by one rank computation per candidate loop, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements,
 real-root isolation with Sturm signs from Fraction Horner on sympy's chain
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
-from mpmath import mp
+from mpmath import libmp, mp
 
 from modfol.arith import is_prime
 from modfol.congruence import P1Space, _normalize_cusp
@@ -37,6 +39,7 @@ from modfol.errors import (DimensionError, DomainError,
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
+from modfol.numfield import NFElement
 from modfol.pipeline import rat_to_json
 from modfol.polys import QPolynomial, factor_poly
 
@@ -666,6 +669,52 @@ def power_loop_integral(coeffs, gamma, terms, digits):
             if cn:
                 total += cn / n * (pow1 - pow0)
     return total
+
+
+def approx_series(orbit, count, digits):
+    """[0, c_1, ..., c_count] as mpf under the orbit's designated embedding,
+    by the route the fixed-point series replaced: each c_n is a rational
+    within 10^-(digits + 5) of its image (one RealEmbedding.approx call per
+    coefficient), then the quotient of its numerator and denominator as
+    mpf at digits + 10 decimal digits."""
+    emb = orbit.designated_embedding()
+    eps = Fraction(1, 10 ** (digits + 5))
+    coeffs = [mp.mpf(0)]
+    with mp.workdps(digits + 10):
+        for val in orbit._series[1:count + 1]:
+            if isinstance(val, NFElement):
+                val = emb.approx(val, eps)
+            coeffs.append(mp.mpf(val.numerator) / mp.mpf(val.denominator))
+    return coeffs
+
+
+def term_loop_sum(fixed, gamma, terms, bits):
+    """(re, im): the period of gamma as integers scaled by 4**bits, by the
+    per-term loop that the residue-class sums replaced.  fixed[n] is c_n
+    scaled by 2**bits; r^n is carried by one product and shift per term,
+    w_n = (fixed[n] r^n >> bits) // n, and the indices of zeta^(a n) and
+    zeta^(-d n) step by a and -d mod c over one table of roots of unity."""
+    a, b, c, d = gamma
+    if c < 0:
+        a, b, c, d = -a, -b, -c, -d
+    prec = bits + 20
+    with mp.workprec(prec):
+        r = libmp.to_fixed(mp.exp(-2 * mp.pi / c)._mpf_, bits)
+    roots = [libmp.mpf_cos_sin_pi(libmp.from_rational(2 * k, c, prec), prec)
+             for k in range(c)]
+    cos = [libmp.to_fixed(x, bits) for x, _ in roots]
+    sin = [libmp.to_fixed(y, bits) for _, y in roots]
+    re = im = 0
+    rn = 1 << bits
+    ka = kd = 0
+    for n in range(1, terms + 1):
+        rn = rn * r >> bits
+        ka = (ka + a) % c
+        kd = (kd - d) % c
+        w = (fixed[n] * rn >> bits) // n
+        re += w * (cos[ka] - cos[kd])
+        im += w * (sin[ka] - sin[kd])
+    return re, im
 
 
 def eta_product_qexp(N, terms):

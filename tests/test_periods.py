@@ -1,5 +1,6 @@
 """Period integrals, period vectors, and integer-relation rank detection."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,8 +29,8 @@ from modfol.periods import (
     period_integral,
     required_terms,
 )
-from oracles import (eta_product_qexp, fraction_lll, mat_mul,
-                     power_loop_integral)
+from oracles import (approx_series, eta_product_qexp, fraction_lll, mat_mul,
+                     power_loop_integral, term_loop_sum)
 
 # Real period of the rank-0 elliptic curve of conductor 11, computed two
 # independent ways (quadrature on the Weierstrass model, and this package's
@@ -245,11 +246,11 @@ def test_integral_doubling_terms_agrees():
 
 
 def _assert_kernel_matches_loop(orbit, gammas, precision):
-    """The fixed-point kernel against the complex-power loop, both summed
-    on the same embedded coefficients, the loop at 40 more digits."""
+    """The fixed-point kernel against the complex-power loop at 40 more
+    digits, summed on the oracle's embedded coefficients."""
     digits = precision + periods._GUARD
     top = max(required_terms(g[2], precision) for g in gammas)
-    coeffs = periods._embedded_series(orbit, top, digits)
+    coeffs = approx_series(orbit, top, digits)
     tol = mp.mpf(10) ** -(precision + 20)
     for g in gammas:
         terms = required_terms(g[2], precision)
@@ -285,6 +286,57 @@ def test_integral_kernel_negative_and_multiple_c():
         w, _ = period_integral(orbit, h, terms, 45)
         with mp.workdps(80):
             assert abs(v + w) < mp.mpf(10) ** -65
+
+
+@pytest.mark.parametrize("N,k", [(11, 0), (23, 0), (97, 1)])
+def test_fixed_series_within_two_units(N, k):
+    # degrees 1, 2 and 4; the oracle's coefficients are off by under
+    # 10^-10 units of 2^-bits at these digits
+    space, orbits = level(N)
+    orbit = orbits[k]
+    assert orbit.degree == {11: 1, 23: 2, 97: 4}[N]
+    terms = required_terms(N, 60)
+    ensure_series(space, orbit, terms)
+    for bits in (48, 323):
+        fixed, _ = periods._fixed_series(orbit, terms, bits)
+        digits = math.ceil(bits * math.log10(2)) + 10
+        reference = approx_series(orbit, terms, digits)
+        with mp.workdps(digits):
+            worst = max(abs(fixed[n] - reference[n] * 2 ** bits)
+                        for n in range(1, terms + 1))
+            assert worst < 2, (N, k, bits, worst)
+
+
+def _assert_residue_sums_match_term_loop(orbit, gammas, terms, bits):
+    fixed, _ = periods._fixed_series(orbit, terms, bits)
+    for g in gammas:
+        assert (periods._period_sum(orbit, g, terms, bits)
+                == term_loop_sum(fixed, g, terms, bits)), (g, terms, bits)
+
+
+@pytest.mark.parametrize("N,k", [(11, 0), (23, 0), (37, 1), (43, 1)])
+def test_residue_sums_match_term_loop(N, k):
+    space, orbits = level(N)
+    gammas = [g for g, _ in space.homology_generators()]
+    for precision in (45, 80):
+        terms = required_terms(N, precision)
+        ensure_series(space, orbits[k], terms)
+        for bits in (64, 300):
+            _assert_residue_sums_match_term_loop(orbits[k], gammas, terms,
+                                                 bits)
+
+
+def test_residue_sums_negative_and_multiple_c():
+    space, orbits = level(30)
+    orbit = next(o for o in orbits if not o.possibly_old)
+    gammas = [g for g, _ in space.homology_generators()]
+    assert {g[2] for g in gammas} == {30, 60, 90}
+    inverses = [(d, -b, -c, a) for a, b, c, d in gammas]
+    assert {g[2] for g in inverses} == {-30, -60, -90}
+    for g in gammas + inverses:
+        terms = required_terms(g[2], 45)
+        ensure_series(space, orbit, terms)
+        _assert_residue_sums_match_term_loop(orbit, [g], terms, 300)
 
 
 def test_integral_input_errors():

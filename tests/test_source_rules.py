@@ -70,9 +70,13 @@
   QPolynomial division and no matrix clearing of chain members in polys.
 * polys.parse_poly is the one parser of polynomial text: the CLI has no
   length parser (`_parse_combo`) of its own.
-* Period integrals have one summation body, the integer fixed-point
-  loop of `period_integral`: it makes no mpmath number per term, and the
-  complex-power loop it replaced lives in the test oracles alone.
+* Period integrals have one summation body on integers: the series is
+  embedded once, by the one `approx` call of `periods` (in
+  `_fixed_series`, with no per-coefficient `_embedded_series`), its terms
+  are summed once per residue class in `_residue_sums`, and a loop is
+  the one loop of `_period_sum`; neither loop makes an mpmath number, and
+  the complex-power and per-term loops they replaced live in the test
+  oracles alone.
 * The Keane probe steps on certified integer enclosures: minimality_probe
   has one step loop, takes its enclosures from the public
   RealEmbedding.enclosures, calls the exact integer_sign at one site only,
@@ -338,16 +342,33 @@ def test_polynomial_remainders_run_on_integers():
     assert "linalg" not in imported
 
 
+def _loops(node):
+    return [child for child in ast.walk(node)
+            if isinstance(child, (ast.For, ast.While))]
+
+
 def test_period_integrals_sum_on_integers():
-    assert "power_loop_integral" not in _defined_functions()
-    (body,) = [node for node in ast.walk(TREES["periods"])
-               if isinstance(node, ast.FunctionDef)
-               and node.name == "period_integral"]
-    loops = [node for node in ast.walk(body)
-             if isinstance(node, (ast.For, ast.While))]
-    assert len(loops) == 1
-    assert not [node for node in ast.walk(loops[0])
-                if isinstance(node, ast.Name) and node.id == "mp"]
+    assert _defined_functions() & {
+        "power_loop_integral", "term_loop_sum", "approx_series",
+        "_embedded_series", "_fixed"} == set()
+    assert _loops(_function("periods", "period_integral")) == []
+    for name in ("_period_sum", "_residue_sums"):
+        (loop,) = _loops(_function("periods", name))
+        assert not [node for node in ast.walk(loop)
+                    if isinstance(node, ast.Name) and node.id == "mp"], name
+    assert "_residue_sums" in _called(_function("periods", "_period_sum"))
+    # one embedding body: one approx call per power of the generator
+    calls = [(node, call) for node in ast.walk(TREES["periods"])
+             if isinstance(node, ast.FunctionDef)
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", None) == "approx"]
+    assert [node.name for node, _ in calls] == ["_fixed_series"]
+    (loop,) = [comp for comp in ast.walk(calls[0][0])
+               if isinstance(comp, ast.ListComp)
+               and calls[0][1] in ast.walk(comp)]
+    (generator,) = loop.generators
+    assert "degree" in {node.attr for node in ast.walk(generator.iter)
+                        if isinstance(node, ast.Attribute)}
 
 
 def _definitions(node, prefix=""):
