@@ -94,7 +94,7 @@ class P1Space:
     canonical representative.
     """
 
-    __slots__ = ("N", "reps", "_table")
+    __slots__ = ("N", "reps", "_table", "_star")
 
     def __init__(self, N):
         if N < 1:
@@ -114,6 +114,7 @@ class P1Space:
                     table[row + u * d % N] = k
         self.reps = tuple(reps)
         self._table = table
+        self._star = None
 
     def __len__(self):
         return len(self.reps)
@@ -127,33 +128,63 @@ class P1Space:
             raise DomainError("(%d, %d) is not a point of P^1(Z/%d)" % (c, d, N))
         return i
 
+    def star_permutation(self):
+        """star[i] is the index of (-c:d) for reps[i] = (c:d), and
+        star[len(reps)] = len(reps) keeps the non-point slot of
+        heilbronn_counts in place: the star involution on P^1, built on
+        first use."""
+        if self._star is None:
+            N, table = self.N, self._table
+            self._star = [table[-c % N * N + d] for c, d in self.reps] \
+                + [len(self.reps)]
+        return self._star
+
     def heilbronn_counts(self, c, d, p):
-        """Multiplicities, indexed like reps, of the points (c:d)h over
-        Cremona's Heilbronn matrices h of determinant p, walked mod N: after
-        (c, d*p), each |r| <= p/2 starts at (c*p, d - c*r), and each step of
-        the nearest-integer continued fraction of -p/r, with quotient q,
-        maps (x, y) to (y, q*y - x).  p = 2 has four matrices of its own.
-        Non-points (only when p divides N) drop out."""
+        """Multiplicities, indexed like reps, of the points (c:d)h over a
+        Heilbronn family h of determinant p, walked mod N.  After (c, d*p),
+        each 0 <= r <= p/2 starts at (c*p, d - c*r), and each step of the
+        nearest-integer continued fraction of -p/r, with quotient q, maps
+        (x, y) to (y, q*y - x): Cremona's matrices.  The chain of -r is
+        the conjugate of r's by diag(-1, 1), the same quotients negated:
+        it starts at (c*p, d + c*r) and maps (u, v) to (v, -q*v - u), so
+        one continued fraction drives both.  When c = 0 mod N every start
+        is (0:d) and the -r images are the star images of the r images, so
+        each r > 0 chain is walked once and folded in by star_permutation.
+        p = 2 has four matrices of its own.  Non-points (only when p
+        divides N) drop out."""
         if not is_prime(p):
             raise DomainError("expected a prime, got %d" % p)
         N, table = self.N, self._table
+        cp = c * p % N
         if p == 2:
-            starts, rs = ((c, 2 * d), (2 * c, d), (2 * c, c + d), (c + d, 2 * d)), ()
-        else:
-            starts, rs = ((c, d * p),), range(-(p // 2), p // 2 + 1)
+            starts = (c, 2 * d), (2 * c, d), (2 * c, c + d), (c + d, 2 * d)
+            half = 0
+        else:   # the matrix (1, 0, 0, p), and r = 0
+            starts, half = ((c, d * p), (cp, d)), p // 2
         # the table marks non-points -1: they land in a last, dropped slot
         counts = [0] * (len(self.reps) + 1)
-        for x, y in starts:
-            counts[table[x % N * N + y % N]] += 1
-        for r in rs:
-            x, y = c * p % N, (d - c * r) % N
-            counts[table[x * N + y]] += 1
+        fold = c % N == 0
+        for r in range(1, half + 1):
+            x = u = cp
+            y, v = (d - c * r) % N, (d + c * r) % N
+            if not fold:
+                counts[table[x * N + y]] += 1
+                counts[table[u * N + v]] += 1
             a, b = -p, r
             while b:
                 q = (2 * a + b) // (2 * b)        # nearest integer to a/b
                 a, b = -b, a - q * b
                 x, y = y, (q * y - x) % N
                 counts[table[x * N + y]] += 1
+                if not fold:
+                    u, v = v, (-q * v - u) % N
+                    counts[table[u * N + v]] += 1
+        if fold:
+            counts = [k + counts[s]
+                      for k, s in zip(counts, self.star_permutation())]
+            counts[table[d % N]] += 2 * half      # the r != 0 starts (0:d)
+        for x, y in starts:
+            counts[table[x % N * N + y % N]] += 1
         counts.pop()
         return counts
 

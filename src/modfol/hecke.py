@@ -1,16 +1,20 @@
 """Hecke operators on weight-2 modular symbols.
 
 T_p sends the Manin symbol (c:d) to the sum of the symbols (c:d)h over
-Cremona's Heilbronn matrices h of determinant p (Cremona, *Algorithms for
-Modular Elliptic Curves*, 2nd ed., 1997, sec. 2.4; Merel, *Universal
-Fourier expansions of modular forms*, LNM 1585, 1994).  The O(p log p)
-matrices are never built: P1Space.heilbronn_counts walks their images
-mod N, where the next matrix of a continued fraction maps the image
-(x, y) to (y, q*y - x), and counts them on P^1.  A matrix column sums the
-images' symbol coordinates; an eigenvalue at a large prime dots the
-counts with a dual functional tabulated on P^1 (see periods).  Tests
-check the walk against the matrices, and the operators against Merel's
-family and the degeneracy-coset path route.
+Heilbronn matrices h of determinant p (Cremona, *Algorithms for Modular
+Elliptic Curves*, 2nd ed., 1997, sec. 2.4; Merel, *Universal Fourier
+expansions of modular forms*, LNM 1585, 1994): Cremona's chains for
+0 <= r <= p/2, and for -r their conjugates by diag(-1, 1).  The
+O(p log p) matrices are never built: P1Space.heilbronn_counts walks
+their images mod N, where the next matrix of a continued fraction maps
+the image (x, y) to (y, q*y - x), one recursion driving the chains of r
+and -r together, and counts them on P^1.  For the start (0:1) the -r
+images are the star images of the r images, so that walk takes each
+chain once.  A matrix column sums the images' symbol coordinates; an
+eigenvalue at a large prime dots the counts with a dual functional
+tabulated on P^1 (see periods).  Tests check the walk against the
+matrices, and the operators against Merel's family and the
+degeneracy-coset path route.
 
 Also provides the standard multiplicative/recursive extension of prime
 eigenvalues to a full coefficient sequence:
@@ -49,7 +53,9 @@ def eigenvalue_from_functional(space, p, table, j):
     w[j] = 1, from its table (field, den, rows): rows[k][i] / den is the
     k-th coordinate of w on the i-th point of P^1.  c_p is w on column j of
     T_p: the images' counts dotted with each row give its integer
-    coordinates over den, reduced once into a field element.
+    coordinates over den, reduced once into a field element.  For j = 0,
+    the start (0:1), the walk takes each Heilbronn chain pair once (see
+    P1Space.heilbronn_counts), which is why periods prefers it.
     """
     field, den, rows = table
     counts = space.p1.heilbronn_counts(*space.p1.reps[space.free_symbols[j]], p)

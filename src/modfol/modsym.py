@@ -151,12 +151,6 @@ class ModularSymbolSpace:
                 "cuspidal dimension %d != 2*genus %d"
                 % (self.cuspidal_dim, 2 * self.genus))
 
-    # -- symbols -----------------------------------------------------------------
-
-    def symbol_coords(self, c, d):
-        """Quotient coordinates of the symbol [c:d]."""
-        return self._symbol_coords[self.p1.index(c, d)]
-
     # -- paths -------------------------------------------------------------------
 
     def path(self, x, y):
@@ -237,9 +231,8 @@ class ModularSymbolSpace:
         This is the map induced by z -> -conj(z) on paths; it squares to
         the identity and commutes with every Hecke operator.
         """
-        reps = self.p1.reps
-        cols = [self.symbol_coords(-reps[i][0], reps[i][1])
-                for i in self.free_symbols]
+        coords, star = self._symbol_coords, self.p1.star_permutation()
+        cols = [coords[star[i]] for i in self.free_symbols]
         return QMatrix.from_rows(zip(*cols))
 
     def plus_span(self):

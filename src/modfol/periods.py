@@ -9,7 +9,10 @@ elements gives the classical periods.  Three layers live here:
 * exact coefficients: :func:`ensure_series` extends an orbit's q-expansion
   to any order through a dual eigenvector from numfield.eigenspace,
   tabulated once on P^1, so the coefficient at a prime p is one integer
-  dot product with the counts of its O(p log p) Heilbronn images;
+  dot product with the counts of its O(p log p) Heilbronn images.  The
+  vector is taken nonzero at the symbol (0:1) whenever the eigenspace
+  allows: from that start the images of each chain -r are the star
+  images of the chain r, so the walk takes each pair once;
 * numerics: :func:`period_integral` evaluates the loop integral for a
   single group element by summing the antiderivative series at the two
   endpoints of a balanced path.  Both endpoints lie at height 1/|c|, so
@@ -114,16 +117,22 @@ def _dual_functional(space, orbit):
 
     The joint eigenspace of the verified pairs (T_p^T, c_p) cuts out
     exactly this orbit's dual block, so any w in it, with w^T T_p = c_p w^T,
-    gives the coefficients of this orbit alone.  The table is re-checked
-    exactly against every verified eigenvalue before use.
+    gives the coefficients of this orbit alone.  w is the first basis
+    vector of that eigenspace that is nonzero at free symbol 0, the
+    symbol (0:1), so j = 0 and each coefficient takes the walk that
+    heilbronn_counts folds by the star involution; when the whole
+    eigenspace vanishes there (L(f, 1) = 0, as at 37/0), w is the first
+    basis vector.  The table is re-checked exactly against every verified
+    eigenvalue before use.
     """
     K = orbit.field
     kern = eigenspace([(hecke_matrix(space, p).transpose(), cp)
                        for p, cp in sorted(orbit.coefficient_map.items())])
     if not kern:
         raise DomainError("orbit data admits no dual eigenvector")
-    j, x = leading_entry(kern[0], K)
-    table = _functional_table(space, K, kern[0] * x.inverse().matrix())
+    w = next((X for X in kern if any(X.row(0))), kern[0])
+    j, x = leading_entry(w, K)
+    table = _functional_table(space, K, w * x.inverse().matrix())
     for p, cp in orbit.coefficient_map.items():
         if eigenvalue_from_functional(space, p, table, j) != cp:
             raise DomainError(

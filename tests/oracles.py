@@ -480,25 +480,31 @@ def horner_adjugate_column(T, lam, chi):
 
 
 def heilbronn(p):
-    """Cremona's Heilbronn matrices (a, b, c, d) of determinant p.
+    """A Heilbronn family (a, b, c, d) of determinant p.
 
-    (1, 0, 0, p), then for each |r| <= p/2 the matrix (p, -r, 0, 1) and
-    one more per step of the nearest-integer continued fraction of -p/r.
+    (1, 0, 0, p), then Cremona's chains for 0 <= r <= p/2: the matrix
+    (p, -r, 0, 1) and one more per step of the nearest-integer continued
+    fraction of -p/r; then, for -r, the conjugates (a, -b, -c, d) of the
+    r > 0 chains by diag(-1, 1).  Cremona's own -r chains differ from
+    these only where his rounding meets a tie.
     """
     if not is_prime(p):
         raise DomainError("expected a prime, got %d" % p)
     if p == 2:
         return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
-    fam = [(1, 0, 0, p)]
-    for r in range(-(p // 2), p // 2 + 1):
+    fam, mirror = [(1, 0, 0, p)], []
+    for r in range(p // 2 + 1):
         a, b, h = -p, r, (p, -r, 0, 1)
-        fam.append(h)
+        chain = [h]
         while b:
             q = (2 * a + b) // (2 * b)        # nearest integer to a/b
             a, b = -b, a - q * b
             h = (h[1], q * h[1] - h[0], h[3], q * h[3] - h[2])
-            fam.append(h)
-    return fam
+            chain.append(h)
+        fam += chain
+        if r:
+            mirror += [(a, -b, -c, d) for a, b, c, d in chain]
+    return fam + mirror
 
 
 def heilbronn_images(N, c, d, p):
@@ -552,7 +558,7 @@ def hecke_matrix_merel(space, p):
             d2 = (c * mb + d * md) % N
             if gcd(gcd(c2, d2), N) != 1:
                 continue          # possible only when p divides N
-            images.append(space.symbol_coords(c2, d2))
+            images.append(space._symbol_coords[space.p1.index(c2, d2)])
         cols.append([sum(col) for col in zip(*images)])
     return QMatrix.from_rows(
         [[cols[j][i] for j in range(dim)] for i in range(dim)])

@@ -96,13 +96,16 @@ class TestOracleRoutes:
         for p in _primes_up_to(31):
             assert hecke_matrix(space, p) == hecke_matrix_merel(space, p), p
 
-    @pytest.mark.parametrize("N", [11, 37, 97])
+    @pytest.mark.parametrize("N", [11, 22, 23, 37, 97])
     def test_column_equals_path_route(self, spaces, N):
+        # column 0 is the start (0:1), whose walk is folded by the star
+        # involution, at every prime, p | N included
         space = spaces[N]
+        assert space.p1.reps[space.free_symbols[0]] == (0, 1)
         for p in _primes_up_to(499):
-            j = p % space.dim
-            assert hecke_matrix(space, p).col(j) == \
-                hecke_column_paths(space, p, j), p
+            T = hecke_matrix(space, p)
+            for j in {0, p % space.dim}:
+                assert T.col(j) == hecke_column_paths(space, p, j), (p, j)
 
 
 class TestOperatorRoutes:

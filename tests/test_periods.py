@@ -184,6 +184,19 @@ def test_corrupted_functional_table_fails_verification(monkeypatch):
         periods._dual_functional(space, orbit)
 
 
+@pytest.mark.parametrize("N,k,folded", [
+    (11, 0, True), (23, 0, True), (37, 1, True), (97, 1, True),
+    (37, 0, False),     # L(f, 1) = 0: the dual eigenspace vanishes at (0:1)
+])
+def test_functional_reads_the_folded_start(N, k, folded):
+    # free symbol 0 is (0:1), whose Heilbronn walk is folded by the star
+    # involution; the functional takes it whenever it can
+    space, orbits = level(N)
+    assert space.p1.reps[space.free_symbols[0]] == (0, 1)
+    _, j = periods._dual_functional(space, orbits[k])
+    assert (j == 0) == folded
+
+
 def test_series_level_mismatch_and_possibly_old():
     space11, (orbit11,) = level(11)
     space23, _ = level(23)

@@ -9,6 +9,12 @@
   the degeneracy-coset paths), and the Heilbronn family as a list of
   matrices, which the walk mod N replaced, live in the test oracles alone;
   only `congruence` reads the P^1 table that the walk runs on.
+* The Heilbronn walk is one continued-fraction recursion: its step
+  `(2 * a + b) // (2 * b)` appears once in the package, in
+  `P1Space.heilbronn_counts`, which drives the chains of r and -r
+  together and folds the (0:1) start by the star involution.  There is
+  one star map on P^1, `P1Space.star_permutation`: `star_matrix` reads
+  it and looks up no symbol of its own.
 * QMatrix is the one integer matrix core: no module defines its own
   denominator clearing or integer matrix product, and only `linalg`
   reads the storage of a QMatrix.
@@ -159,6 +165,17 @@ def test_replaced_hecke_routes_are_oracles_only():
                for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "_table"}
     assert readers == {"congruence"}
+
+
+def test_one_heilbronn_walk_and_one_star_map():
+    steps = [(module, node.name) for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for child in ast.walk(node) if isinstance(child, ast.BinOp)
+             and ast.unparse(child) == "(2 * a + b) // (2 * b)"]
+    assert steps == [("congruence", "heilbronn_counts")]
+    star = _called(_function("modsym", "star_matrix"))
+    assert "star_permutation" in star
+    assert star & {"symbol_coords", "index"} == set()
 
 
 def test_lll_runs_on_integers():
