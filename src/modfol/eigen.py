@@ -10,6 +10,18 @@ minimal polynomial of degree equal to the block dimension, in which
 case that polynomial defines the eigenvalue field K and the eigenvector
 can be rescaled into K^g with first nonzero coordinate 1.
 
+At a prime level the split starts from the two eigenspaces of the
+Atkin-Lehner involution W_N on the +1 half, not from one identity block.
+W_N commutes with the star involution and every T_p, so each eigenspace
+is a union of orbits (Atkin & Lehner, Math. Ann. 185, 1970), and every
+charpoly and factorization after it is smaller.  W_N parts some orbits
+that the supplied primes do not, so blocks that share their factor at
+every supplied prime count as one block of their summed dimension: that
+is the identity start's block, and the primes, the escalation and the
+undecided error are the identity start's.  Composite levels keep the
+identity start: W_N is not scalar on an old block, where the eigenspaces
+would change the multiplicity.
+
 Composite levels can carry eigensystems repeated across copies coming
 from lower levels; such systems cannot be separated by operators at
 primes coprime to the level.  Blocks whose dimension exceeds the field
@@ -41,6 +53,7 @@ eigenvector is lifted to the +1 half and normalised once, at its first
 nonzero entry, and becomes a tuple of NFElements only in the result.
 """
 
+from itertools import groupby
 from math import prod
 
 from .arith import is_prime, next_prime
@@ -147,9 +160,11 @@ def decompose(space, primes=None):
     level.  Orbits come back sorted by field degree, then by the trace
     of the eigenvalue at the smallest prime.  If two orbits agree at
     every supplied prime, an UndecidedSplitError names the next prime
-    worth adding.  With primes=None the split starts at the smallest
-    prime coprime to the level and, up to PRIME_LIMIT primes, adds that
-    next prime and resumes on the blocks it has.
+    worth adding, also where W_N parts them.  With primes=None the split
+    starts at the smallest prime coprime to the level and, up to
+    PRIME_LIMIT primes, adds that next prime and resumes on the blocks it
+    has.  At a prime level the +1 half starts as the eigenspaces of W_N,
+    which is checked to square to 1 on every call.
     """
     N = space.N
     ps = ([_next_split_prime([1], N)] if primes is None
@@ -167,12 +182,16 @@ def decompose(space, primes=None):
     if g == 0:
         return []
 
-    blocks = [(QMatrix.identity(g), list(range(g)), {}, {})]
+    prime = is_prime(N)
+    blocks = (_atkin_lehner_blocks(space) if prime
+              else [(QMatrix.identity(g), list(range(g)), {}, {})])
     while True:
         # every block has factors at the same leading primes of ps
         for p in ps[len(blocks[0][3]):]:
             blocks = _primary_blocks(blocks, p, _plus_hecke_matrix(space, p))
         try:
+            if prime:
+                blocks = _decided_in_identity_order(N, ps, blocks)
             orbits = [_orbit_from_block(space, ps, block, mats, factors)
                       for block, _, mats, factors in blocks]
             break
@@ -196,6 +215,53 @@ def _plus_hecke_matrix(space, p):
 
 
 # -- internals ------------------------------------------------------------------
+
+
+def _atkin_lehner_blocks(space):
+    """The +1 half at a prime level as the nonzero eigenspaces of W_N.
+
+    They are the kernel and the column span of W - 1, as _split takes
+    them, once W*W = 1 is checked, one g x g product.  W_N's commutation
+    with each T_p needs no check of its own: _primary_blocks restricts T_p
+    to every block, and QMatrix.restrict raises unless the block is
+    invariant, which both eigenspaces are exactly when T_p commutes with W.
+    """
+    W = space.plus_atkin_lehner()
+    ident = QMatrix.identity(W.rows)
+    if W * W != ident:
+        raise InternalInvariantError(
+            "W_N does not square to 1 at level %d" % space.N)
+    image = W - ident
+    return [(basis, free, {}, {})
+            for basis, free in (image.echelon_kernel(), image.echelon_span())
+            if basis.cols]
+
+
+def _decided_in_identity_order(N, ps, blocks):
+    """The blocks at a prime level N in the order the identity start gives
+    them, once each is certified to be an orbit.
+
+    The identity start cuts the +1 half at each prime of ps in turn into
+    parts in factor_poly's order, so its blocks come in the order of their
+    factors at ps, and its block for a tuple of factors is the sum of the
+    W_N blocks that have them.  Each eigensystem appears once in the +1
+    half, so a block of that sum is an orbit when some supplied eigenvalue
+    has its dimension as degree; the first that is not raises the
+    UndecidedSplitError the identity start would, with the same message.
+    """
+    def factors_at_ps(block):
+        return [(block[3][p].degree, block[3][p].coeffs) for p in ps]
+
+    blocks = sorted(blocks, key=factors_at_ps)
+    for key, group in groupby(blocks, factors_at_ps):
+        dim = sum(block.cols for block, _, _, _ in group)
+        if all(degree != dim for degree, _ in key):
+            q = _next_split_prime(ps, N)
+            raise UndecidedSplitError(
+                "a %d-dimensional block is not generated by any supplied "
+                "eigenvalue; distinct orbits share all supplied primes -- "
+                "try adding prime %d" % (dim, q), next_prime=q)
+    return blocks
 
 
 def _primary_blocks(blocks, p, T):
@@ -243,7 +309,8 @@ def _orbit_from_block(space, ps, block, mats, factors):
     every operator's eigenvalue is then read off.  A block of multiplicity
     1 is certified by p_star, so an operator that is not scalar on the
     vector is a bug; a larger block is possibly old, and there it means
-    the supplied primes do not split its eigensystems.
+    the supplied primes do not split its eigensystems.  At a prime level
+    _decided_in_identity_order has found p_star for every block first.
     """
     dim = block.cols
     # factor_poly has just returned every factor as irreducible, so the
@@ -252,12 +319,6 @@ def _orbit_from_block(space, ps, block, mats, factors):
     if p_star is not None:
         field = NumberField(factors[p_star], check=False)
         local = _adjugate_column(mats[p_star], factors[p_star].coeffs)
-    elif is_prime(space.N):
-        q = _next_split_prime(ps, space.N)
-        raise UndecidedSplitError(
-            "a %d-dimensional block is not generated by any supplied "
-            "eigenvalue; distinct orbits share all supplied primes -- "
-            "try adding prime %d" % (dim, q), next_prime=q)
     else:
         best = max(q.degree for q in factors.values())
         p_star = min(p for p in ps if factors[p].degree == best)

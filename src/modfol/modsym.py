@@ -21,6 +21,8 @@ every relation.  The boundary map is checked in one pass over the
 symbols.  The cuspidal subspace and the +1 half of the star involution on
 it are held as echelon bases of the quotient with their free rows, so an
 operator is restricted to either by one checked product (QMatrix.restrict).
+The Atkin-Lehner involution W_N is read the same way on the +1 half, from
+the images of the free symbols' paths under z -> -1/(N z).
 """
 
 from fractions import Fraction
@@ -258,6 +260,30 @@ class ModularSymbolSpace:
             self._plus_span = (self._cuspidal_columns * kernel,
                                [self._cuspidal_free[i] for i in rows])
         return self._plus_span
+
+    # -- Atkin-Lehner involution ---------------------------------------------------------
+
+    def plus_atkin_lehner(self):
+        """Matrix of the Atkin-Lehner involution W_N on the +1 half, in the
+        basis of plus_span().
+
+        W_N z = -1/(N z) normalises Gamma0(N) and commutes with the star
+        involution and every Hecke operator (Atkin & Lehner, Math. Ann.
+        185, 1970).  A free symbol [c:d], lifted to (a b; c d), is the path
+        {b/d, a/c}, which W_N sends to {-d/(N b), -c/(N a)}, with infinity
+        where b or a is 0: its column is that path's coordinates.
+        """
+        N = self.N
+
+        def image(p, q):
+            # W_N(p/q) = -q/(N p), with a positive denominator
+            return None if p == 0 else (-q, N * p) if p > 0 else (q, -N * p)
+
+        cols = []
+        for i in self.free_symbols:
+            a, b, c, d = _lift_canonical(*self.p1.reps[i])
+            cols.append(self._path(image(b, d), image(a, c)))
+        return QMatrix.from_rows(zip(*cols)).restrict(*self.plus_span())
 
     # -- homology ----------------------------------------------------------------------
 

@@ -7,7 +7,8 @@ P^1(Z/N), Gauss-Jordan over K for kernels and eigenvectors, Fraction
 Horner on each primary part for primary blocks, the adjugate column by
 Horner over K, and the two Hecke routes that Heilbronn matrices
 superseded: Merel's determinant-p family and the degeneracy-coset
-paths, for whole matrices and single columns, the
+paths, for whole matrices and single columns, the orbit split from one
+identity block at prime levels, which the W_N eigenspaces replaced, the
 Heilbronn family itself as a list of matrices, which the walk mod N
 replaced, T_p on the +1 half by restriction first to the cuspidal
 subspace and then to the star-fixed kernel there, LLL with Gram-Schmidt data in Fractions, period integrals by
@@ -32,10 +33,12 @@ from math import gcd
 import sympy
 from mpmath import libmp, mp
 
+from modfol import eigen
 from modfol.arith import is_prime
 from modfol.congruence import P1Space, _normalize_cusp
 from modfol.errors import (DimensionError, DomainError,
-                           InternalInvariantError, MultiplicityError)
+                           InternalInvariantError, MultiplicityError,
+                           UndecidedSplitError)
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
@@ -333,6 +336,47 @@ def plus_hecke_two_step(space, p):
     fixed = star - QMatrix.identity(space.cuspidal_dim)
     return space.restrict_to_cuspidal(hecke_matrix(space, p)).restrict(
         *fixed.echelon_kernel())
+
+
+def identity_start_decompose(space, primes=None):
+    """eigen.decompose by the route that the W_N start replaced at prime
+    levels: the +1 half starts as one identity block at every level, and
+    at a prime level the first block, in order, that no supplied
+    eigenvalue generates is undecided.  It shares the primary blocks and
+    each block's orbit with the package, and none of the W_N code."""
+    N, g = space.N, space.genus
+    ps = ([eigen._next_split_prime([1], N)] if primes is None
+          else sorted({int(p) for p in primes}))
+    if g == 0:
+        return []
+    blocks = [(QMatrix.identity(g), list(range(g)), {}, {})]
+    while True:
+        for p in ps[len(blocks[0][3]):]:
+            blocks = eigen._primary_blocks(
+                blocks, p, eigen._plus_hecke_matrix(space, p))
+        try:
+            for block, _, _, factors in blocks:
+                dim = block.cols
+                if is_prime(N) and all(factors[p].degree != dim for p in ps):
+                    q = eigen._next_split_prime(ps, N)
+                    raise UndecidedSplitError(
+                        "a %d-dimensional block is not generated by any "
+                        "supplied eigenvalue; distinct orbits share all "
+                        "supplied primes -- try adding prime %d" % (dim, q),
+                        next_prime=q)
+            orbits = [eigen._orbit_from_block(space, ps, block, mats, factors)
+                      for block, _, mats, factors in blocks]
+            break
+        except UndecidedSplitError as err:
+            if primes is not None or len(ps) >= eigen.PRIME_LIMIT:
+                raise
+            ps.append(err.next_prime)
+    p0 = ps[0]
+    orbits.sort(key=lambda o: (o.degree,
+                               o.coefficient_map[p0].trace(),
+                               o.field.minpoly.coeffs,
+                               o.coefficient_map[p0].coeffs))
+    return orbits
 
 
 def span_coordinates(basis, vec):

@@ -137,6 +137,14 @@ def test_decompose_23():
                               "possibly_old": False}]
 
 
+def test_decompose_113_at_prime_2_keeps_its_error_bytes():
+    # T_2 leaves two orbits in one 2-dimensional block of the +1 half
+    assert run("decompose", "113", "--primes", "2") == (3, (
+        '{"error":"a 2-dimensional block is not generated by any supplied '
+        'eigenvalue; distinct orbits share all supplied primes -- try adding '
+        'prime 3","hint":"add more primes to --primes (try 3)"}\n'))
+
+
 def test_decompose_explicit_primes_agree_with_auto():
     assert run("decompose", "23", "--primes", "2")[1] \
         == run("decompose", "23")[1]

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from modfol import eigen
-from modfol.arith import _primes_up_to
+from modfol import eigen, pipeline
+from modfol.arith import _primes_up_to, is_prime
 from modfol.cli import main
 from modfol.congruence import curve_data
 from modfol.eigen import (
@@ -20,7 +21,13 @@ from modfol.eigen import (
     decompose,
     rescale_eigenvector,
 )
-from modfol.errors import DomainError, MultiplicityError, UndecidedSplitError
+from modfol.errors import (
+    DomainError,
+    InternalInvariantError,
+    MultiplicityError,
+    UndecidedSplitError,
+)
+from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField
@@ -29,7 +36,8 @@ from modfol.polys import QPolynomial, factor_poly, parse_poly
 
 from oracles import (elimination_eigenvector, eta_product_qexp,
                      fraction_poly_at_matrix, horner_adjugate_column,
-                     per_part_primary_blocks, plus_hecke_two_step)
+                     identity_start_decompose, per_part_primary_blocks,
+                     plus_hecke_two_step)
 
 
 def field_of(text):
@@ -538,33 +546,43 @@ def _count_steps(monkeypatch):
 
 
 def test_escalation_builds_each_operator_once(monkeypatch):
-    # a restart would build T_2 twice, factor the whole +1 half at 2 twice
-    # and evaluate every split again: 3, 6 and 6
+    # a restart would build T_2 twice, factor the +1 half at 2 twice and
+    # evaluate every split again.  The W_N eigenspaces (dimensions 3 and 6)
+    # are factored at 2 apart, one call more than the one identity block
+    # took (5), and only the 6-dimensional one splits, into three parts by
+    # two cuts, where the whole half's four parts took three
     calls = _count_steps(monkeypatch)
     decompose(ModularSymbolSpace(113))
-    assert calls == {"_plus_hecke_matrix": 2, "factor_poly": 5,
-                     "_poly_at_matrix": 3}
+    assert calls == {"_plus_hecke_matrix": 2, "factor_poly": 6,
+                     "_poly_at_matrix": 2}
 
 
 @pytest.mark.slow
 def test_escalation_at_997_resumes_and_keeps_its_bytes(monkeypatch):
-    # 997 escalates from [2] to [2, 3, 5]; restarting took 6, 24 and 19
+    # 997 escalates from [2] to [2, 3, 5]; restarting took 6, 24 and 19.
+    # The W_N eigenspaces (38 and 44) are factored at 2 apart and then hold
+    # eight blocks, not seven: W_N parts the two rational orbits that agree
+    # at 2 and 3.  So 2 + 8 + 8 factorizations where the identity start
+    # took 1 + 7 + 7, and 4 + 2 cuts at 2 where its seven parts took six,
+    # with no cut at 5, which parted that pair before
     calls = _count_steps(monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["decompose", "997", "--no-cache"]) == 0
-    assert calls == {"_plus_hecke_matrix": 3, "factor_poly": 15,
-                     "_poly_at_matrix": 7}
+    assert calls == {"_plus_hecke_matrix": 3, "factor_poly": 18,
+                     "_poly_at_matrix": 6}
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "304501015540c2071eddd5b64327333541a181d28abfab07a65b43b56ff26433")
 
 
 @pytest.mark.parametrize("N, ps, pairs", [(57, [2, 5, 7], 8),
-                                          (113, [2, 3], 5)])
+                                          (113, [2, 3], 6)])
 def test_each_block_and_prime_factored_once(monkeypatch, N, ps, pairs):
     # pairs visited: a block is factored at each prime in turn until one
     # splits it, and each part inherits the factors up to that prime, so
-    # it is factored only at the primes after it
+    # it is factored only at the primes after it.  At the prime level 113
+    # the +1 half starts as two W_N eigenspaces, each factored at 2, and
+    # their four blocks at 3: 6, where one identity block took 1 + 4
     calls = []
 
     def counting(poly):
@@ -574,6 +592,99 @@ def test_each_block_and_prime_factored_once(monkeypatch, N, ps, pairs):
     monkeypatch.setattr(eigen, "factor_poly", counting)
     decompose(ModularSymbolSpace(N), ps)
     assert len(calls) == pairs
+
+
+def test_atkin_lehner_sign_is_minus_a_N():
+    # at a prime level W_N acts on each orbit by eps_N = -a_N (Atkin &
+    # Lehner 1970), with a_N its eigenvalue under T_N, which the Heilbronn
+    # walk builds at p = N as at any other prime
+    for N in [p for p in _primes_up_to(100) if p >= 11 and p != 13]:
+        sp = ModularSymbolSpace(N)
+        W = sp.plus_atkin_lehner()
+        T_N = hecke_matrix(sp, N).restrict(*sp.plus_span())
+        for orb in decompose(sp):
+            vec, field = list(orb.eigenvector), orb.field
+            image = apply_over_field(T_N, vec, field)
+            a_N = image[next(i for i, x in enumerate(vec) if not x.is_zero())]
+            assert a_N * a_N == field.one(), N
+            assert image == [a_N * x for x in vec], N
+            assert apply_over_field(W, vec, field) == \
+                [-a_N * x for x in vec], N
+
+
+def test_a_non_involution_w_is_an_internal_error(monkeypatch):
+    # QMatrix.restrict certifies that W_N commutes with each T_p, and every
+    # prime-level decomposition checks that it squares to 1
+    build = ModularSymbolSpace.plus_atkin_lehner
+    monkeypatch.setattr(ModularSymbolSpace, "plus_atkin_lehner",
+                        lambda space: build(space).scale(2))
+    with pytest.raises(InternalInvariantError, match="W_N does not square"):
+        decompose(ModularSymbolSpace(37))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["decompose", "37", "--no-cache"]) == 3
+    assert "W_N does not square to 1" in out.getvalue()
+    # composite levels start from the identity block and never build W_N
+    assert decompose(ModularSymbolSpace(22), [3, 5])
+
+
+@pytest.mark.parametrize("levels", [
+    range(2, 201),
+    pytest.param(range(2, 401), marks=pytest.mark.slow)])
+def test_records_equal_the_identity_start(monkeypatch, levels):
+    # the W_N eigenspaces are unions of orbits, and a primary block's span,
+    # echelon basis and normalised eigenvector do not depend on the route
+    for N in filter(is_prime, levels):
+        record = analyze_level(N)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "decompose", identity_start_decompose)
+            assert analyze_level(N) == record, N
+
+
+def test_undecided_splits_equal_the_identity_start():
+    # both routes raise the same error, or none, at every explicit prime
+    # list; 19 of these 210 runs are undecided, among them 37 at [7],
+    # where W_N parts the two orbits (see the test below)
+    undecided = 0
+    for N in filter(is_prime, range(11, 201)):
+        sp = ModularSymbolSpace(N)
+        for ps in ([2], [3], [5], [7], [2, 3]):
+            if N in ps:
+                continue
+            errors = []
+            for route in (decompose, identity_start_decompose):
+                try:
+                    route(sp, ps)
+                    errors.append(None)
+                except UndecidedSplitError as err:
+                    errors.append((str(err), err.next_prime))
+            assert errors[0] == errors[1], (N, ps)
+            undecided += errors[0] is not None
+    assert undecided == 19
+
+
+def test_orbits_parted_by_w_alone_count_as_one_block():
+    # 37a and 37b share a_7 = -1 and have opposite signs under W_N, which
+    # parts them: the two 1-dimensional blocks share their factor at 7
+    with pytest.raises(UndecidedSplitError) as exc:
+        decompose(ModularSymbolSpace(37), [7])
+    assert str(exc.value).startswith("a 2-dimensional block")
+    assert exc.value.next_prime == 11
+    assert analyze_level(37, [7, 11])["primes"] == [7, 11]
+
+
+@pytest.mark.slow
+def test_997_at_primes_2_and_3_keeps_its_error_bytes():
+    # W_N puts the two rational orbits that agree at 2 and 3 in blocks of
+    # their own, and the identity start in one: the blocks sharing their
+    # factors at every supplied prime count as one
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["decompose", "997", "--primes", "2,3", "--no-cache"])
+    assert code == 3
+    assert json.loads(out.getvalue())["error"] == (
+        "a 2-dimensional block is not generated by any supplied eigenvalue; "
+        "distinct orbits share all supplied primes -- try adding prime 5")
 
 
 def test_composite_level_flags_possibly_old():

@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
+from modfol.arith import is_prime
 from modfol.congruence import curve_data
+from modfol.eigen import _plus_hecke_matrix
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
 from modfol import modsym
@@ -378,3 +380,25 @@ class TestCuspidal:
                 n, n, [v[i] if j == f else 0 for i in range(n) for j in range(n)])
             with pytest.raises(DomainError):
                 space.restrict_to_cuspidal(op)
+
+
+class TestAtkinLehner:
+    @pytest.mark.parametrize("N, dims", [
+        (11, (0, 1)), (37, (1, 1)), (389, (11, 21)),
+        pytest.param(997, (38, 44), marks=pytest.mark.slow)])
+    def test_eigenspace_dimensions(self, N, dims):
+        W = ModularSymbolSpace(N).plus_atkin_lehner()
+        plus = (W - QMatrix.identity(W.rows)).echelon_kernel()[0].cols
+        assert (plus, W.rows - plus) == dims
+
+    @pytest.mark.parametrize("levels", [
+        range(11, 101),
+        pytest.param(range(11, 398), marks=pytest.mark.slow)])
+    def test_involution_commuting_with_t2_and_t3(self, levels):
+        for N in filter(is_prime, levels):
+            space = ModularSymbolSpace(N)
+            W = space.plus_atkin_lehner()
+            assert W * W == QMatrix.identity(space.genus), N
+            for p in (2, 3):
+                T = _plus_hecke_matrix(space, p)
+                assert W * T == T * W, (N, p)

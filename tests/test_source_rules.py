@@ -93,6 +93,10 @@
   Exempt are dunder methods, the module-level names in `modfol.__all__`
   (the public API), `_Parser.error`, which argparse calls, and
   `rescale_eigenvector`, which the Rauzy-loop certificate will call.
+* The Atkin-Lehner involution W_N has one body,
+  `ModularSymbolSpace.plus_atkin_lehner` in `modsym`, which alone maps an
+  endpoint p/q to -q/(N p), and only `eigen` calls it; the W_N period
+  series will share it.
 * Prime escalation is one loop: `decompose` alone catches
   UndecidedSplitError, and resumes on its blocks; there is no restart
   wrapper (`auto_decompose`).
@@ -450,6 +454,19 @@ def test_one_escalation_loop():
     assert everywhere == _catches(_function("eigen", "decompose"),
                                   "UndecidedSplitError")
     assert len(everywhere) == 1
+
+
+def test_one_atkin_lehner_body():
+    homes = [module for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name == "plus_atkin_lehner"]
+    assert homes == ["modsym"]
+    assert "plus_atkin_lehner" in _methods("modsym", "ModularSymbolSpace")
+    assert _calls("plus_atkin_lehner") == {"eigen"}
+    images = [module for module, tree in TREES.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Tuple)
+              and ast.unparse(node) == "(-q, N * p)"]
+    assert images == ["modsym"]
 
 
 def test_keane_probe_steps_on_enclosures():
