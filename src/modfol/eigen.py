@@ -32,19 +32,19 @@ does act as a scalar on the chosen eigenvector.
 All rational linear algebra is QMatrix arithmetic on integers over a
 common denominator.  A block whose operator has primary parts f_i^m_i
 is cut into the last part and the rest, and only the side of lower
-degree g is evaluated, by Horner: ker g(T) is its block and the column
-span of g(T) the other's, each an echelon basis with its free rows, so
-an operator's matrix on a block is one checked product
-(QMatrix.restrict) and no system is solved.  The primes are taken in
-turn: each one's operator is built once, restricted to every block and
-factored there, and the parts of a block inherit its operators,
-restricted to them, and its factors.  So when no prime decides a block,
-decompose can add the prime the error names and resume on the blocks it
-has, which gives what a run with the longer prime list would.  A block
-hands its operators and irreducible factors on to its orbit, and the
-eigenvector of a new block is column 0 of adj(a*I - T), one rational
-Horner recurrence on its factor with no arithmetic in K, and that of a
-possibly-old block comes from eigenspace().
+degree g is evaluated, by Paterson-Stockmeyer in about 2 sqrt(deg g)
+products: ker g(T) is its block and the column span of g(T) the
+other's, each an echelon basis with its free rows, so an operator's
+matrix on a block is one checked product (QMatrix.restrict) and no
+system is solved.  The primes are taken in turn: each one's operator is
+built once, restricted to every block and factored there, and the parts
+of a block inherit its operators, restricted to them, and its factors.
+So when no prime decides a block, decompose can add the prime the error
+names and resume on the blocks it has, which gives what a run with the
+longer prime list would.  A block hands its operators and irreducible
+factors on to its orbit, and every eigenvector over K, the orbit's and
+its dual (dual_eigenvector, on transposes), is column 0 of adj(a*I - T)
+by one rational Horner recurrence with no arithmetic in K.
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
@@ -54,7 +54,7 @@ nonzero entry, and becomes a tuple of NFElements only in the result.
 """
 
 from itertools import groupby
-from math import prod
+from math import isqrt, prod
 
 from .arith import is_prime, next_prime
 from .errors import (
@@ -66,7 +66,7 @@ from .errors import (
 )
 from .hecke import hecke_matrix
 from .linalg import QMatrix
-from .numfield import NumberField, eigenspace, leading_entry
+from .numfield import NumberField, leading_entry
 from .polys import QPolynomial, factor_poly
 
 # primes decompose picks before an undecided split propagates
@@ -214,6 +214,33 @@ def _plus_hecke_matrix(space, p):
     return hecke_matrix(space, p).restrict(*space.plus_span())
 
 
+def dual_eigenvector(space, orbit):
+    """w+: the n x d coordinate matrix W over K, on the full symbol
+    quotient, with T_p^T W = W c_p at every verified prime and S^T W = W,
+    of a certainly-new orbit.  The +1 part of S^T holds each new dual
+    block once; B, its part where f(T_p*^T) = 0 for f the minimal
+    polynomial of K (no Eisenstein system's: |a_p| <= 2 sqrt(p) < p + 1),
+    is cut while above dimension d by the next verified prime q, to its
+    part where T_q^T has the characteristic polynomial of c_q.  Then w+ is
+    _adjugate_column of T_p*^T on B."""
+    K, p_star = orbit.field, orbit.defining_prime
+    f, d = K.minpoly, K.degree
+    star = space.star_matrix().transpose()
+    basis, free = (star - QMatrix.identity(star.rows)).echelon_kernel()
+    T = hecke_matrix(space, p_star).transpose()
+    basis, free = _kernel_part(basis, free, T, f)
+    for q in sorted(orbit.coefficient_map.keys() - {p_star}):
+        if basis.cols <= d:
+            break
+        c = QPolynomial(orbit.coefficient_map[q].matrix().charpoly())
+        basis, free = _kernel_part(basis, free,
+                                   hecke_matrix(space, q).transpose(), c)
+    if basis.cols != d:
+        raise InternalInvariantError("dual block of dimension %d at degree %d"
+                                     % (basis.cols, d))
+    return basis * _adjugate_column(T.restrict(basis, free), f.coeffs)
+
+
 # -- internals ------------------------------------------------------------------
 
 
@@ -304,27 +331,23 @@ def _split(mats, p, block, free, factors, parts):
 def _orbit_from_block(space, ps, block, mats, factors):
     """The orbit of one primary block, from its operators and factors.
 
-    The eigenvector is found in block coordinates as a coordinate matrix,
-    lifted, and normalised once, at its first nonzero ambient entry, where
-    every operator's eigenvalue is then read off.  A block of multiplicity
-    1 is certified by p_star, so an operator that is not scalar on the
-    vector is a bug; a larger block is possibly old, and there it means
-    the supplied primes do not split its eigensystems.  At a prime level
-    _decided_in_identity_order has found p_star for every block first.
+    The eigenvector is _adjugate_column of the operator and factor f at
+    p_star, the least prime of largest factor degree; on a possibly-old
+    block T_p is semisimple (p does not divide the level), so f(T) = 0 and
+    it is one K-eigenvector of the block.  It is lifted and normalised
+    once, at its first nonzero ambient entry, where every operator's
+    eigenvalue is read off.  A block of multiplicity 1 is certified by
+    p_star, so an operator that is not scalar there is a bug; on a larger
+    block the supplied primes do not split its eigensystems.  At a prime
+    level _decided_in_identity_order has found p_star for every block.
     """
-    dim = block.cols
+    best = max(q.degree for q in factors.values())
+    p_star = min(p for p in ps if factors[p].degree == best)
     # factor_poly has just returned every factor as irreducible, so the
-    # fields below skip NumberField's own irreducibility check
-    p_star = next((p for p in ps if factors[p].degree == dim), None)
-    if p_star is not None:
-        field = NumberField(factors[p_star], check=False)
-        local = _adjugate_column(mats[p_star], factors[p_star].coeffs)
-    else:
-        best = max(q.degree for q in factors.values())
-        p_star = min(p for p in ps if factors[p].degree == best)
-        field = NumberField(factors[p_star], check=False)
-        local = eigenspace([(mats[p_star], field.gen())])[0]
-    mult, rem = divmod(dim, field.degree)
+    # field skips NumberField's own irreducibility check
+    field = NumberField(factors[p_star], check=False)
+    local = _adjugate_column(mats[p_star], factors[p_star].coeffs)
+    mult, rem = divmod(block.cols, field.degree)
     if rem != 0:
         raise InternalInvariantError("block dimension not a degree multiple")
 
@@ -353,14 +376,14 @@ def _orbit_from_block(space, ps, block, mats, factors):
 
 
 def _adjugate_column(T, f):
-    """Column 0 of adj(a*I - T), as its n x n coordinate matrix over Q(a).
+    """Column 0 of adj(a*I - T), as its n x d coordinate matrix over Q(a).
 
-    f (ascending) is T's characteristic polynomial, irreducible with root
-    a, so adj(a*I - T) = sum_i a^i h_i(T), where h_(n-1) = 1 and
-    h_i = x*h_(i+1) + f_(i+1): coordinate i of the column is h_i(T) e_0,
-    one rational Horner recurrence on vectors, with no arithmetic in Q(a).
-    The column is an eigenvector for a, and never zero: its coordinate
-    n - 1 is e_0.
+    f (ascending, degree d) is irreducible with root a and f(T) = 0: T's
+    characteristic polynomial, or its minimal one.  With h_(d-1) = 1 and
+    h_i = x*h_(i+1) + f_(i+1), sum_i a^i h_i(x) = (f(x) - f(a))/(x - a):
+    coordinate i of the column is h_i(T) e_0, one rational Horner
+    recurrence on vectors, with no arithmetic in Q(a).  (T - a) times it
+    is f(T) e_0 = 0, and it is never zero: its coordinate d - 1 is e_0.
     """
     e0 = QMatrix.from_rows([[int(i == 0)] for i in range(T.rows)])
     cols = [e0]
@@ -372,17 +395,30 @@ def _adjugate_column(T, f):
     return X
 
 
+def _kernel_part(basis, free, T, poly):
+    """The part of an echelon basis's span where poly(T) = 0, as _split."""
+    sub, rows = _poly_at_matrix(poly, T.restrict(basis, free)).echelon_kernel()
+    return basis * sub, [free[i] for i in rows]
+
+
 def _elements(X, field):
     den, rows = X.integer_rows()
     return tuple(field.from_integers(den, row) for row in rows)
 
 
 def _poly_at_matrix(poly, mat):
-    """poly(mat) by Horner."""
-    out = QMatrix.zeros(mat.rows, mat.rows)
-    ident = QMatrix.identity(mat.rows)
-    for c in reversed(poly.coeffs):
-        out = out * mat + ident.scale(c)
+    """poly(mat) by Paterson-Stockmeyer: Horner in mat^s, s the root of
+    the degree, on chunks of s coefficients, each a combination of the
+    powers mat^i, i < s: about 2 s products, where Horner takes s^2."""
+    coeffs, out = poly.coeffs, QMatrix.zeros(mat.rows, mat.rows)
+    powers = [QMatrix.identity(mat.rows)]
+    for _ in range(isqrt(len(coeffs) - 1) or 1):
+        powers.append(powers[-1] * mat)
+    s = len(powers) - 1
+    for j in reversed(range(0, len(coeffs), s)):
+        out = out * powers[s] + sum(
+            (x.scale(c) for x, c in zip(powers, coeffs[j:j + s])),
+            QMatrix.zeros(mat.rows, mat.rows))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Number fields Q[x]/(f): exact arithmetic, eigenspaces, real embeddings.
+"""Number fields Q[x]/(f): exact arithmetic and real embeddings.
 
 An element is its coordinate vector in the power basis 1, a, ..., a^(d-1)
 of a root a of the monic irreducible defining polynomial, stored as
@@ -6,19 +6,19 @@ integers over one positive denominator in lowest terms, the normal form
 QMatrix uses, so equal elements have equal storage; sums, products,
 rational scalars and multiplication matrices run on those integers, and
 ``coeffs`` reads them back as Fractions.  A vector of K^n is the n x d
-rational matrix of its coordinates (see eigenspace).  Real embeddings
-carry an isolating interval as integers over one common denominator and
-support exact sign queries and rational approximation to any requested
-accuracy: bisection and interval Horner run on integers, reading an
-element's integers directly, the exact zero test comes first, and no
-floating point enters any exact decision.
+rational matrix of its coordinates, and eigen solves no system over K.
+Real embeddings carry an isolating interval as integers over one common
+denominator and support exact sign queries and rational approximation
+to any requested accuracy: bisection and interval Horner run on
+integers, reading an element's integers directly, the exact zero test
+comes first, and no floating point enters any exact decision.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .arith import _frac
-from .errors import DimensionError, DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError
 from .linalg import QMatrix, _integers, _lowest_terms
 from .polys import QPolynomial, _sign_at, is_irreducible, isolate_real_roots
 
@@ -310,42 +310,7 @@ class NFElement:
         return sum(m[k, k] for k in range(m.rows))
 
 
-# -- linear algebra over a number field ------------------------------------------
-
-
-def eigenspace(pairs):
-    """Basis over K of {X : A*X = X*c.matrix() for every pair (A, c)}.
-
-    A is an n x n rational QMatrix, c an element of one field K of degree
-    d, and X the n x d coordinate matrix of a vector of K^n.  On the
-    row-major entries of X the equations are A (x) I_d - I_n (x) c.matrix()^T,
-    the restriction of scalars of A - c*I, which maps a reduced echelon form
-    over K to one over Q: the rational kernel vector at free column j*d is
-    the vector over K that is 1 at its free entry j, in free-entry order.
-    """
-    if not pairs:
-        raise DomainError("eigenspace needs at least one (matrix, value) pair")
-    field = pairs[0][1].field
-    n, d = pairs[0][0].rows, field.degree
-    rows = []
-    for A, c in pairs:
-        if (A.rows, A.cols) != (n, n):
-            raise DimensionError("eigenspace needs square matrices of one size")
-        if c.field != field:
-            raise DomainError("eigenvalues lie in different fields")
-        # the system times den_A * den_c, which leaves its kernel alone
-        den_a, a = A.integer_rows()
-        den_c, ct = c.matrix().transpose().integer_rows()
-        for i, arow in enumerate(a):
-            for r, crow in enumerate(ct):
-                row = [den_c * x if k == r else 0 for x in arow for k in range(d)]
-                for k, z in enumerate(crow):
-                    row[i * d + k] -= den_a * z
-                rows.append(row)
-    basis, free = QMatrix.from_rows(rows).echelon_kernel()
-    vectors = (basis.col(k) for k, f in enumerate(free) if f % d == 0)
-    return [QMatrix.from_rows([v[j:j + d] for j in range(0, n * d, d)])
-            for v in vectors]
+# -- vectors over a number field -------------------------------------------------
 
 
 def leading_entry(X, field):

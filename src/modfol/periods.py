@@ -7,11 +7,11 @@ Integrating that differential along the closed loops attached to group
 elements gives the classical periods.  Three layers live here:
 
 * exact coefficients: :func:`ensure_series` extends an orbit's q-expansion
-  to any order through a dual eigenvector from numfield.eigenspace,
-  tabulated once on P^1, so the coefficient at a prime p is one integer
-  dot product with the counts of its O(p log p) Heilbronn images.  The
-  vector is taken nonzero at the symbol (0:1) whenever the eigenspace
-  allows: from that start the images of each chain -r are the star
+  to any order through its star-fixed dual eigenvector w+ (from
+  eigen.dual_eigenvector), tabulated once on P^1, so the coefficient at a
+  prime p is one integer dot product with the counts of its O(p log p)
+  Heilbronn images.  w+ is read at the star-fixed symbol (0:1) where it
+  is nonzero: from that start the images of each chain -r are the star
   images of the chain r, so the walk takes each pair once;
 * numerics: :func:`period_integral` evaluates the loop integral for a
   single group element by summing the antiderivative series at the two
@@ -39,15 +39,16 @@ from fractions import Fraction
 from mpmath import libmp, mp
 
 from .congruence import gamma0_contains
+from .eigen import dual_eigenvector
 from .errors import (
     DomainError,
     IndeterminateRankError,
     PrecisionError,
     TruncationError,
 )
-from .hecke import eigenvalue_from_functional, hecke_matrix, qexp_from_primes
+from .hecke import eigenvalue_from_functional, qexp_from_primes
 from .linalg import QMatrix, lll_reduce
-from .numfield import eigenspace, leading_entry
+from .numfield import leading_entry
 
 # Extra decimal digits carried internally beyond the requested precision.
 _GUARD = 25
@@ -112,25 +113,18 @@ def ensure_series(space, orbit, terms):
 
 
 def _dual_functional(space, orbit):
-    """(table, j): a dual eigenvector w of the orbit, scaled once so that
+    """(table, j): the orbit's dual eigenvector w+, scaled once so that
     w[j] = 1, tabulated on every Manin symbol (see _functional_table).
 
-    The joint eigenspace of the verified pairs (T_p^T, c_p) cuts out
-    exactly this orbit's dual block, so any w in it, with w^T T_p = c_p w^T,
-    gives the coefficients of this orbit alone.  w is the first basis
-    vector of that eigenspace that is nonzero at free symbol 0, the
-    symbol (0:1), so j = 0 and each coefficient takes the walk that
-    heilbronn_counts folds by the star involution; when the whole
-    eigenspace vanishes there (L(f, 1) = 0, as at 37/0), w is the first
-    basis vector.  The table is re-checked exactly against every verified
-    eigenvalue before use.
+    Of the orbit's dual eigenvectors only w+ can be nonzero at the
+    star-fixed symbol (0:1), free symbol 0; where it is, j = 0 and each
+    coefficient takes the walk that heilbronn_counts folds by the star
+    involution, and where it is not (L(f, 1) = 0, as at 37/0), j is its
+    first nonzero entry.  The table is re-checked exactly against every
+    verified eigenvalue before use.
     """
     K = orbit.field
-    kern = eigenspace([(hecke_matrix(space, p).transpose(), cp)
-                       for p, cp in sorted(orbit.coefficient_map.items())])
-    if not kern:
-        raise DomainError("orbit data admits no dual eigenvector")
-    w = next((X for X in kern if any(X.row(0))), kern[0])
+    w = dual_eigenvector(space, orbit)
     j, x = leading_entry(w, K)
     table = _functional_table(space, K, w * x.inverse().matrix())
     for p, cp in orbit.coefficient_map.items():

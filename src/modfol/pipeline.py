@@ -9,7 +9,9 @@ EigenformOrbit from its record, so downstream consumers (period
 integrals, the CLI) behave identically on fresh and cached data.
 
 Rationals are serialized as JSON ints when integral and as exact "p/q"
-strings otherwise; no floats appear in records.
+strings otherwise; no floats appear in records.  A possibly-old orbit's
+eigenvector is one K-eigenvector of its block, which nothing prints or
+reads, so records of earlier versions, which chose another, stay valid.
 """
 
 import re

@@ -3,7 +3,9 @@
 Everything here is deliberately naive (brute force, first principles) and
 kept separate from the package so the two routes share no code.  The
 routes that the package replaced (the sweep of all N^2 pairs for
-P^1(Z/N), Gauss-Jordan over K for kernels and eigenvectors, Fraction
+P^1(Z/N), Gauss-Jordan over K for kernels and eigenvectors, the joint
+eigenspace over K by restriction of scalars, which the adjugate column
+replaced for dual and possibly-old eigenvectors, Fraction
 Horner on each primary part for primary blocks, the adjugate column by
 Horner over K, and the two Hecke routes that Heilbronn matrices
 superseded: Merel's determinant-p family and the degeneracy-coset
@@ -418,7 +420,7 @@ def nf_rref(field, rows):
 
 def elimination_nf_kernel(field, rows):
     """Basis of the right kernel over the field by Gauss-Jordan elimination,
-    the oracle for numfield.eigenspace on the rows A - c*I.
+    the oracle for kronecker_eigenspace on the rows A - c*I.
 
     Echelonized; each basis vector has value 1 in its distinguishing
     (free) coordinate.
@@ -438,6 +440,44 @@ def elimination_nf_kernel(field, rows):
             v[pc] = -rref[k][c]
         basis.append(v)
     return basis
+
+
+def kronecker_eigenspace(pairs):
+    """Basis over K of {X : A*X = X*c.matrix() for every pair (A, c)}, by
+    restriction of scalars: the oracle for eigen.dual_eigenvector and the
+    possibly-old eigenvectors of eigen.decompose, which the package once
+    solved this way.
+
+    A is an n x n rational QMatrix, c an element of one field K of degree
+    d, and X the n x d coordinate matrix of a vector of K^n.  On the
+    row-major entries of X the equations are A (x) I_d - I_n (x) c.matrix()^T,
+    the restriction of scalars of A - c*I, which maps a reduced echelon form
+    over K to one over Q: the rational kernel vector at free column j*d is
+    the vector over K that is 1 at its free entry j, in free-entry order.
+    """
+    if not pairs:
+        raise DomainError("eigenspace needs at least one (matrix, value) pair")
+    field = pairs[0][1].field
+    n, d = pairs[0][0].rows, field.degree
+    rows = []
+    for A, c in pairs:
+        if (A.rows, A.cols) != (n, n):
+            raise DimensionError("eigenspace needs square matrices of one size")
+        if c.field != field:
+            raise DomainError("eigenvalues lie in different fields")
+        # the system times den_A * den_c, which leaves its kernel alone
+        den_a, a = A.integer_rows()
+        den_c, ct = c.matrix().transpose().integer_rows()
+        for i, arow in enumerate(a):
+            for r, crow in enumerate(ct):
+                row = [den_c * x if k == r else 0 for x in arow for k in range(d)]
+                for k, z in enumerate(crow):
+                    row[i * d + k] -= den_a * z
+                rows.append(row)
+    basis, free = QMatrix.from_rows(rows).echelon_kernel()
+    vectors = (basis.col(k) for k, f in enumerate(free) if f % d == 0)
+    return [QMatrix.from_rows([v[j:j + d] for j in range(0, n * d, d)])
+            for v in vectors]
 
 
 def elimination_eigenvector(T, lam):

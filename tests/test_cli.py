@@ -190,6 +190,24 @@ def test_decompose_big_level_bytes_pinned(N):
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[N]
 
 
+# (exit code, sha256 of stdout) of ``decompose|classify --range 1..200
+# --no-cache``: the composite levels, where the possibly-old blocks are,
+# beside the prime levels pinned above.  classify exits 3 because it
+# reports each genus-0 level as an error line.
+RANGE_DIGESTS = {
+    "decompose": (0, "adbdf8830c22cc5d3f2caaff7da997b69f3f72c955b1fee88a20993c80a53c97"),
+    "classify": (3, "41b1d4fcd832cc0d63e70f3ba6eb432367aea7dd041f5d2187281268fc85c61c"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", sorted(RANGE_DIGESTS))
+def test_range_bytes_pinned(command):
+    code, out = run(command, "--range", "1..200", "--no-cache")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == RANGE_DIGESTS[command]
+
+
 def test_decompose_genus_zero():
     code, obj = run_json("decompose", "13")
     assert code == 0

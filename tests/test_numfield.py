@@ -5,17 +5,18 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from modfol.eigen import decompose
+from modfol import eigen
+from modfol.eigen import decompose, dual_eigenvector
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace
-from modfol.numfield import NumberField, RealEmbedding, eigenspace
+from modfol.numfield import NumberField, RealEmbedding, leading_entry
 from modfol.polys import QPolynomial, isolate_real_roots, parse_poly
 
 from oracles import (FractionElement, FractionEmbedding,
                      elimination_nf_kernel, fraction_row_approx,
-                     fraction_row_sign)
+                     fraction_row_sign, kronecker_eigenspace)
 
 
 @pytest.fixture
@@ -348,7 +349,9 @@ class TestMultiplicationMatrix:
 
 
 class TestEigenspace:
-    """eigenspace(pairs): the joint eigenspace over K, as coordinate matrices."""
+    """kronecker_eigenspace(pairs), the joint eigenspace over K as coordinate
+    matrices by restriction of scalars: the test oracle for the dual and
+    possibly-old eigenvectors, itself checked against Gauss-Jordan over K."""
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -360,7 +363,7 @@ class TestEigenspace:
                 for A, c in pairs for i in range(n)]
         expected = [QMatrix.from_rows([x.coeffs for x in v])
                     for v in elimination_nf_kernel(K, rows)]
-        got = eigenspace(pairs)
+        got = kronecker_eigenspace(pairs)
         assert got == expected
         assert len(got) >= floor
         for X in got:
@@ -375,14 +378,15 @@ class TestEigenspace:
                                      + [[0, 0] + row for row in bottom.to_rows()])
 
         A = block_diagonal(m, m)
-        both = eigenspace([(A, K.gen())])
+        both = kronecker_eigenspace([(A, K.gen())])
         assert len(both) == 2
         # the basis is 1 at its free entries, 1 and 3, in that order
         assert [X.row(1) for X in both] == [[1, 0], [0, 0]]
         assert [X.row(3) for X in both] == [[0, 0], [1, 0]]
         # -M on the second block has eigenvalue -g there, so the pair
         # (diag(M, -M), g) keeps only the first block
-        (X,) = eigenspace([(A, K.gen()), (block_diagonal(m, -m), K.gen())])
+        (X,) = kronecker_eigenspace([(A, K.gen()),
+                                     (block_diagonal(m, -m), K.gen())])
         assert X == both[0]
         assert X.row(2) == X.row(3) == [0, 0]
 
@@ -390,33 +394,119 @@ class TestEigenspace:
         a, b = golden_ratio_field.gen(), sqrt2_field.gen()
         square = QMatrix.identity(2)
         with pytest.raises(DomainError):
-            eigenspace([])
+            kronecker_eigenspace([])
         with pytest.raises(DimensionError):
-            eigenspace([(QMatrix.zeros(2, 3), a)])
+            kronecker_eigenspace([(QMatrix.zeros(2, 3), a)])
         with pytest.raises(DimensionError):
-            eigenspace([(square, a), (QMatrix.identity(3), a)])
+            kronecker_eigenspace([(square, a), (QMatrix.identity(3), a)])
         with pytest.raises(DomainError):
-            eigenspace([(square, a), (square, b)])
+            kronecker_eigenspace([(square, a), (square, b)])
 
     def test_dual_eigenspace_of_every_new_orbit(self):
-        # on the full symbol quotient an orbit's dual eigensystem appears
-        # once in each star half; the star pair (S^T, 1) keeps the +1 half
+        # w+ spans the oracle's line of the verified pairs and the star pair
+        # (S^T, 1), so it reads the oracle's a_p
         count = 0
         for N in range(1, 60):
             space = ModularSymbolSpace(N)
             if space.genus == 0:
                 continue
-            star = space.star_matrix().transpose()
             for orbit in decompose(space):
-                if orbit.possibly_old:
-                    continue
-                pairs = [(hecke_matrix(space, p).transpose(), c)
-                         for p, c in orbit.coefficient_map.items()]
-                assert len(eigenspace(pairs)) == 2, (N, orbit)
-                plus = eigenspace(pairs + [(star, orbit.field.one())])
-                assert len(plus) == 1, (N, orbit)
-                count += 1
+                if not orbit.possibly_old:
+                    _assert_dual_matches_oracle(space, orbit)
+                    count += 1
         assert count == 53
+
+    def test_dual_block_is_cut_where_orbits_share_a_minimal_polynomial(
+            self, built_primes):
+        # 307/2 and 307/3 agree at 2, the smallest level with such a pair:
+        # their dual block at p* = 2 has dimension 2 and is cut at 3
+        space = ModularSymbolSpace(307)
+        orbits = decompose(space)
+        for orbit in orbits[2:4]:
+            built_primes.clear()
+            _assert_dual_matches_oracle(space, orbit)
+            assert built_primes == [2, 3]
+
+    @pytest.mark.slow
+    def test_dual_eigenvector_sweep(self, built_primes):
+        # every certainly-new orbit at N < 200 against the oracle; at 389
+        # and 997 the oracle takes minutes at high degree, so there each
+        # a_p is checked on the primal eigenvector instead.  997/0 and
+        # 997/1 agree at 2 and 3, so their dual blocks are cut at 3 and 5.
+        count = 0
+        for N in range(1, 200):
+            space = ModularSymbolSpace(N)
+            for orbit in decompose(space) if space.genus else ():
+                if not orbit.possibly_old:
+                    _assert_dual_matches_oracle(space, orbit)
+                    count += 1
+        assert count == 336
+        for N in (389, 997):
+            space = ModularSymbolSpace(N)
+            for k, orbit in enumerate(decompose(space)):
+                built_primes.clear()
+                W = dual_eigenvector(space, orbit)
+                assert built_primes == (
+                    [2, 3, 5] if (N, k) in {(997, 0), (997, 1)}
+                    else [orbit.defining_prime]), (N, k)
+                _assert_dual_reads_primal_eigenvalues(space, orbit, W)
+
+
+@pytest.fixture
+def built_primes(monkeypatch):
+    """The primes at which eigen builds a Hecke operator, in order."""
+    built = []
+    build = eigen.hecke_matrix
+    monkeypatch.setattr(eigen, "hecke_matrix",
+                        lambda space, p: built.append(p) or build(space, p))
+    return built
+
+
+def test_dual_eigenvector_refuses_a_wrong_field():
+    # an orbit whose field no dual eigensystem has: the +1 dual block at p*
+    # is empty, and the route refuses it
+    space = ModularSymbolSpace(23)
+    (orbit,) = decompose(space)
+    K = NumberField(parse_poly("x^2 - 3"))
+    orbit.field, orbit.degree = K, 2
+    orbit.coefficient_map = {2: K.gen()}
+    with pytest.raises(InternalInvariantError,
+                       match="dual block of dimension 0 at degree 2"):
+        dual_eigenvector(space, orbit)
+
+
+def _normalized(X, field):
+    return X * leading_entry(X, field)[1].inverse().matrix()
+
+
+def _assert_dual_matches_oracle(space, orbit):
+    K = orbit.field
+    star = space.star_matrix().transpose()
+    pairs = [(hecke_matrix(space, p).transpose(), c)
+             for p, c in orbit.coefficient_map.items()]
+    # the star rows first: the same reduced basis, in a fifth of the time
+    (line,) = kronecker_eigenspace([(star, K.one())] + pairs)
+    W = dual_eigenvector(space, orbit)
+    assert _normalized(W, K) == _normalized(line, K), (space.N, orbit)
+
+
+def _assert_dual_reads_primal_eigenvalues(space, orbit, W):
+    """W is fixed by the transposed star, and W^T T_p = c_p W^T at the first
+    primes, none dividing the level, with c_p read off the orbit's primal
+    eigenvector by T_p on the +1 half."""
+    K = orbit.field
+    star = space.star_matrix().transpose()
+    assert star * W == W
+    basis, free = space.plus_span()
+    v = QMatrix.from_rows([x.coeffs for x in orbit.eigenvector])
+    lead = leading_entry(v, K)[0]
+    for p in (2, 3, 5, 7, 11, 13):
+        T = hecke_matrix(space, p)
+        image = T.restrict(basis, free) * v
+        den, rows = image.integer_rows()
+        c = K.from_integers(den, rows[lead])
+        assert image == v * c.matrix(), (space.N, p)
+        assert T.transpose() * W == W * c.matrix(), (space.N, p)
 
 
 class TestRealEmbeddings:

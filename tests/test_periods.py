@@ -16,7 +16,7 @@ from modfol.errors import (
     PrecisionError,
     TruncationError,
 )
-from modfol import periods
+from modfol import eigen, periods
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
@@ -150,7 +150,7 @@ def test_longer_series_reuses_the_dual_functional(monkeypatch):
         calls.append(p)
         return hecke_matrix(space, p)
 
-    monkeypatch.setattr(periods, "hecke_matrix", counting)
+    monkeypatch.setattr(eigen, "hecke_matrix", counting)
     ensure_series(space, orbit, 20)
     assert calls
     calls.clear()

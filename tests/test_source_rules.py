@@ -27,12 +27,14 @@
   matrix (`cuspidal_hecke_matrix`) or cuspidal star (`star_on_cuspidal`)
   is defined, and only `modsym` calls `restrict_to_cuspidal`; the route
   through the cuspidal subspace lives in the test oracles alone.
-* A simple eigenvector over K has one route, with no arithmetic in K:
+* An eigenvector over K has one route, with no arithmetic in K:
   `_adjugate_column` reads column 0 of adj(a*I - T) off the minimal
   polynomial by a rational Horner recurrence and calls no field operation
-  (`gen`, `one`, `inverse`, `matrix`, `eigenspace`, `NFElement`);
-  `rescale_eigenvector` goes through it, not through `eigenspace`, and no
-  Krylov matrix (`krylov`) is defined.
+  (`gen`, `one`, `inverse`, `matrix`, `eigenspace`, `NFElement`).
+  `rescale_eigenvector`, `_orbit_from_block` (simple and possibly-old
+  blocks alike) and `dual_eigenvector` go through it; no module defines
+  or imports a K-linear solver `eigenspace`, and no Krylov matrix
+  (`krylov`) is defined.
 * LLL runs on integers: the Fraction Gram-Schmidt recomputation lives
   in the test oracles alone.
 * The Manin-symbol quotient is a spanning forest, not an elimination:
@@ -67,9 +69,9 @@
   ad - bc of a group element (`mat_det`); is_unimodular reads its
   determinant off charpoly, and NFElement.inverse is one rref, with no
   extended Euclid (`divmod`) of its own.
-* Linear systems over a number field are solved in eigen's coordinate
-  form, by numfield.eigenspace on rational operators: no `nf_kernel` on
-  lists of field elements.
+* No linear system over a number field is solved: eigen's coordinate
+  form holds vectors over K as rational matrices, and no `nf_kernel` on
+  lists of field elements is defined.
 * Polynomial remainders run on integers: gcds, squarefree parts and
   Sturm chains are primitive remainder sequences in Z[x], so there is no
   Euclid over Q (`poly_gcd`, `sturm_chain`, `squarefree_part`), no
@@ -290,10 +292,17 @@ def _called(node):
 
 def test_one_simple_eigenvector_route():
     assert "krylov" not in _defined_functions()
+    assert "eigenspace" not in _defined_functions()
+    imported = {alias.name for tree in TREES.values()
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "eigenspace" not in imported
     assert _called(_function("eigen", "_adjugate_column")) & {
         "gen", "one", "inverse", "matrix", "eigenspace", "NFElement"} == set()
-    rescale = _called(_function("eigen", "rescale_eigenvector"))
-    assert "_adjugate_column" in rescale and "eigenspace" not in rescale
+    for route in ("rescale_eigenvector", "_orbit_from_block",
+                  "dual_eigenvector"):
+        called = _called(_function("eigen", route))
+        assert "_adjugate_column" in called and "eigenspace" not in called
 
 
 def test_the_quotient_is_a_spanning_forest():
