@@ -8,7 +8,9 @@ the factorization of N (Cremona, Algorithms for Modular Elliptic Curves,
 
 A point of P^1(Z/N) is a pair (c, d) with gcd(c, d, N) = 1, up to scaling
 by units of Z/N.  The canonical representative of a class is the
-lexicographically smallest pair in its unit orbit.
+lexicographically smallest pair in its unit orbit.  The classes are held
+as one row of length N per divisor of N, read through one unit per first
+entry: about N*sigma_0(N) entries, with no N*N table.
 """
 
 from fractions import Fraction
@@ -85,35 +87,47 @@ def curve_data(N):
 class P1Space:
     """P^1(Z/N) with canonical representatives and index lookup.
 
-    The smallest first entry in the unit orbit of (c, d) is gcd(c, N), so
-    the constructor sweeps only the rows c = 0 and c = g | N, g < N, in
-    lexicographic order: the first pair met of each orbit is its canonical
-    representative, and every member gets that class's index in a flat N*N
-    table (-1 marks non-points), through row offsets (u*c mod N)*N made
-    once per row.  index() is one table read, reps[index(c, d)] the
-    canonical representative.
+    The smallest first entry in the unit orbit of (c, d) is g = gcd(c, N),
+    and a unit v with v*c = g (mod N) carries (c, d) to (g, v*d).  So the
+    space keeps one class row of length N for c = 0 and for each divisor
+    g < N (-1 marks non-points), and one such unit per first entry: the
+    class of (c, d), reduced mod N, is _rows[c][_units[c] * d % N], where
+    _rows[c] is the row of gcd(c, N).  The rows are swept in the order of
+    a lexicographic sweep of all pairs, so the first pair met of each
+    orbit is its canonical representative, and its class is spread over
+    the units that fix g.  That is about N*sigma_0(N) steps and entries,
+    not N^2.  index() is one read, reps[index(c, d)] the canonical
+    representative.
     """
 
-    __slots__ = ("N", "reps", "_table", "_star")
+    __slots__ = ("N", "reps", "_rows", "_units", "_star")
 
     def __init__(self, N):
         if N < 1:
             raise DomainError("level must be a positive integer")
         self.N = N
         units = [u for u in range(1, max(N, 2)) if gcd(u, N) == 1]
-        table = [-1] * (N * N)
-        reps = []
-        for c in [0] + [g for g in range(1, N) if N % g == 0]:
-            offsets = [u * c % N * N for u in units]
+        reps, row_of = [], {}
+        for g in [0] + [g for g in range(1, N) if N % g == 0]:
+            fix = [u for u in units if u * g % N == g]
+            row = row_of[gcd(g, N)] = [-1] * N
             for d in range(N):
-                if table[c * N + d] >= 0 or gcd(gcd(c, d), N) != 1:
+                if row[d] >= 0 or gcd(g, d, N) != 1:
                     continue
                 k = len(reps)
-                reps.append((c, d))
-                for u, row in zip(units, offsets):
-                    table[row + u * d % N] = k
+                reps.append((g, d))
+                for u in fix:
+                    row[u * d % N] = k
         self.reps = tuple(reps)
-        self._table = table
+        # the row of g = gcd(c, N), and v = (c/g)^-1 mod N/g lifted to a unit
+        self._rows, self._units = [], []
+        for c in range(N):
+            g = gcd(c, N)
+            v = pow(c // g, -1, N // g)
+            while gcd(v, N) != 1:
+                v += N // g
+            self._rows.append(row_of[g])
+            self._units.append(v)
         self._star = None
 
     def __len__(self):
@@ -123,7 +137,7 @@ class P1Space:
         N = self.N
         c %= N
         d %= N
-        i = self._table[c * N + d]
+        i = self._rows[c][self._units[c] * d % N]
         if i < 0:
             raise DomainError("(%d, %d) is not a point of P^1(Z/%d)" % (c, d, N))
         return i
@@ -134,9 +148,9 @@ class P1Space:
         heilbronn_counts in place: the star involution on P^1, built on
         first use."""
         if self._star is None:
-            N, table = self.N, self._table
-            self._star = [table[-c % N * N + d] for c, d in self.reps] \
-                + [len(self.reps)]
+            N, rows, units = self.N, self._rows, self._units
+            self._star = [rows[-c % N][units[-c % N] * d % N]
+                          for c, d in self.reps] + [len(self.reps)]
         return self._star
 
     def heilbronn_counts(self, c, d, p):
@@ -154,37 +168,39 @@ class P1Space:
         divides N) drop out."""
         if not is_prime(p):
             raise DomainError("expected a prime, got %d" % p)
-        N, table = self.N, self._table
+        N, rows, units = self.N, self._rows, self._units
         cp = c * p % N
         if p == 2:
             starts = (c, 2 * d), (2 * c, d), (2 * c, c + d), (c + d, 2 * d)
             half = 0
         else:   # the matrix (1, 0, 0, p), and r = 0
             starts, half = ((c, d * p), (cp, d)), p // 2
-        # the table marks non-points -1: they land in a last, dropped slot
+        # the rows mark non-points -1: they land in a last, dropped slot
         counts = [0] * (len(self.reps) + 1)
         fold = c % N == 0
         for r in range(1, half + 1):
             x = u = cp
             y, v = (d - c * r) % N, (d + c * r) % N
             if not fold:
-                counts[table[x * N + y]] += 1
-                counts[table[u * N + v]] += 1
+                counts[rows[x][units[x] * y % N]] += 1
+                counts[rows[u][units[u] * v % N]] += 1
             a, b = -p, r
             while b:
                 q = (2 * a + b) // (2 * b)        # nearest integer to a/b
                 a, b = -b, a - q * b
                 x, y = y, (q * y - x) % N
-                counts[table[x * N + y]] += 1
+                counts[rows[x][units[x] * y % N]] += 1
                 if not fold:
                     u, v = v, (-q * v - u) % N
-                    counts[table[u * N + v]] += 1
+                    counts[rows[u][units[u] * v % N]] += 1
         if fold:
             counts = [k + counts[s]
                       for k, s in zip(counts, self.star_permutation())]
-            counts[table[d % N]] += 2 * half      # the r != 0 starts (0:d)
+            # the r != 0 starts (0:d)
+            counts[rows[0][units[0] * d % N]] += 2 * half
         for x, y in starts:
-            counts[table[x % N * N + y % N]] += 1
+            x %= N
+            counts[rows[x][units[x] * y % N]] += 1
         counts.pop()
         return counts
 

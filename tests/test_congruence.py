@@ -29,6 +29,16 @@ def _p1(N):
     return P1Space(N)
 
 
+def _swept(space):
+    """The space's reps, and the class of every pair (c, d) in the order of
+    sweep_p1's flat table, read off each first entry's row through its
+    unit (-1 at non-points)."""
+    N = space.N
+    return space.reps, [row[v * d % N]
+                        for row, v in zip(space._rows, space._units)
+                        for d in range(N)]
+
+
 class TestCurveData:
     GOLDEN = {
         1: (1, 1, 1, 1, 0),
@@ -111,8 +121,7 @@ class TestP1:
 
     def test_reps_and_table_match_the_full_sweep(self):
         for N in range(1, 121):
-            space = P1Space(N)
-            assert (space.reps, space._table) == sweep_p1(N), N
+            assert _swept(P1Space(N)) == sweep_p1(N), N
 
     @pytest.mark.slow
     def test_reps_and_table_match_the_full_sweep_at_large_levels(self):
@@ -121,8 +130,18 @@ class TestP1:
         # level to 2,000 takes about 40 minutes
         for N in [*range(121, 401), 512, 729, 961, 997, 1000, 1024, 1331,
                   1680, 1728, 1800, 1980, 1998, 1999, 2000]:
-            space = P1Space(N)
-            assert (space.reps, space._table) == sweep_p1(N), N
+            assert _swept(P1Space(N)) == sweep_p1(N), N
+
+    def test_one_row_per_divisor_and_one_unit_per_first_entry(self):
+        # no N*N structure: sigma_0(2000) = 20 distinct class rows of length
+        # 2000, shared by the first entries of each gcd, and 2000 units
+        space = P1Space(2000)
+        rows = {id(row): row for row in space._rows}.values()
+        assert len(space._rows) == len(space._units) == 2000
+        assert len(rows) == 20
+        assert {len(row) for row in rows} == {2000}
+        assert all(gcd(v, 2000) == 1 and v * c % 2000 == gcd(c, 2000) % 2000
+                   for c, v in enumerate(space._units))
 
     def test_canonical_and_index_match_oracle_on_every_pair(self):
         for N in range(1, 61):

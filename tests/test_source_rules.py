@@ -8,7 +8,11 @@
 * The Hecke routes that Heilbronn matrices replaced (Merel's family and
   the degeneracy-coset paths), and the Heilbronn family as a list of
   matrices, which the walk mod N replaced, live in the test oracles alone;
-  only `congruence` reads the P^1 table that the walk runs on.
+  only `congruence` reads the P^1 class rows and units that the walk runs
+  on, and nothing reads a flat table `_table`.
+* P^1(Z/N) holds no N*N structure: every list that P1Space allocates by
+  repetition has length N or one more than its point count, and no
+  expression in it squares N.
 * The Heilbronn walk is one continued-fraction recursion: its step
   `(2 * a + b) // (2 * b)` appears once in the package, in
   `P1Space.heilbronn_counts`, which drives the chains of r and -r
@@ -167,10 +171,25 @@ def test_prime_helpers_live_in_arith():
 def test_replaced_hecke_routes_are_oracles_only():
     assert _defined_functions() & {"merel_family", "_coset_images",
                                    "hecke_column_paths", "heilbronn"} == set()
-    readers = {module for module, tree in TREES.items()
-               for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute) and node.attr == "_table"}
-    assert readers == {"congruence"}
+    readers = {(module, node.attr) for module, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr in {"_table", "_rows", "_units"}}
+    assert readers == {("congruence", "_rows"), ("congruence", "_units")}
+
+
+def test_p1_allocates_no_square_table():
+    cls = next(node for node in ast.walk(TREES["congruence"])
+               if isinstance(node, ast.ClassDef) and node.name == "P1Space")
+    sizes = {ast.unparse(node.right) for node in ast.walk(cls)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+             and isinstance(node.left, ast.List)}
+    assert sizes == {"N", "len(self.reps) + 1"}
+    squares = [ast.unparse(node) for node in ast.walk(cls)
+               if isinstance(node, ast.BinOp)
+               and isinstance(node.op, (ast.Mult, ast.Pow))
+               and ast.unparse(node.left) == "N"
+               and ast.unparse(node.right) in {"N", "2"}]
+    assert squares == []
 
 
 def test_one_heilbronn_walk_and_one_star_map():
