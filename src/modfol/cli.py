@@ -52,7 +52,7 @@ from .polys import MAX_POWER, QPolynomial, parse_poly
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
 _MAX_STEPS = 10 ** 6    # a probe step costs under 1 us per cut compared
-_MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 0.4 s and 56 MB max RSS
+_MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 0.3 s and 55 MB max RSS
 _MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
 _MAX_PRIME = 1000       # decompose --primes: T_997 at level 1999 in 11 s

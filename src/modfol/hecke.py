@@ -10,8 +10,8 @@ their images mod N, where the next matrix of a continued fraction maps
 the image (x, y) to (y, q*y - x), one recursion driving the chains of r
 and -r together, and counts them on P^1.  For the start (0:1) the -r
 images are the star images of the r images, so that walk takes each
-chain once.  A matrix column sums the images' symbol coordinates; an
-eigenvalue at a large prime dots the counts with a dual functional
+chain once.  A matrix column is the images' ModularSymbolSpace.symbol_sum;
+an eigenvalue at a large prime dots the counts with a dual functional
 tabulated on P^1 (see periods).  Tests check the walk against the
 matrices, and the operators against Merel's family and the
 degeneracy-coset path route.
@@ -37,14 +37,13 @@ from .linalg import QMatrix
 def hecke_matrix(space, p):
     """T_p on the full symbol quotient: column j sums the coordinates of
     the Heilbronn images of the j-th free symbol, with multiplicity."""
-    p1, coords = space.p1, space._symbol_coords
+    p1 = space.p1
     points = range(len(p1))
     cols = []
     for j in space.free_symbols:
         counts = p1.heilbronn_counts(*p1.reps[j], p)
-        images = [coords[i] for i in compress(points, counts)
-                  for _ in range(counts[i])]
-        cols.append([sum(col) for col in zip(*images)])
+        cols.append(space.symbol_sum(i for i in compress(points, counts)
+                                     for _ in range(counts[i])))
     return QMatrix.from_rows(zip(*cols))
 
 

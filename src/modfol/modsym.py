@@ -17,16 +17,20 @@ trivalent graph of t-orbits joined by the two-term representatives
 the quotient (dimension 2*genus + #cusps - 1) is its cycle space: its
 basis is the free symbols, the edges outside a spanning forest, and every
 symbol, path and loop has integer coordinates in it, certified against
-every relation.  The boundary map is checked in one pass over the
-symbols.  The cuspidal subspace and the +1 half of the star involution on
-it are held as echelon bases of the quotient with their free rows, so an
-operator is restricted to either by one checked product (QMatrix.restrict).
+every relation.  Only this module reads how a symbol's coordinates are
+stored: other modules sum them with symbol_sum or take symbol_matrix.
+The boundary map is certified on the relations themselves: two-term
+partners have swapped cusp ends and each three-term orbit closes into a
+triangle of cusps, which, as the coordinates are the quotient map,
+implies that every symbol's boundary is that of its coordinates.  The
+cuspidal subspace and the +1 half of the star involution on it are held
+as echelon bases of the quotient with their free rows, so an operator is
+restricted to either by one checked product (QMatrix.restrict).
 The Atkin-Lehner involution W_N is read the same way on the +1 half, from
 the images of the free symbols' paths under z -> -1/(N z).
 """
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 from operator import add, neg
 
@@ -108,13 +112,13 @@ class ModularSymbolSpace:
                 raise InternalInvariantError(
                     "three-term relation of symbol %d fails at level %d"
                     % (i, self.N))
-        return rep_of, rows
+        return sigma, orbits
 
-    def _build_boundary(self, rep_of, rep_rows):
+    def _build_boundary(self, sigma, orbits):
         # a symbol [g] = {g.0, g.oo} has boundary (g.oo) - (g.0): the cusps
         # a/c and b/d of its canonical lift.  The class of p/q, gcd(p, q) = 1,
         # q >= 0, depends only on c = gcd(q, N) and p*(q/c) mod gcd(c, N/c)
-        N, nu, labels = self.N, len(self.cusp_keys), {}
+        N, labels = self.N, {}
 
         def label(p, q):
             c = gcd(q, N)
@@ -127,21 +131,23 @@ class ModularSymbolSpace:
                 (_lift_canonical(*rep) for rep in self.p1.reps)]
         cols = [ends[i] for i in self.free_symbols]
         self._boundary = [[(p == r) - (m == r) for p, m in cols]
-                          for r in range(nu)]
+                          for r in range(len(self.cusp_keys))]
 
-        # one pass over the symbols: each is 1, -1 or 0 times its
-        # representative, whose boundary sums the free symbols' boundaries
-        # over the nonzeros of its coordinate row
-        for i, (sign, k) in enumerate(rep_of):
-            rest, row = [0] * nu, rep_rows[k] if sign else ()
-            rest[ends[i][0]] += 1
-            rest[ends[i][1]] -= 1
-            for j in compress(range(self.dim), row):
-                rest[cols[j][0]] -= sign * row[j]
-                rest[cols[j][1]] += sign * row[j]
-            if any(rest):
+        # certified on the relations the quotient divides out: [g.s] is
+        # {g.oo, g.0}, the reverse of [g], and the t-orbit's paths run
+        # g.oo -> g.0 -> g.1 -> g.oo.  The coordinates are the quotient map,
+        # so this implies that every symbol's boundary is that of its row
+        for i, j in enumerate(sigma):
+            if ends[j] != ends[i][::-1]:
                 raise InternalInvariantError(
-                    "boundary map inconsistent with relations at symbol %d" % i)
+                    "boundary map fails the two-term relation of symbol %d "
+                    "at level %d" % (i, N))
+        for i, j, k in orbits:
+            if (ends[i][1], ends[j][1], ends[k][1]) != (
+                    ends[j][0], ends[k][0], ends[i][0]):
+                raise InternalInvariantError(
+                    "boundary map fails the three-term relation of symbol %d "
+                    "at level %d" % (i, N))
 
         # the cuspidal basis is the echelon kernel: the identity at the free
         # rows, which is what express_cuspidal and restrict read off
@@ -158,7 +164,8 @@ class ModularSymbolSpace:
     def path(self, x, y):
         """Coordinates of the symbol of the geodesic path {x, y}.
 
-        Endpoints are Fractions (or integers), or None for infinity.
+        Endpoints are Fractions or integers, or None for infinity; any
+        other endpoint (a float, a string) is a DomainError.
         """
         return self._path(_pair(x), _pair(y))
 
@@ -175,12 +182,11 @@ class ModularSymbolSpace:
         Euclidean quotient, hence every convergent, unchanged.
         """
         if x is None:
-            return [0] * self.dim
+            return self.symbol_sum(())
         # continued-fraction convergents p_k/q_k of x, after 1/0 and 0/1
         pk, qk, pk_1, qk_1 = 1, 0, 0, 1
         a, b = x
-        index, coords = self.p1.index, self._symbol_coords
-        steps = []
+        index, steps = self.p1.index, []
         while b:
             quo = a // b
             a, b = b, a - quo * b
@@ -193,8 +199,22 @@ class ModularSymbolSpace:
                 raise InternalInvariantError(
                     "convergent matrix %s of %d/%d has determinant %d"
                     % (h, *x, det))
-            steps.append(coords[index(qk, det * qk_1)])
-        return [sum(col) for col in zip(*steps)]
+            steps.append(index(qk, det * qk_1))
+        return self.symbol_sum(steps)
+
+    # -- symbol coordinates ------------------------------------------------------
+
+    def symbol_sum(self, points):
+        """Integer coordinates of the sum of the Manin symbols at these
+        indices of P^1, a point listed k times counted k times."""
+        coords = self._symbol_coords
+        rows = [coords[i] for i in points]
+        return [sum(col) for col in zip(*rows)] if rows else [0] * self.dim
+
+    def symbol_matrix(self):
+        """The |P^1| x dim QMatrix whose row i is the coordinates of the
+        i-th Manin symbol."""
+        return QMatrix.from_rows(self._symbol_coords)
 
     # -- cuspidal subspace ----------------------------------------------------------
 
@@ -233,8 +253,8 @@ class ModularSymbolSpace:
         This is the map induced by z -> -conj(z) on paths; it squares to
         the identity and commutes with every Hecke operator.
         """
-        coords, star = self._symbol_coords, self.p1.star_permutation()
-        cols = [coords[star[i]] for i in self.free_symbols]
+        star = self.p1.star_permutation()
+        cols = [self.symbol_sum([star[i]]) for i in self.free_symbols]
         return QMatrix.from_rows(zip(*cols))
 
     def plus_span(self):
@@ -389,5 +409,7 @@ def _pair(x):
     """(numerator, denominator) of a rational endpoint; None stays None."""
     if x is None:
         return None
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError("path endpoint must be an int, a Fraction or None, "
+                          "not %s" % type(x).__name__)
     return x.numerator, x.denominator

@@ -47,7 +47,7 @@ from .errors import (
     TruncationError,
 )
 from .hecke import eigenvalue_from_functional, qexp_from_primes
-from .linalg import QMatrix, lll_reduce
+from .linalg import lll_reduce
 from .numfield import leading_entry
 
 # Extra decimal digits carried internally beyond the requested precision.
@@ -138,8 +138,7 @@ def _functional_table(space, field, W):
     """(field, den, rows): rows[k][i] / den is the k-th coordinate of the
     dual vector with coordinate matrix W on the i-th P^1 point's quotient
     coordinates: the integer rows of (symbol coordinates * W)^T."""
-    coords = QMatrix.from_rows(space._symbol_coords)
-    den, rows = (coords * W).transpose().integer_rows()
+    den, rows = (space.symbol_matrix() * W).transpose().integer_rows()
     return field, den, rows
 
 

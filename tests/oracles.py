@@ -24,7 +24,9 @@ real-root isolation with Sturm signs from Fraction Horner on sympy's chain
 over QQ, number-field elements on Fraction coordinates, with the
 embedding queries that read them through a Fraction QMatrix row, the
 Manin-symbol quotient by elimination of the dense three-term relation
-matrix, which the spanning forest replaced) live on here; they reuse the
+matrix, which the spanning forest replaced, and the boundary map checked
+by a walk over every symbol's coordinate row, which the certificate on the
+two- and three-term relations replaced) live on here; they reuse the
 package's field, matrix and path arithmetic but none of the code they
 check.
 """
@@ -37,7 +39,8 @@ from mpmath import libmp, mp
 
 from modfol import eigen
 from modfol.arith import is_prime
-from modfol.congruence import P1Space, _normalize_cusp
+from modfol.congruence import (P1Space, _normalize_cusp, cusp_class_key,
+                               cusp_classes)
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError,
                            UndecidedSplitError)
@@ -295,6 +298,32 @@ def relation_quotient(N):
               0: [(0,) * dim]}
     return ([reps[c] for c in free],
             [signed[sign][k] for sign, k in rep_of])
+
+
+def boundary_walk_failures(N, free, coords, lift):
+    """The symbols whose boundary differs from their coordinates'
+    boundary, by the per-symbol walk that the relation certificate
+    replaced: each symbol's ends, the cusp classes of g.oo and g.0 for its
+    lift g = lift(c, d), against the free symbols' ends summed over its
+    coordinate row."""
+    keys = cusp_classes(N)
+
+    def label(p, q):
+        return keys.index(cusp_class_key((p, q), N))
+
+    ends = [(label(a, c), label(b, d)) for a, b, c, d in
+            (lift(*rep) for rep in P1Space(N).reps)]
+    failures = []
+    for i, row in enumerate(coords):
+        rest = [0] * len(keys)
+        rest[ends[i][0]] += 1
+        rest[ends[i][1]] -= 1
+        for j, x in enumerate(row):
+            rest[ends[free[j]][0]] -= x
+            rest[ends[free[j]][1]] += x
+        if any(rest):
+            failures.append(i)
+    return failures
 
 
 def greedy_homology_generators(space):
@@ -642,8 +671,8 @@ def hecke_matrix_merel(space, p):
             d2 = (c * mb + d * md) % N
             if gcd(gcd(c2, d2), N) != 1:
                 continue          # possible only when p divides N
-            images.append(space._symbol_coords[space.p1.index(c2, d2)])
-        cols.append([sum(col) for col in zip(*images)])
+            images.append(space.p1.index(c2, d2))
+        cols.append(space.symbol_sum(images))
     return QMatrix.from_rows(
         [[cols[j][i] for j in range(dim)] for i in range(dim)])
 

@@ -5,15 +5,16 @@ from math import gcd
 import pytest
 
 from modfol.arith import is_prime
-from modfol.congruence import curve_data
+from modfol.congruence import P1Space, curve_data
 from modfol.eigen import _plus_hecke_matrix
 from modfol.errors import DimensionError, DomainError, InternalInvariantError
 from modfol.linalg import QMatrix
 from modfol import modsym
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
 
-from oracles import (cuspidal_basis, greedy_homology_generators, mat_mul,
-                     moebius_apply, random_gamma0_element, relation_quotient,
+from oracles import (boundary_walk_failures, cuspidal_basis,
+                     greedy_homology_generators, mat_mul, moebius_apply,
+                     random_gamma0_element, relation_quotient,
                      span_coordinates)
 
 
@@ -101,6 +102,13 @@ class TestPaths:
                 py = None if y is None else (m * y.numerator, m * y.denominator)
                 assert space._path(px, py) == space.path(x, y)
 
+    @pytest.mark.parametrize("endpoint", [
+        0.1, float("inf"), float("nan"), "1/2"])
+    def test_inexact_endpoints_are_refused(self, spaces, endpoint):
+        for ends in ((endpoint, None), (Fraction(1, 3), endpoint)):
+            with pytest.raises(DomainError, match="path endpoint"):
+                spaces[11].path(*ends)
+
     def test_zero_to_infinity_nonzero(self, spaces):
         # the path 0 -> oo crosses distinct cusp classes at these levels
         for N in (2, 11, 23, 37):
@@ -110,30 +118,83 @@ class TestPaths:
 
 
 class TestBoundaryCheck:
-    @pytest.mark.parametrize("N,bad", [(11, 5), (37, 0), (37, 29)])
-    def test_corrupted_symbol_is_named(self, monkeypatch, N, bad):
-        # add the free coordinate with a nonzero boundary to the two-term
-        # representative of one symbol: the divisors of the representative
-        # (the first symbol of its pair) and its partner no longer match,
-        # and the one-product check names the representative
-        clean = ModularSymbolSpace(N)
-        f = next(k for k in range(clean.dim)
-                 if any(row[k] for row in clean._boundary))
-        build = ModularSymbolSpace._build_quotient
-        named = []
+    @staticmethod
+    def relations(N):
+        """(sigma, tau): the s and t permutations of P^1(Z/N)."""
+        p1 = P1Space(N)
+        return ([p1.index(d, -c) for c, d in p1.reps],
+                [p1.index(d, -c - d) for c, d in p1.reps])
 
-        def corrupted(self):
-            rep_of, rows = build(self)
-            k = rep_of[bad][1]
-            rows[k] = [x + (j == f) for j, x in enumerate(rows[k])]
-            named.append(rep_of.index((1, k)))
-            return rep_of, rows
+    @staticmethod
+    def verdicts(monkeypatch, N, lifts):
+        """For each moved lift table: the relation certificate's error
+        message (None when it passes, even if a later certificate such as
+        the cuspidal dimension fails) and the per-symbol walk's failures,
+        with modsym's lift replaced by one that reads the table first."""
+        free, coords = relation_quotient(N)
+        lift = modsym._lift_canonical
+        out = []
+        for moved in lifts:
+            def patched(c, d):
+                return moved.get((c, d)) or lift(c, d)
 
-        monkeypatch.setattr(ModularSymbolSpace, "_build_quotient", corrupted)
-        with pytest.raises(InternalInvariantError) as exc:
-            ModularSymbolSpace(N)
-        assert named[0] <= bad
-        assert str(exc.value).endswith("at symbol %d" % named[0])
+            monkeypatch.setattr(modsym, "_lift_canonical", patched)
+            try:
+                ModularSymbolSpace(N)
+                message = None
+            except InternalInvariantError as exc:
+                message = str(exc)
+                if not message.startswith("boundary map fails"):
+                    message = None
+            out.append((message, boundary_walk_failures(N, free, coords,
+                                                        patched)))
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("N", [11, 37, 60, 97])
+    def test_lift_from_another_coset_is_named(self, monkeypatch, N):
+        # give one symbol at a time the lift of (c, c + d), from another
+        # coset unless c = 0: it moves the end g.0 to g.1, so the certificate
+        # rejects it at its two-term pair exactly when the walk does
+        reps = P1Space(N).reps
+        sigma, _ = self.relations(N)
+        lifts = [{(c, d): _lift_canonical(c, c + d)} for c, d in reps]
+        rejected = 0
+        for bad, (message, walk) in enumerate(
+                self.verdicts(monkeypatch, N, lifts)):
+            assert (message is None) == (walk == []), (N, bad)
+            if message is not None:
+                rejected += 1
+                assert message == (
+                    "boundary map fails the two-term relation of symbol %d "
+                    "at level %d" % (min(bad, sigma[bad]), N))
+        assert 0 < rejected < len(reps)
+
+    @pytest.mark.parametrize("N", [11, 37, 60, 97])
+    def test_pair_moved_together_is_named(self, monkeypatch, N):
+        # move a symbol and its two-term partner together, to g.T and
+        # g.T.s with T = (1 1; 0 1): the pair's ends stay swapped, so only a
+        # triangle of the three-term relations sees it, exactly when the
+        # walk does
+        reps = P1Space(N).reps
+        sigma, tau = self.relations(N)
+        pairs = [i for i in range(len(reps)) if sigma[i] != i]
+        lifts = []
+        for i in pairs:
+            a, b, c, d = _lift_canonical(*reps[i])
+            lifts.append({reps[i]: (a, a + b, c, c + d),
+                          reps[sigma[i]]: (a + b, -a, c + d, -c)})
+        rejected = 0
+        for i, (message, walk) in zip(pairs, self.verdicts(monkeypatch, N,
+                                                            lifts)):
+            assert (message is None) == (walk == []), (N, i)
+            if message is not None:
+                rejected += 1
+                first = min(min(x, tau[x], tau[tau[x]]) for x in (i, sigma[i]))
+                assert message == (
+                    "boundary map fails the three-term relation of symbol %d "
+                    "at level %d" % (first, N))
+        assert 0 < rejected < len(pairs)
 
 
 class TestSpanningForest:
@@ -148,7 +209,10 @@ class TestSpanningForest:
             space = ModularSymbolSpace(N)
             free, coords = relation_quotient(N)
             assert space.free_symbols == free, N
-            assert space._symbol_coords == coords, N
+            assert space.symbol_matrix() == QMatrix.from_rows(coords), N
+            # the certificate accepted; so does the per-symbol walk
+            assert boundary_walk_failures(N, free, coords,
+                                          _lift_canonical) == [], N
 
     @staticmethod
     def corrupt(monkeypatch, change):
@@ -245,10 +309,15 @@ class TestIntegerCoordinates:
     @pytest.mark.parametrize("N", [11, 37, 97])
     def test_symbol_and_path_coordinates_are_ints(self, N):
         space = ModularSymbolSpace(N)
-        assert len(space._symbol_coords) == len(space.p1)
-        for vec in space._symbol_coords:
+        vecs = [space.symbol_sum([i]) for i in range(len(space.p1))]
+        assert space.symbol_matrix() == QMatrix.from_rows(vecs)
+        for vec in vecs:
             assert len(vec) == space.dim
             assert all(type(x) is int for x in vec)
+        # repeats count, and the empty sum is the zero vector
+        assert space.symbol_sum([1, 2, 1]) == [
+            2 * x + y for x, y in zip(vecs[1], vecs[2])]
+        assert space.symbol_sum([]) == [0] * space.dim
         for x, y in ((Fraction(0), None), (Fraction(-3, 7), Fraction(5, 11)),
                      (None, Fraction(2 * N + 1, N))):
             assert all(type(v) is int for v in space.path(x, y))

@@ -44,8 +44,15 @@
 * The Manin-symbol quotient is a spanning forest, not an elimination:
   `_build_quotient` and the cycle-space helper it calls name none of
   `rref`, `echelon_kernel`, `from_rows`, `from_integer_rows` or
-  `QMatrix`, and `_build_boundary` multiplies no QMatrix: its one
-  elimination is the echelon kernel of the boundary map.
+  `QMatrix`.  `_build_boundary` is certified on the relations that
+  `_build_quotient` hands it, not on coordinates: it reads no coordinate
+  row (no `_symbol_coords`, no `compress`, nothing of `self.dim`) and
+  multiplies no QMatrix; its one elimination is the echelon kernel of the
+  boundary map.
+* Only `modsym` knows how a symbol's coordinates are stored:
+  `_symbol_coords` is named in `modsym` alone, there only by
+  `_build_quotient`, which makes it, `symbol_sum`, the one sum of symbol
+  coordinates, and `symbol_matrix`; other modules call those two.
 * A rank decision eliminates once: `homology_generators` calls `rref`
   once per sweep, never `rank`; `_rank_step` is one loop that drops a
   dependent value per accepted relation, so it does not call itself, and
@@ -337,6 +344,9 @@ def test_the_quotient_is_a_spanning_forest():
                                  if isinstance(n, ast.Name)}
         assert named & eliminations == set(), node.name
     boundary = _function("modsym", "_build_boundary")
+    named = {n.id for n in ast.walk(boundary) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(boundary) if isinstance(n, ast.Attribute)}
+    assert named & {"_symbol_coords", "compress", "dim"} == set()
     calls = [getattr(call.func, "attr", None) or getattr(call.func, "id", None)
              for call in ast.walk(boundary) if isinstance(call, ast.Call)]
     assert [name for name in calls if name in eliminations | {
@@ -347,6 +357,19 @@ def test_the_quotient_is_a_spanning_forest():
                 and isinstance(node.op, (ast.Mult, ast.MatMult))
                 for side in (node.left, node.right)]
     assert operands and not any(isinstance(side, ast.Call) for side in operands)
+
+
+def test_only_modsym_reads_symbol_coordinates():
+    readers = {(module, node.name) for module, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               for child in ast.walk(node) if isinstance(child, ast.Attribute)
+               and child.attr == "_symbol_coords"}
+    assert readers == {("modsym", "_build_quotient"), ("modsym", "symbol_sum"),
+                       ("modsym", "symbol_matrix")}
+    assert "symbol_sum" in _called(_function("hecke", "hecke_matrix"))
+    assert "symbol_sum" in _called(_function("modsym", "_path_from_infinity"))
+    assert "symbol_matrix" in _called(_function("periods",
+                                                "_functional_table"))
 
 
 def test_a_rank_decision_eliminates_once():
