@@ -31,8 +31,6 @@ from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 
-from mpmath import libmp
-
 from . import cache
 from .congruence import curve_data
 from .eigen import PRIME_LIMIT
@@ -56,7 +54,7 @@ _MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 0.3 s and 55 MB max RSS
 _MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
 _MAX_PRIME = 1000       # decompose --primes: T_997 at level 1999 in 11 s
-_MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 1.2 s
+_MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 1.0 s
 _MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.06 s at 40, 0.2 s at 50
 _MAX_CELLS = 10 ** 6    # rational iet unit cells: 0.25 s and 70 MB max RSS
 
@@ -167,11 +165,6 @@ def _decimal(value, digits):
     return sign + text[:-digits] + "." + text[-digits:]
 
 
-def _mpf_fraction(x):
-    num, den = libmp.to_rational(x._mpf_)
-    return Fraction(int(num), int(den))
-
-
 def _parse_int_list(text, what):
     try:
         return [int(part) for part in text.split(",")]
@@ -245,7 +238,7 @@ def _periods_handler(args):
         "level": args.level,
         "orbit": args.orbit,
         "precision": args.prec,
-        "values": [_decimal(_mpf_fraction(v), d)
+        "values": [_decimal(v, d)
                    for v, d in zip(vector.values, vector.value_digits)],
         "value_digits": list(vector.value_digits),
         "precision_estimate": vector.precision_estimate,
@@ -452,9 +445,9 @@ def _build_parser():
                               "most %d). Each path's series has about "
                               "0.37*|c|*D terms, where |c| is a multiple of "
                               "the level, so its length grows as |c|*D: at "
-                              "D = %d, periods 11 --orbit 0 takes about 1.2 s "
+                              "D = %d, periods 11 --orbit 0 takes about 1.0 s "
                               "on a 2-vCPU VM and periods 97 --orbit 1 about "
-                              "2.5 minutes" % (_MAX_PREC, _MAX_PREC))
+                              "1.8 minutes" % (_MAX_PREC, _MAX_PREC))
     periods.set_defaults(handler=_periods_handler)
 
     iet = subs.add_parser("iet", parents=[shared],

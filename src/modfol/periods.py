@@ -26,17 +26,16 @@ elements gives the classical periods.  Three layers live here:
   explicit accept/reject thresholds and a hard error in between; each
   accepted relation drops one value that the others span over Q.
 
-All floating work carries a guard margin over the requested decimal
-precision, in mpmath or in integers scaled by a power of two; all
-certificates (integer relations, eigenvalue checks) are verified exactly
-or against stated thresholds.
+All numeric work is on integers scaled by a power of two, with a guard
+margin over the requested decimal precision: pi by Machin's formula,
+exponentials by their Taylor series after argument halving, and values
+returned as exact Fractions; all certificates (integer relations,
+eigenvalue checks) are verified exactly or against stated thresholds.
 """
 
 import math
 import operator
 from fractions import Fraction
-
-from mpmath import libmp, mp
 
 from .congruence import gamma0_contains
 from .eigen import dual_eigenvector
@@ -185,22 +184,25 @@ def _fixed_series(orbit, count, bits):
 def period_integral(orbit, gamma, terms, precision):
     """Integral of the orbit's differential along the loop of `gamma`.
 
-    Returns (value, bound): a complex number rounded at precision + _GUARD
-    digits and the truncation estimate |c_terms| exp(-2 pi terms / |c|).
-    The path runs from z0 = (-d + i)/c to gamma z0 = (a + i)/c (c > 0
-    after a sign change of gamma), and the value is the truncated series
-    sum c_n / n * (q1^n - q0^n), n <= terms, with q = exp(2 pi i z).  Both
-    endpoints sit at height 1/c, so q1^n = r^n zeta^(a n) and
-    q0^n = r^n zeta^(-d n) with r = exp(-2 pi / c), zeta = exp(2 pi i / c),
-    summed on integers scaled by 2^bits (see _period_sum).
+    Returns ((re, im), bound): the real and imaginary parts as exact
+    Fractions, the integers of _period_sum over 4^bits, and the truncation
+    estimate |c_terms| exp(-2 pi terms / |c|) as a Fraction (see
+    _truncation_bound).  The path runs from z0 = (-d + i)/c to
+    gamma z0 = (a + i)/c (c > 0 after a sign change of gamma), and the
+    value is the truncated series sum c_n / n * (q1^n - q0^n), n <= terms,
+    with q = exp(2 pi i z).  Both endpoints sit at height 1/c, so
+    q1^n = r^n zeta^(a n) and q0^n = r^n zeta^(-d n) with
+    r = exp(-2 pi / c), zeta = exp(2 pi i / c), summed on integers scaled
+    by 2^bits (see _period_sum).
 
-    Error budget: r and each root of unity are truncated to 2^-bits once,
-    each c_n is off by under 2 units of 2^-bits (see _fixed_series), and
-    each term truncates twice more, so r^n is off by under 2n units and
-    each term by under 6 |c_n| + 12 units.  Deligne's bound
-    |c_n| <= d(n) sqrt(n) <= 2n keeps the sum off by under 16 terms^2
-    units, and bits = digits * log2(10) + 2 * bitlen(terms) + 16 puts that
-    below 10^-digits / 4000, beside the series truncation (the bound).
+    Error budget: r and each root of unity are off by under one unit of
+    2^-bits (see _path_tables), each c_n by under 2 units (see
+    _fixed_series), and each term truncates twice more, so r^n is off by
+    under 2n units and each term by under 6 |c_n| + 12 units.  Deligne's
+    bound |c_n| <= d(n) sqrt(n) <= 2n keeps the sum off by under
+    16 terms^2 units, and bits = digits * log2(10) + 2 * bitlen(terms) + 16
+    puts that below 10^-digits / 4000, beside the series truncation (the
+    bound).
 
     pre: gamma lies in the level subgroup with nonzero lower-left entry;
     the orbit's series (see ensure_series) reaches order `terms`, and
@@ -219,14 +221,18 @@ def period_integral(orbit, gamma, terms, precision):
             "%d terms cannot deliver %d digits along a path with |c| = %d; "
             "%d terms are required" % (terms, precision, abs(c), need),
             required_terms=need)
-    digits = precision + _GUARD
-    bits = math.ceil(digits * math.log2(10)) + 2 * terms.bit_length() + 16
+    bits = _working_bits(precision, terms)
     re, im = _period_sum(orbit, (a, b, c, d), terms, bits)
     top = _fixed_series(orbit, terms, bits)[0][terms]
-    with mp.workdps(digits):
-        total = mp.mpc(mp.mpf((re, -2 * bits)), mp.mpf((im, -2 * bits)))
-        bound = mp.mpf((abs(top), -bits)) * mp.exp(-2 * mp.pi * terms / abs(c))
-    return total, bound
+    return ((Fraction(re, 1 << 2 * bits), Fraction(im, 1 << 2 * bits)),
+            _truncation_bound(top, terms, abs(c), bits))
+
+
+def _working_bits(precision, terms):
+    """The bits that period_integral works at for `precision` digits over
+    `terms` terms (see its error budget)."""
+    digits = precision + _GUARD
+    return math.ceil(digits * math.log2(10)) + 2 * terms.bit_length() + 16
 
 
 def _period_sum(orbit, gamma, terms, bits):
@@ -250,22 +256,106 @@ def _residue_sums(orbit, c, terms, bits):
     lower-left entry c shares: S[j] sums w_n = (f_n R_n >> bits) // n over
     n <= terms, n = j mod c, with f_n from _fixed_series and R_n = r^n,
     r = exp(-2 pi / c), carried by one product and shift per term; and
-    cos[k] + i sin[k] = exp(2 pi i k / c), k < c."""
+    cos[k] + i sin[k] = exp(2 pi i k / c), k < c (see _path_tables)."""
     fixed, sums = _fixed_series(orbit, terms, bits)
     if (c, terms) not in sums:
-        prec = bits + 20
-        with mp.workprec(prec):
-            r = libmp.to_fixed(mp.exp(-2 * mp.pi / c)._mpf_, bits)
+        r, cos, sin = _path_tables(c, bits)
         S = [0] * c
         rn = 1 << bits
         for n in range(1, terms + 1):
             rn = rn * r >> bits
             S[n % c] += (fixed[n] * rn >> bits) // n
-        roots = [libmp.mpf_cos_sin_pi(libmp.from_rational(2 * k, c, prec),
-                                      prec) for k in range(c)]
-        sums[c, terms] = (S, [libmp.to_fixed(x, bits) for x, _ in roots],
-                          [libmp.to_fixed(y, bits) for _, y in roots])
+        sums[c, terms] = S, cos, sin
     return sums[c, terms]
+
+
+def _path_tables(c, bits):
+    """(r, cos, sin) for paths with lower-left entry c > 0, scaled by
+    2**bits: r = exp(-2 pi / c) and cos[k] + i sin[k] = zeta^k,
+    zeta = exp(2 pi i / c), k < c.
+
+    They are computed at w = bits + g bits, g = bitlen(c) + 30: theta =
+    2 pi / c from one _machin_pi is off by under 5 units of 2^-w, so r and
+    zeta from _exp are off by under 7, and the k-th power of zeta, one
+    product and shift per step, by under 12 k units, that is under 2^-26
+    units of 2^-bits.  Each entry x is then floor(2^bits x + 2^-20) up to
+    that error: within one unit of 2^-bits, and exact where x is 0, +-1/2
+    or +-1."""
+    g = c.bit_length() + 30
+    w = bits + g
+    theta = 2 * _machin_pi(w) // c
+    slack = 1 << g - 20
+    r = _exp(-theta, 0, w)[0] + slack >> g
+    zr, zi = _exp(0, theta, w)
+    cos, sin = [1 << bits], [0]
+    x, y = 1 << w, 0
+    for _ in range(1, c):
+        x, y = x * zr - y * zi >> w, x * zi + y * zr >> w
+        cos.append(x + slack >> g)
+        sin.append(y + slack >> g)
+    return r, cos, sin
+
+
+def _truncation_bound(top, terms, c, bits):
+    """|top| 2^-bits exp(-2 pi terms / c) as a Fraction, c > 0.
+
+    As 2 pi log2(e) < 10, the exponential is at least 2^-(10 terms // c
+    + 10); _exp computes it at w = 10 terms // c + 74 bits from an
+    argument off by under 2 units of 2^-w, so it keeps 64 bits and is
+    within a relative 2^-60 of its value."""
+    w = 10 * terms // c + 74
+    shift = terms.bit_length() + 4
+    x = 2 * terms * _machin_pi(w + shift) // c >> shift
+    return Fraction(abs(top) * _exp(-x, 0, w)[0], 1 << bits + w)
+
+
+def _machin_pi(bits):
+    """pi scaled by 2**bits, off by under two units: Machin's
+    pi = 16 atan(1/5) - 4 atan(1/239), each arctangent from _arccot at
+    g = bitlen(bits) + 8 guard bits, so their truncations (under 4 (bits
+    + g) units of 2^-(bits + g)) stay below 2^-5 units of 2^-bits, beside
+    the last shift."""
+    g = bits.bit_length() + 8
+    return 16 * _arccot(5, bits + g) - 4 * _arccot(239, bits + g) >> g
+
+
+def _arccot(x, w):
+    """atan(1/x) scaled by 2**w, for an integer x > 1: the alternating
+    series sum_k (-1)^k / ((2k + 1) x^(2k + 1)), whose powers are exact
+    floors and whose terms each truncate once, so the sum is off by under
+    one unit per term."""
+    power, k, total = (1 << w) // x, 1, 0
+    while power:
+        total += power // k if k % 4 == 1 else -(power // k)
+        power //= x * x
+        k += 2
+    return total
+
+
+def _exp(re, im, w):
+    """exp(z) for z = (re + i im) / 2**w with re <= 0, as (real, imaginary)
+    scaled by 2**w, each off by under two units.
+
+    z is halved h times to below 2^-15 in modulus, its Taylor series is
+    summed at W = w + g bits, g = h + bitlen(w) + 8 (W // 15 + 1 terms,
+    each off by under 4 units of 2^-W, and a tail below one), and the sum
+    is squared h times, which at most doubles its error (plus 2 units)
+    each time, as |exp(z)| <= 1; so the error stays below
+    2^h (W / 3 + 3) < 2^(g - 5) units of 2^-W before the last shift."""
+    h = max(0, max(re.bit_length(), im.bit_length()) - w + 16)
+    g = h + w.bit_length() + 8
+    W = w + g
+    zr, zi = re << g - h, im << g - h
+    sr = tr = 1 << W
+    si = ti = 0
+    for n in range(1, W // 15 + 2):
+        tr, ti = ((tr * zr - ti * zi >> W) // n,
+                  (tr * zi + ti * zr >> W) // n)
+        sr += tr
+        si += ti
+    for _ in range(h):
+        sr, si = sr * sr - si * si >> W, sr * si >> W - 1
+    return sr >> g, si >> g
 
 
 class PeriodVector:
@@ -336,14 +426,22 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     needs = [required_terms(g[2], precision) for g in gammas]
     _require_series(orbit, max(needs))
     values, digits = [], []
-    floor_err = mp.mpf(10) ** (-(precision + 5))
     for g, need in zip(gammas, needs):
-        val, bound = period_integral(orbit, g, need, precision)
-        values.append(val.real)
-        with mp.workdps(20):
-            est = int(mp.floor(-mp.log10(bound + floor_err)))
-        digits.append(min(est, precision))
+        (re, _), bound = period_integral(orbit, g, need, precision)
+        values.append(re)
+        digits.append(min(_value_digits(bound, precision), precision))
     return PeriodVector(orbit.N, orbit_index, values, digits, min(digits))
+
+
+def _value_digits(bound, precision):
+    """floor(-log10(bound + 10^-(precision + 5))) for a Fraction bound >= 0,
+    in integers: the largest d with 10^d (bound + 10^-(precision + 5)) <= 1."""
+    d = precision + 5
+    scaled = bound * 10 ** d + 1
+    while scaled > 1:
+        scaled /= 10
+        d -= 1
+    return d
 
 
 # -- integer-relation rank detection --------------------------------------------------
@@ -360,33 +458,46 @@ def detect_rank(values, precision):
     IndeterminateRankError.  Each accepted relation drops the last value
     it involves, which lies in the Q-span of the others, and the count left
     at the end is the rank.  A single value is tested the same way, on its
-    one lattice row.
+    one lattice row.  Values are read exactly (see _exact), so every
+    rounding and comparison is on rationals.
 
     pre: precision >= 40 decimal digits.
     """
     if isinstance(values, PeriodVector):
         values = values.values
     precision = rank_precision(precision)
-    with mp.workdps(precision + 2 * _GUARD):
-        return _rank_step([_as_mpf(x) for x in values], precision)
+    return _rank_step([_exact(x) for x in values], precision)
 
 
-def _as_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
+def _exact(x):
+    """x as the Fraction it equals: an mpmath mpf read off its (sign,
+    mantissa, exponent, bitcount) tuple, anything else (int, float,
+    Fraction, Decimal) through Fraction; DomainError unless it is finite."""
+    parts = getattr(x, "_mpf_", None)
+    if parts is None:
+        try:
+            return Fraction(x)
+        except (OverflowError, ValueError):
+            raise DomainError("rank detection needs finite real values, "
+                              "got %r" % (x,))
+    sign, man, exp, _ = parts
+    if not man and exp:
+        raise DomainError("rank detection needs finite real values, got %r"
+                          % (x,))
+    value = Fraction(int(man) << max(exp, 0), 1 << max(-exp, 0))
+    return -value if sign else value
 
 
 def _rank_step(v, precision):
-    """detect_rank on the list v of mpf values, which it consumes: each
-    accepted relation m drops v[k] for the last k with m[k] != 0."""
-    accept = mp.mpf(10) ** (mp.mpf(-precision) / 2)
-    reject = mp.mpf(10) ** (mp.mpf(-precision) / 4)
+    """detect_rank on the list v of Fractions, which it consumes: each
+    accepted relation m drops v[k] for the last k with m[k] != 0.  The
+    residual s = |sum m_i v_i| is accepted iff s^2 10^precision < 1 and
+    falls in the deadband iff s^4 10^precision <= 1."""
     cap = 10 ** (precision // 4)
-    scale = mp.mpf(10) ** precision
+    scale = 10 ** precision
     while v:
         n = len(v)
-        rows = [[int(i == k) for k in range(n)] + [int(mp.nint(x * scale))]
+        rows = [[int(i == k) for k in range(n)] + [round(x * scale)]
                 for i, x in enumerate(v)]
         deadband = False
         for row in lll_reduce(rows):
@@ -397,11 +508,11 @@ def _rank_step(v, precision):
                 # ambiguity carries arithmetic information; only modest rows
                 # are candidates.
                 continue
-            residual = abs(mp.fsum(c * x for c, x in zip(m, v)))
-            if residual < accept:
+            square = sum(map(operator.mul, m, v)) ** 2
+            if square * scale < 1:
                 del v[max(k for k, c in enumerate(m) if c)]
                 break
-            deadband = deadband or residual <= reject
+            deadband = deadband or square * square * scale <= 1
         else:
             if deadband:
                 raise IndeterminateRankError(

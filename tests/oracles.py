@@ -17,7 +17,9 @@ subspace and then to the star-fixed kernel there, LLL with Gram-Schmidt data in 
 complex powers in mpmath, which the fixed-point kernel replaced, the
 numeric coefficients by one rational approximation per coefficient and the
 per-term fixed-point loop, which the integer series and its residue-class
-sums replaced, the homology basis by one rank computation per candidate loop, the search
+sums replaced, r = exp(-2 pi / c) and the c-th roots of unity from mpmath,
+which the integer Machin, Taylor and power kernels replaced, the homology
+basis by one rank computation per candidate loop, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements,
 real-root isolation with Sturm signs from Fraction Horner on sympy's chain
@@ -807,22 +809,34 @@ def approx_series(orbit, count, digits):
     return coeffs
 
 
-def term_loop_sum(fixed, gamma, terms, bits):
-    """(re, im): the period of gamma as integers scaled by 4**bits, by the
-    per-term loop that the residue-class sums replaced.  fixed[n] is c_n
-    scaled by 2**bits; r^n is carried by one product and shift per term,
-    w_n = (fixed[n] r^n >> bits) // n, and the indices of zeta^(a n) and
-    zeta^(-d n) step by a and -d mod c over one table of roots of unity."""
-    a, b, c, d = gamma
-    if c < 0:
-        a, b, c, d = -a, -b, -c, -d
+def mpmath_path_tables(c, bits):
+    """(r, cos, sin) for paths with lower-left entry c > 0, scaled by
+    2**bits, by the mpmath route that the integer kernels replaced:
+    r = exp(-2 pi / c) and cos[k] + i sin[k] = exp(2 pi i k / c), k < c,
+    at bits + 20 bits, each truncated (to_fixed).  The roots are evaluated
+    at 2k / c rounded to bits + 20 bits, so where the exact value is +-1/2
+    the truncation can land one unit below it (as at c = 6, k = 4 and 5)."""
     prec = bits + 20
     with mp.workprec(prec):
         r = libmp.to_fixed(mp.exp(-2 * mp.pi / c)._mpf_, bits)
     roots = [libmp.mpf_cos_sin_pi(libmp.from_rational(2 * k, c, prec), prec)
              for k in range(c)]
-    cos = [libmp.to_fixed(x, bits) for x, _ in roots]
-    sin = [libmp.to_fixed(y, bits) for _, y in roots]
+    return (r, [libmp.to_fixed(x, bits) for x, _ in roots],
+            [libmp.to_fixed(y, bits) for _, y in roots])
+
+
+def term_loop_sum(fixed, gamma, terms, bits, tables):
+    """(re, im): the period of gamma as integers scaled by 4**bits, by the
+    per-term loop that the residue-class sums replaced.  fixed[n] is c_n
+    scaled by 2**bits and tables = (r, cos, sin) holds r = exp(-2 pi / |c|)
+    and the |c|-th roots of unity, scaled alike; r^n is carried by one
+    product and shift per term, w_n = (fixed[n] r^n >> bits) // n, and the
+    indices of zeta^(a n) and zeta^(-d n) step by a and -d mod c over the
+    table of roots."""
+    a, b, c, d = gamma
+    if c < 0:
+        a, b, c, d = -a, -b, -c, -d
+    r, cos, sin = tables
     re = im = 0
     rn = 1 << bits
     ka = kd = 0

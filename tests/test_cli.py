@@ -853,11 +853,12 @@ def _child_env():
                 PYTHONPATH=os.pathsep.join([package_root] + inherited))
 
 
-def test_cli_import_loads_no_process_pool(tmp_path):
-    # the pool is imported only when --jobs asks for more than one worker
+def test_cli_import_loads_neither_pool_nor_mpmath(tmp_path):
+    # the pool is imported only when --jobs asks for more than one worker,
+    # and the package computes its periods without mpmath
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, modfol.cli; print(sorted(m for m "
-         "in ('concurrent.futures.process', 'multiprocessing') "
+         "in ('concurrent.futures.process', 'multiprocessing', 'mpmath') "
          "if m in sys.modules))"],
         capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
         timeout=30)

@@ -1,5 +1,6 @@
 """Period integrals, period vectors, and integer-relation rank detection."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,7 +31,7 @@ from modfol.periods import (
     required_terms,
 )
 from oracles import (approx_series, eta_product_qexp, fraction_lll, mat_mul,
-                     power_loop_integral, term_loop_sum)
+                     mpmath_path_tables, power_loop_integral, term_loop_sum)
 
 # Real period of the rank-0 elliptic curve of conductor 11, computed two
 # independent ways (quadrature on the Weierstrass model, and this package's
@@ -49,6 +50,14 @@ def level(N):
         space = ModularSymbolSpace(N)
         _LEVELS[N] = (space, decompose(space))
     return _LEVELS[N]
+
+
+def _mpf(x):
+    """A Fraction as an mpf, or a (re, im) pair of them as an mpc, at the
+    current precision."""
+    if isinstance(x, tuple):
+        return mp.mpc(_mpf(x[0]), _mpf(x[1]))
+    return mp.mpf(x.numerator) / x.denominator
 
 
 def embed(orbit, x, digits=70):
@@ -218,6 +227,7 @@ def test_integral_matches_curve_period():
     ensure_series(space, orbit, terms)
     value, bound = period_integral(orbit, G1_11, terms, 50)
     with mp.workdps(70):
+        value, bound = _mpf(value), _mpf(bound)
         omega = mp.mpf(OMEGA_11)
         assert abs(-value.real - omega) < mp.mpf("1e-50")
         assert abs(value.imag) < mp.mpf("1e-50")
@@ -241,6 +251,7 @@ def test_integral_sign_and_cocycle():
     v2i, _ = period_integral(orbit, g2_inv, terms, 45)
     vc, _ = period_integral(orbit, combo, terms, 45)
     with mp.workdps(60):
+        v1, v2, v2i, vc = map(_mpf, (v1, v2, v2i, vc))
         tol = mp.mpf("1e-42")
         assert abs(v2i + v2) < tol          # inverse negates the period
         assert abs(vc - (v1 - v2)) < tol    # additivity on products
@@ -255,7 +266,7 @@ def test_integral_doubling_terms_agrees():
     v2, _ = period_integral(orbit, G1_11, 2 * t1, 80)
     with mp.workdps(100):
         assert b1 > 0
-        assert abs(v1 - v2) < b1
+        assert abs(_mpf(v1) - _mpf(v2)) < _mpf(b1)
 
 
 def _assert_kernel_matches_loop(orbit, gammas, precision):
@@ -270,7 +281,7 @@ def _assert_kernel_matches_loop(orbit, gammas, precision):
         value, _ = period_integral(orbit, g, terms, precision)
         reference = power_loop_integral(coeffs, g, terms, digits + 40)
         with mp.workdps(digits + 40):
-            assert abs(value - reference) < tol, (g, precision)
+            assert abs(_mpf(value) - reference) < tol, (g, precision)
 
 
 @pytest.mark.parametrize("N,k", [(11, 0), (23, 0), (37, 1), (43, 1)])
@@ -298,7 +309,7 @@ def test_integral_kernel_negative_and_multiple_c():
         v, _ = period_integral(orbit, g, terms, 45)
         w, _ = period_integral(orbit, h, terms, 45)
         with mp.workdps(80):
-            assert abs(v + w) < mp.mpf(10) ** -65
+            assert abs(_mpf(v) + _mpf(w)) < mp.mpf(10) ** -65
 
 
 @pytest.mark.parametrize("N,k", [(11, 0), (23, 0), (97, 1)])
@@ -321,10 +332,14 @@ def test_fixed_series_within_two_units(N, k):
 
 
 def _assert_residue_sums_match_term_loop(orbit, gammas, terms, bits):
+    # the regrouping is exact on the same tables, which
+    # test_path_tables_match_mpmath checks on their own
     fixed, _ = periods._fixed_series(orbit, terms, bits)
     for g in gammas:
+        tables = periods._path_tables(abs(g[2]), bits)
         assert (periods._period_sum(orbit, g, terms, bits)
-                == term_loop_sum(fixed, g, terms, bits)), (g, terms, bits)
+                == term_loop_sum(fixed, g, terms, bits, tables)), (g, terms,
+                                                                   bits)
 
 
 @pytest.mark.parametrize("N,k", [(11, 0), (23, 0), (37, 1), (43, 1)])
@@ -350,6 +365,70 @@ def test_residue_sums_negative_and_multiple_c():
         terms = required_terms(g[2], 45)
         ensure_series(space, orbit, terms)
         _assert_residue_sums_match_term_loop(orbit, [g], terms, 300)
+
+
+# 2 cos(m pi / 6) and 2 sin(m pi / 6), m mod 12, where they are integers
+_TWICE_COS = {0: 2, 2: 1, 3: 0, 4: -1, 6: -2, 8: -1, 9: 0, 10: 1}
+_TWICE_SIN = {0: 0, 1: 1, 3: 2, 5: 1, 6: 0, 7: -1, 9: -2, 11: -1}
+_TABLE_CS = tuple(range(1, 61)) + (97, 389)
+
+
+@pytest.mark.parametrize("precision,cs", [
+    (40, _TABLE_CS + (997, 1999)),
+    (60, _TABLE_CS + (997, 1999)),
+    (1000, _TABLE_CS),
+    pytest.param(1000, (997, 1999), marks=pytest.mark.slow),
+])
+def test_path_tables_match_mpmath(precision, cs):
+    # r and the roots of unity at the bits period_integral takes for
+    # `precision` digits along a path with lower-left entry c: within one
+    # unit of 2^-bits of mpmath's truncated values, identical to them where
+    # c is prime to 6, and exact where the value is 0, +-1/2 or +-1 (where
+    # mpmath's are one unit low at some k, as its argument 2k/c is rounded)
+    for c in cs:
+        bits = periods._working_bits(precision, required_terms(c, precision))
+        r, cos, sin = tables = periods._path_tables(c, bits)
+        r0, cos0, sin0 = reference = mpmath_path_tables(c, bits)
+        assert len(cos) == len(sin) == c
+        assert abs(r - r0) <= 1, (c, bits)
+        assert max(abs(x - y) for x, y in zip(cos + sin, cos0 + sin0)) <= 1
+        if c % 2 and c % 3:
+            assert tables == reference, (c, bits)
+        for k in range(c):
+            if 12 * k % c == 0:
+                m = 12 * k // c
+                if m in _TWICE_COS:
+                    assert cos[k] == _TWICE_COS[m] << bits - 1, (c, k)
+                if m in _TWICE_SIN:
+                    assert sin[k] == _TWICE_SIN[m] << bits - 1, (c, k)
+
+
+def test_value_digits_match_mpmath():
+    # truncation bounds |top| 2^-bits exp(-2 pi terms / c) on a seeded grid
+    # from --prec 40 to 1000, spread from 10^12 above to 10^21 below
+    # 10^-precision; the integer estimate is mpmath's at 50 digits, which
+    # still resolves bound + 10^-(precision + 5) there
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(300):
+        precision = rng.choice((40, 45, 60, 61, 250, 1000))
+        c = rng.choice((11, 23, 37, 97, 389, 1999)) * rng.randint(1, 3)
+        terms = required_terms(c, precision) + rng.randrange(c)
+        bits = periods._working_bits(precision, terms)
+        top = rng.randrange(1, 1 << bits + rng.randint(-20, 40))
+        got = periods._value_digits(
+            periods._truncation_bound(top, terms, c, bits), precision)
+        with mp.workdps(50):
+            bound = (mp.mpf(top) / mp.mpf(2) ** bits
+                     * mp.exp(-2 * mp.pi * terms / c))
+            expected = int(mp.floor(
+                -mp.log10(bound + mp.mpf(10) ** -(precision + 5))))
+        assert got == expected, (top, bits, terms, c, precision)
+        seen.add(precision - got)
+    assert min(seen) < 0 < max(seen)
+    # exact at the ends: 10^-1005 alone, and plus a bound far below it
+    assert periods._value_digits(Fraction(0), 1000) == 1005
+    assert periods._value_digits(Fraction(1, 10 ** 2000), 1000) == 1004
 
 
 def test_integral_input_errors():
@@ -394,8 +473,8 @@ def test_jacobian_level_11():
     assert "PeriodVector" in repr(pv)
     with mp.workdps(80):
         # the two real parts span the rank-1 real-period lattice: v0 = 2 v1
-        assert abs(pv[0] - 2 * pv[1]) < mp.mpf("1e-55")
-        assert abs(abs(pv[0]) - mp.mpf(OMEGA_11)) < mp.mpf("1e-50")
+        assert abs(_mpf(pv[0] - 2 * pv[1])) < mp.mpf("1e-55")
+        assert abs(abs(_mpf(pv[0])) - mp.mpf(OMEGA_11)) < mp.mpf("1e-50")
     assert detect_rank(pv, 60) == 1
 
 
@@ -442,8 +521,8 @@ def test_jacobian_unimodular_basis_change():
     pv2 = numeric_jacobian(orbit, [combo, G2_11], 55)
     with mp.workdps(70):
         tol = mp.mpf("1e-50")
-        assert abs(pv2[0] - (pv[0] - pv[1])) < tol
-        assert abs(pv2[1] - pv[1]) < tol
+        assert abs(_mpf(pv2[0] - (pv[0] - pv[1]))) < tol
+        assert abs(_mpf(pv2[1] - pv[1])) < tol
     assert detect_rank(pv2, 55) == detect_rank(pv, 55) == 1
 
 
@@ -516,11 +595,12 @@ def test_rank_random_integer_combinations():
 def test_rank_of_seeded_combinations():
     # n integer combinations, coefficients in [-9, 9], of the first r of
     # pi*sqrt(2), pi*sqrt(3), pi*sqrt(5), which are independent over Q;
-    # the coefficient matrix is redrawn until it has rank r
+    # the coefficient matrix is redrawn until it has rank r.  At the odd
+    # precision 61 the accept threshold 10^-30.5 is irrational
     rng = random.Random(26)
     with mp.workdps(120):
         basis = [mp.pi * mp.sqrt(k) for k in (2, 3, 5)]
-        for r in (1, 2, 3):
+        for precision, r in itertools.product((60, 61), (1, 2, 3)):
             for n in range(r, 7):
                 for _ in range(12):
                     while True:
@@ -530,7 +610,29 @@ def test_rank_of_seeded_combinations():
                             break
                     values = [mp.fsum(c * b for c, b in zip(row, basis))
                               for row in coeffs]
-                    assert detect_rank(values, 60) == r, coeffs
+                    assert detect_rank(values, precision) == r, coeffs
+
+
+def test_rank_reads_floats_and_mpfs_alike():
+    # an mpf of a float's binary value is read as the same rational
+    for values in [(1.0, 0.5, 0.25), (1.0, math.sqrt(2)), (0.1, 0.2, 0.3),
+                   (math.pi, 2 * math.pi, math.e), (1.0, 0.5, 1e-15),
+                   (0.0, 3.0)]:
+        with mp.workdps(30):
+            mpfs = [mp.mpf(x) for x in values]
+        assert detect_rank(values, 40) == detect_rank(mpfs, 40)
+    for x in (-0.375, 1e-300, -math.pi, 2.0 ** 80, 0.0):
+        assert periods._exact(mp.mpf(x)) == Fraction(x)
+    with pytest.raises(IndeterminateRankError):
+        detect_rank((1e-15,), 40)
+    with pytest.raises(IndeterminateRankError):
+        detect_rank((mp.mpf(1e-15),), 40)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), mp.inf, mp.nan])
+def test_rank_refuses_nonfinite_values(bad):
+    with pytest.raises(DomainError):
+        detect_rank((1.0, bad), 40)
 
 
 def test_rank_precision_floor_and_deadband():

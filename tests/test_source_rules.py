@@ -93,9 +93,12 @@
   embedded once, by the one `approx` call of `periods` (in
   `_fixed_series`, with no per-coefficient `_embedded_series`), its terms
   are summed once per residue class in `_residue_sums`, and a loop is
-  the one loop of `_period_sum`; neither loop makes an mpmath number, and
-  the complex-power and per-term loops they replaced live in the test
-  oracles alone.
+  the one loop of `_period_sum`, and the complex-power and per-term loops
+  they replaced live in the test oracles alone.
+* The package computes on stdlib numbers: no module imports mpmath.  pi
+  (Machin's formula), exponentials (Taylor series after argument halving)
+  and the roots of unity (powers of one root) are integer kernels in
+  `periods`, and `detect_rank` reads an mpf off its `_mpf_` tuple.
 * The Keane probe steps on certified integer enclosures: minimality_probe
   has one step loop, takes its enclosures from the public
   RealEmbedding.enclosures, calls the exact integer_sign at one site only,
@@ -422,13 +425,12 @@ def _loops(node):
 def test_period_integrals_sum_on_integers():
     assert _defined_functions() & {
         "power_loop_integral", "term_loop_sum", "approx_series",
-        "_embedded_series", "_fixed"} == set()
+        "mpmath_path_tables", "_embedded_series", "_fixed"} == set()
     assert _loops(_function("periods", "period_integral")) == []
     for name in ("_period_sum", "_residue_sums"):
-        (loop,) = _loops(_function("periods", name))
-        assert not [node for node in ast.walk(loop)
-                    if isinstance(node, ast.Name) and node.id == "mp"], name
+        assert len(_loops(_function("periods", name))) == 1, name
     assert "_residue_sums" in _called(_function("periods", "_period_sum"))
+    assert "_path_tables" in _called(_function("periods", "_residue_sums"))
     # one embedding body: one approx call per power of the generator
     calls = [(node, call) for node in ast.walk(TREES["periods"])
              if isinstance(node, ast.FunctionDef)
@@ -441,6 +443,20 @@ def test_period_integrals_sum_on_integers():
     (generator,) = loop.generators
     assert "degree" in {node.attr for node in ast.walk(generator.iter)
                         if isinstance(node, ast.Attribute)}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_mpmath():
+    assert [module for module, tree in TREES.items()
+            if any(name.split(".")[0] == "mpmath"
+                   for name in _imported_modules(tree))] == []
 
 
 def _definitions(node, prefix=""):
