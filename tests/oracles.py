@@ -22,6 +22,8 @@ which the integer Machin, Taylor and power kernels replaced, the homology
 basis by one rank computation per candidate loop, the search
 for cusp labels by Cremona's equivalence criterion, real embeddings by
 interval Horner over Fractions with the Keane probe on field elements,
+the probe's step loop that sliced the cut enclosures and carried a taken
+vector as long as all the rows, which flat enclosure lists replaced,
 real-root isolation with Sturm signs from Fraction Horner on sympy's chain
 over QQ, number-field elements on Fraction coordinates, with the
 embedding queries that read them through a Fraction QMatrix row, the
@@ -35,6 +37,7 @@ check.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import sympy
 from mpmath import libmp, mp
@@ -1125,6 +1128,56 @@ def fraction_keane_probe(T, max_steps):
             if step == max_steps:
                 break
             x = x + shifts[index]
+    return {"no_periodic_orbit_found": not violations,
+            "keane_violations": violations}
+
+
+def enclosure_keane_probe(T, max_steps):
+    """minimality_probe's connection search as it stood before its step
+    loop read the enclosures from flat lists: each step slices the cut
+    enclosures and carries a taken vector as long as all the rows.  The
+    same set-up, so it asks integer_sign the same questions in the same
+    order.  The rank check and the step-count check are left to the
+    caller."""
+    emb = T.embedding
+    den, rows = QMatrix.from_rows(
+        [x.coeffs for x in T._cuts[1:] + T._shifts]).integer_rows()
+    top = max(abs(c) for row in rows for c in row)
+    emb.approx(T.field.gen(), Fraction(den, (max_steps + 1) ** 3 * top))
+    boxes = emb.enclosures(rows)
+    m = len(T._cuts) - 1
+    violations = []
+    for start in range(m):
+        # x = sum taken[i] * rows[i]: its start cut plus the shifts taken;
+        # the cut itself is the left end of piece start + 1
+        taken = [int(i == start) for i in range(len(rows))]
+        lo, hi = boxes[start]
+        index = start + 1
+        for step in range(1, max_steps + 1):
+            taken[m + index] += 1
+            lo, hi = lo + boxes[m + index][0], hi + boxes[m + index][1]
+            # one pass of signs serves both jobs: locating the piece that
+            # holds x (cuts are increasing, so the index is the number of
+            # interior cuts at or below x) and testing whether x IS a cut;
+            # only an enclosure that overlaps the cut's needs the exact sign
+            index = 0
+            at_cut = None
+            for j, (c_lo, c_hi) in enumerate(boxes[:m]):
+                if lo > c_hi:
+                    index += 1
+                elif hi < c_lo:
+                    break
+                else:
+                    s = emb.integer_sign([sum(map(mul, taken, col)) - col[j]
+                                          for col in zip(*rows)])
+                    index += s >= 0
+                    if s == 0:
+                        at_cut = j + 1
+            if at_cut is not None:
+                violations.append({"discontinuity": start + 1,
+                                   "after_steps": step,
+                                   "hits": at_cut})
+                break
     return {"no_periodic_orbit_found": not violations,
             "keane_violations": violations}
 

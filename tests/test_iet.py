@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from modfol.iet import (
 from modfol.numfield import NumberField, RealEmbedding
 from modfol.polys import QPolynomial, parse_poly
 
-from oracles import fraction_keane_probe
+from oracles import enclosure_keane_probe, fraction_keane_probe
 
 GOLDEN = NumberField(QPolynomial([-1, -1, 1]))    # x^2 - x - 1
 PHI = GOLDEN.gen()
@@ -68,8 +69,13 @@ def test_apply_domain_checks():
         iet_apply(T, Fraction(-1, 10))
     with pytest.raises(DomainError):
         iet_apply(T, 1)     # right endpoint excluded
-    with pytest.raises(DomainError):
-        iet_apply(T, 0.25)  # floats are not exact
+    # floats are not exact, and the message names the point
+    point = r"^a point must be exact \(Fraction, int, or number field " \
+            r"element\), not float$"
+    with pytest.raises(DomainError, match=point):
+        iet_apply(T, 0.25)
+    with pytest.raises(DomainError, match=point):
+        golden_iet().coerce(0.25)
     with pytest.raises(DomainError):
         iet_apply(T, PHI)   # point from a field, exchange is rational
 
@@ -83,8 +89,9 @@ def test_constructor_validation():
         IET([Fraction(1, 2)], [2, 1])                      # count mismatch
     with pytest.raises(DomainError):
         IET([Fraction(0), Fraction(1)], [2, 1])            # zero length
-    with pytest.raises(DomainError):
-        IET([Fraction(1, 2), 0.5], [2, 1])                 # float length
+    for lengths in ([Fraction(1, 2), 0.5], [PHI, 0.5]):    # float length
+        with pytest.raises(DomainError, match=r"^lengths must be exact \("):
+            IET(lengths, [2, 1])
     with pytest.raises(DomainError):
         IET([Fraction(1), Fraction(2)], [2, 1],
             embedding=GOLDEN.real_embeddings()[0])         # needless embedding
@@ -96,6 +103,13 @@ def test_constructor_validation():
             embedding=other.real_embeddings()[0])          # foreign embedding
     with pytest.raises(DomainError):
         IET([], [])
+
+
+@pytest.mark.parametrize("perm", [[2.5, 1], ["2", 1], [2, True]])
+def test_permutation_entries_must_be_ints(perm):
+    # int() read each of these as the exchange (2, 1)
+    with pytest.raises(DomainError, match="permutation entries must be int"):
+        IET([1, 2], perm)
 
 
 def test_reducible_prefix_is_named():
@@ -281,13 +295,20 @@ def test_minimality_matches_fraction_oracle():
     assert 0 < connected < len(cases)
 
 
-def _count_exact_signs(monkeypatch):
-    """A one-element list that counts RealEmbedding.integer_sign calls."""
+def _count_exact_signs(monkeypatch, log=None):
+    """A one-element list that counts RealEmbedding.integer_sign calls.
+    With a list `log`, each call also appends (start, step, cut, ints):
+    the orbit, step and cut index of the probe loop that asked, read off
+    its frame, and the coordinates whose sign was asked."""
     calls = [0]
     integer_sign = RealEmbedding.integer_sign
 
     def counted(self, ints):
         calls[0] += 1
+        if log is not None:
+            where = sys._getframe(1).f_locals
+            log.append((where["start"], where["step"], where["j"],
+                        tuple(ints)))
         return integer_sign(self, ints)
 
     monkeypatch.setattr(RealEmbedding, "integer_sign", counted)
@@ -333,14 +354,11 @@ def _planted_iet(rng, K, k):
                                     "after_steps": n, "hits": hit}
 
 
-def _probe_sweep(seed, cases, monkeypatch):
-    """Compare minimality_probe with the Fraction oracle on random and
-    planted exchanges of 2-4 intervals over quadratic and cubic fields,
-    counting the exact signs the probe asks for."""
+def _sweep_cases(seed, cases):
+    """(T, steps, planted violation or None): random and planted exchanges
+    of 2-4 intervals over quadratic and cubic fields, of rank at least 2."""
     cubic = NumberField(QPolynomial([-1, -1, 0, 1]))
     rng = random.Random(seed)
-    exact = _count_exact_signs(monkeypatch)
-    planted = 0
     for case in range(cases):
         K, k = rng.choice([GOLDEN, cubic]), rng.randint(2, 4)
         steps = rng.randint(500, 1500)
@@ -353,6 +371,15 @@ def _probe_sweep(seed, cases, monkeypatch):
                 rng.choice(irreducible_permutations(k))), None
             if module_rank(JacobianModule(K, T.lengths)) < 2:
                 continue
+        yield T, steps, violation
+
+
+def _probe_sweep(seed, cases, monkeypatch):
+    """Compare minimality_probe with the Fraction oracle on the sweep
+    cases, counting the exact signs the probe asks for."""
+    exact = _count_exact_signs(monkeypatch)
+    planted = 0
+    for T, steps, violation in _sweep_cases(seed, cases):
         expected = fraction_keane_probe(T, steps)
         exact[0] = 0
         report = minimality_probe(T, steps)
@@ -374,6 +401,56 @@ def test_minimality_sweep_matches_fraction_oracle(monkeypatch):
 @pytest.mark.slow
 def test_minimality_long_sweep_matches_fraction_oracle(monkeypatch):
     _probe_sweep(20, 60, monkeypatch)
+
+
+def _fresh_copy(T):
+    """T over its own copy of T's embedding: a probe refines the embedding
+    it runs on, and a finer one could spare later probes an exact sign."""
+    emb = T.embedding
+    return IET(T.lengths, T.permutation,
+               embedding=RealEmbedding(T.field, emb.lo, emb.hi))
+
+
+def test_probe_matches_the_enclosure_oracle_sign_for_sign(monkeypatch):
+    # the step loop on flat enclosure lists against the loop it replaced:
+    # equal reports, and integer_sign asked about the same (orbit, step,
+    # cut) with the same coordinates in the same order
+    cubic = NumberField(QPolynomial([-1, -1, 0, 1]))
+    rng = random.Random(35)
+    cases = [(T, steps) for T, steps, _ in _sweep_cases(19, 8)]
+    cases.append((IET([PHI, GOLDEN.from_rational(1), PHI], [3, 2, 1]), 50))
+    # pieces far shorter than the enclosures are wide: cuts whose
+    # enclosures overlap, so one step asks several exact signs
+    tiny, small = (PHI - 1) ** 40, (cubic.gen() - 1) ** 20
+    one, unit = GOLDEN.one(), cubic.one()
+    cases += [(IET([one, tiny, one], [3, 2, 1]), 50),
+              (IET([one, tiny, tiny, tiny, one], [5, 4, 3, 2, 1]), 50),
+              (IET([unit, small, small, unit], [4, 3, 2, 1]), 200)]
+    for K in (GOLDEN, cubic):
+        for k in (3, 4, 5):
+            T, violation = _planted_iet(rng, K, k)
+            cases.append((T, violation["after_steps"] + rng.randint(0, 50)))
+    while len(cases) < 33:
+        k = rng.randint(4, 5)
+        T = _field_iet(cubic, [[rng.randint(-3, 3) for _ in range(3)]
+                               for _ in range(k)],
+                       rng.choice(irreducible_permutations(k)))
+        if module_rank(JacobianModule(cubic, T.lengths)) >= 2:
+            cases.append((T, rng.randint(200, 600)))
+    runs = [(_fresh_copy(T), _fresh_copy(T), steps) for T, steps in cases]
+    log = []
+    _count_exact_signs(monkeypatch, log)
+    several = 0
+    for new_T, old_T, steps in runs:
+        log.clear()
+        report = minimality_probe(new_T, steps)
+        new_log = list(log)
+        log.clear()
+        assert report == enclosure_keane_probe(old_T, steps)
+        assert new_log == log
+        steps_asked = [(start, step) for start, step, _, _ in log]
+        several += len(steps_asked) > len(set(steps_asked))
+    assert several > 0
 
 
 def test_long_probe_asks_few_exact_signs(monkeypatch):
@@ -410,6 +487,13 @@ def test_minimality_wrong_cases():
         minimality_probe(IET([PHI, PHI], [2, 1]), 10)      # rank 1 over Q
     with pytest.raises(DomainError):
         minimality_probe(golden_iet(), 0)
+
+
+@pytest.mark.parametrize("steps", [2.7, "5", True])
+def test_step_count_must_be_an_int(steps):
+    # int() read these as 2, 5 and 1 steps
+    with pytest.raises(DomainError, match="max_steps must be int"):
+        minimality_probe(golden_iet(), steps)
 
 
 # -- Rauzy induction ----------------------------------------------------------------------

@@ -103,7 +103,8 @@
   has one step loop, takes its enclosures from the public
   RealEmbedding.enclosures, calls the exact integer_sign at one site only,
   in that loop's branch for overlapping enclosures, and reads no private
-  name of numfield.
+  name of numfield.  Outside that branch a step builds no list: the step
+  loop holds no slice and no list, tuple or comprehension display.
 * No dead code: every function, method and class of the package is
   referenced by name in the package itself; a test is not a caller.
   Exempt are dunder methods, the module-level names in `modfol.__all__`
@@ -546,10 +547,22 @@ def test_keane_probe_steps_on_enclosures():
     signs = [node for node in ast.walk(probe) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "integer_sign"]
     assert len(signs) == 1
-    # the exact sign sits in the else branch of an if inside the step loop
-    branches = [stmt for node in ast.walk(steps[0])
-                if isinstance(node, ast.If) for stmt in node.orelse]
-    assert any(signs[0] in ast.walk(stmt) for stmt in branches)
+    # the exact sign sits in the else branch of an if inside the step loop;
+    # the innermost such branch (ast.walk goes breadth first) is the one
+    # for overlapping enclosures
+    overlaps = [node.orelse for node in ast.walk(steps[0])
+                if isinstance(node, ast.If)
+                and any(signs[0] in ast.walk(stmt) for stmt in node.orelse)]
+    assert overlaps
+    overlap = {node for stmt in overlaps[-1] for node in ast.walk(stmt)}
+    displays = (ast.List, ast.Tuple, ast.ListComp, ast.SetComp, ast.DictComp,
+                ast.GeneratorExp)
+    built = [ast.unparse(node) for node in ast.walk(steps[0])
+             if node not in overlap and (
+                 isinstance(node, displays)
+                 or isinstance(node, ast.Subscript)
+                 and isinstance(node.slice, ast.Slice))]
+    assert built == []
     private = {node.attr for node in ast.walk(probe)
                if isinstance(node, ast.Attribute)
                and node.attr.startswith("_")}
