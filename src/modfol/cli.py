@@ -55,7 +55,7 @@ _MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
 _MAX_PRIME = 1000       # decompose --primes: T_997 at level 1999 in 11 s
 _MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 1.0 s
-_MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.06 s at 40, 0.2 s at 50
+_MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.05 s at 40, 0.08 s at 50
 _MAX_CELLS = 10 ** 6    # rational iet unit cells: 0.25 s and 70 MB max RSS
 
 
@@ -465,12 +465,13 @@ def _build_parser():
                      help="one-line permutation, 1-based")
     iet.add_argument("--poly", metavar="C0,C1,...",
                      help="defining polynomial of w, ascending "
-                          "coefficients, degree at most %d. Root "
+                          "coefficients, degree at most %d. Irreducibility "
+                          "is read modulo the first good prime and root "
                           "isolation runs an integer Sturm chain: the field "
-                          "and probe of a dense polynomial of degree %d "
-                          "with coefficients in -3..3 take about 0.06 s on "
-                          "a 2-vCPU VM, and about 0.2 s at degree 50"
-                          % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
+                          "and a 10000-step probe of a dense polynomial of "
+                          "degree %d with coefficients in -3..3 take about "
+                          "0.05 s on a 2-vCPU VM, and about 0.08 s at "
+                          "degree 50" % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
     iet.add_argument("--steps", type=_at_most(_MAX_STEPS, " steps"),
                      default=10000,
                      metavar="S",

@@ -59,8 +59,10 @@ class JacobianModule:
 
 
 def module_rank(J):
-    """Rank of the Z-module: Q-rank of the generator coordinate matrix."""
-    return QMatrix.from_rows(J.coordinate_rows()).rank()
+    """Rank of the Z-module: Q-rank of the generator coordinate matrix, read
+    off each generator's integers (a row times its denominator)."""
+    return QMatrix.from_integer_rows(
+        1, [g.integers[1] for g in J.generators]).rank()
 
 
 def basis_change(J, A):

@@ -13,6 +13,7 @@ Keane connection check when the lengths have rational rank at least two,
 and :func:`rauzy_step` performs one step of Rauzy induction.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -20,7 +21,6 @@ from operator import mul
 
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
-from .linalg import QMatrix
 from .numfield import NFElement
 
 
@@ -83,20 +83,39 @@ class IET:
         self.permutation = perm
         self.field = field
         self.embedding = embedding
-        for x in vals:
-            if self._sign(x) <= 0:
-                raise DomainError("interval lengths must be positive")
-        # left endpoints in the domain, and the translation on each piece
-        cuts = list(accumulate(vals, initial=self._zero()))
-        self.total = cuts.pop()
-        slots = sorted(range(k), key=perm.__getitem__)   # intervals by slot
-        starts_image = dict(zip(slots, accumulate(
-            (vals[i] for i in slots), initial=self._zero())))
-        self._cuts = tuple(cuts)
-        self._shifts = tuple(starts_image[i] - c for i, c in enumerate(cuts))
+        # the lengths as integer columns over one denominator (one column
+        # for rationals, one per power-basis coordinate for field elements),
+        # and the values that columns of integers over den stand for
+        if field is None:
+            den = lcm(*[x.denominator for x in vals])
+            cols = [[x.numerator * (den // x.denominator) for x in vals]]
+            positive = min(cols[0]) > 0
 
-    def _zero(self):
-        return Fraction(0) if self.field is None else self.field.from_rational(0)
+            def values(cols):
+                return [Fraction(c, den) for c in cols[0]]
+        else:
+            den, rows = _coordinate_rows(vals)
+            cols = list(zip(*rows))
+            positive = all(embedding.sign(x) > 0 for x in vals)
+
+            def values(cols):
+                return [field.from_integers(den, row) for row in zip(*cols)]
+        if not positive:
+            raise DomainError("interval lengths must be positive")
+        # left endpoints in the domain, and the translation on each piece,
+        # summed column by column on the integers
+        slots = sorted(range(k), key=perm.__getitem__)   # intervals by slot
+        cut_cols, shift_cols = [], []
+        for col in cols:
+            cuts = list(accumulate(col, initial=0))
+            image = dict(zip(slots, accumulate((col[i] for i in slots),
+                                               initial=0)))
+            cut_cols.append(cuts)
+            shift_cols.append([image[i] - cuts[i] for i in range(k)])
+        cuts = values(cut_cols)
+        self.total = cuts.pop()
+        self._cuts = tuple(cuts)
+        self._shifts = tuple(values(shift_cols))
 
     def _sign(self, x):
         if self.field is None:
@@ -114,6 +133,11 @@ class IET:
     def interval_index(self, x):
         """0-based index of the piece containing x; x must lie in [0, total)."""
         x = self.coerce(x)
+        if self.field is None:
+            # rational cuts are increasing Fractions: compare, subtract none
+            if x < 0 or x >= self.total:
+                raise DomainError("point outside [0, total)")
+            return bisect_right(self._cuts, x) - 1
         if self._sign(x) < 0 or self._sign(self.total - x) <= 0:
             raise DomainError("point outside [0, total)")
         lo, hi = 0, len(self.lengths) - 1
@@ -131,6 +155,8 @@ class IET:
 
 
 def _as_fraction(x, what):
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise DomainError("%s must be exact (Fraction, int, or number "
                           "field element), not float" % what)
@@ -143,6 +169,14 @@ def _as_int(x, what):
         raise DomainError("%s must be int, not %s"
                           % (what, type(x).__name__))
     return x
+
+
+def _coordinate_rows(elements):
+    """(den, rows): the power-basis coordinates of field elements as
+    integer rows over one denominator, the lcm of theirs."""
+    coords = [x.integers for x in elements]
+    den = lcm(*[d for d, _ in coords])
+    return den, [[c * (den // d) for c in ints] for d, ints in coords]
 
 
 def iet_apply(T, x):
@@ -161,12 +195,10 @@ def periodicity_report(T):
     if T.field is not None:
         raise WrongCaseError(
             "periodicity certification needs all-rational lengths")
-    den = 1
-    for x in T.lengths:
-        den = lcm(den, x.denominator)
-    cells = [int(x * den) for x in T.lengths]
-    shifts = [int(w * den) for w in T._shifts]
-    starts = [int(c * den) for c in T._cuts]
+    den = lcm(*[x.denominator for x in T.lengths])
+    cells, shifts, starts = ([x.numerator * (den // x.denominator)
+                              for x in values]
+                             for values in (T.lengths, T._shifts, T._cuts))
     m = sum(cells)
     sigma = [0] * m
     for i, n in enumerate(cells):
@@ -224,10 +256,9 @@ def minimality_probe(T, max_steps):
     # of N steps come within about N^-2 of a cut at rank <= 3, so the
     # generator is first sharpened to N^-3 per unit of the largest entry.
     emb = T.embedding
-    den, rows = QMatrix.from_rows(
-        [x.coeffs for x in T._cuts[1:] + T._shifts]).integer_rows()
+    den, rows = _coordinate_rows(T._cuts[1:] + T._shifts)
     top = max(abs(c) for row in rows for c in row)
-    emb.approx(T.field.gen(), Fraction(den, (max_steps + 1) ** 3 * top))
+    emb.narrow(den, (max_steps + 1) ** 3 * top)
     boxes = emb.enclosures(rows)
     m = len(T._cuts) - 1
     # the enclosures as four flat lists, read by index in the step loop:

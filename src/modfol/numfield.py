@@ -5,11 +5,14 @@ of a root a of the monic irreducible defining polynomial, stored as
 integers over one positive denominator in lowest terms, the normal form
 QMatrix uses, so equal elements have equal storage; sums, products,
 rational scalars and multiplication matrices run on those integers, and
-``coeffs`` reads them back as Fractions.  A vector of K^n is the n x d
+``coeffs`` reads them back as Fractions.  Products and the image of a
+polynomial at the generator share one reduction by the defining
+polynomial.  A vector of K^n is the n x d
 rational matrix of its coordinates, and eigen solves no system over K.
 Real embeddings carry an isolating interval as integers over one common
-denominator and support exact sign queries and rational approximation
-to any requested accuracy: bisection and interval Horner run on
+denominator and support exact sign queries, rational approximation
+to any requested accuracy and narrowing below a width: bisection and
+interval Horner run on
 integers, reading an element's integers directly, the exact zero test
 comes first, and no floating point enters any exact decision.
 """
@@ -53,9 +56,6 @@ class NumberField:
     def __repr__(self):
         return "NumberField(%r)" % (self.minpoly,)
 
-    def zero(self):
-        return NFElement._make(self, 1, [0] * self.degree)
-
     def one(self):
         return self.from_rational(1)
 
@@ -86,11 +86,26 @@ class NumberField:
         return NFElement(self, cs)
 
     def from_poly(self, p):
-        """Image of a rational polynomial at the generator, by Horner in K."""
-        acc, gen = self.zero(), self.gen()
-        for c in reversed(p.coeffs):
-            acc = acc * gen + c
-        return acc
+        """Image of a rational polynomial at the generator: its integer
+        coefficients, reduced once by the defining polynomial."""
+        den, ints = _integers(p.coeffs)
+        return self._reduce(den, ints + [0] * (self.degree - len(ints)))
+
+    def _reduce(self, den, ints):
+        """The element sum ints[k] a^k / den, for a list of at least degree
+        integers: each term of degree k >= d, from the top down, becomes
+        a^(k-d) * a^d, and a^d has denominator t."""
+        d = self.degree
+        t, top = self._top
+        for k in range(len(ints) - 1, d - 1, -1):
+            c = ints[k]
+            if c:
+                if t != 1:
+                    ints[:k] = [t * x for x in ints[:k]]
+                    den *= t
+                for j, r in enumerate(top):
+                    ints[k - d + j] += c * r
+        return NFElement._make(self, den, ints[:d])
 
     def coerce(self, x):
         """x as an element of this field: an int, a Fraction, or an element
@@ -222,18 +237,7 @@ class NFElement:
                 for j, b in enumerate(o._numer):
                     if b:
                         prod[i + j] += a * b
-        den = self._denom * o._denom
-        # a^k = a^(k-d) * a^d, from the top down; a^d has denominator t
-        t, top = self.field._top
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                if t != 1:
-                    prod[:k] = [t * x for x in prod[:k]]
-                    den *= t
-                for j, r in enumerate(top):
-                    prod[k - d + j] += c * r
-        return NFElement._make(self.field, den, prod[:d])
+        return self.field._reduce(self._denom * o._denom, prod)
 
     __rmul__ = __mul__
 
@@ -340,9 +344,11 @@ class RealEmbedding:
     def __init__(self, field, lo, hi):
         self.field = field
         self._denom, (self._lo_num, self._hi_num) = _integers([lo, hi])
-        # the defining polynomial with cleared denominators, and whether it
-        # is negative at lo (it is nonzero there and changes sign once)
-        self._poly = _integers(field.minpoly.coeffs)[1]
+        # t times the defining polynomial, t x^d - sum top[j] x^j, and
+        # whether it is negative at lo (it is nonzero there and changes
+        # sign once)
+        t, top = field._top
+        self._poly = [-r for r in top] + [t]
         self._rising = _sign_at(self._poly, self._lo_num, self._denom) < 0
 
     @property
@@ -406,6 +412,15 @@ class RealEmbedding:
     def sign(self, elt):
         """Exact sign (-1, 0, 1) of the image of elt under this embedding."""
         return self.integer_sign(self.field.coerce(elt)._numer)
+
+    def narrow(self, num, den):
+        """Bisect the isolating interval until it is narrower than num/den
+        (num, den > 0): in a field of degree at least 2, the interval that
+        approx(gen, num/den) reaches, with no interval Horner per halving."""
+        if num <= 0 or den <= 0:
+            raise DomainError("the width must be positive")
+        while (self._hi_num - self._lo_num) * den >= num * self._denom:
+            self._refine()
 
     def approx(self, elt, eps):
         """Rational approximation of elt's image within eps (> 0)."""

@@ -9,6 +9,11 @@ splits it by Yun, factors each part modulo the first usable odd prime
 (Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
 bound and recombines by Zassenhaus's subset search with exact division.
 Factors come back monic, sorted by degree then coefficients.
+Irreducibility is read off the same monic integer polynomial: one gcd
+with its derivative refuses a repeated factor, an image that is
+irreducible modulo that prime decides at once, and otherwise the same
+lift and recombination finish it.  Root isolation splits its intervals
+on integer endpoints over a common denominator.
 """
 
 import random
@@ -228,13 +233,18 @@ def isolate_real_roots(p):
     real root of p strictly inside each; consecutive intervals are disjoint.
     Because each isolated root is simple (squarefree part) and interior,
     p(lo) and p(hi) have opposite signs, so the interval can be refined by
-    sign bisection.
+    sign bisection.  The search runs on integer endpoints over a common
+    denominator, and only the intervals it returns are Fractions.
     """
-    q = p.monic()
-    d = lcm(*[c.denominator for c in q.coeffs])
-    # the primitive squarefree part in Z[x] and its Sturm chain, each member
-    # a positive multiple of the one over Q, give signs by integer Horner
-    f = _primitive([int(c * d) for c in q.coeffs])
+    if p.is_zero():
+        raise DomainError("cannot isolate the roots of the zero polynomial")
+    d = lcm(*[c.denominator for c in p.coeffs])
+    # the primitive squarefree part in Z[x] with a positive leading
+    # coefficient and its Sturm chain, each member a positive multiple of
+    # the one over Q, give signs by integer Horner
+    f = _primitive([c.numerator * (d // c.denominator) for c in p.coeffs])
+    if f[-1] < 0:
+        f = [-c for c in f]
     f = _zx_div(f, _zx_gcd(f, _zx_derivative(f)))
     deg = len(f) - 1
     if deg < 1:
@@ -246,34 +256,33 @@ def isolate_real_roots(p):
             break
         chain.append([-c for c in _primitive(rem)])
 
-    def var(x):
-        signs = [s for s in (_sign_at(q, x.numerator, x.denominator)
-                             for q in chain) if s]
+    def var(num, den):
+        signs = [s for s in (_sign_at(q, num, den) for q in chain) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def interior_nonroot(lo, hi):
-        # f has at most deg roots, so one of deg+1 equispaced interior
-        # points is not a root
-        for k in range(1, deg + 2):
-            m = lo + (hi - lo) * Fraction(k, deg + 2)
-            if _sign_at(f, m.numerator, m.denominator):
-                return m
-        raise InternalInvariantError("no non-root cut point found")
-
-    # every real root lies inside (-M, M) (Cauchy); M is the bound of the
-    # monic squarefree part over Q
-    M = 1 + Fraction(max(map(abs, f[:-1])), f[-1])
+    # every real root lies inside (-M, M) (Cauchy), M = 1 + max|f_i| / f_n;
+    # an interval is (lo / den, hi / den)
+    M, den = f[-1] + max(map(abs, f[:-1])), f[-1]
     out = []
-    stack = [(-M, M, var(-M), var(M))]
+    stack = [(-M, M, den, var(-M, den), var(M, den))]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        lo, hi, den, vlo, vhi = stack.pop()
         if vlo - vhi == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, den), Fraction(hi, den)))
         elif vlo - vhi > 1:
-            mid = interior_nonroot(lo, hi)
-            vm = var(mid)
-            stack.append((lo, mid, vlo, vm))
-            stack.append((mid, hi, vm, vhi))
+            # f has at most deg roots, so one of the deg + 1 interior points
+            # lo + (hi - lo) k / (deg + 2) is not a root
+            width, n = hi - lo, deg + 2
+            lo, hi, den = lo * n, hi * n, den * n
+            for k in range(1, n):
+                mid = lo + width * k
+                if _sign_at(f, mid, den):
+                    break
+            else:
+                raise InternalInvariantError("no non-root cut point found")
+            vm = var(mid, den)
+            stack.append((lo, mid, den, vlo, vm))
+            stack.append((mid, hi, den, vm, vhi))
     return sorted(out)
 
 
@@ -382,15 +391,14 @@ def _gfp_powmod(base, e, mod, p):
 _SPLIT_ATTEMPTS = 64    # each attempt splits with probability about 1/2
 
 
-def _gfp_factor(f, p):
-    """Monic irreducible factors of a monic squarefree f in GF(p)[x], p odd.
+def _gfp_distinct_degree(f, p):
+    """[(g, d)]: the distinct-degree parts of a monic squarefree f in
+    GF(p)[x], g the product of the irreducible factors of degree d.
 
-    Distinct-degree factorisation: gcd(f, x^(p^d) - x) is the product of the
-    factors of degree d, and once 2d exceeds the degree left, what is left
-    is irreducible.  Each part is then split by equal-degree factorisation.
+    gcd(f, x^(p^d) - x) is the product of the factors of degree d, and once
+    2d exceeds the degree left, what is left is irreducible.
     """
-    rng = random.Random(0)
-    factors = []
+    parts = []
     h = [0, 1]
     d = 0
     while 2 * (d + 1) <= len(f) - 1:
@@ -398,10 +406,21 @@ def _gfp_factor(f, p):
         h = _gfp_powmod(h, p, f, p)
         g = _gfp_gcd(f, _zp_sub(h, [0, 1], p), p)
         if len(g) > 1:
-            factors += _gfp_equal_degree(g, d, p, rng)
+            parts.append((g, d))
             f = _gfp_divmod(f, g, p)[0]
     if len(f) > 1:
-        factors.append(f)
+        parts.append((f, len(f) - 1))
+    return parts
+
+
+def _gfp_factor(parts, p):
+    """Monic irreducible factors in GF(p)[x], p odd, of the product of the
+    distinct-degree parts of a monic squarefree polynomial, sorted: each
+    part split by equal-degree factorisation."""
+    rng = random.Random(0)
+    factors = []
+    for g, d in parts:
+        factors += _gfp_equal_degree(g, d, p, rng)
     return sorted(factors, key=_poly_sort_key)
 
 
@@ -511,9 +530,11 @@ def _factor_monic_squarefree_z(f):
         if len(_gfp_gcd(fp, _gfp_trim([c % p for c in _zx_derivative(fp)]), p)) == 1:
             break
         p = next_prime(p)
-    modular = _gfp_factor(fp, p)
-    if len(modular) == 1:
+    parts = _gfp_distinct_degree(fp, p)
+    if len(parts) == 1 and parts[0][1] == len(f) - 1:
+        # irreducible mod p, so over Z: nothing to split, lift or recombine
         return [f]
+    modular = _gfp_factor(parts, p)
     bound = 2 * _mignotte_bound(f) + 1
     m = p
     while m < bound:
@@ -551,6 +572,17 @@ def _factor_monic_squarefree_z(f):
 # -- public factorization -------------------------------------------------------
 
 
+def _monic_integer(p):
+    """(d, G) for p of degree n made monic, q: d is the lcm of the
+    denominators of q and G(x) = d^n q(x/d) is monic with integer
+    coefficients; a root r of G is the root r/d of p."""
+    q = p.monic()
+    n = q.degree
+    d = lcm(*[c.denominator for c in q.coeffs])
+    return d, [c.numerator * (d ** (n - i) // c.denominator)
+               for i, c in enumerate(q.coeffs)]
+
+
 def factor_poly(p):
     """Factor p in Q[x]: list of (monic irreducible QPolynomial, multiplicity).
 
@@ -572,13 +604,9 @@ def factor_poly(p):
         k += 1
     if k:
         out.append((QPolynomial.x(), k))
-    q = QPolynomial(coeffs[k:]).monic()
-    n = q.degree
-    d = lcm(*[c.denominator for c in q.coeffs])
-    # G(x) = d^n q(x/d) is monic with integer coefficients, and so are its
-    # squarefree parts and their irreducible factors; a root r of G is the
-    # root r/d of q
-    G = [int(c * d ** (n - i)) for i, c in enumerate(q.coeffs)]
+    # the squarefree parts of G and their irreducible factors are monic
+    # with integer coefficients too
+    d, G = _monic_integer(QPolynomial(coeffs[k:]))
     for part, mult in _zx_squarefree(G):
         for g in _factor_monic_squarefree_z(part):
             deg = len(g) - 1
@@ -589,10 +617,22 @@ def factor_poly(p):
 
 
 def is_irreducible(p):
+    """Whether p is irreducible over Q, decided on the monic integer G that
+    factor_poly factors.
+
+    A repeated factor shows in one gcd of G with its derivative over Z.
+    Then G is factored modulo the first good prime as factor_poly does,
+    and an image that is irreducible there decides at once (Musser 1978);
+    otherwise the same Zassenhaus lift and recombination finish it.
+    """
     if p.degree < 1:
         return False
-    fs = factor_poly(p)
-    return len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == p.degree
+    if p.coeffs[0] == 0:
+        return p.degree == 1
+    G = _monic_integer(p)[1]
+    if len(_zx_gcd(G, _zx_derivative(G))) > 1:
+        return False
+    return len(_factor_monic_squarefree_z(G)) == 1
 
 
 # -- formatting / parsing --------------------------------------------------------

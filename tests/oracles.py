@@ -30,7 +30,9 @@ embedding queries that read them through a Fraction QMatrix row, the
 Manin-symbol quotient by elimination of the dense three-term relation
 matrix, which the spanning forest replaced, and the boundary map checked
 by a walk over every symbol's coordinate row, which the certificate on the
-two- and three-term relations replaced) live on here; they reuse the
+two- and three-term relations replaced, the image of a polynomial at
+the generator by Horner in K, which one integer remainder replaced) live
+on here; they reuse the
 package's field, matrix and path arithmetic but none of the code they
 check.
 """
@@ -468,7 +470,7 @@ def elimination_nf_kernel(field, rows):
     for c in range(ncols):
         if c in pivot_set:
             continue
-        v = [field.zero()] * ncols
+        v = [field.from_rational(0)] * ncols
         v[c] = field.one()
         for k, pc in enumerate(pivots):
             v[pc] = -rref[k][c]
@@ -545,7 +547,7 @@ def elimination_eigenvector(T, lam):
 
 
 def _row_dot(mat, i, vec, field):
-    total = field.zero()
+    total = field.from_rational(0)
     for j, x in enumerate(vec):
         a = mat[i, j]
         if a:
@@ -1222,3 +1224,15 @@ def fraction_isolate_real_roots(p):
             stack.append((lo, mid, vlo, vm))
             stack.append((mid, hi, vm, vhi))
     return sorted(out)
+
+
+# -- number fields --------------------------------------------------------------------
+
+
+def horner_from_poly(field, p):
+    """NumberField.from_poly as Horner's rule in K: one field product by
+    the generator and one rational sum per coefficient."""
+    acc, gen = field.from_rational(0), field.gen()
+    for c in reversed(p.coeffs):
+        acc = acc * gen + c
+    return acc

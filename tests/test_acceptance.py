@@ -102,7 +102,7 @@ def test_criterion_02_hecke_qexp_formula():
         assert series[m] == K.from_rational(eta[m]), m
     for n in range(1, 11):
         for m in range(1, 51):
-            acted = K.zero()
+            acted = K.from_rational(0)
             for a in range(1, min(m, n) + 1):
                 if m % a == 0 and n % a == 0:
                     acted = acted + a * series[m * n // (a * a)]
@@ -152,7 +152,7 @@ def test_criterion_04_eigenvector_rescaling():
         lead = next(c for c in x if not c.is_zero())
         assert lead == K.one()
         for i in range(n):
-            acted = K.zero()
+            acted = K.from_rational(0)
             for j in range(n):
                 if rows[i][j]:
                     acted = acted + rows[i][j] * x[j]
@@ -194,7 +194,7 @@ def test_criterion_05_module_invariance():
         J = JacobianModule(K, gens)
         changed = basis_change(J, _random_unimodular(rng, k))
         assert changed.lattice_key() == J.lattice_key()
-        mu = K.zero()
+        mu = K.from_rational(0)
         while mu.is_zero():
             mu = K.element([rng.randint(-5, 5) for _ in range(K.degree)])
         mult = [(K.element([int(t == j) for t in range(K.degree)]) * mu).coeffs

@@ -59,7 +59,7 @@ def test_rank_of_golden_pair():
 
 
 def test_rank_of_zero_generator():
-    J = JacobianModule(GOLDEN, [GOLDEN.zero()])
+    J = JacobianModule(GOLDEN, [GOLDEN.from_rational(0)])
     assert module_rank(J) == 0
 
 

@@ -135,6 +135,39 @@ def test_construction_is_linear_in_the_interval_count():
     assert T._shifts[:3] == (k - 1, k - 3, k - 5) and T._shifts[-1] == 1 - k
 
 
+def test_cuts_and_shifts_are_the_sums_of_lengths():
+    # the integer columns store what sums of the lengths give: the cuts,
+    # the total, and each piece's image start minus its cut
+    rng = random.Random(3605)
+    cubic = NumberField(parse_poly("x^3 - x - 1"))
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        perm = rng.choice(irreducible_permutations(k))
+        if rng.random() < 0.5:
+            lengths = [Fraction(rng.randint(1, 40), rng.randint(1, 12))
+                       for _ in range(k)]
+            zero = Fraction(0)
+        else:
+            K = rng.choice((GOLDEN, cubic))
+            place = K.real_embeddings()[-1]
+            lengths = []
+            while len(lengths) < k:
+                x = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(K.degree)])
+                if place.sign(x) > 0:
+                    lengths.append(x)
+            zero = K.from_rational(0)
+        T = IET(lengths, perm)
+        cuts = list(itertools.accumulate(lengths, initial=zero))
+        assert T.total == cuts.pop()
+        assert T._cuts == tuple(cuts)
+        slots = sorted(range(k), key=lambda i: perm[i])
+        starts = dict(zip(slots, itertools.accumulate(
+            (lengths[i] for i in slots), initial=zero)))
+        assert T._shifts == tuple(starts[i] - c for i, c in enumerate(cuts))
+        assert all(type(x) is type(zero) for x in T._cuts + T._shifts)
+
+
 def test_equal_fields_are_one_field():
     # two separately built copies of Q(phi) are one field; Q(sqrt 2) is not
     K1, K2 = (NumberField(QPolynomial([-1, -1, 1])) for _ in range(2))
@@ -561,7 +594,7 @@ def _field_iets(draw):
                       max_size=K.degree)
     T = _field_iet(K, [draw(coords) for _ in range(k)],
                    draw(st.sampled_from(irreducible_permutations(k))))
-    x = K.zero()
+    x = K.from_rational(0)
     for length in T.lengths:
         den = draw(st.integers(1, 12))
         x = x + length * Fraction(draw(st.integers(0, den - 1)), den)

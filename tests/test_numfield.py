@@ -16,7 +16,8 @@ from modfol.polys import QPolynomial, isolate_real_roots, parse_poly
 
 from oracles import (FractionElement, FractionEmbedding,
                      elimination_nf_kernel, fraction_row_approx,
-                     fraction_row_sign, kronecker_eigenspace)
+                     fraction_row_sign, horner_from_poly,
+                     kronecker_eigenspace)
 
 
 @pytest.fixture
@@ -625,3 +626,65 @@ class TestIntegerEmbeddingMatchesFractions:
             assert (ints.lo, ints.hi) == (fracs.lo, fracs.hi)
         # the third bisection lands on 3; later steps shrink around it
         assert (ints.lo, ints.hi) == (Fraction(47, 16), Fraction(49, 16))
+
+
+def _non_integral_fields(seed):
+    """Per degree 1..4, two checked fields whose monic defining polynomial
+    has a non-integral coefficient, so that a^d has a denominator t > 1."""
+    rng = random.Random(seed)
+    for d in range(1, 5):
+        found = 0
+        while found < 2:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(d)] + [1]
+            if all(c.denominator == 1 for c in coeffs):
+                continue
+            try:
+                K = NumberField(QPolynomial(coeffs))
+            except DomainError:
+                continue
+            assert K._top[0] > 1
+            found += 1
+            yield K
+
+
+def test_from_poly_equals_horner_in_k():
+    # one integer remainder by the defining polynomial gives the element
+    # that Horner's rule in K gives, for polynomials up to degree 3d
+    rng = random.Random(36)
+    for K in _non_integral_fields(3601):
+        for n in range(3 * K.degree + 1):
+            p = QPolynomial([Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                             for _ in range(n)] + [Fraction(rng.randint(1, 5),
+                                                            rng.randint(1, 4))])
+            assert K.from_poly(p) == horner_from_poly(K, p), (K, p)
+        assert K.from_poly(QPolynomial([])) == K.from_rational(0)
+    K = NumberField(parse_poly("x^2 - x - 1"))
+    p = parse_poly("x^40 + 3*x^7 - 1/2")
+    assert K.from_poly(p) == horner_from_poly(K, p)
+
+
+def test_narrow_lands_on_the_interval_of_approx():
+    # halving the isolating interval below num/den gives the interval that
+    # approx of the generator to num/den reaches, with the same integers
+    rng = random.Random(3602)
+    fields = _EMBEDDING_FIELDS[:-1] + list(_non_integral_fields(3603))
+    for K in fields:
+        if K.degree < 2:
+            continue
+        for lo, hi in isolate_real_roots(K.minpoly):
+            for _ in range(3):
+                num, den = rng.randint(1, 10 ** 3), rng.randint(1, 10 ** 40)
+                by_approx, by_narrow = (RealEmbedding(K, lo, hi)
+                                        for _ in range(2))
+                by_approx.approx(K.gen(), Fraction(num, den))
+                by_narrow.narrow(num, den)
+                assert ((by_narrow._lo_num, by_narrow._hi_num,
+                         by_narrow._denom)
+                        == (by_approx._lo_num, by_approx._hi_num,
+                            by_approx._denom))
+                assert (by_narrow.hi - by_narrow.lo) * den < num
+    emb = _EMBEDDING_FIELDS[0].real_embeddings()[-1]
+    for num, den in ((0, 1), (1, 0), (-1, 5)):
+        with pytest.raises(DomainError):
+            emb.narrow(num, den)

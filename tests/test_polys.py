@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from modfol.errors import DomainError, InternalInvariantError
 from modfol.modsym import ModularSymbolSpace
 import modfol.polys
 from modfol.polys import (
+    _gfp_distinct_degree,
     _gfp_factor,
     _hensel_lift_pair,
     _zp_divmod_monic,
@@ -292,6 +294,12 @@ class TestFactor:
         assert keys == sorted(keys)
 
 
+def gfp_factor(f, p):
+    """The factorisation mod p of a monic squarefree f: its distinct-degree
+    parts, each split by equal-degree factorisation."""
+    return _gfp_factor(_gfp_distinct_degree(f, p), p)
+
+
 class TestFactorModP:
     """The factorisation mod p that Hensel lifting starts from, against
     sympy's factorisation over GF(p)."""
@@ -321,9 +329,9 @@ class TestFactorModP:
         return [int(c) % p for c in reversed(prod.all_coeffs())]
 
     def check(self, f, p):
-        got = _gfp_factor(f, p)
+        got = gfp_factor(f, p)
         assert got == self.sympy_factors(f, p)
-        assert _gfp_factor(f, p) == got
+        assert gfp_factor(f, p) == got
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_random_squarefree(self, p):
@@ -353,7 +361,7 @@ class TestFactorModP:
                 chosen.add(g)
         factors = [list(g) for g in chosen]
         f = self.monic_product(factors, p)
-        assert _gfp_factor(f, p) == sorted(factors,
+        assert gfp_factor(f, p) == sorted(factors,
                                            key=lambda g: (len(g), g[::-1]))
         self.check(f, p)
 
@@ -376,8 +384,136 @@ class TestFactorModP:
             return powmod(base, e, mod, q)
 
         monkeypatch.setattr(modfol.polys, "_gfp_powmod", counted)
-        assert _gfp_factor(f, p) == [f]
+        assert gfp_factor(f, p) == [f]
         assert calls == [p] * (n // 2)
+
+
+def swinnerton_dyer(primes):
+    """The monic integer polynomial whose roots are the sums of +-sqrt(q)
+    over the primes q (degree 2^len(primes), irreducible over Q, and a
+    product of factors of degree <= 2 modulo every prime).
+
+    f_next(x) = f(x + s) f(x - s) for s = sqrt(q): with f(x + s) = A + s B,
+    reduced by s^2 = q, that is A^2 - q B^2.
+    """
+    x = QPolynomial.x()
+    f = x
+    for q in primes:
+        a, b = QPolynomial([]), QPolynomial([])
+        for c in reversed(f.coeffs):
+            a, b = a * x + b * q + c, a + b * x
+        f = a * a - b * b * q
+    return f
+
+
+def _irreducibility_corpus(seed):
+    """Seeded rational polynomials of degree 1-12, products of two of them
+    and squares, polynomials whose leading coefficient or discriminant 3,
+    5 and 7 divide (so that the first odd primes are not good), cyclic
+    cubics, and the Swinnerton-Dyer polynomials of degree 8 and 16."""
+    rng = random.Random(seed)
+
+    def rational(deg):
+        return QPolynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                            for _ in range(deg)]
+                           + [Fraction(rng.choice((1, 2, -3, 5)),
+                                       rng.randint(1, 3))])
+
+    for deg in range(1, 13):
+        yield rational(deg)
+        yield rational(deg)
+    for _ in range(10):
+        yield rational(rng.randint(1, 6)) * rational(rng.randint(1, 6))
+        yield rational(rng.randint(1, 5)) ** 2
+    yield parse_poly("x^2 + x")
+    yield parse_poly("2*x")
+    x = QPolynomial.x()
+    for deg in range(1, 9):
+        # lead 105: every coefficient of the monic integer form but the top
+        # is divisible by 3, 5 and 7
+        yield QPolynomial([rng.randint(-9, 9) for _ in range(deg)] + [105])
+        # g(x) g(x + 105) + 105 r(x) is g^2 modulo 3, 5 and 7
+        g = QPolynomial([rng.randint(-5, 5) for _ in range(deg)] + [1])
+        shifted = g.evaluate(x + 105)
+        yield g * shifted + QPolynomial(
+            [105 * rng.randint(-3, 3) for _ in range(deg)])
+    # Shanks's simplest cubics, cyclic and irreducible for every t
+    for t in (-1, 0, 1, 2, 5, 11):
+        yield QPolynomial([-1, -(t + 3), -t, 1])
+    yield swinnerton_dyer((2, 3, 5))
+    yield swinnerton_dyer((2, 3, 5, 7))
+
+
+class TestIrreducibility:
+    def test_matches_sympy_and_factor_poly(self):
+        cases = 0
+        for p in _irreducibility_corpus(3604):
+            expected = sympy.Poly(to_sympy(p), X, domain="QQ").is_irreducible
+            assert is_irreducible(p) == expected, p
+            fs = factor_poly(p)
+            assert expected == (len(fs) == 1 and fs[0][1] == 1
+                                and fs[0][0].degree == p.degree), p
+            cases += 1
+        assert cases == 70
+
+    def test_swinnerton_dyer(self):
+        sd = swinnerton_dyer((2, 3, 5, 7))
+        assert sd.degree == 16 and all(c.denominator == 1 for c in sd.coeffs)
+        assert is_irreducible(sd)
+        assert not is_irreducible(sd * swinnerton_dyer((2, 3)))
+        assert not is_irreducible(sd * sd)
+
+    @pytest.mark.parametrize("text", [
+        "x^2 - x - 1", "x^3 - x - 1",
+        # torus quadratics x^2 - t x + 1 of traces 3, -3, 4, -4, 6 and 7
+        "x^2 - 3*x + 1", "x^2 + 3*x + 1", "x^2 - 4*x + 1", "x^2 + 4*x + 1",
+        "x^2 - 6*x + 1", "x^2 - 7*x + 1",
+        # the other benchmark fields that stay irreducible at their first
+        # good prime
+        "x^2 - 2", "x^2 - 3", "x^2 - 5", "x^3 - 3*x - 1",
+        "x^3 - x^2 - 2*x + 1"])
+    def test_decided_at_the_first_good_prime(self, text, monkeypatch):
+        # an image that is irreducible mod the first good prime decides:
+        # no RNG, equal-degree split, Hensel lift, sort or QPolynomial
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached")
+
+        p = parse_poly(text)
+        for name in ("_gfp_equal_degree", "_hensel_lift_tree",
+                     "_hensel_step", "factor_poly", "QPolynomial"):
+            monkeypatch.setattr(modfol.polys, name, refuse)
+        monkeypatch.setattr(modfol.polys, "sorted", refuse, raising=False)
+        monkeypatch.setattr(modfol.polys, "random",
+                            types.SimpleNamespace(Random=refuse))
+        assert is_irreducible(p)
+
+    @pytest.mark.parametrize("text,prime", [
+        ("x^2 - 6", 5), ("x^2 - 7", 3), ("x^2 - 5*x + 1", 5)])
+    def test_split_at_the_first_good_prime(self, text, prime, monkeypatch):
+        # x^2 - 6 and x^2 - 5x + 1 split mod 5, their first good prime, and
+        # x^2 - 7 mod 3: Zassenhaus lifts the linear factors and finds no
+        # factor over Z
+        split = []
+        equal_degree = modfol.polys._gfp_equal_degree
+
+        def counted(g, d, p, rng):
+            split.append((d, p))
+            return equal_degree(g, d, p, rng)
+
+        monkeypatch.setattr(modfol.polys, "_gfp_equal_degree", counted)
+        assert is_irreducible(parse_poly(text))
+        assert split[0] == (1, prime)
+
+    def test_repeated_factor_refused_by_one_gcd(self, monkeypatch):
+        # a square is squarefree modulo no prime: one gcd over Z refuses it
+        # before the search for a good prime starts
+        monkeypatch.setattr(modfol.polys, "next_prime",
+                            lambda n: pytest.fail("prime search started"))
+        monkeypatch.setattr(modfol.polys, "_factor_monic_squarefree_z",
+                            lambda f: pytest.fail("Zassenhaus started"))
+        for p in (parse_poly("x^2 - 2*x + 1"), parse_poly("x^2 - 2") ** 2,
+                  swinnerton_dyer((2, 3)) ** 2):
+            assert not is_irreducible(p)
 
 
 class TestSturm:
@@ -473,10 +609,23 @@ def _check_isolation(degrees, seed):
         assert isolate_real_roots(p) == fraction_isolate_real_roots(p), p
 
 
+# the benchmark's nine --poly fields, ascending, then polynomials with
+# rational coefficients, one with a negative leading coefficient, x^2 - 1,
+# whose root -1 is the first cut point tried in (-2, 2), rational roots,
+# and (x - 1)^2 (x^2 + 1)
+_ISOLATION_FIELDS = ("-1,-1,1", "-2,0,1", "-3,0,1", "-5,0,1", "-6,0,1",
+                     "-7,0,1", "-1,-1,0,1", "-1,-3,0,1", "1,-2,-1,1",
+                     "-1/2,1/3,1", "5/7,0,-3/2,1/5", "1/3,-2,0,0,-7/4",
+                     "-1,0,1", "0,-4,0,1", "1,-2,2,-2,1")
+
+
 def test_isolation_matches_fraction_sturm_signs():
     # the integer Horner signs pick the same bisection points as Fraction
     # Horner, so every interval is the same Fraction
     _check_isolation(range(2, 13), 2009)
+    for text in _ISOLATION_FIELDS:
+        p = QPolynomial([Fraction(c) for c in text.split(",")])
+        assert isolate_real_roots(p) == fraction_isolate_real_roots(p), p
 
 
 @pytest.mark.slow

@@ -68,6 +68,17 @@
   `hecke.eigenvalue_from_functional` construct no Fraction and call no
   `_frac`; NFElement's storage is read only in `numfield`, under names
   apart from QMatrix's.
+* The set-up of a Keane probe runs on integers: NumberField.from_poly,
+  module_rank and minimality_probe build no Fraction, call no `_frac`
+  and read no Fraction view (`coeffs`) of an element (from_poly reads
+  only its polynomial's coefficients); module_rank reads no coordinate
+  rows, and the probe narrows the generator's interval instead of
+  calling `approx`.
+* The distinct-degree loop has one body: `_gfp_distinct_degree` alone
+  takes the Frobenius step x^(p^d) -> x^(p^(d+1)), in one loop, and the
+  Zassenhaus path shared by factor_poly and is_irreducible hands its
+  parts to the equal-degree split `_gfp_factor`; is_irreducible calls no
+  factor_poly.
 * eigen holds a vector over the eigenvalue field as one coordinate
   matrix: no per-entry row product, scalar action or lift is defined, and
   no field wrapper beside NumberField.
@@ -287,7 +298,8 @@ def test_field_elements_run_on_integers():
                if name not in {"__init__", "coeffs", "__hash__"}]
     constructors = _methods("numfield", "NumberField")
     checked += [constructors[name] for name in (
-        "zero", "one", "gen", "from_rational", "from_integers", "coerce")]
+        "one", "gen", "from_rational", "from_integers", "coerce",
+        "_reduce")]
     checked.append(_function("hecke", "eigenvalue_from_functional"))
     for node in checked:
         assert _called(node) & {"Fraction", "_frac"} == set(), node.name
@@ -298,6 +310,47 @@ def test_field_elements_run_on_integers():
                for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr in storage]
     assert readers == []
+
+
+def test_field_set_up_runs_on_integers():
+    # a length's image, the rank of the lengths and the probe's set-up read
+    # integers: they build no Fraction and read no Fraction view (`coeffs`)
+    # of an element; from_poly reads only its polynomial's coefficients
+    from_poly = _methods("numfield", "NumberField")["from_poly"]
+    rank = _function("foliation", "module_rank")
+    probe = _function("iet", "minimality_probe")
+    for node in (from_poly, rank, probe):
+        assert _called(node) & {"Fraction", "_frac"} == set(), node.name
+    coeffs = {node.name: [ast.unparse(n) for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute)
+                          and n.attr == "coeffs"]
+              for node in (from_poly, rank, probe)}
+    assert coeffs == {"from_poly": ["p.coeffs"], "module_rank": [],
+                      "minimality_probe": []}
+    assert "coordinate_rows" not in _called(rank)
+    # the generator is sharpened by halving its interval, not through approx
+    assert "approx" not in _called(probe)
+    assert "narrow" in _called(probe)
+
+
+def test_one_distinct_degree_loop():
+    # the Frobenius step x^(p^d) -> x^(p^(d+1)) is taken in one loop, whose
+    # parts the Zassenhaus path of is_irreducible and factor_poly reads and
+    # hands on to the equal-degree split
+    frobenius = {(module, node.name) for module, tree in TREES.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 for call in ast.walk(node) if isinstance(call, ast.Call)
+                 and getattr(call.func, "id", None) == "_gfp_powmod"
+                 and ast.unparse(call.args[1]) == "p"}
+    assert frobenius == {("polys", "_gfp_distinct_degree")}
+    loops = [node for node in _loops(_function("polys", "_gfp_distinct_degree"))
+             if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    assert {"_gfp_distinct_degree", "_gfp_factor"} <= _called(
+        _function("polys", "_factor_monic_squarefree_z"))
+    irreducible = _called(_function("polys", "is_irreducible"))
+    assert "_factor_monic_squarefree_z" in irreducible
+    assert "factor_poly" not in irreducible
 
 
 def test_one_field_vector_form_in_eigen():
