@@ -1,8 +1,8 @@
 """Integer and rational helpers shared by the package.
 
 Primality, the next prime, a smallest-prime-factor sieve, factorization
-by trial division and Pollard's rho, and the int-or-Fraction coercion of
-exact containers.
+by trial division and Pollard's rho, the int-or-Fraction coercion of
+exact containers, and the int check of integer arguments.
 """
 
 from fractions import Fraction
@@ -18,6 +18,14 @@ def _frac(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
+
+
+def _as_int(x, what):
+    """x if it is an int, else a DomainError naming `what`: int() would
+    read 2.5 as 2, "5" as 5 and True as 1."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError("%s must be int, not %s" % (what, type(x).__name__))
+    return x
 
 
 def is_prime(n):

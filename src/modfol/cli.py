@@ -165,6 +165,12 @@ def _decimal(value, digits):
     return sign + text[:-digits] + "." + text[-digits:]
 
 
+def _check_orbit(args, count):
+    if not 0 <= args.orbit < count:
+        raise _UsageError("level %d has %d orbits; --orbit %d is out of "
+                          "range" % (args.level, count, args.orbit))
+
+
 def _parse_int_list(text, what):
     try:
         return [int(part) for part in text.split(",")]
@@ -206,10 +212,7 @@ def _classify_handler(args):
         if args.range is not None:
             raise _UsageError("--orbit cannot be combined with --range")
         entries = _classify_entries(args.level, not args.no_cache)
-        if not 0 <= args.orbit < len(entries):
-            raise _UsageError("level %d has %d orbits; --orbit %d is out "
-                              "of range" % (args.level, len(entries),
-                                            args.orbit))
+        _check_orbit(args, len(entries))
         _emit(entries[args.orbit], args.pretty)
         return 0
     return _run_levels(args, "classify")
@@ -217,10 +220,7 @@ def _classify_handler(args):
 
 def _periods_handler(args):
     record = _level_record(args.level, None, not args.no_cache)
-    if not 0 <= args.orbit < len(record["orbits"]):
-        raise _UsageError("level %d has %d orbits; --orbit %d is out of "
-                          "range" % (args.level, len(record["orbits"]),
-                                     args.orbit))
+    _check_orbit(args, len(record["orbits"]))
     orbit = orbit_from_record(record, args.orbit)
     if not orbit.possibly_old:
         # numeric_jacobian and detect_rank would refuse this --prec only

@@ -16,7 +16,7 @@ entry: about N*sigma_0(N) entries, with no N*N table.
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize, is_prime
+from .arith import _as_int, factorize, is_prime
 from .errors import DomainError, InternalInvariantError
 
 # 2x2 integer matrices are flat tuples (a, b, c, d)
@@ -39,6 +39,7 @@ def curve_data(N):
     Returns a dict with keys N, mu (index), nu2, nu3 (elliptic point
     counts), nu_inf (cusp count), genus.
     """
+    N = _as_int(N, "level")
     if N < 1:
         raise DomainError("level must be a positive integer")
     fac = factorize(N) if N > 1 else []
@@ -103,6 +104,7 @@ class P1Space:
     __slots__ = ("N", "reps", "_rows", "_units", "_star")
 
     def __init__(self, N):
+        N = _as_int(N, "level")
         if N < 1:
             raise DomainError("level must be a positive integer")
         self.N = N
@@ -238,6 +240,7 @@ def cusp_class_key(cusp, N):
 def cusp_classes(N):
     """Sorted canonical labels of all cusp classes of level N: one for
     each c | N and each unit r mod t = gcd(c, N/c)."""
+    N = _as_int(N, "level")
     if N < 1:
         raise DomainError("level must be a positive integer")
     divisors = [1]

@@ -56,7 +56,7 @@ nonzero entry, and becomes a tuple of NFElements only in the result.
 from itertools import groupby
 from math import isqrt, prod
 
-from .arith import is_prime, next_prime
+from .arith import _as_int, is_prime, next_prime
 from .errors import (
     DimensionError,
     DomainError,
@@ -168,7 +168,7 @@ def decompose(space, primes=None):
     """
     N = space.N
     ps = ([_next_split_prime([1], N)] if primes is None
-          else sorted({int(p) for p in primes}))
+          else sorted({_as_int(p, "primes") for p in primes}))
     if not ps:
         raise DomainError("at least one prime is required")
     for p in ps:

@@ -19,6 +19,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
+from .arith import _as_int
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
 from .numfield import NFElement
@@ -161,14 +162,6 @@ def _as_fraction(x, what):
         raise DomainError("%s must be exact (Fraction, int, or number "
                           "field element), not float" % what)
     return Fraction(x)
-
-
-def _as_int(x, what):
-    # int() would read 2.5 as 2, "5" as 5 and True as 1
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise DomainError("%s must be int, not %s"
-                          % (what, type(x).__name__))
-    return x
 
 
 def _coordinate_rows(elements):

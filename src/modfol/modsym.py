@@ -338,8 +338,7 @@ class ModularSymbolSpace:
             c = k * self.N
             for d in range(1, c + 1):
                 if gcd(d, c) == 1:
-                    a = pow(d, -1, c)
-                    gamma = (a, (a * d - 1) // c, c, d)
+                    gamma = _lift_canonical(c, d)
                     # loop_class checks that gamma is in Gamma0(N)
                     out.append((gamma, self.loop_class(gamma)))
             columns = QMatrix.from_rows(zip(*(v for _, v in out)))

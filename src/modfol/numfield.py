@@ -60,10 +60,7 @@ class NumberField:
         return self.from_rational(1)
 
     def gen(self):
-        if self.degree == 1:
-            # a is rational: a = -c0
-            return self.from_rational(-self.minpoly.coeffs[0])
-        return NFElement._make(self, 1, [0, 1] + [0] * (self.degree - 2))
+        return self._reduce(1, [0, 1] + [0] * (self.degree - 2))
 
     def from_rational(self, c):
         if not isinstance(c, (int, Fraction)):
@@ -79,11 +76,8 @@ class NumberField:
         return NFElement._make(self, den, list(ints))
 
     def element(self, coeffs):
-        cs = [_frac(c) for c in coeffs]
-        if len(cs) > self.degree:
-            return self.from_poly(QPolynomial(cs))
-        cs += [0] * (self.degree - len(cs))
-        return NFElement(self, cs)
+        """sum coeffs[k] a^k, for int-or-Fraction coeffs of any length."""
+        return self.from_poly(QPolynomial(coeffs))
 
     def from_poly(self, p):
         """Image of a rational polynomial at the generator: its integer

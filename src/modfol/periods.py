@@ -37,6 +37,7 @@ import math
 import operator
 from fractions import Fraction
 
+from .arith import _as_int
 from .congruence import gamma0_contains
 from .eigen import dual_eigenvector
 from .errors import (
@@ -65,10 +66,11 @@ def required_terms(c, precision):
     needs |c| * precision * ln(10) / (2 pi) terms; a flat margin of 50 terms
     absorbs the slowly growing coefficient sizes.
     """
-    c = abs(int(c))
+    c = abs(_as_int(c, "lower-left entry"))
     if c == 0:
         raise DomainError("degenerate path: lower-left entry is zero")
-    return math.ceil(c * int(precision) * math.log(10) / (2 * math.pi)) + 50
+    precision = _as_int(precision, "precision")
+    return math.ceil(c * precision * math.log(10) / (2 * math.pi)) + 50
 
 
 # -- exact q-expansions ---------------------------------------------------------------
@@ -92,7 +94,7 @@ def ensure_series(space, orbit, terms):
     if space.N != orbit.N:
         raise DomainError(
             "space level %d does not match orbit level %d" % (space.N, orbit.N))
-    terms = int(terms)
+    terms = _as_int(terms, "terms")
     if orbit._series is not None and len(orbit._series) > terms:
         return orbit._series
     if orbit._functional is None:
@@ -208,13 +210,13 @@ def period_integral(orbit, gamma, terms, precision):
     the orbit's series (see ensure_series) reaches order `terms`, and
     `terms` covers required_terms(c, precision).
     """
-    a, b, c, d = (int(x) for x in gamma)
+    a, b, c, d = (_as_int(x, "matrix entries") for x in gamma)
     if not gamma0_contains((a, b, c, d), orbit.N):
         raise DomainError("matrix is not in the level-%d subgroup" % orbit.N)
     if c == 0:
         raise DomainError("degenerate path: lower-left entry is zero")
     precision = positive_precision(precision)
-    terms = int(terms)
+    terms = _as_int(terms, "terms")
     need = required_terms(c, precision)
     if terms < need:
         raise PrecisionError(
@@ -391,16 +393,16 @@ class PeriodVector:
 
 
 def positive_precision(precision):
-    """`precision` as an int; DomainError unless it is positive."""
-    precision = int(precision)
+    """`precision`, an int; DomainError unless it is positive."""
+    precision = _as_int(precision, "precision")
     if precision < 1:
         raise DomainError("precision must be a positive digit count")
     return precision
 
 
 def rank_precision(precision):
-    """`precision` as an int; DomainError below MIN_RANK_PRECISION."""
-    precision = int(precision)
+    """`precision`, an int; DomainError below MIN_RANK_PRECISION."""
+    precision = _as_int(precision, "precision")
     if precision < MIN_RANK_PRECISION:
         raise DomainError(
             "rank detection needs at least %d digits, got %d"
@@ -419,7 +421,8 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     largest required term count (TruncationError reports it otherwise).
     """
     precision = positive_precision(precision)
-    gammas = [tuple(int(x) for x in (item if len(item) == 4 else item[0]))
+    gammas = [tuple(_as_int(x, "matrix entries")
+                    for x in (item if len(item) == 4 else item[0]))
               for item in basis]
     if not gammas:
         raise DomainError("homology basis is empty")
@@ -463,8 +466,6 @@ def detect_rank(values, precision):
 
     pre: precision >= 40 decimal digits.
     """
-    if isinstance(values, PeriodVector):
-        values = values.values
     precision = rank_precision(precision)
     return _rank_step([_exact(x) for x in values], precision)
 

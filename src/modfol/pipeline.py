@@ -17,6 +17,7 @@ reads, so records of earlier versions, which chose another, stay valid.
 import re
 from fractions import Fraction
 
+from .arith import _as_int
 from .cache import SCHEMA_VERSION
 from .congruence import curve_data
 from .eigen import EigenformOrbit, decompose
@@ -75,7 +76,7 @@ def analyze_level(N, primes=None):
     raise the undecided split error).  Genus-0 levels yield empty orbit
     and classification lists.
     """
-    N = int(N)
+    N = _as_int(N, "level")
     space = ModularSymbolSpace(N)
     curve = curve_data(N)
     orbits = decompose(space, primes)

@@ -7,8 +7,9 @@ Yun's squarefree decomposition and the Sturm chains of root isolation.
 Factorization over Q scales the monic polynomial to a monic integer one,
 splits it by Yun, factors each part modulo the first usable odd prime
 (Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
-bound and recombines by Zassenhaus's subset search with exact division.
-Factors come back monic, sorted by degree then coefficients.
+bound and recombines by Zassenhaus's subset search with exact division;
+x, when p(0) = 0, is found there like any other factor.  Factors come
+back monic, sorted by degree then coefficients.
 Irreducibility is read off the same monic integer polynomial: one gcd
 with its derivative refuses a repeated factor, an image that is
 irreducible modulo that prime decides at once, and otherwise the same
@@ -479,18 +480,6 @@ def _hensel_step(f, g, h, s, t, m):
     return g_, h_, s_, t_
 
 
-def _hensel_lift_pair(f, g, h, p, target):
-    """Lift f = g*h from mod p to mod m >= target (m a power of p squared up)."""
-    gp, s, t = _gfp_xgcd(g, h, p)
-    if gp != [1]:
-        raise InternalInvariantError("factors not coprime mod p")
-    m = p
-    while m < target:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m *= m
-    return g, h, m
-
-
 def _hensel_lift_tree(f, factors, p, m):
     """Lift a list of monic coprime factors of monic f from mod p to mod m.
 
@@ -499,8 +488,14 @@ def _hensel_lift_tree(f, factors, p, m):
     if len(factors) == 1:
         return [f]
     k = len(factors) // 2
-    g, h, m = _hensel_lift_pair(f, _zp_prod(factors[:k], p),
-                                _zp_prod(factors[k:], p), p, m)
+    g, h = _zp_prod(factors[:k], p), _zp_prod(factors[k:], p)
+    one, s, t = _gfp_xgcd(g, h, p)
+    if one != [1]:
+        raise InternalInvariantError("factors not coprime mod p")
+    q = p
+    while q < m:
+        g, h, s, t = _hensel_step(f, g, h, s, t, q)
+        q *= q
     return (_hensel_lift_tree(g, factors[:k], p, m)
             + _hensel_lift_tree(h, factors[k:], p, m))
 
@@ -540,33 +535,25 @@ def _factor_monic_squarefree_z(f):
     while m < bound:
         m *= m
     lifted = _hensel_lift_tree([c % m for c in f], modular, p, m)
-    # recombination
-    remaining = list(range(len(lifted)))
+    # recombination by subset size, each factor found divided out of f with
+    # its modular factors; a factor's constant term divides f's (0 % c is 0)
     result = []
-    rest = f[:]
     size = 1
-    while 2 * size <= len(remaining):
-        found = True
-        while found:
-            found = False
-            for subset in combinations(remaining, size):
-                cand = _zp_prod([lifted[i] for i in subset], m)
-                cand = _gfp_trim([_sym(c, m) for c in cand])
-                if rest[0] != 0 and cand[0] != 0 and rest[0] % cand[0] != 0:
-                    continue
-                q = _zx_div(rest, cand)
-                if q is not None:
-                    result.append(cand)
-                    rest = q
-                    remaining = [i for i in remaining if i not in subset]
-                    found = True
-                    break
-            if 2 * size > len(remaining):
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            cand = _zp_prod([lifted[i] for i in subset], m)
+            cand = _gfp_trim([_sym(c, m) for c in cand])
+            if cand[0] and f[0] % cand[0]:
+                continue
+            q = _zx_div(f, cand)
+            if q is not None:
+                result.append(cand)
+                f = q
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
                 break
-        size += 1
-    if len(rest) > 1:
-        result.append(rest)
-    return result
+        else:
+            size += 1
+    return result + [f]
 
 
 # -- public factorization -------------------------------------------------------
@@ -594,19 +581,10 @@ def factor_poly(p):
         raise TypeError("factor_poly expects a QPolynomial")
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    if p.degree < 1:
-        return []
     out = []
-    # strip powers of x first (Zassenhaus needs nonzero constant term)
-    coeffs = p.coeffs
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k:
-        out.append((QPolynomial.x(), k))
     # the squarefree parts of G and their irreducible factors are monic
-    # with integer coefficients too
-    d, G = _monic_integer(QPolynomial(coeffs[k:]))
+    # with integer coefficients too; x is one of them when p(0) = 0
+    d, G = _monic_integer(p)
     for part, mult in _zx_squarefree(G):
         for g in _factor_monic_squarefree_z(part):
             deg = len(g) - 1
@@ -627,8 +605,6 @@ def is_irreducible(p):
     """
     if p.degree < 1:
         return False
-    if p.coeffs[0] == 0:
-        return p.degree == 1
     G = _monic_integer(p)[1]
     if len(_zx_gcd(G, _zx_derivative(G))) > 1:
         return False

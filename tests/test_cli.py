@@ -380,6 +380,14 @@ def test_periods_orbit_out_of_range():
     assert code == 2 and "out of range" in obj["error"]
 
 
+def test_classify_and_periods_share_the_orbit_range_check():
+    for command in ("classify", "periods"):
+        code, obj = run_json(command, "11", "--orbit", "3")
+        assert code == 2
+        assert obj["error"] == ("level 11 has 1 orbits; --orbit 3 is out "
+                                "of range")
+
+
 def test_periods_precision_floor():
     code, obj = run_json("periods", "11", "--orbit", "0", "--prec", "20")
     assert code == 3 and "error" in obj

@@ -237,3 +237,12 @@ class TestCusps:
         assert cusp_equivalent((1, 0), (1, 11), 11)
         assert not cusp_equivalent((1, 0), (0, 1), 11)
         assert cusp_equivalent((0, 1), (5, 1), 11)
+
+
+@pytest.mark.parametrize("build", [curve_data, P1Space, cusp_classes])
+@pytest.mark.parametrize("N", [11.0, 11.5, True, "11"])
+def test_levels_must_be_ints(build, N):
+    # curve_data(11.0) raised a bare TypeError and curve_data(True) gave
+    # the record of level 1 with N True
+    with pytest.raises(DomainError, match="level must be int"):
+        build(N)

@@ -719,6 +719,13 @@ def test_decompose_rejects_bad_primes():
         decompose(sp, [])
 
 
+@pytest.mark.parametrize("p", [2.9, 2.0, True, "2"])
+def test_decompose_refuses_non_int_primes(p):
+    # int() read 2.9 as 2 and split by T_2
+    with pytest.raises(DomainError, match="primes must be int"):
+        decompose(ModularSymbolSpace(11), [p])
+
+
 def test_decompose_genus_zero_is_empty():
     assert decompose(ModularSymbolSpace(10), [3]) == []
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -662,6 +663,39 @@ def test_from_poly_equals_horner_in_k():
     K = NumberField(parse_poly("x^2 - x - 1"))
     p = parse_poly("x^40 + 3*x^7 - 1/2")
     assert K.from_poly(p) == horner_from_poly(K, p)
+
+
+def _padded_integers(coeffs, d):
+    """(den, ints): rational coordinates padded to length d, in lowest
+    terms (the lcm of reduced denominators leaves no common factor)."""
+    cs = [Fraction(c) for c in coeffs] + [Fraction(0)] * (d - len(coeffs))
+    den = lcm(*(c.denominator for c in cs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in cs)
+
+
+def test_gen_and_element_store_reduced_integers():
+    # gen() and element() go through the one reduction by the defining
+    # polynomial: the rational root at degree 1, the unit vector above it,
+    # the padded coordinates for up to d coefficients and Horner's rule in
+    # K beyond, each stored as the same lowest-terms integers
+    rng = random.Random(38)
+    for K in _non_integral_fields(3801):
+        d = K.degree
+        gen = (K.from_rational(-K.minpoly.coeffs[0]) if d == 1
+               else K.from_integers(1, [0, 1] + [0] * (d - 2)))
+        assert K.gen().integers == gen.integers
+        for n in range(3 * d + 1):
+            coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                      for _ in range(n - 1)] + [rng.randint(-3, 3)] * (n > 0)
+            if n <= d:
+                expected = _padded_integers(coeffs, d)
+            else:
+                acc = K.from_rational(0)
+                for c in reversed(coeffs):
+                    acc = acc * gen + c
+                expected = acc.integers
+            assert K.element(coeffs).integers == expected, (K, coeffs)
+        assert K.element([1] + [0] * 2 * d).integers == _padded_integers([1], d)
 
 
 def test_narrow_lands_on_the_interval_of_approx():

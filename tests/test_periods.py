@@ -28,6 +28,8 @@ from modfol.periods import (
     ensure_series,
     numeric_jacobian,
     period_integral,
+    positive_precision,
+    rank_precision,
     required_terms,
 )
 from oracles import (approx_series, eta_product_qexp, fraction_lll, mat_mul,
@@ -445,6 +447,31 @@ def test_integral_input_errors():
     err = pytest.raises(PrecisionError,
                         period_integral, orbit, G1_11, 100, 50)
     assert err.value.required_terms == required_terms(11, 50)
+
+
+@pytest.mark.parametrize("what,call", [
+    ("lower-left entry", lambda sp, o: required_terms(11.0, 40)),
+    ("precision", lambda sp, o: required_terms(11, 40.5)),
+    ("terms", lambda sp, o: ensure_series(sp, o, 100.5)),
+    ("matrix entries",
+     lambda sp, o: period_integral(o, (1, 0.5, 11, 1), 400, 40)),
+    ("terms", lambda sp, o: period_integral(o, G1_11, 400.0, 40)),
+    ("precision", lambda sp, o: period_integral(o, G1_11, 400, 40.0)),
+    ("matrix entries",
+     lambda sp, o: numeric_jacobian(o, [(6, 1, 11.0, 2)], 40)),
+    ("precision", lambda sp, o: numeric_jacobian(o, [G1_11], "40")),
+    ("precision", lambda sp, o: positive_precision(True)),
+    ("precision", lambda sp, o: rank_precision(60.5)),
+], ids=["required_terms-c", "required_terms-precision", "ensure_series",
+        "period_integral-gamma", "period_integral-terms",
+        "period_integral-precision", "numeric_jacobian-basis",
+        "numeric_jacobian-precision", "positive_precision", "rank_precision"])
+def test_integer_arguments_are_not_truncated(what, call):
+    # int() read each of these as a nearby integer: (1, 0.5, 11, 1) gave
+    # the period of (1, 0, 11, 1), and True the precision 1
+    space, (orbit,) = level(11)
+    with pytest.raises(DomainError, match=what + " must be int"):
+        call(space, orbit)
 
 
 def test_integral_requires_series():

@@ -39,6 +39,13 @@ def test_analyze_level_records_are_level_records(N):
     assert is_level_record(analyze_level(N))
 
 
+@pytest.mark.parametrize("N", [11.5, 11.0, True, "11"])
+def test_analyze_level_refuses_a_non_int_level(N):
+    # int() read 11.5 as 11 and returned level 11's record
+    with pytest.raises(DomainError, match="level must be int"):
+        analyze_level(N)
+
+
 def test_genus_zero_record():
     record = analyze_level(13)
     assert record["orbits"] == [] and record["classification"] == []

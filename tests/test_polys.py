@@ -12,7 +12,7 @@ import modfol.polys
 from modfol.polys import (
     _gfp_distinct_degree,
     _gfp_factor,
-    _hensel_lift_pair,
+    _hensel_lift_tree,
     _zp_divmod_monic,
     _zx_derivative,
     _zx_div,
@@ -276,6 +276,37 @@ class TestFactor:
         got = {(f.degree, f.coeffs): m for f, m in factor_poly(p)}
         assert got == {(1, (Fraction(0), Fraction(1))): 2,
                        (1, (Fraction(1), Fraction(1))): 1}
+
+    def test_x_power_products_match_sympy(self):
+        # x^k (k <= 3) times seeded parts, some with a zero constant term:
+        # Yun's parts and the subset search find x like any other factor
+        rng = random.Random(3801)
+        x = QPolynomial.x()
+        for _ in range(30):
+            p = x ** rng.randint(0, 3) * rng.choice([1, -2, Fraction(1, 3)])
+            for _ in range(rng.randint(1, 2)):
+                part = rand_poly(rng, rng.randint(1, 4), -4, 4)
+                if rng.random() < 0.5:
+                    part = part * x + rng.choice([0, 0, 1])
+                p = p * part ** rng.randint(1, 2)
+            factors = factor_poly(p)
+            mine = {(f.degree, f.coeffs): m for f, m in factors}
+            assert mine == sympy_factor_multiset(p), p
+            prod = QPolynomial([p.coeffs[-1]])
+            for f, m in factors:
+                prod = prod * f ** m
+            assert prod == p
+
+    def test_constants_have_no_factors(self):
+        for c in (1, -7, Fraction(2, 3)):
+            assert factor_poly(QPolynomial([c])) == []
+
+    @pytest.mark.parametrize("text", [
+        "x", "2*x", "x^2", "x^3 + x", "x^2 - x", "-1/3*x", "x^3 - 2*x^2"])
+    def test_irreducibility_with_zero_constant_term(self, text):
+        p = parse_poly(text)
+        expected = sympy.Poly(to_sympy(p), X, domain="QQ").is_irreducible
+        assert is_irreducible(p) == expected
 
     def test_is_irreducible(self):
         assert is_irreducible(parse_poly("x^2 + x - 1"))
@@ -655,4 +686,4 @@ class TestInternalInvariants:
     def test_hensel_lift_of_common_factor_raises(self):
         # (x + 1)^2 = (x + 1)(x + 1) mod 3: the factors are not coprime
         with pytest.raises(InternalInvariantError):
-            _hensel_lift_pair([1, 2, 1], [1, 1], [1, 1], 3, 100)
+            _hensel_lift_tree([1, 2, 1], [[1, 1], [1, 1]], 3, 81)

@@ -4,7 +4,10 @@
   AssertionError, which would vanish or leak under `python -O`.
 * Each module-level function has one home: no name is defined at module
   level in two modules.
-* The prime helpers live in `arith` alone.
+* The prime helpers and `_as_int`, the int check of integer arguments,
+  live in `arith` alone.  The public entry points that take a level, a
+  prime, a term count, a precision or a matrix entry read it through
+  `_as_int` and call no `int()`, which would truncate 2.5 to 2.
 * The Hecke routes that Heilbronn matrices replaced (Merel's family and
   the degeneracy-coset paths), and the Heilbronn family as a list of
   matrices, which the walk mod N replaced, live in the test oracles alone;
@@ -79,6 +82,15 @@
   Zassenhaus path shared by factor_poly and is_irreducible hands its
   parts to the equal-degree split `_gfp_factor`; is_irreducible calls no
   factor_poly.
+* A zero constant term takes the general factoring path: factor_poly and
+  is_irreducible build no `x` and test no `coeffs[0]`, since Yun's parts
+  and the subset search find x like any other factor.  The subset search
+  is one for-else loop over `combinations(range(len(lifted)), size)`,
+  with no `found` or `remaining` bookkeeping, and the Hensel lift is one
+  tree, `_hensel_lift_tree`, with no `_hensel_lift_pair` beside it.
+* A number field has one reduction by its defining polynomial:
+  `NumberField.gen` calls `_reduce` alone, also at degree 1, and
+  `NumberField.element` calls `from_poly` alone, for any length.
 * eigen holds a vector over the eigenvalue field as one coordinate
   matrix: no per-entry row product, scalar action or lift is defined, and
   no field wrapper beside NumberField.
@@ -186,8 +198,33 @@ def test_each_module_function_defined_once():
 def test_prime_helpers_live_in_arith():
     homes = _module_functions()
     for name in ("is_prime", "next_prime", "_primes_up_to", "factorize",
-                 "_frac"):
+                 "_frac", "_as_int"):
         assert homes[name] == ["arith"], name
+
+
+def test_integer_arguments_read_through_as_int():
+    entry_points = [
+        _function("pipeline", "analyze_level"), _function("eigen", "decompose"),
+        _function("congruence", "curve_data"),
+        _methods("congruence", "P1Space")["__init__"],
+        _function("congruence", "cusp_classes")] + [
+        _function("periods", name) for name in (
+            "required_terms", "ensure_series", "period_integral",
+            "numeric_jacobian", "positive_precision", "rank_precision")]
+    for node in entry_points:
+        # the arguments, and the names that run over them in comprehensions
+        read = {arg.arg for arg in node.args.args} | {
+            target.id for comp in ast.walk(node)
+            if isinstance(comp, ast.comprehension)
+            for target in ast.walk(comp.target)
+            if isinstance(target, ast.Name)}
+        truncated = [ast.unparse(call) for call in ast.walk(node)
+                     if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", None) == "int"
+                     and {n.id for n in ast.walk(call)
+                          if isinstance(n, ast.Name)} & read]
+        assert truncated == [], node.name
+        assert "_as_int" in _called(node), node.name
 
 
 def test_replaced_hecke_routes_are_oracles_only():
@@ -351,6 +388,38 @@ def test_one_distinct_degree_loop():
     irreducible = _called(_function("polys", "is_irreducible"))
     assert "_factor_monic_squarefree_z" in irreducible
     assert "factor_poly" not in irreducible
+
+
+def test_zero_constant_takes_the_general_factoring_path():
+    for name in ("factor_poly", "is_irreducible"):
+        node = _function("polys", name)
+        assert "x" not in _called(node), name
+        assert [ast.unparse(n) for n in ast.walk(node)
+                if isinstance(n, ast.Subscript)
+                and ast.unparse(n).endswith("coeffs[0]")] == [], name
+
+
+def test_one_recombination_loop():
+    node = _function("polys", "_factor_monic_squarefree_z")
+    (call,) = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "combinations"]
+    assert ast.unparse(call) == "combinations(range(len(lifted)), size)"
+    (loop,) = [loop for loop in _loops(node)
+               if isinstance(loop, ast.For) and loop.iter is call]
+    assert loop.orelse
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    assert names & {"found", "remaining", "rest"} == set()
+
+
+def test_one_hensel_lift():
+    assert "_hensel_lift_pair" not in _defined_functions()
+    assert "_hensel_step" in _called(_function("polys", "_hensel_lift_tree"))
+
+
+def test_one_field_reduction():
+    field = _methods("numfield", "NumberField")
+    assert _called(field["gen"]) == {"_reduce"}
+    assert _called(field["element"]) == {"from_poly", "QPolynomial"}
 
 
 def test_one_field_vector_form_in_eigen():
