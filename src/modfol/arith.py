@@ -1,13 +1,15 @@
 """Integer and rational helpers shared by the package.
 
 Primality, the next prime, a smallest-prime-factor sieve, factorization
-by trial division and Pollard's rho, the int-or-Fraction coercion of
-exact containers, and the int check of integer arguments.
+by trial division and Pollard's rho, the int check of integer arguments,
+and for exact containers: the int-or-Fraction coercion, the one clearing
+of denominators (integers over one lowest-terms denominator, as QMatrix
+and NFElement store them) and the one binary-power loop.
 """
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError
 
@@ -28,10 +30,42 @@ def _as_int(x, what):
     return x
 
 
+def _lowest_terms(den, ints):
+    """(den, ints) divided by gcd(den, *ints), for den > 0: the one normal
+    form of the rational vector ints / den, so equal vectors store equal."""
+    g = gcd(den, *ints) if den > 1 else 1
+    if g > 1:
+        return den // g, [x // g for x in ints]
+    return den, ints
+
+
+def _integers(values):
+    """(den, ints): int-or-Fraction values as integers over one den > 0,
+    in lowest terms (the lcm of reduced denominators leaves no factor)."""
+    if set(map(type, values)) <= {int}:
+        return 1, list(values)
+    fracs = [_frac(x) for x in values if not isinstance(x, int)]
+    den = lcm(*[x.denominator for x in fracs])
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _power(x, n, one):
+    """x ** n for an int n >= 0, by binary powering from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 def is_prime(n):
     """Deterministic: trial division by the primes below 1,000 settles
     n < 10^6; then strong probable-prime tests to the first 13 prime bases,
     which no composite below 3.3 * 10^24 passes (Sorenson & Webster 2017)."""
+    n = _as_int(n, "n")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -17,6 +17,8 @@ import os
 import struct
 import tempfile
 
+from .arith import _as_int
+
 SCHEMA_VERSION = 1
 
 _HEADER = struct.Struct(">IQ")  # schema version, payload byte length
@@ -35,12 +37,12 @@ def _cache_dir():
 
 
 def _record_path(level):
-    return os.path.join(_cache_dir(), "level-%d.bin" % int(level))
+    return os.path.join(_cache_dir(), "level-%d.bin" % level)
 
 
 def store(record):
     """Write a level record atomically; returns the path written."""
-    level = int(record["level"])
+    level = _as_int(record["level"], "level")
     payload = _canonical_bytes(record)
     header = _HEADER.pack(SCHEMA_VERSION, len(payload))
     blob = header + payload + hashlib.sha256(header + payload).digest()
@@ -63,7 +65,7 @@ def store(record):
 
 def load(level):
     """Return the cached record for a level, or None on any mismatch."""
-    path = _record_path(level)
+    path = _record_path(_as_int(level, "level"))
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
@@ -85,7 +87,7 @@ def load(level):
         record = json.loads(payload.decode("ascii"))
     except (UnicodeDecodeError, ValueError):
         return None
-    if not isinstance(record, dict) or record.get("level") != int(level):
+    if not isinstance(record, dict) or record.get("level") != level:
         return None
     if record.get("schema") != SCHEMA_VERSION:
         return None

@@ -29,9 +29,9 @@ import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
-from math import lcm
 
 from . import cache
+from .arith import _integers
 from .congruence import curve_data
 from .eigen import PRIME_LIMIT
 from .errors import (IndeterminateRankError, ModfolError, NoCuspFormsError,
@@ -260,7 +260,7 @@ def _iet_handler(args):
             raise _UsageError("lengths use the generator w; pass its "
                               "defining polynomial with --poly")
         lengths = [p.evaluate(0) for p in polys]
-        cells = lcm(*(x.denominator for x in lengths)) * sum(lengths)
+        cells = sum(_integers(lengths)[1])
         if cells > _MAX_CELLS:
             raise _UsageError("rational lengths span at most %d unit cells "
                               "(the lcm of the denominators times the total "

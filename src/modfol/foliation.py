@@ -71,13 +71,12 @@ def basis_change(J, A):
     n = len(J.generators)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionError("change of basis must be %d x %d" % (n, n))
-    for r in rows:
-        for x in r:
-            if x != int(x):
-                raise DomainError("change of basis must have integer entries")
-    if not is_unimodular(rows):
+    ints = [[int(x) for x in r] for r in rows]
+    if ints != rows:
+        raise DomainError("change of basis must have integer entries")
+    if not is_unimodular(ints):
         raise DomainError("change of basis must be unimodular (det +-1)")
-    gens = QMatrix.from_rows(rows) * QMatrix.from_rows(J.coordinate_rows())
+    gens = QMatrix.from_rows(ints) * QMatrix.from_rows(J.coordinate_rows())
     return JacobianModule(J.field, [NFElement(J.field, r) for r in gens.to_rows()])
 
 
@@ -206,9 +205,7 @@ def _flat2x2(A):
                 entries = rows[0] + rows[1]
     if entries is None:
         raise DimensionError("expected a 2x2 matrix")
-    out = []
-    for x in entries:
-        if x != int(x):
-            raise DomainError("matrix entries must be integers")
-        out.append(int(x))
+    out = [int(x) for x in entries]
+    if out != list(entries):
+        raise DomainError("matrix entries must be integers")
     return out

@@ -10,7 +10,9 @@ The three dynamical entry points mirror the trichotomy the rest of the
 package detects on homology: :func:`periodicity_report` settles the fully
 rational case by counting unit cells, :func:`minimality_probe` runs the
 Keane connection check when the lengths have rational rank at least two,
-and :func:`rauzy_step` performs one step of Rauzy induction.
+and :func:`rauzy_step` performs one step of Rauzy induction.  An exchange
+keeps its cuts and shifts as integer columns over the lengths' common
+denominator, and both reports read them.
 """
 
 from bisect import bisect_right
@@ -19,7 +21,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
-from .arith import _as_int
+from .arith import _as_int, _integers
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
 from .numfield import NFElement
@@ -38,7 +40,8 @@ class IET:
     """
 
     __slots__ = ("lengths", "permutation", "field", "embedding",
-                 "_cuts", "_shifts", "total")
+                 "_cuts", "_shifts", "total", "_ints_den", "_cut_cols",
+                 "_shift_cols")
 
     def __init__(self, lengths, permutation, embedding=None):
         perm = tuple(_as_int(p, "permutation entries") for p in permutation)
@@ -84,29 +87,32 @@ class IET:
         self.permutation = perm
         self.field = field
         self.embedding = embedding
-        # the lengths as integer columns over one denominator (one column
-        # for rationals, one per power-basis coordinate for field elements),
-        # and the values that columns of integers over den stand for
+        # the lengths as integer columns over one denominator, the lcm of
+        # theirs (one column for rationals, one per power-basis coordinate
+        # for field elements), and the values that columns over den stand for
         if field is None:
-            den = lcm(*[x.denominator for x in vals])
-            cols = [[x.numerator * (den // x.denominator) for x in vals]]
-            positive = min(cols[0]) > 0
+            den, ints = _integers(vals)
+            cols = [ints]
+            positive = min(ints) > 0
 
             def values(cols):
                 return [Fraction(c, den) for c in cols[0]]
         else:
-            den, rows = _coordinate_rows(vals)
-            cols = list(zip(*rows))
+            coords = [x.integers for x in vals]
+            den = lcm(*[d for d, _ in coords])
+            cols = list(zip(*[[c * (den // d) for c in ints]
+                              for d, ints in coords]))
             positive = all(embedding.sign(x) > 0 for x in vals)
 
             def values(cols):
                 return [field.from_integers(den, row) for row in zip(*cols)]
         if not positive:
             raise DomainError("interval lengths must be positive")
-        # left endpoints in the domain, and the translation on each piece,
-        # summed column by column on the integers
+        # left endpoints in the domain (and the total), and the translation
+        # on each piece, summed column by column on the integers and kept
         slots = sorted(range(k), key=perm.__getitem__)   # intervals by slot
-        cut_cols, shift_cols = [], []
+        self._ints_den = den
+        self._cut_cols, self._shift_cols = cut_cols, shift_cols = [], []
         for col in cols:
             cuts = list(accumulate(col, initial=0))
             image = dict(zip(slots, accumulate((col[i] for i in slots),
@@ -164,14 +170,6 @@ def _as_fraction(x, what):
     return Fraction(x)
 
 
-def _coordinate_rows(elements):
-    """(den, rows): the power-basis coordinates of field elements as
-    integer rows over one denominator, the lcm of theirs."""
-    coords = [x.integers for x in elements]
-    den = lcm(*[d for d, _ in coords])
-    return den, [[c * (den // d) for c in ints] for d, ints in coords]
-
-
 def iet_apply(T, x):
     """Image of the point x under the exchange; exact, piecewise translation."""
     x = T.coerce(x)
@@ -181,22 +179,20 @@ def iet_apply(T, x):
 def periodicity_report(T):
     """Certify the all-rational case: every orbit is periodic.
 
-    Clearing denominators turns the exchange into a permutation of equal
-    unit cells; the report carries the lcm of its cycle lengths, which is
-    the global period of the map.  Irrational lengths are the wrong case.
+    The integer cuts and shifts the exchange keeps make it a permutation
+    of equal unit cells; the report carries the lcm of its cycle lengths,
+    which is the global period of the map.  Irrational lengths are the
+    wrong case.
     """
     if T.field is not None:
         raise WrongCaseError(
             "periodicity certification needs all-rational lengths")
-    den = lcm(*[x.denominator for x in T.lengths])
-    cells, shifts, starts = ([x.numerator * (den // x.denominator)
-                              for x in values]
-                             for values in (T.lengths, T._shifts, T._cuts))
-    m = sum(cells)
+    (starts,), (shifts,) = T._cut_cols, T._shift_cols
+    m = starts[-1]
     sigma = [0] * m
-    for i, n in enumerate(cells):
-        for j in range(starts[i], starts[i] + n):
-            sigma[j] = j + shifts[i]
+    for i, shift in enumerate(shifts):
+        for j in range(starts[i], starts[i + 1]):
+            sigma[j] = j + shift
     seen = [False] * m
     period = 1
     for j in range(m):
@@ -243,17 +239,19 @@ def minimality_probe(T, max_steps):
         raise WrongCaseError(
             "lengths span a rank-<2 module: the connection criterion "
             "cannot apply")
-    # cuts and shifts as integer rows over one denominator, enclosed once
+    # the interior cuts and the shifts as integer rows over the lengths'
+    # denominator, which is the lcm of theirs too (a length is an integer
+    # combination of them, the permutation being irreducible), enclosed once
     # over one scale; a point's enclosure is the sum of those of its start
     # cut and of the shifts taken, about n rows wide after n steps.  Orbits
     # of N steps come within about N^-2 of a cut at rank <= 3, so the
     # generator is first sharpened to N^-3 per unit of the largest entry.
     emb = T.embedding
-    den, rows = _coordinate_rows(T._cuts[1:] + T._shifts)
+    rows = list(zip(*T._cut_cols))[1:-1] + list(zip(*T._shift_cols))
     top = max(abs(c) for row in rows for c in row)
-    emb.narrow(den, (max_steps + 1) ** 3 * top)
+    emb.narrow(T._ints_den, (max_steps + 1) ** 3 * top)
     boxes = emb.enclosures(rows)
-    m = len(T._cuts) - 1
+    m = len(T.lengths) - 1
     # the enclosures as four flat lists, read by index in the step loop:
     # rows 0..m-1 are the interior cuts, rows m..2m the shifts of the pieces
     cut_lo = [lo for lo, _ in boxes[:m]]

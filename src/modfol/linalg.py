@@ -20,27 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .arith import _frac
+from .arith import _as_int, _frac, _integers, _lowest_terms
 from .errors import DimensionError, DomainError
-
-
-def _lowest_terms(den, ints):
-    """(den, ints) divided by gcd(den, *ints), for den > 0: the one normal
-    form of the rational vector ints / den, so equal vectors store equal."""
-    g = gcd(den, *ints) if den > 1 else 1
-    if g > 1:
-        return den // g, [x // g for x in ints]
-    return den, ints
-
-
-def _integers(values):
-    """(den, ints): int-or-Fraction values as integers over one den > 0,
-    in lowest terms (the lcm of reduced denominators leaves no factor)."""
-    if set(map(type, values)) <= {int}:
-        return 1, list(values)
-    fracs = [_frac(x) for x in values if not isinstance(x, int)]
-    den = lcm(*[x.denominator for x in fracs])
-    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 class QMatrix:
@@ -355,7 +336,7 @@ def lattice_key(rational_rows):
 
 def is_unimodular(rows):
     """True iff the integer matrix is square with determinant +-1."""
-    m = [list(map(int, r)) for r in rows]
+    m = [[_as_int(x, "matrix entries") for x in r] for r in rows]
     n = len(m)
     if n == 0 or any(len(r) != n for r in m):
         return False
@@ -369,7 +350,7 @@ def lll_reduce(rows):
     2.6.7) updates the Gram determinants d and lam_kj = d_(j+1) mu_kj in
     place on each size reduction and swap; no Gram-Schmidt data is ever
     recomputed."""
-    b = [list(map(int, r)) for r in rows]
+    b = [[_as_int(x, "lattice entries") for x in r] for r in rows]
     if not b:
         return []
     if any(len(r) != len(b[0]) for r in b):

@@ -5,9 +5,10 @@ of a root a of the monic irreducible defining polynomial, stored as
 integers over one positive denominator in lowest terms, the normal form
 QMatrix uses, so equal elements have equal storage; sums, products,
 rational scalars and multiplication matrices run on those integers, and
-``coeffs`` reads them back as Fractions.  Products and the image of a
-polynomial at the generator share one reduction by the defining
-polynomial.  A vector of K^n is the n x d
+``coeffs`` reads them back as Fractions.  A product is the integer
+product of polys (`_zx_mul`), and it and the image of a polynomial at the
+generator share one reduction by the defining polynomial; powers take
+the binary-power loop of arith.  A vector of K^n is the n x d
 rational matrix of its coordinates, and eigen solves no system over K.
 Real embeddings carry an isolating interval as integers over one common
 denominator and support exact sign queries, rational approximation
@@ -20,10 +21,11 @@ comes first, and no floating point enters any exact decision.
 from fractions import Fraction
 from math import lcm
 
-from .arith import _frac
+from .arith import _frac, _integers, _lowest_terms, _power
 from .errors import DomainError, InternalInvariantError
-from .linalg import QMatrix, _integers, _lowest_terms
-from .polys import QPolynomial, _sign_at, is_irreducible, isolate_real_roots
+from .linalg import QMatrix
+from .polys import (QPolynomial, _sign_at, _zx_mul, is_irreducible,
+                    isolate_real_roots)
 
 
 class NumberField:
@@ -224,14 +226,8 @@ class NFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(self._numer):
-            if a:
-                for j, b in enumerate(o._numer):
-                    if b:
-                        prod[i + j] += a * b
-        return self.field._reduce(self._denom * o._denom, prod)
+        return self.field._reduce(self._denom * o._denom,
+                                  _zx_mul(self._numer, o._numer))
 
     __rmul__ = __mul__
 
@@ -267,14 +263,7 @@ class NFElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one())
 
     def matrix(self):
         """The d x d rational matrix of multiplication by self.

@@ -371,11 +371,13 @@ class PeriodVector:
     __slots__ = ("N", "orbit", "values", "value_digits", "precision_estimate")
 
     def __init__(self, N, orbit, values, value_digits, precision_estimate):
-        self.N = int(N)
-        self.orbit = None if orbit is None else int(orbit)
+        self.N = _as_int(N, "level")
+        self.orbit = None if orbit is None else _as_int(orbit, "orbit")
         self.values = tuple(values)
-        self.value_digits = tuple(int(x) for x in value_digits)
-        self.precision_estimate = int(precision_estimate)
+        self.value_digits = tuple(_as_int(x, "value digits")
+                                  for x in value_digits)
+        self.precision_estimate = _as_int(precision_estimate,
+                                          "precision estimate")
 
     def __len__(self):
         return len(self.values)

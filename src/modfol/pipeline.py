@@ -166,6 +166,7 @@ _RECORD = {
 def orbit_from_record(record, index):
     """Rebuild the index-th EigenformOrbit of a level record."""
     orbits = record["orbits"]
+    index = _as_int(index, "orbit index")
     if not 0 <= index < len(orbits):
         raise DomainError("level %d has %d orbits; index %d is out of range"
                           % (record["level"], len(orbits), index))

@@ -1,9 +1,12 @@
 """Univariate polynomials over Q: arithmetic, root isolation, factorization.
 
 QPolynomial holds ascending Fraction coefficients; the zero polynomial has
-an empty tuple and degree -1.  Remainders are computed on dense integer
-lists by primitive remainder sequences (Collins 1967; Brown 1971): gcds,
-Yun's squarefree decomposition and the Sturm chains of root isolation.
+an empty tuple and degree -1.  Its sums and products clear denominators
+once and run on dense integer lists, through the one product `_zx_mul`
+and sum `_zx_add` that (Z/m)[x] reduces mod m and number fields by their
+defining polynomial.  Remainders are computed on the same lists by
+primitive remainder sequences (Collins 1967; Brown 1971): gcds, Yun's
+squarefree decomposition and the Sturm chains of root isolation.
 Factorization over Q scales the monic polynomial to a monic integer one,
 splits it by Yun, factors each part modulo the first usable odd prime
 (Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
@@ -19,10 +22,10 @@ on integer endpoints over a common denominator.
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, isqrt, lcm
+from itertools import combinations, zip_longest
+from math import gcd, isqrt
 
-from .arith import _frac, next_prime
+from .arith import _frac, _integers, _power, next_prime
 from .errors import DomainError, InternalInvariantError
 
 # highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
@@ -65,14 +68,10 @@ class QPolynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
+        n = len(self.coeffs)
+        den, ints = _integers(self.coeffs + _coerce(other).coeffs)
+        return QPolynomial([Fraction(c, den)
+                            for c in _zx_add(ints[:n], ints[n:])])
 
     __radd__ = __add__
 
@@ -86,32 +85,17 @@ class QPolynomial:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return QPolynomial([])
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return QPolynomial(out)
+        n = len(self.coeffs)
+        den, ints = _integers(self.coeffs + _coerce(other).coeffs)
+        return QPolynomial([Fraction(c, den * den)
+                            for c in _zx_mul(ints[:n], ints[n:])])
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise DomainError("negative power")
-        result = QPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, QPolynomial([1]))
 
     def monic(self):
         if self.is_zero():
@@ -124,9 +108,7 @@ class QPolynomial:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
+        return Fraction(0) if acc is None else acc
 
 
 def _coerce(x):
@@ -137,7 +119,23 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to QPolynomial" % (x,))
 
 
-# -- remainder sequences in Z[x] (dense int lists, ascending) -----------------
+# -- Z[x] (dense int lists, ascending): products, sums, remainder sequences ----
+
+
+def _zx_mul(a, b):
+    """Product in Z[x], len(a) + len(b) - 1 long; (Z/m)[x] and Q[x]/(f)
+    reduce it."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _zx_add(a, b):
+    """Sum in Z[x], untrimmed; (Z/m)[x] reduces it."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _primitive(a):
@@ -239,11 +237,10 @@ def isolate_real_roots(p):
     """
     if p.is_zero():
         raise DomainError("cannot isolate the roots of the zero polynomial")
-    d = lcm(*[c.denominator for c in p.coeffs])
     # the primitive squarefree part in Z[x] with a positive leading
     # coefficient and its Sturm chain, each member a positive multiple of
     # the one over Q, give signs by integer Horner
-    f = _primitive([c.numerator * (d // c.denominator) for c in p.coeffs])
+    f = _primitive(_integers(p.coeffs)[1])
     if f[-1] < 0:
         f = [-c for c in f]
     f = _zx_div(f, _zx_gcd(f, _zx_derivative(f)))
@@ -300,14 +297,7 @@ def _gfp_trim(a):
 def _zp_mul(a, b, m):
     """Product in (Z/m)[x]: m is p for the factorisation mod p, a power of p
     for Hensel lifting."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _gfp_trim([c % m for c in out])
+    return _gfp_trim([c % m for c in _zx_mul(a, b)])
 
 
 def _zp_prod(factors, m):
@@ -320,12 +310,7 @@ def _zp_prod(factors, m):
 
 def _zp_add(a, b, m):
     """Sum in (Z/m)[x]."""
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c % m
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _gfp_trim(out)
+    return _gfp_trim([c % m for c in _zx_add(a, b)])
 
 
 def _zp_sub(a, b, m):
@@ -373,9 +358,7 @@ def _gfp_xgcd(a, b, p):
         t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
     if r0:
         inv = pow(r0[-1], -1, p)
-        r0 = [(c * inv) % p for c in r0]
-        s0 = [(c * inv) % p for c in s0]
-        t0 = [(c * inv) % p for c in t0]
+        r0, s0, t0 = ([(c * inv) % p for c in g] for g in (r0, s0, t0))
     return r0, s0, t0
 
 
@@ -565,9 +548,9 @@ def _monic_integer(p):
     coefficients; a root r of G is the root r/d of p."""
     q = p.monic()
     n = q.degree
-    d = lcm(*[c.denominator for c in q.coeffs])
-    return d, [c.numerator * (d ** (n - i) // c.denominator)
-               for i, c in enumerate(q.coeffs)]
+    # d q = sum ints[i] x^i, so G = sum ints[i] d^(n-1-i) x^i
+    d, ints = _integers(q.coeffs)
+    return d, [c * d ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
 
 
 def factor_poly(p):

@@ -1101,6 +1101,32 @@ class FractionEmbedding:
             self._refine()
 
 
+def fraction_period_lcm(lengths, permutation):
+    """period_lcm as periodicity_report computed it before an exchange kept
+    its integer columns: the lengths cleared over the lcm of their
+    denominators into unit cells, each piece's cells sent to its slot in
+    the rearranged order, and the lcm of the cycle lengths taken."""
+    den = 1
+    for x in lengths:
+        den = den * x.denominator // gcd(den, x.denominator)
+    cells = [x.numerator * (den // x.denominator) for x in lengths]
+    by_slot = sorted(range(len(cells)), key=lambda i: permutation[i])
+    sigma = {}
+    for slot, i in enumerate(by_slot):
+        start, image = sum(cells[:i]), sum(cells[j] for j in by_slot[:slot])
+        sigma.update((start + c, image + c) for c in range(cells[i]))
+    period, seen = 1, set()
+    for j in sigma:
+        length = 0
+        while j not in seen:
+            seen.add(j)
+            j = sigma[j]
+            length += 1
+        if length:
+            period = period * length // gcd(period, length)
+    return period
+
+
 def fraction_keane_probe(T, max_steps):
     """minimality_probe's connection search on field elements, with signs
     from a FractionEmbedding on the exchange's isolating interval.  The

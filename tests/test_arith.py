@@ -57,3 +57,11 @@ def test_is_prime_refuses_beyond_its_certificate():
         is_prime(3317044064679887385961981)
     with pytest.raises(DomainError):
         factorize(0)
+
+
+@pytest.mark.parametrize("n", [2.5, 9.5, 7.0, True, "7"])
+def test_is_prime_refuses_a_non_int(n):
+    # 2.5 and 9.5 read as primes, so a Hecke operator at p = 7.0 ended in a
+    # bare TypeError from range
+    with pytest.raises(DomainError, match="n must be int"):
+        is_prime(n)

@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from modfol import cache
+from modfol.errors import DomainError
 
 
 @pytest.fixture
@@ -99,3 +100,16 @@ def test_default_directory_name(monkeypatch):
     assert cache._cache_dir() == ".modfol-cache"
     assert cache._record_path(3).endswith(os.path.join(".modfol-cache",
                                                       "level-3.bin"))
+
+
+@pytest.mark.parametrize("level", [11.5, 11.0, True, "11"])
+def test_level_is_not_truncated(cache_root, level):
+    # int() read 11.5 as 11 and True as 1, so a load returned that level's
+    # record, and a record of level 11.0 was filed as level-11.bin
+    cache.store(sample_record(11))
+    cache.store(sample_record(1))
+    with pytest.raises(DomainError, match="level must be int"):
+        cache.load(level)
+    with pytest.raises(DomainError, match="level must be int"):
+        cache.store(sample_record(level))
+    assert sorted(os.listdir(cache_root)) == ["level-1.bin", "level-11.bin"]

@@ -20,7 +20,7 @@ from modfol.foliation import (
     module_rank,
     scale_module,
 )
-from modfol.linalg import lattice_key
+from modfol.linalg import QMatrix, lattice_key
 from modfol.modsym import ModularSymbolSpace
 from modfol.numfield import NumberField
 from modfol.polys import parse_poly
@@ -95,6 +95,16 @@ def test_basis_change_rational_gcd_lattice():
     assert list(J2.generators) == [Fraction(5, 2), Fraction(3, 2)]
     assert module_rank(J2) == 1
     assert J2.lattice_key() == lattice_key([[Fraction(1, 2)]])
+
+
+def test_basis_change_hands_the_determinant_ints():
+    # a QMatrix holds integral Fractions, and is_unimodular reads ints only
+    J = JacobianModule(GOLDEN, [GOLDEN.one(), GOLDEN.gen()])
+    shear = [[1, 1], [0, 1]]
+    for A in (QMatrix.from_rows(shear), [[Fraction(1), 1], [0, Fraction(1)]]):
+        assert basis_change(J, A) == basis_change(J, shear)
+    with pytest.raises(DomainError, match="integer entries"):
+        basis_change(J, [[1.5, 0], [0, 1]])
 
 
 def test_basis_change_rejects_bad_input():

@@ -25,7 +25,8 @@ from modfol.iet import (
 from modfol.numfield import NumberField, RealEmbedding
 from modfol.polys import QPolynomial, parse_poly
 
-from oracles import enclosure_keane_probe, fraction_keane_probe
+from oracles import (enclosure_keane_probe, fraction_keane_probe,
+                     fraction_period_lcm)
 
 GOLDEN = NumberField(QPolynomial([-1, -1, 1]))    # x^2 - x - 1
 PHI = GOLDEN.gen()
@@ -232,6 +233,24 @@ def test_periodicity_golden_examples():
         for _ in range(report["period_lcm"]):
             y = iet_apply(six, y)
         assert y == x
+
+
+def test_periodicity_with_mixed_denominators_matches_the_fraction_cells():
+    # lengths over different reduced denominators: the report reads the
+    # integer columns over their lcm, as the Fraction cells were cleared
+    rng = random.Random(39)
+    cases = [([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], [3, 1, 2]),
+             ([Fraction(7, 12), Fraction(5, 9), Fraction(1, 4),
+               Fraction(2, 7)], [4, 3, 2, 1])]
+    while len(cases) < 40:
+        k = rng.randint(2, 5)
+        cases.append(([Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                       for _ in range(k)],
+                      rng.choice(irreducible_permutations(k))))
+    for lengths, perm in cases:
+        assert periodicity_report(IET(lengths, perm)) == {
+            "periodic": True,
+            "period_lcm": fraction_period_lcm(lengths, perm)}
 
 
 def test_periodicity_wrong_case():

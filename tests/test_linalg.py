@@ -13,6 +13,7 @@ from modfol.linalg import (
     _hnf,
     is_unimodular,
     lattice_key,
+    lll_reduce,
 )
 from modfol.polys import QPolynomial, factor_poly
 
@@ -338,6 +339,15 @@ class TestHNFAndLattices:
         if kind != "entries":
             assert abs(det) == (2 if kind == "det 2" else 1)
         assert is_unimodular(rows) == (abs(det) == 1)
+
+    def test_lattice_entries_are_not_truncated(self):
+        # int() read 1.5 as 1: lll_reduce gave [[1, 0], [0, 1]] and
+        # is_unimodular True
+        for rows in ([[1.5, 0], [0, 1]], [[True, 0], [0, 1]]):
+            with pytest.raises(DomainError, match="lattice entries must"):
+                lll_reduce(rows)
+            with pytest.raises(DomainError, match="matrix entries must"):
+                is_unimodular(rows)
 
     def test_is_unimodular_rejects_non_square_and_empty(self):
         assert not is_unimodular([])

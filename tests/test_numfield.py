@@ -214,6 +214,16 @@ class TestElementMatchesFractionOracle:
             assert x == x.coeffs[0] and hash(x) == hash(x.coeffs[0])
             assert hash(x) == hash(fx)
 
+    def test_large_powers(self):
+        # exponents 0, 1 and 40 (and -7), on fields with t = 1 and t > 1
+        for K in _ORACLE_FIELDS:
+            x = K.element([Fraction(k + 2, 2 * k + 3)
+                           for k in range(K.degree)])
+            fx = FractionElement(K, x.coeffs)
+            for n in (0, 1, 40, -7):
+                assert (x ** n).coeffs == (fx ** n).coeffs, (K, n)
+            assert K.gen() ** 0 == K.one() and K.gen() ** 1 == K.gen()
+
     def test_non_integral_defining_polynomial(self):
         K = _ORACLE_FIELDS[3]                    # x^2 - 1/2
         a = K.gen()

@@ -462,13 +462,20 @@ def test_integral_input_errors():
     ("precision", lambda sp, o: numeric_jacobian(o, [G1_11], "40")),
     ("precision", lambda sp, o: positive_precision(True)),
     ("precision", lambda sp, o: rank_precision(60.5)),
+    ("level", lambda sp, o: PeriodVector(11.5, 0, [], [], 40)),
+    ("orbit", lambda sp, o: PeriodVector(11, 0.5, [], [], 40)),
+    ("value digits", lambda sp, o: PeriodVector(11, 0, [1], [40.7], 40)),
+    ("precision estimate", lambda sp, o: PeriodVector(11, 0, [], [], 40.7)),
 ], ids=["required_terms-c", "required_terms-precision", "ensure_series",
         "period_integral-gamma", "period_integral-terms",
         "period_integral-precision", "numeric_jacobian-basis",
-        "numeric_jacobian-precision", "positive_precision", "rank_precision"])
+        "numeric_jacobian-precision", "positive_precision", "rank_precision",
+        "PeriodVector-N", "PeriodVector-orbit", "PeriodVector-digits",
+        "PeriodVector-estimate"])
 def test_integer_arguments_are_not_truncated(what, call):
     # int() read each of these as a nearby integer: (1, 0.5, 11, 1) gave
-    # the period of (1, 0, 11, 1), and True the precision 1
+    # the period of (1, 0, 11, 1), True the precision 1, and
+    # PeriodVector(11.5, 0.5, [], [], 40.7) N 11, orbit 0 and estimate 40
     space, (orbit,) = level(11)
     with pytest.raises(DomainError, match=what + " must be int"):
         call(space, orbit)

@@ -39,6 +39,13 @@ def test_analyze_level_records_are_level_records(N):
     assert is_level_record(analyze_level(N))
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "1"])
+def test_orbit_index_is_not_truncated(record_23, index):
+    # 0.5 ended in a bare TypeError and True read orbit 1
+    with pytest.raises(DomainError, match="orbit index must be int"):
+        orbit_from_record(record_23, index)
+
+
 @pytest.mark.parametrize("N", [11.5, 11.0, True, "11"])
 def test_analyze_level_refuses_a_non_int_level(N):
     # int() read 11.5 as 11 and returned level 11's record

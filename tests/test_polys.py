@@ -13,7 +13,10 @@ from modfol.polys import (
     _gfp_distinct_degree,
     _gfp_factor,
     _hensel_lift_tree,
+    _zp_add,
     _zp_divmod_monic,
+    _zp_mul,
+    _zp_sub,
     _zx_derivative,
     _zx_div,
     _zx_gcd,
@@ -83,6 +86,26 @@ def rand_zx(rng, deg, digits):
             + [rng.choice((-1, 1)) * rng.randint(1, bound)])
 
 
+def fraction_sum(a, b):
+    """Coefficients of a + b by a plain Fraction loop, trimmed."""
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def fraction_product(a, b):
+    """Coefficients of a * b by a plain Fraction loop, trimmed."""
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return fraction_sum(out, [])
+
+
 # (degree, digits) of the random integer operands: non-monic, up to degree
 # 40 and coefficients of 100 digits
 SIZES = [(1, 1), (3, 2), (6, 1), (10, 30), (17, 5), (25, 100), (40, 3),
@@ -131,9 +154,70 @@ class TestArithmetic:
         for t in [Fraction(0), Fraction(1), Fraction(-3, 2)]:
             assert p.evaluate(t) == t ** 3 - 2 * t + 5
 
+    def test_ring_operations_match_fraction_loops(self):
+        # zero, constant and rational operands of different lengths, and
+        # int or Fraction operands on either side
+        lists = [[], [5], [Fraction(-2, 3)], [1, Fraction(1, 2)],
+                 [Fraction(3, 4), 0, Fraction(-5, 6), 7],
+                 [0, 0, 0, 0, Fraction(1, 9)], [Fraction(2, 5)] * 6,
+                 [Fraction(1, 6), Fraction(-1, 10), Fraction(1, 15)]]
+        scalars = [0, 3, Fraction(-7, 4)]
+        for a in lists:
+            p = QPolynomial(a)
+            for b in lists + [[s] for s in scalars]:
+                q = QPolynomial(b)
+                neg = [-c for c in b]
+                assert (p + q).coeffs == (q + p).coeffs == fraction_sum(a, b)
+                assert (p - q).coeffs == fraction_sum(a, neg)
+                assert (p * q).coeffs == (q * p).coeffs == fraction_product(
+                    a, b)
+                assert all(type(c) is Fraction
+                           for c in (p + q).coeffs + (p * q).coeffs)
+            for s in scalars:
+                assert (p + s).coeffs == (s + p).coeffs == fraction_sum(a, [s])
+                assert (s - p).coeffs == fraction_sum([s], [-c for c in a])
+                assert (p * s).coeffs == (s * p).coeffs == fraction_product(
+                    a, [s])
+
     def test_pow(self):
         x = QPolynomial.x()
         assert (x + 1) ** 3 == parse_poly("x^3 + 3*x^2 + 3*x + 1")
+        # 0, 1 and a large exponent against repeated Fraction products
+        for cs in ([], [Fraction(-2, 3)], [Fraction(1, 2), 0, Fraction(-3, 5)],
+                   [0, 1]):
+            expected = (Fraction(1),)
+            for n in range(41):
+                if n in (0, 1, 2, 40):
+                    assert (QPolynomial(cs) ** n).coeffs == expected
+                expected = fraction_product(expected, cs)
+        with pytest.raises(DomainError):
+            x ** -1
+
+    def test_zp_product_and_sum_match_naive_loops(self):
+        # mod a prime and mod prime powers, on reduced, unreduced and
+        # negative operands of different lengths, the empty list among them
+        rng = random.Random(39)
+
+        def naive_mul(a, b, m):
+            out = [0] * (len(a) + len(b))
+            for i in range(len(a)):
+                for j in range(len(b)):
+                    out[i + j] = (out[i + j] + a[i] * b[j]) % m
+            return fraction_sum(out, [])
+
+        def naive_add(a, b, m):
+            n = max(len(a), len(b))
+            a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+            return fraction_sum([(x + y) % m for x, y in zip(a, b)], [])
+
+        for m in (3, 31, 3 ** 5, 7 ** 12):
+            for _ in range(25):
+                a, b = ([rng.randrange(-2 * m, 2 * m)
+                         for _ in range(rng.randint(0, 9))] for _ in "ab")
+                assert tuple(_zp_mul(a, b, m)) == naive_mul(a, b, m)
+                assert tuple(_zp_add(a, b, m)) == naive_add(a, b, m)
+                assert tuple(_zp_sub(a, b, m)) == naive_add(
+                    a, [-c for c in b], m)
 
 
 class TestFormatParse:

@@ -4,10 +4,26 @@
   AssertionError, which would vanish or leak under `python -O`.
 * Each module-level function has one home: no name is defined at module
   level in two modules.
-* The prime helpers and `_as_int`, the int check of integer arguments,
-  live in `arith` alone.  The public entry points that take a level, a
-  prime, a term count, a precision or a matrix entry read it through
-  `_as_int` and call no `int()`, which would truncate 2.5 to 2.
+* The prime helpers, `_as_int`, the int check of integer arguments,
+  `_integers` and `_lowest_terms`, the clearing of denominators, and
+  `_power`, the binary-power loop, live in `arith` alone.  The public
+  entry points that take a level, a prime, a term count, a precision, a
+  matrix or lattice entry, an orbit index or a period vector's integers
+  read it through `_as_int` and call no `int()` on an argument or on what
+  a comprehension draws from one, which would truncate 2.5 to 2.
+* Exact coefficient lists have one integer core: `polys._zx_mul` holds
+  the package's only `out[i + j] +=` accumulation, and
+  `QPolynomial.__mul__`, `_zp_mul` and `NFElement.__mul__` call it;
+  `QPolynomial.__add__` and `_zp_add` call `_zx_add`; `arith._power` is
+  the one binary-power loop (no other function shifts `>>=` or tests
+  `& 1`; `_gfp_powmod` reduces mod f over the bits of `bin(e)`), and both
+  `__pow__` methods call it.
+* Denominators are cleared in `arith`: no other module takes an `lcm` of
+  `.denominator`s.  An IET keeps the integer cut and shift columns its
+  constructor sums, and `periodicity_report` and `minimality_probe` read
+  them: they call no `lcm`, `_integers` or `_coordinate_rows` (which is
+  not defined), and read no `denominator`, `integers`, `_cuts` or
+  `_shifts`.
 * The Hecke routes that Heilbronn matrices replaced (Merel's family and
   the degeneracy-coset paths), and the Heilbronn family as a list of
   matrices, which the walk mod N replaced, live in the test oracles alone;
@@ -198,7 +214,7 @@ def test_each_module_function_defined_once():
 def test_prime_helpers_live_in_arith():
     homes = _module_functions()
     for name in ("is_prime", "next_prime", "_primes_up_to", "factorize",
-                 "_frac", "_as_int"):
+                 "_frac", "_as_int", "_integers", "_lowest_terms", "_power"):
         assert homes[name] == ["arith"], name
 
 
@@ -210,12 +226,20 @@ def test_integer_arguments_read_through_as_int():
         _function("congruence", "cusp_classes")] + [
         _function("periods", name) for name in (
             "required_terms", "ensure_series", "period_integral",
-            "numeric_jacobian", "positive_precision", "rank_precision")]
+            "numeric_jacobian", "positive_precision", "rank_precision")] + [
+        _methods("periods", "PeriodVector")["__init__"],
+        _function("linalg", "lll_reduce"),
+        _function("linalg", "is_unimodular"), _function("arith", "is_prime"),
+        _function("cache", "load"), _function("cache", "store"),
+        _function("pipeline", "orbit_from_record")]
     for node in entry_points:
         # the arguments, and the names that run over them in comprehensions
-        read = {arg.arg for arg in node.args.args} | {
+        args = {arg.arg for arg in node.args.args}
+        read = args | {
             target.id for comp in ast.walk(node)
             if isinstance(comp, ast.comprehension)
+            and {n.id for n in ast.walk(comp.iter)
+                 if isinstance(n, ast.Name)} & args
             for target in ast.walk(comp.target)
             if isinstance(target, ast.Name)}
         truncated = [ast.unparse(call) for call in ast.walk(node)
@@ -420,6 +444,57 @@ def test_one_field_reduction():
     field = _methods("numfield", "NumberField")
     assert _called(field["gen"]) == {"_reduce"}
     assert _called(field["element"]) == {"from_poly", "QPolynomial"}
+
+
+def test_one_integer_product_sum_and_power():
+    # the schoolbook accumulation out[i + j] += a_i b_j has one home
+    accumulations = [(module, node.name) for module, tree in TREES.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     for child in ast.walk(node)
+                     if isinstance(child, ast.AugAssign)
+                     and isinstance(child.target, ast.Subscript)
+                     and ast.unparse(child.target.slice) == "i + j"]
+    assert accumulations == [("polys", "_zx_mul")]
+    qpoly = _methods("polys", "QPolynomial")
+    element = _methods("numfield", "NFElement")
+    for node in (qpoly["__mul__"], _function("polys", "_zp_mul"),
+                 element["__mul__"]):
+        assert "_zx_mul" in _called(node), node.name
+    for node in (qpoly["__add__"], _function("polys", "_zp_add")):
+        assert "_zx_add" in _called(node), node.name
+    # one binary-power loop (_gfp_powmod reduces mod f on its own bits)
+    loops = {(module, node.name) for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for child in ast.walk(node)
+             if (isinstance(child, ast.AugAssign)
+                 and isinstance(child.op, ast.RShift))
+             or (isinstance(child, ast.BinOp)
+                 and isinstance(child.op, ast.BitAnd)
+                 and ast.unparse(child.right) == "1")}
+    assert loops == {("arith", "_power")}
+    for node in (qpoly["__pow__"], element["__pow__"]):
+        assert "_power" in _called(node)
+
+
+def test_denominators_are_cleared_in_arith():
+    # an lcm of denominators is taken in arith._integers alone
+    clearing = {module for module, tree in TREES.items()
+                for call in ast.walk(tree) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "lcm"
+                and any(isinstance(n, ast.Attribute)
+                        and n.attr == "denominator"
+                        for arg in call.args for n in ast.walk(arg))}
+    assert clearing == {"arith"}
+    # the exchange reports read the integer columns the exchange keeps
+    assert "_coordinate_rows" not in _defined_functions()
+    for name in ("periodicity_report", "minimality_probe"):
+        node = _function("iet", name)
+        assert _called(node) & {"lcm", "_integers",
+                                "_coordinate_rows"} == set(), name
+        read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert read & {"denominator", "integers", "_cuts", "_shifts"} == set()
+        assert {"_cut_cols", "_shift_cols"} <= read, name
 
 
 def test_one_field_vector_form_in_eigen():
