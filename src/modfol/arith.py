@@ -3,8 +3,8 @@
 Primality, the next prime, a smallest-prime-factor sieve, factorization
 by trial division and Pollard's rho, the int check of integer arguments,
 and for exact containers: the int-or-Fraction coercion, the one clearing
-of denominators (integers over one lowest-terms denominator, as QMatrix
-and NFElement store them) and the one binary-power loop.
+of denominators (Fractions, or integer vectors over a denominator each,
+as integers over the lcm of theirs) and the one binary-power loop.
 """
 
 from fractions import Fraction
@@ -39,14 +39,21 @@ def _lowest_terms(den, ints):
     return den, ints
 
 
+def _common_denominator(pairs):
+    """(den, rows): the rational vectors ints / d of (d, ints) pairs, each
+    d > 0, as integer rows over one den, the lcm of the d's."""
+    den = lcm(*[d for d, _ in pairs])
+    return den, [[c * (den // d) for c in ints] for d, ints in pairs]
+
+
 def _integers(values):
     """(den, ints): int-or-Fraction values as integers over one den > 0,
     in lowest terms (the lcm of reduced denominators leaves no factor)."""
     if set(map(type, values)) <= {int}:
         return 1, list(values)
-    fracs = [_frac(x) for x in values if not isinstance(x, int)]
-    den = lcm(*[x.denominator for x in fracs])
-    return den, [x.numerator * (den // x.denominator) for x in values]
+    den, rows = _common_denominator([(x.denominator, (x.numerator,))
+                                     for x in map(_frac, values)])
+    return den, [c for c, in rows]
 
 
 def _power(x, n, one):

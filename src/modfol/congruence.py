@@ -168,6 +168,7 @@ class P1Space:
         each r > 0 chain is walked once and folded in by star_permutation.
         p = 2 has four matrices of its own.  Non-points (only when p
         divides N) drop out."""
+        p = _as_int(p, "prime")
         if not is_prime(p):
             raise DomainError("expected a prime, got %d" % p)
         N, rows, units = self.N, self._rows, self._units

@@ -205,7 +205,9 @@ def _flat2x2(A):
                 entries = rows[0] + rows[1]
     if entries is None:
         raise DimensionError("expected a 2x2 matrix")
-    out = [int(x) for x in entries]
-    if out != list(entries):
-        raise DomainError("matrix entries must be integers")
+    out = []
+    for x in entries:
+        if x != int(x):
+            raise DomainError("matrix entries must be integers")
+        out.append(int(x))
     return out

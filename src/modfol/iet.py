@@ -18,10 +18,10 @@ denominator, and both reports read them.
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .arith import _as_int, _integers
+from .arith import _as_int, _common_denominator
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
 from .numfield import NFElement
@@ -90,18 +90,16 @@ class IET:
         # the lengths as integer columns over one denominator, the lcm of
         # theirs (one column for rationals, one per power-basis coordinate
         # for field elements), and the values that columns over den stand for
+        den, rows = _common_denominator([
+            (x.denominator, (x.numerator,)) if field is None else x.integers
+            for x in vals])
+        cols = list(zip(*rows))
         if field is None:
-            den, ints = _integers(vals)
-            cols = [ints]
-            positive = min(ints) > 0
+            positive = min(cols[0]) > 0
 
             def values(cols):
                 return [Fraction(c, den) for c in cols[0]]
         else:
-            coords = [x.integers for x in vals]
-            den = lcm(*[d for d, _ in coords])
-            cols = list(zip(*[[c * (den // d) for c in ints]
-                              for d, ints in coords]))
             positive = all(embedding.sign(x) > 0 for x in vals)
 
             def values(cols):

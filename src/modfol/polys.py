@@ -108,7 +108,9 @@ class QPolynomial:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        return Fraction(0) if acc is None else acc
+        if acc is None:
+            return Fraction(0)
+        return acc
 
 
 def _coerce(x):
@@ -358,7 +360,9 @@ def _gfp_xgcd(a, b, p):
         t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
     if r0:
         inv = pow(r0[-1], -1, p)
-        r0, s0, t0 = ([(c * inv) % p for c in g] for g in (r0, s0, t0))
+        r0 = [(c * inv) % p for c in r0]
+        s0 = [(c * inv) % p for c in s0]
+        t0 = [(c * inv) % p for c in t0]
     return r0, s0, t0
 
 
@@ -543,14 +547,15 @@ def _factor_monic_squarefree_z(f):
 
 
 def _monic_integer(p):
-    """(d, G) for p of degree n made monic, q: d is the lcm of the
-    denominators of q and G(x) = d^n q(x/d) is monic with integer
-    coefficients; a root r of G is the root r/d of p."""
-    q = p.monic()
-    n = q.degree
-    # d q = sum ints[i] x^i, so G = sum ints[i] d^(n-1-i) x^i
-    d, ints = _integers(q.coeffs)
-    return d, [c * d ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    """(d, G) for p of degree n: with a the primitive integer multiple of p
+    whose lead d is positive, G(x) = d^(n-1) a(x/d) is monic with integer
+    coefficients (d is the lcm of the denominators of p made monic); a
+    root r of G is the root r/d of p."""
+    a = _primitive(_integers(p.coeffs)[1])
+    if a[-1] < 0:
+        a = [-c for c in a]
+    d, n = a[-1], len(a) - 1
+    return d, [c * d ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
 
 
 def factor_poly(p):

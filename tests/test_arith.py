@@ -1,11 +1,15 @@
-"""Primality and factorization in arith against sympy."""
+"""Primality and factorization in arith against sympy, and the clearing
+of denominators against Fractions."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
-from modfol.arith import factorize, is_prime
+from modfol.arith import (_common_denominator, _integers, factorize,
+                          is_prime)
 from modfol.errors import DomainError
 
 # the first Carmichael numbers, and 3,215,031,751 = 151 * 751 * 28351, a
@@ -65,3 +69,20 @@ def test_is_prime_refuses_a_non_int(n):
     # bare TypeError from range
     with pytest.raises(DomainError, match="n must be int"):
         is_prime(n)
+
+
+def test_clearing_matches_fractions():
+    rng = random.Random(3901)
+    for _ in range(200):
+        pairs = [(rng.randint(1, 60), [rng.randint(-99, 99)
+                                       for _ in range(rng.randint(0, 3))])
+                 for _ in range(rng.randint(1, 5))]
+        den, rows = _common_denominator(pairs)
+        assert all(den % d == 0 for d, _ in pairs)
+        assert [[Fraction(c, den) for c in row] for row in rows] == [
+            [Fraction(c, d) for c in ints] for d, ints in pairs]
+        values = [rng.choice((rng.randint(-9, 9), Fraction(
+            rng.randint(-99, 99), rng.randint(1, 60)))) for _ in range(5)]
+        den, ints = _integers(values)
+        assert [Fraction(c, den) for c in ints] == values
+        assert gcd(den, *ints) == 1

@@ -60,7 +60,7 @@ class TestFamily:
     @pytest.mark.parametrize("p", [7.0, 2.5, True])
     def test_non_int_prime_raises(self, spaces, p):
         # is_prime read 2.5 as prime, and 7.0 ended in a bare TypeError
-        with pytest.raises(DomainError, match="n must be int"):
+        with pytest.raises(DomainError, match="prime must be int"):
             hecke_matrix(spaces[11], p)
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9, 91])

@@ -10,7 +10,8 @@
   entry points that take a level, a prime, a term count, a precision, a
   matrix or lattice entry, an orbit index or a period vector's integers
   read it through `_as_int` and call no `int()` on an argument or on what
-  a comprehension draws from one, which would truncate 2.5 to 2.
+  a comprehension draws from one or from such a name, nested
+  comprehensions included, which would truncate 2.5 to 2.
 * Exact coefficient lists have one integer core: `polys._zx_mul` holds
   the package's only `out[i + j] +=` accumulation, and
   `QPolynomial.__mul__`, `_zp_mul` and `NFElement.__mul__` call it;
@@ -18,12 +19,15 @@
   the one binary-power loop (no other function shifts `>>=` or tests
   `& 1`; `_gfp_powmod` reduces mod f over the bits of `bin(e)`), and both
   `__pow__` methods call it.
-* Denominators are cleared in `arith`: no other module takes an `lcm` of
-  `.denominator`s.  An IET keeps the integer cut and shift columns its
-  constructor sums, and `periodicity_report` and `minimality_probe` read
-  them: they call no `lcm`, `_integers` or `_coordinate_rows` (which is
-  not defined), and read no `denominator`, `integers`, `_cuts` or
-  `_shifts`.
+* Denominators are cleared in `arith._common_denominator`, which
+  `_integers` calls for Fractions and an IET's constructor for its
+  lengths.  No other function takes an `lcm`, but the two `_combine`
+  sums of stored vectors (QMatrix and NFElement), over the lcm of their
+  two denominators, and `QMatrix.rref`, over the lcm of its pivots.  An
+  IET keeps the integer cut and shift columns its constructor sums, and
+  `periodicity_report` and `minimality_probe` read them: they call no
+  `lcm`, `_integers` or `_coordinate_rows` (which is not defined), and
+  read no `denominator`, `integers`, `_cuts` or `_shifts`.
 * The Hecke routes that Heilbronn matrices replaced (Merel's family and
   the degeneracy-coset paths), and the Heilbronn family as a list of
   matrices, which the walk mod N replaced, live in the test oracles alone;
@@ -223,6 +227,7 @@ def test_integer_arguments_read_through_as_int():
         _function("pipeline", "analyze_level"), _function("eigen", "decompose"),
         _function("congruence", "curve_data"),
         _methods("congruence", "P1Space")["__init__"],
+        _methods("congruence", "P1Space")["heilbronn_counts"],
         _function("congruence", "cusp_classes")] + [
         _function("periods", name) for name in (
             "required_terms", "ensure_series", "period_integral",
@@ -233,22 +238,46 @@ def test_integer_arguments_read_through_as_int():
         _function("cache", "load"), _function("cache", "store"),
         _function("pipeline", "orbit_from_record")]
     for node in entry_points:
-        # the arguments, and the names that run over them in comprehensions
-        args = {arg.arg for arg in node.args.args}
-        read = args | {
-            target.id for comp in ast.walk(node)
-            if isinstance(comp, ast.comprehension)
-            and {n.id for n in ast.walk(comp.iter)
-                 if isinstance(n, ast.Name)} & args
-            for target in ast.walk(comp.target)
-            if isinstance(target, ast.Name)}
-        truncated = [ast.unparse(call) for call in ast.walk(node)
-                     if isinstance(call, ast.Call)
-                     and getattr(call.func, "id", None) == "int"
-                     and {n.id for n in ast.walk(call)
-                          if isinstance(n, ast.Name)} & read]
-        assert truncated == [], node.name
+        assert _truncations(node) == [], node.name
         assert "_as_int" in _called(node), node.name
+
+
+def _truncations(node):
+    """The int() calls in a function on its arguments or on the names that
+    run over them in comprehensions, nested ones included: a target counts
+    when its comprehension draws from an argument or from such a name."""
+    read = {arg.arg for arg in node.args.args}
+    comps = [comp for comp in ast.walk(node)
+             if isinstance(comp, ast.comprehension)]
+    while True:
+        targets = {target.id for comp in comps
+                   if _names(comp.iter) & read
+                   for target in ast.walk(comp.target)
+                   if isinstance(target, ast.Name)}
+        if targets <= read:
+            break
+        read |= targets
+    return [ast.unparse(call) for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "int"
+            and _names(call) & read]
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_truncations_reach_nested_comprehensions():
+    def truncations(source):
+        return _truncations(ast.parse(source).body[0])
+    assert truncations("def f(n): return int(n)") == ["int(n)"]
+    assert truncations(
+        "def f(rows): return [[int(x) for x in r] for r in rows]") == ["int(x)"]
+    assert truncations("def f(rows): return [int(x) for r in rows "
+                       "for x in (r, r)]") == ["int(x)"]
+    # names drawn from a local, such as a record's JSON keys, are not read
+    assert truncations("def f(rec): m = rec['m']; "
+                       "return {int(p): 1 for p in m}") == []
 
 
 def test_replaced_hecke_routes_are_oracles_only():
@@ -478,14 +507,17 @@ def test_one_integer_product_sum_and_power():
 
 
 def test_denominators_are_cleared_in_arith():
-    # an lcm of denominators is taken in arith._integers alone
-    clearing = {module for module, tree in TREES.items()
-                for call in ast.walk(tree) if isinstance(call, ast.Call)
-                and getattr(call.func, "id", None) == "lcm"
-                and any(isinstance(n, ast.Attribute)
-                        and n.attr == "denominator"
-                        for arg in call.args for n in ast.walk(arg))}
-    assert clearing == {"arith"}
+    # every lcm in the package: the one clearing of denominators, the sum
+    # of two stored vectors over the lcm of their two, and rref's pivots
+    lcms = {(module, node.name) for module, tree in TREES.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and "lcm" in {getattr(call.func, "id", None),
+                          getattr(call.func, "attr", None)}}
+    assert lcms == {("arith", "_common_denominator"), ("linalg", "_combine"),
+                    ("numfield", "_combine"), ("linalg", "rref")}
+    assert "_common_denominator" in _called(_function("arith", "_integers"))
+    assert "_common_denominator" in _called(_methods("iet", "IET")["__init__"])
     # the exchange reports read the integer columns the exchange keeps
     assert "_coordinate_rows" not in _defined_functions()
     for name in ("periodicity_report", "minimality_probe"):
