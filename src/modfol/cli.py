@@ -54,7 +54,7 @@ _MAX_LEVEL = 2000       # ModularSymbolSpace(2000): 0.3 s and 55 MB max RSS
 _MAX_GENUS_LEVEL = 10 ** 14     # rho: 101 levels near 10^14 in 0.05 s
 _MAX_RANGE = 10000      # levels in one --range batch
 _MAX_PRIME = 1000       # decompose --primes: T_997 at level 1999 in 11 s
-_MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 1.0 s
+_MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 0.6 s
 _MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.05 s at 40, 0.08 s at 50
 _MAX_CELLS = 10 ** 6    # rational iet unit cells: 0.25 s and 70 MB max RSS
 
@@ -445,9 +445,9 @@ def _build_parser():
                               "most %d). Each path's series has about "
                               "0.37*|c|*D terms, where |c| is a multiple of "
                               "the level, so its length grows as |c|*D: at "
-                              "D = %d, periods 11 --orbit 0 takes about 1.0 s "
+                              "D = %d, periods 11 --orbit 0 takes about 0.6 s "
                               "on a 2-vCPU VM and periods 97 --orbit 1 about "
-                              "1.8 minutes" % (_MAX_PREC, _MAX_PREC))
+                              "1.7 minutes" % (_MAX_PREC, _MAX_PREC))
     periods.set_defaults(handler=_periods_handler)
 
     iet = subs.add_parser("iet", parents=[shared],

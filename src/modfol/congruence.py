@@ -10,7 +10,10 @@ A point of P^1(Z/N) is a pair (c, d) with gcd(c, d, N) = 1, up to scaling
 by units of Z/N.  The canonical representative of a class is the
 lexicographically smallest pair in its unit orbit.  The classes are held
 as one row of length N per divisor of N, read through one unit per first
-entry: about N*sigma_0(N) entries, with no N*N table.
+entry: about N*sigma_0(N) entries, with no N*N table.  The Heilbronn walk
+steps through move rows, one permutation of P^1 per quotient residue mod
+N, each built the first time a walk meets its residue: at most 2p + 1
+rows for T_p, and N rows of len(reps) + 1 entries at worst.
 """
 
 from fractions import Fraction
@@ -98,10 +101,11 @@ class P1Space:
     orbit is its canonical representative, and its class is spread over
     the units that fix g.  That is about N*sigma_0(N) steps and entries,
     not N^2.  index() is one read, reps[index(c, d)] the canonical
-    representative.
+    representative.  _moves[k] is the move row of the residue k (see
+    _move_row), None until heilbronn_counts first meets k.
     """
 
-    __slots__ = ("N", "reps", "_rows", "_units", "_star")
+    __slots__ = ("N", "reps", "_rows", "_units", "_star", "_moves")
 
     def __init__(self, N):
         N = _as_int(N, "level")
@@ -131,6 +135,7 @@ class P1Space:
             self._rows.append(row_of[g])
             self._units.append(v)
         self._star = None
+        self._moves = [None] * N
 
     def __len__(self):
         return len(self.reps)
@@ -155,52 +160,70 @@ class P1Space:
                           for c, d in self.reps] + [len(self.reps)]
         return self._star
 
+    def _move_row(self, k):
+        """Row k of the Heilbronn walk, built on first use and cached:
+        row[i] is the index of (y : k*y - x) for reps[i] = (x : y), the
+        right action of [[0, -1], [1, k]] on P^1, and row[len(reps)] =
+        len(reps) keeps the non-point slot in place, as in star_permutation."""
+        N, rows, units = self.N, self._rows, self._units
+        row = self._moves[k] = [rows[y][units[y] * (k * y - x) % N]
+                                for x, y in self.reps] + [len(self.reps)]
+        return row
+
     def heilbronn_counts(self, c, d, p):
         """Multiplicities, indexed like reps, of the points (c:d)h over a
-        Heilbronn family h of determinant p, walked mod N.  After (c, d*p),
-        each 0 <= r <= p/2 starts at (c*p, d - c*r), and each step of the
-        nearest-integer continued fraction of -p/r, with quotient q, maps
-        (x, y) to (y, q*y - x): Cremona's matrices.  The chain of -r is
-        the conjugate of r's by diag(-1, 1), the same quotients negated:
-        it starts at (c*p, d + c*r) and maps (u, v) to (v, -q*v - u), so
-        one continued fraction drives both.  When c = 0 mod N every start
-        is (0:d) and the -r images are the star images of the r images, so
-        each r > 0 chain is walked once and folded in by star_permutation.
-        p = 2 has four matrices of its own.  Non-points (only when p
-        divides N) drop out."""
+        Heilbronn family h of determinant p, walked on P^1.  After
+        (c, d*p), each 0 <= r <= p/2 starts at (c*p, d - c*r), and each step
+        of the nearest-integer continued fraction of -p/r, with quotient q,
+        maps (x : y) to (y : q*y - x): Cremona's matrices.  That map is a
+        permutation of P^1 that depends on q mod N alone, so a chain is
+        carried as its point's index and stepped through _move_row(q % N).
+        The chain of -r is the conjugate of r's by diag(-1, 1), the same
+        quotients negated: it starts at (c*p, d + c*r) and steps through
+        _move_row(-q % N), so one continued fraction drives both.  When
+        c = 0 mod N every start is (0:d) and the -r images are the star
+        images of the r images, so each r > 0 chain is walked once from
+        the index of (0:d) and folded in by star_permutation.  p = 2 has
+        four matrices of its own.  Non-points (only when p divides N) drop
+        out."""
+        c, d = _as_int(c, "first entry"), _as_int(d, "second entry")
         p = _as_int(p, "prime")
         if not is_prime(p):
             raise DomainError("expected a prime, got %d" % p)
-        N, rows, units = self.N, self._rows, self._units
+        N, rows, units, moves = self.N, self._rows, self._units, self._moves
         cp = c * p % N
         if p == 2:
             starts = (c, 2 * d), (2 * c, d), (2 * c, c + d), (c + d, 2 * d)
             half = 0
         else:   # the matrix (1, 0, 0, p), and r = 0
             starts, half = ((c, d * p), (cp, d)), p // 2
-        # the rows mark non-points -1: they land in a last, dropped slot
+        # the rows mark non-points -1: they land in a last, dropped slot,
+        # which every move row keeps in place
         counts = [0] * (len(self.reps) + 1)
         fold = c % N == 0
+        first, v = rows[cp], units[cp]
+        start = first[v * d % N]      # (0:d) when folded
         for r in range(1, half + 1):
-            x = u = cp
-            y, v = (d - c * r) % N, (d + c * r) % N
-            if not fold:
-                counts[rows[x][units[x] * y % N]] += 1
-                counts[rows[u][units[u] * v % N]] += 1
+            if fold:
+                i = start
+            else:
+                i = first[v * (d - c * r) % N]
+                j = first[v * (d + c * r) % N]
+                counts[i] += 1
+                counts[j] += 1
             a, b = -p, r
             while b:
                 q = (2 * a + b) // (2 * b)        # nearest integer to a/b
                 a, b = -b, a - q * b
-                x, y = y, (q * y - x) % N
-                counts[rows[x][units[x] * y % N]] += 1
+                i = (moves[q % N] or self._move_row(q % N))[i]
+                counts[i] += 1
                 if not fold:
-                    u, v = v, (-q * v - u) % N
-                    counts[rows[u][units[u] * v % N]] += 1
+                    j = (moves[-q % N] or self._move_row(-q % N))[j]
+                    counts[j] += 1
         if fold:
             counts = [k + counts[s]
                       for k, s in zip(counts, self.star_permutation())]
-            # the r != 0 starts (0:d)
-            counts[rows[0][units[0] * d % N]] += 2 * half
+            counts[start] += 2 * half      # the r != 0 starts
         for x, y in starts:
             x %= N
             counts[rows[x][units[x] * y % N]] += 1

@@ -6,10 +6,11 @@ Elliptic Curves*, 2nd ed., 1997, sec. 2.4; Merel, *Universal Fourier
 expansions of modular forms*, LNM 1585, 1994): Cremona's chains for
 0 <= r <= p/2, and for -r their conjugates by diag(-1, 1).  The
 O(p log p) matrices are never built: P1Space.heilbronn_counts walks
-their images mod N, where the next matrix of a continued fraction maps
-the image (x, y) to (y, q*y - x), one recursion driving the chains of r
-and -r together, and counts them on P^1.  For the start (0:1) the -r
-images are the star images of the r images, so that walk takes each
+their images on P^1, where the next matrix of a continued fraction, with
+quotient q, moves the image's index through the cached permutation of
+P^1 for q mod N, (x : y) -> (y : q*y - x), one recursion driving the
+chains of r and -r together, and counts them.  For the start (0:1) the
+-r images are the star images of the r images, so that walk takes each
 chain once.  A matrix column is the images' ModularSymbolSpace.symbol_sum;
 an eigenvalue at a large prime dots the counts with a dual functional
 tabulated on P^1 (see periods).  Tests check the walk against the

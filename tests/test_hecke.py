@@ -63,6 +63,13 @@ class TestFamily:
         with pytest.raises(DomainError, match="prime must be int"):
             hecke_matrix(spaces[11], p)
 
+    @pytest.mark.parametrize("c, d", [(1.0, 1), (True, 1), (1, 2.5),
+                                      (1, True)])
+    def test_non_int_start_raises(self, spaces, c, d):
+        # 1.0 ended in a bare TypeError, and True counted as 1
+        with pytest.raises(DomainError, match="entry must be int"):
+            spaces[11].p1.heilbronn_counts(c, d, 3)
+
     @pytest.mark.parametrize("n", [0, 1, 4, 9, 91])
     def test_non_prime_raises(self, spaces, n):
         with pytest.raises(DomainError):
@@ -80,19 +87,43 @@ class TestFamily:
 
 
 class TestWalk:
-    @pytest.mark.parametrize("N", [11, 22, 23, 33, 37, 97])
+    @pytest.mark.parametrize("N", [11, 22, 23, 33, 37, 97, 60, 100, 210])
     def test_walk_counts_the_family_images(self, N):
         # the same multiset, at three points per prime; p | N included,
-        # where the images that are not points drop out of both
+        # where the images that are not points drop out of both.  60, 100
+        # and 210 have many first entries that are not units; primes to
+        # 421, above N, meet every quotient residue mod N (0 first at 401
+        # for 100, where q = -401/4 rounds to -100), so every move row is
+        # built and read
         p1 = P1Space(N)
         n = len(p1)
-        for p in _primes_up_to(299):
+        for p in _primes_up_to(421):
             for i in {0, p % n, (3 * p + 1) % n}:
                 c, d = p1.reps[i]
                 family = [0] * n
                 for x in heilbronn_images(N, c, d, p):
                     family[p1.index(*x)] += 1
                 assert p1.heilbronn_counts(c, d, p) == family, (p, i)
+        assert None not in p1._moves
+
+    @pytest.mark.parametrize("N", [60, 97, 210])
+    def test_cached_rows_do_not_change_the_counts(self, N):
+        # descending primes on one space meet rows that larger primes
+        # built; a fresh space builds each row for its own walk
+        p1 = P1Space(N)
+        n = len(p1)
+        for p in reversed(_primes_up_to(421)):
+            fresh = P1Space(N)
+            for i in {0, p % n, (5 * p + 2) % n}:
+                assert p1.heilbronn_counts(*p1.reps[i], p) == \
+                    fresh.heilbronn_counts(*p1.reps[i], p), (p, i)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_small_prime_builds_few_rows(self, p):
+        # the quotients of T_p lie in [-p, p], so at most 2p + 1 residues
+        space = ModularSymbolSpace(97)
+        hecke_matrix(space, p)
+        assert sum(row is not None for row in space.p1._moves) <= 2 * p + 1
 
 
 class TestOracleRoutes:

@@ -35,7 +35,9 @@
   on, and nothing reads a flat table `_table`.
 * P^1(Z/N) holds no N*N structure: every list that P1Space allocates by
   repetition has length N or one more than its point count, and no
-  expression in it squares N.
+  expression in it squares N.  The Heilbronn walk's move rows, one per
+  quotient residue mod N, are built on first use: the constructor fills
+  none of them.
 * The Heilbronn walk is one continued-fraction recursion: its step
   `(2 * a + b) // (2 * b)` appears once in the package, in
   `P1Space.heilbronn_counts`, which drives the chains of r and -r
@@ -171,6 +173,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import modfol
+from modfol.congruence import P1Space
 from modfol.linalg import QMatrix
 from modfol.numfield import NFElement
 
@@ -302,6 +305,7 @@ def test_p1_allocates_no_square_table():
                and ast.unparse(node.left) == "N"
                and ast.unparse(node.right) in {"N", "2"}]
     assert squares == []
+    assert P1Space(2000)._moves == [None] * 2000
 
 
 def test_one_heilbronn_walk_and_one_star_map():
