@@ -74,7 +74,7 @@ PRIME_LIMIT = 25
 
 
 class EigenformOrbit:
-    """One Galois orbit of eigenforms at level N.
+    """One Galois orbit of eigenforms at level N: the record of decompose.
 
     Fields: the eigenvalue field ``field`` (of degree ``degree``), the
     ``defining_prime`` p* whose eigenvalue generates the field, that
@@ -83,12 +83,13 @@ class EigenformOrbit:
     ``coefficient_map`` of exactly verified eigenvalues per prime.
     ``multiplicity`` counts how often the eigensystem repeats inside its
     block (1 unless the level is composite and the system may come from
-    a lower level, in which case ``possibly_old`` is set).
+    a lower level, in which case ``possibly_old`` is set).  periods keeps
+    its own data per orbit, under a weak reference, and changes no field.
     """
 
     __slots__ = ("N", "field", "degree", "defining_prime", "eigenvalue",
                  "eigenvector", "coefficient_map", "multiplicity",
-                 "possibly_old", "_series", "_functional", "_embedded")
+                 "possibly_old", "__weakref__")
 
     def __init__(self, N, field, defining_prime, eigenvalue, eigenvector,
                  coefficient_map, multiplicity=1, possibly_old=False):
@@ -101,18 +102,6 @@ class EigenformOrbit:
         self.coefficient_map = dict(coefficient_map)
         self.multiplicity = multiplicity
         self.possibly_old = possibly_old
-        self._series = None      # q-expansion cache, filled by periods
-        self._functional = None  # its dual functional (table, j), likewise
-        self._embedded = {}      # fixed-point series cache, keyed by bits
-
-    def designated_embedding(self):
-        """The real place used for all numeric work on this orbit.
-
-        Fixed, deterministic choice: the smallest real root of the field's
-        defining polynomial.  Other choices give Galois-conjugate forms with
-        the same rational invariants.
-        """
-        return self.field.real_embeddings()[0]
 
     def __repr__(self):
         return ("EigenformOrbit(N=%d, degree=%d, defining_prime=%d%s)"

@@ -35,7 +35,9 @@ eigenvalue checks) are verified exactly or against stated thresholds.
 
 import math
 import operator
+import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .arith import _as_int
 from .congruence import gamma0_contains
@@ -76,16 +78,19 @@ def required_terms(c, precision):
 # -- exact q-expansions ---------------------------------------------------------------
 
 
+# Period data per orbit (see ensure_series), dropped with it: none names it.
+_PERIOD_DATA = weakref.WeakKeyDictionary()
+
+
 def ensure_series(space, orbit, terms):
     """Extend `orbit`'s exact q-expansion to order >= `terms` and return it.
 
-    The list is cached on the orbit (index n holds c_n; index 0 is unused).
-    Prime coefficients come from the orbit's verified eigenvalue map when
-    available; new primes are evaluated through a dual eigenvector, which
-    needs only a single operator column per prime and is built once per
-    orbit, so a later extension reuses it.  Orbits flagged
-    possibly_old are refused: their systems repeat inside the block, so a
-    dual vector does not pin down one form.
+    The list (index n holds c_n; index 0 is unused) is kept in _PERIOD_DATA
+    beside the fixed-point series per bits and the dual functional (table,
+    j), built once per orbit: each prime coefficient is that functional on
+    a single operator column, so an extension builds no matrix.  The orbit
+    is not changed.  Orbits flagged possibly_old are refused: their systems
+    repeat inside the block, so a dual vector does not pin down one form.
     """
     if orbit.possibly_old:
         raise DomainError(
@@ -94,23 +99,17 @@ def ensure_series(space, orbit, terms):
     if space.N != orbit.N:
         raise DomainError(
             "space level %d does not match orbit level %d" % (space.N, orbit.N))
-    terms = _as_int(terms, "terms")
-    if orbit._series is not None and len(orbit._series) > terms:
-        return orbit._series
-    if orbit._functional is None:
-        orbit._functional = _dual_functional(space, orbit)
-    table, j = orbit._functional
-
-    def prime_value(p):
-        got = orbit.coefficient_map.get(p)
-        if got is not None:
-            return got
-        c = eigenvalue_from_functional(space, p, table, j)
-        orbit.coefficient_map[p] = c
-        return c
-
-    orbit._series = qexp_from_primes(space.N, prime_value, terms)
-    return orbit._series
+    if _as_int(terms, "terms") < 0:
+        raise DomainError("terms must be at least 0, got %d" % terms)
+    data = _PERIOD_DATA.get(orbit)
+    if data is None:
+        data = _PERIOD_DATA[orbit] = SimpleNamespace(
+            functional=_dual_functional(space, orbit), series=[0], fixed={})
+    if len(data.series) <= terms:
+        table, j = data.functional
+        data.series = qexp_from_primes(space.N, lambda p: (
+            eigenvalue_from_functional(space, p, table, j)), terms)
+    return data.series
 
 
 def _dual_functional(space, orbit):
@@ -144,31 +143,34 @@ def _functional_table(space, field, W):
 
 
 def _require_series(orbit, count):
-    """The orbit's exact series; TruncationError unless it reaches count."""
-    series = orbit._series
-    if series is None or len(series) <= count:
-        have = 0 if series is None else len(series) - 1
+    """The orbit's _PERIOD_DATA entry; TruncationError unless its exact
+    series reaches count."""
+    data = _PERIOD_DATA.get(orbit)
+    have = 0 if data is None else len(data.series) - 1
+    if data is None or have < count:
         raise TruncationError(
             "orbit carries %d q-expansion coefficients but %d are needed; "
             "call ensure_series first" % (have, count),
             required_order=count)
-    return series
+    return data
 
 
 def _fixed_series(orbit, count, bits):
     """(fixed, sums): fixed[n] is 2**bits c_n under the designated
     embedding, an int, for each n the exact series holds (>= count); sums
-    holds _residue_sums.  Cached on the orbit per bits.  With
-    c_n = sum m_k a^k / D in the power basis, fixed[n] is
-    floor(sum m_k P_k / (D 2**g)), P_k = a^k 2**(bits + g) embedded once
-    within 1, so it is off by under sum |m_k| / (D 2**g) + 1 < 2 units:
-    the guard g keeps sum |m_k| / D under 2**g for every n."""
-    series = _require_series(orbit, count)
-    cached = orbit._embedded.get(bits)
+    holds _residue_sums.  Kept in _PERIOD_DATA per bits.  The designated
+    embedding is the field's smallest real root (others give conjugate
+    forms with the same rational invariants).  With c_n = sum m_k a^k / D
+    in the power basis, fixed[n] is floor(sum m_k P_k / (D 2**g)),
+    P_k = a^k 2**(bits + g) embedded once within 1, so it is off by under
+    sum |m_k| / (D 2**g) + 1 < 2 units: the guard g keeps sum |m_k| / D
+    under 2**g for every n."""
+    data = _require_series(orbit, count)
+    cached = data.fixed.get(bits)
     if cached is not None and len(cached[0]) > count:
         return cached
-    field, emb = orbit.field, orbit.designated_embedding()
-    rows = [field.coerce(x).integers for x in series[1:]]
+    field, emb = orbit.field, orbit.field.real_embeddings()[0]
+    rows = [field.coerce(x).integers for x in data.series[1:]]
     guard = max((sum(map(abs, ints)) // den).bit_length()
                 for den, ints in rows)
     scale = 1 << (bits + guard)
@@ -176,7 +178,7 @@ def _fixed_series(orbit, count, bits):
                     * scale) for k in range(field.degree)]
     fixed = [0] + [sum(map(operator.mul, ints, powers)) // (den << guard)
                    for den, ints in rows]
-    orbit._embedded[bits] = cached = fixed, {}
+    data.fixed[bits] = cached = fixed, {}
     return cached
 
 
@@ -210,7 +212,7 @@ def period_integral(orbit, gamma, terms, precision):
     the orbit's series (see ensure_series) reaches order `terms`, and
     `terms` covers required_terms(c, precision).
     """
-    a, b, c, d = (_as_int(x, "matrix entries") for x in gamma)
+    a, b, c, d = (_as_int(x, "matrix entries") for x in _group_element(gamma))
     if not gamma0_contains((a, b, c, d), orbit.N):
         raise DomainError("matrix is not in the level-%d subgroup" % orbit.N)
     if c == 0:
@@ -228,6 +230,16 @@ def period_integral(orbit, gamma, terms, precision):
     top = _fixed_series(orbit, terms, bits)[0][terms]
     return ((Fraction(re, 1 << 2 * bits), Fraction(im, 1 << 2 * bits)),
             _truncation_bound(top, terms, abs(c), bits))
+
+
+def _group_element(item):
+    """The matrix of item, bare or the first of a (matrix, coords) pair;
+    DomainError naming the matrix entries unless it has four."""
+    if isinstance(item, (tuple, list)) and len(item) == 2:
+        item = item[0]
+    if not isinstance(item, (tuple, list)) or len(item) != 4:
+        raise DomainError("matrix entries must be four ints, one group element")
+    return item
 
 
 def _working_bits(precision, terms):
@@ -423,8 +435,7 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     largest required term count (TruncationError reports it otherwise).
     """
     precision = positive_precision(precision)
-    gammas = [tuple(_as_int(x, "matrix entries")
-                    for x in (item if len(item) == 4 else item[0]))
+    gammas = [tuple(_as_int(x, "matrix entries") for x in _group_element(item))
               for item in basis]
     if not gammas:
         raise DomainError("homology basis is empty")

@@ -797,17 +797,18 @@ def power_loop_integral(coeffs, gamma, terms, digits):
     return total
 
 
-def approx_series(orbit, count, digits):
-    """[0, c_1, ..., c_count] as mpf under the orbit's designated embedding,
-    by the route the fixed-point series replaced: each c_n is a rational
-    within 10^-(digits + 5) of its image (one RealEmbedding.approx call per
+def approx_series(orbit, series, count, digits):
+    """[0, c_1, ..., c_count] of the orbit's exact `series` as mpf under its
+    designated embedding, the field's first real one, by the route the
+    fixed-point series replaced: each c_n is a rational within
+    10^-(digits + 5) of its image (one RealEmbedding.approx call per
     coefficient), then the quotient of its numerator and denominator as
     mpf at digits + 10 decimal digits."""
-    emb = orbit.designated_embedding()
+    emb = orbit.field.real_embeddings()[0]
     eps = Fraction(1, 10 ** (digits + 5))
     coeffs = [mp.mpf(0)]
     with mp.workdps(digits + 10):
-        for val in orbit._series[1:count + 1]:
+        for val in series[1:count + 1]:
             if isinstance(val, NFElement):
                 val = emb.approx(val, eps)
             coeffs.append(mp.mpf(val.numerator) / mp.mpf(val.denominator))

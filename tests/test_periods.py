@@ -1,8 +1,10 @@
 """Period integrals, period vectors, and integer-relation rank detection."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from modfol.errors import (
     PrecisionError,
     TruncationError,
 )
-from modfol import eigen, periods
+from modfol import eigen, periods, pipeline
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix, lattice_key, lll_reduce
 from modfol.modsym import ModularSymbolSpace
@@ -63,7 +65,7 @@ def _mpf(x):
 
 
 def embed(orbit, x, digits=70):
-    fr = orbit.designated_embedding().approx(x, Fraction(1, 10 ** digits))
+    fr = orbit.field.real_embeddings()[0].approx(x, Fraction(1, 10 ** digits))
     with mp.workdps(digits + 10):
         return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
@@ -147,7 +149,7 @@ def test_series_matches_eta_product():
     for n in range(1, terms + 1):
         assert series[n] == K.from_rational(eta[n])
     for p in (2, 3, 5, 7, 13, 101, 149):
-        assert orbit.coefficient_map[p] == K.from_rational(eta[p])
+        assert series[p] == K.from_rational(eta[p])
 
 
 def test_longer_series_reuses_the_dual_functional(monkeypatch):
@@ -271,12 +273,12 @@ def test_integral_doubling_terms_agrees():
         assert abs(_mpf(v1) - _mpf(v2)) < _mpf(b1)
 
 
-def _assert_kernel_matches_loop(orbit, gammas, precision):
+def _assert_kernel_matches_loop(orbit, series, gammas, precision):
     """The fixed-point kernel against the complex-power loop at 40 more
-    digits, summed on the oracle's embedded coefficients."""
+    digits, summed on the oracle's embedded coefficients of `series`."""
     digits = precision + periods._GUARD
     top = max(required_terms(g[2], precision) for g in gammas)
-    coeffs = approx_series(orbit, top, digits)
+    coeffs = approx_series(orbit, series, top, digits)
     tol = mp.mpf(10) ** -(precision + 20)
     for g in gammas:
         terms = required_terms(g[2], precision)
@@ -290,10 +292,10 @@ def _assert_kernel_matches_loop(orbit, gammas, precision):
 def test_integral_kernel_matches_power_loop(N, k):
     space, orbits = level(N)
     gammas = [g for g, _ in space.homology_generators()]
-    ensure_series(space, orbits[k],
-                  max(required_terms(g[2], 80) for g in gammas))
+    series = ensure_series(space, orbits[k],
+                           max(required_terms(g[2], 80) for g in gammas))
     for precision in (45, 60, 80):
-        _assert_kernel_matches_loop(orbits[k], gammas, precision)
+        _assert_kernel_matches_loop(orbits[k], series, gammas, precision)
 
 
 def test_integral_kernel_negative_and_multiple_c():
@@ -304,8 +306,8 @@ def test_integral_kernel_negative_and_multiple_c():
     gammas = [g for g, _ in space.homology_generators()]
     assert {g[2] for g in gammas} == {30, 60, 90}
     inverses = [(d, -b, -c, a) for a, b, c, d in gammas]
-    ensure_series(space, orbit, required_terms(90, 45))
-    _assert_kernel_matches_loop(orbit, gammas + inverses[-1:], 45)
+    series = ensure_series(space, orbit, required_terms(90, 45))
+    _assert_kernel_matches_loop(orbit, series, gammas + inverses[-1:], 45)
     for g, h in zip(gammas, inverses):
         terms = required_terms(g[2], 45)
         v, _ = period_integral(orbit, g, terms, 45)
@@ -322,11 +324,11 @@ def test_fixed_series_within_two_units(N, k):
     orbit = orbits[k]
     assert orbit.degree == {11: 1, 23: 2, 97: 4}[N]
     terms = required_terms(N, 60)
-    ensure_series(space, orbit, terms)
+    series = ensure_series(space, orbit, terms)
     for bits in (48, 323):
         fixed, _ = periods._fixed_series(orbit, terms, bits)
         digits = math.ceil(bits * math.log10(2)) + 10
-        reference = approx_series(orbit, terms, digits)
+        reference = approx_series(orbit, series, terms, digits)
         with mp.workdps(digits):
             worst = max(abs(fixed[n] - reference[n] * 2 ** bits)
                         for n in range(1, terms + 1))
@@ -481,6 +483,71 @@ def test_integer_arguments_are_not_truncated(what, call):
         call(space, orbit)
 
 
+def test_negative_term_count_is_refused(monkeypatch):
+    # -5 on a fresh orbit built the whole dual eigenvector and returned [],
+    # and -3 on an orbit with a 400-term series returned the cached list
+    def no_functional(space, orbit):
+        raise AssertionError("the functional was built")
+
+    space11, (orbit11,) = level(11)
+    assert len(ensure_series(space11, orbit11, 400)) > 400
+    space = ModularSymbolSpace(23)
+    (orbit,) = decompose(space)
+    monkeypatch.setattr(periods, "_dual_functional", no_functional)
+    for sp, o, terms in ((space, orbit, -5), (space11, orbit11, -3)):
+        with pytest.raises(DomainError, match="terms must be at least 0"):
+            ensure_series(sp, o, terms)
+    assert orbit not in periods._PERIOD_DATA
+
+
+@pytest.mark.parametrize("call", [
+    lambda o: period_integral(o, (1, 2, 3), 300, 40),
+    lambda o: period_integral(o, (6, 1, 11, 2, 0), 300, 40),
+    lambda o: period_integral(o, 5, 300, 40),
+    lambda o: numeric_jacobian(o, [(6, 1, 11)], 40),
+    lambda o: numeric_jacobian(o, [((6, 1, 11), (1, 0))], 40),
+    lambda o: numeric_jacobian(o, [5], 40),
+], ids=["period_integral-3", "period_integral-5", "period_integral-int",
+        "numeric_jacobian-3", "numeric_jacobian-pair-3",
+        "numeric_jacobian-int"])
+def test_group_elements_need_four_entries(call):
+    # a bare ValueError (the 3-tuple of period_integral) or TypeError (the
+    # 3-tuple and the int of numeric_jacobian) escaped the error contract
+    space, (orbit,) = level(11)
+    ensure_series(space, orbit, required_terms(11, 40))
+    with pytest.raises(DomainError, match="matrix entries must be four"):
+        call(orbit)
+
+
+def test_periods_leave_the_orbit_as_decompose_made_it():
+    # ensure_series wrote every series prime into coefficient_map: at 23/0
+    # a 300-term series grew it from 1 prime to 62
+    space = ModularSymbolSpace(23)
+    (orbit,) = decompose(space)
+    keys = set(orbit.coefficient_map)
+    record = pipeline._orbit_record(0, orbit)
+    gens = space.homology_generators()
+    ensure_series(space, orbit, max(required_terms(g[2], 60) for g, _ in gens))
+    numeric_jacobian(orbit, gens, 60)
+    assert set(orbit.coefficient_map) == keys
+    assert pipeline._orbit_record(0, orbit) == record
+
+
+def test_period_data_is_dropped_with_its_orbit():
+    space = ModularSymbolSpace(11)
+    (orbit,) = decompose(space)
+    ensure_series(space, orbit, 300)
+    period_integral(orbit, G1_11, 300, 40)      # fills a fixed series too
+    assert orbit in periods._PERIOD_DATA
+    gc.collect()
+    count = len(periods._PERIOD_DATA)
+    alive = weakref.ref(orbit)
+    del orbit
+    gc.collect()
+    assert alive() is None
+    assert len(periods._PERIOD_DATA) == count - 1
+
+
 def test_integral_requires_series():
     space = ModularSymbolSpace(11)
     (orbit,) = decompose(space)
@@ -576,7 +643,7 @@ def test_hecke_transpose_scales_period_vector():
     space, (orbit,) = level(23)
     gens = space.homology_generators()
     top = max(required_terms(g[2], 60) for g, _ in gens)
-    ensure_series(space, orbit, top)
+    series = ensure_series(space, orbit, top)
     pv = numeric_jacobian(orbit, gens, 60)
     n = len(gens)
     basis = QMatrix.from_rows(
@@ -589,7 +656,7 @@ def test_hecke_transpose_scales_period_vector():
             action = QMatrix.from_rows(
                 [[Fraction(int(x.p), int(x.q)) for x in row]
                  for row in solved.tolist()])
-            cp = embed(orbit, orbit.coefficient_map[p], 80)
+            cp = embed(orbit, series[p], 80)
             for i in range(n):
                 image = mp.fsum(
                     mp.mpf(action[j, i].numerator) / action[j, i].denominator

@@ -159,6 +159,14 @@
   `ModularSymbolSpace.plus_atkin_lehner` in `modsym`, which alone maps an
   endpoint p/q to -q/(N p), and only `eigen` calls it; the W_N period
   series will share it.
+* An EigenformOrbit is what `decompose` returns, and only `eigen` writes
+  one: no other module stores to or deletes an orbit field outside its
+  own classes, or a key of a `coefficient_map`, calls a method of a
+  `coefficient_map` but `items`, `keys`, `values` and `get`, or calls
+  `setattr` or `delattr`.  The class has no period slots and no
+  `designated_embedding`: `periods` keeps each orbit's period data in
+  `_PERIOD_DATA`, a weak-keyed map that only `ensure_series` and
+  `_require_series` name.
 * Prime escalation is one loop: `decompose` alone catches
   UndecidedSplitError, and resumes on its blocks; there is no restart
   wrapper (`auto_decompose`).
@@ -174,6 +182,7 @@ from pathlib import Path
 
 import modfol
 from modfol.congruence import P1Space
+from modfol.eigen import EigenformOrbit
 from modfol.linalg import QMatrix
 from modfol.numfield import NFElement
 
@@ -742,6 +751,61 @@ def _catches(node, name):
             if isinstance(handler, ast.ExceptHandler) and handler.type
             and name in {getattr(n, "id", None) or getattr(n, "attr", None)
                          for n in ast.walk(handler.type)}]
+
+
+def _orbit_writes(tree, own):
+    """The nodes of `tree` that could write an EigenformOrbit: a store to or
+    delete of an orbit field (outside the nodes in `own`, a module's own
+    classes) or of a `coefficient_map` key, a call of a `coefficient_map`
+    method that is not a read, and `setattr` or `delattr`."""
+    fields = set(EigenformOrbit.__slots__) - {"__weakref__"}
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            if (isinstance(node, ast.Attribute) and node.attr in fields
+                    and id(node) not in own):
+                yield node
+            if (isinstance(node, ast.Subscript)
+                    and getattr(node.value, "attr", None) == "coefficient_map"):
+                yield node
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) in {"setattr", "delattr"}:
+                yield node
+            elif (isinstance(func, ast.Attribute)
+                  and getattr(func.value, "attr", None) == "coefficient_map"
+                  and func.attr not in {"items", "keys", "values", "get"}):
+                yield node
+
+
+def test_only_eigen_writes_an_orbit():
+    writes = []
+    for module, tree in TREES.items():
+        if module != "eigen":
+            # a class of another module may store to its own instances
+            own = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+            writes += ["%s:%d" % (module, node.lineno)
+                       for node in _orbit_writes(tree, own)]
+    assert writes == []
+    # no period data on the orbit: no private slot but the weak reference's,
+    # no slot named for a series, functional or embedding, no method for one
+    assert {name for name in EigenformOrbit.__slots__
+            if name.startswith("_") or {"series", "functional", "embedded",
+                                        "period"} & set(name.split("_"))
+            } == {"__weakref__"}
+    assert "designated_embedding" not in _defined_functions()
+    assert set(_methods("eigen", "EigenformOrbit")) == {"__init__", "__repr__"}
+    namers = {(module, node.name) for module, tree in TREES.items()
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for child in ast.walk(node)
+              if "_PERIOD_DATA" in {getattr(child, "id", None),
+                                    getattr(child, "attr", None)}}
+    assert namers == {("periods", "ensure_series"),
+                      ("periods", "_require_series")}
+    assert {module for module, tree in TREES.items()
+            for node in ast.walk(tree)
+            if "_PERIOD_DATA" in {getattr(node, "id", None),
+                                  getattr(node, "attr", None)}} == {"periods"}
 
 
 def test_one_escalation_loop():
