@@ -1,10 +1,12 @@
 """Integer and rational helpers shared by the package.
 
 Primality, the next prime, a smallest-prime-factor sieve, factorization
-by trial division and Pollard's rho, the int check of integer arguments,
-and for exact containers: the int-or-Fraction coercion, the one clearing
-of denominators (Fractions, or integer vectors over a denominator each,
-as integers over the lcm of theirs) and the one binary-power loop.
+by trial division and Pollard's rho; the two readers through which every
+entry point reads a number argument, `_as_int` for an integer and
+`_as_fraction` for an exact rational; and for exact containers the one
+clearing of denominators (Fractions, or integer vectors over a
+denominator each, as integers over the lcm of theirs) and the one
+binary-power loop.
 """
 
 from fractions import Fraction
@@ -14,20 +16,24 @@ from math import gcd, isqrt, lcm
 from .errors import DomainError
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
-
-
 def _as_int(x, what):
     """x if it is an int, else a DomainError naming `what`: int() would
     read 2.5 as 2, "5" as 5 and True as 1."""
     if not isinstance(x, int) or isinstance(x, bool):
         raise DomainError("%s must be int, not %s" % (what, type(x).__name__))
     return x
+
+
+def _as_fraction(x, what):
+    """x as a Fraction if it is a Fraction or an int, else a DomainError
+    naming `what`: Fraction() would read 0.5, "1/2", Decimal("0.5") and
+    True alike."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError("%s must be int or Fraction, not %s"
+                          % (what, type(x).__name__))
+    return Fraction(x)
 
 
 def _lowest_terms(den, ints):
@@ -46,13 +52,15 @@ def _common_denominator(pairs):
     return den, [[c * (den // d) for c in ints] for d, ints in pairs]
 
 
-def _integers(values):
+def _integers(values, what="values"):
     """(den, ints): int-or-Fraction values as integers over one den > 0,
-    in lowest terms (the lcm of reduced denominators leaves no factor)."""
+    in lowest terms (the lcm of reduced denominators leaves no factor);
+    any other value is a DomainError naming `what`."""
     if set(map(type, values)) <= {int}:
         return 1, list(values)
+    fractions = [_as_fraction(x, what) for x in values]
     den, rows = _common_denominator([(x.denominator, (x.numerator,))
-                                     for x in map(_frac, values)])
+                                     for x in fractions])
     return den, [c for c, in rows]
 
 

@@ -153,7 +153,6 @@ def _decimal(value, digits):
     """Fixed-point decimal string of a Fraction, round-half-up; a value
     that rounds to zero prints unsigned, since its sign is noise below the
     last digit."""
-    value = Fraction(value)
     scaled = abs(value) * 10 ** digits
     units = scaled.numerator // scaled.denominator
     if 2 * (scaled - units) >= 1:

@@ -84,7 +84,7 @@ def curve_data(N):
         "nu2": nu2,
         "nu3": nu3,
         "nu_inf": nu_inf,
-        "genus": int(genus_frac),
+        "genus": genus_frac.numerator,
     }
 
 

@@ -18,6 +18,7 @@ the trace of an SL(2, Z) matrix.
 
 import enum
 
+from .arith import _as_int
 from .errors import DimensionError, DomainError, NoCuspFormsError
 from .linalg import QMatrix, is_unimodular, lattice_key
 from .numfield import NFElement, NumberField
@@ -67,17 +68,25 @@ def module_rank(J):
 
 def basis_change(J, A):
     """Replace generators by integer unimodular combinations A * generators."""
-    rows = A.to_rows() if isinstance(A, QMatrix) else [list(r) for r in A]
-    n = len(J.generators)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionError("change of basis must be %d x %d" % (n, n))
-    ints = [[int(x) for x in r] for r in rows]
-    if ints != rows:
-        raise DomainError("change of basis must have integer entries")
-    if not is_unimodular(ints):
+    rows = _integer_matrix(A, len(J.generators))
+    if not is_unimodular(rows):
         raise DomainError("change of basis must be unimodular (det +-1)")
-    gens = QMatrix.from_rows(ints) * QMatrix.from_rows(J.coordinate_rows())
+    gens = QMatrix.from_rows(rows) * QMatrix.from_rows(J.coordinate_rows())
     return JacobianModule(J.field, [NFElement(J.field, r) for r in gens.to_rows()])
+
+
+def _integer_matrix(A, n):
+    """The rows of an n x n integer matrix: a QMatrix over denominator 1,
+    or rows of entries that each read through _as_int."""
+    if isinstance(A, QMatrix):
+        den, rows = A.integer_rows()
+        if den != 1:
+            raise DomainError("matrix entries must be integers")
+    else:
+        rows = [[_as_int(x, "matrix entries") for x in row] for row in A]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise DimensionError("expected a %d x %d matrix" % (n, n))
+    return rows
 
 
 def scale_module(J, mu):
@@ -172,9 +181,15 @@ def classify_torus(A):
 
     |trace| <= 1 is finite order; |trace| = 2 is a parabolic (Strebel)
     twist except for +-identity, which induces the identity map and is
-    finite order; |trace| > 2 is Anosov with quadratic dilatation.
+    finite order; |trace| > 2 is Anosov with quadratic dilatation.  A is
+    a QMatrix, two rows, or the four entries a, b, c, d in row order.
     """
-    a, b, c, d = _flat2x2(A)
+    if not isinstance(A, QMatrix):
+        # four entries in row order; any other count but two rows is ragged
+        A = list(A)
+        if len(A) != 2:
+            A = [A[:2], A[2:]]
+    (a, b), (c, d) = _integer_matrix(A, 2)
     if a * d - b * c != 1:
         raise DomainError("matrix must have determinant 1")
     tr = a + d
@@ -188,26 +203,3 @@ def classify_torus(A):
     lam = field.gen()
     emb = field.real_embeddings()[-1]
     return TorusClass(TorusKind.ANOSOV, tr, dilatation=lam, embedding=emb)
-
-
-def _flat2x2(A):
-    entries = None
-    if isinstance(A, QMatrix):
-        if A.rows == 2 and A.cols == 2:
-            entries = [A[0, 0], A[0, 1], A[1, 0], A[1, 1]]
-    else:
-        seq = list(A)
-        if len(seq) == 4:
-            entries = seq
-        elif len(seq) == 2:
-            rows = [list(r) for r in seq]
-            if all(len(r) == 2 for r in rows):
-                entries = rows[0] + rows[1]
-    if entries is None:
-        raise DimensionError("expected a 2x2 matrix")
-    out = []
-    for x in entries:
-        if x != int(x):
-            raise DomainError("matrix entries must be integers")
-        out.append(int(x))
-    return out

@@ -21,7 +21,7 @@ from itertools import accumulate
 from math import gcd
 from operator import mul
 
-from .arith import _as_int, _common_denominator
+from .arith import _as_fraction, _as_int, _common_denominator
 from .errors import DegenerateStepError, DomainError, WrongCaseError
 from .foliation import JacobianModule, module_rank
 from .numfield import NFElement
@@ -157,15 +157,6 @@ class IET:
     def __repr__(self):
         return "IET(k=%d, permutation=%s)" % (len(self.lengths),
                                               list(self.permutation))
-
-
-def _as_fraction(x, what):
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise DomainError("%s must be exact (Fraction, int, or number "
-                          "field element), not float" % what)
-    return Fraction(x)
 
 
 def iet_apply(T, x):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .arith import _as_int, _frac, _integers, _lowest_terms
+from .arith import _as_fraction, _as_int, _integers, _lowest_terms
 from .errors import DimensionError, DomainError
 
 
@@ -32,7 +32,7 @@ class QMatrix:
     def __init__(self, rows, cols, data):
         if len(data) != rows * cols:
             raise DimensionError("data length %d != %d x %d" % (len(data), rows, cols))
-        den, num = _integers(data)
+        den, num = _integers(data, "matrix entries")
         self._set(rows, cols, num, den)
 
     def _set(self, rows, cols, num, den):
@@ -135,7 +135,7 @@ class QMatrix:
                                   [-a for a in self._num], self._den)
 
     def scale(self, c):
-        c = _frac(c)
+        c = _as_fraction(c, "scalar")
         return QMatrix._from_ints(self.rows, self.cols,
                                   [c.numerator * a for a in self._num],
                                   c.denominator * self._den)

@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, neg
 
+from .arith import _as_fraction, _as_int
 from .congruence import (
     P1Space,
     cusp_class_key,
@@ -165,7 +166,7 @@ class ModularSymbolSpace:
         """Coordinates of the symbol of the geodesic path {x, y}.
 
         Endpoints are Fractions or integers, or None for infinity; any
-        other endpoint (a float, a string) is a DomainError.
+        other endpoint (a float, a string, a bool) is a DomainError.
         """
         return self._path(_pair(x), _pair(y))
 
@@ -309,11 +310,11 @@ class ModularSymbolSpace:
 
     def loop_class(self, gamma):
         """Cuspidal coordinates of the closed loop {0, gamma.0}."""
+        gamma = tuple(_as_int(x, "matrix entries") for x in gamma)
         if not gamma0_contains(gamma, self.N):
             raise DomainError("matrix is not in the level subgroup")
-        a, b, c, d = gamma
-        target = None if d == 0 else Fraction(b, d)
-        vec = self.path(Fraction(0), target)
+        _, b, _, d = gamma
+        vec = self.path(0, None if d == 0 else Fraction(b, d))
         return self.express_cuspidal(vec)
 
     def homology_generators(self):
@@ -408,7 +409,5 @@ def _pair(x):
     """(numerator, denominator) of a rational endpoint; None stays None."""
     if x is None:
         return None
-    if not isinstance(x, (int, Fraction)):
-        raise DomainError("path endpoint must be an int, a Fraction or None, "
-                          "not %s" % type(x).__name__)
+    x = _as_fraction(x, "path endpoint")
     return x.numerator, x.denominator

@@ -21,7 +21,7 @@ comes first, and no floating point enters any exact decision.
 from fractions import Fraction
 from math import lcm
 
-from .arith import _frac, _integers, _lowest_terms, _power
+from .arith import _as_fraction, _as_int, _integers, _lowest_terms, _power
 from .errors import DomainError, InternalInvariantError
 from .linalg import QMatrix
 from .polys import (QPolynomial, _sign_at, _zx_mul, is_irreducible,
@@ -65,8 +65,7 @@ class NumberField:
         return self._reduce(1, [0, 1] + [0] * (self.degree - 2))
 
     def from_rational(self, c):
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError("expected int or Fraction, got %r" % (c,))
+        c = _as_fraction(c, "a rational")
         return NFElement._make(self, c.denominator,
                                [c.numerator] + [0] * (self.degree - 1))
 
@@ -104,8 +103,8 @@ class NumberField:
         return NFElement._make(self, den, ints[:d])
 
     def coerce(self, x):
-        """x as an element of this field: an int, a Fraction, or an element
-        of this field itself."""
+        """x as an element of this field: an element of this field itself,
+        or a rational read by from_rational."""
         if isinstance(x, NFElement):
             if x.field != self:
                 raise DomainError("element of a different field")
@@ -136,7 +135,7 @@ class NFElement:
         if len(coeffs) != field.degree:
             raise DomainError("coordinate vector has wrong length")
         self.field = field
-        self._denom, self._numer = _integers(coeffs)
+        self._denom, self._numer = _integers(coeffs, "coordinates")
 
     @classmethod
     def _make(cls, field, den, ints):
@@ -398,8 +397,10 @@ class RealEmbedding:
 
     def narrow(self, num, den):
         """Bisect the isolating interval until it is narrower than num/den
-        (num, den > 0): in a field of degree at least 2, the interval that
-        approx(gen, num/den) reaches, with no interval Horner per halving."""
+        (ints num, den > 0): in a field of degree at least 2, the interval
+        that approx(gen, num/den) reaches, with no interval Horner per
+        halving."""
+        num, den = _as_int(num, "num"), _as_int(den, "den")
         if num <= 0 or den <= 0:
             raise DomainError("the width must be positive")
         while (self._hi_num - self._lo_num) * den >= num * self._denom:
@@ -408,7 +409,7 @@ class RealEmbedding:
     def approx(self, elt, eps):
         """Rational approximation of elt's image within eps (> 0)."""
         elt = self.field.coerce(elt)
-        eps = _frac(eps)
+        eps = _as_fraction(eps, "eps")
         if eps <= 0:
             raise DomainError("eps must be positive")
         den, ints = elt._denom, elt._numer

@@ -106,9 +106,11 @@ def ensure_series(space, orbit, terms):
         data = _PERIOD_DATA[orbit] = SimpleNamespace(
             functional=_dual_functional(space, orbit), series=[0], fixed={})
     if len(data.series) <= terms:
-        table, j = data.functional
+        (table, j), old = data.functional, data.series
+        # a prime the cached series holds is not walked again
         data.series = qexp_from_primes(space.N, lambda p: (
-            eigenvalue_from_functional(space, p, table, j)), terms)
+            old[p] if p < len(old)
+            else eigenvalue_from_functional(space, p, table, j)), terms)
     return data.series
 
 
@@ -434,6 +436,8 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     pre: basis spans the cuspidal homology; the orbit's series reaches the
     largest required term count (TruncationError reports it otherwise).
     """
+    if orbit_index is not None:
+        orbit_index = _as_int(orbit_index, "orbit index")
     precision = positive_precision(precision)
     gammas = [tuple(_as_int(x, "matrix entries") for x in _group_element(item))
               for item in basis]

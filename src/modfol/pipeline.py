@@ -30,10 +30,9 @@ from .polys import QPolynomial
 
 def rat_to_json(x):
     """Fraction -> int (when integral) or exact "p/q" string."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return "%d/%d" % (f.numerator, f.denominator)
+    if x.denominator == 1:
+        return x.numerator
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def _element_coeffs(x):
@@ -104,11 +103,13 @@ def _consistent(record):
     """The cross-checks every analyze_level record passes.  Each orbit's
     degree d >= 1 is len(minpoly) - 1 and the length of its eigenvalue, of
     every eigenvector entry and of every coefficient_map entry; its
-    eigenvector has genus entries and its index is its position.  The
+    eigenvector has genus entries, its coefficient_map keys are among the
+    record's primes and its index is its position.  The
     classification has one entry per orbit, which carries the level, the
     orbit's index and degree, and the curve's genus."""
     level, genus = record["level"], record["curve"]["genus"]
     orbits, entries = record["orbits"], record["classification"]
+    primes = set(map(str, record["primes"]))
     if len(entries) != len(orbits):
         return False
     for i, (orbit, entry) in enumerate(zip(orbits, entries)):
@@ -117,6 +118,7 @@ def _consistent(record):
         lengths.update(map(len, orbit["eigenvector"]))
         lengths.update(map(len, orbit["coefficient_map"].values()))
         if (d < 1 or lengths != {d} or orbit["orbit"] != i
+                or not primes.issuperset(orbit["coefficient_map"])
                 or len(orbit["eigenvector"]) != genus
                 or (entry["level"], entry["orbit"], entry["degree"],
                     entry["genus"]) != (level, i, d, genus)):
@@ -171,6 +173,7 @@ def orbit_from_record(record, index):
         raise DomainError("level %d has %d orbits; index %d is out of range"
                           % (record["level"], len(orbits), index))
     rec = orbits[index]
+    primes = {str(p): p for p in record["primes"]}
     field = NumberField(QPolynomial([Fraction(c) for c in rec["minpoly"]]))
     return EigenformOrbit(
         record["level"],
@@ -179,7 +182,7 @@ def orbit_from_record(record, index):
         field.element([Fraction(c) for c in rec["eigenvalue"]]),
         [field.element([Fraction(c) for c in coeffs])
          for coeffs in rec["eigenvector"]],
-        {int(p): field.element([Fraction(c) for c in coeffs])
+        {primes[p]: field.element([Fraction(c) for c in coeffs])
          for p, coeffs in rec["coefficient_map"].items()},
         multiplicity=rec["multiplicity"],
         possibly_old=rec["possibly_old"],

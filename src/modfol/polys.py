@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
-from .arith import _frac, _integers, _power, next_prime
+from .arith import _as_fraction, _integers, _power, next_prime
 from .errors import DomainError, InternalInvariantError
 
 # highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
@@ -38,7 +38,8 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_gfp_trim([_frac(c) for c in coeffs]))
+        self.coeffs = tuple(_gfp_trim([_as_fraction(c, "coefficients")
+                                       for c in coeffs]))
 
     # -- basics -----------------------------------------------------------
 
@@ -114,11 +115,7 @@ class QPolynomial:
 
 
 def _coerce(x):
-    if isinstance(x, QPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QPolynomial([x])
-    raise TypeError("cannot coerce %r to QPolynomial" % (x,))
+    return x if isinstance(x, QPolynomial) else QPolynomial([x])
 
 
 # -- Z[x] (dense int lists, ascending): products, sums, remainder sequences ----

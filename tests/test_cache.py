@@ -2,6 +2,7 @@
 
 import os
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -40,9 +41,9 @@ def test_missing_file_is_a_miss(cache_root):
 def test_store_is_deterministic(cache_root):
     rec = sample_record()
     path = cache.store(rec)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     cache.store(rec)
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_no_temp_files_left_behind(cache_root):
@@ -52,32 +53,32 @@ def test_no_temp_files_left_behind(cache_root):
 
 def test_version_mismatch_is_a_miss(cache_root):
     path = cache.store(sample_record())
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[0:4] = struct.pack(">I", cache.SCHEMA_VERSION + 1)
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     assert cache.load(7) is None
 
 
 def test_flipped_payload_byte_is_a_miss(cache_root):
     path = cache.store(sample_record())
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     assert cache.load(7) is None
 
 
 def test_truncated_file_is_a_miss(cache_root):
     path = cache.store(sample_record())
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     for cut in (0, 3, len(blob) // 2, len(blob) - 1):
-        open(path, "wb").write(blob[:cut])
+        Path(path).write_bytes(blob[:cut])
         assert cache.load(7) is None
 
 
 def test_trailing_garbage_is_a_miss(cache_root):
     path = cache.store(sample_record())
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob + b"x")
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob + b"x")
     assert cache.load(7) is None
 
 

@@ -236,9 +236,9 @@ def test_corrupt_cache_recomputes(tmp_path, monkeypatch):
     monkeypatch.setenv("MODFOL_CACHE", str(tmp_path / "c2"))
     cold = run("decompose", "11")
     path = cache._record_path(11)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[16] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     assert cache.load(11) is None
     assert run("decompose", "11") == cold
 

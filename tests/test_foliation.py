@@ -101,10 +101,14 @@ def test_basis_change_hands_the_determinant_ints():
     # a QMatrix holds integral Fractions, and is_unimodular reads ints only
     J = JacobianModule(GOLDEN, [GOLDEN.one(), GOLDEN.gen()])
     shear = [[1, 1], [0, 1]]
-    for A in (QMatrix.from_rows(shear), [[Fraction(1), 1], [0, Fraction(1)]]):
-        assert basis_change(J, A) == basis_change(J, shear)
-    with pytest.raises(DomainError, match="integer entries"):
-        basis_change(J, [[1.5, 0], [0, 1]])
+    assert basis_change(J, QMatrix.from_rows(shear)) == basis_change(J, shear)
+    # the entries of rows read through _as_int: integral Fractions come in
+    # a QMatrix
+    for A in ([[1.5, 0], [0, 1]], [[Fraction(1), 1], [0, Fraction(1)]]):
+        with pytest.raises(DomainError, match="matrix entries must be int"):
+            basis_change(J, A)
+    with pytest.raises(DomainError, match="matrix entries must be integers"):
+        basis_change(J, QMatrix.from_rows([[Fraction(1, 2), 0], [0, 2]]))
 
 
 def test_basis_change_rejects_bad_input():
@@ -281,6 +285,10 @@ def test_torus_accepts_nested_rows_and_qmatrix():
     nested = classify_torus([[2, 1], [1, 1]])
     qm = classify_torus(QMatrix.from_rows([[2, 1], [1, 1]]))
     assert flat.kind == nested.kind == qm.kind == TorusKind.ANOSOV
+    # a QMatrix is read off its integer rows, which need denominator 1
+    with pytest.raises(DomainError, match="matrix entries must be integers"):
+        classify_torus(QMatrix.from_rows([[Fraction(3, 2), 1],
+                                          [Fraction(1, 2), 1]]))
 
 
 def test_torus_negative_trace_dilatation_convention():

@@ -71,8 +71,7 @@ def test_apply_domain_checks():
     with pytest.raises(DomainError):
         iet_apply(T, 1)     # right endpoint excluded
     # floats are not exact, and the message names the point
-    point = r"^a point must be exact \(Fraction, int, or number field " \
-            r"element\), not float$"
+    point = r"^a point must be int or Fraction, not float$"
     with pytest.raises(DomainError, match=point):
         iet_apply(T, 0.25)
     with pytest.raises(DomainError, match=point):
@@ -91,7 +90,8 @@ def test_constructor_validation():
     with pytest.raises(DomainError):
         IET([Fraction(0), Fraction(1)], [2, 1])            # zero length
     for lengths in ([Fraction(1, 2), 0.5], [PHI, 0.5]):    # float length
-        with pytest.raises(DomainError, match=r"^lengths must be exact \("):
+        with pytest.raises(DomainError,
+                           match=r"^lengths must be int or Fraction, not float$"):
             IET(lengths, [2, 1])
     with pytest.raises(DomainError):
         IET([Fraction(1), Fraction(2)], [2, 1],

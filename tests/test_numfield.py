@@ -100,7 +100,8 @@ class TestFieldArithmetic:
         assert K.coerce(NumberField(parse_poly("x^2 - x - 1")).gen()) == a
         with pytest.raises(DomainError, match="different field"):
             K.coerce(sqrt2_field.gen())
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError,
+                           match="a rational must be int or Fraction"):
             K.coerce(0.5)
 
     def test_reducible_rejected(self):

@@ -11,6 +11,8 @@ import pytest
 import sympy
 from mpmath import mp
 
+from modfol.arith import is_prime
+from modfol.congruence import P1Space
 from modfol.eigen import decompose
 from modfol.errors import (
     DimensionError,
@@ -171,6 +173,29 @@ def test_longer_series_reuses_the_dual_functional(monkeypatch):
     assert calls == []
     eta = eta_product_qexp(11, 60)
     assert series[1:] == [orbit.field.from_rational(c) for c in eta[1:]]
+
+
+def test_extending_a_series_walks_only_new_primes(monkeypatch):
+    # the cached coefficients at primes are reused: 1,100 -> 1,200 terms at
+    # 23/0 walked all 196 primes up to 1,200, not the 12 above 1,100
+    space = ModularSymbolSpace(23)
+    (orbit,) = decompose(space)
+    ensure_series(space, orbit, 1100)
+    walked = []
+    counts = P1Space.heilbronn_counts
+
+    def counting(p1, c, d, p):
+        walked.append(p)
+        return counts(p1, c, d, p)
+
+    monkeypatch.setattr(P1Space, "heilbronn_counts", counting)
+    series = ensure_series(space, orbit, 1200)
+    assert walked == [p for p in range(1101, 1201) if is_prime(p)]
+    assert len(walked) == 12
+    monkeypatch.undo()
+    fresh = ModularSymbolSpace(23)
+    (again,) = decompose(fresh)
+    assert series == ensure_series(fresh, again, 1200)
 
 
 def test_corrupted_functional_table_fails_verification(monkeypatch):
@@ -481,6 +506,20 @@ def test_integer_arguments_are_not_truncated(what, call):
     space, (orbit,) = level(11)
     with pytest.raises(DomainError, match=what + " must be int"):
         call(space, orbit)
+
+
+@pytest.mark.parametrize("index", [0.5, True, "0"])
+def test_orbit_index_is_read_before_any_integral(monkeypatch, index):
+    # 0.5 at 23/0 was refused by PeriodVector, after every integral had run
+    def no_integral(*args):
+        raise AssertionError("an integral ran")
+
+    space, (orbit,) = level(23)
+    basis = space.homology_generators()
+    ensure_series(space, orbit, max(required_terms(g[2], 60) for g, _ in basis))
+    monkeypatch.setattr(periods, "period_integral", no_integral)
+    with pytest.raises(DomainError, match="orbit index must be int"):
+        numeric_jacobian(orbit, basis, 60, orbit_index=index)
 
 
 def test_negative_term_count_is_refused(monkeypatch):

@@ -4,14 +4,21 @@
   AssertionError, which would vanish or leak under `python -O`.
 * Each module-level function has one home: no name is defined at module
   level in two modules.
-* The prime helpers, `_as_int`, the int check of integer arguments,
-  `_integers` and `_lowest_terms`, the clearing of denominators, and
-  `_power`, the binary-power loop, live in `arith` alone.  The public
-  entry points that take a level, a prime, a term count, a precision, a
-  matrix or lattice entry, an orbit index or a period vector's integers
-  read it through `_as_int` and call no `int()` on an argument or on what
-  a comprehension draws from one or from such a name, nested
-  comprehensions included, which would truncate 2.5 to 2.
+* The prime helpers, the two readers of number arguments (`_as_int` for
+  an integer, `_as_fraction` for an exact rational), `_integers` and
+  `_lowest_terms`, the clearing of denominators, and `_power`, the
+  binary-power loop, live in `arith` alone.  The public entry points that
+  take a level, a prime, a term count, a precision, a matrix or lattice
+  entry, an orbit index, a width or a period vector's integers read it
+  through `_as_int`, themselves or through a private helper of the
+  package, and call no `int()` on an argument or on a name bound from one
+  (by a comprehension or `for` target, nested ones included, or by an
+  assignment), which would truncate 2.5 to 2.
+* No module but `arith` decides what number an argument may be: outside
+  it no `isinstance(..., float)` is tested, no `int(x)` is compared with
+  `x`, and no `Fraction(...)` is built of a parameter, but in the three
+  readers of text and reals (`cli._parse_fraction`, `polys.parse_poly`
+  and `periods._exact`).
 * Exact coefficient lists have one integer core: `polys._zx_mul` holds
   the package's only `out[i + j] +=` accumulation, and
   `QPolynomial.__mul__`, `_zp_mul` and `NFElement.__mul__` call it;
@@ -90,15 +97,16 @@
   int-or-Fraction coordinates, `coeffs`, the Fraction view, and
   `__hash__`, which hashes a rational element as its Fraction), the
   NumberField constructors it coerces through, and
-  `hecke.eigenvalue_from_functional` construct no Fraction and call no
-  `_frac`; NFElement's storage is read only in `numfield`, under names
-  apart from QMatrix's.
+  `hecke.eigenvalue_from_functional` construct no Fraction; of them only
+  `from_rational`, which reads a rational argument, calls `_as_fraction`.
+  NFElement's storage is read only in `numfield`, under names apart from
+  QMatrix's.
 * The set-up of a Keane probe runs on integers: NumberField.from_poly,
-  module_rank and minimality_probe build no Fraction, call no `_frac`
-  and read no Fraction view (`coeffs`) of an element (from_poly reads
-  only its polynomial's coefficients); module_rank reads no coordinate
-  rows, and the probe narrows the generator's interval instead of
-  calling `approx`.
+  module_rank and minimality_probe build no Fraction, call no
+  `_as_fraction` and read no Fraction view (`coeffs`) of an element
+  (from_poly reads only its polynomial's coefficients); module_rank reads
+  no coordinate rows, and the probe narrows the generator's interval
+  instead of calling `approx`.
 * The distinct-degree loop has one body: `_gfp_distinct_degree` alone
   takes the Frobenius step x^(p^d) -> x^(p^(d+1)), in one loop, and the
   Zassenhaus path shared by factor_poly and is_irreducible hands its
@@ -230,7 +238,8 @@ def test_each_module_function_defined_once():
 def test_prime_helpers_live_in_arith():
     homes = _module_functions()
     for name in ("is_prime", "next_prime", "_primes_up_to", "factorize",
-                 "_frac", "_as_int", "_integers", "_lowest_terms", "_power"):
+                 "_as_fraction", "_as_int", "_integers", "_lowest_terms",
+                 "_power"):
         assert homes[name] == ["arith"], name
 
 
@@ -248,24 +257,48 @@ def test_integer_arguments_read_through_as_int():
         _function("linalg", "lll_reduce"),
         _function("linalg", "is_unimodular"), _function("arith", "is_prime"),
         _function("cache", "load"), _function("cache", "store"),
-        _function("pipeline", "orbit_from_record")]
+        _function("pipeline", "orbit_from_record"),
+        _function("foliation", "classify_torus"),
+        _function("foliation", "_integer_matrix"),
+        _function("foliation", "basis_change"),
+        _methods("modsym", "ModularSymbolSpace")["loop_class"],
+        _methods("numfield", "RealEmbedding")["narrow"]]
     for node in entry_points:
         assert _truncations(node) == [], node.name
-        assert "_as_int" in _called(node), node.name
+        assert _reaches_as_int(node), node.name
+
+
+def _reaches_as_int(node):
+    """Whether a function calls `_as_int`, itself or through the private
+    module-level functions it calls (names are defined once, see
+    test_each_module_function_defined_once)."""
+    private = {child.name: child for tree in TREES.values()
+               for child in tree.body if isinstance(child, ast.FunctionDef)
+               and child.name.startswith("_")}
+    seen, todo = set(), [node]
+    while todo:
+        called = _called(todo.pop())
+        if "_as_int" in called:
+            return True
+        todo += [private[name] for name in called & set(private) - seen]
+        seen |= called
+    return False
 
 
 def _truncations(node):
-    """The int() calls in a function on its arguments or on the names that
-    run over them in comprehensions, nested ones included: a target counts
-    when its comprehension draws from an argument or from such a name."""
+    """The int() calls in a function on its arguments or on the names bound
+    from them: a comprehension or `for` target that runs over an argument
+    or such a name, nested ones included, or an assignment target whose
+    value names one."""
     read = {arg.arg for arg in node.args.args}
-    comps = [comp for comp in ast.walk(node)
-             if isinstance(comp, ast.comprehension)]
+    bindings = [(loop.target, loop.iter) for loop in ast.walk(node)
+                if isinstance(loop, (ast.comprehension, ast.For))]
+    bindings += [(target, assign.value) for assign in ast.walk(node)
+                 if isinstance(assign, ast.Assign) for target in assign.targets]
     while True:
-        targets = {target.id for comp in comps
-                   if _names(comp.iter) & read
-                   for target in ast.walk(comp.target)
-                   if isinstance(target, ast.Name)}
+        targets = {name.id for target, value in bindings
+                   if _names(value) & read
+                   for name in ast.walk(target) if isinstance(name, ast.Name)}
         if targets <= read:
             break
         read |= targets
@@ -287,9 +320,81 @@ def test_truncations_reach_nested_comprehensions():
         "def f(rows): return [[int(x) for x in r] for r in rows]") == ["int(x)"]
     assert truncations("def f(rows): return [int(x) for r in rows "
                        "for x in (r, r)]") == ["int(x)"]
-    # names drawn from a local, such as a record's JSON keys, are not read
+    # a name bound from an argument by an assignment or a for loop is read,
+    # a record's JSON keys included
     assert truncations("def f(rec): m = rec['m']; "
-                       "return {int(p): 1 for p in m}") == []
+                       "return {int(p): 1 for p in m}") == ["int(p)"]
+    assert truncations("def f(rows):\n"
+                       "    entries = rows[0] + rows[1]\n"
+                       "    for x in entries:\n"
+                       "        n = int(x)") == ["int(x)"]
+    # the entry check a 2 x 2 reader made: a list built from the argument,
+    # a copy of it, and a for loop over the copy
+    assert truncations("def f(A):\n"
+                       "    seq = list(A)\n"
+                       "    entries = seq\n"
+                       "    for x in entries:\n"
+                       "        if x != int(x):\n"
+                       "            raise ValueError\n"
+                       "        out.append(int(x))") == ["int(x)", "int(x)"]
+    # names bound from no argument are not read
+    assert truncations("def f(n):\n"
+                       "    m = range(3)\n"
+                       "    for k in m:\n"
+                       "        n += int(k)") == []
+
+
+# the readers of text and reals, which build a Fraction of what they read
+NUMBER_TEXT_READERS = {("cli", "_parse_fraction"), ("polys", "parse_poly"),
+                       ("periods", "_exact")}
+
+
+def _number_checks(node):
+    """The number checks of a function: an isinstance test against float,
+    an int(x) compared with x, and a Fraction built of a parameter."""
+    params = {arg.arg for arg in node.args.posonlyargs + node.args.args
+              + node.args.kwonlyargs}
+    found = []
+    for child in ast.walk(node):
+        name = getattr(getattr(child, "func", None), "id", None)
+        if name == "isinstance" and "float" in _names(child.args[1]):
+            found.append(ast.unparse(child))
+        elif name == "Fraction" and any(
+                isinstance(arg, ast.Name) and arg.id in params
+                for arg in child.args):
+            found.append(ast.unparse(child))
+        elif isinstance(child, ast.Compare):
+            sides = [child.left] + child.comparators
+            texts = {ast.unparse(side) for side in sides}
+            if any(getattr(side, "func", None) is not None
+                   and getattr(side.func, "id", None) == "int"
+                   and ast.unparse(side.args[0]) in texts for side in sides):
+                found.append(ast.unparse(child))
+    return found
+
+
+def test_number_checks_are_found():
+    def checks(source):
+        return _number_checks(ast.parse(source).body[0])
+    assert checks("def f(x): return isinstance(x, (int, float))") == [
+        "isinstance(x, (int, float))"]
+    assert checks("def f(rows):\n"
+                  "    for x in rows:\n"
+                  "        if x != int(x):\n"
+                  "            raise ValueError") == ["x != int(x)"]
+    assert checks("def f(x, den): return Fraction(x.numerator, den)") == [
+        "Fraction(x.numerator, den)"]
+    assert checks("def f(x): return Fraction(len(x), 2) == int(len(x))") == []
+
+
+def test_number_arguments_are_read_in_arith():
+    found = ["%s.%s: %s" % (module, node.name, check)
+             for module, tree in TREES.items() if module != "arith"
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and (module, node.name) not in NUMBER_TEXT_READERS
+             for check in _number_checks(node)]
+    assert found == []
+    assert all(_function(module, name) for module, name in NUMBER_TEXT_READERS)
 
 
 def test_replaced_hecke_routes_are_oracles_only():
@@ -405,7 +510,9 @@ def test_field_elements_run_on_integers():
         "_reduce")]
     checked.append(_function("hecke", "eigenvalue_from_functional"))
     for node in checked:
-        assert _called(node) & {"Fraction", "_frac"} == set(), node.name
+        assert "Fraction" not in _called(node), node.name
+        assert ("_as_fraction" in _called(node)) == (
+            node.name == "from_rational"), node.name
     storage = set(NFElement.__slots__) - {"field"}
     assert storage and not storage & set(QMatrix.__slots__)
     readers = ["%s:%d" % (module, node.lineno)
@@ -423,7 +530,7 @@ def test_field_set_up_runs_on_integers():
     rank = _function("foliation", "module_rank")
     probe = _function("iet", "minimality_probe")
     for node in (from_poly, rank, probe):
-        assert _called(node) & {"Fraction", "_frac"} == set(), node.name
+        assert _called(node) & {"Fraction", "_as_fraction"} == set(), node.name
     coeffs = {node.name: [ast.unparse(n) for n in ast.walk(node)
                           if isinstance(n, ast.Attribute)
                           and n.attr == "coeffs"]
