@@ -25,6 +25,14 @@ from .errors import DomainError, InternalInvariantError
 # 2x2 integer matrices are flat tuples (a, b, c, d)
 
 
+def _group_entries(m):
+    """(a, b, c, d): the entries of a 2x2 matrix in row order, each read
+    through _as_int; DomainError unless m is a tuple or list of four."""
+    if not isinstance(m, (tuple, list)) or len(m) != 4:
+        raise DomainError("matrix entries must be four ints, one group element")
+    return tuple(_as_int(x, "matrix entries") for x in m)
+
+
 def mat_det(m):
     a, b, c, d = m
     return a * d - b * c

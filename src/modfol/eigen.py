@@ -44,13 +44,14 @@ names and resume on the blocks it has, which gives what a run with the
 longer prime list would.  A block hands its operators and irreducible
 factors on to its orbit, and every eigenvector over K, the orbit's and
 its dual (dual_eigenvector, on transposes), is column 0 of adj(a*I - T)
-by one rational Horner recurrence with no arithmetic in K.
+by one Horner recurrence on integer vectors with no arithmetic in K.
 
 A vector over K is held as an n x d QMatrix whose rows are power-basis
 coordinates: a rational operator acts by one product on the left and a
-scalar c of K by one product on the right with c.matrix().  The
-eigenvector is lifted to the +1 half and normalised once, at its first
-nonzero entry, and becomes a tuple of NFElements only in the result.
+scalar c of K by one product on the right with c.matrix().  An orbit's
+eigenvector is normalised on its block, at its first nonzero entry on
+the +1 half, certified there and lifted once, and it becomes a tuple of
+NFElements only in the result.
 """
 
 from itertools import groupby
@@ -323,12 +324,17 @@ def _orbit_from_block(space, ps, block, mats, factors):
     The eigenvector is _adjugate_column of the operator and factor f at
     p_star, the least prime of largest factor degree; on a possibly-old
     block T_p is semisimple (p does not divide the level), so f(T) = 0 and
-    it is one K-eigenvector of the block.  It is lifted and normalised
-    once, at its first nonzero ambient entry, where every operator's
-    eigenvalue is read off.  A block of multiplicity 1 is certified by
-    p_star, so an operator that is not scalar there is a bug; on a larger
-    block the supplied primes do not split its eigensystems.  At a prime
-    level _decided_in_identity_order has found p_star for every block.
+    it is one K-eigenvector of the block.  It is normalised in block
+    coordinates, divided by its first nonzero ambient entry, which
+    block.row(lead) * local gives for the first row ``lead`` where that
+    is nonzero, and lifted once, to block * local, at the end.  Each
+    operator is certified on the block, mats[p] * local == local *
+    c.matrix(), with c read off block.row(lead) times mats[p] * local:
+    block has full column rank, so that is the check on the +1 half.  A
+    block of multiplicity 1 is certified by p_star, so an operator that is
+    not scalar there is a bug; on a larger block the supplied primes do
+    not split its eigensystems.  At a prime level
+    _decided_in_identity_order has found p_star for every block.
     """
     best = max(q.degree for q in factors.values())
     p_star = min(p for p in ps if factors[p].degree == best)
@@ -341,16 +347,14 @@ def _orbit_from_block(space, ps, block, mats, factors):
         raise InternalInvariantError("block dimension not a degree multiple")
 
     lam = field.gen()
-    vec = block * local
-    lead, x = leading_entry(vec, field)
-    norm = x.inverse().matrix()
-    local, vec = local * norm, vec * norm
+    at_lead = _leading_row(block, local)
+    x = _elements(at_lead * local, field)[0]
+    local = local * x.inverse().matrix()
     coeffs = {}
     for p in ps:
-        image = block * (mats[p] * local)
-        den, rows = image.integer_rows()
-        c = field.from_integers(den, rows[lead])
-        if image != vec * c.matrix():
+        image = mats[p] * local
+        c = _elements(at_lead * image, field)[0]
+        if image != local * c.matrix():
             if mult == 1:
                 raise InternalInvariantError("commuting operator is not scalar")
             q = _next_split_prime(ps, space.N)
@@ -360,8 +364,20 @@ def _orbit_from_block(space, ps, block, mats, factors):
         coeffs[p] = c
     if coeffs[p_star] != lam:
         raise InternalInvariantError("defining operator lost its eigenvalue")
-    return EigenformOrbit(space.N, field, p_star, lam, _elements(vec, field),
-                          coeffs, multiplicity=mult, possibly_old=mult > 1)
+    return EigenformOrbit(space.N, field, p_star, lam,
+                          _elements(block * local, field), coeffs,
+                          multiplicity=mult, possibly_old=mult > 1)
+
+
+def _leading_row(block, local):
+    """R, row i of block as a 1 x k matrix, for the first nonzero row i of
+    block * local, tried a row at a time: R * M is row i of block * M."""
+    den, rows = block.integer_rows()
+    for row in rows:
+        lead = QMatrix.from_integer_rows(den, [row])
+        if not (lead * local).is_zero():
+            return lead
+    raise InternalInvariantError("the eigenvector lifts to zero")
 
 
 def _adjugate_column(T, f):
@@ -370,15 +386,12 @@ def _adjugate_column(T, f):
     f (ascending, degree d) is irreducible with root a and f(T) = 0: T's
     characteristic polynomial, or its minimal one.  With h_(d-1) = 1 and
     h_i = x*h_(i+1) + f_(i+1), sum_i a^i h_i(x) = (f(x) - f(a))/(x - a):
-    coordinate i of the column is h_i(T) e_0, one rational Horner
-    recurrence on vectors, with no arithmetic in Q(a).  (T - a) times it
-    is f(T) e_0 = 0, and it is never zero: its coordinate d - 1 is e_0.
+    coordinate i of the column is h_i(T) e_0, one Horner recurrence on
+    integer vectors over one denominator (QMatrix.horner_columns), with
+    no arithmetic in Q(a).  (T - a) times it is f(T) e_0 = 0, and it is
+    never zero: its coordinate d - 1 is e_0.
     """
-    e0 = QMatrix.from_rows([[int(i == 0)] for i in range(T.rows)])
-    cols = [e0]
-    for c in reversed(f[1:-1]):
-        cols.append(T * cols[-1] + e0.scale(c))
-    X = QMatrix.from_rows(zip(*(v.col(0) for v in reversed(cols))))
+    X = T.horner_columns(f)
     if X.is_zero():
         raise InternalInvariantError("adj(a*I - T) has a zero first column")
     return X

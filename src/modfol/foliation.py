@@ -83,7 +83,10 @@ def _integer_matrix(A, n):
         if den != 1:
             raise DomainError("matrix entries must be integers")
     else:
-        rows = [[_as_int(x, "matrix entries") for x in row] for row in A]
+        rows = list(A)
+        if not all(isinstance(row, (tuple, list)) for row in rows):
+            raise DomainError("matrix entries must be %d rows of ints" % n)
+        rows = [[_as_int(x, "matrix entries") for x in row] for row in rows]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DimensionError("expected a %d x %d matrix" % (n, n))
     return rows

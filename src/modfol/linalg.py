@@ -3,11 +3,12 @@
 QMatrix stores integers row-major over one positive common denominator,
 reduced so that equal matrices have equal storage (_lowest_terms, the
 normal form number-field elements share); entries are read back as
-Fractions.  Products, sums, scaling and elimination run on the
-integers: one fraction-free Gauss-Jordan elimination (rref, which also
-serves rank, kernel and column span), and one characteristic polynomial,
-Berkowitz's division-free recursion (charpoly, whose constant coefficient
-also serves the determinant in is_unimodular); for integer lattices, a
+Fractions.  Products, sums, scaling, the Horner recurrence of an
+eigenvector (horner_columns) and elimination run on the integers: one
+fraction-free Gauss-Jordan elimination (rref, which also serves rank,
+kernel and column span), and one characteristic polynomial, Berkowitz's
+division-free recursion (charpoly, whose constant coefficient also
+serves the determinant in is_unimodular); for integer lattices, a
 row-style Hermite normal form and Cohen's integral LLL, which updates
 its Gram-Schmidt data in place.
 
@@ -141,7 +142,7 @@ class QMatrix:
                                   c.denominator * self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QMatrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise DimensionError("cannot multiply %dx%d by %dx%d"
@@ -162,6 +163,35 @@ class QMatrix:
         return QMatrix._from_ints(n, m, out, self._den * other._den)
 
     __rmul__ = scale
+
+    def horner_columns(self, coeffs):
+        """The n x d matrix whose column i is h_i(self) e_0, for a square
+        self and the ascending rational coefficients of a polynomial of
+        degree d >= 1: h_(d-1) = 1 and h_i = x*h_(i+1) + coeffs[i+1].
+
+        One integer recurrence on vectors: with self = A/D and coeffs =
+        p/q, u_(d-1) = e_0 and u_i = q*A*u_(i+1) + p_(i+1)*D*(D*q)^(k-1)*e_0
+        is (D*q)^k h_i(self) e_0 for k = d - 1 - i, so column i is u_i
+        times (D*q)^i over (D*q)^(d-1).
+        """
+        if self.rows != self.cols:
+            raise DimensionError("horner_columns needs a square matrix")
+        n = self.rows
+        q, p = _integers(coeffs, "coefficients")
+        rows = [self._num[i * n:(i + 1) * n] for i in range(n)]
+        dq = self._den * q
+        powers = [dq ** k for k in range(len(p) - 1)]
+        u = [int(i == 0) for i in range(n)]
+        cols = [u]
+        for k, c in enumerate(reversed(p[1:-1]), 1):
+            u = [q * sum(map(mul, row, u)) for row in rows]
+            u[0] += c * self._den * powers[k - 1]
+            cols.append(u)
+        # cols[k] is u_(d-1-k): column i is cols[d-1-i] times dq^i
+        scaled = [[f * x for x in col] for f, col in zip(powers, reversed(cols))]
+        return QMatrix._from_ints(n, len(cols),
+                                  [x for row in zip(*scaled) for x in row],
+                                  powers[-1])
 
     def transpose(self):
         return QMatrix._from_ints(self.cols, self.rows,

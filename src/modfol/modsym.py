@@ -34,9 +34,10 @@ from fractions import Fraction
 from math import gcd
 from operator import add, neg
 
-from .arith import _as_fraction, _as_int
+from .arith import _as_fraction
 from .congruence import (
     P1Space,
+    _group_entries,
     cusp_class_key,
     cusp_classes,
     curve_data,
@@ -310,7 +311,7 @@ class ModularSymbolSpace:
 
     def loop_class(self, gamma):
         """Cuspidal coordinates of the closed loop {0, gamma.0}."""
-        gamma = tuple(_as_int(x, "matrix entries") for x in gamma)
+        gamma = _group_entries(gamma)
         if not gamma0_contains(gamma, self.N):
             raise DomainError("matrix is not in the level subgroup")
         _, b, _, d = gamma

@@ -8,8 +8,12 @@ rational scalars and multiplication matrices run on those integers, and
 ``coeffs`` reads them back as Fractions.  A product is the integer
 product of polys (`_zx_mul`), and it and the image of a polynomial at the
 generator share one reduction by the defining polynomial; powers take
-the binary-power loop of arith.  A vector of K^n is the n x d
-rational matrix of its coordinates, and eigen solves no system over K.
+the binary-power loop of arith.  An inverse is the Bezout cofactor of
+the element's integers against t times the defining polynomial, from
+the extended primitive remainder sequence of polys (`_zx_cofactor`),
+in O(d^2) steps where an elimination takes O(d^3), and it is checked by
+one product.  A vector of K^n is the n x d rational matrix of its
+coordinates, and eigen solves no system over K.
 Real embeddings carry an isolating interval as integers over one common
 denominator and support exact sign queries, rational approximation
 to any requested accuracy and narrowing below a width: bisection and
@@ -24,8 +28,8 @@ from math import lcm
 from .arith import _as_fraction, _as_int, _integers, _lowest_terms, _power
 from .errors import DomainError, InternalInvariantError
 from .linalg import QMatrix
-from .polys import (QPolynomial, _sign_at, _zx_mul, is_irreducible,
-                    isolate_real_roots)
+from .polys import (QPolynomial, _gfp_trim, _sign_at, _zx_cofactor, _zx_mul,
+                    is_irreducible, isolate_real_roots)
 
 
 class NumberField:
@@ -231,21 +235,26 @@ class NFElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """y with y*self = 1: row k of matrix() holds a^k*self, so y's
-        coordinates solve matrix()^T y = e_0, read off one rref."""
+        """y with y*self = 1: self is n(a)/den for integers n of degree
+        below d, and the extended primitive remainder sequence of
+        (t*minpoly, n) in Z[x] (polys._zx_cofactor) gives s*n = e modulo
+        the defining polynomial, so y = den*s(a)/e, checked once."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        d = self.field.degree
-        # matrix()^T = rows / den, so the system is rows * y = den * e_0
-        den, rows = self.matrix().transpose().integer_rows()
-        reduced, pivots = QMatrix.from_rows(
-            [row + [den * (k == 0)] for k, row in enumerate(rows)]).rref()
-        if d in pivots:
+        field = self.field
+        t, top = field._top
+        found = _zx_cofactor(_gfp_trim(list(self._numer)),
+                             [-r for r in top] + [t])
+        if found is None:
             raise InternalInvariantError(
                 "element and defining polynomial share a factor: the "
                 "defining polynomial is not irreducible")
-        den, rows = reduced.integer_rows()
-        return NFElement._make(self.field, den, [row[d] for row in rows])
+        e, s = found
+        y = field._reduce(e, [self._denom * x for x in s]
+                          + [0] * (field.degree - len(s)))
+        if y * self != 1:
+            raise InternalInvariantError("inverse times element is not 1")
+        return y
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .arith import _as_int
-from .congruence import gamma0_contains
+from .congruence import _group_entries, gamma0_contains
 from .eigen import dual_eigenvector
 from .errors import (
     DomainError,
@@ -214,7 +214,7 @@ def period_integral(orbit, gamma, terms, precision):
     the orbit's series (see ensure_series) reaches order `terms`, and
     `terms` covers required_terms(c, precision).
     """
-    a, b, c, d = (_as_int(x, "matrix entries") for x in _group_element(gamma))
+    a, b, c, d = _group_element(gamma)
     if not gamma0_contains((a, b, c, d), orbit.N):
         raise DomainError("matrix is not in the level-%d subgroup" % orbit.N)
     if c == 0:
@@ -235,13 +235,11 @@ def period_integral(orbit, gamma, terms, precision):
 
 
 def _group_element(item):
-    """The matrix of item, bare or the first of a (matrix, coords) pair;
-    DomainError naming the matrix entries unless it has four."""
+    """The entries of item's matrix, bare or the first of a (matrix,
+    coords) pair, read by congruence._group_entries."""
     if isinstance(item, (tuple, list)) and len(item) == 2:
         item = item[0]
-    if not isinstance(item, (tuple, list)) or len(item) != 4:
-        raise DomainError("matrix entries must be four ints, one group element")
-    return item
+    return _group_entries(item)
 
 
 def _working_bits(precision, terms):
@@ -439,8 +437,7 @@ def numeric_jacobian(orbit, basis, precision, orbit_index=None):
     if orbit_index is not None:
         orbit_index = _as_int(orbit_index, "orbit index")
     precision = positive_precision(precision)
-    gammas = [tuple(_as_int(x, "matrix entries") for x in _group_element(item))
-              for item in basis]
+    gammas = [_group_element(item) for item in basis]
     if not gammas:
         raise DomainError("homology basis is empty")
     needs = [required_terms(g[2], precision) for g in gammas]

@@ -5,8 +5,10 @@ an empty tuple and degree -1.  Its sums and products clear denominators
 once and run on dense integer lists, through the one product `_zx_mul`
 and sum `_zx_add` that (Z/m)[x] reduces mod m and number fields by their
 defining polynomial.  Remainders are computed on the same lists by
-primitive remainder sequences (Collins 1967; Brown 1971): gcds, Yun's
-squarefree decomposition and the Sturm chains of root isolation.
+primitive remainder sequences (Collins 1967; Brown 1971) on one
+pseudo-division step: gcds, Yun's squarefree decomposition, the Sturm
+chains of root isolation and, extended by cofactors, the inverses of
+number fields.
 Factorization over Q scales the monic polynomial to a monic integer one,
 splits it by Yun, factors each part modulo the first usable odd prime
 (Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
@@ -25,7 +27,8 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
-from .arith import _as_fraction, _integers, _power, next_prime
+from .arith import (_as_fraction, _integers, _lowest_terms, _power,
+                    next_prime)
 from .errors import DomainError, InternalInvariantError
 
 # highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
@@ -147,21 +150,31 @@ def _zx_derivative(a):
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _zx_prem(a, b):
-    """Pseudo-remainder of a by b != 0 in Z[x].  Each step scales a by
-    |lc b| > 0, so the result is a positive multiple of the remainder over
-    Q and keeps every Sturm sign."""
-    a = list(a)
+def _zx_pseudo_divide(a, b):
+    """(m, q, r): m*a = q*b + r in Z[x] for b != 0, with deg r < deg b.
+    Each step scales a by |lc b| > 0 and cancels its top term, and m is
+    the product of those scalings, so r is a positive multiple of the
+    remainder over Q and keeps every Sturm sign."""
+    r = list(a)
     scale, n = abs(b[-1]), len(b) - 1
-    while len(a) > n:
-        c = a.pop() if b[-1] > 0 else -a.pop()      # the top term cancels
-        k = len(a) - n
+    q, m = [0] * max(0, len(r) - n), 1
+    while len(r) > n:
+        c = r.pop() if b[-1] > 0 else -r.pop()      # the top term cancels
+        k = len(r) - n
         if scale != 1:
-            a = [x * scale for x in a]
+            r = [x * scale for x in r]
+            q = [x * scale for x in q]
+            m *= scale
+        q[k] = c
         for i in range(n):
-            a[k + i] -= c * b[i]
-        _gfp_trim(a)
-    return a
+            r[k + i] -= c * b[i]
+        _gfp_trim(r)
+    return m, q, r
+
+
+def _zx_prem(a, b):
+    """Pseudo-remainder of a by b != 0 in Z[x] (_zx_pseudo_divide)."""
+    return _zx_pseudo_divide(a, b)[2]
 
 
 def _zx_gcd(a, b):
@@ -172,6 +185,32 @@ def _zx_gcd(a, b):
     while b:
         a, b = b, _primitive(_zx_prem(a, b))
     return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _zx_cofactor(a, f):
+    """(e, s): an integer e > 0 and integers s, len(s) < len(f), with
+    s*a = e modulo f in Z[x], for a != 0 of lower degree than f; None if
+    a and f share a factor.
+
+    The extended primitive remainder sequence of (f, a) (Collins 1967;
+    Brown 1971; Cohen, GTM 138, 3.3): each remainder r is made primitive
+    and carries its cofactor over one positive denominator in lowest
+    terms, w*r = s*a modulo f, so neither coefficients nor cofactors
+    keep a content.  A pseudo-division m*r0 = q*r1 + r gives
+    w0*w1*r = (m*w1*s0 - w0*q*s1)*a, with no cofactor of f at all.
+    """
+    (r0, s0, w0), (r1, s1, w1) = (f, [], 1), (a, [1], 1)
+    while len(r1) > 1:
+        m, q, r = _zx_pseudo_divide(r0, r1)
+        if not r:
+            return None
+        g, mw = gcd(*r), m * w1
+        s = _gfp_trim(_zx_add([mw * x for x in s0],
+                              [-w0 * x for x in _zx_mul(q, s1)]))
+        w, s = _lowest_terms(w0 * w1 * g, s)
+        (r0, s0, w0), (r1, s1, w1) = (r1, s1, w1), ([x // g for x in r], s, w)
+    e = w1 * r1[0]
+    return (e, s1) if e > 0 else (-e, [-x for x in s1])
 
 
 def _zx_div(a, b):

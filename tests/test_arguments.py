@@ -83,3 +83,21 @@ def test_inexact_values_are_refused(label, value):
 def test_exact_values_are_read(label):
     call, _, value = ENTRY_POINTS[label]
     call(value)
+
+
+# call: a malformed shape or operand that must be a DomainError, as
+# periods answers a group element that is not four entries
+MALFORMED = {
+    "QMatrix * float": lambda: QMatrix.identity(2) * 0.5,
+    "QMatrix * str": lambda: QMatrix.identity(2) * "2",
+    "loop_class of three entries": lambda: SPACE.loop_class((1, 0, 11)),
+    "loop_class of a number": lambda: SPACE.loop_class(5),
+    "classify_torus of two entries": lambda: classify_torus((1, 2)),
+    "basis_change of a flat list": lambda: basis_change(MODULE, [1, 0]),
+}
+
+
+@pytest.mark.parametrize("label", list(MALFORMED))
+def test_malformed_shapes_are_domain_errors(label):
+    with pytest.raises(DomainError, match="must be"):
+        MALFORMED[label]()

@@ -190,6 +190,23 @@ def test_decompose_big_level_bytes_pinned(N):
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[N]
 
 
+# sha256 of ``decompose N --no-cache`` stdout at the two largest prime
+# levels measured, with orbits of degree 42 (997) and 70 and 94 (1999)
+LARGE_DECOMPOSE_DIGESTS = {
+    997: "304501015540c2071eddd5b64327333541a181d28abfab07a65b43b56ff26433",
+    1999: "c8d3db1b46093cb8d7ad82f80aa445f0d8cd9f7183c5fb062f487ac631bf49cd",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", sorted(LARGE_DECOMPOSE_DIGESTS))
+def test_decompose_large_level_bytes_pinned(N):
+    code, out = run("decompose", str(N), "--no-cache")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == LARGE_DECOMPOSE_DIGESTS[N])
+
+
 # (exit code, sha256 of stdout) of ``decompose|classify --range 1..200
 # --no-cache``: the composite levels, where the possibly-old blocks are,
 # beside the prime levels pinned above.  classify exits 3 because it

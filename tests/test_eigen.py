@@ -375,15 +375,21 @@ def test_primary_blocks_match_per_part_kernels(seed):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_adjugate_column_matches_horner_over_k(seed):
-    # on the block of each simple part f, T has charpoly f
+    # on the block of each simple part f, T has charpoly f; the block over
+    # a denominator D has charpoly f(D x) / D^d, with non-integral
+    # coefficients, so the integer recurrence carries both denominators
     rng, parts = _seeded_parts(seed)
     T = _block_matrix(rng, parts)
     for (f, m), (_, K, free) in zip(parts, per_part_primary_blocks(T)):
         if m == 1:
             block = T.restrict(K, free)
-            assert (eigen._adjugate_column(block, f.coeffs)
-                    == horner_adjugate_column(block, NumberField(f).gen(),
-                                              f.coeffs))
+            D = rng.choice([2, 3, 10])
+            for M in (block, block.scale(Fraction(1, D))):
+                chi = QPolynomial(M.charpoly())
+                assert (eigen._adjugate_column(M, chi.coeffs)
+                        == horner_adjugate_column(
+                            M, NumberField(chi, check=False).gen(),
+                            chi.coeffs))
 
 
 @pytest.mark.parametrize("parts, low", [

@@ -238,6 +238,76 @@ class TestElementMatchesFractionOracle:
         assert (b ** 2 + b) * (b ** 2 + b).inverse() == 1
 
 
+def _eisenstein_field(rng, d):
+    """A field of degree d defined by t x^d + 3 (c_(d-1) x^(d-1) + ... +
+    c_0), with 3 dividing neither t nor c_0: irreducible by Eisenstein at
+    3, and with t > 1 the monic defining polynomial is non-integral."""
+    t = rng.choice([1, 1, 2, 5, 7])
+    c0 = rng.choice([-4, -2, -1, 1, 2, 4])
+    coeffs = [3 * c0] + [3 * rng.randint(-20, 20) for _ in range(d - 1)]
+    return NumberField(QPolynomial(coeffs + [t]), check=False)
+
+
+def _oracle_inverse(K, x):
+    return FractionElement(K, x.coeffs).inverse().coeffs
+
+
+def _check_inverses(seed, degrees):
+    # per degree, a rational element, a generator power and dense elements
+    # with rational coordinates, against Fraction Gauss-Jordan
+    rng = random.Random(seed)
+    for d in degrees:
+        K = _eisenstein_field(rng, d)
+        elements = [K.from_rational(Fraction(rng.randint(1, 99), 7)),
+                    K.gen() ** rng.randint(0, d)]
+        elements += [K.element([Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                         rng.randint(1, 50))
+                                for _ in range(d)]) for _ in range(2)]
+        for x in elements:
+            y = x.inverse()
+            assert y.coeffs == _oracle_inverse(K, x)
+            assert x * y == 1 and y * x == K.one()
+
+
+class TestInverse:
+    """NFElement.inverse, by the extended primitive remainder sequence of
+    polys, against the Fraction Gauss-Jordan inverse of the oracle."""
+
+    def test_degree_one(self):
+        K = NumberField(QPolynomial([Fraction(-7, 3), 2]))      # 2x - 7/3
+        assert K._top == (6, [7])
+        x = K.gen() * Fraction(5, 4) + 1
+        assert x.inverse() == Fraction(24, 59)
+        assert x.inverse().coeffs == _oracle_inverse(K, x)
+
+    def test_non_monic_defining_polynomial(self):
+        # 3x^2 - 7 is x^2 - 7/3, with t = 3
+        K = NumberField(QPolynomial([-7, 0, 3]))
+        assert K._top[0] == 3
+        a = K.gen()
+        assert a.inverse() == a * Fraction(3, 7)
+        x = a * Fraction(2, 5) - Fraction(1, 3)
+        assert x.inverse().coeffs == _oracle_inverse(K, x)
+
+    def test_seeded_elements_to_degree_12(self):
+        _check_inverses(2011, range(1, 13))
+
+    @pytest.mark.slow
+    def test_seeded_elements_at_degree_40_and_above(self):
+        _check_inverses(2012, (40, 47))
+
+    def test_shared_factor_is_an_invariant_error(self):
+        # without the irreducibility check, x^2 + 1 divides the quartic
+        K = NumberField(QPolynomial([1, 0, 2, 0, 1]), check=False)
+        a = K.gen()
+        for x in (a * a + 1, (a * a + 1) * (a + 3), (a * a + 1) * a * 5):
+            with pytest.raises(InternalInvariantError, match="share a factor"):
+                x.inverse()
+        assert (a + 3).inverse() * (a + 3) == 1
+        with pytest.raises(ZeroDivisionError):
+            K.from_rational(0).inverse()
+
+
 # the embedding fields below, plus x^2 - 1/2 and x^3 - x/2 - 1/3
 _ROUTE_FIELDS = [NumberField(QPolynomial(c)) for c in (
     [-1, -1, 1], [-2, 0, 1], [-1, -1, 0, 1], [1, -2, -1, 1], [-3, 1],

@@ -17,9 +17,12 @@ from modfol.polys import (
     _zp_divmod_monic,
     _zp_mul,
     _zp_sub,
+    _zx_cofactor,
     _zx_derivative,
     _zx_div,
     _zx_gcd,
+    _zx_prem,
+    _zx_pseudo_divide,
     _zx_squarefree,
     QPolynomial,
     factor_poly,
@@ -148,6 +151,46 @@ class TestArithmetic:
             assert _zx_div(b, d) is not None and len(d) >= len(g)
         assert _zx_gcd([4, 4], [6, 6]) == [1, 1]
         assert _zx_gcd([-3], []) == [1]
+
+    def test_pseudo_division_identity(self):
+        # m*a = q*b + r with deg r < deg b, m a power of |lc b|, and the
+        # pseudo-remainder a positive multiple of sympy's remainder over Q
+        rng = random.Random(22)
+        for deg, digits in SIZES:
+            b = rand_zx(rng, rng.randint(1, deg), digits)
+            a = rand_zx(rng, rng.randint(0, 2 * deg), digits)
+            m, q, r = _zx_pseudo_divide(a, b)
+            assert zx(a) * m == zx(q) * zx(b) + zx(r)
+            assert len(r) < len(b) and not (r and r[-1] == 0)
+            assert m in {abs(b[-1]) ** k
+                         for k in range(max(1, len(a) - len(b) + 2))}
+            assert _zx_prem(a, b) == r
+            rest = sympy.rem(zx(a), zx(b), domain="QQ")
+            assert sympy.Poly(zx(r), X, domain="QQ") == rest * m
+
+    def test_cofactor_inverts_modulo_f(self):
+        # s*a = e modulo f, against sympy's remainder, for f of degree up
+        # to 40 with 100-digit coefficients and a of any lower degree
+        rng = random.Random(23)
+        for deg, digits in SIZES:
+            f = rand_zx(rng, deg + 1, digits)
+            a = rand_zx(rng, rng.randint(0, deg), digits)
+            if len(_zx_gcd(a, f)) > 1:
+                assert _zx_cofactor(a, f) is None
+                continue
+            e, s = _zx_cofactor(a, f)
+            assert e > 0 and len(s) < len(f) and s[-1] != 0
+            rest = sympy.rem(zx(a) * zx(s), zx(f), domain="QQ")
+            assert rest == sympy.Poly(e, X, domain="QQ")
+        assert _zx_cofactor([-3], [2, 0, 1]) == (3, [-1])
+
+    def test_cofactor_refuses_a_shared_factor(self):
+        # (x - 1)(x^2 + 1) and 2(x - 1)(x + 3) share x - 1; the sequence
+        # ends in zero, a step or two after it starts
+        f = from_zx(zx([-1, 1]) * zx([1, 0, 1]))
+        assert _zx_cofactor([-6, 4, 2], f) is None
+        assert _zx_cofactor([-1, 1], f) is None
+        assert _zx_cofactor([1, 0, 1], f) is None
 
     def test_evaluate_matches_expansion(self):
         p = parse_poly("x^3 - 2*x + 5")

@@ -131,8 +131,16 @@
   body: no function evaluates determinants at points or interpolates, no
   Bareiss elimination is defined, and the only other determinant is
   ad - bc of a group element (`mat_det`); is_unimodular reads its
-  determinant off charpoly, and NFElement.inverse is one rref, with no
-  extended Euclid (`divmod`) of its own.
+  determinant off charpoly.  NFElement.inverse eliminates nothing: it
+  calls the extended primitive remainder sequence of polys
+  (`_zx_cofactor`) and no `rref`, `Fraction` or `divmod` of its own.
+  polys has one pseudo-division step, `_zx_pseudo_divide`, the only
+  function that scales by a leading coefficient's absolute value
+  (`abs(b[-1])`), and `_zx_prem` and `_zx_cofactor` call it.
+* The orbit step runs on integers: the field inverse, the remainder
+  sequence it calls (`_zx_cofactor`, `_zx_pseudo_divide`) and the Horner
+  recurrence of the eigenvector (`QMatrix.horner_columns`) build no
+  Fraction and read no Fraction view (`row`, `col`, `coeffs`).
 * No linear system over a number field is solved: eigen's coordinate
   form holds vectors over K as rational matrices, and no `nf_kernel` on
   lists of field elements is defined.
@@ -745,7 +753,27 @@ def test_one_charpoly_body():
         name.lower().strip("_").split("_"))} == {"mat_det"}
     assert "charpoly" in _called(_function("linalg", "is_unimodular"))
     inverse = _called(_function("numfield", "inverse"))
-    assert "rref" in inverse and "divmod" not in inverse
+    assert "_zx_cofactor" in inverse
+    assert inverse & {"rref", "Fraction", "divmod"} == set()
+    steps = {node.name for node in ast.walk(TREES["polys"])
+             if isinstance(node, ast.FunctionDef)
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", None) == "abs"
+             and ast.unparse(call.args[0]).endswith("[-1]")}
+    assert steps == {"_zx_pseudo_divide"}
+    for name in ("_zx_prem", "_zx_cofactor"):
+        assert "_zx_pseudo_divide" in _called(_function("polys", name)), name
+
+
+def test_the_orbit_step_runs_on_integers():
+    nodes = [_methods("numfield", "NFElement")["inverse"],
+             _function("polys", "_zx_cofactor"),
+             _function("polys", "_zx_pseudo_divide"),
+             _methods("linalg", "QMatrix")["horner_columns"]]
+    for node in nodes:
+        assert _called(node) & {"Fraction", "row", "col"} == set(), node.name
+        assert "coeffs" not in {n.attr for n in ast.walk(node)
+                                if isinstance(n, ast.Attribute)}, node.name
 
 
 def test_one_kernel_over_k_and_one_polynomial_parser():
