@@ -5,12 +5,12 @@ by trial division and Pollard's rho; the two readers through which every
 entry point reads a number argument, `_as_int` for an integer and
 `_as_fraction` for an exact rational; and for exact containers the one
 clearing of denominators (Fractions, or integer vectors over a
-denominator each, as integers over the lcm of theirs) and the one
-binary-power loop.
+denominator each, as integers over the lcm of theirs), the one sum of
+two such stored vectors and the one binary-power loop.
 """
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
 
 from .errors import DomainError
@@ -43,6 +43,14 @@ def _lowest_terms(den, ints):
     if g > 1:
         return den // g, [x // g for x in ints]
     return den, ints
+
+
+def _lcm_sum(d, a, e, b, sign=1):
+    """(den, ints): ints / den = a / d + sign * b / e, for integer vectors
+    over d, e > 0 (the shorter padded with zeros) and den = lcm(d, e)."""
+    den = lcm(d, e)
+    s, t = den // d, sign * (den // e)
+    return den, [s * x + t * y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _common_denominator(pairs):

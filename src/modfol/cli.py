@@ -180,7 +180,8 @@ def _parse_int_list(text, what):
 
 def _parse_fraction(text, what):
     try:
-        return Fraction(text)
+        return (int(text) if text.isascii() and text.lstrip("-").isdigit()
+                else Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise _UsageError("%s must be an exact rational like 3 or 5/7, "
                           "got %r" % (what, text))

@@ -136,7 +136,7 @@ def rescale_eigenvector(T, lam):
     if block.cols > f.degree:
         raise MultiplicityError("the eigenspace has dimension above 1")
     powers = QMatrix.from_rows([(lam ** k).coeffs for k in range(f.degree)])
-    X = block * _adjugate_column(T.restrict(block, free), f.coeffs) * powers
+    X = block * _adjugate_column(T.restrict(block, free), f) * powers
     X = X * leading_entry(X, field)[1].inverse().matrix()
     if T * X != X * lam.matrix():
         raise InternalInvariantError("rescaled vector is not an eigenvector")
@@ -228,7 +228,7 @@ def dual_eigenvector(space, orbit):
     if basis.cols != d:
         raise InternalInvariantError("dual block of dimension %d at degree %d"
                                      % (basis.cols, d))
-    return basis * _adjugate_column(T.restrict(basis, free), f.coeffs)
+    return basis * _adjugate_column(T.restrict(basis, free), f)
 
 
 # -- internals ------------------------------------------------------------------
@@ -341,7 +341,7 @@ def _orbit_from_block(space, ps, block, mats, factors):
     # factor_poly has just returned every factor as irreducible, so the
     # field skips NumberField's own irreducibility check
     field = NumberField(factors[p_star], check=False)
-    local = _adjugate_column(mats[p_star], factors[p_star].coeffs)
+    local = _adjugate_column(mats[p_star], factors[p_star])
     mult, rem = divmod(block.cols, field.degree)
     if rem != 0:
         raise InternalInvariantError("block dimension not a degree multiple")
@@ -383,15 +383,15 @@ def _leading_row(block, local):
 def _adjugate_column(T, f):
     """Column 0 of adj(a*I - T), as its n x d coordinate matrix over Q(a).
 
-    f (ascending, degree d) is irreducible with root a and f(T) = 0: T's
-    characteristic polynomial, or its minimal one.  With h_(d-1) = 1 and
+    The QPolynomial f of degree d is irreducible with root a and f(T) = 0:
+    T's characteristic polynomial, or its minimal one.  With h_(d-1) = 1 and
     h_i = x*h_(i+1) + f_(i+1), sum_i a^i h_i(x) = (f(x) - f(a))/(x - a):
     coordinate i of the column is h_i(T) e_0, one Horner recurrence on
-    integer vectors over one denominator (QMatrix.horner_columns), with
-    no arithmetic in Q(a).  (T - a) times it is f(T) e_0 = 0, and it is
-    never zero: its coordinate d - 1 is e_0.
+    integer vectors over one denominator (QMatrix.horner_columns, on f's
+    integers), with no arithmetic in Q(a).  (T - a) times it is
+    f(T) e_0 = 0, and it is never zero: its coordinate d - 1 is e_0.
     """
-    X = T.horner_columns(f)
+    X = T.horner_columns(*f.integers)
     if X.is_zero():
         raise InternalInvariantError("adj(a*I - T) has a zero first column")
     return X
@@ -409,19 +409,20 @@ def _elements(X, field):
 
 
 def _poly_at_matrix(poly, mat):
-    """poly(mat) by Paterson-Stockmeyer: Horner in mat^s, s the root of
-    the degree, on chunks of s coefficients, each a combination of the
-    powers mat^i, i < s: about 2 s products, where Horner takes s^2."""
-    coeffs, out = poly.coeffs, QMatrix.zeros(mat.rows, mat.rows)
+    """poly(mat) by Paterson-Stockmeyer on poly's integers, over their
+    denominator once: Horner in mat^s, s the root of the degree, on chunks
+    of s, each combining the mat^i, i < s: 2 s products, not Horner's s^2."""
+    (den, ints), out = poly.integers, QMatrix.zeros(mat.rows, mat.rows)
     powers = [QMatrix.identity(mat.rows)]
-    for _ in range(isqrt(len(coeffs) - 1) or 1):
+    for _ in range(isqrt(len(ints) - 1) or 1):
         powers.append(powers[-1] * mat)
     s = len(powers) - 1
-    for j in reversed(range(0, len(coeffs), s)):
+    for j in reversed(range(0, len(ints), s)):
         out = out * powers[s] + sum(
-            (x.scale(c) for x, c in zip(powers, coeffs[j:j + s])),
+            (x.scale(c) for x, c in zip(powers, ints[j:j + s])),
             QMatrix.zeros(mat.rows, mat.rows))
-    return out
+    d, rows = out.integer_rows()
+    return QMatrix.from_integer_rows(d * den, rows)
 
 
 def _next_split_prime(ps, N):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .arith import _as_fraction, _as_int, _integers, _lowest_terms
+from .arith import _as_fraction, _as_int, _integers, _lcm_sum, _lowest_terms
 from .errors import DimensionError, DomainError
 
 
@@ -126,10 +126,9 @@ class QMatrix:
         """self + sign*other over the least common denominator."""
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch")
-        den = lcm(self._den, other._den)
-        s, t = den // self._den, sign * (den // other._den)
-        return QMatrix._from_ints(self.rows, self.cols, [
-            s * a + t * b for a, b in zip(self._num, other._num)], den)
+        den, num = _lcm_sum(self._den, self._num, other._den, other._num,
+                            sign)
+        return QMatrix._from_ints(self.rows, self.cols, num, den)
 
     def __neg__(self):
         return QMatrix._from_ints(self.rows, self.cols,
@@ -164,20 +163,19 @@ class QMatrix:
 
     __rmul__ = scale
 
-    def horner_columns(self, coeffs):
+    def horner_columns(self, q, p):
         """The n x d matrix whose column i is h_i(self) e_0, for a square
-        self and the ascending rational coefficients of a polynomial of
-        degree d >= 1: h_(d-1) = 1 and h_i = x*h_(i+1) + coeffs[i+1].
+        self and a polynomial of degree d >= 1, its ascending integers p
+        over q > 0: h_(d-1) = 1 and h_i = x*h_(i+1) + p[i+1]/q.
 
-        One integer recurrence on vectors: with self = A/D and coeffs =
-        p/q, u_(d-1) = e_0 and u_i = q*A*u_(i+1) + p_(i+1)*D*(D*q)^(k-1)*e_0
+        One integer recurrence on vectors: with self = A/D,
+        u_(d-1) = e_0 and u_i = q*A*u_(i+1) + p_(i+1)*D*(D*q)^(k-1)*e_0
         is (D*q)^k h_i(self) e_0 for k = d - 1 - i, so column i is u_i
         times (D*q)^i over (D*q)^(d-1).
         """
         if self.rows != self.cols:
             raise DimensionError("horner_columns needs a square matrix")
         n = self.rows
-        q, p = _integers(coeffs, "coefficients")
         rows = [self._num[i * n:(i + 1) * n] for i in range(n)]
         dq = self._den * q
         powers = [dq ** k for k in range(len(p) - 1)]

@@ -23,9 +23,9 @@ comes first, and no floating point enters any exact decision.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .arith import _as_fraction, _as_int, _integers, _lowest_terms, _power
+from .arith import (_as_fraction, _as_int, _integers, _lcm_sum,
+                    _lowest_terms, _power)
 from .errors import DomainError, InternalInvariantError
 from .linalg import QMatrix
 from .polys import (QPolynomial, _gfp_trim, _sign_at, _zx_cofactor, _zx_mul,
@@ -48,8 +48,9 @@ class NumberField:
                               % (minpoly,))
         self.minpoly = minpoly
         self.degree = minpoly.degree
-        # (t, top): a^d = sum top[j] a^j / t, integers over t > 0
-        self._top = _integers([-c for c in minpoly.coeffs[:-1]])
+        # (t, top): a^d = sum top[j] a^j / t, over t > 0 in lowest terms
+        t, ints = minpoly.integers
+        self._top = t, [-c for c in ints[:-1]]
         self._embeddings = None
 
     def __eq__(self, other):
@@ -87,8 +88,8 @@ class NumberField:
     def from_poly(self, p):
         """Image of a rational polynomial at the generator: its integer
         coefficients, reduced once by the defining polynomial."""
-        den, ints = _integers(p.coeffs)
-        return self._reduce(den, ints + [0] * (self.degree - len(ints)))
+        den, ints = p.integers
+        return self._reduce(den, list(ints) + [0] * (self.degree - len(ints)))
 
     def _reduce(self, den, ints):
         """The element sum ints[k] a^k / den, for a list of at least degree
@@ -182,8 +183,7 @@ class NFElement:
         # an element equal to a rational must hash like that rational
         if not any(self._numer[1:]):
             return hash(Fraction(self._numer[0], self._denom))
-        return hash((self.field.minpoly.coeffs, self._denom,
-                     tuple(self._numer)))
+        return hash((self.field, self._denom, tuple(self._numer)))
 
     def __repr__(self):
         from .polys import format_poly
@@ -201,10 +201,8 @@ class NFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den = lcm(self._denom, o._denom)
-        s, t = den // self._denom, sign * (den // o._denom)
-        return NFElement._make(self.field, den, [
-            s * a + t * b for a, b in zip(self._numer, o._numer)])
+        return NFElement._make(self.field, *_lcm_sum(
+            self._denom, self._numer, o._denom, o._numer, sign))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -269,7 +267,7 @@ class NFElement:
         return o * self.inverse()
 
     def __pow__(self, n):
-        if n < 0:
+        if _as_int(n, "exponent") < 0:
             return self.inverse() ** (-n)
         return _power(self, n, self.field.one())
 

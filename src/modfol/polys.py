@@ -1,14 +1,14 @@
 """Univariate polynomials over Q: arithmetic, root isolation, factorization.
 
-QPolynomial holds ascending Fraction coefficients; the zero polynomial has
-an empty tuple and degree -1.  Its sums and products clear denominators
-once and run on dense integer lists, through the one product `_zx_mul`
-and sum `_zx_add` that (Z/m)[x] reduces mod m and number fields by their
-defining polynomial.  Remainders are computed on the same lists by
-primitive remainder sequences (Collins 1967; Brown 1971) on one
-pseudo-division step: gcds, Yun's squarefree decomposition, the Sturm
-chains of root isolation and, extended by cofactors, the inverses of
-number fields.
+QPolynomial holds ascending integers over one positive denominator in
+lowest terms, trimmed (QMatrix's normal form): `integers` reads them and
+`coeffs` their Fraction view.  Sums are arith's sum of stored vectors,
+and products the one product `_zx_mul` that (Z/m)[x] reduces mod m and
+number fields by their defining polynomial.  Remainders are computed on
+dense integer lists by primitive remainder sequences (Collins 1967;
+Brown 1971) on one pseudo-division step: gcds, Yun's squarefree
+decomposition, the Sturm chains of root isolation and, extended by
+cofactors, the inverses of number fields.
 Factorization over Q scales the monic polynomial to a monic integer one,
 splits it by Yun, factors each part modulo the first usable odd prime
 (Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
-from .arith import (_as_fraction, _integers, _lowest_terms, _power,
+from .arith import (_as_int, _integers, _lcm_sum, _lowest_terms, _power,
                     next_prime)
 from .errors import DomainError, InternalInvariantError
 
@@ -36,28 +36,47 @@ MAX_POWER = 1000
 
 
 class QPolynomial:
-    """Dense univariate polynomial over Q, coefficients ascending."""
+    """Polynomial over Q: ascending integers ``_ints`` over ``_lcd`` > 0."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_lcd", "_ints")
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_gfp_trim([_as_fraction(c, "coefficients")
-                                       for c in coeffs]))
+        den, ints = _integers(list(coeffs), "coefficients")
+        self._lcd, self._ints = den, tuple(_gfp_trim(ints))
+
+    @classmethod
+    def _make(cls, den, ints):
+        """ints / den, for den > 0 and a list of integers, in normal form."""
+        p = cls.__new__(cls)
+        p._lcd, ints = _lowest_terms(den, _gfp_trim(ints))
+        p._ints = tuple(ints)
+        return p
 
     # -- basics -----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients, ascending, as a tuple of Fractions."""
+        return tuple(Fraction(c, self._lcd) for c in self._ints)
+
+    @property
+    def integers(self):
+        """(den, ints): the coefficients as ints[i] / den, in lowest terms."""
+        return self._lcd, self._ints
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._ints
 
     def __eq__(self, other):
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, QPolynomial)
+                and self.integers == other.integers)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.integers)
 
     def __repr__(self):
         return "QPolynomial(%s)" % (format_poly(self),)
@@ -72,15 +91,14 @@ class QPolynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        n = len(self.coeffs)
-        den, ints = _integers(self.coeffs + _coerce(other).coeffs)
-        return QPolynomial([Fraction(c, den)
-                            for c in _zx_add(ints[:n], ints[n:])])
+        o = _coerce(other)
+        return QPolynomial._make(*_lcm_sum(self._lcd, self._ints,
+                                           o._lcd, o._ints))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial([-c for c in self.coeffs])
+        return QPolynomial._make(self._lcd, [-c for c in self._ints])
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -89,23 +107,24 @@ class QPolynomial:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        n = len(self.coeffs)
-        den, ints = _integers(self.coeffs + _coerce(other).coeffs)
-        return QPolynomial([Fraction(c, den * den)
-                            for c in _zx_mul(ints[:n], ints[n:])])
+        o = _coerce(other)
+        return QPolynomial._make(self._lcd * o._lcd,
+                                 _zx_mul(self._ints, o._ints))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
+        if _as_int(n, "exponent") < 0:
             raise DomainError("negative power")
         return _power(self, n, QPolynomial([1]))
 
     def monic(self):
+        """ints / den over ints[-1] / den is ints / ints[-1]."""
         if self.is_zero():
             raise DomainError("cannot normalize zero polynomial")
-        lead = self.coeffs[-1]
-        return self if lead == 1 else QPolynomial([c / lead for c in self.coeffs])
+        lead = self._ints[-1]
+        return self if lead == self._lcd else QPolynomial._make(
+            abs(lead), [c if lead > 0 else -c for c in self._ints])
 
     def evaluate(self, x):
         """Horner evaluation; works for any x supporting + and * with Fractions."""
@@ -278,7 +297,7 @@ def isolate_real_roots(p):
     # the primitive squarefree part in Z[x] with a positive leading
     # coefficient and its Sturm chain, each member a positive multiple of
     # the one over Q, give signs by integer Horner
-    f = _primitive(_integers(p.coeffs)[1])
+    f = _primitive(p._ints)
     if f[-1] < 0:
         f = [-c for c in f]
     f = _zx_div(f, _zx_gcd(f, _zx_derivative(f)))
@@ -587,7 +606,7 @@ def _monic_integer(p):
     whose lead d is positive, G(x) = d^(n-1) a(x/d) is monic with integer
     coefficients (d is the lcm of the denominators of p made monic); a
     root r of G is the root r/d of p."""
-    a = _primitive(_integers(p.coeffs)[1])
+    a = _primitive(p._ints)
     if a[-1] < 0:
         a = [-c for c in a]
     d, n = a[-1], len(a) - 1
@@ -611,9 +630,9 @@ def factor_poly(p):
     d, G = _monic_integer(p)
     for part, mult in _zx_squarefree(G):
         for g in _factor_monic_squarefree_z(part):
-            deg = len(g) - 1
-            out.append((QPolynomial([Fraction(c, d ** (deg - i))
-                                     for i, c in enumerate(g)]), mult))
+            # g(d x) / d^deg, a root r of g giving the root r/d
+            out.append((QPolynomial._make(d ** (len(g) - 1), [
+                c * d ** i for i, c in enumerate(g)]), mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
@@ -642,9 +661,9 @@ def format_poly(p, var="x"):
     """Human form, descending powers: 'x^2 + x - 1'."""
     if p.is_zero():
         return "0"
-    parts = []
+    parts, coeffs = [], p.coeffs
     for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
+        c = coeffs[i]
         if c == 0:
             continue
         if i == 0:
@@ -693,27 +712,26 @@ def _parse_poly(text, var):
             if term[0] == "-":
                 sign = -sign
             term = term[1:]
-        if var in term:
-            head, _, tail = term.partition(var)
-            if head in ("", "*"):
-                coef = Fraction(1)
-            else:
-                coef = Fraction(head.rstrip("*"))
-            if tail.startswith("^"):
-                exponent = tail[1:]
-                if (len(exponent.lstrip("+0")) > len(str(MAX_POWER))
-                        or not 0 <= int(exponent) <= MAX_POWER):
-                    raise DomainError(
-                        "powers of %s below %s^0 or above %s^%d are not "
-                        "accepted" % (var, var, var, MAX_POWER))
-                power = int(exponent)
-            elif tail == "":
-                power = 1
-            else:
-                raise DomainError("malformed term %r" % term)
-        else:
-            coef = Fraction(term)
+        head, sep, tail = term.partition(var)
+        if sep:
+            head = head.rstrip("*") or "1"
+        # int reads ASCII digits, Fraction any other (1/2, 1.5, 1e3, 1_000)
+        coef = (int(head) if head.isascii() and head.isdigit()
+                else Fraction(head))
+        if not sep:
             power = 0
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
+        elif tail.startswith("^"):
+            exponent = tail[1:]
+            if (len(exponent.lstrip("+0")) > len(str(MAX_POWER))
+                    or not 0 <= int(exponent) <= MAX_POWER):
+                raise DomainError(
+                    "powers of %s below %s^0 or above %s^%d are not "
+                    "accepted" % (var, var, var, MAX_POWER))
+            power = int(exponent)
+        elif tail == "":
+            power = 1
+        else:
+            raise DomainError("malformed term %r" % term)
+        coeffs[power] = coeffs.get(power, 0) + sign * coef
     top = max(coeffs)
-    return QPolynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+    return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])

@@ -31,8 +31,9 @@ Manin-symbol quotient by elimination of the dense three-term relation
 matrix, which the spanning forest replaced, and the boundary map checked
 by a walk over every symbol's coordinate row, which the certificate on the
 two- and three-term relations replaced, the image of a polynomial at
-the generator by Horner in K, which one integer remainder replaced) live
-on here; they reuse the
+the generator by Horner in K, which one integer remainder replaced, and
+polynomial text read by Fraction alone, which the int reading of ASCII
+digits replaced) live on here; they reuse the
 package's field, matrix and path arithmetic but none of the code they
 check.
 """
@@ -56,7 +57,7 @@ from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
 from modfol.numfield import NFElement
 from modfol.pipeline import rat_to_json
-from modfol.polys import QPolynomial, factor_poly
+from modfol.polys import MAX_POWER, QPolynomial, factor_poly
 
 
 def brute_canonical(N, c, d):
@@ -1263,3 +1264,65 @@ def horner_from_poly(field, p):
     for c in reversed(p.coeffs):
         acc = acc * gen + c
     return acc
+
+
+# -- polynomial text over Fractions -------------------------------------------------
+
+
+def fraction_parse_poly(text, var="x"):
+    """parse_poly's coefficients, ascending and trimmed, with every
+    coefficient read by Fraction: the same terms, signs, power bound and
+    DomainError texts."""
+    try:
+        coeffs = _fraction_terms(text, var)
+    except DomainError:
+        raise
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
+        raise DomainError("malformed polynomial %r" % text) from exc
+    out = [coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _fraction_terms(text, var):
+    s = text.replace(" ", "").replace("**", "^")
+    if not s:
+        raise DomainError("empty polynomial")
+    terms, cur = [], ""
+    for ch in s:
+        if ch in "+-" and cur and cur[-1] not in "+-^*/(":
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    terms.append(cur)
+    coeffs = {}
+    for term in terms:
+        if not term or term in "+-":
+            raise DomainError("malformed polynomial %r" % text)
+        sign = 1
+        while term and term[0] in "+-":
+            if term[0] == "-":
+                sign = -sign
+            term = term[1:]
+        if var in term:
+            head, _, tail = term.partition(var)
+            coef = Fraction(1) if head in ("", "*") else Fraction(
+                head.rstrip("*"))
+            if tail.startswith("^"):
+                exponent = tail[1:]
+                if (len(exponent.lstrip("+0")) > len(str(MAX_POWER))
+                        or not 0 <= int(exponent) <= MAX_POWER):
+                    raise DomainError(
+                        "powers of %s below %s^0 or above %s^%d are not "
+                        "accepted" % (var, var, var, MAX_POWER))
+                power = int(exponent)
+            elif tail == "":
+                power = 1
+            else:
+                raise DomainError("malformed term %r" % term)
+        else:
+            coef, power = Fraction(term), 0
+        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
+    return coeffs

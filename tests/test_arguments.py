@@ -65,6 +65,8 @@ ENTRY_POINTS = {
                           "matrix entries", 7),
     "NFElement": (lambda x: NFElement(GOLDEN, [1, x]), "coordinates",
                   Fraction(-1, 2)),
+    "QPolynomial ** n": (lambda x: QPolynomial([1, 1]) ** x, "exponent", 2),
+    "NFElement ** n": (lambda x: GOLDEN.gen() ** x, "exponent", -3),
 }
 
 

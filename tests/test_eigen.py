@@ -386,7 +386,7 @@ def test_adjugate_column_matches_horner_over_k(seed):
             D = rng.choice([2, 3, 10])
             for M in (block, block.scale(Fraction(1, D))):
                 chi = QPolynomial(M.charpoly())
-                assert (eigen._adjugate_column(M, chi.coeffs)
+                assert (eigen._adjugate_column(M, chi)
                         == horner_adjugate_column(
                             M, NumberField(chi, check=False).gen(),
                             chi.coeffs))

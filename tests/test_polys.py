@@ -1,11 +1,13 @@
 import random
 import types
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
 from modfol.eigen import _plus_hecke_matrix
+from modfol.arith import next_prime
 from modfol.errors import DomainError, InternalInvariantError
 from modfol.modsym import ModularSymbolSpace
 import modfol.polys
@@ -33,7 +35,7 @@ from modfol.polys import (
 )
 
 
-from oracles import fraction_isolate_real_roots
+from oracles import fraction_isolate_real_roots, fraction_parse_poly
 
 
 def to_sympy(p):
@@ -222,6 +224,30 @@ class TestArithmetic:
                 assert (p * s).coeffs == (s * p).coeffs == fraction_product(
                     a, [s])
 
+    def test_seeded_ring_operations_match_fraction_loops(self):
+        # rational operands of degree up to 8 with denominators up to 12
+        rng = random.Random(44)
+
+        def rand_fractions():
+            return [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                    for _ in range(rng.randint(0, 9))]
+
+        for _ in range(200):
+            a, b = rand_fractions(), rand_fractions()
+            p, q = QPolynomial(a), QPolynomial(b)
+            assert (p + q).coeffs == fraction_sum(a, b)
+            assert (p - q).coeffs == fraction_sum(a, [-c for c in b])
+            assert (p * q).coeffs == fraction_product(a, b)
+            expected = (Fraction(1),)
+            for n in range(4):
+                assert (p ** n).coeffs == expected
+                expected = fraction_product(expected, a)
+            if not p.is_zero():
+                lead = p.coeffs[-1]
+                assert p.monic().coeffs == tuple(c / lead for c in p.coeffs)
+            for r in (p + q, p - q, p * q, p ** 3):
+                assert_normal_form(r)
+
     def test_pow(self):
         x = QPolynomial.x()
         assert (x + 1) ** 3 == parse_poly("x^3 + 3*x^2 + 3*x + 1")
@@ -263,6 +289,71 @@ class TestArithmetic:
                     a, [-c for c in b], m)
 
 
+def assert_normal_form(p):
+    """Integers over one positive denominator, in lowest terms and
+    trimmed, that read back as the Fraction view."""
+    den, ints = p.integers
+    assert den > 0 and gcd(den, *ints) == 1
+    assert type(ints) is tuple and all(type(c) is int for c in ints)
+    assert not ints or ints[-1] != 0
+    assert p.coeffs == tuple(Fraction(c, den) for c in ints)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+class TestStorage:
+    def test_equal_polynomials_store_equally(self):
+        # the same polynomial from Fractions, unreduced, untrimmed, parsed,
+        # and as a sum, a product and a monic
+        half_x = [QPolynomial([Fraction(1, 2), 1]),
+                  QPolynomial([Fraction(3, 6), Fraction(4, 4), 0, 0]),
+                  parse_poly("x + 1/2"), parse_poly("2/4 + 3*x - 2x"),
+                  QPolynomial([Fraction(1, 3), 1]) + Fraction(1, 6),
+                  QPolynomial([1, 2]) * Fraction(1, 2),
+                  QPolynomial([-3, -6]).monic()]
+        for p in half_x:
+            assert_normal_form(p)
+            assert p == half_x[0] and hash(p) == hash(half_x[0])
+            assert p.integers == (2, (1, 2))
+        assert len(set(half_x)) == 1
+        assert QPolynomial([1, 2]) != half_x[0]
+        assert QPolynomial([1, 1]) != QPolynomial([1, 1, 1])
+
+    def test_hash_agrees_with_equality(self):
+        rng = random.Random(45)
+        polys = [QPolynomial([Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                              for _ in range(rng.randint(0, 3))])
+                 for _ in range(300)]
+        for p in polys:
+            assert_normal_form(p)
+            q = QPolynomial(list(p.coeffs) + [0])
+            assert p == q and hash(p) == hash(q)
+        classes = {}
+        for p in polys:
+            classes.setdefault(p, []).append(p)
+        assert len(classes) == len({p.coeffs for p in polys})
+
+    def test_zero_polynomial(self):
+        x = QPolynomial.x()
+        for zero in (QPolynomial([]), QPolynomial([0, 0]),
+                     QPolynomial([Fraction(0, 7)]), x - x,
+                     QPolynomial([Fraction(1, 3)]) * 0, parse_poly("0/5")):
+            assert zero.integers == (1, ())
+            assert zero.coeffs == () and zero.degree == -1
+            assert zero.is_zero() and not zero and zero == QPolynomial([])
+        with pytest.raises(DomainError):
+            QPolynomial([]).monic()
+
+    def test_monic_of_a_negative_lead(self):
+        p = QPolynomial([1, Fraction(-2, 3)])
+        assert p.monic().integers == (2, (-3, 2))
+        assert p.monic().coeffs == (Fraction(-3, 2), 1)
+        assert QPolynomial([4, 0, -2]).monic().integers == (1, (-2, 0, 1))
+        assert QPolynomial([Fraction(1, 5), -5]).monic().integers == (
+            25, (-1, 25))
+        monic = QPolynomial([Fraction(-7, 3), 1])
+        assert monic.monic() is monic
+
+
 class TestFormatParse:
     CASES = [
         "x^2 + x - 1",
@@ -295,6 +386,27 @@ class TestFormatParse:
         for bad in ("w^1001", "2*w^01001", "w^99999999999999999999"):
             with pytest.raises(DomainError, match=r"above w\^1000"):
                 parse_poly(bad, var="w")
+
+    # coefficients in every spelling Fraction reads, other scripts' digits,
+    # the shorthands the splitter allows, and texts that must fail alike
+    CORPUS = ["007", "1/2", "-3/6", "1.5", "1e3", "1_000", "\u0663",
+              "w^\u0663", "2w", "w**2", "+-w", " 1 + w ", "3*w^2 - 1/2*w + 7",
+              "0", "w - w", "\u0661\u0662/\u0663*w", "w^+2", "w^01000",
+              "1" * 5000, "", "+", "w+", "1/0", "w^x", "ww", "2**w", "1e-3",
+              "1__0", "\u00b9", "\u00b2w", "1/2/3", "w^1001", "w^-1", "x"]
+
+    @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
+    def test_parse_matches_the_fraction_reading(self, text):
+        try:
+            expected = fraction_parse_poly(text, var="w")
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                parse_poly(text, var="w")
+            assert str(got.value) == str(err)
+        else:
+            p = parse_poly(text, var="w")
+            assert p.coeffs == expected
+            assert_normal_form(p)
 
     def test_zero_denominator_is_a_domain_error(self):
         for bad in ("1/0", "x/0 + 1", "1/0*x^2"):
@@ -803,6 +915,22 @@ def test_factor_t2_charpoly_at_level_997():
     for f, m in factors:
         prod = prod * f ** m
     assert prod == cp
+
+
+def test_factor_hecke_charpolys_against_sympy():
+    # T_p on the +1 half at the smallest prime p not dividing N, for every
+    # level up to 70 and the big_level primes 131, 167 and 179
+    for N in list(range(1, 71)) + [131, 167, 179]:
+        p = 2
+        while N % p == 0:
+            p = next_prime(p)
+        cp = QPolynomial(_plus_hecke_matrix(ModularSymbolSpace(N), p)
+                         .charpoly())
+        got = {}
+        for f, m in factor_poly(cp):
+            assert_normal_form(f)
+            got[(f.degree, f.coeffs)] = got.get((f.degree, f.coeffs), 0) + m
+        assert got == sympy_factor_multiset(cp), N
 
 
 class TestInternalInvariants:

@@ -6,14 +6,15 @@
   level in two modules.
 * The prime helpers, the two readers of number arguments (`_as_int` for
   an integer, `_as_fraction` for an exact rational), `_integers` and
-  `_lowest_terms`, the clearing of denominators, and `_power`, the
-  binary-power loop, live in `arith` alone.  The public entry points that
-  take a level, a prime, a term count, a precision, a matrix or lattice
-  entry, an orbit index, a width or a period vector's integers read it
-  through `_as_int`, themselves or through a private helper of the
-  package, and call no `int()` on an argument or on a name bound from one
-  (by a comprehension or `for` target, nested ones included, or by an
-  assignment), which would truncate 2.5 to 2.
+  `_lowest_terms`, the clearing of denominators, `_lcm_sum`, the sum of
+  two stored vectors, and `_power`, the binary-power loop, live in
+  `arith` alone.  The public entry points that take a level, a prime, a
+  term count, a precision, a matrix or lattice entry, an orbit index, a
+  width or a period vector's integers read it through `_as_int`,
+  themselves or through a private helper of the package, and call no
+  `int()` on an argument or on a name bound from one (by a comprehension
+  or `for` target, nested ones included, or by an assignment), which
+  would truncate 2.5 to 2.
 * No module but `arith` decides what number an argument may be: outside
   it no `isinstance(..., float)` is tested, no `int(x)` is compared with
   `x`, and no `Fraction(...)` is built of a parameter, but in the three
@@ -22,15 +23,16 @@
 * Exact coefficient lists have one integer core: `polys._zx_mul` holds
   the package's only `out[i + j] +=` accumulation, and
   `QPolynomial.__mul__`, `_zp_mul` and `NFElement.__mul__` call it;
-  `QPolynomial.__add__` and `_zp_add` call `_zx_add`; `arith._power` is
-  the one binary-power loop (no other function shifts `>>=` or tests
-  `& 1`; `_gfp_powmod` reduces mod f over the bits of `bin(e)`), and both
-  `__pow__` methods call it.
+  `_zp_add` calls `_zx_add`; `arith._power` is the one binary-power loop
+  (no other function shifts `>>=` or tests `& 1`; `_gfp_powmod` reduces
+  mod f over the bits of `bin(e)`), and both `__pow__` methods call it,
+  after reading the exponent through `_as_int`.
 * Denominators are cleared in `arith._common_denominator`, which
   `_integers` calls for Fractions and an IET's constructor for its
-  lengths.  No other function takes an `lcm`, but the two `_combine`
-  sums of stored vectors (QMatrix and NFElement), over the lcm of their
-  two denominators, and `QMatrix.rref`, over the lcm of its pivots.  An
+  lengths.  No other function takes an `lcm`, but `arith._lcm_sum`, the
+  one sum of two stored vectors over the lcm of their denominators, which
+  the sums of QMatrix, NFElement and QPolynomial (`_combine`, `_combine`
+  and `__add__`) call, and `QMatrix.rref`, over the lcm of its pivots.  An
   IET keeps the integer cut and shift columns its constructor sums, and
   `periodicity_report` and `minimality_probe` read them: they call no
   `lcm`, `_integers` or `_coordinate_rows` (which is not defined), and
@@ -104,9 +106,20 @@
 * The set-up of a Keane probe runs on integers: NumberField.from_poly,
   module_rank and minimality_probe build no Fraction, call no
   `_as_fraction` and read no Fraction view (`coeffs`) of an element
-  (from_poly reads only its polynomial's coefficients); module_rank reads
-  no coordinate rows, and the probe narrows the generator's interval
-  instead of calling `approx`.
+  (from_poly reads its polynomial's `integers`, module_rank its
+  generators'); module_rank reads no coordinate rows, and the probe
+  narrows the generator's interval instead of calling `approx`.
+* Polynomials are integers over one denominator: only `polys` reads the
+  storage of a QPolynomial, under names apart from QMatrix's and
+  NFElement's.  polys builds a Fraction only in the view `coeffs`, in its
+  text reader `_parse_poly`, and in the two rational values it returns,
+  `evaluate` (the zero polynomial's value) and the intervals of
+  `isolate_real_roots`.  The readers that need only integers read no
+  `coeffs`: every QPolynomial method but `coeffs` and `evaluate`,
+  `_monic_integer`, `isolate_real_roots`, the parser, the NumberField
+  constructor, equality, hash and from_poly, NFElement's hash, and
+  eigen's `_poly_at_matrix`, `_adjugate_column` and `_orbit_from_block`,
+  which hand a polynomial's integers to `QMatrix.horner_columns`.
 * The distinct-degree loop has one body: `_gfp_distinct_degree` alone
   takes the Frobenius step x^(p^d) -> x^(p^(d+1)), in one loop, and the
   Zassenhaus path shared by factor_poly and is_irreducible hands its
@@ -201,6 +214,7 @@ from modfol.congruence import P1Space
 from modfol.eigen import EigenformOrbit
 from modfol.linalg import QMatrix
 from modfol.numfield import NFElement
+from modfol.polys import QPolynomial
 
 SOURCES = sorted(Path(modfol.__file__).resolve().parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -247,7 +261,7 @@ def test_prime_helpers_live_in_arith():
     homes = _module_functions()
     for name in ("is_prime", "next_prime", "_primes_up_to", "factorize",
                  "_as_fraction", "_as_int", "_integers", "_lowest_terms",
-                 "_power"):
+                 "_lcm_sum", "_power"):
         assert homes[name] == ["arith"], name
 
 
@@ -533,22 +547,53 @@ def test_field_elements_run_on_integers():
 def test_field_set_up_runs_on_integers():
     # a length's image, the rank of the lengths and the probe's set-up read
     # integers: they build no Fraction and read no Fraction view (`coeffs`)
-    # of an element; from_poly reads only its polynomial's coefficients
+    # of an element; from_poly reads its polynomial's integers
     from_poly = _methods("numfield", "NumberField")["from_poly"]
     rank = _function("foliation", "module_rank")
     probe = _function("iet", "minimality_probe")
     for node in (from_poly, rank, probe):
         assert _called(node) & {"Fraction", "_as_fraction"} == set(), node.name
-    coeffs = {node.name: [ast.unparse(n) for n in ast.walk(node)
-                          if isinstance(n, ast.Attribute)
-                          and n.attr == "coeffs"]
-              for node in (from_poly, rank, probe)}
-    assert coeffs == {"from_poly": ["p.coeffs"], "module_rank": [],
-                      "minimality_probe": []}
+    views = {node.name: [ast.unparse(n) for n in ast.walk(node)
+                         if isinstance(n, ast.Attribute)
+                         and n.attr in {"coeffs", "integers"}]
+             for node in (from_poly, rank, probe)}
+    assert views == {"from_poly": ["p.integers"],
+                     "module_rank": ["g.integers"], "minimality_probe": []}
     assert "coordinate_rows" not in _called(rank)
     # the generator is sharpened by halving its interval, not through approx
     assert "approx" not in _called(probe)
     assert "narrow" in _called(probe)
+
+
+def test_polynomials_are_integers_over_one_denominator():
+    storage = set(QPolynomial.__slots__)
+    assert storage and not storage & (set(QMatrix.__slots__)
+                                      | set(NFElement.__slots__))
+    readers = ["%s:%d" % (module, node.lineno)
+               for module, tree in TREES.items() if module != "polys"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in storage]
+    assert readers == []
+    # Fractions: the view, the text reader, and two rational results
+    builders = {node.name for node in ast.walk(TREES["polys"])
+                if isinstance(node, ast.FunctionDef)
+                and "Fraction" in _called(node)}
+    assert builders == {"coeffs", "_parse_poly", "evaluate",
+                        "isolate_real_roots"}
+    qpoly = _methods("polys", "QPolynomial")
+    field = _methods("numfield", "NumberField")
+    integer_readers = [node for name, node in qpoly.items()
+                       if name not in {"coeffs", "evaluate"}] + [
+        _function("polys", name) for name in (
+            "_monic_integer", "isolate_real_roots", "_parse_poly")] + [
+        field[name] for name in ("__init__", "__eq__", "__hash__",
+                                 "from_poly")] + [
+        _methods("numfield", "NFElement")["__hash__"]] + [
+        _function("eigen", name) for name in (
+            "_poly_at_matrix", "_adjugate_column", "_orbit_from_block")]
+    for node in integer_readers:
+        assert "coeffs" not in {n.attr for n in ast.walk(node)
+                                if isinstance(n, ast.Attribute)}, node.name
 
 
 def test_one_distinct_degree_loop():
@@ -618,8 +663,7 @@ def test_one_integer_product_sum_and_power():
     for node in (qpoly["__mul__"], _function("polys", "_zp_mul"),
                  element["__mul__"]):
         assert "_zx_mul" in _called(node), node.name
-    for node in (qpoly["__add__"], _function("polys", "_zp_add")):
-        assert "_zx_add" in _called(node), node.name
+    assert "_zx_add" in _called(_function("polys", "_zp_add"))
     # one binary-power loop (_gfp_powmod reduces mod f on its own bits)
     loops = {(module, node.name) for module, tree in TREES.items()
              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
@@ -631,19 +675,23 @@ def test_one_integer_product_sum_and_power():
                  and ast.unparse(child.right) == "1")}
     assert loops == {("arith", "_power")}
     for node in (qpoly["__pow__"], element["__pow__"]):
-        assert "_power" in _called(node)
+        assert {"_power", "_as_int"} <= _called(node)
 
 
 def test_denominators_are_cleared_in_arith():
-    # every lcm in the package: the one clearing of denominators, the sum
-    # of two stored vectors over the lcm of their two, and rref's pivots
+    # every lcm in the package: the one clearing of denominators, the one
+    # sum of two stored vectors over the lcm of their two, and rref's pivots
     lcms = {(module, node.name) for module, tree in TREES.items()
             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             for call in ast.walk(node) if isinstance(call, ast.Call)
             and "lcm" in {getattr(call.func, "id", None),
                           getattr(call.func, "attr", None)}}
-    assert lcms == {("arith", "_common_denominator"), ("linalg", "_combine"),
-                    ("numfield", "_combine"), ("linalg", "rref")}
+    assert lcms == {("arith", "_common_denominator"), ("arith", "_lcm_sum"),
+                    ("linalg", "rref")}
+    for node in (_methods("linalg", "QMatrix")["_combine"],
+                 _methods("numfield", "NFElement")["_combine"],
+                 _methods("polys", "QPolynomial")["__add__"]):
+        assert "_lcm_sum" in _called(node), node.name
     assert "_common_denominator" in _called(_function("arith", "_integers"))
     assert "_common_denominator" in _called(_methods("iet", "IET")["__init__"])
     # the exchange reports read the integer columns the exchange keeps
