@@ -11,11 +11,14 @@ before all output was written), 2 (usage), 3 (computation failed), 4
 per level in ascending order, optionally on a process pool (--jobs),
 which is loaded only when --jobs asks for more than one worker.  Levels
 are bounded: at most 10^14 for genus, 2,000 for the others; so are the
-periods precision (1,000 digits), the degree of an iet --poly (40), the
-unit cells of a rational iet (10^6) and decompose --primes (25 primes up
-to 1,000), each refused as a usage error before a series, a field, an
-exchange or a space is built.  main() builds its argument parser once
-per process and reuses it, so in-process callers pay for it once.  Level
+periods precision (1,000 digits), the degree of an iet --poly (40) and
+its intervals (32), the unit cells of a rational iet (10^6), the digits
+of a number in --poly, in --lengths over its field or in --matrix (100;
+an exponent in --poly or --lengths has at most 4) and decompose --primes
+(25 primes up to 1,000), each refused as a usage error before a series,
+a field, an exchange or a space is built; no refusal prints a number it
+has not bounded.  main() builds its argument parser once per process
+and reuses it, so in-process callers pay for it once.  Level
 records are cached under $MODFOL_CACHE (default .modfol-cache/); a cached
 record of another shape than analyze_level's is a miss, and a cache that
 cannot be written is skipped; explicit --primes runs bypass the cache,
@@ -26,6 +29,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -57,6 +61,9 @@ _MAX_PRIME = 1000       # decompose --primes: T_997 at level 1999 in 11 s
 _MAX_PREC = 1000        # periods 11 --orbit 0 --prec 1000: about 0.6 s
 _MAX_POLY_DEGREE = 40   # iet --poly, dense: about 0.05 s at 40, 0.08 s at 50
 _MAX_CELLS = 10 ** 6    # rational iet unit cells: 0.25 s and 70 MB max RSS
+_MAX_INTERVALS = 32     # iet --poly: the worst probe measured took 135 s
+_MAX_DIGITS = 100       # a number of --poly, field --lengths or --matrix:
+                        # a dense degree-40 --poly takes about 10 s
 
 
 class _UsageError(Exception):
@@ -170,6 +177,27 @@ def _check_orbit(args, count):
                           "range" % (args.level, count, args.orbit))
 
 
+def _exponents_bounded(text, what):
+    """Refuse text that writes an exponent of more than four digits, as
+    1e99999, before Fraction expands it; a smaller one is read, and the
+    digits of its value are bounded after."""
+    for exponent in re.findall(r"[eE][-+]?([\d_]+)", text):
+        if len(exponent.replace("_", "").lstrip("0")) > 4:
+            raise _UsageError("%s takes exponents of at most 4 digits"
+                              % what)
+
+
+def _digits_bounded(values, what):
+    """Refuse ints and Fractions of which a numerator or a denominator has
+    more than _MAX_DIGITS digits; the message names no value."""
+    bound = 10 ** _MAX_DIGITS
+    if any(abs(x.numerator) >= bound or x.denominator >= bound
+           for x in values):
+        raise _UsageError("%s takes numbers of at most %d digits in a "
+                          "numerator or a denominator" % (what, _MAX_DIGITS))
+    return values
+
+
 def _parse_int_list(text, what):
     try:
         return [int(part) for part in text.split(",")]
@@ -250,6 +278,18 @@ def _periods_handler(args):
 
 
 def _iet_handler(args):
+    if args.poly is not None:
+        # refused on the comma counts, before a length or a coefficient is
+        # read
+        intervals = max(args.lengths.count(","), args.perm.count(",")) + 1
+        if intervals > _MAX_INTERVALS:
+            raise _UsageError("--poly takes at most %d intervals, got %d"
+                              % (_MAX_INTERVALS, intervals))
+        if args.poly.count(",") > _MAX_POLY_DEGREE:
+            raise _UsageError("--poly has degree at most %d, got %d "
+                              "coefficients" % (_MAX_POLY_DEGREE,
+                                                args.poly.count(",") + 1))
+    _exponents_bounded(args.lengths, "--lengths")
     try:
         polys = [parse_poly(tok, var="w") for tok in args.lengths.split(",")]
     except ModfolError as err:
@@ -264,16 +304,16 @@ def _iet_handler(args):
         if cells > _MAX_CELLS:
             raise _UsageError("rational lengths span at most %d unit cells "
                               "(the lcm of the denominators times the total "
-                              "length), got %d" % (_MAX_CELLS, cells))
+                              "length), got %s" % (_MAX_CELLS, cells
+                                                   if cells < 10 ** 20 else
+                                                   "more than 10^20"))
         report = periodicity_report(IET(lengths, perm))
     else:
-        # refused on the comma count, before a coefficient is read
-        if args.poly.count(",") > _MAX_POLY_DEGREE:
-            raise _UsageError("--poly has degree at most %d, got %d "
-                              "coefficients" % (_MAX_POLY_DEGREE,
-                                                args.poly.count(",") + 1))
-        coeffs = [_parse_fraction(c, "--poly coefficient")
-                  for c in args.poly.split(",")]
+        # the unit cells bound a rational report; over a field, the digits
+        _digits_bounded([c for p in polys for c in p.coeffs], "--lengths")
+        _exponents_bounded(args.poly, "--poly")
+        coeffs = _digits_bounded([_parse_fraction(c, "--poly coefficient")
+                                  for c in args.poly.split(",")], "--poly")
         try:
             field = NumberField(QPolynomial(coeffs))
         except ModfolError as err:
@@ -285,7 +325,8 @@ def _iet_handler(args):
 
 
 def _torus_handler(args):
-    entries = _parse_int_list(args.matrix, "--matrix")
+    entries = _digits_bounded(_parse_int_list(args.matrix, "--matrix"),
+                              "--matrix")
     if len(entries) != 4:
         raise _UsageError("--matrix needs exactly four entries a,b,c,d")
     result = classify_torus(entries)
@@ -456,22 +497,35 @@ def _build_parser():
     iet.add_argument("--lengths", required=True, metavar="L1,L2,...",
                      help="exact rationals like 1/2, or field elements "
                           "like 1+2*w or w^3, powers up to w^%d (then pass "
-                          "--poly). Rational lengths span at most %d unit "
-                          "cells (the lcm of the denominators times the "
-                          "total length); the report on %d cells takes "
-                          "about 0.25 s and 70 MB on a 2-vCPU VM"
-                          % (MAX_POWER, _MAX_CELLS, _MAX_CELLS))
+                          "--poly; then each number has at most %d digits "
+                          "in its numerator and its denominator). An "
+                          "exponent like 1e5 has at most 4 digits. Rational "
+                          "lengths span at most %d unit cells (the lcm of "
+                          "the denominators times the total length); the "
+                          "report on %d cells takes about 0.25 s and 70 MB "
+                          "on a 2-vCPU VM"
+                          % (MAX_POWER, _MAX_DIGITS, _MAX_CELLS, _MAX_CELLS))
     iet.add_argument("--perm", required=True, metavar="S1,S2,...",
                      help="one-line permutation, 1-based")
     iet.add_argument("--poly", metavar="C0,C1,...",
                      help="defining polynomial of w, ascending "
-                          "coefficients, degree at most %d. Irreducibility "
-                          "is read modulo the first good prime and root "
-                          "isolation runs an integer Sturm chain: the field "
-                          "and a 10000-step probe of a dense polynomial of "
-                          "degree %d with coefficients in -3..3 take about "
-                          "0.05 s on a 2-vCPU VM, and about 0.08 s at "
-                          "degree 50" % (_MAX_POLY_DEGREE, _MAX_POLY_DEGREE))
+                          "coefficients, degree at most %d, each with at "
+                          "most %d digits in its numerator and its "
+                          "denominator; the probe takes at most %d "
+                          "intervals. Irreducibility is read modulo the "
+                          "first good prime and root isolation runs an "
+                          "integer Sturm chain: the field and a 10000-step "
+                          "probe of a "
+                          "dense polynomial of degree %d with coefficients "
+                          "in -3..3 take about 0.05 s on a 2-vCPU VM, with "
+                          "30-digit coefficients about 2 s, and with "
+                          "%d-digit ones about 10 s. The worst request "
+                          "measured, %d steps on %d intervals whose lengths "
+                          "have %d-digit coordinates over such a field, "
+                          "took 135 s" % (_MAX_POLY_DEGREE, _MAX_DIGITS,
+                                          _MAX_INTERVALS, _MAX_POLY_DEGREE,
+                                          _MAX_DIGITS, _MAX_STEPS,
+                                          _MAX_INTERVALS, _MAX_DIGITS))
     iet.add_argument("--steps", type=_at_most(_MAX_STEPS, " steps"),
                      default=10000,
                      metavar="S",
@@ -485,7 +539,10 @@ def _build_parser():
 
     torus = subs.add_parser("torus", parents=[shared],
                             help="trace trichotomy of an SL(2,Z) matrix")
-    torus.add_argument("--matrix", required=True, metavar="A,B,C,D")
+    torus.add_argument("--matrix", required=True, metavar="A,B,C,D",
+                       help="integer entries of at most %d digits: at the "
+                            "bound, the anosov report takes about 5 ms"
+                            % _MAX_DIGITS)
     torus.set_defaults(handler=_torus_handler)
     return parser
 

@@ -3,9 +3,11 @@
 An element is its coordinate vector in the power basis 1, a, ..., a^(d-1)
 of a root a of the monic irreducible defining polynomial, stored as
 integers over one positive denominator in lowest terms, the normal form
-QMatrix uses, so equal elements have equal storage; sums, products,
-rational scalars and multiplication matrices run on those integers, and
-``coeffs`` reads them back as Fractions.  A product is the integer
+QMatrix uses, so equal elements have equal storage; sums, products and
+multiplication matrices run on those integers, and ``coeffs`` reads them
+back as Fractions.  A field stores t times its defining polynomial as
+integers, t > 0 least.  A rational operand of any operator is read by
+arith's `_as_fraction` into an element first.  A product is the integer
 product of polys (`_zx_mul`), and it and the image of a polynomial at the
 generator share one reduction by the defining polynomial; powers take
 the binary-power loop of arith.  An inverse is the Bezout cofactor of
@@ -35,7 +37,7 @@ from .polys import (QPolynomial, _gfp_trim, _sign_at, _zx_cofactor, _zx_mul,
 class NumberField:
     """Q[x]/(minpoly) for a monic irreducible minpoly."""
 
-    __slots__ = ("minpoly", "degree", "_top", "_embeddings")
+    __slots__ = ("minpoly", "degree", "_defining", "_embeddings")
 
     def __init__(self, minpoly, check=True):
         if not isinstance(minpoly, QPolynomial):
@@ -48,9 +50,9 @@ class NumberField:
                               % (minpoly,))
         self.minpoly = minpoly
         self.degree = minpoly.degree
-        # (t, top): a^d = sum top[j] a^j / t, over t > 0 in lowest terms
-        t, ints = minpoly.integers
-        self._top = t, [-c for c in ints[:-1]]
+        # t times the defining polynomial, for t > 0 least: integers whose
+        # last entry is t, so t a^d = -sum _defining[j] a^j over j < d
+        self._defining = minpoly.integers[1]
         self._embeddings = None
 
     def __eq__(self, other):
@@ -95,16 +97,16 @@ class NumberField:
         """The element sum ints[k] a^k / den, for a list of at least degree
         integers: each term of degree k >= d, from the top down, becomes
         a^(k-d) * a^d, and a^d has denominator t."""
-        d = self.degree
-        t, top = self._top
+        d, top = self.degree, self._defining
+        t = top[-1]
         for k in range(len(ints) - 1, d - 1, -1):
             c = ints[k]
             if c:
                 if t != 1:
                     ints[:k] = [t * x for x in ints[:k]]
                     den *= t
-                for j, r in enumerate(top):
-                    ints[k - d + j] += c * r
+                for i, r in zip(range(k - d, k), top):
+                    ints[i] -= c * r
         return NFElement._make(self, den, ints[:d])
 
     def coerce(self, x):
@@ -220,15 +222,11 @@ class NFElement:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational scalar scales the coordinates: no field product
-            return NFElement._make(self.field, self._denom * other.denominator,
-                                   [other.numerator * a for a in self._numer])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.field._reduce(self._denom * o._denom,
-                                  _zx_mul(self._numer, o._numer))
+                                  _zx_mul(o._numer, self._numer))
 
     __rmul__ = __mul__
 
@@ -240,9 +238,7 @@ class NFElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
-        t, top = field._top
-        found = _zx_cofactor(_gfp_trim(list(self._numer)),
-                             [-r for r in top] + [t])
+        found = _zx_cofactor(_gfp_trim(list(self._numer)), field._defining)
         if found is None:
             raise InternalInvariantError(
                 "element and defining polynomial share a factor: the "
@@ -280,8 +276,8 @@ class NFElement:
         a shift, and the top coordinate times a^d, whose denominator t
         multiplies the row's.
         """
-        d = self.field.degree
-        t, top = self.field._top
+        d, top = self.field.degree, self.field._defining
+        t = top[-1]
         row = self._numer
         rows = [row]
         for _ in range(d - 1):
@@ -289,7 +285,7 @@ class NFElement:
             if t != 1:
                 row = [t * x for x in row]
             if hi:
-                row = [x + hi * r for x, r in zip(row, top)]
+                row = [x - hi * r for x, r in zip(row, top)]
             rows.append(row)
         if t != 1:
             # row k is over den * t^k: bring every row to den * t^(d-1)
@@ -328,17 +324,15 @@ class RealEmbedding:
     approximation).
     """
 
-    __slots__ = ("field", "_lo_num", "_hi_num", "_denom", "_poly", "_rising")
+    __slots__ = ("field", "_lo_num", "_hi_num", "_denom", "_rising")
 
     def __init__(self, field, lo, hi):
         self.field = field
         self._denom, (self._lo_num, self._hi_num) = _integers([lo, hi])
-        # t times the defining polynomial, t x^d - sum top[j] x^j, and
-        # whether it is negative at lo (it is nonzero there and changes
-        # sign once)
-        t, top = field._top
-        self._poly = [-r for r in top] + [t]
-        self._rising = _sign_at(self._poly, self._lo_num, self._denom) < 0
+        # whether the defining polynomial is negative at lo (it is nonzero
+        # there and changes sign once)
+        self._rising = _sign_at(field._defining, self._lo_num,
+                                self._denom) < 0
 
     @property
     def lo(self):
@@ -354,7 +348,7 @@ class RealEmbedding:
     def _refine(self):
         """One bisection step on the isolating interval."""
         lo, hi, den = self._lo_num, self._hi_num, self._denom
-        s = _sign_at(self._poly, lo + hi, 2 * den)
+        s = _sign_at(self.field._defining, lo + hi, 2 * den)
         if s == 0:
             # rational root at the midpoint: shrink to the middle half
             lo, hi, den = 3 * lo + hi, lo + 3 * hi, 4 * den

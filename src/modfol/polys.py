@@ -5,10 +5,11 @@ lowest terms, trimmed (QMatrix's normal form): `integers` reads them and
 `coeffs` their Fraction view.  Sums are arith's sum of stored vectors,
 and products the one product `_zx_mul` that (Z/m)[x] reduces mod m and
 number fields by their defining polynomial.  Remainders are computed on
-dense integer lists by primitive remainder sequences (Collins 1967;
-Brown 1971) on one pseudo-division step: gcds, Yun's squarefree
-decomposition, the Sturm chains of root isolation and, extended by
-cofactors, the inverses of number fields.
+dense integer lists by one pseudo-division step, whose zero-remainder
+case is exact division, and one primitive remainder sequence (Collins
+1967; Brown 1971), signed as Sturm's chain: its last member is the gcd
+of Yun's squarefree decomposition, and the whole chain drives root
+isolation; extended by cofactors, it inverts in number fields.
 Factorization over Q scales the monic polynomial to a monic integer one,
 splits it by Yun, factors each part modulo the first usable odd prime
 (Cantor-Zassenhaus), lifts by quadratic Hensel steps beyond the Mignotte
@@ -19,7 +20,7 @@ Irreducibility is read off the same monic integer polynomial: one gcd
 with its derivative refuses a repeated factor, an image that is
 irreducible modulo that prime decides at once, and otherwise the same
 lift and recombination finish it.  Root isolation splits its intervals
-on integer endpoints over a common denominator.
+nearly in halves, on integer endpoints over a common denominator.
 """
 
 import random
@@ -160,9 +161,10 @@ def _zx_add(a, b):
 
 
 def _primitive(a):
-    """a divided by its positive content."""
-    g = gcd(*a)
-    return [c // g for c in a] if g > 1 else a
+    """a divided by its content, signed so that its lead is positive, as a
+    list."""
+    g = gcd(*a) if a and a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
 
 
 def _zx_derivative(a):
@@ -191,19 +193,26 @@ def _zx_pseudo_divide(a, b):
     return m, q, r
 
 
-def _zx_prem(a, b):
-    """Pseudo-remainder of a by b != 0 in Z[x] (_zx_pseudo_divide)."""
-    return _zx_pseudo_divide(a, b)[2]
+def _zx_remainders(a, b):
+    """[a, b, r2, ...]: the primitive remainder sequence of a and b in Z[x]
+    (Collins 1967, Brown 1971), signed as Sturm's chain.  Each member after
+    b is the pseudo-remainder of the two before it over minus its content,
+    so a positive multiple of minus the remainder over Q whose
+    coefficients do not grow; the sequence stops before the first zero
+    remainder, so its last member is gcd(a, b) up to a rational factor."""
+    chain = [a]
+    while b:
+        chain.append(b)
+        r = _zx_pseudo_divide(chain[-2], b)[2]
+        g = gcd(*r)
+        b = [-c // g for c in r]
+    return chain
 
 
 def _zx_gcd(a, b):
-    """Primitive gcd in Z[x] with a positive leading coefficient, by the
-    primitive remainder sequence (Collins 1967, Brown 1971): each remainder
-    is made primitive before it divides, so coefficients do not grow."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_zx_prem(a, b))
-    return [-c for c in a] if a and a[-1] < 0 else a
+    """Primitive gcd in Z[x] with a positive leading coefficient: the last
+    member of the remainder sequence."""
+    return _primitive(_zx_remainders(a, b)[-1])
 
 
 def _zx_cofactor(a, f):
@@ -233,20 +242,13 @@ def _zx_cofactor(a, f):
 
 
 def _zx_div(a, b):
-    """Exact quotient a / b in Z[x], or None if b does not divide a."""
-    a = list(a)
-    lead, n = b[-1], len(b)
-    q = [0] * max(0, len(a) - n + 1)
-    while len(a) >= n:
-        c, r = divmod(a[-1], lead)
-        if r:
-            return None
-        k = len(a) - n
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] -= c * cb
-        _gfp_trim(a)
-    return q if not a else None
+    """Exact quotient a / b in Z[x], or None if b does not divide a: the
+    pseudo-division m*a = q*b + r with r = 0 and m dividing q (by a monic
+    b, m = 1)."""
+    m, q, r = _zx_pseudo_divide(a, b)
+    if r or any(c % m for c in q):
+        return None
+    return [c // m for c in q]
 
 
 def _zx_squarefree(f):
@@ -296,20 +298,16 @@ def isolate_real_roots(p):
         raise DomainError("cannot isolate the roots of the zero polynomial")
     # the primitive squarefree part in Z[x] with a positive leading
     # coefficient and its Sturm chain, each member a positive multiple of
-    # the one over Q, give signs by integer Horner
+    # the one over Q, give signs by integer Horner; the chain of (f, f')
+    # ends in gcd(f, f'), and only a repeated factor needs a second one
     f = _primitive(p._ints)
-    if f[-1] < 0:
-        f = [-c for c in f]
-    f = _zx_div(f, _zx_gcd(f, _zx_derivative(f)))
+    chain = _zx_remainders(f, _zx_derivative(f))
+    if len(chain[-1]) > 1:
+        f = _zx_div(f, _primitive(chain[-1]))
+        chain = _zx_remainders(f, _zx_derivative(f))
     deg = len(f) - 1
     if deg < 1:
         return []
-    chain = [f, _zx_derivative(f)]
-    while len(chain[-1]) > 1:
-        rem = _zx_prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in _primitive(rem)])
 
     def var(num, den):
         signs = [s for s in (_sign_at(q, num, den) for q in chain) if s]
@@ -318,6 +316,12 @@ def isolate_real_roots(p):
     # every real root lies inside (-M, M) (Cauchy), M = 1 + max|f_i| / f_n;
     # an interval is (lo / den, hi / den)
     M, den = f[-1] + max(map(abs, f[:-1])), f[-1]
+    # f has at most deg roots, so one of the n - 1 >= deg + 1 interior
+    # points lo + (hi - lo) k / n is not a root; n is even and they are
+    # tried from the middle outwards, so a cut nearly always halves the
+    # interval and, over lowest terms, doubles the denominator only
+    n = deg + 2 + deg % 2
+    cuts = sorted(range(1, n), key=lambda k: abs(2 * k - n))
     out = []
     stack = [(-M, M, den, var(-M, den), var(M, den))]
     while stack:
@@ -325,16 +329,16 @@ def isolate_real_roots(p):
         if vlo - vhi == 1:
             out.append((Fraction(lo, den), Fraction(hi, den)))
         elif vlo - vhi > 1:
-            # f has at most deg roots, so one of the deg + 1 interior points
-            # lo + (hi - lo) k / (deg + 2) is not a root
-            width, n = hi - lo, deg + 2
+            width = hi - lo
             lo, hi, den = lo * n, hi * n, den * n
-            for k in range(1, n):
+            for k in cuts:
                 mid = lo + width * k
                 if _sign_at(f, mid, den):
                     break
             else:
                 raise InternalInvariantError("no non-root cut point found")
+            g = gcd(lo, mid, hi, den)
+            lo, mid, hi, den = lo // g, mid // g, hi // g, den // g
             vm = var(mid, den)
             stack.append((lo, mid, den, vlo, vm))
             stack.append((mid, hi, den, vm, vhi))
@@ -607,8 +611,6 @@ def _monic_integer(p):
     coefficients (d is the lcm of the denominators of p made monic); a
     root r of G is the root r/d of p."""
     a = _primitive(p._ints)
-    if a[-1] < 0:
-        a = [-c for c in a]
     d, n = a[-1], len(a) - 1
     return d, [c * d ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
 

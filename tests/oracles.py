@@ -1215,10 +1215,13 @@ def enclosure_keane_probe(T, max_steps):
 # -- real-root isolation over Fractions ---------------------------------------------
 
 
-def fraction_isolate_real_roots(p):
+def fraction_isolate_real_roots(p, outwards=True):
     """isolate_real_roots with the monic squarefree part and its Sturm
     chain from sympy over QQ and every sign from Fraction Horner: the same
-    bisection points, so the intervals must agree exactly."""
+    bisection points, so the intervals must agree exactly.  With outwards
+    false, the cut points are k / (deg + 2), tried from the left end,
+    k = 1, 2, ..., as isolation took them before it tried k / n, for the
+    even n of deg + 2 and deg + 3, from the middle."""
     chain = [QPolynomial([Fraction(int(c.p), int(c.q))
                           for c in reversed(q.all_coeffs())])
              for q in sympy.Poly([sympy.Rational(c.numerator, c.denominator)
@@ -1233,8 +1236,10 @@ def fraction_isolate_real_roots(p):
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     def interior_nonroot(lo, hi):
-        for k in range(1, p.degree + 2):
-            m = lo + (hi - lo) * Fraction(k, p.degree + 2)
+        n = p.degree + 2 + (p.degree % 2 if outwards else 0)
+        for k in sorted(range(1, n),
+                        key=lambda k: abs(2 * k - n) if outwards else k):
+            m = lo + (hi - lo) * Fraction(k, n)
             if p.evaluate(m) != 0:
                 return m
         raise InternalInvariantError("no non-root cut point found")

@@ -103,3 +103,31 @@ MALFORMED = {
 def test_malformed_shapes_are_domain_errors(label):
     with pytest.raises(DomainError, match="must be"):
         MALFORMED[label]()
+
+
+# a rational operand of a field operator, on either side, is read by
+# arith's reader as NumberField.coerce reads it; an operand of no exact
+# type is left to Python's operator protocol, a TypeError
+FIELD_OPERATORS = {
+    "a + x": lambda x: GOLDEN.gen() + x,
+    "x + a": lambda x: x + GOLDEN.gen(),
+    "a - x": lambda x: GOLDEN.gen() - x,
+    "x - a": lambda x: x - GOLDEN.gen(),
+    "a * x": lambda x: GOLDEN.gen() * x,
+    "x * a": lambda x: x * GOLDEN.gen(),
+    "a / x": lambda x: GOLDEN.gen() / x,
+    "x / a": lambda x: x / GOLDEN.gen(),
+}
+
+
+@pytest.mark.parametrize("label", list(FIELD_OPERATORS))
+def test_field_operators_read_rationals_through_arith(label):
+    op = FIELD_OPERATORS[label]
+    with pytest.raises(DomainError,
+                       match=r"^a rational must be int or Fraction, not bool$"):
+        op(True)
+    for value in (2.0, "1/2", Decimal("0.5")):
+        with pytest.raises(TypeError):
+            op(value)
+    for value in (3, Fraction(-2, 7)):
+        assert op(value) == op(GOLDEN.from_rational(value))

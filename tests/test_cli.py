@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -563,6 +564,104 @@ def test_iet_cells_at_bound():
     assert (code, obj) == (0, {"periodic": True, "period_lcm": 1000000})
 
 
+@pytest.mark.parametrize("intervals", [33, 10 ** 4])
+def test_iet_poly_intervals_above_bound_is_usage_error(monkeypatch, intervals):
+    # refused on the comma counts: no length is parsed
+    def no_parse(*args, **kwargs):
+        raise AssertionError("length parsed for a refused --poly probe")
+    monkeypatch.setattr(cli, "parse_poly", no_parse)
+    for lengths, perm in ((",".join(["1"] * intervals), "2,1"),
+                          ("1,w", ",".join(map(str, range(intervals, 0, -1))))):
+        code, obj = run_json("iet", "--lengths", lengths, "--perm", perm,
+                             "--poly=-1,-1,1", "--steps", "5")
+        assert code == 2 and "at most 32 intervals" in obj["error"]
+
+
+def test_iet_poly_intervals_at_bound():
+    lengths = ",".join("%d+w" % k for k in range(1, 33))
+    code, obj = run_json("iet", "--lengths", lengths, "--perm",
+                         ",".join(map(str, range(32, 0, -1))),
+                         "--poly=-1,-1,1", "--steps", "5")
+    assert code == 0 and set(obj) == {"keane_violations",
+                                      "no_periodic_orbit_found"}
+
+
+# a number of --poly, of --lengths over its field or of --matrix with more
+# than 100 digits in a numerator or a denominator, or an exponent of more
+# than four digits, is refused before a field is built; rational lengths
+# are bounded by their unit cells instead
+_HUNDRED = "9" * 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["iet", "--lengths", "1," + _HUNDRED + "*w", "--perm", "2,1",
+     "--poly=-1,-1,1", "--steps", "5"],
+    ["iet", "--lengths", "1/" + _HUNDRED + "+w,1", "--perm", "2,1",
+     "--poly=-1,-1,1", "--steps", "5"],
+    ["iet", "--lengths", "1,w", "--perm", "2,1",
+     "--poly=-" + _HUNDRED + ",0,1", "--steps", "5"],
+    ["iet", "--lengths", "1,w", "--perm", "2,1",
+     "--poly=-1,-1,1/" + _HUNDRED, "--steps", "5"],
+    ["iet", "--lengths", "1,w", "--perm", "2,1", "--poly=-1e99,0,1",
+     "--steps", "5"],
+    ["torus", "--matrix", "%s,%s,1,1" % (_HUNDRED, int(_HUNDRED) - 1)],
+])
+def test_numbers_at_the_digit_bound_are_read(argv):
+    assert run(*argv)[0] in (0, 3)
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["iet", "--lengths", "1,1" + _HUNDRED + "*w", "--perm", "2,1",
+      "--poly=-1,-1,1"], "--lengths"),
+    (["iet", "--lengths", "1/1" + _HUNDRED + "+w,1", "--perm", "2,1",
+      "--poly=-1,-1,1"], "--lengths"),
+    (["iet", "--lengths", "1e100*w,1", "--perm", "2,1", "--poly=-1,-1,1"],
+     "--lengths"),
+    (["iet", "--lengths", "1,w", "--perm", "2,1",
+      "--poly=-1" + _HUNDRED + ",0,1"], "--poly"),
+    (["iet", "--lengths", "1,w", "--perm", "2,1", "--poly=-1,-1,1e100"],
+     "--poly"),
+    (["torus", "--matrix", "1%s,1,1,1" % _HUNDRED], "--matrix"),
+])
+def test_numbers_above_the_digit_bound_are_usage_errors(monkeypatch, argv,
+                                                         what):
+    def no_field(*args, **kwargs):
+        raise AssertionError("field built for a refused number")
+    monkeypatch.setattr(cli, "NumberField", no_field)
+    monkeypatch.setattr(cli, "classify_torus", no_field)
+    code, obj = run_json(*argv)
+    assert code == 2 and obj["error"] == (
+        "%s takes numbers of at most 100 digits in a numerator or a "
+        "denominator" % what)
+
+
+@pytest.mark.parametrize("text", ["1e99999999", "1E+0_0099999", "1e-10000",
+                                  "1/2e12345"])
+def test_long_exponents_are_refused_before_they_are_read(text):
+    for argv in (["iet", "--lengths", text + ",1", "--perm", "2,1"],
+                 ["iet", "--lengths", "1,w", "--perm", "2,1",
+                  "--poly=-1,%s,1" % text]):
+        start = time.perf_counter()
+        code, obj = run_json(*argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and "exponents of at most 4 digits" in obj["error"]
+
+
+def test_degree_40_poly_with_30_digit_coefficients_is_fast():
+    # seeded dense monic polynomial: its root isolation split each interval
+    # at 1/42 of its width and took 136 s; halving takes about 0.5 s, and
+    # the whole op about 2 s on a 2-vCPU VM
+    rng = random.Random(1)
+    poly = ",".join([str(rng.randint(-10 ** 30, 10 ** 30))
+                     for _ in range(40)] + ["1"])
+    start = time.perf_counter()
+    code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                         "--poly=" + poly, "--steps", "10")
+    assert time.perf_counter() - start < 5
+    assert (code, obj) == (0, {"keane_violations": [],
+                               "no_periodic_orbit_found": True})
+
+
 def test_iet_steps_above_bound_is_usage_error():
     # --poly=-1,0,1 is reducible: the step bound is checked before the
     # field is built, so the error names the steps
@@ -759,6 +858,62 @@ def test_oversized_range_fails_as_json_in_a_child(tmp_path):
         timeout=30)
     assert proc.returncode == 2 and proc.stderr == ""
     assert "at most" in json.loads(proc.stdout)["error"]
+
+
+# every numeric argument at 4,300 digits, the most that int() reads by
+# default, and the inputs that once crashed with a traceback: a 4,301-digit
+# dilatation reached str(), and so did the 4,301-digit cell count of a
+# refusal; an exponent of eight digits would take minutes to expand
+_DIGITS = "9" * 4300
+_A = 9 * 10 ** 4280
+NUMERIC_ARGUMENTS = {
+    "genus level": ["genus", _DIGITS],
+    "decompose level": ["decompose", _DIGITS],
+    "classify level": ["classify", _DIGITS],
+    "periods level": ["periods", _DIGITS, "--orbit", "0"],
+    "--range end": ["genus", "--range", "1.." + _DIGITS],
+    "--range start": ["decompose", "--range", _DIGITS + ".." + _DIGITS],
+    "classify --orbit": ["classify", "11", "--orbit", _DIGITS],
+    "periods --orbit": ["periods", "11", "--orbit", _DIGITS],
+    "--prec": ["periods", "11", "--orbit", "0", "--prec", _DIGITS],
+    "--primes": ["decompose", "11", "--primes", _DIGITS],
+    "--steps": ["iet", "--lengths", "1,w", "--perm", "2,1",
+                "--poly=-1,-1,1", "--steps", _DIGITS],
+    "--perm": ["iet", "--lengths", "1,1", "--perm", _DIGITS + ",1"],
+    "--perm with --poly": ["iet", "--lengths", "1,w", "--perm",
+                           "2," + _DIGITS, "--poly=-1,-1,1"],
+    "--lengths numerator": ["iet", "--lengths", _DIGITS + ",1", "--perm",
+                            "2,1"],
+    "--lengths both": ["iet", "--lengths", _DIGITS + "," + _DIGITS,
+                       "--perm", "2,1"],
+    "--lengths denominator": ["iet", "--lengths", "1/" + _DIGITS + ",1",
+                              "--perm", "2,1"],
+    "--lengths over K": ["iet", "--lengths", "1," + _DIGITS + "*w",
+                         "--perm", "2,1", "--poly=-1,-1,1"],
+    "--lengths exponent": ["iet", "--lengths", "1e99999999,1", "--perm",
+                           "2,1"],
+    "--poly constant": ["iet", "--lengths", "1,w", "--perm", "2,1",
+                        "--poly=-" + _DIGITS + ",0,1"],
+    "--poly lead": ["iet", "--lengths", "1,w", "--perm", "2,1",
+                    "--poly=-1,-1," + _DIGITS],
+    "--poly exponent": ["iet", "--lengths", "1,w", "--perm", "2,1",
+                        "--poly=-1e99999999,0,1"],
+    "--matrix": ["torus", "--matrix", _DIGITS + ",1,1,1"],
+    "--matrix of determinant 1": [
+        "torus", "--matrix", "%d,%d,%d,%d" % (_A, _A - 1, _A + 1, _A)],
+}
+
+
+@pytest.mark.parametrize("label", list(NUMERIC_ARGUMENTS))
+def test_numeric_argument_contract(label):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(NUMERIC_ARGUMENTS[label])
+    assert time.perf_counter() - start < 0.5
+    assert code in (2, 3) and err.getvalue() == ""
+    (line,) = out.getvalue().splitlines()
+    assert set(json.loads(line)) == {"error", "hint"}
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

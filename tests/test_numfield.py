@@ -119,10 +119,16 @@ class TestFieldArithmetic:
         for _ in range(10):
             x = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                            for _ in range(K.degree)])
+            den, ints = x.integers
             for c in scalars:
                 expected = K.from_rational(c) * x
+                # a rational scalar scales the stored integers
+                r = Fraction(c)
+                scaled = K.from_integers(den * r.denominator,
+                                         [r.numerator * a for a in ints])
                 for got in (c * x, x * c):
                     assert got == expected
+                    assert got.integers == scaled.integers
                     assert all(type(a) is Fraction for a in got.coeffs)
 
     def test_inverse_over_reducible_polynomial_raises(self):
@@ -275,7 +281,7 @@ class TestInverse:
 
     def test_degree_one(self):
         K = NumberField(QPolynomial([Fraction(-7, 3), 2]))      # 2x - 7/3
-        assert K._top == (6, [7])
+        assert K._defining == (-7, 6)
         x = K.gen() * Fraction(5, 4) + 1
         assert x.inverse() == Fraction(24, 59)
         assert x.inverse().coeffs == _oracle_inverse(K, x)
@@ -283,7 +289,7 @@ class TestInverse:
     def test_non_monic_defining_polynomial(self):
         # 3x^2 - 7 is x^2 - 7/3, with t = 3
         K = NumberField(QPolynomial([-7, 0, 3]))
-        assert K._top[0] == 3
+        assert K._defining == (-7, 0, 3)
         a = K.gen()
         assert a.inverse() == a * Fraction(3, 7)
         x = a * Fraction(2, 5) - Fraction(1, 3)
@@ -725,7 +731,7 @@ def _non_integral_fields(seed):
                 K = NumberField(QPolynomial(coeffs))
             except DomainError:
                 continue
-            assert K._top[0] > 1
+            assert K._defining[-1] > 1
             found += 1
             yield K
 

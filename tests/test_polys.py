@@ -23,8 +23,8 @@ from modfol.polys import (
     _zx_derivative,
     _zx_div,
     _zx_gcd,
-    _zx_prem,
     _zx_pseudo_divide,
+    _zx_remainders,
     _zx_squarefree,
     QPolynomial,
     factor_poly,
@@ -166,7 +166,10 @@ class TestArithmetic:
             assert len(r) < len(b) and not (r and r[-1] == 0)
             assert m in {abs(b[-1]) ** k
                          for k in range(max(1, len(a) - len(b) + 2))}
-            assert _zx_prem(a, b) == r
+            # the remainder sequence's next member is r over minus its
+            # content, and a zero remainder ends it
+            assert _zx_remainders(a, b)[2:3] == (
+                [[-c // gcd(*r) for c in r]] if r else [])
             rest = sympy.rem(zx(a), zx(b), domain="QQ")
             assert sympy.Poly(zx(r), X, domain="QQ") == rest * m
 
@@ -857,6 +860,29 @@ class TestSturm:
             assert len({tuple(m) for m in seen}) == len(chain)
 
 
+    def test_squarefree_isolation_builds_one_remainder_sequence(
+            self, monkeypatch):
+        # the chain of (f, f') ends in gcd(f, f'); only a repeated factor
+        # builds a second chain, of the squarefree part
+        calls = []
+        remainders = modfol.polys._zx_remainders
+
+        def counted(a, b):
+            calls.append(len(a) - 1)
+            return remainders(a, b)
+
+        monkeypatch.setattr(modfol.polys, "_zx_remainders", counted)
+        for text in _ISOLATION_FIELDS:
+            p = QPolynomial([Fraction(c) for c in text.split(",")])
+            f = list(p.integers[1])
+            squarefree = len(remainders(f, _zx_derivative(f))[-1]) == 1
+            calls.clear()
+            isolate_real_roots(p)
+            assert calls == ([p.degree] if squarefree
+                             else [p.degree, calls[1]]), text
+            assert squarefree or calls[1] < p.degree
+
+
 def _isolation_corpus(degrees, seed):
     """Per degree: a dense polynomial with coefficients in -3..3, one with
     rational coefficients, and one with rational roots and a repeated
@@ -874,33 +900,40 @@ def _isolation_corpus(degrees, seed):
         yield p * QPolynomial([-root, 1])
 
 
-def _check_isolation(degrees, seed):
-    for p in _isolation_corpus(degrees, seed):
-        assert isolate_real_roots(p) == fraction_isolate_real_roots(p), p
+def _check_isolation(polys):
+    """Each interval is the oracle's, and isolates the root that the
+    interval of the left-first cut order isolates: the two overlap."""
+    for p in polys:
+        ivs = isolate_real_roots(p)
+        assert ivs == fraction_isolate_real_roots(p), p
+        left_first = fraction_isolate_real_roots(p, outwards=False)
+        assert len(ivs) == len(left_first), p
+        assert all(lo < b and a < hi
+                   for (lo, hi), (a, b) in zip(ivs, left_first)), p
 
 
 # the benchmark's nine --poly fields, ascending, then polynomials with
-# rational coefficients, one with a negative leading coefficient, x^2 - 1,
-# whose root -1 is the first cut point tried in (-2, 2), rational roots,
-# and (x - 1)^2 (x^2 + 1)
+# rational coefficients, one with a negative leading coefficient, x^2 - 1
+# and x^2 - x, whose roots -1 and 0 are the first cut points in (-2, 2) of
+# the left-first and the middle-first orders, rational roots, and
+# (x - 1)^2 (x^2 + 1)
 _ISOLATION_FIELDS = ("-1,-1,1", "-2,0,1", "-3,0,1", "-5,0,1", "-6,0,1",
                      "-7,0,1", "-1,-1,0,1", "-1,-3,0,1", "1,-2,-1,1",
                      "-1/2,1/3,1", "5/7,0,-3/2,1/5", "1/3,-2,0,0,-7/4",
-                     "-1,0,1", "0,-4,0,1", "1,-2,2,-2,1")
+                     "-1,0,1", "0,-1,1", "0,-4,0,1", "1,-2,2,-2,1")
 
 
 def test_isolation_matches_fraction_sturm_signs():
     # the integer Horner signs pick the same bisection points as Fraction
     # Horner, so every interval is the same Fraction
-    _check_isolation(range(2, 13), 2009)
-    for text in _ISOLATION_FIELDS:
-        p = QPolynomial([Fraction(c) for c in text.split(",")])
-        assert isolate_real_roots(p) == fraction_isolate_real_roots(p), p
+    _check_isolation(_isolation_corpus(range(2, 13), 2009))
+    _check_isolation(QPolynomial([Fraction(c) for c in text.split(",")])
+                     for text in _ISOLATION_FIELDS)
 
 
 @pytest.mark.slow
 def test_isolation_matches_fraction_sturm_signs_to_degree_40():
-    _check_isolation(range(13, 41), 2010)
+    _check_isolation(_isolation_corpus(range(13, 41), 2010))
 
 
 @pytest.mark.slow

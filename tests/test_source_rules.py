@@ -149,7 +149,19 @@
   (`_zx_cofactor`) and no `rref`, `Fraction` or `divmod` of its own.
   polys has one pseudo-division step, `_zx_pseudo_divide`, the only
   function that scales by a leading coefficient's absolute value
-  (`abs(b[-1])`), and `_zx_prem` and `_zx_cofactor` call it.
+  (`abs(b[-1])`), and `_zx_remainders` and `_zx_cofactor` call it.
+* Z[x] has one division loop and one remainder sequence:
+  `_zx_pseudo_divide` alone cancels a top term in a loop (`x[k + i] -=
+  ...`), and only `_zx_div` (its zero-remainder case), `_zx_remainders`
+  and `_zx_cofactor` call it; of those only `_zx_remainders`, the
+  primitive remainder sequence signed as Sturm's chain, and
+  `_zx_cofactor`, which carries cofactors, call it in a loop, and
+  `_zx_gcd` and `isolate_real_roots` read their sequences off
+  `_zx_remainders`.  No `_zx_prem` is defined.
+* A number field stores its defining polynomial once, as the integers
+  `_defining` of t times it, and nothing reads a `_top`; NFElement has one
+  product, whose `__mul__` tests no `isinstance`, so a rational operand
+  goes through `_coerce` and arith's reader as in `+`, `-` and `/`.
 * The orbit step runs on integers: the field inverse, the remainder
   sequence it calls (`_zx_cofactor`, `_zx_pseudo_divide`) and the Horner
   recurrence of the eigenvector (`QMatrix.horner_columns`) build no
@@ -213,7 +225,7 @@ import modfol
 from modfol.congruence import P1Space
 from modfol.eigen import EigenformOrbit
 from modfol.linalg import QMatrix
-from modfol.numfield import NFElement
+from modfol.numfield import NFElement, NumberField
 from modfol.polys import QPolynomial
 
 SOURCES = sorted(Path(modfol.__file__).resolve().parent.glob("*.py"))
@@ -809,8 +821,46 @@ def test_one_charpoly_body():
              and getattr(call.func, "id", None) == "abs"
              and ast.unparse(call.args[0]).endswith("[-1]")}
     assert steps == {"_zx_pseudo_divide"}
-    for name in ("_zx_prem", "_zx_cofactor"):
+    for name in ("_zx_remainders", "_zx_cofactor"):
         assert "_zx_pseudo_divide" in _called(_function("polys", name)), name
+
+
+def _polys_functions():
+    return [node for node in ast.walk(TREES["polys"])
+            if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_division_loop_and_one_remainder_sequence_in_zx():
+    # a division loop cancels the top term by subtracting a multiple of
+    # the divisor in place, x[k + i] -= c * b[i]
+    dividers = {node.name for node in _polys_functions()
+                for loop in _loops(node) for child in ast.walk(loop)
+                if isinstance(child, ast.AugAssign)
+                and isinstance(child.op, ast.Sub)
+                and isinstance(child.target, ast.Subscript)}
+    assert dividers == {"_zx_pseudo_divide"}
+    callers = {node.name for node in _polys_functions()
+               if "_zx_pseudo_divide" in _called(node)}
+    assert callers == {"_zx_div", "_zx_remainders", "_zx_cofactor"}
+    # one function builds the remainder sequence: only it and the extended
+    # sequence, which carries cofactors, divide inside a loop
+    in_loops = {node.name for node in _polys_functions()
+                for loop in _loops(node)
+                if "_zx_pseudo_divide" in _called(loop)}
+    assert in_loops == {"_zx_remainders", "_zx_cofactor"}
+    for name in ("_zx_gcd", "isolate_real_roots"):
+        assert "_zx_remainders" in _called(_function("polys", name)), name
+    assert "_zx_prem" not in _defined_functions()
+
+
+def test_one_stored_defining_polynomial_and_one_field_product():
+    assert "_top" not in NumberField.__slots__
+    assert [module for module, tree in TREES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_top"] == []
+    mul = _methods("numfield", "NFElement")["__mul__"]
+    assert "isinstance" not in _called(mul)
+    assert "_coerce" in _called(mul)
 
 
 def test_the_orbit_step_runs_on_integers():
