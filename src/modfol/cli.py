@@ -9,27 +9,32 @@ before all output was written), 2 (usage), 3 (computation failed), 4
 (numerically indeterminate).  genus, decompose and classify accept
 --range A..B to process a batch of at most 10,000 levels, one JSON line
 per level in ascending order, optionally on a process pool (--jobs),
-which is loaded only when --jobs asks for more than one worker.  Levels
-are bounded: at most 10^14 for genus, 2,000 for the others; so are the
-periods precision (1,000 digits), the degree of an iet --poly (40) and
-its intervals (32), the unit cells of a rational iet (10^6), the digits
-of a number in --poly, in --lengths over its field or in --matrix (100;
-an exponent in --poly or --lengths has at most 4) and decompose --primes
+which is loaded only when --jobs asks for more than one worker.
+Every number is read by one of two readers, which bound its text before
+reading it and quote at most 20 characters of it in a refusal: _integer
+reads the integers (levels, --range ends, --orbit, --prec, --steps,
+--jobs and the entries of --primes, --perm and --matrix) and
+polys.parse_poly the rationals of --lengths and --poly.  Levels are
+bounded: at most 10^14 for genus, 2,000 for the others (and so is
+--orbit); so are the periods precision (1,000 digits), --jobs (10,000),
+the degree of an iet --poly (40) and its intervals (32), the unit cells
+of a rational iet (10^6, which bounds --perm too), the digits of a
+number in --poly, in --lengths over its field or in --matrix (100; an
+exponent in --poly or --lengths has at most 4) and decompose --primes
 (25 primes up to 1,000), each refused as a usage error before a series,
-a field, an exchange or a space is built; no refusal prints a number it
-has not bounded.  main() builds its argument parser once per process
-and reuses it, so in-process callers pay for it once.  Level
-records are cached under $MODFOL_CACHE (default .modfol-cache/); a cached
-record of another shape than analyze_level's is a miss, and a cache that
-cannot be written is skipped; explicit --primes runs bypass the cache,
-whose files describe the default decomposition only.
+a field, an exchange or a space is built.  main() builds its argument
+parser once per process and reuses it, so in-process callers pay for it
+once.  Level records are cached under $MODFOL_CACHE (default
+.modfol-cache/); a cached record of another shape than analyze_level's
+is a miss, and a cache that cannot be written is skipped; explicit
+--primes runs bypass the cache, whose files describe the default
+decomposition only.
 """
 
 import argparse
 import functools
 import json
 import os
-import re
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -39,7 +44,8 @@ from .arith import _integers
 from .congruence import curve_data
 from .eigen import PRIME_LIMIT
 from .errors import (IndeterminateRankError, ModfolError, NoCuspFormsError,
-                     PrecisionError, TruncationError, UndecidedSplitError)
+                     PrecisionError, TruncationError, UndecidedSplitError,
+                     _quoted)
 from .foliation import (JacobianModule, TorusKind, classify_torus,
                         module_rank)
 from .iet import IET, minimality_probe, periodicity_report
@@ -64,10 +70,13 @@ _MAX_CELLS = 10 ** 6    # rational iet unit cells: 0.25 s and 70 MB max RSS
 _MAX_INTERVALS = 32     # iet --poly: the worst probe measured took 135 s
 _MAX_DIGITS = 100       # a number of --poly, field --lengths or --matrix:
                         # a dense degree-40 --poly takes about 10 s
+_TOO_MANY_DIGITS = ("%%s takes numbers of at most %d digits in a numerator "
+                    "or a denominator" % _MAX_DIGITS)
 
 
-class _UsageError(Exception):
-    """Bad command line; reported as JSON with exit code 2."""
+class _UsageError(argparse.ArgumentTypeError):
+    """Bad command line; reported as JSON with exit code 2.  Raised by an
+    argparse type, it is reported after the argument's name."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,42 +186,56 @@ def _check_orbit(args, count):
                           "range" % (args.level, count, args.orbit))
 
 
-def _exponents_bounded(text, what):
-    """Refuse text that writes an exponent of more than four digits, as
-    1e99999, before Fraction expands it; a smaller one is read, and the
-    digits of its value are bounded after."""
-    for exponent in re.findall(r"[eE][-+]?([\d_]+)", text):
-        if len(exponent.replace("_", "").lstrip("0")) > 4:
-            raise _UsageError("%s takes exponents of at most 4 digits"
-                              % what)
-
-
 def _digits_bounded(values, what):
     """Refuse ints and Fractions of which a numerator or a denominator has
     more than _MAX_DIGITS digits; the message names no value."""
     bound = 10 ** _MAX_DIGITS
     if any(abs(x.numerator) >= bound or x.denominator >= bound
            for x in values):
-        raise _UsageError("%s takes numbers of at most %d digits in a "
-                          "numerator or a denominator" % (what, _MAX_DIGITS))
+        raise _UsageError(_TOO_MANY_DIGITS % what)
     return values
 
 
-def _parse_int_list(text, what):
+def _integer(text, bound, refusal, malformed="expected an integer"):
+    """The integer that ``text`` writes, refused with ``refusal`` when it
+    has more digits than ``bound``, negative or not, before int() reads
+    it, or is above ``bound``; one below 1 is left to the caller.  Text
+    that writes no integer is refused as ``malformed``, quoting at most 20
+    characters of it."""
+    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > len(str(bound)):
+        raise _UsageError(refusal)
     try:
-        return [int(part) for part in text.split(",")]
+        value = int(text)
     except ValueError:
-        raise _UsageError("%s must be a comma-separated integer list, "
-                          "got %r" % (what, text))
+        raise _UsageError("%s, got %s" % (malformed, _quoted(text)))
+    if value > bound:
+        raise _UsageError(refusal)
+    return value
 
 
-def _parse_fraction(text, what):
+def _integer_list(text, what, bound, refusal):
+    """The comma-separated integers of ``text``, each read by _integer."""
+    return [_integer(part, bound, refusal,
+                     "%s must be a comma-separated integer list" % what)
+            for part in text.split(",")]
+
+
+def _polynomials(text, what):
+    """The comma-separated polynomials in w of ``text``, read by parse_poly."""
     try:
-        return (int(text) if text.isascii() and text.lstrip("-").isdigit()
-                else Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError("%s must be an exact rational like 3 or 5/7, "
-                          "got %r" % (what, text))
+        return [parse_poly(part, var="w") for part in text.split(",")]
+    except ModfolError as err:
+        raise _UsageError("bad %s: %s" % (what, err))
+
+
+def _rationals(polys, refusal):
+    """The values of constant polynomials, ints where integral; a power of
+    w is refused."""
+    if any(p.degree > 0 for p in polys):
+        raise _UsageError(refusal)
+    return [v.numerator if v.denominator == 1 else v
+            for v in (p.evaluate(0) for p in polys)]
 
 
 # -- subcommand handlers ---------------------------------------------------------------
@@ -226,10 +249,11 @@ def _decompose_handler(args):
     if args.primes is not None:
         if args.range is not None:
             raise _UsageError("--primes cannot be combined with --range")
-        primes = _parse_int_list(args.primes, "--primes")
-        if len(set(primes)) > PRIME_LIMIT or max(primes) > _MAX_PRIME:
-            raise _UsageError("--primes takes at most %d primes, each at "
-                              "most %d" % (PRIME_LIMIT, _MAX_PRIME))
+        refusal = ("--primes takes at most %d primes, each at most %d"
+                   % (PRIME_LIMIT, _MAX_PRIME))
+        primes = _integer_list(args.primes, "--primes", _MAX_PRIME, refusal)
+        if len(set(primes)) > PRIME_LIMIT:
+            raise _UsageError(refusal)
         _emit(_decompose_obj(args.level, primes, False), args.pretty)
         return 0
     return _run_levels(args, "decompose")
@@ -289,17 +313,14 @@ def _iet_handler(args):
             raise _UsageError("--poly has degree at most %d, got %d "
                               "coefficients" % (_MAX_POLY_DEGREE,
                                                 args.poly.count(",") + 1))
-    _exponents_bounded(args.lengths, "--lengths")
-    try:
-        polys = [parse_poly(tok, var="w") for tok in args.lengths.split(",")]
-    except ModfolError as err:
-        raise _UsageError("bad --lengths: %s" % err)
-    perm = _parse_int_list(args.perm, "--perm")
+    polys = _polynomials(args.lengths, "--lengths")
+    # IET refuses an entry above the interval count, which the unit cells
+    # or _MAX_INTERVALS bound
+    perm = _integer_list(args.perm, "--perm", _MAX_CELLS,
+                         "--perm takes entries of at most %d" % _MAX_CELLS)
     if args.poly is None:
-        if any(p.degree > 0 for p in polys):
-            raise _UsageError("lengths use the generator w; pass its "
-                              "defining polynomial with --poly")
-        lengths = [p.evaluate(0) for p in polys]
+        lengths = _rationals(polys, "lengths use the generator w; pass its "
+                                    "defining polynomial with --poly")
         cells = sum(_integers(lengths)[1])
         if cells > _MAX_CELLS:
             raise _UsageError("rational lengths span at most %d unit cells "
@@ -311,9 +332,9 @@ def _iet_handler(args):
     else:
         # the unit cells bound a rational report; over a field, the digits
         _digits_bounded([c for p in polys for c in p.coeffs], "--lengths")
-        _exponents_bounded(args.poly, "--poly")
-        coeffs = _digits_bounded([_parse_fraction(c, "--poly coefficient")
-                                  for c in args.poly.split(",")], "--poly")
+        coeffs = _digits_bounded(_rationals(
+            _polynomials(args.poly, "--poly"),
+            "--poly takes rational coefficients, not powers of w"), "--poly")
         try:
             field = NumberField(QPolynomial(coeffs))
         except ModfolError as err:
@@ -325,8 +346,8 @@ def _iet_handler(args):
 
 
 def _torus_handler(args):
-    entries = _digits_bounded(_parse_int_list(args.matrix, "--matrix"),
-                              "--matrix")
+    entries = _integer_list(args.matrix, "--matrix", 10 ** _MAX_DIGITS - 1,
+                            _TOO_MANY_DIGITS % "--matrix")
     if len(entries) != 4:
         raise _UsageError("--matrix needs exactly four entries a,b,c,d")
     result = classify_torus(entries)
@@ -386,29 +407,20 @@ def _run_levels(args, kind):
 # -- parser -----------------------------------------------------------------------------
 
 
-def _job_count(text):
-    """--jobs: a positive worker count, capped at the number of CPUs."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
-    return min(jobs, os.cpu_count() or 1)
-
-
 def _at_most(bound, unit=""):
-    """argparse type: an integer of at most ``bound``; one below 1 is left to
-    the caller.  A longer digit string is refused before int() reads it."""
-    def integer(text):
-        digits = text.strip().lstrip("+0")
-        if (digits.isdecimal() and len(digits) > len(str(bound))
-                or int(text) > bound):
-            got = text if len(text) <= 20 else "%d characters" % len(text)
-            raise argparse.ArgumentTypeError(
-                "at most %d%s, got %s" % (bound, unit, got))
-        return int(text)
-    return integer
+    """argparse type: an integer of at most ``bound``, read by _integer;
+    one below 1 is left to the caller."""
+    return lambda text: _integer(text, bound, "at most %d%s, got %s"
+                                 % (bound, unit, _quoted(text)))
+
+
+def _job_count(text):
+    """--jobs: a positive worker count of at most _MAX_RANGE, one per level
+    of the largest batch, capped at the number of CPUs."""
+    jobs = _at_most(_MAX_RANGE)(text)
+    if jobs < 1:
+        raise _UsageError("must be at least 1, got %d" % jobs)
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _level_range(bound):
@@ -418,11 +430,10 @@ def _level_range(bound):
 
     def level_range(text):
         lo, dots, hi = text.partition("..")
-        lo, hi = level(lo), level(hi)
-        if not dots or not 1 <= lo <= hi < lo + _MAX_RANGE:
-            raise argparse.ArgumentTypeError(
-                "needs A..B with 1 <= A <= B, at most %d levels"
-                % _MAX_RANGE)
+        lo, hi = (level(lo), level(hi)) if dots else (0, 0)
+        if not 1 <= lo <= hi < lo + _MAX_RANGE:
+            raise _UsageError("needs A..B with 1 <= A <= B, at most %d levels"
+                              % _MAX_RANGE)
         return range(lo, hi + 1)
     return level_range
 
@@ -461,7 +472,7 @@ def _build_parser():
 
     classify = subs.add_parser("classify", parents=[shared, batch, cached],
                                help="foliation class of each orbit")
-    classify.add_argument("--orbit", type=int, metavar="K",
+    classify.add_argument("--orbit", type=_at_most(_MAX_LEVEL), metavar="K",
                           help="report a single orbit")
     classify.set_defaults(handler=_classify_handler)
     for sub, bound in ((genus, _MAX_GENUS_LEVEL), (decompose, _MAX_LEVEL),
@@ -479,7 +490,8 @@ def _build_parser():
                               help="period vector and rank of one orbit")
     periods.add_argument("level", type=_at_most(_MAX_LEVEL),
                          help="the level N, at most %d" % _MAX_LEVEL)
-    periods.add_argument("--orbit", type=int, required=True, metavar="K")
+    periods.add_argument("--orbit", type=_at_most(_MAX_LEVEL), required=True,
+                         metavar="K")
     periods.add_argument("--prec", type=_at_most(_MAX_PREC, " digits"),
                          default=60, metavar="D",
                          help="working precision in digits (default 60, at "

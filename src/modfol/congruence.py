@@ -81,18 +81,18 @@ def curve_data(N):
         nu_inf *= sum(p ** m - p ** (m - 1) if m else 1
                       for m in (min(k, e - k) for k in range(e + 1)))
 
-    genus_frac = 1 + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
-        - Fraction(nu_inf, 2)
-    if genus_frac.denominator != 1:
+    twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf
+    if twelve_g % 12:
         raise InternalInvariantError(
-            "genus formula gave the non-integer %s at level %d" % (genus_frac, N))
+            "genus formula gave the non-integer %s at level %d"
+            % (Fraction(twelve_g, 12), N))
     return {
         "N": N,
         "mu": mu,
         "nu2": nu2,
         "nu3": nu3,
         "nu_inf": nu_inf,
-        "genus": genus_frac.numerator,
+        "genus": twelve_g // 12,
     }
 
 

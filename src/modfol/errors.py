@@ -64,3 +64,11 @@ class WrongCaseError(ModfolError):
 
 class NoCuspFormsError(ModfolError):
     """The requested level has genus 0: nothing to classify."""
+
+
+def _quoted(text):
+    """``text`` for an error message: its repr, cut to the first 20
+    characters, then followed by its length, when it is longer."""
+    if len(text) <= 20:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:20], len(text))

@@ -144,6 +144,12 @@ def classify(orbit, curve):
     d = orbit.degree
     if not 1 <= d <= g:
         raise DomainError("orbit degree %d outside 1..genus=%d" % (d, g))
+    return foliation_class(d, g)
+
+
+def foliation_class(d, g):
+    """The degree-versus-genus rule of classify, for 1 <= d <= g; the
+    level cache checks its records against it."""
     if d == 1:
         return FoliationClass(FoliationKind.STREBEL, d, g)
     if d == g:

@@ -22,7 +22,7 @@ from .cache import SCHEMA_VERSION
 from .congruence import curve_data
 from .eigen import EigenformOrbit, decompose
 from .errors import DomainError
-from .foliation import classify
+from .foliation import classify, foliation_class
 from .modsym import ModularSymbolSpace
 from .numfield import NumberField
 from .polys import QPolynomial
@@ -104,9 +104,11 @@ def _consistent(record):
     degree d >= 1 is len(minpoly) - 1 and the length of its eigenvalue, of
     every eigenvector entry and of every coefficient_map entry; its
     eigenvector has genus entries, its coefficient_map keys are among the
-    record's primes and its index is its position.  The
-    classification has one entry per orbit, which carries the level, the
-    orbit's index and degree, and the curve's genus."""
+    record's primes, its index is its position, d is at most the genus,
+    and it is possibly old exactly when its multiplicity exceeds 1.  The
+    classification has one entry per orbit, the one analyze_level writes
+    for the level, the orbit's index, d and the genus, by classify's rule
+    (foliation_class), so a planted class or separatrix excess is caught."""
     level, genus = record["level"], record["curve"]["genus"]
     orbits, entries = record["orbits"], record["classification"]
     primes = set(map(str, record["primes"]))
@@ -117,11 +119,12 @@ def _consistent(record):
         lengths = {len(orbit["minpoly"]) - 1, len(orbit["eigenvalue"])}
         lengths.update(map(len, orbit["eigenvector"]))
         lengths.update(map(len, orbit["coefficient_map"].values()))
-        if (d < 1 or lengths != {d} or orbit["orbit"] != i
+        if (not 1 <= d <= genus or lengths != {d} or orbit["orbit"] != i
                 or not primes.issuperset(orbit["coefficient_map"])
                 or len(orbit["eigenvector"]) != genus
-                or (entry["level"], entry["orbit"], entry["degree"],
-                    entry["genus"]) != (level, i, d, genus)):
+                or orbit["possibly_old"] != (orbit["multiplicity"] > 1)
+                or entry != _classification_entry(
+                    level, i, foliation_class(d, genus))):
             return False
     return True
 

@@ -24,16 +24,21 @@ nearly in halves, on integer endpoints over a common denominator.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
 from .arith import (_as_int, _integers, _lcm_sum, _lowest_terms, _power,
                     next_prime)
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError, _quoted
 
 # highest power parse_poly accepts: x^k is a dense list of k + 1 coefficients
 MAX_POWER = 1000
+# parse_poly's exponents, and the signs that start its terms: not one after
+# another sign, ^, *, / or (, nor the sign of an exponent, as in 1e-3
+_EXPONENTS = re.compile(r"[eE][-+]?([\d_]+)")
+_TERM_STARTS = re.compile(r"(?<=[^-+^*/(])(?<![\d.][eE])(?=[-+])")
 
 
 class QPolynomial:
@@ -681,40 +686,33 @@ def format_poly(p, var="x"):
 
 
 def parse_poly(text, var="x"):
-    """Parse expressions like 'x^2 - x - 1' or '2*x^3 + 1/2' into a QPolynomial;
-    a power above MAX_POWER is refused before its digits are read."""
+    """Parse expressions like 'x^2 - x - 1' or '2*x^3 + 1/2' into a QPolynomial.
+    A coefficient is read as Fraction reads it (1/2, 1.5, 1e-3, 1_000);
+    an exponent of more than 4 digits in one, and a power above MAX_POWER,
+    are refused before their digits are read, and a refusal quotes at most
+    20 characters of the text."""
     try:
         return _parse_poly(text, var)
     except DomainError:
         raise
     except (ValueError, IndexError, ZeroDivisionError) as exc:
-        raise DomainError("malformed polynomial %r" % text) from exc
+        raise DomainError("malformed polynomial %s" % _quoted(text)) from exc
 
 
 def _parse_poly(text, var):
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise DomainError("empty polynomial")
-    # split into signed terms
-    terms = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur and cur[-1] not in "+-^*/(":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
+    if any(len(exponent.replace("_", "").lstrip("0")) > 4
+           for exponent in _EXPONENTS.findall(s)):
+        raise DomainError("only exponents of at most 4 digits are accepted")
     coeffs = {}
-    for term in terms:
+    for term in _TERM_STARTS.split(s):
         if not term or term in "+-":
-            raise DomainError("malformed polynomial %r" % text)
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        head, sep, tail = term.partition(var)
+            raise DomainError("malformed polynomial %s" % _quoted(text))
+        body = term.lstrip("+-")
+        negative = term[:len(term) - len(body)].count("-") % 2
+        head, sep, tail = body.partition(var)
         if sep:
             head = head.rstrip("*") or "1"
         # int reads ASCII digits, Fraction any other (1/2, 1.5, 1e3, 1_000)
@@ -733,7 +731,7 @@ def _parse_poly(text, var):
         elif tail == "":
             power = 1
         else:
-            raise DomainError("malformed term %r" % term)
-        coeffs[power] = coeffs.get(power, 0) + sign * coef
+            raise DomainError("malformed term %s" % _quoted(body))
+        coeffs[power] = coeffs.get(power, 0) + (-coef if negative else coef)
     top = max(coeffs)
     return QPolynomial([coeffs.get(i, 0) for i in range(top + 1)])

@@ -51,7 +51,7 @@ from modfol.congruence import (P1Space, _normalize_cusp, cusp_class_key,
                                cusp_classes)
 from modfol.errors import (DimensionError, DomainError,
                            InternalInvariantError, MultiplicityError,
-                           UndecidedSplitError)
+                           UndecidedSplitError, _quoted)
 from modfol.hecke import hecke_matrix
 from modfol.linalg import QMatrix
 from modfol.modsym import ModularSymbolSpace, _lift_canonical
@@ -1276,14 +1276,14 @@ def horner_from_poly(field, p):
 
 def fraction_parse_poly(text, var="x"):
     """parse_poly's coefficients, ascending and trimmed, with every
-    coefficient read by Fraction: the same terms, signs, power bound and
-    DomainError texts."""
+    coefficient read by Fraction: the same terms, signs, exponent and power
+    bounds and DomainError texts."""
     try:
         coeffs = _fraction_terms(text, var)
     except DomainError:
         raise
     except (ValueError, IndexError, ZeroDivisionError) as exc:
-        raise DomainError("malformed polynomial %r" % text) from exc
+        raise DomainError("malformed polynomial %s" % _quoted(text)) from exc
     out = [coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)]
     while out and out[-1] == 0:
         out.pop()
@@ -1294,9 +1294,23 @@ def _fraction_terms(text, var):
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise DomainError("empty polynomial")
+    for i, ch in enumerate(s):
+        # the digits and underscores after e, E or a sign after one
+        if ch in "eE":
+            run = ""
+            for c in s[i + 2:] if s[i + 1:i + 2] in ("+", "-") else s[i + 1:]:
+                if not (c.isdecimal() or c == "_"):
+                    break
+                run += c
+            if len(run.replace("_", "").lstrip("0")) > 4:
+                raise DomainError(
+                    "only exponents of at most 4 digits are accepted")
     terms, cur = [], ""
     for ch in s:
-        if ch in "+-" and cur and cur[-1] not in "+-^*/(":
+        # a sign after 1e or 2.5E is the exponent's
+        if (ch in "+-" and cur and cur[-1] not in "+-^*/("
+                and not (cur[-1] in "eE" and cur[-2:-1].isdecimal()
+                         or cur[-2:] in (".e", ".E"))):
             terms.append(cur)
             cur = ch
         else:
@@ -1305,7 +1319,7 @@ def _fraction_terms(text, var):
     coeffs = {}
     for term in terms:
         if not term or term in "+-":
-            raise DomainError("malformed polynomial %r" % text)
+            raise DomainError("malformed polynomial %s" % _quoted(text))
         sign = 1
         while term and term[0] in "+-":
             if term[0] == "-":
@@ -1326,7 +1340,7 @@ def _fraction_terms(text, var):
             elif tail == "":
                 power = 1
             else:
-                raise DomainError("malformed term %r" % term)
+                raise DomainError("malformed term %s" % _quoted(term))
         else:
             coef, power = Fraction(term), 0
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef

@@ -350,6 +350,10 @@ _INCONSISTENT_23 = [
     _set(("classification", 0, "degree"), 1),
     _set(("classification", 0, "genus"), 3),
     _set(("classification", 0, "level"), 11),
+    # each keeps the record consistent but for classify's rule
+    _set(("classification", 0, "class"), "strebel"),
+    _set(("classification", 0, "separatrix_excess"), 5),
+    _set(("orbits", 0, "possibly_old"), True),
 ]
 
 
@@ -528,14 +532,27 @@ def test_iet_length_power_at_bound():
 
 @pytest.mark.parametrize("degree", [41, 10 ** 5])
 def test_iet_poly_degree_above_bound_is_usage_error(monkeypatch, degree):
-    # refused on the comma count: no coefficient is parsed
-    def no_parse(*args):
+    # refused on the comma count: no coefficient (and no length) is parsed
+    def no_parse(*args, **kwargs):
         raise AssertionError("coefficient parsed for a refused --poly")
-    monkeypatch.setattr("modfol.cli._parse_fraction", no_parse)
+    monkeypatch.setattr("modfol.cli.parse_poly", no_parse)
     poly = ",".join(["-2"] + ["0"] * (degree - 1) + ["1"])
     code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
                          "--poly=" + poly, "--steps", "5")
     assert code == 2 and "degree at most 40" in obj["error"]
+
+
+def test_iet_poly_reads_every_rational_spelling():
+    # --poly's coefficients go through parse_poly, as --lengths do, and
+    # read every spelling that Fraction reads
+    golden = run("iet", "--lengths", "1,w", "--perm", "2,1", "--poly=-1,-1,1",
+                 "--steps", "5")
+    assert golden[0] == 0
+    assert run("iet", "--lengths", "1,w", "--perm", "2,1",
+               "--poly=-1_000e-3,-0.1E+1,+1.0", "--steps", "5") == golden
+    code, obj = run_json("iet", "--lengths", "1,w", "--perm", "2,1",
+                         "--poly=-1,w,1", "--steps", "5")
+    assert code == 2 and "rational coefficients" in obj["error"]
 
 
 def test_iet_poly_degree_at_bound():
@@ -757,7 +774,8 @@ def test_jobs_capped_at_cpu_count(monkeypatch, cpus, jobs, pools):
     assert _RecordingPool.sizes == pools
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+# and above its bound of 10,000, one worker per level of the largest batch
+@pytest.mark.parametrize("jobs", ["0", "-3", "two", "10001"])
 def test_jobs_below_one_is_usage_error(jobs):
     code, obj = run_json("decompose", "--range", "11..12", "--jobs", jobs)
     assert code == 2 and set(obj) == {"error", "hint"}
@@ -863,9 +881,13 @@ def test_oversized_range_fails_as_json_in_a_child(tmp_path):
 # every numeric argument at 4,300 digits, the most that int() reads by
 # default, and the inputs that once crashed with a traceback: a 4,301-digit
 # dilatation reached str(), and so did the 4,301-digit cell count of a
-# refusal; an exponent of eight digits would take minutes to expand
+# refusal; an exponent of eight digits would take minutes to expand.  Then
+# the refusals that quoted the whole argument, in lines of 4,431 to 6,140
+# bytes: 5,000 digits, 3,000 entries with one bad one, 6,000 characters
 _DIGITS = "9" * 4300
 _A = 9 * 10 ** 4280
+_LONGER = "9" * 5000
+_BAD_LAST = ",".join(["2"] * 2999 + ["x"])
 NUMERIC_ARGUMENTS = {
     "genus level": ["genus", _DIGITS],
     "decompose level": ["decompose", _DIGITS],
@@ -901,6 +923,20 @@ NUMERIC_ARGUMENTS = {
     "--matrix": ["torus", "--matrix", _DIGITS + ",1,1,1"],
     "--matrix of determinant 1": [
         "torus", "--matrix", "%d,%d,%d,%d" % (_A, _A - 1, _A + 1, _A)],
+    "--orbit of 5,000 digits": ["classify", "11", "--orbit", _LONGER],
+    "--jobs of 5,000 digits": ["genus", "--range", "1..2", "--jobs", _LONGER],
+    "--primes of 5,000 digits": ["decompose", "11", "--primes", _LONGER],
+    "--perm of 5,000 digits": ["iet", "--lengths", "1,1", "--perm",
+                               _LONGER + ",1"],
+    "--matrix of 5,000 digits": ["torus", "--matrix", _LONGER + ",1,1,1"],
+    "--prec of minus 5,000 digits": ["periods", "11", "--orbit", "0",
+                                     "--prec=-" + _LONGER],
+    "--perm of 3,000 entries": ["iet", "--lengths", "1,1", "--perm",
+                                _BAD_LAST],
+    "--primes of 3,000 entries": ["decompose", "11", "--primes", _BAD_LAST],
+    "--lengths of 6,000 characters": ["iet", "--lengths", "1/2," + "x" * 5996,
+                                      "--perm", "2,1"],
+    "--range of 6,000 characters": ["genus", "--range", "x" * 6000],
 }
 
 
@@ -911,9 +947,10 @@ def test_numeric_argument_contract(label):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(NUMERIC_ARGUMENTS[label])
     assert time.perf_counter() - start < 0.5
-    assert code in (2, 3) and err.getvalue() == ""
+    assert code == 2 and err.getvalue() == ""
     (line,) = out.getvalue().splitlines()
     assert set(json.loads(line)) == {"error", "hint"}
+    assert len(line.encode()) <= 300
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

@@ -16,7 +16,7 @@ from modfol.congruence import (
     mat_det,
 )
 from modfol.arith import factorize
-from modfol.errors import DomainError
+from modfol.errors import DomainError, InternalInvariantError
 
 from oracles import (brute_canonical, brute_p1_classes, coset_genus,
                      cusp_equivalent, mat_mul, moebius_on_cusp,
@@ -64,6 +64,14 @@ class TestCurveData:
     def test_invalid_level(self):
         with pytest.raises(DomainError):
             curve_data(0)
+
+    def test_non_integer_genus_is_an_invariant_error(self, monkeypatch):
+        # 11 read as 5: mu 13, nu2 2, nu3 0, nu_inf 2, so 12 g = 7
+        monkeypatch.setattr("modfol.congruence.factorize",
+                            lambda N: [(5, 1)])
+        with pytest.raises(InternalInvariantError,
+                           match="non-integer 7/12 at level 11"):
+            curve_data(11)
 
     def test_factorize(self):
         assert factorize(1) == []

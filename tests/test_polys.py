@@ -1,4 +1,5 @@
 import random
+import time
 import types
 from fractions import Fraction
 from math import gcd
@@ -396,7 +397,9 @@ class TestFormatParse:
               "w^\u0663", "2w", "w**2", "+-w", " 1 + w ", "3*w^2 - 1/2*w + 7",
               "0", "w - w", "\u0661\u0662/\u0663*w", "w^+2", "w^01000",
               "1" * 5000, "", "+", "w+", "1/0", "w^x", "ww", "2**w", "1e-3",
-              "1__0", "\u00b9", "\u00b2w", "1/2/3", "w^1001", "w^-1", "x"]
+              "1__0", "\u00b9", "\u00b2w", "1/2/3", "w^1001", "w^-1", "x",
+              "2.5E+2", "w-1e-3*w^2", "1.e+2w", "\u0663e-1", "e-1",
+              "1e99999999*w", "1E+0_0099999", "1e-10000", "x" * 6000]
 
     @pytest.mark.parametrize("text", CORPUS, ids=range(len(CORPUS)))
     def test_parse_matches_the_fraction_reading(self, text):
@@ -410,6 +413,27 @@ class TestFormatParse:
             p = parse_poly(text, var="w")
             assert p.coeffs == expected
             assert_normal_form(p)
+
+    def test_long_exponent_is_refused_before_it_is_read(self):
+        # Fraction expands 1e999999 in about 0.3 s, forty times 1e99999
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="exponents of at most 4 digits"):
+            parse_poly("1e99999999*x")
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("text", ["3", "-5/7", "1.5", "1e3", "1e-3",
+                                      "2.5E+2", "1_000", "+4"])
+    def test_reads_every_rational_spelling_fraction_reads(self, text):
+        # the spellings the CLI read by Fraction alone before --poly went
+        # through parse_poly
+        assert parse_poly(text, var="w").coeffs == (Fraction(text),)
+
+    def test_refusal_quotes_at_most_20_characters(self):
+        for text in ("x" * 6000, "1" * 5000, "1/2+" * 1500 + "^"):
+            with pytest.raises(DomainError) as got:
+                parse_poly(text, var="w")
+            assert len(str(got.value)) < 80
+            assert str(got.value).endswith("... (%d characters)" % len(text))
 
     def test_zero_denominator_is_a_domain_error(self):
         for bad in ("1/0", "x/0 + 1", "1/0*x^2"):

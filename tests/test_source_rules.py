@@ -17,9 +17,12 @@
   would truncate 2.5 to 2.
 * No module but `arith` decides what number an argument may be: outside
   it no `isinstance(..., float)` is tested, no `int(x)` is compared with
-  `x`, and no `Fraction(...)` is built of a parameter, but in the three
-  readers of text and reals (`cli._parse_fraction`, `polys.parse_poly`
-  and `periods._exact`).
+  `x`, and no `Fraction(...)` is built of a parameter, but in the two
+  readers of text and reals (`polys.parse_poly` and `periods._exact`).
+* The CLI reads a number through one of two readers: `cli._integer` is
+  its only function that calls `int()`, no `add_argument` passes
+  `type=int`, and no `Fraction(...)` in it reads a variable, so rationals
+  are read by `polys.parse_poly` alone.
 * Exact coefficient lists have one integer core: `polys._zx_mul` holds
   the package's only `out[i + j] +=` accumulation, and
   `QPolynomial.__mul__`, `_zp_mul` and `NFElement.__mul__` call it;
@@ -379,8 +382,7 @@ def test_truncations_reach_nested_comprehensions():
 
 
 # the readers of text and reals, which build a Fraction of what they read
-NUMBER_TEXT_READERS = {("cli", "_parse_fraction"), ("polys", "parse_poly"),
-                       ("periods", "_exact")}
+NUMBER_TEXT_READERS = {("polys", "parse_poly"), ("periods", "_exact")}
 
 
 def _number_checks(node):
@@ -429,6 +431,21 @@ def test_number_arguments_are_read_in_arith():
              for check in _number_checks(node)]
     assert found == []
     assert all(_function(module, name) for module, name in NUMBER_TEXT_READERS)
+
+
+def test_cli_reads_numbers_through_two_readers():
+    tree = TREES["cli"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    ints = [call for call in calls if getattr(call.func, "id", None) == "int"]
+    assert ints and all(any(call is node for node in ast.walk(
+        _function("cli", "_integer"))) for call in ints)
+    assert not [call for call in calls for keyword in call.keywords
+                if keyword.arg == "type" and _names(keyword.value) == {"int"}]
+    fractions = [call for call in calls
+                 if getattr(call.func, "id", None) == "Fraction"]
+    # the one Fraction of cli is the torus tolerance, of constants only
+    assert fractions and all(name.lstrip("_").isupper() for call in fractions
+                             for arg in call.args for name in _names(arg))
 
 
 def test_replaced_hecke_routes_are_oracles_only():
